@@ -10,10 +10,13 @@ either way.
 Layout: matrices are enumerated in row-major odometer order.  The first row
 is a Python-level loop (this is also the sharding axis); the remaining rows
 live in numpy arrays indexed by the flattened odometer of the bottom
-entries, chunked to bound memory.
+entries, chunked to bound memory.  `sweep_square` histograms every key;
+`count_target3` counts one 3x3 key without a histogram.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -256,3 +259,54 @@ def _sweep3(values, want_det, want_rank, want_charpoly, want_powersums, lo, hi):
         "charpoly": cp_acc.result() if cp_acc else None,
         "powersums": ps_acc.result() if ps_acc else None,
     }
+
+
+def count_target3(values: list[int], stat: str, target: tuple[int, ...]) -> int:
+    """Number of 3x3 matrices over `values` whose raw key for `stat` equals
+    `target`, in the key layout of `_sweep3`: "det" (det,), "charpoly"
+    (c0, c1, c2), "powersums" (t1, t2).
+
+    Same blocks and arithmetic as `_sweep3`, under the same `supports` proof
+    (the caller's job), but each key column is compared with its target and
+    the hits are counted; no histogram is built.  The proof bounds every key
+    by _SAFE_LIMIT, so a larger target counts 0.
+    """
+    if any(abs(t) > _SAFE_LIMIT for t in target):
+        return 0
+    v = np.array(values, dtype=np.int64)
+    size = v.shape[0]
+    bottom_space = size**6
+    first_rows = list(itertools.product(values, repeat=3))
+    found = 0
+    start = 0
+    while start < bottom_space:
+        stop = min(start + _CHUNK, bottom_space)
+        d21, d22, d23, d31, d32, d33 = _bottom_digits3(size, start, stop)
+        r21, r22, r23 = v[d21], v[d22], v[d23]
+        r31, r32, r33 = v[d31], v[d32], v[d33]
+        if stat == "powersums":
+            t1, t2 = target
+            s23 = r22 + r33
+            q23w = r22 * r22 + r33 * r33 + 2 * (r23 * r32)
+            for a1, a2, a3 in first_rows:
+                hit = a1 + s23 == t1
+                hit &= a1 * a1 + q23w + 2 * (a2 * r21 + a3 * r31) == t2
+                found += int(np.count_nonzero(hit))
+        else:
+            m1 = r22 * r33 - r23 * r32
+            m2 = r21 * r33 - r23 * r31
+            m3 = r21 * r32 - r22 * r31
+            if stat == "det":
+                (det,) = target
+                for a1, a2, a3 in first_rows:
+                    found += int(np.count_nonzero(a1 * m1 - a2 * m2 + a3 * m3 == det))
+            else:
+                c0, c1, c2 = target
+                s23 = r22 + r33
+                for a1, a2, a3 in first_rows:
+                    hit = a1 + s23 == -c2
+                    hit &= a1 * s23 - a2 * r21 - a3 * r31 + m1 == c1
+                    hit &= a1 * m1 - a2 * m2 + a3 * m3 == -c0
+                    found += int(np.count_nonzero(hit))
+        start = stop
+    return found

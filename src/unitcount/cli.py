@@ -61,22 +61,17 @@ def _write_text(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _sweep_options(args, **stats) -> SweepOptions:
-    return SweepOptions(budget=args.budget, shards=args.shards, **stats)
-
-
 # -- count ---------------------------------------------------------------------
 
 
 def _cmd_count(args) -> int:
     elements = load_set(args.set)
     field = elements.field
+    opts = SweepOptions(budget=args.budget, shards=args.shards)
     if args.stat == "det":
         target = parse_scalar(args.d, field)
-        opts = _sweep_options(args, rank=False, det=True)
         print(count_det(elements, args.n, target, options=opts))
     elif args.stat == "rank":
-        opts = _sweep_options(args, rank=True, det=False)
         print(
             count_rank(
                 elements,
@@ -89,12 +84,10 @@ def _cmd_count(args) -> int:
         )
     elif args.stat == "charpoly":
         key = CharPolyKey.from_text(args.coeffs, field)
-        opts = _sweep_options(args, rank=False, det=False, charpoly=True)
         print(count_charpoly(elements, args.n, key, options=opts))
     else:
         t1 = parse_scalar(args.t1, field)
         t2 = parse_scalar(args.t2, field)
-        opts = _sweep_options(args, rank=False, det=False, powersums=True)
         print(count_power_sums(elements, args.n, t1, t2, options=opts))
     return 0
 

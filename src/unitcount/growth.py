@@ -46,11 +46,12 @@ from .matrices import (
     count_det,
     count_power_sums,
     count_rank,
-    fast_charpoly2_count,
-    fast_det2_count,
-    fast_power_sums2_count,
+    plan_rank,
+    plan_square,
     resolve_budget,
 )
+# Re-exported: perfbench/spans.py wraps these names on this module.
+from .matrices import fast_charpoly2_count, fast_det2_count, fast_power_sums2_count  # noqa: F401
 from .scalars import Q, QI, Scalar, parse_scalar
 
 
@@ -150,6 +151,9 @@ class GrowthFamily:
 
 
 # -- statistics ---------------------------------------------------------------
+#
+# Matrix statistics delegate route choice, work and budget to the count
+# planner in `matrices`.
 
 
 @dataclass(frozen=True)
@@ -164,11 +168,9 @@ class DetStatistic:
         return {"kind": "det", "n": self.n, "target": self.target.text()}
 
     def work_estimate(self, size: int) -> int:
-        return size**2 if self.n == 2 else size ** (self.n * self.n)
+        return plan_square(self.n, size).work
 
     def count(self, elements: ElementSet, budget: int, shards: int) -> int:
-        if self.n == 2:
-            return fast_det2_count(elements, self.target)
         opts = SweepOptions(budget=budget, shards=shards)
         return count_det(elements, self.n, self.target, options=opts)
 
@@ -199,18 +201,9 @@ class RankStatistic:
         }
 
     def work_estimate(self, size: int) -> int:
-        if (self.m, self.n) == (2, 2):
-            return size**2
-        return size ** (self.m * self.n)
+        return plan_rank(self.m, self.n, self.r, self.cumulative, size).work
 
     def count(self, elements: ElementSet, budget: int, shards: int) -> int:
-        if (self.m, self.n) == (2, 2):
-            zero = Scalar.zero(elements.field)
-            singular = fast_det2_count(elements, zero)
-            total = len(elements) ** 4
-            if self.r == 1:
-                return singular
-            return total if self.cumulative else total - singular
         opts = SweepOptions(budget=budget, shards=shards)
         return count_rank(
             elements, self.m, self.n, self.r, cumulative=self.cumulative, options=opts
@@ -240,11 +233,9 @@ class CharpolyStatistic:
         }
 
     def work_estimate(self, size: int) -> int:
-        return size**2 if self.n == 2 else size ** (self.n * self.n)
+        return plan_square(self.n, size).work
 
     def count(self, elements: ElementSet, budget: int, shards: int) -> int:
-        if self.n == 2:
-            return fast_charpoly2_count(elements, self.key)
         opts = SweepOptions(budget=budget, shards=shards)
         return count_charpoly(elements, self.n, self.key, options=opts)
 
@@ -286,11 +277,9 @@ class PowerSumsStatistic:
         }
 
     def work_estimate(self, size: int) -> int:
-        return size**2 if self.n == 2 else size ** (self.n * self.n)
+        return plan_square(self.n, size).work
 
     def count(self, elements: ElementSet, budget: int, shards: int) -> int:
-        if self.n == 2:
-            return fast_power_sums2_count(elements, self.t1, self.t2)
         opts = SweepOptions(budget=budget, shards=shards)
         return count_power_sums(elements, self.n, self.t1, self.t2, options=opts)
 

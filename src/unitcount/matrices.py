@@ -15,18 +15,23 @@ and histogram the requested statistics.  A sweep is sharded by the first
 matrix row, so partial sweeps can run separately and merge; when the field
 is Q, the shape is 2x2 or 3x3, and an a-priori magnitude bound proves that
 no intermediate can leave int64, a vectorized kernel takes over.
+
+Single counts (count_det, count_rank, count_charpoly, count_power_sums) go
+through a planner that picks a cheaper exact route where one exists and
+falls back to the sweep otherwise; see the count planner section.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
 from .families import ElementSet
-from .scalars import Q, QI, Scalar, parse_scalar
+from .scalars import Q, QI, FieldMismatchError, Scalar, parse_scalar
 
 DEFAULT_BUDGET = 200_000_000
 BUDGET_ENV_VAR = "UNITCOUNT_BUDGET"
@@ -728,7 +733,82 @@ def sweep(
     return _finalize(raw, elements, m, n, opts)
 
 
-# -- counting wrappers --------------------------------------------------------
+# -- count planner ------------------------------------------------------------
+#
+# Each count_* picks its exact route in one place, from the shape, the
+# statistic and the set size A (plan_square, plan_rank); charges the budget
+# with that route's work; and runs it.
+#
+#   conv2    2x2 det, charpoly or power sums by product convolution, A^2
+#   target3  3x3 det, charpoly or power sums: the one key is counted by the
+#            int64 kernel under its `supports` proof, else read off the
+#            generic sweep; A^9
+#   rank1    rank <= 1 on any m x n, by line directions, A^min(m,n)
+#   closed   rank <= min(m, n): every matrix, A^(mn) with no work
+#   det0     3x3 rank <= 2: the det = 0 count by its own route
+#   sweep    the full-histogram sweep, A^(mn); every route must agree with it
+#
+# An exact rank count is rank <= r minus rank <= r-1, each by its route; the
+# route name joins the two with "-".  The sweep runs when either has none.
+# Shards partition only the sweep; the other routes ignore them.
+
+
+@dataclass(frozen=True)
+class CountRoute:
+    """The exact route a count takes and the work units it is charged."""
+
+    name: str
+    work: int
+
+
+def plan_square(n: int, size: int) -> CountRoute:
+    """Route of an n x n det, charpoly or power-sums count over a set of
+    `size` elements."""
+    if n == 2:
+        return CountRoute("conv2", size**2)
+    if n == 3:
+        return CountRoute("target3", size**9)
+    return CountRoute("sweep", size ** (n * n))
+
+
+def _cumulative_rank_route(m: int, n: int, k: int, size: int) -> CountRoute | None:
+    """Route other than the sweep for the number of m x n matrices of
+    rank <= k, if there is one."""
+    low = min(m, n)
+    if k == low:
+        return CountRoute("closed", 0)
+    if k == 1:
+        return CountRoute("rank1", size**low)
+    if (m, n, k) == (3, 3, 2):
+        return CountRoute("det0", plan_square(3, size).work)
+    return None
+
+
+def plan_rank(m: int, n: int, r: int, cumulative: bool, size: int) -> CountRoute:
+    """Route of an m x n rank count (rank <= r, or == r) over `size` elements."""
+    if not 1 <= r <= min(m, n):
+        raise ValueError(f"rank {r} impossible for a {m}x{n} matrix over nonzero entries")
+    parts = [_cumulative_rank_route(m, n, r, size)]
+    if not cumulative and r > 1:
+        parts.append(_cumulative_rank_route(m, n, r - 1, size))
+    if None in parts:
+        return CountRoute("sweep", size ** (m * n))
+    return CountRoute("-".join(p.name for p in parts), sum(p.work for p in parts))
+
+
+def _charged(route: CountRoute, options: SweepOptions | None) -> CountRoute:
+    budget = resolve_budget(options.budget if options else None)
+    if route.work > budget:
+        raise BudgetExceededError(route.work, budget, f"{route.name} count")
+    return route
+
+
+def _check_fields(elements: ElementSet, *values: Scalar) -> None:
+    for value in values:
+        if value.field != elements.field:
+            raise FieldMismatchError(
+                f"target in field {value.field}, set in field {elements.field}"
+            )
 
 
 def _single_stat_options(options: SweepOptions | None, stat: str) -> SweepOptions:
@@ -743,6 +823,68 @@ def _single_stat_options(options: SweepOptions | None, stat: str) -> SweepOption
     )
 
 
+def _target3_kernel(
+    elements: ElementSet, stat: str, target: tuple[Scalar, ...], powers: tuple[int, ...]
+) -> int | None:
+    """3x3 count of one key, whose k-th value has denominator dividing
+    lcm^powers[k].  A value that does not counts 0; otherwise the int64
+    kernel counts when its proof holds, and None means sweep instead."""
+    lcm, values, bound = elements.scaled_integers()
+    scales = [lcm**p for p in powers]
+    if any(scale % value.den for value, scale in zip(target, scales)):
+        return 0
+    if elements.field != Q or not _kernels.supports(
+        bound, 3, stat == "det", False, stat == "charpoly", stat == "powersums"
+    ):
+        return None
+    raw = tuple(value.re * (scale // value.den) for value, scale in zip(target, scales))
+    return _kernels.count_target3(values, stat, raw)
+
+
+def _int_direction(line: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive integer vector with positive first entry on the line."""
+    g = math.gcd(*line)
+    if line[0] < 0:
+        g = -g
+    return tuple(x // g for x in line)
+
+
+def _gauss_direction(line: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The ratios line[j] / line[0] over their least positive common
+    denominator, flattened to (den, re_1, im_1, ...)."""
+    conj = (line[0][0], -line[0][1])
+    parts = [line[0][0] ** 2 + line[0][1] ** 2]
+    for z in line[1:]:
+        parts.extend(_gmul(z, conj))
+    g = math.gcd(*parts)
+    return tuple(x // g for x in parts)
+
+
+def _rank1_count(elements: ElementSet, m: int, n: int) -> int:
+    """Number of m x n matrices of rank 1.  With zero-free entries that is
+    every line along the longer side on one direction, so histogram the
+    A^min(m,n) lines of the shorter side by direction (rank is invariant
+    under transposition) and sum each class size to the power max(m, n)."""
+    _, values, _ = elements.scaled_integers()
+    direction = _gauss_direction if elements.field == QI else _int_direction
+    classes: dict[tuple[int, ...], int] = {}
+    for line in itertools.product(values, repeat=min(m, n)):
+        key = direction(line)
+        classes[key] = classes.get(key, 0) + 1
+    return sum(c ** max(m, n) for c in classes.values())
+
+
+def _cumulative_rank(
+    elements: ElementSet, m: int, n: int, k: int, options: SweepOptions | None
+) -> int:
+    route = _cumulative_rank_route(m, n, k, len(elements))
+    if route.name == "closed":
+        return len(elements) ** (m * n)
+    if route.name == "rank1":
+        return _rank1_count(elements, m, n)
+    return count_det(elements, 3, Scalar.zero(elements.field), options=options)
+
+
 def count_det(
     elements: ElementSet,
     n: int,
@@ -750,6 +892,14 @@ def count_det(
     *,
     options: SweepOptions | None = None,
 ) -> int:
+    _check_fields(elements, target)
+    route = _charged(plan_square(n, len(elements)), options)
+    if route.name == "conv2":
+        return fast_det2_count(elements, target)
+    if route.name == "target3":
+        found = _target3_kernel(elements, "det", (target,), (3,))
+        if found is not None:
+            return found
     hist = sweep(elements, n, n, _single_stat_options(options, "det"))
     return hist.det_histogram.get(target, 0)
 
@@ -763,12 +913,16 @@ def count_rank(
     cumulative: bool = False,
     options: SweepOptions | None = None,
 ) -> int:
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"rank {r} impossible for a {m}x{n} matrix over nonzero entries")
-    hist = sweep(elements, m, n, _single_stat_options(options, "rank"))
-    if cumulative:
-        return sum(c for rr, c in hist.rank_profile.items() if rr <= r)
-    return hist.rank_profile.get(r, 0)
+    route = _charged(plan_rank(m, n, r, cumulative, len(elements)), options)
+    if route.name == "sweep":
+        hist = sweep(elements, m, n, _single_stat_options(options, "rank"))
+        if cumulative:
+            return sum(c for rr, c in hist.rank_profile.items() if rr <= r)
+        return hist.rank_profile.get(r, 0)
+    count = _cumulative_rank(elements, m, n, r, options)
+    if not cumulative and r > 1:
+        count -= _cumulative_rank(elements, m, n, r - 1, options)
+    return count
 
 
 def count_charpoly(
@@ -780,6 +934,14 @@ def count_charpoly(
 ) -> int:
     if key.n != n:
         raise ValueError(f"characteristic polynomial has {key.n} coefficients, need {n}")
+    _check_fields(elements, *key.coeffs)
+    route = _charged(plan_square(n, len(elements)), options)
+    if route.name == "conv2":
+        return fast_charpoly2_count(elements, key)
+    if route.name == "target3":
+        found = _target3_kernel(elements, "charpoly", key.coeffs, (3, 2, 1))
+        if found is not None:
+            return found
     hist = sweep(elements, n, n, _single_stat_options(options, "charpoly"))
     return hist.charpoly_histogram.get(key, 0)
 
@@ -792,6 +954,14 @@ def count_power_sums(
     *,
     options: SweepOptions | None = None,
 ) -> int:
+    _check_fields(elements, t1, t2)
+    route = _charged(plan_square(n, len(elements)), options)
+    if route.name == "conv2":
+        return fast_power_sums2_count(elements, t1, t2)
+    if route.name == "target3":
+        found = _target3_kernel(elements, "powersums", (t1, t2), (1, 2))
+        if found is not None:
+            return found
     hist = sweep(elements, n, n, _single_stat_options(options, "powersums"))
     return hist.powersum_histogram.get((t1, t2), 0)
 
@@ -801,9 +971,10 @@ def count_power_sums(
 # For 2x2 matrices every statistic is a function of (sum of a diagonal pair,
 # product difference), so histograms reduce to convolutions of the pairwise
 # product multiset.  This gives exact counts in roughly A^2 dictionary work,
-# independent of how large the entries are, and is the scalable route the
-# growth experiments use.  Equality with the exhaustive sweep is part of the
-# acceptance checks, keeping the two routes honest against each other.
+# independent of how large the entries are; it is the planner's 2x2 route
+# for det, charpoly and power sums.  Equality with the exhaustive sweep is
+# part of the acceptance checks, keeping the two routes honest against each
+# other.
 
 
 def _product_counter(elements: ElementSet) -> dict[Scalar, int]:

@@ -3,6 +3,8 @@
 All tests drive main() in-process and rely on capsys; nothing here shells out.
 """
 
+import csv
+import io
 import json
 
 import pytest
@@ -91,6 +93,22 @@ def test_count_budget_exhaustion_exits_2(set12, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+def test_count_budget_charges_the_route_not_the_sweep(set12, capsys):
+    # Over {1, 2} the 2x2 det and rank <= 1 routes cost A^2 = 4 units, a
+    # full sweep A^4 = 16: a budget of 10 admits the routes only.
+    assert main(["sweep", "--set", set12, "-m", "2", "-n", "2", "--out", "-"]) == 0
+    rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    swept = {(stat, key): int(count) for stat, key, count in list(rows)[1:]}
+    for argv, key in (
+        (["count", "det", "--set", set12, "-n", "2", "--d", "0"], ("det", "0")),
+        (["count", "rank", "--set", set12, "-m", "2", "-n", "2", "-r", "1"], ("rank", "1")),
+    ):
+        assert main(argv + ["--budget", "10"]) == 0
+        assert capsys.readouterr().out == f"{swept[key]}\n"
+        assert main(argv + ["--budget", "1e9"]) == 0
+        assert capsys.readouterr().out == f"{swept[key]}\n"
 
 
 def test_count_shards_agree(set_pows, capsys):

@@ -142,10 +142,17 @@ def test_tight_n_builds_zero_sum_equation():
 
 
 def test_work_estimate_routing():
+    # The planner's route work: 2x2 convolution, 3x3 single-key kernel,
+    # rank <= 1 by directions of the shorter side, closed full rank.
     assert DetStatistic(2, parse_scalar("0", Q)).work_estimate(10) == 100
     assert DetStatistic(3, parse_scalar("0", Q)).work_estimate(10) == 10**9
     assert RankStatistic(2, 2, 1).work_estimate(7) == 49
-    assert RankStatistic(2, 3, 1).work_estimate(3) == 3**6
+    assert RankStatistic(2, 3, 1).work_estimate(3) == 3**2
+    assert RankStatistic(3, 3, 1).work_estimate(3) == 3**3
+    assert RankStatistic(3, 3, 2).work_estimate(3) == 3**9
+    assert RankStatistic(3, 3, 3).work_estimate(3) == 0
+    assert RankStatistic(2, 4, 2, cumulative=False).work_estimate(3) == 3**2
+    assert RankStatistic(4, 4, 2).work_estimate(2) == 2**16
     eq = statistic_from_json({"kind": "equation", "tight_n": 5}, Q)
     assert eq.work_estimate(10) == 1000
     assert SystemStatistic(4).work_estimate(10) == 100

@@ -1,0 +1,226 @@
+"""Every route of the count planner against the full sweep and the oracles.
+
+The planner (matrices.plan_square / plan_rank) sends a count to a closed or
+single-key route; each such count must equal what `sweep` histograms and
+what the naive enumeration in tests/oracles.py gives.  The 3x3 single-key
+kernel is also checked right at each int64 proof threshold of
+`_kernels.supports` and one past it, where the generic path must take over.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Callable
+
+import pytest
+
+import oracles
+from unitcount import _kernels
+from unitcount.families import ElementSet
+from unitcount.matrices import (
+    BudgetExceededError,
+    CharPolyKey,
+    SweepOptions,
+    count_charpoly,
+    count_det,
+    count_power_sums,
+    count_rank,
+    plan_rank,
+    plan_square,
+    sweep,
+)
+from unitcount.scalars import Q, QI, Scalar, parse_scalar
+
+# Three elements where a shape has at most 6 entries, two beyond that, so
+# the oracle enumeration stays small.  The Q sets have denominators.
+_RANK_SETS = {
+    Q: (("1/2", "2", "-3"), ("1/2", "-3")),
+    QI: (("1", "i", "1+i"), ("i", "2+i")),
+}
+_SHAPES = [(1, 3), (2, 3), (3, 2), (2, 4), (3, 3)]
+
+
+def _elements(texts, field: str = Q) -> ElementSet:
+    return ElementSet(tuple(parse_scalar(t, field) for t in texts))
+
+
+@functools.cache
+def _oracle(texts: tuple[str, ...], field: str, m: int, n: int) -> dict:
+    return oracles.sweep_counts(_elements(texts, field), m, n)
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+@pytest.mark.parametrize("m,n", _SHAPES)
+def test_rank_routes_match_sweep_and_oracle(field, m, n):
+    texts = _RANK_SETS[field][0 if m * n <= 6 else 1]
+    elements = _elements(texts, field)
+    oracle = _oracle(texts, field, m, n)["rank"]
+    profile = sweep(elements, m, n, SweepOptions(rank=True, det=False)).rank_profile
+    assert profile == oracle
+    for r in range(1, min(m, n) + 1):
+        for cumulative in (True, False):
+            assert plan_rank(m, n, r, cumulative, len(elements)).name != "sweep"
+            expected = sum(
+                c for k, c in oracle.items() if (k <= r if cumulative else k == r)
+            )
+            got = count_rank(elements, m, n, r, cumulative=cumulative)
+            assert got == expected, (r, cumulative)
+
+
+def test_rank_route_names_and_work():
+    assert plan_rank(3, 3, 1, True, 5) == plan_rank(3, 3, 1, False, 5)
+    assert plan_rank(3, 3, 1, True, 5).name == "rank1"
+    assert plan_rank(3, 5, 1, True, 4).work == 4**3
+    assert plan_rank(3, 3, 2, True, 5).name == "det0"
+    assert plan_rank(3, 3, 2, False, 5).name == "det0-rank1"
+    assert plan_rank(3, 3, 3, False, 5).name == "closed-det0"
+    assert plan_rank(2, 4, 2, True, 5).name == "closed"
+    assert plan_rank(4, 4, 2, True, 2).name == "sweep"
+    assert [plan_square(n, 5).name for n in (1, 2, 3, 4)] == [
+        "sweep", "conv2", "target3", "sweep",
+    ]
+    with pytest.raises(ValueError):
+        plan_rank(2, 3, 3, True, 5)
+
+
+def test_budget_charges_the_route_work():
+    elements = _elements(("1", "2", "3"))
+    tight = SweepOptions(budget=3**3)
+    assert count_rank(elements, 3, 3, 1, options=tight) == count_rank(elements, 3, 3, 1)
+    with pytest.raises(BudgetExceededError) as info:
+        count_rank(elements, 3, 3, 1, options=SweepOptions(budget=3**3 - 1))
+    assert info.value.required == 3**3
+    with pytest.raises(BudgetExceededError) as info:
+        count_det(elements, 3, Scalar.zero(Q), options=SweepOptions(budget=3**9 - 1))
+    assert info.value.required == 3**9
+    assert count_det(elements, 2, Scalar.zero(Q), options=SweepOptions(budget=9)) == 15
+
+
+def test_target_field_must_match_the_set():
+    elements = _elements(("1", "2"))
+    with pytest.raises(ValueError):
+        count_det(elements, 3, Scalar.zero(QI))
+    with pytest.raises(ValueError):
+        count_power_sums(elements, 2, Scalar.zero(QI), Scalar.zero(Q))
+
+
+# -- single-key 3x3 counts -------------------------------------------------------
+
+
+class _KernelSpy:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = _kernels.count_target3
+
+        def spy(*args):
+            self.calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(_kernels, "count_target3", spy)
+
+
+@dataclass(frozen=True)
+class _Stat:
+    """How one square statistic is counted, histogrammed and keyed.  A key
+    is a tuple of Scalars; `powers[k]` is the power of the set's lcm that
+    clears the denominator of its k-th value."""
+
+    count: Callable[[ElementSet, tuple], int]
+    histogram: Callable[[object], dict]
+    oracle_key: Callable[[tuple], object]
+    powers: tuple[int, ...]
+
+
+_STATS = {
+    "det": _Stat(
+        lambda elements, key: count_det(elements, 3, key[0]),
+        lambda h: {(k,): c for k, c in h.det_histogram.items()},
+        lambda key: oracles.pair(key[0]),
+        (3,),
+    ),
+    "charpoly": _Stat(
+        lambda elements, key: count_charpoly(elements, 3, CharPolyKey(key)),
+        lambda h: {k.coeffs: c for k, c in h.charpoly_histogram.items()},
+        lambda key: tuple(oracles.pair(c) for c in key),
+        (3, 2, 1),
+    ),
+    "powersums": _Stat(
+        lambda elements, key: count_power_sums(elements, 3, *key),
+        lambda h: dict(h.powersum_histogram),
+        lambda key: tuple(oracles.pair(c) for c in key),
+        (1, 2),
+    ),
+}
+
+
+def _sweep_keys(elements: ElementSet, stat: str) -> dict:
+    opts = SweepOptions(
+        rank=False,
+        det=stat == "det",
+        charpoly=stat == "charpoly",
+        powersums=stat == "powersums",
+    )
+    return _STATS[stat].histogram(sweep(elements, 3, 3, opts))
+
+
+def _missing_keys(elements: ElementSet, stat: str, present) -> list[tuple]:
+    """An absent key that is integral after scaling, one whose first value
+    cannot be represented after scaling, and one past int64."""
+    lcm, _, _ = elements.scaled_integers()
+    powers = _STATS[stat].powers
+    absent = tuple(Scalar.rational(10**6 + 7) for _ in powers)
+    assert absent not in present
+    unrepresentable = (Scalar.rational(1, 2 * lcm ** powers[0]),) + absent[1:]
+    huge = tuple(Scalar.rational(2**70) for _ in powers)
+    return [absent, unrepresentable, huge]
+
+
+def _check_keys(elements: ElementSet, texts, stat: str, keys) -> None:
+    spec = _STATS[stat]
+    hist = _sweep_keys(elements, stat)
+    oracle = _oracle(texts, elements.field, 3, 3)[stat]
+    for key in keys:
+        expected = oracle.get(spec.oracle_key(key), 0)
+        assert hist.get(key, 0) == expected, key
+        assert spec.count(elements, key) == expected, key
+
+
+_TARGET_TEXTS = ("1/2", "-3")
+
+
+@pytest.mark.parametrize("stat", list(_STATS))
+def test_single_key_kernel_matches_sweep_and_oracle(stat, monkeypatch):
+    elements = _elements(_TARGET_TEXTS)
+    present = list(_sweep_keys(elements, stat))
+    keys = present + _missing_keys(elements, stat, present)
+    spy = _KernelSpy(monkeypatch)
+    _check_keys(elements, _TARGET_TEXTS, stat, keys)
+    # The unrepresentable key is answered before the kernel runs.
+    assert spy.calls == len(keys) - 1
+
+
+@pytest.mark.parametrize(
+    "stat,bound,kernel",
+    [
+        ("det", 916015, True),
+        ("det", 916016, False),
+        ("charpoly", 916015, True),
+        ("charpoly", 916016, False),
+        ("powersums", 715827882, True),
+        ("powersums", 715827883, False),
+    ],
+)
+def test_single_key_at_and_past_the_int64_proof(stat, bound, kernel, monkeypatch):
+    texts = ("1", str(bound))
+    elements = _elements(texts)
+    assert _kernels.supports(
+        bound, 3, stat == "det", False, stat == "charpoly", stat == "powersums"
+    ) is kernel
+    hist = _sweep_keys(elements, stat)
+    common = max(hist, key=hist.get)
+    largest = max(hist, key=lambda key: max(abs(c.re) for c in key))
+    keys = [common, largest, _missing_keys(elements, stat, hist)[0]]
+    spy = _KernelSpy(monkeypatch)
+    _check_keys(elements, texts, stat, keys)
+    assert spy.calls == (len(keys) if kernel else 0)
