@@ -7,7 +7,6 @@ from .scalars import (
     FieldMismatchError,
     ScalarParseError,
     Scalar,
-    FastScalar,
     canonical_key,
     parse_scalar,
 )

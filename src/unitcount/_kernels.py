@@ -1,11 +1,10 @@
 """Vectorized int64 sweep kernels for 2x2 and 3x3 matrices over field Q.
 
-These kernels are the bulk counterpart of the checked machine-word scalar
-path: instead of checking each operation, `supports` proves up front, from
-the largest scaled entry magnitude B, that every intermediate the kernel
-computes fits comfortably in a signed 64-bit word.  If the proof fails the
-caller falls back to the arbitrary-precision sweep, so results are exact
-either way.
+Rather than checking each operation for overflow, `supports` proves up
+front, from the largest scaled entry magnitude B, that every intermediate
+the kernel computes fits comfortably in a signed 64-bit word.  If the proof
+fails the caller falls back to the arbitrary-precision sweep, so results are
+exact either way.
 
 Layout: matrices are enumerated in row-major odometer order.  The first row
 is a Python-level loop (this is also the sharding axis); the remaining rows

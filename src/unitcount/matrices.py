@@ -4,11 +4,12 @@ with entries drawn from a finite scalar set, plus full-domain sweeps.
 All computation clears denominators first: an ElementSet with denominator
 lcm L turns into integer (or Gaussian-integer) entries, statistics are
 computed fraction-free over the integers, and results are rescaled by the
-appropriate power of L at the end.  Determinants and ranks use Bareiss
-elimination, whose intermediate divisions are exact in any integral domain;
-characteristic polynomials come from determinant evaluations at n+1 integer
-nodes followed by exact interpolation, cross-checkable against an
-independent trace-recursion implementation.
+appropriate power of L at the end.  One Bareiss elimination, whose
+intermediate divisions are exact in any integral domain, gives both rank and
+determinant; characteristic polynomials come from Berkowitz's division-free
+algorithm, cross-checkable against an independent trace-recursion
+implementation.  Each routine is written once over a ring of exact integer
+or Gaussian-integer operations, so Q and Qi share it.
 
 Sweeps enumerate every matrix in elements^(m*n) in row-major odometer order
 and histogram the requested statistics.  A sweep is sharded by the first
@@ -25,9 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Callable
 
 from . import _kernels
 from .families import ElementSet
@@ -102,41 +104,10 @@ def _scaled_rows(X: MatrixInstance, elements: ElementSet) -> list[list]:
 
 
 # -- exact integer and Gaussian-integer cores ---------------------------------
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    M = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = M[k][k]
-        row_k = M[k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * M[-1][-1]
+#
+# Scaled entries are ints (field Q) or (re, im) int pairs (field QI).  Each
+# core below is written once against a _Ring of the exact operations on those
+# values, so one elimination and one charpoly routine serve both fields.
 
 
 def _gadd(a, b):
@@ -160,156 +131,120 @@ def _gdiv_exact(a, b):
     )
 
 
-_GZERO = (0, 0)
-_GONE = (1, 0)
+def _gneg(a):
+    return (-a[0], -a[1])
 
 
-def _gauss_det(rows: list[list[tuple[int, int]]]) -> tuple[int, int]:
+@dataclass(frozen=True)
+class _Ring:
+    """Exact arithmetic on scaled entries; `div` is only ever called where
+    the quotient is known to be exact."""
+
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable
+    neg: Callable
+    zero: object
+    one: object
+
+
+_INTEGERS = _Ring(
+    operator.add, operator.sub, operator.mul, operator.floordiv, operator.neg, 0, 1
+)
+_GAUSSIAN_INTEGERS = _Ring(_gadd, _gsub, _gmul, _gdiv_exact, _gneg, (0, 0), (1, 0))
+
+
+def _ring(field: str) -> _Ring:
+    return _GAUSSIAN_INTEGERS if field == QI else _INTEGERS
+
+
+def _to_scalar(field: str, value, den: int) -> Scalar:
+    """The Scalar value/den for a ring value of the given field."""
+    if field == QI:
+        return Scalar(QI, value[0], value[1], den)
+    return Scalar(Q, value, 0, den)
+
+
+def _rank_det(rows: list[list], ring: _Ring) -> tuple[int, object]:
+    """(rank, det) from one fraction-free Bareiss pass with pivot search and
+    column skipping; det is zero unless the matrix is square of full rank."""
+    sub, mul, div, zero = ring.sub, ring.mul, ring.div, ring.zero
+    M = [list(r) for r in rows]
+    m, n = len(M), len(M[0])
+    r = 0
+    prev = ring.one
+    swaps = 0
+    for c in range(n):
+        for p in range(r, m):
+            if M[p][c] != zero:
+                break
+        else:
+            continue
+        if p != r:
+            M[r], M[p] = M[p], M[r]
+            swaps += 1
+        row_r = M[r]
+        pivot = row_r[c]
+        for i in range(r + 1, m):
+            row_i = M[i]
+            mic = row_i[c]
+            for j in range(c + 1, n):
+                row_i[j] = div(sub(mul(row_i[j], pivot), mul(mic, row_r[j])), prev)
+        # The k-th Bareiss pivot is a k x k minor, so the last one is det.
+        prev = pivot
+        r += 1
+    if r < n or m != n:
+        return r, zero
+    return r, ring.neg(prev) if swaps % 2 else prev
+
+
+def _det(rows: list[list], ring: _Ring):
+    """Determinant: cofactor formulas up to 3x3, which beat elimination for
+    callers that need only det, and Bareiss above."""
     n = len(rows)
+    if n > 3:
+        return _rank_det(rows, ring)[1]
     if n == 1:
         return rows[0][0]
+    add, sub, mul = ring.add, ring.sub, ring.mul
     if n == 2:
-        return _gsub(_gmul(rows[0][0], rows[1][1]), _gmul(rows[0][1], rows[1][0]))
-    M = [list(r) for r in rows]
-    sign = 1
-    prev = _GONE
-    for k in range(n - 1):
-        if M[k][k] == _GZERO:
-            for i in range(k + 1, n):
-                if M[i][k] != _GZERO:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return _GZERO
-        pivot = M[k][k]
-        row_k = M[k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = _gdiv_exact(
-                    _gsub(_gmul(row_i[j], pivot), _gmul(mik, row_k[j])), prev
-                )
-            row_i[k] = _GZERO
-        prev = pivot
-    value = M[-1][-1]
-    return value if sign == 1 else (-value[0], -value[1])
+        return sub(mul(rows[0][0], rows[1][1]), mul(rows[0][1], rows[1][0]))
+    a, b, c = rows[0]
+    d, e, f = rows[1]
+    g, h, i = rows[2]
+    return add(
+        sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
+        mul(c, sub(mul(d, h), mul(e, g))),
+    )
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    M = [list(r) for r in rows]
-    m, n = len(M), len(M[0])
-    r = 0
-    prev = 1
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if M[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        pivot = M[r][c]
-        row_r = M[r]
-        for i in range(r + 1, m):
-            row_i = M[i]
-            mic = row_i[c]
-            for j in range(c + 1, n):
-                row_i[j] = (row_i[j] * pivot - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        r += 1
-        if r == m:
-            break
-    return r
+def _charpoly_coeffs(rows: list[list], ring: _Ring) -> list:
+    """c_0..c_(n-1) of the monic det(T*I - M), by Berkowitz's division-free
+    recurrence: the charpoly of each leading (r+1) x (r+1) block is the
+    previous one convolved with (1, -a, -R C, -R A C, ..., -R A^(r-1) C),
+    where A is the leading r x r block, C the column above the new diagonal
+    entry a and R the row left of it."""
+    add, mul, neg, zero = ring.add, ring.mul, ring.neg, ring.zero
 
+    def dot(xs, ys):
+        acc = zero
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
 
-def _gauss_rank(rows: list[list[tuple[int, int]]]) -> int:
-    M = [list(r) for r in rows]
-    m, n = len(M), len(M[0])
-    r = 0
-    prev = _GONE
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if M[i][c] != _GZERO:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        pivot = M[r][c]
-        row_r = M[r]
-        for i in range(r + 1, m):
-            row_i = M[i]
-            mic = row_i[c]
-            for j in range(c + 1, n):
-                row_i[j] = _gdiv_exact(
-                    _gsub(_gmul(row_i[j], pivot), _gmul(mic, row_r[j])), prev
-                )
-            row_i[c] = _GZERO
-        prev = pivot
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def _newton_int_coeffs(ys: list[int]) -> list[int]:
-    """Monomial coefficients of the unique degree<=n polynomial through
-    (t, ys[t]) for t = 0..n; asserts the coefficients are integers."""
-    n = len(ys) - 1
-    dd = [Fraction(y) for y in ys]
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / j
-    coeffs = [Fraction(0)] * (n + 1)
-    basis = [Fraction(1)]
-    for j in range(n + 1):
-        for deg, base_coeff in enumerate(basis):
-            coeffs[deg] += dd[j] * base_coeff
-        new_basis = [Fraction(0)] * (len(basis) + 1)
-        for deg, base_coeff in enumerate(basis):
-            new_basis[deg + 1] += base_coeff
-            new_basis[deg] -= base_coeff * j
-        basis = new_basis
-    out = []
-    for value in coeffs:
-        if value.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer coefficient")
-        out.append(value.numerator)
-    return out
-
-
-def _int_charpoly_scaled(rows: list[list[int]]) -> list[int]:
-    """Coefficients c_0..c_n of det(T*I - M) for an integer matrix M."""
-    n = len(rows)
-    dets = []
-    for t in range(n + 1):
-        shifted = [
-            [(t if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)
-        ]
-        dets.append(_int_det(shifted))
-    return _newton_int_coeffs(dets)
-
-
-def _gauss_charpoly_scaled(rows: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
-    n = len(rows)
-    dets = []
-    for t in range(n + 1):
-        shifted = [
-            [
-                ((t if i == j else 0) - rows[i][j][0], -rows[i][j][1])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        dets.append(_gauss_det(shifted))
-    res = _newton_int_coeffs([d[0] for d in dets])
-    ims = _newton_int_coeffs([d[1] for d in dets])
-    return list(zip(res, ims))
+    poly = [ring.one]  # highest degree first
+    for r in range(len(rows)):
+        row = rows[r][:r]
+        block = [rows[i][:r] for i in range(r)]
+        vec = [rows[i][r] for i in range(r)]
+        toeplitz = [ring.one, neg(rows[r][r])]
+        for k in range(r):
+            toeplitz.append(neg(dot(row, vec)))
+            if k < r - 1:
+                vec = [dot(line, vec) for line in block]
+        poly = [dot(toeplitz[i::-1], poly) for i in range(r + 2)]
+    return poly[:0:-1]
 
 
 # -- single-matrix public statistics ------------------------------------------
@@ -319,19 +254,12 @@ def det(X: MatrixInstance, elements: ElementSet) -> Scalar:
     if X.m != X.n:
         raise ValueError("determinant needs a square matrix")
     lcm, _, _ = elements.scaled_integers()
-    rows = _scaled_rows(X, elements)
-    if elements.field == Q:
-        raw = _int_det(rows)
-        return Scalar(Q, raw, 0, lcm**X.n)
-    raw = _gauss_det(rows)
-    return Scalar(QI, raw[0], raw[1], lcm**X.n)
+    raw = _det(_scaled_rows(X, elements), _ring(elements.field))
+    return _to_scalar(elements.field, raw, lcm**X.n)
 
 
 def rank(X: MatrixInstance, elements: ElementSet) -> int:
-    rows = _scaled_rows(X, elements)
-    if elements.field == Q:
-        return _int_rank(rows)
-    return _gauss_rank(rows)
+    return _rank_det(_scaled_rows(X, elements), _ring(elements.field))[0]
 
 
 @dataclass(frozen=True)
@@ -360,24 +288,14 @@ class CharPolyKey:
 
 
 def charpoly(X: MatrixInstance, elements: ElementSet) -> CharPolyKey:
-    """Characteristic polynomial via exact interpolation of det(T*I - X)."""
+    """Characteristic polynomial by Berkowitz's division-free algorithm."""
     if X.m != X.n:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = X.n
     lcm, _, _ = elements.scaled_integers()
-    rows = _scaled_rows(X, elements)
-    if elements.field == Q:
-        cs = _int_charpoly_scaled(rows)
-        if cs[n] != 1:
-            raise ArithmeticError("interpolated polynomial is not monic")
-        return CharPolyKey(
-            tuple(Scalar(Q, cs[k], 0, lcm ** (n - k)) for k in range(n))
-        )
-    cs = _gauss_charpoly_scaled(rows)
-    if cs[n] != (1, 0):
-        raise ArithmeticError("interpolated polynomial is not monic")
+    cs = _charpoly_coeffs(_scaled_rows(X, elements), _ring(elements.field))
     return CharPolyKey(
-        tuple(Scalar(QI, cs[k][0], cs[k][1], lcm ** (n - k)) for k in range(n))
+        tuple(_to_scalar(elements.field, cs[k], lcm ** (n - k)) for k in range(n))
     )
 
 
@@ -562,10 +480,8 @@ def _generic_shard(
     raw = _empty_raw(opts)
     size = len(values)
     rest_width = (m - 1) * n
-    gaussian = field == QI
-    det_fn = _gauss_det if gaussian else _int_det
-    rank_fn = _gauss_rank if gaussian else _int_rank
-    charpoly_fn = _gauss_charpoly_scaled if gaussian else _int_charpoly_scaled
+    ring = _ring(field)
+    add, mul, zero = ring.add, ring.mul, ring.zero
 
     rank_hist = raw["rank"]
     det_hist = raw["det"]
@@ -586,28 +502,22 @@ def _generic_shard(
                 list(rest[r * n : (r + 1) * n]) for r in range(m - 1)
             ]
             total += 1
-            if det_hist is not None:
-                key = det_fn(rows)
-                det_hist[key] = det_hist.get(key, 0) + 1
             if rank_hist is not None:
-                r = rank_fn(rows)
+                r, key = _rank_det(rows, ring)
                 rank_hist[r] = rank_hist.get(r, 0) + 1
+            elif det_hist is not None:
+                key = _det(rows, ring)
+            if det_hist is not None:
+                det_hist[key] = det_hist.get(key, 0) + 1
             if cp_hist is not None:
-                cs = tuple(charpoly_fn(rows)[:n])
+                cs = tuple(_charpoly_coeffs(rows, ring))
                 cp_hist[cs] = cp_hist.get(cs, 0) + 1
             if ps_hist is not None:
-                if gaussian:
-                    t1 = _GZERO
-                    t2 = _GZERO
-                    for i in range(n):
-                        t1 = _gadd(t1, rows[i][i])
-                        for j in range(n):
-                            t2 = _gadd(t2, _gmul(rows[i][j], rows[j][i]))
-                else:
-                    t1 = sum(rows[i][i] for i in range(n))
-                    t2 = sum(
-                        rows[i][j] * rows[j][i] for i in range(n) for j in range(n)
-                    )
+                t1 = t2 = zero
+                for i in range(n):
+                    t1 = add(t1, rows[i][i])
+                    for j in range(n):
+                        t2 = add(t2, mul(rows[i][j], rows[j][i]))
                 ps_key = (t1, t2)
                 ps_hist[ps_key] = ps_hist.get(ps_key, 0) + 1
     raw["total"] = total
@@ -619,12 +529,6 @@ def _finalize(
 ) -> SweepHistogram:
     lcm, _, _ = elements.scaled_integers()
     field = elements.field
-    gaussian = field == QI
-
-    def scalar_from_raw(value, den: int) -> Scalar:
-        if gaussian:
-            return Scalar(QI, value[0], value[1], den)
-        return Scalar(Q, value, 0, den)
 
     det_hist = None
     if raw["det"] is not None:
@@ -634,7 +538,7 @@ def _finalize(
         for key, count in raw["det"].items():
             scalar = cache.get(key)
             if scalar is None:
-                scalar = scalar_from_raw(key, den)
+                scalar = _to_scalar(field, key, den)
                 cache[key] = scalar
             det_hist[scalar] = det_hist.get(scalar, 0) + count
 
@@ -647,7 +551,7 @@ def _finalize(
             cp = cache.get(key)
             if cp is None:
                 cp = CharPolyKey(
-                    tuple(scalar_from_raw(key[k], dens[k]) for k in range(n))
+                    tuple(_to_scalar(field, key[k], dens[k]) for k in range(n))
                 )
                 cache[key] = cp
             cp_hist[cp] = cp_hist.get(cp, 0) + count
@@ -662,8 +566,8 @@ def _finalize(
             pair = cache.get(key)
             if pair is None:
                 pair = (
-                    scalar_from_raw(key[0], den1),
-                    scalar_from_raw(key[1], den2),
+                    _to_scalar(field, key[0], den1),
+                    _to_scalar(field, key[1], den2),
                 )
                 cache[key] = pair
             ps_hist[pair] = ps_hist.get(pair, 0) + count

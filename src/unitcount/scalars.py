@@ -21,9 +21,6 @@ Q = "Q"
 QI = "Qi"
 FIELDS = (Q, QI)
 
-# Inclusive magnitude bound for the checked machine-word fast path.
-INT64_MAX = 2**63 - 1
-
 
 class FieldMismatchError(ValueError):
     """Raised when an operation combines scalars from different fields."""
@@ -375,99 +372,3 @@ def parse_scalar(text: str, field: str = Q) -> Scalar:
         raise ScalarParseError("empty scalar text")
     return _Parser(tokens, field, text).parse()
 
-
-# -- checked machine-word fast path ------------------------------------------
-
-
-class FastScalar:
-    """Rational num/den pair restricted to signed 64-bit magnitudes.
-
-    Every operation either produces an exact in-range result or returns the
-    overflow sentinel; overflow propagates through subsequent operations, so a
-    chain of FastScalar ops can never silently wrap.  The vectorized sweep
-    kernels carry the same guarantee in bulk form: they run only after an
-    a-priori magnitude bound shows no intermediate can leave int64.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int | None, den: int = 1):
-        if num is None:
-            object.__setattr__(self, "num", None)
-            object.__setattr__(self, "den", 0)
-            return
-        if den == 0:
-            raise ZeroDivisionError("FastScalar with zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-        if num > INT64_MAX or -num > INT64_MAX or den > INT64_MAX:
-            object.__setattr__(self, "num", None)
-            object.__setattr__(self, "den", 0)
-            return
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("FastScalar is immutable")
-
-    @property
-    def overflow(self) -> bool:
-        return self.num is None
-
-    @staticmethod
-    def from_scalar(value: Scalar) -> "FastScalar":
-        if value.field != Q:
-            raise FieldMismatchError("FastScalar covers field Q only")
-        return FastScalar(value.re, value.den)
-
-    def to_scalar(self) -> Scalar:
-        if self.overflow:
-            raise OverflowError("FastScalar overflowed; no exact value available")
-        return Scalar.rational(self.num, self.den)
-
-    def add(self, other: "FastScalar") -> "FastScalar":
-        if self.overflow or other.overflow:
-            return _FAST_OVERFLOW
-        return FastScalar(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def mul(self, other: "FastScalar") -> "FastScalar":
-        if self.overflow or other.overflow:
-            return _FAST_OVERFLOW
-        return FastScalar(self.num * other.num, self.den * other.den)
-
-    def neg(self) -> "FastScalar":
-        if self.overflow:
-            return _FAST_OVERFLOW
-        return FastScalar(-self.num, self.den)
-
-    def inverse(self) -> "FastScalar":
-        if self.overflow:
-            return _FAST_OVERFLOW
-        if self.num == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return FastScalar(self.den if self.num > 0 else -self.den, abs(self.num))
-
-    def square(self) -> "FastScalar":
-        return self.mul(self)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FastScalar):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        if self.overflow:
-            return "FastScalar(overflow)"
-        return f"FastScalar({self.num}/{self.den})"
-
-
-_FAST_OVERFLOW = FastScalar(None)

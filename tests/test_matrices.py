@@ -39,7 +39,7 @@ def _rand_instance(rng, elements, m, n):
 def test_det_matches_permutation_expansion(field):
     rng = random.Random(31 if field == Q else 32)
     for _ in range(60):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 5)
         elements = rand_element_set(rng, field, size=5, span=5, max_den=3)
         X = _rand_instance(rng, elements, n, n)
         expected = oracles.det_pairs(oracles.pairs_from_rows(X.scalar_rows(elements)))
@@ -56,6 +56,28 @@ def test_rank_matches_gaussian_elimination(field):
         X = _rand_instance(rng, elements, m, n)
         expected = oracles.rank_pairs(oracles.pairs_from_rows(X.scalar_rows(elements)))
         assert rank(X, elements) == expected
+    # Rank-deficient inputs over the powers q^0..q^5: each row after the first
+    # repeats an earlier row times q^shift on a prefix of its columns, so
+    # elimination meets zero pivots, row swaps and all-zero columns.
+    q = Scalar(field, -3, 0, 2) if field == Q else Scalar(QI, 1, 2, 2)
+    elements = ElementSet(tuple(q**k for k in range(6)))
+    for _ in range(80):
+        m = rng.randint(2, 5)
+        n = rng.randint(2, 5)
+        exps = [[rng.randrange(3) for _ in range(n)]]
+        for _ in range(m - 1):
+            base = rng.choice(exps)
+            prefix = rng.randint(1, n)
+            shift = rng.randrange(6 - max(base[:prefix]))
+            exps.append(
+                [e + shift if j < prefix else rng.randrange(6) for j, e in enumerate(base)]
+            )
+        rng.shuffle(exps)
+        X = MatrixInstance.from_rows(exps)
+        rows = oracles.pairs_from_rows(X.scalar_rows(elements))
+        assert rank(X, elements) == oracles.rank_pairs(rows)
+        if m == n:
+            assert oracles.pair(det(X, elements)) == oracles.det_pairs(rows)
 
 
 def test_rank_can_drop_via_dependent_rows():
@@ -69,7 +91,7 @@ def test_rank_can_drop_via_dependent_rows():
 def test_charpoly_matches_interpolation_oracle(field):
     rng = random.Random(35 if field == Q else 36)
     for _ in range(40):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 5)
         elements = rand_element_set(rng, field, size=4, span=4, max_den=3)
         X = _rand_instance(rng, elements, n, n)
         key = charpoly(X, elements)
@@ -166,9 +188,10 @@ def test_full_2x2_sweep_matches_naive_enumeration(field):
         assert hist.total == len(elements) ** 4
 
 
-def test_full_3x3_sweep_matches_naive_enumeration():
+@pytest.mark.parametrize("field", [Q, QI])
+def test_full_3x3_sweep_matches_naive_enumeration(field):
     rng = random.Random(43)
-    elements = rand_element_set(rng, Q, size=2, span=3, max_den=2)
+    elements = rand_element_set(rng, field, size=2, span=3, max_den=2)
     hist = sweep(elements, 3, 3, options=_ALL_STATS)
     hist.validate()
     expected = oracles.sweep_counts(elements, 3, 3)

@@ -8,7 +8,6 @@ from oracles import PONE, PZERO, padd, pair, pdiv, pmul, psub
 from unitcount.scalars import (
     Q,
     QI,
-    FastScalar,
     FieldMismatchError,
     Scalar,
     ScalarParseError,
@@ -187,34 +186,3 @@ def test_from_fraction_and_back():
     assert s.to_fraction() == f
     with pytest.raises(ValueError):
         Scalar.imaginary_unit().to_fraction()
-
-
-def test_fast_scalar_round_trip_and_arithmetic():
-    rng = random.Random(9)
-    for _ in range(200):
-        a = rand_scalar(rng, Q, span=50, max_den=20, nonzero=False)
-        b = rand_scalar(rng, Q, span=50, max_den=20)
-        fa = FastScalar.from_scalar(a)
-        fb = FastScalar.from_scalar(b)
-        assert fa.to_scalar() == a
-        assert fa.add(fb).to_scalar() == a + b
-        assert fa.mul(fb).to_scalar() == a * b
-        assert fa.neg().to_scalar() == -a
-        assert fb.inverse().to_scalar() == b.inverse()
-        assert fa.square().to_scalar() == a * a
-
-
-def test_fast_scalar_overflow_is_sticky():
-    big = FastScalar(2**62)
-    over = big.mul(big)
-    assert over.overflow
-    assert over.add(FastScalar(1)).overflow
-    assert over.neg().overflow
-    assert over.square().overflow
-    with pytest.raises(OverflowError):
-        over.to_scalar()
-
-
-def test_fast_scalar_rejects_gaussian_values():
-    with pytest.raises(FieldMismatchError):
-        FastScalar.from_scalar(Scalar.imaginary_unit())
