@@ -11,11 +11,19 @@ is a Python-level loop (this is also the sharding axis); the remaining rows
 live in numpy arrays indexed by the flattened odometer of the bottom
 entries, chunked to bound memory.  `sweep_square` histograms every key;
 `count_target3` counts one 3x3 key without a histogram.
+
+Histogram keys with two or three columns are grouped as one int64 per row:
+each column less its minimum, packed by mixed radix over the column spans,
+so a block costs one 1-D sort.  The frame is checked with Python ints; when
+it would reach 2^63 the columns are re-ranked to dense indices first, which
+stays exact (`_group`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -24,6 +32,12 @@ _SAFE_LIMIT = 1 << 62
 
 # Bottom-rows odometer is processed in chunks of at most this many matrices.
 _CHUNK = 1 << 20
+
+# A multi-column key packs into one int64 when its frame has fewer cells.
+_PACK_LIMIT = 1 << 63
+
+# Pending histogram rows merged once there are this many.
+_COMPACT_ROWS = 4_000_000
 
 
 def supports(
@@ -58,7 +72,9 @@ def supports(
 
 
 class _HistAccumulator:
-    """Accumulates (key row, count) pairs; compacts through np.unique."""
+    """Histogram of int64 key rows, fed one block's (distinct keys, counts)
+    at a time.  Pending pairs are merged through `_group` (packed int64
+    keys, int64 counts) once they pass _COMPACT_ROWS rows, and at the end."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -67,29 +83,20 @@ class _HistAccumulator:
         self.pending_rows = 0
 
     def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        if keys.size == 0:
-            return
-        if keys.ndim == 1:
-            keys = keys.reshape(-1, 1)
         self.pending_keys.append(keys)
         self.pending_counts.append(counts.astype(np.int64, copy=False))
         self.pending_rows += keys.shape[0]
-        if self.pending_rows >= 4_000_000:
+        if self.pending_rows >= _COMPACT_ROWS:
             self._compact()
 
     def _compact(self) -> None:
         if len(self.pending_keys) <= 1:
             return
-        keys = np.concatenate(self.pending_keys, axis=0)
+        keys = np.concatenate(self.pending_keys)
         counts = np.concatenate(self.pending_counts)
-        if self.ncols == 1:
-            uniq, inverse = np.unique(keys[:, 0], return_inverse=True)
-            uniq = uniq.reshape(-1, 1)
-        else:
-            uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        summed = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(summed, inverse, counts)
+        # Drop the pieces before grouping: they are the largest arrays held.
+        self.pending_keys, self.pending_counts = [], []
+        uniq, summed = _group([keys[:, j] for j in range(self.ncols)], counts)
         self.pending_keys = [uniq]
         self.pending_counts = [summed]
         self.pending_rows = uniq.shape[0]
@@ -111,14 +118,74 @@ class _HistAccumulator:
         return out
 
 
-def _block_histogram(acc: _HistAccumulator, *columns: np.ndarray) -> None:
+def _group(
+    columns: Sequence[np.ndarray], counts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of non-empty, equal-length int64 key columns, in
+    lexicographic order as an (M, k) array, with the number of rows of each
+    (or, given int64 `counts`, the sum of their counts).
+
+    Rows are grouped as one int64 each: every column less its minimum,
+    packed by mixed radix over the column spans, when the product of the
+    spans (Python ints, so exact) is below 2^63.  Otherwise each column is
+    first re-ranked to dense indices 0..distinct-1, whose product of spans
+    is at most rows^k; should even that reach 2^63, the first two index
+    columns are folded into one and the rest grouped again.
+    """
     if len(columns) == 1:
-        uniq, counts = np.unique(columns[0], return_counts=True)
-        acc.add(uniq, counts)
-        return
-    stacked = np.stack(columns, axis=1)
-    uniq, counts = np.unique(stacked, axis=0, return_counts=True)
-    acc.add(uniq, counts)
+        uniq, summed = _group1(columns[0], counts)
+        return uniq.reshape(-1, 1), summed
+    los = [int(col.min()) for col in columns]
+    spans = [int(col.max()) - lo + 1 for col, lo in zip(columns, los)]
+    if math.prod(spans) < _PACK_LIMIT:
+        packed = columns[0] - los[0]
+        for col, lo, span in zip(columns[1:], los[1:], spans[1:]):
+            packed *= span
+            packed += col - lo
+        uniq, summed = _group1(packed, counts)
+        keys = np.empty((uniq.shape[0], len(columns)), dtype=np.int64)
+        for j in range(len(columns) - 1, 0, -1):
+            uniq, digit = np.divmod(uniq, spans[j])
+            keys[:, j] = digit + los[j]
+        keys[:, 0] = uniq + los[0]
+        return keys, summed
+    levels, ranks = _rerank(columns)
+    if math.prod(len(level) for level in levels) < _PACK_LIMIT:
+        index, summed = _group(ranks, counts)
+    else:
+        width = len(levels[1])
+        index, summed = _group([ranks[0] * width + ranks[1], *ranks[2:]], counts)
+        index = np.column_stack([*np.divmod(index[:, 0], width), index[:, 1:]])
+    keys = np.column_stack([level[index[:, j]] for j, level in enumerate(levels)])
+    return keys, summed
+
+
+def _rerank(columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each column's sorted distinct values, and the column as indices into
+    them."""
+    levels, ranks = [], []
+    for col in columns:
+        level, rank = np.unique(col, return_inverse=True)
+        levels.append(level)
+        ranks.append(rank.reshape(-1))
+    return levels, ranks
+
+
+def _group1(
+    keys: np.ndarray, counts: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_group` of one int64 column: one sort, then a count or an int64
+    sum per run of equal keys."""
+    if counts is None:
+        return np.unique(keys, return_counts=True)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(counts[order], starts)
+
+
+def _block_histogram(acc: _HistAccumulator, *columns: np.ndarray) -> None:
+    acc.add(*_group(columns))
 
 
 def sweep_square(

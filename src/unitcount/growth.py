@@ -168,7 +168,7 @@ class DetStatistic:
         return {"kind": "det", "n": self.n, "target": self.target.text()}
 
     def work_estimate(self, size: int) -> int:
-        return plan_square(self.n, size).work
+        return plan_square(self.n, size, det_zero=self.target.is_zero()).work
 
     def count(self, elements: ElementSet, budget: int, shards: int) -> int:
         opts = SweepOptions(budget=budget, shards=shards)

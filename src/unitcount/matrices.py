@@ -648,6 +648,7 @@ def sweep(
 #            int64 kernel under its `supports` proof, else read off the
 #            generic sweep; A^9
 #   rank1    rank <= 1 on any m x n, by line directions, A^min(m,n)
+#            (also 2x2 det = 0, which is rank <= 1 over zero-free entries)
 #   closed   rank <= min(m, n): every matrix, A^(mn) with no work
 #   det0     3x3 rank <= 2: the det = 0 count by its own route
 #   sweep    the full-histogram sweep, A^(mn); every route must agree with it
@@ -665,11 +666,11 @@ class CountRoute:
     work: int
 
 
-def plan_square(n: int, size: int) -> CountRoute:
+def plan_square(n: int, size: int, *, det_zero: bool = False) -> CountRoute:
     """Route of an n x n det, charpoly or power-sums count over a set of
-    `size` elements."""
+    `size` elements; `det_zero` marks a det = 0 count."""
     if n == 2:
-        return CountRoute("conv2", size**2)
+        return CountRoute("rank1" if det_zero else "conv2", size**2)
     if n == 3:
         return CountRoute("target3", size**9)
     return CountRoute("sweep", size ** (n * n))
@@ -797,7 +798,9 @@ def count_det(
     options: SweepOptions | None = None,
 ) -> int:
     _check_fields(elements, target)
-    route = _charged(plan_square(n, len(elements)), options)
+    route = _charged(plan_square(n, len(elements), det_zero=target.is_zero()), options)
+    if route.name == "rank1":
+        return _rank1_count(elements, 2, 2)
     if route.name == "conv2":
         return fast_det2_count(elements, target)
     if route.name == "target3":

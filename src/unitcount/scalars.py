@@ -111,8 +111,12 @@ class Scalar:
             raise ValueError(f"{self} has a nonzero imaginary part")
         return Fraction(self.re, self.den)
 
-    def sort_tuple(self) -> tuple[Fraction, Fraction]:
-        """Deterministic order key (real part, then imaginary part)."""
+    def sort_tuple(self) -> tuple[int | Fraction, int | Fraction]:
+        """Deterministic order key (real part, then imaginary part).  Plain
+        ints when the denominator is 1: ints and Fractions compare exactly,
+        so the order is the same, and it is much cheaper to build."""
+        if self.den == 1:
+            return (self.re, self.im)
         return (Fraction(self.re, self.den), Fraction(self.im, self.den))
 
     # -- arithmetic ------------------------------------------------------

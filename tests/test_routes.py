@@ -16,16 +16,18 @@ from typing import Callable
 import pytest
 
 import oracles
-from unitcount import _kernels
+from unitcount import _kernels, matrices
 from unitcount.families import ElementSet
 from unitcount.matrices import (
     BudgetExceededError,
     CharPolyKey,
+    CountRoute,
     SweepOptions,
     count_charpoly,
     count_det,
     count_power_sums,
     count_rank,
+    fast_det2_count,
     plan_rank,
     plan_square,
     sweep,
@@ -82,6 +84,33 @@ def test_rank_route_names_and_work():
     ]
     with pytest.raises(ValueError):
         plan_rank(2, 3, 3, True, 5)
+
+
+@pytest.mark.parametrize(
+    "field,texts", [(Q, ("1/2", "2", "-3", "4", "-1/2")), (QI, ("1", "i", "1+i", "2-i"))]
+)
+def test_det0_2x2_counts_rank_at_most_one(field, texts, monkeypatch):
+    """Over zero-free entries a 2x2 det is 0 exactly at rank <= 1, so the
+    planner counts det = 0 by line directions, not by the convolution."""
+    elements = _elements(texts, field)
+    zero = Scalar.zero(field)
+    size = len(elements)
+    assert plan_square(2, size, det_zero=True) == CountRoute("rank1", size**2)
+    assert plan_square(2, size) == CountRoute("conv2", size**2)
+    expected = _oracle(texts, field, 2, 2)["det"].get(oracles.PZERO, 0)
+    assert fast_det2_count(elements, zero) == expected
+    convolutions = []
+    monkeypatch.setattr(
+        matrices, "fast_det2_count", lambda *a: convolutions.append(a) or fast_det2_count(*a)
+    )
+    assert count_det(elements, 2, zero) == expected
+    assert convolutions == []
+    a, b, c, d = list(elements)[:4]
+    target = a * d - b * c
+    assert not target.is_zero()
+    expected = _oracle(texts, field, 2, 2)["det"][oracles.pair(target)]
+    assert count_det(elements, 2, target) == expected
+    assert len(convolutions) == 1
 
 
 def test_budget_charges_the_route_work():

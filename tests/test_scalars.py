@@ -157,6 +157,9 @@ def test_ordering_is_total_and_consistent():
             assert (a < b) + (b < a) + (a == b) == 1
     ordered = sorted(values)
     assert ordered == sorted(values, key=Scalar.sort_tuple)
+    # Real part first, then imaginary part, whatever the denominator.
+    for a in values:
+        assert a.sort_tuple() == (a.real_part(), a.imag_part())
 
 
 def test_canonical_key_injective_and_stable():
