@@ -7,9 +7,9 @@ fails the caller falls back to the arbitrary-precision sweep, so results are
 exact either way.
 
 Layout: matrices are enumerated in row-major odometer order.  The first row
-is a Python-level loop (this is also the sharding axis); the remaining rows
-live in numpy arrays indexed by the flattened odometer of the bottom
-entries, chunked to bound memory.  `sweep_square` histograms every key;
+is a Python-level loop over `itertools.product`; the remaining rows live in
+numpy arrays indexed by the flattened odometer of the bottom entries,
+chunked to bound memory.  `sweep_square` histograms every key;
 `count_target3` counts one 3x3 key without a histogram.
 
 Histogram keys with two or three columns are grouped as one int64 per row:
@@ -188,21 +188,21 @@ def _block_histogram(acc: _HistAccumulator, *columns: np.ndarray) -> None:
     acc.add(*_group(columns))
 
 
+# perfbench/spans.py wraps this name; it reads the raw dict's "total".
 def sweep_square(
     values: list[int], n: int, want_det: bool, want_rank: bool,
-    want_charpoly: bool, want_powersums: bool, lo: int, hi: int,
+    want_charpoly: bool, want_powersums: bool,
 ) -> dict:
-    """Raw sweep over first-row odometer indices [lo, hi).
+    """Raw sweep over every n x n matrix with entries in `values`.
 
     Returns {"total", "rank", "det", "charpoly", "powersums"} with integer
     (or integer-tuple) keys in the denominator-cleared coordinate system.
     """
-    if n == 2:
-        return _sweep2(values, want_det, want_rank, want_charpoly, want_powersums, lo, hi)
-    return _sweep3(values, want_det, want_rank, want_charpoly, want_powersums, lo, hi)
+    sweep = _sweep2 if n == 2 else _sweep3
+    return sweep(values, want_det, want_rank, want_charpoly, want_powersums)
 
 
-def _sweep2(values, want_det, want_rank, want_charpoly, want_powersums, lo, hi):
+def _sweep2(values, want_det, want_rank, want_charpoly, want_powersums):
     v = np.array(values, dtype=np.int64)
     size = v.shape[0]
     # Bottom row (c, d): c is the slow digit, d the fast one.
@@ -216,10 +216,7 @@ def _sweep2(values, want_det, want_rank, want_charpoly, want_powersums, lo, hi):
     block = size * size
 
     need_dets = want_det or want_rank or want_charpoly
-    for flat in range(lo, hi):
-        i, j = divmod(flat, size)
-        a = int(v[i])
-        b = int(v[j])
+    for a, b in itertools.product(values, repeat=2):
         dets = a * D - b * C if need_dets else None
         if det_acc is not None:
             _block_histogram(det_acc, dets)
@@ -259,7 +256,7 @@ def _bottom_digits3(size: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
     return tuple(digits)
 
 
-def _sweep3(values, want_det, want_rank, want_charpoly, want_powersums, lo, hi):
+def _sweep3(values, want_det, want_rank, want_charpoly, want_powersums):
     v = np.array(values, dtype=np.int64)
     size = v.shape[0]
     bottom_space = size**6
@@ -270,11 +267,7 @@ def _sweep3(values, want_det, want_rank, want_charpoly, want_powersums, lo, hi):
     total = 0
 
     need_minors = want_det or want_rank or want_charpoly
-    first_rows = []
-    for flat in range(lo, hi):
-        top, k = divmod(flat, size)
-        i, j = divmod(top, size)
-        first_rows.append((int(v[i]), int(v[j]), int(v[k])))
+    first_rows = list(itertools.product(values, repeat=3))
 
     start = 0
     while start < bottom_space:

@@ -30,6 +30,7 @@ from .matrices import (
     count_det,
     count_power_sums,
     count_rank,
+    parse_budget,
     sweep,
 )
 from .minors import audit_prop_zero_cofactors
@@ -47,11 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _budget_value(text: str) -> int:
-    # accept scientific notation like 2e8
-    return int(float(text))
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -67,10 +63,9 @@ def _write_text(text: str, out: str | None) -> None:
 def _cmd_count(args) -> int:
     elements = load_set(args.set)
     field = elements.field
-    opts = SweepOptions(budget=args.budget, shards=args.shards)
     if args.stat == "det":
         target = parse_scalar(args.d, field)
-        print(count_det(elements, args.n, target, options=opts))
+        print(count_det(elements, args.n, target, budget=args.budget))
     elif args.stat == "rank":
         print(
             count_rank(
@@ -79,16 +74,16 @@ def _cmd_count(args) -> int:
                 args.n,
                 args.r,
                 cumulative=not args.exact,
-                options=opts,
+                budget=args.budget,
             )
         )
     elif args.stat == "charpoly":
         key = CharPolyKey.from_text(args.coeffs, field)
-        print(count_charpoly(elements, args.n, key, options=opts))
+        print(count_charpoly(elements, args.n, key, budget=args.budget))
     else:
         t1 = parse_scalar(args.t1, field)
         t2 = parse_scalar(args.t2, field)
-        print(count_power_sums(elements, args.n, t1, t2, options=opts))
+        print(count_power_sums(elements, args.n, t1, t2, budget=args.budget))
     return 0
 
 
@@ -111,7 +106,6 @@ def _cmd_sweep(args) -> int:
         charpoly="charpoly" in wanted,
         powersums="powersums" in wanted,
         budget=args.budget,
-        shards=args.shards,
     )
     hist = sweep(elements, args.m, args.n, options=opts)
     hist.validate()
@@ -249,14 +243,13 @@ def _cmd_equation(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_budget_shards(p) -> None:
+def _add_budget(p) -> None:
     p.add_argument(
         "--budget",
-        type=_budget_value,
+        type=parse_budget,
         default=None,
         help="work cap for sweeps (accepts 2e8 style; default from UNITCOUNT_BUDGET)",
     )
-    p.add_argument("--shards", type=int, default=1, help="sweep shard count")
 
 
 def build_parser() -> _Parser:
@@ -270,7 +263,7 @@ def build_parser() -> _Parser:
     p_det.add_argument("--set", required=True, help="element set JSON file")
     p_det.add_argument("-n", type=int, required=True, help="matrix dimension")
     p_det.add_argument("--d", required=True, help="determinant target scalar")
-    _add_budget_shards(p_det)
+    _add_budget(p_det)
     p_rank = count_sub.add_parser("rank", help="matrices of bounded or exact rank")
     p_rank.add_argument("--set", required=True)
     p_rank.add_argument("-m", type=int, required=True, help="rows")
@@ -281,7 +274,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="count rank == r instead of rank <= r",
     )
-    _add_budget_shards(p_rank)
+    _add_budget(p_rank)
     p_cp = count_sub.add_parser("charpoly", help="matrices with a given charpoly")
     p_cp.add_argument("--set", required=True)
     p_cp.add_argument("-n", type=int, required=True)
@@ -290,7 +283,7 @@ def build_parser() -> _Parser:
         required=True,
         help="comma list c_0,...,c_{n-1} of non-leading coefficients",
     )
-    _add_budget_shards(p_cp)
+    _add_budget(p_cp)
     p_ps = count_sub.add_parser(
         "powersums", help="matrices with given tr X and tr X^2"
     )
@@ -298,7 +291,7 @@ def build_parser() -> _Parser:
     p_ps.add_argument("-n", type=int, required=True)
     p_ps.add_argument("--t1", required=True, help="trace target")
     p_ps.add_argument("--t2", required=True, help="trace-of-square target")
-    _add_budget_shards(p_ps)
+    _add_budget(p_ps)
     p_count.set_defaults(handler=_cmd_count)
 
     # sweep
@@ -312,7 +305,7 @@ def build_parser() -> _Parser:
         help="comma list from rank,det,charpoly,powersums",
     )
     p_sweep.add_argument("--out", default=None, help="output CSV path ('-' stdout)")
-    _add_budget_shards(p_sweep)
+    _add_budget(p_sweep)
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     # bound
@@ -395,7 +388,7 @@ def build_parser() -> _Parser:
     e_count.add_argument("--set", required=True)
     e_count.add_argument(
         "--max-entries",
-        type=_budget_value,
+        type=parse_budget,
         default=None,
         help="memory cap for the meet-in-the-middle table",
     )

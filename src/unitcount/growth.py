@@ -34,18 +34,17 @@ from .families import (
     GaussianUnitsScaled,
     LatticeBox,
     SignedGeometric,
-    family_to_json,
     materialize,
     tight_equation_coeffs,
 )
 from .matrices import (
     BudgetExceededError,
     CharPolyKey,
-    SweepOptions,
     count_charpoly,
     count_det,
     count_power_sums,
     count_rank,
+    parse_budget,
     plan_rank,
     plan_square,
     resolve_budget,
@@ -170,9 +169,8 @@ class DetStatistic:
     def work_estimate(self, size: int) -> int:
         return plan_square(self.n, size, det_zero=self.target.is_zero()).work
 
-    def count(self, elements: ElementSet, budget: int, shards: int) -> int:
-        opts = SweepOptions(budget=budget, shards=shards)
-        return count_det(elements, self.n, self.target, options=opts)
+    def count(self, elements: ElementSet, budget: int) -> int:
+        return count_det(elements, self.n, self.target, budget=budget)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
         ev = bounds.det_exponent(self.n, self.target.is_zero())
@@ -203,10 +201,9 @@ class RankStatistic:
     def work_estimate(self, size: int) -> int:
         return plan_rank(self.m, self.n, self.r, self.cumulative, size).work
 
-    def count(self, elements: ElementSet, budget: int, shards: int) -> int:
-        opts = SweepOptions(budget=budget, shards=shards)
+    def count(self, elements: ElementSet, budget: int) -> int:
         return count_rank(
-            elements, self.m, self.n, self.r, cumulative=self.cumulative, options=opts
+            elements, self.m, self.n, self.r, cumulative=self.cumulative, budget=budget
         )
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
@@ -235,9 +232,8 @@ class CharpolyStatistic:
     def work_estimate(self, size: int) -> int:
         return plan_square(self.n, size).work
 
-    def count(self, elements: ElementSet, budget: int, shards: int) -> int:
-        opts = SweepOptions(budget=budget, shards=shards)
-        return count_charpoly(elements, self.n, self.key, options=opts)
+    def count(self, elements: ElementSet, budget: int) -> int:
+        return count_charpoly(elements, self.n, self.key, budget=budget)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
         coeffs = self.key.coeffs
@@ -279,9 +275,8 @@ class PowerSumsStatistic:
     def work_estimate(self, size: int) -> int:
         return plan_square(self.n, size).work
 
-    def count(self, elements: ElementSet, budget: int, shards: int) -> int:
-        opts = SweepOptions(budget=budget, shards=shards)
-        return count_power_sums(elements, self.n, self.t1, self.t2, options=opts)
+    def count(self, elements: ElementSet, budget: int) -> int:
+        return count_power_sums(elements, self.n, self.t1, self.t2, budget=budget)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
         trace_zero = self.t1.is_zero()
@@ -320,7 +315,7 @@ class EquationStatistic:
     def work_estimate(self, size: int) -> int:
         return size ** ((self.eq.n + 1) // 2)
 
-    def count(self, elements: ElementSet, budget: int, shards: int) -> int:
+    def count(self, elements: ElementSet, budget: int) -> int:
         return count_solutions(self.eq, elements)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
@@ -354,7 +349,7 @@ class SystemStatistic:
     def work_estimate(self, size: int) -> int:
         return size ** ((self.n + 1) // 2)
 
-    def count(self, elements: ElementSet, budget: int, shards: int) -> int:
+    def count(self, elements: ElementSet, budget: int) -> int:
         return count_system_sum_squares(self.n, elements)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
@@ -427,7 +422,6 @@ class ExperimentSpec:
     statistic: Statistic
     tolerance: float = 0.2
     budget: int | None = None
-    shards: int = 1
 
     def __post_init__(self):
         if len(self.k_values) < 3:
@@ -436,8 +430,6 @@ class ExperimentSpec:
             raise GrowthConfigError("k_values must be strictly increasing")
         if self.tolerance <= 0:
             raise GrowthConfigError("tolerance must be positive")
-        if self.shards < 1:
-            raise GrowthConfigError("shards must be >= 1")
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentSpec":
@@ -451,7 +443,10 @@ class ExperimentSpec:
             raise GrowthConfigError(f"experiment config missing key {exc}") from exc
         budget = obj.get("budget")
         if budget is not None:
-            budget = int(float(budget))
+            try:
+                budget = parse_budget(budget)
+            except ValueError as exc:
+                raise GrowthConfigError(str(exc)) from None
         return ExperimentSpec(
             name=str(obj.get("name", "experiment")),
             family=family,
@@ -459,7 +454,6 @@ class ExperimentSpec:
             statistic=statistic,
             tolerance=float(obj.get("tolerance", 0.2)),
             budget=budget,
-            shards=int(obj.get("shards", 1)),
         )
 
     def to_json(self) -> dict:
@@ -469,7 +463,6 @@ class ExperimentSpec:
             "k_values": list(self.k_values),
             "statistic": self.statistic.to_json(),
             "tolerance": self.tolerance,
-            "shards": self.shards,
         }
         if self.budget is not None:
             out["budget"] = self.budget
@@ -510,7 +503,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             break
         started = time.perf_counter_ns()
         try:
-            count = spec.statistic.count(elements, budget, spec.shards)
+            count = spec.statistic.count(elements, budget)
         except BudgetExceededError:
             exceeded = True
             break
@@ -673,7 +666,6 @@ PRESETS: dict[str, dict] = {
         "k_values": [2, 3, 4],
         "statistic": {"kind": "det", "n": 3, "target": "0"},
         "tolerance": 0.6,
-        "shards": 8,
     },
     "charpoly-t2-signed": {
         "name": "charpoly-t2-signed",
@@ -801,7 +793,6 @@ PRESETS: dict[str, dict] = {
         "k_values": [4, 5, 6, 7, 8],
         "statistic": {"kind": "rank", "m": 3, "n": 3, "r": 1},
         "tolerance": 0.6,
-        "shards": 4,
     },
     "lattice-equation5": {
         "name": "lattice-equation5",

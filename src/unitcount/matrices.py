@@ -11,11 +11,10 @@ algorithm, cross-checkable against an independent trace-recursion
 implementation.  Each routine is written once over a ring of exact integer
 or Gaussian-integer operations, so Q and Qi share it.
 
-Sweeps enumerate every matrix in elements^(m*n) in row-major odometer order
-and histogram the requested statistics.  A sweep is sharded by the first
-matrix row, so partial sweeps can run separately and merge; when the field
-is Q, the shape is 2x2 or 3x3, and an a-priori magnitude bound proves that
-no intermediate can leave int64, a vectorized kernel takes over.
+Sweeps enumerate every matrix in elements^(m*n) in row-major odometer order,
+in one pass, and histogram the requested statistics; when the field is Q,
+the shape is 2x2 or 3x3, and an a-priori magnitude bound proves that no
+intermediate can leave int64, a vectorized kernel takes over.
 
 Single counts (count_det, count_rank, count_charpoly, count_power_sums) go
 through a planner that picks a cheaper exact route where one exists and
@@ -29,6 +28,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from typing import Callable
 
 from . import _kernels
@@ -50,10 +50,39 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+# Longest whole number parse_budget builds; 1e(10^9) would exhaust memory.
+_BUDGET_DIGITS = 4300
+
+
+def parse_budget(value) -> int:
+    """The exact whole number written as integer text, decimal or scientific
+    text ("2e8", "1.5e3"), or given as an int or a whole-valued float (a JSON
+    number).  Anything else raises ValueError; nothing is rounded."""
+    if isinstance(value, bool):
+        raise ValueError(f"budget must be a whole number, got {value!r}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"budget must be a whole number, got {value!r}")
+        return int(value)
+    if not isinstance(value, str):
+        raise ValueError(f"budget must be a number, got {value!r}")
+    try:
+        number = Decimal(value)
+    except InvalidOperation:
+        raise ValueError(f"budget must be a whole number, got {value!r}") from None
+    if not number.is_finite() or number.adjusted() >= _BUDGET_DIGITS:
+        raise ValueError(f"budget must be a finite whole number, got {value!r}")
+    if number != number.to_integral_value():
+        raise ValueError(f"budget must be a whole number, got {value!r}")
+    return int(number)
+
+
 def resolve_budget(budget: int | None) -> int:
     if budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
-        budget = int(env) if env is not None else DEFAULT_BUDGET
+        budget = parse_budget(env) if env is not None else DEFAULT_BUDGET
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     return budget
@@ -352,7 +381,6 @@ class SweepOptions:
     charpoly: bool = False
     powersums: bool = False
     budget: int | None = None
-    shards: int = 1
 
 
 @dataclass
@@ -368,26 +396,6 @@ class SweepHistogram:
     det_histogram: dict[Scalar, int] | None
     charpoly_histogram: dict[CharPolyKey, int] | None
     powersum_histogram: dict[tuple[Scalar, Scalar], int] | None
-
-    def merge(self, other: "SweepHistogram") -> None:
-        if (self.field, self.m, self.n, self.set_size) != (
-            other.field,
-            other.m,
-            other.n,
-            other.set_size,
-        ):
-            raise ValueError("cannot merge sweeps over different domains")
-        self.total += other.total
-        for mine, theirs in (
-            (self.rank_profile, other.rank_profile),
-            (self.det_histogram, other.det_histogram),
-            (self.charpoly_histogram, other.charpoly_histogram),
-            (self.powersum_histogram, other.powersum_histogram),
-        ):
-            if mine is None or theirs is None:
-                continue
-            for key, count in theirs.items():
-                mine[key] = mine.get(key, 0) + count
 
     def validate(self) -> None:
         expected = self.set_size ** (self.m * self.n)
@@ -442,61 +450,24 @@ class SweepHistogram:
         return rows
 
 
-def _shard_ranges(space: int, shards: int) -> list[tuple[int, int]]:
-    bounds = [space * j // shards for j in range(shards + 1)]
-    return [(bounds[j], bounds[j + 1]) for j in range(shards)]
-
-
-def _empty_raw(opts: SweepOptions) -> dict:
-    return {
-        "total": 0,
-        "rank": {} if opts.rank else None,
-        "det": {} if opts.det else None,
-        "charpoly": {} if opts.charpoly else None,
-        "powersums": {} if opts.powersums else None,
-    }
-
-
-def _merge_raw(acc: dict, part: dict) -> None:
-    acc["total"] += part["total"]
-    for key in ("rank", "det", "charpoly", "powersums"):
-        if acc[key] is None or part[key] is None:
-            continue
-        target = acc[key]
-        for stat_key, count in part[key].items():
-            target[stat_key] = target.get(stat_key, 0) + count
-
-
+# perfbench/spans.py wraps this name; it reads the raw dict's "total".
 def _generic_shard(
-    values: list,
-    field: str,
-    m: int,
-    n: int,
-    opts: SweepOptions,
-    lo: int,
-    hi: int,
+    values: list, field: str, m: int, n: int, opts: SweepOptions
 ) -> dict:
-    """Reference sweep over first-row indices in [lo, hi), any field/shape."""
-    raw = _empty_raw(opts)
-    size = len(values)
+    """Reference sweep over every matrix, any field and shape.  Returns the
+    raw histograms in the layout of `_kernels.sweep_square`."""
     rest_width = (m - 1) * n
     ring = _ring(field)
     add, mul, zero = ring.add, ring.mul, ring.zero
 
-    rank_hist = raw["rank"]
-    det_hist = raw["det"]
-    cp_hist = raw["charpoly"]
-    ps_hist = raw["powersums"]
+    rank_hist = {} if opts.rank else None
+    det_hist = {} if opts.det else None
+    cp_hist = {} if opts.charpoly else None
+    ps_hist = {} if opts.powersums else None
     total = 0
 
-    for flat in range(lo, hi):
-        row0_idx = []
-        rem = flat
-        for _ in range(n):
-            rem, digit = divmod(rem, size)
-            row0_idx.append(digit)
-        row0_idx.reverse()
-        row0 = [values[j] for j in row0_idx]
+    for row0 in itertools.product(values, repeat=n):
+        row0 = list(row0)
         for rest in itertools.product(values, repeat=rest_width):
             rows = [row0] + [
                 list(rest[r * n : (r + 1) * n]) for r in range(m - 1)
@@ -520,13 +491,17 @@ def _generic_shard(
                         t2 = add(t2, mul(rows[i][j], rows[j][i]))
                 ps_key = (t1, t2)
                 ps_hist[ps_key] = ps_hist.get(ps_key, 0) + 1
-    raw["total"] = total
-    return raw
+    return {
+        "total": total,
+        "rank": rank_hist,
+        "det": det_hist,
+        "charpoly": cp_hist,
+        "powersums": ps_hist,
+    }
 
 
-def _finalize(
-    raw: dict, elements: ElementSet, m: int, n: int, opts: SweepOptions
-) -> SweepHistogram:
+# perfbench/spans.py wraps this name (span "matrices.finalize").
+def _finalize(raw: dict, elements: ElementSet, m: int, n: int) -> SweepHistogram:
     lcm, _, _ = elements.scaled_integers()
     field = elements.field
 
@@ -602,39 +577,27 @@ def sweep(
         raise ValueError("det, charpoly and powersums need a square matrix")
     if not (opts.rank or opts.det or opts.charpoly or opts.powersums):
         raise ValueError("no statistic enabled")
-    if opts.shards < 1:
-        raise ValueError("shards must be >= 1")
 
-    size = len(elements)
-    total_work = size ** (m * n)
+    total_work = len(elements) ** (m * n)
     budget = resolve_budget(opts.budget)
     if total_work > budget:
         raise BudgetExceededError(total_work, budget)
 
-    lcm, values, bound = elements.scaled_integers()
-    ranges = _shard_ranges(size**n, opts.shards)
-
-    use_kernel = (
+    _, values, bound = elements.scaled_integers()
+    if (
         elements.field == Q
         and m == n
         and n in (2, 3)
         and _kernels.supports(
             bound, n, opts.det, opts.rank, opts.charpoly, opts.powersums
         )
-    )
-
-    raw = _empty_raw(opts)
-    for lo, hi in ranges:
-        if lo == hi:
-            continue
-        if use_kernel:
-            part = _kernels.sweep_square(
-                values, n, opts.det, opts.rank, opts.charpoly, opts.powersums, lo, hi
-            )
-        else:
-            part = _generic_shard(values, elements.field, m, n, opts, lo, hi)
-        _merge_raw(raw, part)
-    return _finalize(raw, elements, m, n, opts)
+    ):
+        raw = _kernels.sweep_square(
+            values, n, opts.det, opts.rank, opts.charpoly, opts.powersums
+        )
+    else:
+        raw = _generic_shard(values, elements.field, m, n, opts)
+    return _finalize(raw, elements, m, n)
 
 
 # -- count planner ------------------------------------------------------------
@@ -655,7 +618,6 @@ def sweep(
 #
 # An exact rank count is rank <= r minus rank <= r-1, each by its route; the
 # route name joins the two with "-".  The sweep runs when either has none.
-# Shards partition only the sweep; the other routes ignore them.
 
 
 @dataclass(frozen=True)
@@ -701,8 +663,8 @@ def plan_rank(m: int, n: int, r: int, cumulative: bool, size: int) -> CountRoute
     return CountRoute("-".join(p.name for p in parts), sum(p.work for p in parts))
 
 
-def _charged(route: CountRoute, options: SweepOptions | None) -> CountRoute:
-    budget = resolve_budget(options.budget if options else None)
+def _charged(route: CountRoute, budget: int | None) -> CountRoute:
+    budget = resolve_budget(budget)
     if route.work > budget:
         raise BudgetExceededError(route.work, budget, f"{route.name} count")
     return route
@@ -714,18 +676,6 @@ def _check_fields(elements: ElementSet, *values: Scalar) -> None:
             raise FieldMismatchError(
                 f"target in field {value.field}, set in field {elements.field}"
             )
-
-
-def _single_stat_options(options: SweepOptions | None, stat: str) -> SweepOptions:
-    base = options or SweepOptions()
-    return SweepOptions(
-        rank=stat == "rank",
-        det=stat == "det",
-        charpoly=stat == "charpoly",
-        powersums=stat == "powersums",
-        budget=base.budget,
-        shards=base.shards,
-    )
 
 
 def _target3_kernel(
@@ -780,14 +730,14 @@ def _rank1_count(elements: ElementSet, m: int, n: int) -> int:
 
 
 def _cumulative_rank(
-    elements: ElementSet, m: int, n: int, k: int, options: SweepOptions | None
+    elements: ElementSet, m: int, n: int, k: int, budget: int | None
 ) -> int:
     route = _cumulative_rank_route(m, n, k, len(elements))
     if route.name == "closed":
         return len(elements) ** (m * n)
     if route.name == "rank1":
         return _rank1_count(elements, m, n)
-    return count_det(elements, 3, Scalar.zero(elements.field), options=options)
+    return count_det(elements, 3, Scalar.zero(elements.field), budget=budget)
 
 
 def count_det(
@@ -795,10 +745,10 @@ def count_det(
     n: int,
     target: Scalar,
     *,
-    options: SweepOptions | None = None,
+    budget: int | None = None,
 ) -> int:
     _check_fields(elements, target)
-    route = _charged(plan_square(n, len(elements), det_zero=target.is_zero()), options)
+    route = _charged(plan_square(n, len(elements), det_zero=target.is_zero()), budget)
     if route.name == "rank1":
         return _rank1_count(elements, 2, 2)
     if route.name == "conv2":
@@ -807,7 +757,7 @@ def count_det(
         found = _target3_kernel(elements, "det", (target,), (3,))
         if found is not None:
             return found
-    hist = sweep(elements, n, n, _single_stat_options(options, "det"))
+    hist = sweep(elements, n, n, SweepOptions(rank=False, budget=budget))
     return hist.det_histogram.get(target, 0)
 
 
@@ -818,17 +768,17 @@ def count_rank(
     r: int,
     *,
     cumulative: bool = False,
-    options: SweepOptions | None = None,
+    budget: int | None = None,
 ) -> int:
-    route = _charged(plan_rank(m, n, r, cumulative, len(elements)), options)
+    route = _charged(plan_rank(m, n, r, cumulative, len(elements)), budget)
     if route.name == "sweep":
-        hist = sweep(elements, m, n, _single_stat_options(options, "rank"))
+        hist = sweep(elements, m, n, SweepOptions(det=False, budget=budget))
         if cumulative:
             return sum(c for rr, c in hist.rank_profile.items() if rr <= r)
         return hist.rank_profile.get(r, 0)
-    count = _cumulative_rank(elements, m, n, r, options)
+    count = _cumulative_rank(elements, m, n, r, budget)
     if not cumulative and r > 1:
-        count -= _cumulative_rank(elements, m, n, r - 1, options)
+        count -= _cumulative_rank(elements, m, n, r - 1, budget)
     return count
 
 
@@ -837,19 +787,20 @@ def count_charpoly(
     n: int,
     key: CharPolyKey,
     *,
-    options: SweepOptions | None = None,
+    budget: int | None = None,
 ) -> int:
     if key.n != n:
         raise ValueError(f"characteristic polynomial has {key.n} coefficients, need {n}")
     _check_fields(elements, *key.coeffs)
-    route = _charged(plan_square(n, len(elements)), options)
+    route = _charged(plan_square(n, len(elements)), budget)
     if route.name == "conv2":
         return fast_charpoly2_count(elements, key)
     if route.name == "target3":
         found = _target3_kernel(elements, "charpoly", key.coeffs, (3, 2, 1))
         if found is not None:
             return found
-    hist = sweep(elements, n, n, _single_stat_options(options, "charpoly"))
+    opts = SweepOptions(rank=False, det=False, charpoly=True, budget=budget)
+    hist = sweep(elements, n, n, opts)
     return hist.charpoly_histogram.get(key, 0)
 
 
@@ -859,17 +810,18 @@ def count_power_sums(
     t1: Scalar,
     t2: Scalar,
     *,
-    options: SweepOptions | None = None,
+    budget: int | None = None,
 ) -> int:
     _check_fields(elements, t1, t2)
-    route = _charged(plan_square(n, len(elements)), options)
+    route = _charged(plan_square(n, len(elements)), budget)
     if route.name == "conv2":
         return fast_power_sums2_count(elements, t1, t2)
     if route.name == "target3":
         found = _target3_kernel(elements, "powersums", (t1, t2), (1, 2))
         if found is not None:
             return found
-    hist = sweep(elements, n, n, _single_stat_options(options, "powersums"))
+    opts = SweepOptions(rank=False, det=False, powersums=True, budget=budget)
+    hist = sweep(elements, n, n, opts)
     return hist.powersum_histogram.get((t1, t2), 0)
 
 

@@ -261,7 +261,8 @@ def test_acceptance_7_partition_and_invariance(capsys):
     rng = random.Random(404)
 
     partition_ok = True
-    shard_ok = True
+    order_ok = True
+    shuffler = random.Random(707)
     shapes = [(2, 2), (2, 3), (3, 2)]
     for trial in range(6):
         field = Q if trial % 2 == 0 else QI
@@ -278,16 +279,10 @@ def test_acceptance_7_partition_and_invariance(capsys):
             partition_ok = False
         if square and sum(hist.det_histogram.values()) != space:
             partition_ok = False
-        sharded = sweep(
-            elements,
-            m,
-            n,
-            options=SweepOptions(
-                rank=True, det=square, charpoly=square, powersums=square, shards=4
-            ),
-        )
-        if sharded != hist:
-            shard_ok = False
+        shuffled = list(elements)
+        shuffler.shuffle(shuffled)
+        if sweep(ElementSet(tuple(shuffled)), m, n, options=opts) != hist:
+            order_ok = False
 
     scaling_ok = True
     for trial in range(20):
@@ -318,11 +313,11 @@ def test_acceptance_7_partition_and_invariance(capsys):
         if classification.total != count_solutions(eq, elements):
             classify_ok = False
 
-    ok = partition_ok and shard_ok and scaling_ok and classify_ok
+    ok = partition_ok and order_ok and scaling_ok and classify_ok
     _line(
         capsys,
         7,
         ok,
-        "histogram partitions, shard merges, scaling invariance, and "
+        "histogram partitions, element-order invariance, scaling invariance, and "
         "classification totals all exact",
     )

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from unitcount.cli import main
+from unitcount.cli import build_parser, main
 
 
 @pytest.fixture
@@ -58,6 +58,39 @@ def test_count_det_accepts_scientific_budget(set12, capsys):
         ["count", "det", "--set", set12, "-n", "2", "--d", "0", "--budget", "2e8"]
     )
     assert code == 0 and capsys.readouterr().out == "6\n"
+
+
+def test_budgets_parse_exactly(set12, eq_diff, monkeypatch, capsys):
+    argv = ["count", "det", "--set", set12, "-n", "2", "--d", "0", "--budget"]
+    assert main(argv + ["1e400"]) == 0
+    assert capsys.readouterr().out == "6\n"
+    assert main(argv + ["2.5"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(argv + ["1e99999"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    args = build_parser().parse_args(argv + ["12345678901234567891"])
+    assert args.budget == 12345678901234567891
+    eq_argv = ["equation", "count", "--eq", eq_diff, "--set", set12, "--max-entries"]
+    assert main(eq_argv + ["1e1"]) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert main(eq_argv + ["0.5"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    det3 = ["count", "det", "--set", set12, "-n", "3", "--d", "0"]
+    monkeypatch.setenv("UNITCOUNT_BUDGET", "2e8")
+    assert main(det3) == 0
+    assert capsys.readouterr().out == "248\n"
+    monkeypatch.setenv("UNITCOUNT_BUDGET", "2.5")
+    assert main(det3) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_no_shards_flag(set12, capsys):
+    for argv in (
+        ["count", "det", "--set", set12, "-n", "2", "--d", "0"],
+        ["sweep", "--set", set12, "-m", "2", "-n", "2", "--out", "-"],
+    ):
+        assert main(argv + ["--shards", "2"]) == 1
+        assert "--shards" in capsys.readouterr().err
 
 
 def test_count_rank_cumulative_and_exact(set12, capsys):
@@ -109,31 +142,6 @@ def test_count_budget_charges_the_route_not_the_sweep(set12, capsys):
         assert capsys.readouterr().out == f"{swept[key]}\n"
         assert main(argv + ["--budget", "1e9"]) == 0
         assert capsys.readouterr().out == f"{swept[key]}\n"
-
-
-def test_count_shards_agree(set_pows, capsys):
-    outs = []
-    for shards in ("1", "3"):
-        code = main(
-            [
-                "count",
-                "det",
-                "--set",
-                set_pows,
-                "-n",
-                "2",
-                "--d",
-                "0",
-                "--shards",
-                shards,
-            ]
-        )
-        assert code == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-
-
-# -------------------------------------------------------------------- sweep
 
 
 def test_sweep_stdout_golden(set12, capsys):

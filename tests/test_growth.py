@@ -217,18 +217,34 @@ def test_experiment_spec_validation():
     with pytest.raises(GrowthConfigError):
         _det2_spec(tolerance=0)
     with pytest.raises(GrowthConfigError):
-        _det2_spec(shards=0)
-    with pytest.raises(GrowthConfigError):
         ExperimentSpec.from_json({"name": "x"})
 
 
 def test_experiment_spec_defaults_and_budget_parsing():
     spec = _det2_spec()
-    assert spec.tolerance == 0.2 and spec.shards == 1 and spec.budget is None
-    spec = _det2_spec(budget="1e6", tolerance=0.5, shards=3)
-    assert spec.budget == 1_000_000 and spec.shards == 3
+    assert spec.tolerance == 0.2 and spec.budget is None
+    spec = _det2_spec(budget="1e6", tolerance=0.5)
+    assert spec.budget == 1_000_000
     again = ExperimentSpec.from_json(spec.to_json())
     assert again == spec
+    assert _det2_spec(budget=2e8).budget == 200_000_000
+    assert _det2_spec(budget="1e400").budget == 10**400
+    exact = "12345678901234567891"
+    assert _det2_spec(budget=exact).budget == int(exact)
+    assert _det2_spec(budget=int(exact)).budget == int(exact)
+    for bad in ("2.5", 2.5, "many", [1]):
+        with pytest.raises(GrowthConfigError):
+            _det2_spec(budget=bad)
+
+
+def test_config_with_shards_key_still_loads():
+    # Sweeps run in one pass; a "shards" key from older configs is ignored.
+    config = dict(PRESETS["det0-3x3-geometric"], k_values=[1, 2, 3])
+    plain = ExperimentSpec.from_json(config)
+    old = ExperimentSpec.from_json(dict(config, shards=8))
+    assert old == plain
+    report = analyze(run_experiment(old)).to_json()
+    assert report == analyze(run_experiment(plain)).to_json()
 
 
 def test_load_experiment_from_file(tmp_path):

@@ -22,6 +22,7 @@ from unitcount.matrices import (
     fast_det2_count,
     fast_det2_histogram,
     fast_power_sums2_count,
+    parse_budget,
     power_sums_from_coeffs,
     random_matrix,
     rank,
@@ -221,22 +222,6 @@ def test_kernel_and_generic_paths_agree(monkeypatch):
         assert fast.powersum_histogram == slow.powersum_histogram
 
 
-def test_sharded_sweep_equals_unsharded():
-    rng = random.Random(46)
-    for field in (Q, QI):
-        elements = rand_element_set(rng, field, size=3, span=4, max_den=2)
-        lone = sweep(elements, 2, 2, options=_ALL_STATS)
-        for shards in (2, 3, 7, 50):
-            opts = SweepOptions(
-                rank=True, det=True, charpoly=True, powersums=True, shards=shards
-            )
-            sharded = sweep(elements, 2, 2, options=opts)
-            assert sharded.rank_profile == lone.rank_profile
-            assert sharded.det_histogram == lone.det_histogram
-            assert sharded.charpoly_histogram == lone.charpoly_histogram
-            assert sharded.powersum_histogram == lone.powersum_histogram
-
-
 def test_sweep_validates_options():
     elements = int_element_set([1, 2])
     with pytest.raises(ValueError):
@@ -245,8 +230,6 @@ def test_sweep_validates_options():
         sweep(elements, 0, 2)
     with pytest.raises(ValueError):
         sweep(elements, 2, 2, options=SweepOptions(rank=False, det=False))
-    with pytest.raises(ValueError):
-        sweep(elements, 2, 2, options=SweepOptions(shards=0))
 
 
 def test_budget_enforcement_and_env_default(monkeypatch):
@@ -265,6 +248,24 @@ def test_budget_enforcement_and_env_default(monkeypatch):
     assert resolve_budget(None) == matrices.DEFAULT_BUDGET
     with pytest.raises(ValueError):
         resolve_budget(0)
+    monkeypatch.setenv(matrices.BUDGET_ENV_VAR, "2e8")
+    assert resolve_budget(None) == 200_000_000
+    monkeypatch.setenv(matrices.BUDGET_ENV_VAR, "2.5")
+    with pytest.raises(ValueError):
+        resolve_budget(None)
+
+
+def test_parse_budget_is_exact():
+    assert parse_budget("2e8") == 200_000_000
+    assert parse_budget("1.5e3") == 1500
+    assert parse_budget(" 81 ") == 81
+    assert parse_budget("1e400") == 10**400
+    assert parse_budget("12345678901234567891") == 12345678901234567891
+    assert parse_budget(12345678901234567891) == 12345678901234567891
+    assert parse_budget(2e8) == 200_000_000
+    for bad in ("2.5", 2.5, "1e-3", "inf", "nan", "", "two", "1e5000", True, None):
+        with pytest.raises(ValueError):
+            parse_budget(bad)
 
 
 def test_histogram_csv_rows_are_deterministic():

@@ -115,15 +115,14 @@ def test_det0_2x2_counts_rank_at_most_one(field, texts, monkeypatch):
 
 def test_budget_charges_the_route_work():
     elements = _elements(("1", "2", "3"))
-    tight = SweepOptions(budget=3**3)
-    assert count_rank(elements, 3, 3, 1, options=tight) == count_rank(elements, 3, 3, 1)
+    assert count_rank(elements, 3, 3, 1, budget=3**3) == count_rank(elements, 3, 3, 1)
     with pytest.raises(BudgetExceededError) as info:
-        count_rank(elements, 3, 3, 1, options=SweepOptions(budget=3**3 - 1))
+        count_rank(elements, 3, 3, 1, budget=3**3 - 1)
     assert info.value.required == 3**3
     with pytest.raises(BudgetExceededError) as info:
-        count_det(elements, 3, Scalar.zero(Q), options=SweepOptions(budget=3**9 - 1))
+        count_det(elements, 3, Scalar.zero(Q), budget=3**9 - 1)
     assert info.value.required == 3**9
-    assert count_det(elements, 2, Scalar.zero(Q), options=SweepOptions(budget=9)) == 15
+    assert count_det(elements, 2, Scalar.zero(Q), budget=9) == 15
 
 
 def test_target_field_must_match_the_set():
