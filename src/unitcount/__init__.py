@@ -27,7 +27,6 @@ from .equations import (
     count_solutions,
     count_system_sum_squares,
     classify_by_vanishing_subsums,
-    kappa,
     system_exponent,
 )
 from .matrices import (

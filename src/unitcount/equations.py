@@ -1,22 +1,35 @@
 """Exact solution counting for linear equations with variables in a finite set.
 
-The core counter meets in the middle: it enumerates partial sums of the first
-half of the variables into a hash table and streams the second half against
-it, turning an A^n scan into roughly A^(n/2) work and memory.  When the table
-would exceed the entry budget the left half is split into prefix chunks and
-the right half is streamed once per chunk, trading time for memory without
-giving up exactness or determinism.
+Every count runs over plain Python ints.  The terms a_j*x (and, for the
+zero-sum system, the pairs (x, x^2)) and the rhs are put over one common
+denominator L, so each term is an integer digit vector: (re) over Q, (re, im)
+over Q(i), with the square's digits appended for the system.  A vector c is
+packed into the single int sum_j c_j * R^j with R = 2^(bitlen(B) + 1), where
+B is |rhs| plus, over the variables, each variable's largest digit.  Every
+partial sum and every lookup key rhs - s then has all |c_j| <= B < R/2, and
+two such vectors differ by digits below R, so the packing is injective on
+them; it is linear, so sums of packed ints are the packed sums.  Python ints
+are exact at any size, so no bound on the machine word is needed.
+
+The counter meets in the middle: it tallies the packed partial sums of the
+first half of the variables into a hash table and streams the second half
+against it, turning an A^n scan into roughly A^(n/2) work and memory.  When
+the table would exceed the entry budget the left half is split into prefix
+chunks and the right half is streamed again for each chunk, trading time for
+memory without giving up exactness or determinism.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product, repeat
 from pathlib import Path
 
 from .families import ElementSet
-from .scalars import FieldMismatchError, Scalar, parse_scalar
+from .scalars import QI, FieldMismatchError, Scalar, parse_scalar
 
 # Cap on hash-table entries for the meet-in-the-middle join.
 DEFAULT_MAX_ENTRIES = 2_000_000
@@ -75,34 +88,96 @@ def load_equation(path: str | Path) -> EquationSpec:
         return equation_from_json(json.load(handle))
 
 
-def _term_table(eq: EquationSpec, elements: ElementSet) -> list[list[Scalar]]:
+def _pack(
+    rows: list[list[tuple[Scalar, ...]]], rhs: tuple[Scalar, ...]
+) -> tuple[list[list[int]], int]:
+    """Packed ints of every term in rows (one list per variable) and of rhs.
+
+    A term is a tuple of scalars, all put over one common denominator L; its
+    digits are the scaled real parts, and over Q(i) the imaginary parts too.
+    """
+    imaginary = rhs[0].field == QI
+    dens = [x.den for row in rows for term in row for x in term]
+    lcm = math.lcm(*dens, *(x.den for x in rhs))
+
+    def digits(term: tuple[Scalar, ...]) -> list[int]:
+        out = []
+        for x in term:
+            scale = lcm // x.den
+            out.append(x.re * scale)
+            if imaginary:
+                out.append(x.im * scale)
+        return out
+
+    digit_rows = [[digits(t) for t in row] for row in rows]
+    rhs_digits = digits(rhs)
+    bound = max(map(abs, rhs_digits)) + sum(
+        max(abs(c) for vec in row for c in vec) for row in digit_rows
+    )
+    shift = bound.bit_length() + 1
+
+    def pack(vec: list[int]) -> int:
+        value = 0
+        for c in reversed(vec):
+            value = (value << shift) + c
+        return value
+
+    return [[pack(vec) for vec in row] for row in digit_rows], pack(rhs_digits)
+
+
+def _equation_rows(
+    eq: EquationSpec, elements: ElementSet
+) -> tuple[list[list[int]], int]:
     if elements.field != eq.field:
         raise FieldMismatchError(
             f"equation field {eq.field} does not match set field {elements.field}"
         )
-    return [[coeff * x for x in elements] for coeff in eq.coeffs]
+    return _pack([[(coeff * x,) for x in elements] for coeff in eq.coeffs], (eq.rhs,))
 
 
-def _tally_sums(
-    terms: list[list[Scalar]], start: Scalar, table: dict[Scalar, int]
-) -> None:
+def _tally_sums(terms: list[list[int]], start: int, table: dict[int, int]) -> None:
     """Add every sum start + t_1 + ... over the term lists into table."""
     if not terms:
         table[start] = table.get(start, 0) + 1
         return
-    head, rest = terms[0], terms[1:]
-    for term in head:
-        _tally_sums(rest, start + term, table)
+    *outer, last = terms
+    get = table.get
+    for combo in product(*outer):
+        for key in map((start + sum(combo)).__add__, last):
+            table[key] = get(key, 0) + 1
 
 
-def _stream_lookups(
-    terms: list[list[Scalar]], start: Scalar, table: dict[Scalar, int]
-) -> int:
-    """Sum table[start - (t_1 + ...)] over the term lists."""
+def _count_lookups(terms: list[list[int]], rhs: int, table: dict[int, int]) -> int:
+    """Sum table[rhs - (t_1 + ...)] over the term lists."""
     if not terms:
-        return table.get(start, 0)
-    head, rest = terms[0], terms[1:]
-    return sum(_stream_lookups(rest, start - term, table) for term in head)
+        return table.get(rhs, 0)
+    *outer, last = terms
+    get = table.get
+    return sum(
+        sum(map(get, map((rhs - sum(combo)).__sub__, last), repeat(0)))
+        for combo in product(*outer)
+    )
+
+
+def _join(rows: list[list[int]], rhs: int, max_entries: int) -> int:
+    """Number of tuples, one packed term per row, summing to rhs.
+
+    Tables hold at most max_entries keys: the left half is split into prefix
+    chunks until the rest fits, and the right half is streamed per chunk.
+    """
+    if max_entries < 1:
+        raise ValueError("max_entries must be at least 1")
+    half = (len(rows) + 1) // 2
+    left, right = rows[:half], rows[half:]
+    prefix = 0
+    while prefix < half and math.prod(map(len, left[prefix:])) > max_entries:
+        prefix += 1
+    total = 0
+    for combo in product(*left[:prefix]):
+        table: dict[int, int] = {}
+        _tally_sums(left[prefix:], sum(combo), table)
+        total += _count_lookups(right, rhs, table)
+    return total
 
 
 def count_solutions(
@@ -112,34 +187,8 @@ def count_solutions(
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> int:
     """Exact number of tuples in elements^n satisfying the equation."""
-    terms = _term_table(eq, elements)
-    size = len(elements)
-    half = (eq.n + 1) // 2
-    left, right = terms[:half], terms[half:]
-    zero = Scalar.zero(eq.field)
-
-    # Prefix-chunk the left block until the remaining table fits the budget.
-    prefix = 0
-    while prefix < half and size ** (half - prefix) > max_entries:
-        prefix += 1
-    prefix_terms, body_terms = left[:prefix], left[prefix:]
-
-    total = 0
-    prefix_sums: list[Scalar] = []
-
-    def walk_prefix(level: int, acc: Scalar) -> None:
-        if level == len(prefix_terms):
-            prefix_sums.append(acc)
-            return
-        for term in prefix_terms[level]:
-            walk_prefix(level + 1, acc + term)
-
-    walk_prefix(0, zero)
-    for base in prefix_sums:
-        table: dict[Scalar, int] = {}
-        _tally_sums(body_terms, base, table)
-        total += _stream_lookups(right, eq.rhs, table)
-    return total
+    rows, rhs = _equation_rows(eq, elements)
+    return _join(rows, rhs, max_entries)
 
 
 def count_system_sum_squares(
@@ -150,49 +199,14 @@ def count_system_sum_squares(
 ) -> int:
     """Count tuples with x_1 + ... + x_n = 0 and x_1^2 + ... + x_n^2 = 0.
 
-    Same meet-in-the-middle join as count_solutions but keyed on the pair
-    (partial sum, partial sum of squares).
+    The same join as count_solutions, over the packed pairs (x, x^2) with
+    rhs (0, 0).
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    pairs = [(x, x.square()) for x in elements]
     zero = Scalar.zero(elements.field)
-    half = (n + 1) // 2
-    size = len(elements)
-
-    prefix = 0
-    while prefix < half and size ** (half - prefix) > max_entries:
-        prefix += 1
-
-    def tally(levels: int, s: Scalar, q: Scalar, table: dict) -> None:
-        if levels == 0:
-            key = (s, q)
-            table[key] = table.get(key, 0) + 1
-            return
-        for x, xx in pairs:
-            tally(levels - 1, s + x, q + xx, table)
-
-    def stream(levels: int, s: Scalar, q: Scalar, table: dict) -> int:
-        if levels == 0:
-            return table.get((s, q), 0)
-        return sum(stream(levels - 1, s - x, q - xx, table) for x, xx in pairs)
-
-    prefix_pairs: list[tuple[Scalar, Scalar]] = []
-
-    def walk_prefix(levels: int, s: Scalar, q: Scalar) -> None:
-        if levels == 0:
-            prefix_pairs.append((s, q))
-            return
-        for x, xx in pairs:
-            walk_prefix(levels - 1, s + x, q + xx)
-
-    walk_prefix(prefix, zero, zero)
-    total = 0
-    for s0, q0 in prefix_pairs:
-        table: dict[tuple[Scalar, Scalar], int] = {}
-        tally(half - prefix, s0, q0, table)
-        total += stream(n - half, zero, zero, table)
-    return total
+    rows, rhs = _pack([[(x, x.square()) for x in elements]] * n, (zero, zero))
+    return _join(rows, rhs, max_entries)
 
 
 @dataclass(frozen=True)
@@ -224,43 +238,32 @@ def classify_by_vanishing_subsums(
 ) -> SubsumClassification:
     """Group every solution by its maximal vanishing subset of terms.
 
-    Exhaustive over elements^n, so n is capped at 10.
+    Walks the A^(n-1) choices of the first n-1 terms; the last term is the
+    one that completes the sum, if the set holds it.  Exhaustive, so n is
+    capped at 10.
     """
     n = eq.n
     if n > 10:
         raise ValueError("classification is exhaustive; n is capped at 10")
-    terms = _term_table(eq, elements)
-    zero = Scalar.zero(eq.field)
+    rows, rhs = _equation_rows(eq, elements)
+    # Distinct elements give distinct terms a_n*x, so at most one completes.
+    last = set(rows[-1])
     order = _mask_scan_order(n)
     classes: dict[tuple[int, ...], int] = {}
     total = 0
-
-    solution_terms: list[Scalar] = [zero] * n
-
-    def classify_current() -> None:
-        nonlocal total
+    sums = [0] * (1 << n)
+    for combo in product(*rows[:-1]):
+        tail = rhs - sum(combo)
+        if tail not in last:
+            continue
         total += 1
-        # Subset sums over the n term values, low bit = index 1.
-        sums = [zero] * (1 << n)
+        terms = combo + (tail,)
+        # Subset sums over the n packed terms, low bit = index 1.
         for mask in range(1, 1 << n):
             low = mask & -mask
-            sums[mask] = sums[mask ^ low] + solution_terms[low.bit_length() - 1]
-        for mask, indices in order:
-            if sums[mask].is_zero():
-                classes[indices] = classes.get(indices, 0) + 1
-                return
-        classes[()] = classes.get((), 0) + 1
-
-    def walk(level: int, acc: Scalar) -> None:
-        if level == n:
-            if acc == eq.rhs:
-                classify_current()
-            return
-        for term in terms[level]:
-            solution_terms[level] = term
-            walk(level + 1, acc + term)
-
-    walk(0, zero)
+            sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
+        indices = next((idx for mask, idx in order if not sums[mask]), ())
+        classes[indices] = classes.get(indices, 0) + 1
     return SubsumClassification(classes=classes, total=total)
 
 
@@ -284,8 +287,3 @@ def system_exponent(n: int) -> tuple[int, int]:
     if min((n + preferred) // 3, (n - preferred) // 2) == best:
         best_k = preferred
     return best, best_k
-
-
-def kappa(n: int) -> tuple[int, int]:
-    """Alias for system_exponent: (exponent value, attaining k)."""
-    return system_exponent(n)

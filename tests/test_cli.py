@@ -84,6 +84,17 @@ def test_budgets_parse_exactly(set12, eq_diff, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_max_entries_below_one_exits_1(set12, eq_diff, capsys):
+    eq_argv = ["equation", "count", "--eq", eq_diff, "--set", set12, "--max-entries"]
+    for bad in ("0", "-5"):
+        assert main(eq_argv + [bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "max_entries" in captured.err
+    assert main(eq_argv + ["1"]) == 0
+    assert capsys.readouterr().out == "3\n"
+
+
 def test_no_shards_flag(set12, capsys):
     for argv in (
         ["count", "det", "--set", set12, "-n", "2", "--d", "0"],

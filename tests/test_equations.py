@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import int_element_set, rand_element_set, rand_scalar
+from unitcount import equations
 from unitcount.equations import (
     EquationSpec,
     classify_by_vanishing_subsums,
@@ -12,11 +13,10 @@ from unitcount.equations import (
     count_system_sum_squares,
     equation_from_json,
     equation_to_json,
-    kappa,
     load_equation,
     system_exponent,
 )
-from unitcount.families import Geometric, materialize
+from unitcount.families import ElementSet, Geometric, materialize, tight_equation_coeffs
 from unitcount.scalars import Q, QI, FieldMismatchError, Scalar
 
 
@@ -71,16 +71,29 @@ def test_pairing_equation_over_geometric_family():
 def test_meet_in_the_middle_matches_naive(field):
     rng = random.Random(21 if field == Q else 22)
     for _ in range(40):
-        n = rng.randint(1, 5)
-        size = rng.randint(1, 7)
+        n = rng.randint(1, 6)
+        # Keep the A^n oracle small: A <= 7 and A^n <= 1200.
+        size = rng.randint(1, min(7, int(1200 ** (1 / n))))
         elements = rand_element_set(rng, field, size=size, span=5, max_den=2)
         coeffs = tuple(rand_scalar(rng, field, span=3, max_den=2) for _ in range(n))
-        rhs = rand_scalar(rng, field, span=6, max_den=2, nonzero=False)
+        kind = rng.choice(["zero", "random", "hit"])
+        if kind == "zero":
+            rhs = Scalar.zero(field)
+        elif kind == "random":
+            rhs = rand_scalar(rng, field, span=6, max_den=2, nonzero=False)
+        else:
+            rhs = sum(
+                (c * rng.choice(elements.elements) for c in coeffs), Scalar.zero(field)
+            )
         eq = EquationSpec(coeffs=coeffs, rhs=rhs)
         expected = oracles.equation_count(
             [oracles.pair(c) for c in coeffs], oracles.pair(rhs), elements
         )
+        if kind == "hit":
+            assert expected > 0
         assert count_solutions(eq, elements) == expected
+        for cap in (1, 2, size):
+            assert count_solutions(eq, elements, max_entries=cap) == expected
 
 
 def test_prefix_chunking_fallback_matches_default():
@@ -93,6 +106,126 @@ def test_prefix_chunking_fallback_matches_default():
     full = count_solutions(eq, elements)
     assert count_solutions(eq, elements, max_entries=4) == full
     assert count_solutions(eq, elements, max_entries=1) == full
+
+
+def _big_set(field):
+    big = 2**100
+    values = [
+        Scalar.rational(big, 1, field),
+        Scalar.rational(-big, 1, field),
+        Scalar.rational(1, big, field),
+        Scalar.rational(big + 1, big, field),
+        Scalar.rational(3, 1, field),
+    ]
+    if field == QI:
+        values.append(Scalar.gaussian(big, 1, big))
+        values.append(Scalar.gaussian(1, -big, 1))
+    return ElementSet(tuple(values))
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_counts_stay_exact_past_64_bits(field):
+    elements = _big_set(field)
+    big = 2**100
+    cases = [
+        ((1, 1, -1, -1), Scalar.zero(field)),
+        ((1, -1, 1), Scalar.rational(1, big, field)),
+        ((Scalar.rational(1, big, field), 1, -1), Scalar.rational(1, big**2, field)),
+        ((3, -1, -1, -1), Scalar.zero(field)),
+    ]
+    for raw_coeffs, rhs in cases:
+        coeffs = tuple(
+            c if isinstance(c, Scalar) else Scalar.rational(c, 1, field)
+            for c in raw_coeffs
+        )
+        eq = EquationSpec(coeffs=coeffs, rhs=rhs)
+        expected = oracles.equation_count(
+            [oracles.pair(c) for c in coeffs], oracles.pair(rhs), elements
+        )
+        assert expected > 0
+        for cap in (1, len(elements), 10**6):
+            assert count_solutions(eq, elements, max_entries=cap) == expected
+        result = classify_by_vanishing_subsums(eq, elements)
+        assert result.classes == oracles.classify_counts(
+            [oracles.pair(c) for c in coeffs], oracles.pair(rhs), elements
+        )
+    assert count_system_sum_squares(3, elements) == oracles.system_count(3, elements)
+
+
+@pytest.mark.parametrize("k", [3, 40, 70])
+def test_packing_bound_at_and_below_a_power_of_two(k):
+    # x = rhs over Q(i).  The bound is B = |rhs| + the largest digit of the
+    # set.  Each set holds a term t with t - rhs = (R, -1) for a power of two
+    # R <= B, so a packing base of R would carry re into im and match t
+    # against rhs.  B is 2^k, 2^k - 1 (2^k - 2 sets it), and 2^k with the
+    # rhs carrying three quarters of it.
+    cases = [
+        (Scalar.rational(-1, 1, QI), [Scalar.gaussian(2**k - 1, -1)]),
+        (
+            Scalar.rational(-1, 1, QI),
+            [Scalar.gaussian(2 ** (k - 1) - 1, -1), Scalar.rational(2**k - 2, 1, QI)],
+        ),
+        (Scalar.gaussian(-3 * 2 ** (k - 2), 1), [Scalar.rational(2 ** (k - 2), 1, QI)]),
+    ]
+    for rhs, values in cases:
+        elements = ElementSet(tuple(values))
+        eq = EquationSpec(coeffs=(Scalar.one(QI),), rhs=rhs)
+        assert count_solutions(eq, elements) == 0
+        assert classify_by_vanishing_subsums(eq, elements).total == 0
+        hit = EquationSpec(eq.coeffs, elements[0])
+        assert count_solutions(hit, elements) == 1
+
+
+@pytest.mark.parametrize("cap", [1, 7, 30, 125, 10**6])
+def test_tables_are_chunked_under_the_cap(monkeypatch, cap):
+    rng = random.Random(28)
+    elements = rand_element_set(rng, QI, size=5, span=3, max_den=2)
+    eq = EquationSpec(
+        coeffs=tuple(rand_scalar(rng, QI, span=3, max_den=2) for _ in range(5)),
+        rhs=Scalar.zero(QI),
+    )
+    sizes = []
+    original = equations._tally_sums
+
+    def spy(terms, start, table):
+        original(terms, start, table)
+        sizes.append(len(table))
+
+    monkeypatch.setattr(equations, "_tally_sums", spy)
+    # n = 5 tallies half = 3 variables; the smallest prefix whose remaining
+    # 5^(3 - prefix) entries fit the cap sets the number of chunks.
+    prefix = next(p for p in range(4) if 5 ** (3 - p) <= cap)
+    expected = count_solutions(eq, elements), count_system_sum_squares(5, elements)
+    sizes.clear()
+    assert count_solutions(eq, elements, max_entries=cap) == expected[0]
+    assert len(sizes) == 5**prefix
+    assert max(sizes) <= cap
+    sizes.clear()
+    assert count_system_sum_squares(5, elements, max_entries=cap) == expected[1]
+    assert len(sizes) == 5**prefix
+    assert max(sizes) <= cap
+
+
+def test_counts_make_linear_scalar_additions(monkeypatch):
+    calls = []
+    for op in ("__add__", "__sub__"):
+        original = getattr(Scalar, op)
+
+        def spy(self, other, _original=original):
+            calls.append(1)
+            return _original(self, other)
+
+        monkeypatch.setattr(Scalar, op, spy)
+    elements = materialize(Geometric(base=Scalar.rational(2), start=1, stop=12))
+    eq = EquationSpec(coeffs=tight_equation_coeffs(6), rhs=Scalar.zero(Q))
+    n, size = eq.n, len(elements)
+    assert count_solutions(eq, elements) > 0
+    assert count_solutions(eq, elements, max_entries=size) > 0
+    assert count_system_sum_squares(n, elements) == 0
+    small = EquationSpec(coeffs=eq.coeffs[:4], rhs=Scalar.zero(Q))
+    assert classify_by_vanishing_subsums(small, elements).total > 0
+    # The old Scalar join made one addition per partial sum: A^3 = 1728 here.
+    assert len(calls) <= n * size
 
 
 def test_scaling_the_equation_preserves_counts():
@@ -171,6 +304,8 @@ def test_system_vanishes_over_rational_sets():
         for _ in range(5):
             elements = rand_element_set(rng, Q, size=5, span=6)
             assert count_system_sum_squares(n, elements) == 0
+            assert oracles.system_count(n, elements) == 0
+            assert count_system_sum_squares(n, elements, max_entries=1) == 0
 
 
 def test_system_over_gaussian_units():
@@ -191,14 +326,15 @@ def test_system_matches_oracle_on_random_gaussian_sets():
     for _ in range(10):
         n = rng.randint(1, 4)
         elements = rand_element_set(rng, QI, size=5, span=3, max_den=2)
-        assert count_system_sum_squares(n, elements) == oracles.system_count(
-            n, elements
-        )
+        expected = oracles.system_count(n, elements)
+        assert count_system_sum_squares(n, elements) == expected
+        for cap in (1, 2, len(elements)):
+            assert count_system_sum_squares(n, elements, max_entries=cap) == expected
 
 
 def test_kappa_closed_form_and_attainment():
     for n in range(1, 201):
-        value, k = kappa(n)
+        value, k = system_exponent(n)
         assert value == 2 * n // 5
         assert 0 <= k <= n // 2
         assert min((n + k) // 3, (n - k) // 2) == value
@@ -209,9 +345,8 @@ def test_kappa_closed_form_and_attainment():
 
 
 def test_kappa_documented_values():
-    assert kappa(5) == (2, 1)
-    assert kappa(10) == (4, 2)
-    assert kappa(1) == (0, 0)
-    assert system_exponent(10) == kappa(10)
+    assert system_exponent(5) == (2, 1)
+    assert system_exponent(10) == (4, 2)
+    assert system_exponent(1) == (0, 0)
     with pytest.raises(ValueError):
-        kappa(0)
+        system_exponent(0)
