@@ -38,7 +38,6 @@ from .matrices import (
     det,
     rank,
     charpoly,
-    charpoly_trace_recursion,
     power_sums_from_coeffs,
     sweep,
     count_det,

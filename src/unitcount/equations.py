@@ -66,14 +66,6 @@ class EquationSpec:
         return self.rhs.is_zero()
 
 
-def equation_to_json(eq: EquationSpec) -> dict:
-    return {
-        "coeffs": [c.text() for c in eq.coeffs],
-        "rhs": eq.rhs.text(),
-        "field": eq.field,
-    }
-
-
 def equation_from_json(obj: dict) -> EquationSpec:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("equation object needs a 'coeffs' key")

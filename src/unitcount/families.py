@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
-from .scalars import Q, QI, Scalar, parse_scalar
+from .scalars import Q, QI, Scalar, parse_scalar, parse_whole
 
 
 class FamilyError(ValueError):
@@ -241,34 +244,31 @@ def tight_equation_coeffs(n: int) -> tuple[Scalar, ...]:
 
 # -- JSON forms ---------------------------------------------------------------
 
-_VARIANTS = {
-    Geometric: "geometric",
-    SignedGeometric: "signed_geometric",
-    GaussianUnitsScaled: "gaussian_units_scaled",
-    LatticeBox: "lattice_box",
-    Explicit: "explicit",
-}
+
+@contextmanager
+def _reading(variant):
+    """Turn a missing key or a malformed value of a family object into a
+    FamilyError."""
+    try:
+        yield
+    except FamilyError:
+        raise
+    except KeyError as exc:
+        raise FamilyError(f"family variant {variant!r} missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FamilyError(f"family variant {variant!r}: {exc}") from exc
 
 
-def family_to_json(spec: FamilySpec, field: str) -> dict:
-    obj: dict = {"variant": _VARIANTS[type(spec)]}
-    if isinstance(spec, Geometric):
-        obj.update(base=spec.base.text(), start=spec.start, stop=spec.stop, field=field)
-    elif isinstance(spec, SignedGeometric):
-        obj.update(base=spec.base.text(), count=spec.count, field=field)
-    elif isinstance(spec, GaussianUnitsScaled):
-        obj.update(scales=[s.text() for s in spec.scales])
-    elif isinstance(spec, LatticeBox):
-        obj.update(
-            generators=[g.text() for g in spec.generators],
-            ranges=[list(r) for r in spec.ranges],
-            sample_size=spec.sample_size,
-            seed=spec.seed,
-            field=field,
-        )
-    else:
-        obj.update(elements=[e.text() for e in spec.elements], field=field)
-    return obj
+def _listed(value, what: str):
+    """A JSON list (a tuple in a template), never a string read char by char."""
+    if not isinstance(value, (list, tuple)):
+        raise FamilyError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _range(value) -> tuple[int, int]:
+    lo, hi = _listed(value, "a range")
+    return parse_whole(lo, "range end"), parse_whole(hi, "range end")
 
 
 def family_from_json(obj: dict) -> FamilySpec:
@@ -276,35 +276,119 @@ def family_from_json(obj: dict) -> FamilySpec:
         raise FamilyError("family object needs a 'variant' key")
     variant = obj["variant"]
     field = obj.get("field", Q)
-    try:
+    with _reading(variant):
         if variant == "geometric":
             return Geometric(
                 base=parse_scalar(obj["base"], field),
-                start=int(obj["start"]),
-                stop=int(obj["stop"]),
+                start=parse_whole(obj["start"], "start"),
+                stop=parse_whole(obj["stop"], "stop"),
             )
         if variant == "signed_geometric":
             return SignedGeometric(
-                base=parse_scalar(obj["base"], field), count=int(obj["count"])
+                base=parse_scalar(obj["base"], field),
+                count=parse_whole(obj["count"], "count"),
             )
         if variant == "gaussian_units_scaled":
             return GaussianUnitsScaled(
-                scales=tuple(parse_scalar(s, QI) for s in obj["scales"])
+                scales=tuple(
+                    parse_scalar(s, QI) for s in _listed(obj["scales"], "scales")
+                )
             )
         if variant == "lattice_box":
             return LatticeBox(
-                generators=tuple(parse_scalar(g, field) for g in obj["generators"]),
-                ranges=tuple((int(lo), int(hi)) for lo, hi in obj["ranges"]),
-                sample_size=int(obj["sample_size"]),
-                seed=int(obj["seed"]),
+                generators=tuple(
+                    parse_scalar(g, field)
+                    for g in _listed(obj["generators"], "generators")
+                ),
+                ranges=tuple(_range(r) for r in _listed(obj["ranges"], "ranges")),
+                sample_size=parse_whole(obj["sample_size"], "sample_size"),
+                seed=parse_whole(obj["seed"], "seed"),
             )
         if variant == "explicit":
             return Explicit(
-                elements=tuple(parse_scalar(e, field) for e in obj["elements"])
+                elements=tuple(
+                    parse_scalar(e, field) for e in _listed(obj["elements"], "elements")
+                )
             )
-    except KeyError as exc:
-        raise FamilyError(f"family variant {variant!r} missing key {exc}") from exc
     raise FamilyError(f"unknown family variant {variant!r}")
+
+
+# A growth template is a family object without its size field; the keys each
+# variant keeps besides "variant" and "field".
+_TEMPLATE_KEYS = {
+    "geometric": ("base", "start"),
+    "signed_geometric": ("base",),
+    "gaussian_units_scaled": ("scale_base",),
+    "lattice_box": ("generators", "ranges", "seed"),
+}
+
+
+def _frozen(value):
+    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
+
+
+def _thawed(value):
+    return [_thawed(v) for v in value] if isinstance(value, tuple) else value
+
+
+@dataclass(frozen=True)
+class FamilyTemplate:
+    """A family object whose size field the size knob k fills in.
+
+    geometric: base^start .. base^(start+2k-1), 2k elements; start defaults to 1
+    signed_geometric: both signs of base^0..base^(k-1)
+    gaussian_units_scaled: the four units times scale_base^0..^(k-1), over Qi
+    lattice_box: a seeded sample of k exponent vectors
+    """
+
+    config: tuple[tuple[str, object], ...]
+
+    @staticmethod
+    def from_json(obj: dict) -> "FamilyTemplate":
+        """Keep the template keys, fill the defaults, and check every key
+        by reading the family at k = 1 through `family_from_json`."""
+        if not isinstance(obj, dict) or "variant" not in obj:
+            raise FamilyError("family template needs a 'variant' key")
+        variant = obj["variant"]
+        if not isinstance(variant, str) or variant not in _TEMPLATE_KEYS:
+            raise FamilyError(f"unknown family template variant {variant!r}")
+        keep = {"variant": variant, "field": obj.get("field", Q)}
+        if variant == "geometric":
+            keep["start"] = 1
+        keep.update((key, obj[key]) for key in _TEMPLATE_KEYS[variant] if key in obj)
+        if variant == "gaussian_units_scaled":
+            keep["field"] = QI
+        template = FamilyTemplate(
+            tuple(sorted((key, _frozen(value)) for key, value in keep.items()))
+        )
+        with _reading(variant):
+            template.family_at(1)
+        return template
+
+    def as_dict(self) -> dict:
+        return {key: _thawed(value) for key, value in self.config}
+
+    @property
+    def field(self) -> str:
+        return dict(self.config)["field"]
+
+    def family_at(self, k: int) -> FamilySpec:
+        """The family at size knob k: the template with its size field set."""
+        if k < 1:
+            raise FamilyError("size parameter k must be >= 1")
+        obj = dict(self.config)
+        variant = obj["variant"]
+        if variant == "geometric":
+            obj["stop"] = parse_whole(obj["start"], "start") + 2 * k - 1
+        elif variant == "signed_geometric":
+            obj["count"] = k
+        elif variant == "gaussian_units_scaled":
+            base = parse_scalar(obj["scale_base"], QI)
+            powers = accumulate([base] * (k - 1), operator.mul, initial=Scalar.one(QI))
+            obj["scales"] = [power.text() for power in powers]
+        else:
+            obj["sample_size"] = k
+        return family_from_json(obj)
 
 
 def set_to_json(elements: ElementSet) -> dict:
@@ -322,15 +406,10 @@ def set_from_json(obj: dict) -> ElementSet:
     if "elements" not in obj:
         raise FamilyError("set object needs 'elements' or 'family'")
     field = obj.get("field", Q)
-    return ElementSet(tuple(parse_scalar(e, field) for e in obj["elements"]))
+    elements = _listed(obj["elements"], "elements")
+    return ElementSet(tuple(parse_scalar(e, field) for e in elements))
 
 
 def load_set(path: str | Path) -> ElementSet:
     with open(path, "r", encoding="utf-8") as handle:
         return set_from_json(json.load(handle))
-
-
-def save_set(elements: ElementSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(set_to_json(elements), handle, indent=2, sort_keys=True)
-        handle.write("\n")

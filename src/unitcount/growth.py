@@ -22,137 +22,36 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds
-from .equations import (
-    EquationSpec,
-    count_solutions,
-    count_system_sum_squares,
-)
-from .families import (
-    ElementSet,
-    FamilySpec,
-    Geometric,
-    GaussianUnitsScaled,
-    LatticeBox,
-    SignedGeometric,
-    materialize,
-    tight_equation_coeffs,
-)
+# count_solutions, count_system_sum_squares and materialize are imported by
+# name: perfbench/spans.py wraps them on this module.
+from .equations import EquationSpec, count_solutions, count_system_sum_squares
+from .families import ElementSet, FamilyTemplate, materialize, tight_equation_coeffs
 from .matrices import (
     BudgetExceededError,
     CharPolyKey,
+    CountRoute,
+    _charged,
     count_charpoly,
     count_det,
     count_power_sums,
     count_rank,
     parse_budget,
-    plan_rank,
-    plan_square,
     resolve_budget,
 )
 # Re-exported: perfbench/spans.py wraps these names on this module.
 from .matrices import fast_charpoly2_count, fast_det2_count, fast_power_sums2_count  # noqa: F401
-from .scalars import Q, QI, Scalar, parse_scalar
+from .scalars import Q, QI, Scalar, parse_scalar, parse_whole
 
 
 class GrowthConfigError(ValueError):
     """Raised for malformed experiment configuration."""
 
 
-@dataclass(frozen=True)
-class GrowthFamily:
-    """A family template whose size knob k the experiment scales.
-
-    variant "geometric": base^start .. base^(start+2k-1)   (2k elements)
-    variant "signed_geometric": both signs of base^0..base^(k-1)
-    variant "gaussian_units_scaled": units times base^0..base^(k-1)
-    variant "lattice_box": seeded sample of k exponent vectors
-    """
-
-    config: tuple[tuple[str, object], ...]
-
-    @staticmethod
-    def from_json(obj: dict) -> "GrowthFamily":
-        if not isinstance(obj, dict) or "variant" not in obj:
-            raise GrowthConfigError("family template needs a 'variant' key")
-        variant = obj["variant"]
-        field = obj.get("field", Q)
-        keep: dict[str, object] = {"variant": variant, "field": field}
-        try:
-            if variant == "geometric":
-                keep["base"] = obj["base"]
-                keep["start"] = int(obj.get("start", 1))
-            elif variant == "signed_geometric":
-                keep["base"] = obj["base"]
-            elif variant == "gaussian_units_scaled":
-                keep["scale_base"] = obj["scale_base"]
-                keep["field"] = QI
-            elif variant == "lattice_box":
-                keep["generators"] = tuple(obj["generators"])
-                keep["ranges"] = tuple(
-                    (int(lo), int(hi)) for lo, hi in obj["ranges"]
-                )
-                keep["seed"] = int(obj["seed"])
-            else:
-                raise GrowthConfigError(f"unknown family template variant {variant!r}")
-        except KeyError as exc:
-            raise GrowthConfigError(
-                f"family template {variant!r} missing key {exc}"
-            ) from exc
-        # Parse scalar-valued entries once to validate them.
-        GrowthFamily._parse_scalars(keep)
-        return GrowthFamily(config=tuple(sorted(keep.items())))
-
-    @staticmethod
-    def _parse_scalars(keep: dict) -> None:
-        field = keep["field"]
-        if "base" in keep:
-            parse_scalar(keep["base"], field)
-        if "scale_base" in keep:
-            parse_scalar(keep["scale_base"], QI)
-        if "generators" in keep:
-            for g in keep["generators"]:
-                parse_scalar(g, field)
-
-    def as_dict(self) -> dict:
-        out = dict(self.config)
-        if "ranges" in out:
-            out["ranges"] = [list(r) for r in out["ranges"]]
-        if "generators" in out:
-            out["generators"] = list(out["generators"])
-        return out
-
-    @property
-    def field(self) -> str:
-        return dict(self.config)["field"]
-
-    def family_at(self, k: int) -> FamilySpec:
-        cfg = dict(self.config)
-        variant = cfg["variant"]
-        field = cfg["field"]
-        if k < 1:
-            raise GrowthConfigError("size parameter k must be >= 1")
-        if variant == "geometric":
-            base = parse_scalar(cfg["base"], field)
-            start = cfg["start"]
-            return Geometric(base=base, start=start, stop=start + 2 * k - 1)
-        if variant == "signed_geometric":
-            return SignedGeometric(base=parse_scalar(cfg["base"], field), count=k)
-        if variant == "gaussian_units_scaled":
-            base = parse_scalar(cfg["scale_base"], QI)
-            return GaussianUnitsScaled(scales=tuple(base**s for s in range(k)))
-        generators = tuple(parse_scalar(g, field) for g in cfg["generators"])
-        return LatticeBox(
-            generators=generators,
-            ranges=cfg["ranges"],
-            sample_size=k,
-            seed=cfg["seed"],
-        )
-
-
 # -- statistics ---------------------------------------------------------------
 #
 # Matrix statistics delegate route choice, work and budget to the count
-# planner in `matrices`.
+# planner in `matrices`; the equation and system statistics charge their
+# meet-in-the-middle table, A^ceil(n/2), the same way before they count.
 
 
 @dataclass(frozen=True)
@@ -160,14 +59,8 @@ class DetStatistic:
     n: int
     target: Scalar
 
-    def label(self) -> str:
-        return f"det(n={self.n}, target={self.target.text()})"
-
     def to_json(self) -> dict:
         return {"kind": "det", "n": self.n, "target": self.target.text()}
-
-    def work_estimate(self, size: int) -> int:
-        return plan_square(self.n, size, det_zero=self.target.is_zero()).work
 
     def count(self, elements: ElementSet, budget: int) -> int:
         return count_det(elements, self.n, self.target, budget=budget)
@@ -185,10 +78,6 @@ class RankStatistic:
     r: int
     cumulative: bool = True
 
-    def label(self) -> str:
-        relation = "<=" if self.cumulative else "=="
-        return f"rank({self.m}x{self.n}, rank {relation} {self.r})"
-
     def to_json(self) -> dict:
         return {
             "kind": "rank",
@@ -197,9 +86,6 @@ class RankStatistic:
             "r": self.r,
             "cumulative": self.cumulative,
         }
-
-    def work_estimate(self, size: int) -> int:
-        return plan_rank(self.m, self.n, self.r, self.cumulative, size).work
 
     def count(self, elements: ElementSet, budget: int) -> int:
         return count_rank(
@@ -219,18 +105,12 @@ class CharpolyStatistic:
     n: int
     key: CharPolyKey
 
-    def label(self) -> str:
-        return f"charpoly(n={self.n}, coeffs=[{self.key.text()}])"
-
     def to_json(self) -> dict:
         return {
             "kind": "charpoly",
             "n": self.n,
             "coeffs": [c.text() for c in self.key.coeffs],
         }
-
-    def work_estimate(self, size: int) -> int:
-        return plan_square(self.n, size).work
 
     def count(self, elements: ElementSet, budget: int) -> int:
         return count_charpoly(elements, self.n, self.key, budget=budget)
@@ -261,9 +141,6 @@ class PowerSumsStatistic:
     t1: Scalar
     t2: Scalar
 
-    def label(self) -> str:
-        return f"powersums(n={self.n}, t1={self.t1.text()}, t2={self.t2.text()})"
-
     def to_json(self) -> dict:
         return {
             "kind": "powersums",
@@ -271,9 +148,6 @@ class PowerSumsStatistic:
             "t1": self.t1.text(),
             "t2": self.t2.text(),
         }
-
-    def work_estimate(self, size: int) -> int:
-        return plan_square(self.n, size).work
 
     def count(self, elements: ElementSet, budget: int) -> int:
         return count_power_sums(elements, self.n, self.t1, self.t2, budget=budget)
@@ -301,10 +175,6 @@ class PowerSumsStatistic:
 class EquationStatistic:
     eq: EquationSpec
 
-    def label(self) -> str:
-        coeffs = ",".join(c.text() for c in self.eq.coeffs)
-        return f"equation([{coeffs}] = {self.eq.rhs.text()})"
-
     def to_json(self) -> dict:
         return {
             "kind": "equation",
@@ -312,10 +182,8 @@ class EquationStatistic:
             "rhs": self.eq.rhs.text(),
         }
 
-    def work_estimate(self, size: int) -> int:
-        return size ** ((self.eq.n + 1) // 2)
-
     def count(self, elements: ElementSet, budget: int) -> int:
+        _charged(CountRoute("mitm", len(elements) ** ((self.eq.n + 1) // 2)), budget)
         return count_solutions(self.eq, elements)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
@@ -340,16 +208,11 @@ class EquationStatistic:
 class SystemStatistic:
     n: int
 
-    def label(self) -> str:
-        return f"system(n={self.n})"
-
     def to_json(self) -> dict:
         return {"kind": "system", "n": self.n}
 
-    def work_estimate(self, size: int) -> int:
-        return size ** ((self.n + 1) // 2)
-
     def count(self, elements: ElementSet, budget: int) -> int:
+        _charged(CountRoute("mitm", len(elements) ** ((self.n + 1) // 2)), budget)
         return count_system_sum_squares(self.n, elements)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
@@ -368,6 +231,14 @@ Statistic = (
 )
 
 
+def _listed(obj: dict, key: str):
+    """obj[key] as a JSON list, never a string read character by character."""
+    value = obj[key]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def statistic_from_json(obj: dict, field: str) -> Statistic:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise GrowthConfigError("statistic needs a 'kind' key")
@@ -375,39 +246,46 @@ def statistic_from_json(obj: dict, field: str) -> Statistic:
     try:
         if kind == "det":
             return DetStatistic(
-                n=int(obj["n"]), target=parse_scalar(obj["target"], field)
+                n=parse_whole(obj["n"], "n"), target=parse_scalar(obj["target"], field)
             )
         if kind == "rank":
+            cumulative = obj.get("cumulative", True)
+            if not isinstance(cumulative, bool):
+                raise ValueError(f"cumulative must be a boolean, got {cumulative!r}")
             return RankStatistic(
-                m=int(obj["m"]),
-                n=int(obj["n"]),
-                r=int(obj["r"]),
-                cumulative=bool(obj.get("cumulative", True)),
+                m=parse_whole(obj["m"], "m"),
+                n=parse_whole(obj["n"], "n"),
+                r=parse_whole(obj["r"], "r"),
+                cumulative=cumulative,
             )
         if kind == "charpoly":
-            coeffs = tuple(parse_scalar(c, field) for c in obj["coeffs"])
-            return CharpolyStatistic(n=int(obj["n"]), key=CharPolyKey(coeffs))
+            coeffs = tuple(parse_scalar(c, field) for c in _listed(obj, "coeffs"))
+            return CharpolyStatistic(
+                n=parse_whole(obj["n"], "n"), key=CharPolyKey(coeffs)
+            )
         if kind == "powersums":
             return PowerSumsStatistic(
-                n=int(obj["n"]),
+                n=parse_whole(obj["n"], "n"),
                 t1=parse_scalar(obj["t1"], field),
                 t2=parse_scalar(obj["t2"], field),
             )
         if kind == "equation":
             if "tight_n" in obj:
-                n = int(obj["tight_n"])
+                n = parse_whole(obj["tight_n"], "tight_n")
                 coeffs = tight_equation_coeffs(n)
                 if field != Q:
                     coeffs = tuple(Scalar(field, c.re, 0, c.den) for c in coeffs)
                 rhs = Scalar.zero(field)
             else:
-                coeffs = tuple(parse_scalar(c, field) for c in obj["coeffs"])
+                coeffs = tuple(parse_scalar(c, field) for c in _listed(obj, "coeffs"))
                 rhs = parse_scalar(obj.get("rhs", "0"), field)
             return EquationStatistic(eq=EquationSpec(coeffs=coeffs, rhs=rhs))
         if kind == "system":
-            return SystemStatistic(n=int(obj["n"]))
+            return SystemStatistic(n=parse_whole(obj["n"], "n"))
     except KeyError as exc:
         raise GrowthConfigError(f"statistic {kind!r} missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise GrowthConfigError(f"statistic {kind!r}: {exc}") from exc
     raise GrowthConfigError(f"unknown statistic kind {kind!r}")
 
 
@@ -417,7 +295,7 @@ def statistic_from_json(obj: dict, field: str) -> Statistic:
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
-    family: GrowthFamily
+    family: FamilyTemplate
     k_values: tuple[int, ...]
     statistic: Statistic
     tolerance: float = 0.2
@@ -428,33 +306,37 @@ class ExperimentSpec:
             raise GrowthConfigError("need at least 3 k values for a slope fit")
         if any(b >= a for a, b in zip(self.k_values[1:], self.k_values)):
             raise GrowthConfigError("k_values must be strictly increasing")
-        if self.tolerance <= 0:
-            raise GrowthConfigError("tolerance must be positive")
+        if self.k_values[0] < 1:
+            raise GrowthConfigError("k values must be >= 1")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise GrowthConfigError(
+                f"tolerance must be positive and finite, got {self.tolerance!r}"
+            )
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentSpec":
+        """Read a config exactly: any malformed key, the family's included,
+        raises GrowthConfigError."""
         if not isinstance(obj, dict):
             raise GrowthConfigError("experiment config must be a JSON object")
         try:
-            family = GrowthFamily.from_json(obj["family"])
-            statistic = statistic_from_json(obj["statistic"], family.field)
-            k_values = tuple(int(k) for k in obj["k_values"])
+            family = FamilyTemplate.from_json(obj["family"])
+            tolerance = obj.get("tolerance", 0.2)
+            if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+                raise ValueError(f"tolerance must be a number, got {tolerance!r}")
+            budget = obj.get("budget")
+            return ExperimentSpec(
+                name=str(obj.get("name", "experiment")),
+                family=family,
+                k_values=tuple(parse_whole(k, "k") for k in _listed(obj, "k_values")),
+                statistic=statistic_from_json(obj["statistic"], family.field),
+                tolerance=float(tolerance),
+                budget=None if budget is None else parse_budget(budget),
+            )
         except KeyError as exc:
             raise GrowthConfigError(f"experiment config missing key {exc}") from exc
-        budget = obj.get("budget")
-        if budget is not None:
-            try:
-                budget = parse_budget(budget)
-            except ValueError as exc:
-                raise GrowthConfigError(str(exc)) from None
-        return ExperimentSpec(
-            name=str(obj.get("name", "experiment")),
-            family=family,
-            k_values=k_values,
-            statistic=statistic,
-            tolerance=float(obj.get("tolerance", 0.2)),
-            budget=budget,
-        )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GrowthConfigError(str(exc)) from exc
 
     def to_json(self) -> dict:
         out = {
@@ -490,17 +372,13 @@ class ExperimentResult:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Exact counts per k, in k order; stops early (with a flag) when a run
-    would exceed the budget."""
+    """Exact counts per k, in k order; stops early (with a flag) when a count
+    would exceed the budget, which each count charges before it starts."""
     budget = resolve_budget(spec.budget)
     points: list[GrowthPoint] = []
     exceeded = False
     for k in spec.k_values:
         elements = materialize(spec.family.family_at(k))
-        estimate = spec.statistic.work_estimate(len(elements))
-        if estimate > budget:
-            exceeded = True
-            break
         started = time.perf_counter_ns()
         try:
             count = spec.statistic.count(elements, budget)

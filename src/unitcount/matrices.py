@@ -7,8 +7,7 @@ computed fraction-free over the integers, and results are rescaled by the
 appropriate power of L at the end.  One Bareiss elimination, whose
 intermediate divisions are exact in any integral domain, gives both rank and
 determinant; characteristic polynomials come from Berkowitz's division-free
-algorithm, cross-checkable against an independent trace-recursion
-implementation.  Each routine is written once over a ring of exact integer
+algorithm.  Each routine is written once over a ring of exact integer
 or Gaussian-integer operations, so Q and Qi share it.
 
 Sweeps enumerate every matrix in elements^(m*n) in row-major odometer order,
@@ -28,12 +27,11 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 from typing import Callable
 
 from . import _kernels
 from .families import ElementSet
-from .scalars import Q, QI, FieldMismatchError, Scalar, parse_scalar
+from .scalars import Q, QI, FieldMismatchError, Scalar, parse_scalar, parse_whole
 
 DEFAULT_BUDGET = 200_000_000
 BUDGET_ENV_VAR = "UNITCOUNT_BUDGET"
@@ -50,33 +48,9 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-# Longest whole number parse_budget builds; 1e(10^9) would exhaust memory.
-_BUDGET_DIGITS = 4300
-
-
 def parse_budget(value) -> int:
-    """The exact whole number written as integer text, decimal or scientific
-    text ("2e8", "1.5e3"), or given as an int or a whole-valued float (a JSON
-    number).  Anything else raises ValueError; nothing is rounded."""
-    if isinstance(value, bool):
-        raise ValueError(f"budget must be a whole number, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ValueError(f"budget must be a whole number, got {value!r}")
-        return int(value)
-    if not isinstance(value, str):
-        raise ValueError(f"budget must be a number, got {value!r}")
-    try:
-        number = Decimal(value)
-    except InvalidOperation:
-        raise ValueError(f"budget must be a whole number, got {value!r}") from None
-    if not number.is_finite() or number.adjusted() >= _BUDGET_DIGITS:
-        raise ValueError(f"budget must be a finite whole number, got {value!r}")
-    if number != number.to_integral_value():
-        raise ValueError(f"budget must be a whole number, got {value!r}")
-    return int(number)
+    """A work budget, read exactly by `parse_whole`."""
+    return parse_whole(value, "budget")
 
 
 def resolve_budget(budget: int | None) -> int:
@@ -326,41 +300,6 @@ def charpoly(X: MatrixInstance, elements: ElementSet) -> CharPolyKey:
     return CharPolyKey(
         tuple(_to_scalar(elements.field, cs[k], lcm ** (n - k)) for k in range(n))
     )
-
-
-def charpoly_trace_recursion(X: MatrixInstance, elements: ElementSet) -> CharPolyKey:
-    """Independent characteristic polynomial via the trace recursion
-    M_1 = X, c_(n-1) = -tr M_1, M_k = X(M_(k-1) + c_(n-k+1) I),
-    c_(n-k) = -tr(M_k)/k.  Used to cross-check `charpoly`."""
-    if X.m != X.n:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    n = X.n
-    field = elements.field
-    rows = X.scalar_rows(elements)
-    zero = Scalar.zero(field)
-
-    def mat_mul(A, B):
-        return [
-            [
-                sum((A[i][k] * B[k][j] for k in range(n)), zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    def trace(A):
-        return sum((A[i][i] for i in range(n)), zero)
-
-    coeffs: list[Scalar] = [zero] * n
-    M = [row[:] for row in rows]
-    coeffs[n - 1] = -trace(M)
-    for k in range(2, n + 1):
-        shifted = [row[:] for row in M]
-        for i in range(n):
-            shifted[i][i] = shifted[i][i] + coeffs[n - k + 1]
-        M = mat_mul(rows, shifted)
-        coeffs[n - k] = -(trace(M) / Scalar.rational(k, 1, field))
-    return CharPolyKey(tuple(coeffs))
 
 
 def power_sums_from_coeffs(c_top: Scalar, c_second: Scalar) -> tuple[Scalar, Scalar]:

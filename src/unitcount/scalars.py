@@ -15,11 +15,42 @@ from __future__ import annotations
 
 import math
 import re as _re
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 Q = "Q"
 QI = "Qi"
 FIELDS = (Q, QI)
+
+
+# Longest whole number parse_whole builds; 1e(10^9) would exhaust memory.
+_WHOLE_DIGITS = 4300
+
+
+def parse_whole(value, what: str = "value") -> int:
+    """The exact whole number written as integer text, decimal or scientific
+    text ("2e8", "1.5e3"), or given as an int or a whole-valued float (a JSON
+    number).  Anything else, booleans included, raises ValueError naming
+    `what`; nothing is rounded."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{what} must be a whole number, got {value!r}")
+        return int(value)
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = Decimal(value)
+    except InvalidOperation:
+        raise ValueError(f"{what} must be a whole number, got {value!r}") from None
+    if not number.is_finite() or number.adjusted() >= _WHOLE_DIGITS:
+        raise ValueError(f"{what} must be a finite whole number, got {value!r}")
+    if number != number.to_integral_value():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(number)
 
 
 class FieldMismatchError(ValueError):
@@ -93,12 +124,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0 and self.den == 1
-
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def real_part(self) -> Fraction:
         return Fraction(self.re, self.den)
 
@@ -163,9 +188,6 @@ class Scalar:
 
     def square(self) -> "Scalar":
         return self * self
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.field, self.re, -self.im, self.den)
 
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):

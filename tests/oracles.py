@@ -3,8 +3,9 @@
 Everything here works on pairs (re, im) of Fractions, so the only shared
 surface with the package is the Scalar accessors (re, im, den).  Determinants
 use permutation expansion, rank uses textbook Gaussian elimination, and the
-characteristic polynomial comes from Lagrange interpolation of det(tI - X).
-All of it is exponentially slow and meant for tiny inputs only.
+characteristic polynomial comes from Lagrange interpolation of det(tI - X)
+and, as a second check, from the trace recursion.  Most of it is
+exponentially slow and meant for tiny inputs only.
 """
 
 from __future__ import annotations
@@ -124,6 +125,43 @@ def charpoly_pairs(rows: list[list[Pair]]) -> list[Pair]:
     assert len(coeffs) == n + 1
     assert coeffs[n] == PONE
     return coeffs[:n]
+
+
+def charpoly_trace_recursion(rows: list[list[Pair]]) -> list[Pair]:
+    """Coefficients c_0..c_{n-1} of det(tI - X) by the trace recursion
+    M_1 = X, c_(n-1) = -tr M_1, M_k = X(M_(k-1) + c_(n-k+1) I),
+    c_(n-k) = -tr(M_k)/k.  It shares nothing with Berkowitz or with
+    interpolation, so it is a second independent check of both."""
+    n = len(rows)
+
+    def mat_mul(a, b):
+        out = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                total = PZERO
+                for k in range(n):
+                    total = padd(total, pmul(a[i][k], b[k][j]))
+                row.append(total)
+            out.append(row)
+        return out
+
+    def minus_trace(a) -> Pair:
+        total = PZERO
+        for i in range(n):
+            total = psub(total, a[i][i])
+        return total
+
+    coeffs = [PZERO] * n
+    power = [row[:] for row in rows]
+    coeffs[n - 1] = minus_trace(power)
+    for k in range(2, n + 1):
+        shifted = [row[:] for row in power]
+        for i in range(n):
+            shifted[i][i] = padd(shifted[i][i], coeffs[n - k + 1])
+        power = mat_mul(rows, shifted)
+        coeffs[n - k] = pscale(minus_trace(power), Fraction(1, k))
+    return coeffs
 
 
 def _lagrange(points: list[tuple[Fraction, Pair]]) -> list[Pair]:

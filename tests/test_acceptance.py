@@ -4,6 +4,7 @@ Each test prints its verdict straight to the terminal (bypassing capture) so
 the tee'd pytest log always shows the per-criterion outcome, then asserts.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -38,7 +39,15 @@ from unitcount.bounds import (
 )
 from unitcount.equations import EquationSpec, system_exponent
 from unitcount.families import ElementSet, Geometric, materialize
-from unitcount.growth import LATTICE_PRESET_NAMES, analyze, preset, run_experiment
+from unitcount.growth import (
+    LATTICE_PRESET_NAMES,
+    PRESETS,
+    ExperimentResult,
+    analyze,
+    emit,
+    preset,
+    run_experiment,
+)
 from unitcount.matrices import SweepOptions
 from unitcount.minors import audit_prop_zero_cofactors
 
@@ -321,3 +330,42 @@ def test_acceptance_7_partition_and_invariance(capsys):
         "histogram partitions, element-order invariance, scaling invariance, and "
         "classification totals all exact",
     )
+
+
+# sha256 of each preset's JSON report at its shipped k_values, as `emit`
+# writes it.  The reports are timing-free and byte-deterministic, so any
+# change to a count, a fit, a verdict or the report layout shows here.
+PRESET_REPORT_SHA256 = {
+    "charpoly-t2-signed": "97eb374b0e4e9a3b3d5770985c63dc61873a4f5bfa1287a721842ec68af7a1f3",
+    "det0-2x2-geometric": "abb7902f45f7bdba3bb62399083ba1b51003577461eaed72247892c52ded03d6",
+    "det0-3x3-geometric": "8a3ce92bd75515e713d57bb739ecf350013cdbffd3ae926edde3ccb3ce12850a",
+    "equation-tight2-geometric": "c2cf1f16399364c99012c669518c2177cd81f653f3a2fe1e09524e9ef1986a67",
+    "equation-tight3-geometric": "0fdbd9e37c4b7a0c7098ce73c98451f65d26121e3f910b1f6443b41c437aecaf",
+    "equation-tight4-geometric": "83b246a11ccf5dc0bd0345ffc6f39ba8bb2d979c6b9a94cabca15130801dd920",
+    "lattice-det0-2x2": "8db05b8955eafc935d58540363a537ba102ccfe0074419f29e00b47f0ad452b3",
+    "lattice-det0-2x2-gaussian": "b8edab62f98a81e599aad331170162d98a4ca54fbe1f877892499d8e0af3a564",
+    "lattice-equation2": "5a110091c8d18835f2295177625b80bbd72d2d4ccfc50d17e9c7231c0e813249",
+    "lattice-equation3": "bddb6dbaa6bb7150df72a7ee892b2239ab4d8fe2208a65f67972f2a0257e42c1",
+    "lattice-equation4": "986e35a07312e9e9313baae48370d1adff2b9f8551f34b5c34abe63c7ad5de9e",
+    "lattice-equation4-gaussian": "7420cfee0e2373ec0f9508348ac5982a74f8634f1800e6d1bc06c44266117361",
+    "lattice-equation5": "1e0b7e8403ac953de50347e36449608c588f2579fe8aa990ed9a450a4724af61",
+    "lattice-equation6": "29833b2894c3808c28aa27ef0d585d54e4315062bcce6f7e32fb1cd31fcaa428",
+    "lattice-rank22": "c3b6ade6ce7d9b5e78ab51b62b799c50f44e733dfa364f575960177342b7b667",
+    "lattice-rank33": "52cbd6457c6dcbab927db81f364906de66f721a00bfd76c7cd73ad0c768dd27d",
+    "powersums2-signed": "be045bbed4f53ba2858532831e21a7eba6114d6bc6ca21b54a02207781fb5953",
+    "rank22-geometric": "2a5045fc1235f4a154bee7d2a211cc4eceb047b1dcebdb507107d08c9f84787d",
+    "system4-units": "be1e0780646b413a12e1129f59105c844967311364d6a7eef04b596f394f19b6",
+}
+
+
+def test_preset_report_digests_cover_every_preset():
+    assert sorted(PRESET_REPORT_SHA256) == sorted(PRESETS)
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_REPORT_SHA256))
+def test_preset_report_bytes_are_pinned(name, tmp_path):
+    report = _preset_report(name)
+    result = ExperimentResult(preset(name), report.points, report.budget_exceeded)
+    _, json_path = emit(result, report, tmp_path)
+    digest = hashlib.sha256(json_path.read_bytes()).hexdigest()
+    assert digest == PRESET_REPORT_SHA256[name]

@@ -335,6 +335,40 @@ def test_growth_config_and_out_dir(tmp_path, capsys):
     assert blob["name"] == "cfgtest"
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"tolerance": float("nan")},
+        {"statistic": {"kind": "rank", "m": 2, "n": 2, "r": 1, "cumulative": "false"}},
+        {"k_values": [2.5, 3.7, 4.2]},
+        {"k_values": [True, 3, 4]},
+        {"statistic": {"kind": "det", "n": 2.9, "target": "0"}},
+        {"family": {"variant": "geometric", "base": "2", "start": 1.5}},
+    ],
+    ids=["tolerance-nan", "cumulative-text", "k-fractions", "k-bool", "n-fraction",
+         "start-fraction"],
+)
+def test_growth_config_read_exactly_exits_1(change, tmp_path, capsys):
+    config = tmp_path / "exp.json"
+    obj = {
+        "name": "strict",
+        "family": {"variant": "geometric", "base": "2"},
+        "k_values": [2, 3, 4],
+        "statistic": {"kind": "det", "n": 2, "target": "0"},
+    }
+    config.write_text(json.dumps(dict(obj, **change)))
+    assert main(["growth", "--config", str(config)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_family_spec_read_exactly_exits_1(tmp_path, capsys):
+    spec = tmp_path / "fam.json"
+    family = {"variant": "geometric", "base": "2", "start": 1.5, "stop": 4}
+    spec.write_text(json.dumps({"family": family}))
+    assert main(["family", "--spec", str(spec)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_growth_requires_a_source(capsys):
     assert main(["growth"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -9,15 +9,14 @@ from unitcount.families import (
     ElementSet,
     Explicit,
     FamilyError,
+    FamilyTemplate,
     GaussianUnitsScaled,
     Geometric,
     LatticeBox,
     SignedGeometric,
     family_from_json,
-    family_to_json,
     load_set,
     materialize,
-    save_set,
     set_from_json,
     set_to_json,
     tight_equation_coeffs,
@@ -140,23 +139,46 @@ def test_explicit_materialization_dedupes():
 @pytest.mark.parametrize(
     "spec",
     [
-        Geometric(base=Scalar.rational(3, 2), start=-2, stop=3),
-        SignedGeometric(base=Scalar.rational(2), count=4),
-        GaussianUnitsScaled(scales=(Scalar.one(QI), Scalar.rational(3, 1, QI))),
-        LatticeBox(
-            generators=(Scalar.rational(2), Scalar.rational(5)),
-            ranges=((0, 3), (-1, 2)),
-            sample_size=7,
-            seed=4,
+        (
+            Geometric(base=Scalar.rational(3, 2), start=-2, stop=3),
+            {"variant": "geometric", "base": "3/2", "start": -2, "stop": 3},
         ),
-        Explicit(elements=(Scalar.rational(1), Scalar.rational(-7, 3))),
+        (
+            SignedGeometric(base=Scalar.rational(2), count=4),
+            {"variant": "signed_geometric", "base": "2", "count": 4, "field": "Q"},
+        ),
+        (
+            GaussianUnitsScaled(scales=(Scalar.one(QI), Scalar.rational(3, 1, QI))),
+            {"variant": "gaussian_units_scaled", "scales": ["1", "3"]},
+        ),
+        (
+            LatticeBox(
+                generators=(Scalar.rational(2), Scalar.rational(5)),
+                ranges=((0, 3), (-1, 2)),
+                sample_size=7,
+                seed=4,
+            ),
+            {
+                "variant": "lattice_box",
+                "generators": ["2", "5"],
+                "ranges": [[0, 3], [-1, 2]],
+                "sample_size": 7,
+                "seed": 4,
+            },
+        ),
+        (
+            Explicit(elements=(Scalar.rational(1), Scalar.rational(-7, 3))),
+            {"variant": "explicit", "elements": ["1", "-7/3"]},
+        ),
     ],
 )
 def test_family_json_round_trip(spec):
-    es = materialize(spec)
-    obj = family_to_json(spec, es.field)
+    spec, obj = spec
     rebuilt = family_from_json(json.loads(json.dumps(obj)))
-    assert [v.text() for v in materialize(rebuilt)] == [v.text() for v in es]
+    assert rebuilt == spec
+    assert [v.text() for v in materialize(rebuilt)] == [
+        v.text() for v in materialize(spec)
+    ]
 
 
 def test_family_from_json_rejects_unknown_variant():
@@ -164,6 +186,145 @@ def test_family_from_json_rejects_unknown_variant():
         family_from_json({"variant": "mystery"})
     with pytest.raises(FamilyError):
         family_from_json({"variant": "geometric"})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"variant": "geometric", "base": "2", "start": 1.5, "stop": 4},
+        {"variant": "geometric", "base": "2", "start": True, "stop": 4},
+        {"variant": "signed_geometric", "base": "2", "count": 2.5},
+        {"variant": "lattice_box", "generators": ["2"], "ranges": [[0, 3.5]],
+         "sample_size": 3, "seed": 1},
+        {"variant": "lattice_box", "generators": ["2"], "ranges": [[0, 3]],
+         "sample_size": 3, "seed": False},
+        {"variant": "lattice_box", "generators": ["2"], "ranges": [[0]],
+         "sample_size": 3, "seed": 1},
+        {"variant": "geometric", "base": "2+", "start": 1, "stop": 4},
+        {"variant": "geometric", "base": "2", "start": 1, "stop": 4, "field": "R"},
+        # A string is not a list, even when its characters would parse.
+        {"variant": "lattice_box", "generators": "23", "ranges": [[0, 2], [0, 2]],
+         "sample_size": 3, "seed": 1},
+        {"variant": "lattice_box", "generators": ["2"], "ranges": ["03"],
+         "sample_size": 3, "seed": 1},
+        {"variant": "gaussian_units_scaled", "scales": "12"},
+        {"variant": "explicit", "elements": "123"},
+    ],
+)
+def test_family_from_json_reads_values_exactly(obj):
+    with pytest.raises(FamilyError):
+        family_from_json(obj)
+
+
+def test_family_from_json_accepts_whole_numbers_in_any_json_form():
+    obj = {"variant": "geometric", "base": "2", "start": 1.0, "stop": "4"}
+    assert family_from_json(obj) == Geometric(Scalar.rational(2), 1, 4)
+
+
+# -- growth templates: a family object without its size field ------------------
+
+_TEMPLATES = {
+    "geometric": {"variant": "geometric", "base": "3/2", "start": 0},
+    "signed_geometric": {"variant": "signed_geometric", "base": "2"},
+    "gaussian_units_scaled": {"variant": "gaussian_units_scaled", "scale_base": "1+i"},
+    "lattice_box": {
+        "variant": "lattice_box",
+        "generators": ["2", "-3"],
+        "ranges": [[0, 4], [1, 3]],
+        "seed": 5,
+    },
+}
+
+
+def test_family_template_sizes_per_variant():
+    three_halves, two = Scalar.rational(3, 2), Scalar.rational(2)
+    geo = FamilyTemplate.from_json(_TEMPLATES["geometric"])
+    assert geo.family_at(1) == Geometric(three_halves, 0, 1)
+    assert geo.family_at(3) == Geometric(three_halves, 0, 5)
+    default = FamilyTemplate.from_json({"variant": "geometric", "base": "2"})
+    assert default.family_at(3) == Geometric(two, 1, 6)
+    assert len(materialize(default.family_at(5))) == 10
+
+    signed = FamilyTemplate.from_json(_TEMPLATES["signed_geometric"])
+    assert signed.family_at(4) == SignedGeometric(two, 4)
+    assert len(materialize(signed.family_at(4))) == 8
+
+    units = FamilyTemplate.from_json(_TEMPLATES["gaussian_units_scaled"])
+    assert units.field == QI
+    base = parse_scalar("1+i", QI)
+    assert units.family_at(3) == GaussianUnitsScaled(
+        (Scalar.one(QI), base, base * base)
+    )
+    assert len(materialize(units.family_at(2))) == 8
+
+    box = FamilyTemplate.from_json(_TEMPLATES["lattice_box"])
+    assert box.family_at(12) == LatticeBox(
+        (two, Scalar.rational(-3)), ((0, 4), (1, 3)), 12, 5
+    )
+    assert 1 <= len(materialize(box.family_at(12))) <= 12
+
+
+def test_family_template_fills_its_field():
+    assert FamilyTemplate.from_json(_TEMPLATES["geometric"]).field == Q
+    forced = dict(_TEMPLATES["gaussian_units_scaled"], field="Q")
+    assert FamilyTemplate.from_json(forced).field == QI
+    gaussian = dict(_TEMPLATES["lattice_box"], generators=["i", "1+i"], field="Qi")
+    assert FamilyTemplate.from_json(gaussian).family_at(2).generators[0].field == QI
+
+
+@pytest.mark.parametrize("variant", sorted(_TEMPLATES))
+def test_family_template_rejects_k_below_one(variant):
+    template = FamilyTemplate.from_json(_TEMPLATES[variant])
+    for k in (0, -1):
+        with pytest.raises(FamilyError):
+            template.family_at(k)
+
+
+@pytest.mark.parametrize("variant", sorted(_TEMPLATES))
+def test_family_template_missing_keys(variant):
+    required = [key for key in _TEMPLATES[variant] if key not in ("variant", "start")]
+    assert required
+    for key in required:
+        obj = {k: v for k, v in _TEMPLATES[variant].items() if k != key}
+        with pytest.raises(FamilyError, match=key):
+            FamilyTemplate.from_json(obj)
+
+
+@pytest.mark.parametrize("variant", sorted(_TEMPLATES))
+def test_family_template_as_dict_round_trip(variant):
+    template = FamilyTemplate.from_json(_TEMPLATES[variant])
+    obj = template.as_dict()
+    assert json.loads(json.dumps(obj)) == obj
+    assert FamilyTemplate.from_json(obj) == template
+    assert {"variant", "field"} <= set(obj) <= {"variant", "field"} | set(
+        _TEMPLATES[variant]
+    )
+
+
+def test_family_template_keeps_only_template_keys():
+    obj = {"variant": "geometric", "base": "2", "stop": 9, "count": 3, "shards": 8}
+    template = FamilyTemplate.from_json(obj)
+    assert template.as_dict() == {
+        "variant": "geometric", "base": "2", "start": 1, "field": "Q",
+    }
+    assert template.family_at(2).stop == 4
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"base": "2"},
+        {"variant": "spiral", "base": "2"},
+        {"variant": "explicit", "elements": ["1"]},
+        {"variant": "geometric", "base": "2+"},
+        {"variant": "geometric", "base": "2", "start": 1.5},
+        {"variant": "lattice_box", "generators": ["2"], "ranges": [[0, 3]], "seed": 2.5},
+        {"variant": "lattice_box", "generators": ["2"], "ranges": [[0, 3.5]], "seed": 2},
+    ],
+)
+def test_family_template_errors_are_family_errors(obj):
+    with pytest.raises(FamilyError):
+        FamilyTemplate.from_json(obj)
 
 
 def test_set_json_round_trip_and_file_io(tmp_path):
@@ -180,9 +341,9 @@ def test_set_json_round_trip_and_file_io(tmp_path):
         v.text() for v in es
     ]
     path = tmp_path / "set.json"
-    save_set(es, path)
-    loaded = load_set(path)
-    assert [v.text() for v in loaded] == [v.text() for v in es]
+    obj = {"elements": ["(1+2*i)/2", "-3", "2*i"], "field": "Qi"}
+    path.write_text(json.dumps(obj))
+    assert set_to_json(load_set(path)) == obj
 
 
 def test_set_file_with_family_spec(tmp_path):
@@ -208,6 +369,8 @@ def test_set_from_json_rejects_malformed():
         set_from_json([1, 2])
     with pytest.raises(FamilyError):
         set_from_json({"field": "Q"})
+    with pytest.raises(FamilyError):
+        set_from_json({"field": "Q", "elements": "123"})
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from unitcount import Q, QI, parse_scalar
-from unitcount.families import materialize
+from unitcount.families import FamilyError, FamilyTemplate, materialize
 from unitcount.growth import (
     LATTICE_PRESET_NAMES,
     PRESETS,
@@ -17,7 +17,6 @@ from unitcount.growth import (
     EquationStatistic,
     ExperimentSpec,
     GrowthConfigError,
-    GrowthFamily,
     PowerSumsStatistic,
     RankStatistic,
     SystemStatistic,
@@ -31,11 +30,11 @@ from unitcount.growth import (
     run_experiment,
     statistic_from_json,
 )
-from unitcount.matrices import CharPolyKey
+from unitcount.matrices import BudgetExceededError, CharPolyKey
 
 
 def _family(obj):
-    return GrowthFamily.from_json(obj)
+    return FamilyTemplate.from_json(obj)
 
 
 # ----------------------------------------------------------- family templates
@@ -67,19 +66,23 @@ def test_family_at_sizes_per_variant():
 
 def test_family_at_rejects_nonpositive_k():
     geo = _family({"variant": "geometric", "base": "2"})
-    with pytest.raises(GrowthConfigError):
+    with pytest.raises(FamilyError):
         geo.family_at(0)
+    with pytest.raises(GrowthConfigError):
+        _det2_spec(k_values=[0, 1, 2])
 
 
 def test_family_from_json_validation():
-    with pytest.raises(GrowthConfigError):
-        GrowthFamily.from_json({"base": "2"})
-    with pytest.raises(GrowthConfigError):
-        GrowthFamily.from_json({"variant": "spiral", "base": "2"})
-    with pytest.raises(GrowthConfigError):
-        GrowthFamily.from_json({"variant": "geometric"})
-    with pytest.raises(ValueError):
-        GrowthFamily.from_json({"variant": "geometric", "base": "2+"})
+    for bad in (
+        {"base": "2"},
+        {"variant": "spiral", "base": "2"},
+        {"variant": "geometric"},
+        {"variant": "geometric", "base": "2+"},
+    ):
+        with pytest.raises(FamilyError):
+            FamilyTemplate.from_json(bad)
+        with pytest.raises(GrowthConfigError):
+            _det2_spec(family=bad)
 
 
 def test_family_round_trips_through_as_dict():
@@ -94,8 +97,8 @@ def test_family_round_trips_through_as_dict():
             "seed": 5,
         },
     ]:
-        fam = GrowthFamily.from_json(obj)
-        again = GrowthFamily.from_json(fam.as_dict())
+        fam = FamilyTemplate.from_json(obj)
+        again = FamilyTemplate.from_json(fam.as_dict())
         assert fam == again
 
 
@@ -116,7 +119,6 @@ def test_statistic_json_round_trips():
         stat = statistic_from_json(obj, field)
         again = statistic_from_json(stat.to_json(), field)
         assert stat == again
-        assert isinstance(stat.label(), str) and stat.label()
 
 
 def test_statistic_json_validation():
@@ -139,23 +141,6 @@ def test_tight_n_builds_zero_sum_equation():
     assert stat.eq.rhs.is_zero()
     assert stat.eq.n == 4
     assert stat.exponent_info(Q)[2] is True
-
-
-def test_work_estimate_routing():
-    # The planner's route work: 2x2 convolution, 3x3 single-key kernel,
-    # rank <= 1 by directions of the shorter side, closed full rank.
-    assert DetStatistic(2, parse_scalar("0", Q)).work_estimate(10) == 100
-    assert DetStatistic(3, parse_scalar("0", Q)).work_estimate(10) == 10**9
-    assert RankStatistic(2, 2, 1).work_estimate(7) == 49
-    assert RankStatistic(2, 3, 1).work_estimate(3) == 3**2
-    assert RankStatistic(3, 3, 1).work_estimate(3) == 3**3
-    assert RankStatistic(3, 3, 2).work_estimate(3) == 3**9
-    assert RankStatistic(3, 3, 3).work_estimate(3) == 0
-    assert RankStatistic(2, 4, 2, cumulative=False).work_estimate(3) == 3**2
-    assert RankStatistic(4, 4, 2).work_estimate(2) == 2**16
-    eq = statistic_from_json({"kind": "equation", "tight_n": 5}, Q)
-    assert eq.work_estimate(10) == 1000
-    assert SystemStatistic(4).work_estimate(10) == 100
 
 
 def test_exponent_info_values():
@@ -316,6 +301,88 @@ def test_run_experiment_budget_stops_early():
     assert none_fit.budget_exceeded and none_fit.points == ()
 
 
+def _budget_spec(family, statistic, budget=None):
+    obj = {"family": family, "k_values": [2, 3, 4], "statistic": statistic}
+    if budget is not None:
+        obj["budget"] = budget
+    return ExperimentSpec.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "family,statistic,table",
+    [
+        # tight_n 3 over 4, 6, 8 elements: a table of A^2 = 64 at k = 4.
+        ({"variant": "geometric", "base": "2"}, {"kind": "equation", "tight_n": 3}, 64),
+        # n = 4 over 8, 12, 16 Gaussian elements: A^2 = 256 at k = 4.
+        ({"variant": "gaussian_units_scaled", "scale_base": "2"},
+         {"kind": "system", "n": 4}, 256),
+    ],
+)
+def test_meet_in_the_middle_runs_charge_their_table(family, statistic, table):
+    full = run_experiment(_budget_spec(family, statistic))
+    assert not full.budget_exceeded and len(full.points) == 3
+    fits = run_experiment(_budget_spec(family, statistic, budget=table))
+    assert not fits.budget_exceeded
+    assert [(p.k, p.set_size, p.count) for p in fits.points] == [
+        (p.k, p.set_size, p.count) for p in full.points
+    ]
+    short = run_experiment(_budget_spec(family, statistic, budget=table - 1))
+    assert short.budget_exceeded
+    assert [(p.k, p.set_size, p.count) for p in short.points] == [
+        (p.k, p.set_size, p.count) for p in full.points[:2]
+    ]
+
+
+def test_meet_in_the_middle_statistics_raise_past_the_budget():
+    elements = materialize(_family({"variant": "geometric", "base": "2"}).family_at(5))
+    eq = statistic_from_json({"kind": "equation", "tight_n": 5}, Q)
+    assert eq.count(elements, 1000) == eq.count(elements, 10**9)
+    with pytest.raises(BudgetExceededError) as info:
+        eq.count(elements, 999)
+    assert info.value.required == 1000
+    with pytest.raises(BudgetExceededError) as info:
+        SystemStatistic(4).count(elements, 99)
+    assert info.value.required == 100
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"tolerance": float("nan")},
+        {"tolerance": float("inf")},
+        {"tolerance": "0.5"},
+        {"tolerance": True},
+        {"tolerance": 10**400},
+        {"statistic": {"kind": "rank", "m": 2, "n": 2, "r": 1, "cumulative": "false"}},
+        {"k_values": [2.5, 3.7, 4.2]},
+        {"k_values": [True, 3, 4]},
+        {"k_values": "234"},
+        {"statistic": {"kind": "det", "n": 2.9, "target": "0"}},
+        {"statistic": {"kind": "charpoly", "n": 2, "coeffs": "00"}},
+        {"statistic": {"kind": "equation", "coeffs": "1", "rhs": "0"}},
+        {"family": {"variant": "geometric", "base": "2", "start": 1.5}},
+    ],
+    ids=[
+        "tolerance-nan", "tolerance-inf", "tolerance-text", "tolerance-bool",
+        "tolerance-huge", "cumulative-text", "k-fractions", "k-bool", "k-text",
+        "n-fraction", "coeffs-text", "equation-coeffs-text", "start-fraction",
+    ],
+)
+def test_configs_are_read_exactly(change):
+    with pytest.raises(GrowthConfigError):
+        _det2_spec(**change)
+
+
+def test_whole_numbers_read_in_any_exact_form():
+    spec = _det2_spec(k_values=[2.0, "3", "4e0"])
+    assert spec.k_values == (2, 3, 4)
+    stat = statistic_from_json({"kind": "rank", "m": 2.0, "n": "2", "r": 1}, Q)
+    assert stat == RankStatistic(2, 2, 1)
+    assert statistic_from_json(
+        {"kind": "rank", "m": 2, "n": 2, "r": 1, "cumulative": False}, Q
+    ).cumulative is False
+
+
 def test_analyze_det2_preset_reaches_lower_bound():
     result = run_experiment(preset("det0-2x2-geometric"))
     report = analyze(result)
@@ -371,7 +438,7 @@ def test_preset_roster_shape():
 def test_lattice_presets_are_seeded_and_bounded():
     for name in LATTICE_PRESET_NAMES:
         spec = preset(name)
-        cfg = dict(spec.family.config)
+        cfg = spec.family.as_dict()
         assert cfg["variant"] == "lattice_box"
         assert isinstance(cfg["seed"], int)
         made = materialize(spec.family.family_at(spec.k_values[0]))

@@ -86,6 +86,20 @@ def test_rank_route_names_and_work():
         plan_rank(2, 3, 3, True, 5)
 
 
+def test_planner_work_per_statistic():
+    # 2x2 convolution, 3x3 single-key kernel, rank <= 1 by directions of
+    # the shorter side, closed full rank, and the sweep.
+    assert plan_square(2, 10, det_zero=True).work == 100
+    assert plan_square(3, 10, det_zero=True).work == 10**9
+    assert plan_rank(2, 2, 1, True, 7).work == 49
+    assert plan_rank(2, 3, 1, True, 3).work == 3**2
+    assert plan_rank(3, 3, 1, True, 3).work == 3**3
+    assert plan_rank(3, 3, 2, True, 3).work == 3**9
+    assert plan_rank(3, 3, 3, True, 3).work == 0
+    assert plan_rank(2, 4, 2, False, 3).work == 3**2
+    assert plan_rank(4, 4, 2, True, 2).work == 2**16
+
+
 @pytest.mark.parametrize(
     "field,texts", [(Q, ("1/2", "2", "-3", "4", "-1/2")), (QI, ("1", "i", "1+i", "2-i"))]
 )
