@@ -103,19 +103,14 @@ class _HistAccumulator:
 
     def result(self) -> dict:
         self._compact()
-        out: dict = {}
         if not self.pending_keys:
-            return out
+            return {}
+        # One piece is left, and `_group` made its rows distinct.
         keys = self.pending_keys[0]
-        counts = self.pending_counts[0]
+        counts = self.pending_counts[0].tolist()
         if self.ncols == 1:
-            for key, count in zip(keys[:, 0].tolist(), counts.tolist()):
-                out[key] = out.get(key, 0) + count
-        else:
-            for row, count in zip(keys.tolist(), counts.tolist()):
-                key = tuple(row)
-                out[key] = out.get(key, 0) + count
-        return out
+            return dict(zip(keys[:, 0].tolist(), counts))
+        return dict(zip(map(tuple, keys.tolist()), counts))
 
 
 def _group(

@@ -29,7 +29,7 @@ from itertools import product, repeat
 from pathlib import Path
 
 from .families import ElementSet
-from .scalars import QI, FieldMismatchError, Scalar, parse_scalar
+from .scalars import QI, FieldMismatchError, Scalar, parse_list, parse_scalar
 
 # Cap on hash-table entries for the meet-in-the-middle join.
 DEFAULT_MAX_ENTRIES = 2_000_000
@@ -70,7 +70,7 @@ def equation_from_json(obj: dict) -> EquationSpec:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("equation object needs a 'coeffs' key")
     field = obj.get("field", "Q")
-    coeffs = tuple(parse_scalar(c, field) for c in obj["coeffs"])
+    coeffs = tuple(parse_scalar(c, field) for c in parse_list(obj["coeffs"], "coeffs"))
     rhs = parse_scalar(obj.get("rhs", "0"), field)
     return EquationSpec(coeffs=coeffs, rhs=rhs)
 

@@ -40,7 +40,7 @@ from .matrices import (
 )
 # Re-exported: perfbench/spans.py wraps these names on this module.
 from .matrices import fast_charpoly2_count, fast_det2_count, fast_power_sums2_count  # noqa: F401
-from .scalars import Q, QI, Scalar, parse_scalar, parse_whole
+from .scalars import Q, QI, Scalar, parse_list, parse_scalar, parse_whole
 
 
 class GrowthConfigError(ValueError):
@@ -231,41 +231,45 @@ Statistic = (
 )
 
 
-def _listed(obj: dict, key: str):
-    """obj[key] as a JSON list, never a string read character by character."""
-    value = obj[key]
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list, got {value!r}")
+def _dimension(obj: dict, key: str) -> int:
+    """obj[key] as a matrix dimension or equation length: a whole number >= 1."""
+    value = parse_whole(obj[key], key)
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
     return value
 
 
 def statistic_from_json(obj: dict, field: str) -> Statistic:
+    """Read a statistic exactly: one that is malformed, or that no matrix or
+    tuple can have (a dimension below 1, a rank outside 1..min(m, n), a
+    charpoly of the wrong degree), raises GrowthConfigError."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise GrowthConfigError("statistic needs a 'kind' key")
     kind = obj["kind"]
     try:
         if kind == "det":
             return DetStatistic(
-                n=parse_whole(obj["n"], "n"), target=parse_scalar(obj["target"], field)
+                n=_dimension(obj, "n"), target=parse_scalar(obj["target"], field)
             )
         if kind == "rank":
             cumulative = obj.get("cumulative", True)
             if not isinstance(cumulative, bool):
                 raise ValueError(f"cumulative must be a boolean, got {cumulative!r}")
-            return RankStatistic(
-                m=parse_whole(obj["m"], "m"),
-                n=parse_whole(obj["n"], "n"),
-                r=parse_whole(obj["r"], "r"),
-                cumulative=cumulative,
-            )
+            m, n = _dimension(obj, "m"), _dimension(obj, "n")
+            r = parse_whole(obj["r"], "r")
+            if not 1 <= r <= min(m, n):
+                raise ValueError(f"rank {r} impossible for a {m}x{n} matrix")
+            return RankStatistic(m=m, n=n, r=r, cumulative=cumulative)
         if kind == "charpoly":
-            coeffs = tuple(parse_scalar(c, field) for c in _listed(obj, "coeffs"))
-            return CharpolyStatistic(
-                n=parse_whole(obj["n"], "n"), key=CharPolyKey(coeffs)
-            )
+            n = _dimension(obj, "n")
+            coeffs = parse_list(obj["coeffs"], "coeffs")
+            if len(coeffs) != n:
+                raise ValueError(f"{len(coeffs)} coeffs for a degree-{n} charpoly")
+            key = CharPolyKey(tuple(parse_scalar(c, field) for c in coeffs))
+            return CharpolyStatistic(n=n, key=key)
         if kind == "powersums":
             return PowerSumsStatistic(
-                n=parse_whole(obj["n"], "n"),
+                n=_dimension(obj, "n"),
                 t1=parse_scalar(obj["t1"], field),
                 t2=parse_scalar(obj["t2"], field),
             )
@@ -277,11 +281,11 @@ def statistic_from_json(obj: dict, field: str) -> Statistic:
                     coeffs = tuple(Scalar(field, c.re, 0, c.den) for c in coeffs)
                 rhs = Scalar.zero(field)
             else:
-                coeffs = tuple(parse_scalar(c, field) for c in _listed(obj, "coeffs"))
+                coeffs = tuple(parse_scalar(c, field) for c in parse_list(obj["coeffs"], "coeffs"))
                 rhs = parse_scalar(obj.get("rhs", "0"), field)
             return EquationStatistic(eq=EquationSpec(coeffs=coeffs, rhs=rhs))
         if kind == "system":
-            return SystemStatistic(n=parse_whole(obj["n"], "n"))
+            return SystemStatistic(n=_dimension(obj, "n"))
     except KeyError as exc:
         raise GrowthConfigError(f"statistic {kind!r} missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -328,7 +332,9 @@ class ExperimentSpec:
             return ExperimentSpec(
                 name=str(obj.get("name", "experiment")),
                 family=family,
-                k_values=tuple(parse_whole(k, "k") for k in _listed(obj, "k_values")),
+                k_values=tuple(
+                    parse_whole(k, "k") for k in parse_list(obj["k_values"], "k_values")
+                ),
                 statistic=statistic_from_json(obj["statistic"], family.field),
                 tolerance=float(tolerance),
                 budget=None if budget is None else parse_budget(budget),

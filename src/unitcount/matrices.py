@@ -27,11 +27,14 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from . import _kernels
 from .families import ElementSet
-from .scalars import Q, QI, FieldMismatchError, Scalar, parse_scalar, parse_whole
+from .scalars import (
+    Q, QI, FieldMismatchError, Scalar, parse_scalar, parse_whole, scalar_text,
+)
 
 DEFAULT_BUDGET = 200_000_000
 BUDGET_ENV_VAR = "UNITCOUNT_BUDGET"
@@ -286,9 +289,6 @@ class CharPolyKey:
             raise ValueError("empty characteristic polynomial text")
         return CharPolyKey(tuple(parse_scalar(p, field) for p in parts))
 
-    def sort_tuple(self):
-        return tuple(c.sort_tuple() for c in self.coeffs)
-
 
 def charpoly(X: MatrixInstance, elements: ElementSet) -> CharPolyKey:
     """Characteristic polynomial by Berkowitz's division-free algorithm."""
@@ -322,30 +322,85 @@ class SweepOptions:
     budget: int | None = None
 
 
+def _key_scales(stat: str, n: int, lcm: int) -> tuple[int, ...]:
+    """Denominator of each coordinate of an n x n `stat` key in the
+    denominator-cleared ring: det lcm^n, charpoly c_k lcm^(n-k), power sums
+    (lcm, lcm^2)."""
+    if stat == "det":
+        return (lcm**n,)
+    if stat == "charpoly":
+        return tuple(lcm ** (n - k) for k in range(n))
+    return (lcm, lcm * lcm)
+
+
+def _ring_key(field: str, target: tuple[Scalar, ...], scales) -> tuple | None:
+    """Each target value times its scale, as ring values; None when one is
+    not a ring element (its denominator does not divide the scale)."""
+    key = []
+    for value, scale in zip(target, scales):
+        if scale % value.den:
+            return None
+        factor = scale // value.den
+        re, im = value.re * factor, value.im * factor
+        key.append((re, im) if field == QI else re)
+    return tuple(key)
+
+
 @dataclass
 class SweepHistogram:
-    """Joint result of one full sweep over elements^(m*n)."""
+    """Joint result of one full sweep over elements^(m*n).
+
+    `raw` holds the "det", "charpoly" and "powersums" histograms (None when
+    not swept) as the sweep built them: keyed in the denominator-cleared
+    ring, a det key one ring value, the others tuples (c_0..c_(n-1) and
+    (t1, t2)), each coordinate over its `_key_scales` of `lcm`.  Scalars
+    appear only on lookup and output; the Scalar-keyed `*_histogram` dicts
+    are built on first access."""
 
     field: str
     m: int
     n: int
     set_size: int
     total: int
+    lcm: int
     rank_profile: dict[int, int] | None
-    det_histogram: dict[Scalar, int] | None
-    charpoly_histogram: dict[CharPolyKey, int] | None
-    powersum_histogram: dict[tuple[Scalar, Scalar], int] | None
+    raw: dict[str, dict | None]
+
+    def _scalar_histogram(self, stat: str, wrap: Callable) -> dict | None:
+        raw = self.raw[stat]
+        if raw is None:
+            return None
+        scales = _key_scales(stat, self.n, self.lcm)
+        return {
+            wrap(tuple(map(_to_scalar, itertools.repeat(self.field),
+                           (key,) if stat == "det" else key, scales))): count
+            for key, count in raw.items()
+        }
+
+    @cached_property
+    def det_histogram(self) -> dict[Scalar, int] | None:
+        return self._scalar_histogram("det", operator.itemgetter(0))
+
+    @cached_property
+    def charpoly_histogram(self) -> dict[CharPolyKey, int] | None:
+        return self._scalar_histogram("charpoly", CharPolyKey)
+
+    @cached_property
+    def powersum_histogram(self) -> dict[tuple[Scalar, Scalar], int] | None:
+        return self._scalar_histogram("powersums", tuple)
+
+    def count(self, stat: str, target: tuple[Scalar, ...]) -> int:
+        """Number of matrices whose `stat` key has the values `target`."""
+        key = _ring_key(self.field, target, _key_scales(stat, self.n, self.lcm))
+        if key is None:
+            return 0
+        return self.raw[stat].get(key[0] if stat == "det" else key, 0)
 
     def validate(self) -> None:
         expected = self.set_size ** (self.m * self.n)
         if self.total != expected:
             raise AssertionError(f"sweep total {self.total} != {expected}")
-        for name, hist in (
-            ("rank", self.rank_profile),
-            ("det", self.det_histogram),
-            ("charpoly", self.charpoly_histogram),
-            ("powersums", self.powersum_histogram),
-        ):
+        for name, hist in (("rank", self.rank_profile), *self.raw.items()):
             if hist is None:
                 continue
             mass = sum(hist.values())
@@ -357,35 +412,29 @@ class SweepHistogram:
                 if not 1 <= r <= max_rank:
                     raise AssertionError(f"impossible rank {r}")
         # A square matrix has full rank exactly when its determinant is nonzero.
-        if (
-            self.m == self.n
-            and self.rank_profile is not None
-            and self.det_histogram is not None
-        ):
-            zero = Scalar.zero(self.field)
-            singular = self.det_histogram.get(zero, 0)
+        dets = self.raw["det"]
+        if self.m == self.n and self.rank_profile is not None and dets is not None:
+            singular = dets.get(_ring(self.field).zero, 0)
             if self.rank_profile.get(self.n, 0) != self.total - singular:
                 raise AssertionError("rank/determinant cross-check failed")
 
     def csv_rows(self) -> list[tuple[str, str, int]]:
-        rows: list[tuple[str, str, int]] = []
-        if self.rank_profile is not None:
-            for r in sorted(self.rank_profile):
-                rows.append(("rank", str(r), self.rank_profile[r]))
-        if self.det_histogram is not None:
-            for key in sorted(self.det_histogram, key=Scalar.sort_tuple):
-                rows.append(("det", key.text(), self.det_histogram[key]))
-        if self.charpoly_histogram is not None:
-            for key in sorted(self.charpoly_histogram, key=CharPolyKey.sort_tuple):
-                rows.append(("charpoly", key.text(), self.charpoly_histogram[key]))
-        if self.powersum_histogram is not None:
-            for t1, t2 in sorted(
-                self.powersum_histogram,
-                key=lambda pair: (pair[0].sort_tuple(), pair[1].sort_tuple()),
-            ):
-                rows.append(
-                    ("powersums", f"{t1.text()},{t2.text()}", self.powersum_histogram[(t1, t2)])
-                )
+        """(statistic, key text, count) rows, keys in value order, which is
+        the order of the ring keys since every scale is positive."""
+        ranks, qi = self.rank_profile or {}, self.field == QI
+        rows = [("rank", str(r), ranks[r]) for r in sorted(ranks)]
+        for stat, raw in self.raw.items():
+            if raw is None:
+                continue
+            keys = sorted(raw)
+            texts = []
+            # One text per distinct value of each key column.
+            columns = [keys] if stat == "det" else zip(*keys)
+            for column, scale in zip(columns, _key_scales(stat, self.n, self.lcm)):
+                text = {v: scalar_text(*(v if qi else (v, 0)), scale) for v in set(column)}
+                texts.append(map(text.__getitem__, column))
+            key_texts = map(",".join, zip(*texts))
+            rows.extend(zip(itertools.repeat(stat), key_texts, map(raw.get, keys)))
         return rows
 
 
@@ -442,64 +491,15 @@ def _generic_shard(
 # perfbench/spans.py wraps this name (span "matrices.finalize").
 def _finalize(raw: dict, elements: ElementSet, m: int, n: int) -> SweepHistogram:
     lcm, _, _ = elements.scaled_integers()
-    field = elements.field
-
-    det_hist = None
-    if raw["det"] is not None:
-        den = lcm**n
-        cache: dict = {}
-        det_hist = {}
-        for key, count in raw["det"].items():
-            scalar = cache.get(key)
-            if scalar is None:
-                scalar = _to_scalar(field, key, den)
-                cache[key] = scalar
-            det_hist[scalar] = det_hist.get(scalar, 0) + count
-
-    cp_hist = None
-    if raw["charpoly"] is not None:
-        dens = [lcm ** (n - k) for k in range(n)]
-        cache = {}
-        cp_hist = {}
-        for key, count in raw["charpoly"].items():
-            cp = cache.get(key)
-            if cp is None:
-                cp = CharPolyKey(
-                    tuple(_to_scalar(field, key[k], dens[k]) for k in range(n))
-                )
-                cache[key] = cp
-            cp_hist[cp] = cp_hist.get(cp, 0) + count
-
-    ps_hist = None
-    if raw["powersums"] is not None:
-        den1 = lcm
-        den2 = lcm * lcm
-        cache = {}
-        ps_hist = {}
-        for key, count in raw["powersums"].items():
-            pair = cache.get(key)
-            if pair is None:
-                pair = (
-                    _to_scalar(field, key[0], den1),
-                    _to_scalar(field, key[1], den2),
-                )
-                cache[key] = pair
-            ps_hist[pair] = ps_hist.get(pair, 0) + count
-
-    rank_hist = None
-    if raw["rank"] is not None:
-        rank_hist = {int(r): int(c) for r, c in raw["rank"].items()}
-
     hist = SweepHistogram(
-        field=field,
+        field=elements.field,
         m=m,
         n=n,
         set_size=len(elements),
         total=raw["total"],
-        rank_profile=rank_hist,
-        det_histogram=det_hist,
-        charpoly_histogram=cp_hist,
-        powersum_histogram=ps_hist,
+        lcm=lcm,
+        rank_profile=raw["rank"],
+        raw={stat: raw[stat] for stat in ("det", "charpoly", "powersums")},
     )
     hist.validate()
     return hist
@@ -618,20 +618,19 @@ def _check_fields(elements: ElementSet, *values: Scalar) -> None:
 
 
 def _target3_kernel(
-    elements: ElementSet, stat: str, target: tuple[Scalar, ...], powers: tuple[int, ...]
+    elements: ElementSet, stat: str, target: tuple[Scalar, ...]
 ) -> int | None:
-    """3x3 count of one key, whose k-th value has denominator dividing
-    lcm^powers[k].  A value that does not counts 0; otherwise the int64
-    kernel counts when its proof holds, and None means sweep instead."""
+    """3x3 count of one `stat` key.  A key that is not a ring element counts
+    0; otherwise the int64 kernel counts when its proof holds, and None
+    means sweep instead."""
     lcm, values, bound = elements.scaled_integers()
-    scales = [lcm**p for p in powers]
-    if any(scale % value.den for value, scale in zip(target, scales)):
+    raw = _ring_key(elements.field, target, _key_scales(stat, 3, lcm))
+    if raw is None:
         return 0
     if elements.field != Q or not _kernels.supports(
         bound, 3, stat == "det", False, stat == "charpoly", stat == "powersums"
     ):
         return None
-    raw = tuple(value.re * (scale // value.den) for value, scale in zip(target, scales))
     return _kernels.count_target3(values, stat, raw)
 
 
@@ -693,11 +692,11 @@ def count_det(
     if route.name == "conv2":
         return fast_det2_count(elements, target)
     if route.name == "target3":
-        found = _target3_kernel(elements, "det", (target,), (3,))
+        found = _target3_kernel(elements, "det", (target,))
         if found is not None:
             return found
-    hist = sweep(elements, n, n, SweepOptions(rank=False, budget=budget))
-    return hist.det_histogram.get(target, 0)
+    opts = SweepOptions(rank=False, budget=budget)
+    return sweep(elements, n, n, opts).count("det", (target,))
 
 
 def count_rank(
@@ -735,12 +734,11 @@ def count_charpoly(
     if route.name == "conv2":
         return fast_charpoly2_count(elements, key)
     if route.name == "target3":
-        found = _target3_kernel(elements, "charpoly", key.coeffs, (3, 2, 1))
+        found = _target3_kernel(elements, "charpoly", key.coeffs)
         if found is not None:
             return found
     opts = SweepOptions(rank=False, det=False, charpoly=True, budget=budget)
-    hist = sweep(elements, n, n, opts)
-    return hist.charpoly_histogram.get(key, 0)
+    return sweep(elements, n, n, opts).count("charpoly", key.coeffs)
 
 
 def count_power_sums(
@@ -756,12 +754,11 @@ def count_power_sums(
     if route.name == "conv2":
         return fast_power_sums2_count(elements, t1, t2)
     if route.name == "target3":
-        found = _target3_kernel(elements, "powersums", (t1, t2), (1, 2))
+        found = _target3_kernel(elements, "powersums", (t1, t2))
         if found is not None:
             return found
     opts = SweepOptions(rank=False, det=False, powersums=True, budget=budget)
-    hist = sweep(elements, n, n, opts)
-    return hist.powersum_histogram.get((t1, t2), 0)
+    return sweep(elements, n, n, opts).count("powersums", (t1, t2))
 
 
 # -- closed 2x2 product-convolution paths --------------------------------------

@@ -53,6 +53,14 @@ def parse_whole(value, what: str = "value") -> int:
     return int(number)
 
 
+def parse_list(value, what: str = "value"):
+    """`value` when it is a JSON list (or a tuple), never a string read
+    character by character; anything else raises ValueError naming `what`."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 class FieldMismatchError(ValueError):
     """Raised when an operation combines scalars from different fields."""
 
@@ -233,32 +241,39 @@ class Scalar:
 
     def text(self) -> str:
         """Render in the grammar accepted by `parse_scalar` (round-trips)."""
-        if self.im == 0:
-            body = str(self.re)
-            return body if self.den == 1 else f"{body}/{self.den}"
-        if self.re == 0:
-            if self.im == 1:
-                body = "i"
-            elif self.im == -1:
-                body = "-i"
-            else:
-                body = f"{self.im}*i"
-            return body if self.den == 1 else f"{body}/{self.den}"
-        if self.im == 1:
-            body = f"({self.re}+i)"
-        elif self.im == -1:
-            body = f"({self.re}-i)"
-        elif self.im > 0:
-            body = f"({self.re}+{self.im}*i)"
-        else:
-            body = f"({self.re}-{-self.im}*i)"
-        return body if self.den == 1 else f"{body}/{self.den}"
+        return scalar_text(self.re, self.im, self.den)
 
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
         return f"Scalar({self.text()!r}, {self.field!r})"
+
+
+def scalar_text(re: int, im: int, den: int) -> str:
+    """The text of (re + im*i)/den, den > 0, in lowest terms."""
+    g = math.gcd(re, im, den)
+    re, im, den = re // g, im // g, den // g
+    if im == 0:
+        body = str(re)
+        return body if den == 1 else f"{body}/{den}"
+    if re == 0:
+        if im == 1:
+            body = "i"
+        elif im == -1:
+            body = "-i"
+        else:
+            body = f"{im}*i"
+        return body if den == 1 else f"{body}/{den}"
+    if im == 1:
+        body = f"({re}+i)"
+    elif im == -1:
+        body = f"({re}-i)"
+    elif im > 0:
+        body = f"({re}+{im}*i)"
+    else:
+        body = f"({re}-{-im}*i)"
+    return body if den == 1 else f"{body}/{den}"
 
 
 def canonical_key(value: Scalar) -> bytes:

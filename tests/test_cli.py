@@ -10,6 +10,7 @@ import json
 import pytest
 
 from unitcount.cli import build_parser, main
+from unitcount.scalars import Scalar
 
 
 @pytest.fixture
@@ -191,6 +192,28 @@ def test_sweep_all_stats_to_file(set12, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_builds_no_scalar_per_key(tmp_path, monkeypatch, capsys):
+    """Histogram keys stay ring integers from the kernel to the CSV text."""
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"field": "Q", "elements": ["1", "-1", "2", "3"]}))
+    built = []
+    original = Scalar.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scalar, "__init__", spy)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--set", str(path), "-m", "3", "-n", "3",
+            "--stats", "charpoly,powersums", "--out", str(out)]
+    assert main(argv) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 9779
+    # Reading the set builds a few per element; one per key would be 9,779.
+    assert len(built) <= 10 * 4
+
+
 def test_sweep_rejects_unknown_statistic(set12, capsys):
     code = main(["sweep", "--set", set12, "-m", "2", "-n", "2", "--stats", "zeta"])
     assert code == 1
@@ -344,9 +367,13 @@ def test_growth_config_and_out_dir(tmp_path, capsys):
         {"k_values": [True, 3, 4]},
         {"statistic": {"kind": "det", "n": 2.9, "target": "0"}},
         {"family": {"variant": "geometric", "base": "2", "start": 1.5}},
+        {"statistic": {"kind": "det", "n": 0, "target": "0"}},
+        {"statistic": {"kind": "det", "n": -1, "target": "0"}},
+        {"statistic": {"kind": "rank", "m": 2, "n": 2, "r": 3}},
+        {"statistic": {"kind": "rank", "m": 2, "n": 2, "r": 0}},
     ],
     ids=["tolerance-nan", "cumulative-text", "k-fractions", "k-bool", "n-fraction",
-         "start-fraction"],
+         "start-fraction", "det-n0", "det-n-1", "rank-r3", "rank-r0"],
 )
 def test_growth_config_read_exactly_exits_1(change, tmp_path, capsys):
     config = tmp_path / "exp.json"
@@ -439,6 +466,15 @@ def test_equation_classify_golden(eq_diff, set12, capsys):
     assert main(["equation", "classify", "--eq", eq_diff, "--set", set12]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob == {"classes": {"1,2": 2, "2,3": 1}, "total": 3}
+
+
+def test_equation_coeffs_text_exits_1(set12, tmp_path, capsys):
+    eq = tmp_path / "eq.json"
+    eq.write_text(json.dumps({"field": "Q", "coeffs": "12", "rhs": "3"}))
+    for sub in ("count", "classify"):
+        assert main(["equation", sub, "--eq", str(eq), "--set", set12]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "coeffs must be a list" in captured.err
 
 
 def test_equation_system(set12, set_units, capsys):

@@ -48,6 +48,14 @@ def test_equation_json_round_trip(tmp_path):
     assert load_equation(path).rhs.is_zero()
 
 
+def test_equation_coeffs_must_be_a_list():
+    for coeffs in ("12", "1", 12, {"1": "2"}):
+        with pytest.raises(ValueError, match="coeffs must be a list"):
+            equation_from_json({"coeffs": coeffs, "rhs": "3"})
+    eq = equation_from_json({"coeffs": ("1", "2"), "rhs": "3"})
+    assert eq.coeffs == _ints(1, 2)
+
+
 def test_pinned_small_counts():
     diag = EquationSpec(coeffs=_ints(1, -1), rhs=Scalar.zero(Q))
     assert count_solutions(diag, int_element_set([1, 2, 4])) == 3

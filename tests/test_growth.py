@@ -130,6 +130,30 @@ def test_statistic_json_validation():
         statistic_from_json({"kind": "det", "n": 2}, Q)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "det", "n": 0, "target": "0"},
+        {"kind": "det", "n": -1, "target": "0"},
+        {"kind": "rank", "m": 2, "n": 2, "r": 3},
+        {"kind": "rank", "m": 2, "n": 2, "r": 0},
+        {"kind": "rank", "m": 0, "n": 2, "r": 1},
+        {"kind": "rank", "m": 3, "n": 1, "r": 2},
+        {"kind": "charpoly", "n": 0, "coeffs": []},
+        {"kind": "charpoly", "n": 3, "coeffs": ["0", "0"]},
+        {"kind": "powersums", "n": 0, "t1": "0", "t2": "0"},
+        {"kind": "system", "n": 0},
+    ],
+    ids=["det-n0", "det-n-1", "rank-r-above", "rank-r0", "rank-m0", "rank-r-past-n",
+         "charpoly-n0", "charpoly-degree", "powersums-n0", "system-n0"],
+)
+def test_uncountable_statistics_are_rejected_at_load(obj):
+    with pytest.raises(GrowthConfigError):
+        statistic_from_json(obj, Q)
+    with pytest.raises(GrowthConfigError):
+        _det2_spec(statistic=obj)
+
+
 def test_rank_statistic_default_is_cumulative():
     stat = statistic_from_json({"kind": "rank", "m": 2, "n": 2, "r": 1}, Q)
     assert stat.cumulative is True

@@ -28,7 +28,7 @@ from unitcount.matrices import (
     resolve_budget,
     sweep,
 )
-from unitcount.scalars import Q, QI, Scalar
+from unitcount.scalars import Q, QI, Scalar, parse_scalar
 
 
 def _rand_instance(rng, elements, m, n):
@@ -222,6 +222,104 @@ def test_kernel_and_generic_paths_agree(monkeypatch):
         assert fast.det_histogram == slow.det_histogram
         assert fast.charpoly_histogram == slow.charpoly_histogram
         assert fast.powersum_histogram == slow.powersum_histogram
+
+
+# -- integer-key histograms ------------------------------------------------------
+#
+# A sweep keeps each statistic's raw ring keys and builds Scalars only on
+# lookup and output.  The references below are the Scalar-keyed dicts.
+
+
+def _scalar_csv_rows(hist) -> list[tuple[str, str, int]]:
+    """csv_rows built from the Scalar-keyed dicts: keys sorted by each
+    coordinate's Scalar.sort_tuple, written by Scalar.text."""
+    rows = [("rank", str(r), c) for r, c in sorted((hist.rank_profile or {}).items())]
+    for stat, scalars, coords in (
+        ("det", hist.det_histogram, lambda key: (key,)),
+        ("charpoly", hist.charpoly_histogram, lambda key: key.coeffs),
+        ("powersums", hist.powersum_histogram, lambda key: key),
+    ):
+        for key in sorted(scalars, key=lambda k: [c.sort_tuple() for c in coords(k)]):
+            rows.append((stat, ",".join(c.text() for c in coords(key)), scalars[key]))
+    return rows
+
+
+def _parsed(texts, field: str = Q) -> ElementSet:
+    return ElementSet(tuple(parse_scalar(t, field) for t in texts))
+
+
+# The second set has entries 1, 2, -1 over lcm 2^30, so the 3x3 det scale
+# lcm^3 = 2^90 is far past int64 while the kernel's proof holds easily.
+@pytest.mark.parametrize("texts", [("1/2", "-3", "2/3"), ("2^-30", "2^-29", "-2^-30")])
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_and_generic_sweeps_write_identical_csv(texts, n, monkeypatch):
+    elements = _parsed(texts)
+    _, _, bound = elements.scaled_integers()
+    assert matrices._kernels.supports(bound, n, True, True, True, True)
+    kernel = sweep(elements, n, n, options=_ALL_STATS)
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices._kernels, "supports", lambda *a: False)
+        generic = sweep(elements, n, n, options=_ALL_STATS)
+    rows = kernel.csv_rows()
+    assert rows == generic.csv_rows() == _scalar_csv_rows(kernel)
+    assert any("/" in text for _, text, _ in rows)
+
+
+@pytest.mark.parametrize("n,texts", [(2, ("1/2", "-i", "(1+i)/3")), (3, ("i/2", "(1-i)/3"))])
+def test_gaussian_sweep_csv_rows_match_scalar_keys(n, texts):
+    hist = sweep(_parsed(texts, QI), n, n, options=_ALL_STATS)
+    rows = hist.csv_rows()
+    assert rows == _scalar_csv_rows(hist)
+    assert any("*i" in text and "/" in text for _, text, _ in rows)
+
+
+def test_sweep_route_counts_scale_the_target_into_the_ring(monkeypatch):
+    """Over Q(i), and over Q past the kernel's proof, 3x3 counts read the
+    sweep's raw histogram; 1x1 counts always do."""
+    for elements, patch in (
+        (_parsed(("i/2", "(1-i)/3"), QI), False),
+        (_parsed(("1/2", "-3/2"), Q), True),
+    ):
+        field = elements.field
+        hist = sweep(elements, 3, 3, options=_ALL_STATS)
+        with monkeypatch.context() as context:
+            if patch:
+                context.setattr(matrices._kernels, "supports", lambda *a: False)
+            for value, expected in list(hist.det_histogram.items())[:3]:
+                assert count_det(elements, 3, value) == expected
+            for key, expected in list(hist.charpoly_histogram.items())[:3]:
+                assert count_charpoly(elements, 3, key) == expected
+            for (t1, t2), expected in list(hist.powersum_histogram.items())[:3]:
+                assert count_power_sums(elements, 3, t1, t2) == expected
+            absent = Scalar(field, 10**6 + 7)
+            assert count_det(elements, 3, absent) == 0
+            assert count_charpoly(elements, 3, CharPolyKey((absent,) * 3)) == 0
+            assert count_power_sums(elements, 3, absent, absent) == 0
+        # A value whose denominator does not divide its scale is no key.
+        lcm, _, _ = elements.scaled_integers()
+        unscaled = Scalar(field, 1, 0, 7 * lcm**3)
+        assert lcm**3 % unscaled.den
+        assert hist.count("det", (unscaled,)) == 0
+        assert hist.count("charpoly", (unscaled,) * 3) == 0
+        assert hist.count("powersums", (unscaled, Scalar.zero(field))) == 0
+        # Every key of the sweep is found again by scaling it back.
+        for value, expected in hist.det_histogram.items():
+            assert hist.count("det", (value,)) == expected
+        for key, expected in hist.charpoly_histogram.items():
+            assert hist.count("charpoly", key.coeffs) == expected
+        for pair, expected in hist.powersum_histogram.items():
+            assert hist.count("powersums", pair) == expected
+        # 1x1: hit, miss and a target off the ring, by the planner's sweep route.
+        one = sweep(elements, 1, 1, options=_ALL_STATS)
+        for value, expected in one.det_histogram.items():
+            assert count_det(elements, 1, value) == expected
+            assert count_charpoly(elements, 1, CharPolyKey((-value,))) == expected
+            assert count_power_sums(elements, 1, value, value * value) == expected
+        assert count_det(elements, 1, absent) == 0
+        off_ring = Scalar(field, 1, 0, 7 * lcm)
+        assert count_det(elements, 1, off_ring) == 0
+        assert count_charpoly(elements, 1, CharPolyKey((off_ring,))) == 0
+        assert count_power_sums(elements, 1, off_ring, Scalar.zero(field)) == 0
 
 
 def test_sweep_validates_options():
