@@ -108,10 +108,7 @@ def _cmd_sweep(args) -> int:
         budget=args.budget,
     )
     hist = sweep(elements, args.m, args.n, options=opts)
-    lines = ["statistic,key,count"]
-    for statistic, key, count in hist.csv_rows():
-        lines.append(f"{statistic},\"{key}\",{count}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    _write_text(hist.csv_text(), args.out)
     return 0
 
 

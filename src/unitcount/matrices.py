@@ -10,10 +10,12 @@ determinant; characteristic polynomials come from Berkowitz's division-free
 algorithm.  Each routine is written once over a ring of exact integer
 or Gaussian-integer operations, so Q and Qi share it.
 
-Sweeps enumerate every matrix in elements^(m*n) in row-major odometer order,
-in one pass, and histogram the requested statistics; when the field is Q,
-the shape is 2x2 or 3x3, and an a-priori magnitude bound proves that no
-intermediate can leave int64, a vectorized kernel takes over.
+Sweeps histogram the requested statistics over every matrix in
+elements^(m*n).  When the field is Q, the shape is 2x2 or 3x3, and an
+a-priori magnitude bound proves that no intermediate can leave int64, a
+vectorized kernel does it.  Otherwise square rank and det come from the
+last row's cofactors, computed once per top block, and the other
+statistics from one pass over every matrix.
 
 Single counts (count_det, count_rank, count_charpoly, count_power_sums) go
 through a planner that picks a cheaper exact route where one exists and
@@ -141,6 +143,18 @@ def _gneg(a):
     return (-a[0], -a[1])
 
 
+def _idot(xs, ys):
+    return sum(map(operator.mul, xs, ys))
+
+
+def _gdot(xs, ys):
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+    return (re, im)
+
+
 @dataclass(frozen=True)
 class _Ring:
     """Exact arithmetic on scaled entries; `div` is only ever called where
@@ -151,14 +165,18 @@ class _Ring:
     mul: Callable
     div: Callable
     neg: Callable
+    dot: Callable
     zero: object
     one: object
 
 
 _INTEGERS = _Ring(
-    operator.add, operator.sub, operator.mul, operator.floordiv, operator.neg, 0, 1
+    operator.add, operator.sub, operator.mul, operator.floordiv, operator.neg,
+    _idot, 0, 1,
 )
-_GAUSSIAN_INTEGERS = _Ring(_gadd, _gsub, _gmul, _gdiv_exact, _gneg, (0, 0), (1, 0))
+_GAUSSIAN_INTEGERS = _Ring(
+    _gadd, _gsub, _gmul, _gdiv_exact, _gneg, _gdot, (0, 0), (1, 0)
+)
 
 
 def _ring(field: str) -> _Ring:
@@ -207,12 +225,12 @@ def _rank_det(rows: list[list], ring: _Ring) -> tuple[int, object]:
 
 def _det(rows: list[list], ring: _Ring):
     """Determinant: cofactor formulas up to 3x3, which beat elimination for
-    callers that need only det, and Bareiss above."""
+    callers that need only det, and Bareiss above.  The empty minor is one."""
     n = len(rows)
     if n > 3:
         return _rank_det(rows, ring)[1]
-    if n == 1:
-        return rows[0][0]
+    if n <= 1:
+        return rows[0][0] if n else ring.one
     add, sub, mul = ring.add, ring.sub, ring.mul
     if n == 2:
         return sub(mul(rows[0][0], rows[1][1]), mul(rows[0][1], rows[1][0]))
@@ -231,14 +249,7 @@ def _charpoly_coeffs(rows: list[list], ring: _Ring) -> list:
     previous one convolved with (1, -a, -R C, -R A C, ..., -R A^(r-1) C),
     where A is the leading r x r block, C the column above the new diagonal
     entry a and R the row left of it."""
-    add, mul, neg, zero = ring.add, ring.mul, ring.neg, ring.zero
-
-    def dot(xs, ys):
-        acc = zero
-        for x, y in zip(xs, ys):
-            acc = add(acc, mul(x, y))
-        return acc
-
+    neg, dot = ring.neg, ring.dot
     poly = [ring.one]  # highest degree first
     for r in range(len(rows)):
         row = rows[r][:r]
@@ -418,11 +429,13 @@ class SweepHistogram:
             if self.rank_profile.get(self.n, 0) != self.total - singular:
                 raise AssertionError("rank/determinant cross-check failed")
 
-    def csv_rows(self) -> list[tuple[str, str, int]]:
-        """(statistic, key text, count) rows, keys in value order, which is
-        the order of the ring keys since every scale is positive."""
+    def _csv_columns(self):
+        """(statistic, key texts, counts) for each statistic, keys in value
+        order, which is the order of the ring keys since every scale is
+        positive."""
         ranks, qi = self.rank_profile or {}, self.field == QI
-        rows = [("rank", str(r), ranks[r]) for r in sorted(ranks)]
+        order = sorted(ranks)
+        yield "rank", map(str, order), map(ranks.get, order)
         for stat, raw in self.raw.items():
             if raw is None:
                 continue
@@ -433,59 +446,132 @@ class SweepHistogram:
             for column, scale in zip(columns, _key_scales(stat, self.n, self.lcm)):
                 text = {v: scalar_text(*(v if qi else (v, 0)), scale) for v in set(column)}
                 texts.append(map(text.__getitem__, column))
-            key_texts = map(",".join, zip(*texts))
-            rows.extend(zip(itertools.repeat(stat), key_texts, map(raw.get, keys)))
-        return rows
+            yield stat, map(",".join, zip(*texts)), map(raw.get, keys)
+
+    def csv_rows(self) -> list[tuple[str, str, int]]:
+        """(statistic, key text, count) rows, keys in value order."""
+        return [
+            row
+            for stat, keys, counts in self._csv_columns()
+            for row in zip(itertools.repeat(stat), keys, counts)
+        ]
+
+    def csv_text(self) -> str:
+        """The rows of `csv_rows` as CSV text under a header, each key
+        quoted, each line formatted once."""
+        lines = (
+            f'{stat},"{key}",{count}\n'
+            for stat, keys, counts in self._csv_columns()
+            for key, count in zip(keys, counts)
+        )
+        return "statistic,key,count\n" + "".join(lines)
+
+
+def _cofactors(block, ring: _Ring) -> tuple:
+    """Signed cofactors of the last row of a square matrix whose other rows
+    are the (n-1) x n `block`: its det is the last row dotted with them."""
+    n = len(block) + 1
+    out = []
+    for j in range(n):
+        minor = _det([row[:j] + row[j + 1 :] for row in block], ring)
+        out.append(ring.neg(minor) if (n - 1 + j) % 2 else minor)
+    return tuple(out)
+
+
+def _square_rank_det(rows: list[tuple], n: int, ring: _Ring, want_rank: bool):
+    """(rank, det) histograms of every n x n matrix whose rows come from
+    `rows`, by last-row cofactors.  The cofactors of each top block are
+    computed once, and each distinct nonzero cofactor vector meets the last
+    rows once: det is the dot product, and rank is n when det is nonzero and
+    n-1 otherwise, since a nonzero cofactor means the top rows have rank
+    n-1.  When every cofactor vanishes, det is zero for every last row and
+    rank depends only on the set of distinct rows, so it is cached by that
+    set.  The rank histogram is None unless `want_rank`."""
+    zero, dot = ring.zero, ring.dot
+    zeros = (zero,) * n
+    vectors: dict[tuple, int] = {}
+    degenerate: dict[frozenset, int] = {}
+    for block in itertools.product(rows, repeat=n - 1):
+        cof = _cofactors(block, ring)
+        if cof == zeros:
+            key = frozenset(block)
+            degenerate[key] = degenerate.get(key, 0) + 1
+        else:
+            vectors[cof] = vectors.get(cof, 0) + 1
+
+    det_hist: dict = {}
+    for cof, mult in vectors.items():
+        for last in rows:
+            d = dot(last, cof)
+            det_hist[d] = det_hist.get(d, 0) + mult
+    singular = det_hist.get(zero, 0)
+    full = sum(vectors.values()) * len(rows) - singular
+    from_degenerate = sum(degenerate.values()) * len(rows)
+    if from_degenerate:
+        det_hist[zero] = singular + from_degenerate
+    if not want_rank:
+        return None, det_hist
+
+    rank_hist = {r: c for r, c in ((n, full), (n - 1, singular)) if c}
+    known: dict[frozenset, int] = {}
+    for rowset, mult in degenerate.items():
+        for last in rows:
+            key = rowset | {last}
+            r = known.get(key)
+            if r is None:
+                r = known[key] = _rank_det(list(key), ring)[0]
+            rank_hist[r] = rank_hist.get(r, 0) + mult
+    return rank_hist, det_hist
 
 
 # perfbench/spans.py wraps this name; it reads the raw dict's "total".
 def _generic_shard(
     values: list, field: str, m: int, n: int, opts: SweepOptions
 ) -> dict:
-    """Reference sweep over every matrix, any field and shape.  Returns the
-    raw histograms in the layout of `_kernels.sweep_square`."""
-    rest_width = (m - 1) * n
+    """Sweep over every matrix, any field and shape, in ring arithmetic.
+    Returns the raw histograms in the layout of `_kernels.sweep_square`.
+    Square rank and det come from `_square_rank_det`; charpoly, power sums
+    and the rank of other shapes from one pass over every matrix."""
     ring = _ring(field)
     add, mul, zero = ring.add, ring.mul, ring.zero
+    rows = list(itertools.product(values, repeat=n))
+    raw = {
+        "total": len(rows) ** m,
+        "rank": None,
+        "det": None,
+        "charpoly": None,
+        "powersums": None,
+    }
+    if m == n and (opts.rank or opts.det):
+        raw["rank"], det_hist = _square_rank_det(rows, n, ring, opts.rank)
+        if opts.det:
+            raw["det"] = det_hist
 
-    rank_hist = {} if opts.rank else None
-    det_hist = {} if opts.det else None
+    rank_hist = {} if opts.rank and m != n else None
     cp_hist = {} if opts.charpoly else None
     ps_hist = {} if opts.powersums else None
-    total = 0
-
-    for row0 in itertools.product(values, repeat=n):
-        row0 = list(row0)
-        for rest in itertools.product(values, repeat=rest_width):
-            rows = [row0] + [
-                list(rest[r * n : (r + 1) * n]) for r in range(m - 1)
-            ]
-            total += 1
-            if rank_hist is not None:
-                r, key = _rank_det(rows, ring)
-                rank_hist[r] = rank_hist.get(r, 0) + 1
-            elif det_hist is not None:
-                key = _det(rows, ring)
-            if det_hist is not None:
-                det_hist[key] = det_hist.get(key, 0) + 1
-            if cp_hist is not None:
-                cs = tuple(_charpoly_coeffs(rows, ring))
-                cp_hist[cs] = cp_hist.get(cs, 0) + 1
-            if ps_hist is not None:
-                t1 = t2 = zero
-                for i in range(n):
-                    t1 = add(t1, rows[i][i])
-                    for j in range(n):
-                        t2 = add(t2, mul(rows[i][j], rows[j][i]))
-                ps_key = (t1, t2)
-                ps_hist[ps_key] = ps_hist.get(ps_key, 0) + 1
-    return {
-        "total": total,
-        "rank": rank_hist,
-        "det": det_hist,
-        "charpoly": cp_hist,
-        "powersums": ps_hist,
-    }
+    if rank_hist is None and cp_hist is None and ps_hist is None:
+        return raw
+    for matrix in itertools.product(rows, repeat=m):
+        if rank_hist is not None:
+            r = _rank_det(matrix, ring)[0]
+            rank_hist[r] = rank_hist.get(r, 0) + 1
+        if cp_hist is not None:
+            cs = tuple(_charpoly_coeffs(matrix, ring))
+            cp_hist[cs] = cp_hist.get(cs, 0) + 1
+        if ps_hist is not None:
+            t1 = t2 = zero
+            for i in range(n):
+                t1 = add(t1, matrix[i][i])
+                for j in range(n):
+                    t2 = add(t2, mul(matrix[i][j], matrix[j][i]))
+            ps_key = (t1, t2)
+            ps_hist[ps_key] = ps_hist.get(ps_key, 0) + 1
+    if rank_hist is not None:
+        raw["rank"] = rank_hist
+    raw["charpoly"] = cp_hist
+    raw["powersums"] = ps_hist
+    return raw
 
 
 # perfbench/spans.py wraps this name (span "matrices.finalize").

@@ -2,8 +2,13 @@
 
 For a nonsingular square matrix with nonzero entries, at most n-2 of the
 n minors along any fixed row or column can vanish.  The audit samples random
-matrices, recombines each Laplace expansion, checks the recombination equals
-the determinant exactly, and tallies zero minors on nonsingular samples.
+matrices, clears their denominators once, and computes each sample's n^2
+minors once, in ring integers.  From them it recombines the Laplace
+expansion along every row and every column, checks each recombination
+against the determinant from a Bareiss elimination (an algorithm that shares
+nothing with the cofactor formulas), and tallies zero minors on nonsingular
+samples.  `laplace_report` gives the same expansion for one line, in
+Scalars, as a report.
 """
 
 from __future__ import annotations
@@ -12,7 +17,16 @@ import random
 from dataclasses import dataclass
 
 from .families import ElementSet
-from .matrices import MatrixInstance, det, random_matrix
+from .matrices import (
+    BudgetExceededError,
+    MatrixInstance,
+    _cofactors,
+    _rank_det,
+    _ring,
+    _scaled_rows,
+    det,
+    random_matrix,
+)
 from .scalars import Scalar
 
 
@@ -102,6 +116,28 @@ class AuditSummary:
         }
 
 
+def _line_checks(rows: list[list], ring, value) -> tuple[int, int]:
+    """(mismatches, most zero minors on one line) over the 2n Laplace
+    expansions of the scaled square matrix `rows` with determinant `value`.
+    Each minor is computed once and serves one row and one column."""
+    n = len(rows)
+    zero, neg, dot = ring.zero, ring.neg, ring.dot
+    signed = []  # signed[i][j] = (-1)^(i+j) * minor(i, j)
+    for i in range(n):
+        # `_cofactors` signs the minors for the last row; row i is n-1-i
+        # row swaps away from it.
+        cofactors = _cofactors(rows[:i] + rows[i + 1 :], ring)
+        signed.append(tuple(map(neg, cofactors)) if (n - 1 - i) % 2 else cofactors)
+    mismatches = 0
+    most_zero = 0
+    for cofactor_lines, entry_lines in ((signed, rows), (zip(*signed), zip(*rows))):
+        for cofactors, entries in zip(cofactor_lines, entry_lines):
+            if dot(entries, cofactors) != value:
+                mismatches += 1
+            most_zero = max(most_zero, cofactors.count(zero))
+    return mismatches, most_zero
+
+
 def audit_prop_zero_cofactors(
     elements: ElementSet,
     n: int,
@@ -114,15 +150,19 @@ def audit_prop_zero_cofactors(
     check the n-2 zero-minor bound on each nonsingular sample.
 
     Draws `trials` samples, continuing past that if needed until
-    `min_nonsingular` nonsingular matrices have been checked.  Singular draws
-    are skipped for the zero-minor bound (it does not apply to them) but
-    still participate in the reconstruction equality check.
+    `min_nonsingular` nonsingular matrices have been checked; more than
+    100 * max(trials, min_nonsingular) draws raise BudgetExceededError.
+    Singular draws are skipped for the zero-minor bound (it does not apply
+    to them) but still participate in the reconstruction equality check.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if min_nonsingular < 0:
+        raise ValueError(f"min_nonsingular must be >= 0, got {min_nonsingular}")
     rng = random.Random(seed)
+    ring = _ring(elements.field)
     bound = n - 2
     samples = 0
     nonsingular = 0
@@ -133,21 +173,16 @@ def audit_prop_zero_cofactors(
     cap = 100 * max(trials, min_nonsingular, 1)
     while samples < trials or nonsingular < min_nonsingular:
         if samples >= cap:
-            raise RuntimeError(
-                f"could not reach {min_nonsingular} nonsingular samples in {cap} draws"
+            raise BudgetExceededError(
+                samples + 1, cap, f"minor audit for {min_nonsingular} nonsingular samples"
             )
         X = random_matrix(elements, n, n, rng)
         samples += 1
-        value = det(X, elements)
-        is_singular = value.is_zero()
-        matrix_max_zero = 0
-        for axis in ("row", "col"):
-            for index in range(n):
-                report = laplace_report(X, elements, axis, index)
-                if report.reconstruction != value:
-                    mismatches += 1
-                matrix_max_zero = max(matrix_max_zero, report.zero_count)
-        if is_singular:
+        rows = _scaled_rows(X, elements)
+        value = _rank_det(rows, ring)[1]
+        bad_lines, matrix_max_zero = _line_checks(rows, ring, value)
+        mismatches += bad_lines
+        if value == ring.zero:
             singular += 1
             continue
         nonsingular += 1

@@ -1,17 +1,24 @@
 """Independent reference implementations used to check the package.
 
-Everything here works on pairs (re, im) of Fractions, so the only shared
-surface with the package is the Scalar accessors (re, im, den).  Determinants
-use permutation expansion, rank uses textbook Gaussian elimination, and the
-characteristic polynomial comes from Lagrange interpolation of det(tI - X)
-and, as a second check, from the trace recursion.  Most of it is
-exponentially slow and meant for tiny inputs only.
+Everything here except `bareiss_sweep` works on pairs (re, im) of
+Fractions, so the only shared surface with the package is the Scalar
+accessors (re, im, den).  Determinants use permutation expansion, rank uses
+textbook Gaussian elimination, and the characteristic polynomial comes from
+Lagrange interpolation of det(tI - X) and, as a second check, from the trace
+recursion.  Most of it is exponentially slow and meant for tiny inputs only.
+
+`bareiss_sweep` is the one reference built on the package: the plain loop of
+one Bareiss elimination per matrix, which the last-row cofactor sweep
+replaced.  It is fast enough for 4x4 sweeps that the Fraction oracles cannot
+reach, and it shares no grouping or cofactor code with the route it checks.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from unitcount.matrices import _rank_det, _ring
 
 Pair = tuple[Fraction, Fraction]
 
@@ -229,6 +236,22 @@ def sweep_counts(elements, m: int, n: int) -> dict:
         out["charpoly"] = charpolys
         out["powersums"] = powersums
     return out
+
+
+def bareiss_sweep(values: list, field: str, m: int, n: int) -> tuple[dict, dict | None]:
+    """(rank, det) histograms of every m x n matrix over the scaled ring
+    values, keyed like the sweep's raw histograms; det is None unless
+    square.  One `_rank_det` call per matrix, in odometer order."""
+    ring = _ring(field)
+    ranks: dict[int, int] = {}
+    dets: dict | None = {} if m == n else None
+    for flat in itertools.product(values, repeat=m * n):
+        rows = [flat[i * n : (i + 1) * n] for i in range(m)]
+        r, d = _rank_det(rows, ring)
+        ranks[r] = ranks.get(r, 0) + 1
+        if dets is not None:
+            dets[d] = dets.get(d, 0) + 1
+    return ranks, dets
 
 
 def equation_count(coeff_pairs: list[Pair], rhs: Pair, elements) -> int:

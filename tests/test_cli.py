@@ -10,6 +10,8 @@ import json
 import pytest
 
 from unitcount.cli import build_parser, main
+from unitcount.families import load_set
+from unitcount.matrices import SweepOptions, sweep
 from unitcount.scalars import Scalar
 
 
@@ -212,6 +214,23 @@ def test_sweep_builds_no_scalar_per_key(tmp_path, monkeypatch, capsys):
     assert len(rows) == 9779
     # Reading the set builds a few per element; one per key would be 9,779.
     assert len(built) <= 10 * 4
+
+
+@pytest.mark.parametrize(
+    "field,elements,m,n,stats",
+    [("Q", ["1/2", "-3", "2/3"], 3, 3, "rank,det,charpoly,powersums"),
+     ("Qi", ["1+i", "-i/2"], 2, 2, "rank,det,charpoly,powersums"),
+     ("Qi", ["1+i", "-i/2"], 2, 3, "rank")],
+)
+def test_sweep_csv_is_csv_rows_with_quoted_keys(tmp_path, field, elements, m, n, stats, capsys):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"field": field, "elements": elements}))
+    assert main(["sweep", "--set", str(path), "-m", str(m), "-n", str(n),
+                 "--stats", stats, "--out", "-"]) == 0
+    opts = SweepOptions(**{s: s in stats.split(",") for s in ("rank", "det", "charpoly", "powersums")})
+    rows = sweep(load_set(str(path)), m, n, opts).csv_rows()
+    expected = "statistic,key,count\n" + "".join(f'{s},"{k}",{c}\n' for s, k, c in rows)
+    assert capsys.readouterr().out == expected
 
 
 def test_sweep_rejects_unknown_statistic(set12, capsys):
@@ -437,6 +456,20 @@ def test_audit_minors_stdout_default_flags(set12, capsys):
     assert main(["audit", "minors", "--set", set12, "-n", "2"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["trials"] == 100 and blob["seed"] == 0
+
+
+def test_audit_minors_out_of_draws_exits_2_and_negative_floor_exits_1(tmp_path, set12, capsys):
+    # Every matrix over {1} is singular, so one nonsingular sample is never
+    # reached: the draw cap is a budget, like every other command's.
+    ones = tmp_path / "ones.json"
+    ones.write_text(json.dumps({"field": "Q", "elements": ["1"]}))
+    argv = ["audit", "minors", "--set", str(ones), "-n", "2", "--trials", "3"]
+    assert main(argv + ["--min-nonsingular", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "budget of 300" in captured.err
+    assert captured.out == ""
+    assert main(["audit", "minors", "--set", set12, "-n", "2", "--min-nonsingular", "-5"]) == 1
+    assert "min_nonsingular" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- equation

@@ -1,0 +1,138 @@
+"""The last-row cofactor route of the generic sweep.
+
+`matrices._generic_shard` gets square rank and det histograms from the
+cofactors of each top (n-1) x n block; charpoly, power sums and the rank of
+other shapes keep one pass over every matrix.  Each is checked against the
+per-matrix Bareiss loop in tests/oracles.py (`bareiss_sweep`) and, where the
+sweep is small, against the Fraction oracles.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import oracles
+from unitcount import _kernels, matrices
+from unitcount.families import ElementSet
+from unitcount.matrices import SweepOptions, sweep
+from unitcount.scalars import Q, QI, parse_scalar
+
+
+def _elements(texts, field: str = Q) -> ElementSet:
+    return ElementSet(tuple(parse_scalar(t, field) for t in texts))
+
+
+def _raw(elements: ElementSet, m: int, n: int, **options) -> dict:
+    _, values, _ = elements.scaled_integers()
+    return matrices._generic_shard(values, elements.field, m, n, SweepOptions(**options))
+
+
+def _reference(elements: ElementSet, m: int, n: int) -> tuple[dict, dict | None]:
+    _, values, _ = elements.scaled_integers()
+    return oracles.bareiss_sweep(values, elements.field, m, n)
+
+
+def _pairs(elements: ElementSet, n: int, raw: dict) -> dict:
+    """The raw det, charpoly and power-sum histograms keyed by Fraction
+    pairs, through the Scalar-keyed dicts of the finished histogram."""
+    hist = matrices._finalize(raw, elements, n, n)
+    out = {"det": {oracles.pair(k): c for k, c in hist.det_histogram.items()}}
+    if hist.charpoly_histogram is not None:
+        out["charpoly"] = {
+            tuple(map(oracles.pair, k.coeffs)): c
+            for k, c in hist.charpoly_histogram.items()
+        }
+        out["powersums"] = {
+            tuple(map(oracles.pair, k)): c for k, c in hist.powersum_histogram.items()
+        }
+    return out
+
+
+# Two-element sets reach 4x4 (2^16 matrices); three-element sets, with
+# denominators, stop at 3x3.
+_SQUARE_CASES = [
+    (Q, ("2", "-3"), 4),
+    (Q, ("1/2", "-2/3", "3"), 3),
+    (QI, ("1+i", "2"), 4),
+    (QI, ("i/2", "(1-i)/3", "-1"), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "field,texts,n",
+    [(f, t, n) for f, t, top in _SQUARE_CASES for n in range(1, top + 1)],
+)
+def test_cofactor_route_matches_per_matrix_bareiss(field, texts, n):
+    elements = _elements(texts, field)
+    ranks, dets = _reference(elements, n, n)
+    both = _raw(elements, n, n)
+    assert both["total"] == len(elements) ** (n * n)
+    assert both["rank"] == ranks
+    assert both["det"] == dets
+    det_only = _raw(elements, n, n, rank=False)
+    assert det_only["rank"] is None and det_only["det"] == dets
+    rank_only = _raw(elements, n, n, det=False)
+    assert rank_only["rank"] == ranks and rank_only["det"] is None
+
+
+@pytest.mark.parametrize(
+    "field,texts,n",
+    [(Q, ("1/2", "-2/3", "3"), 1), (Q, ("1/2", "-2/3", "3"), 2), (Q, ("2", "-3"), 3),
+     (QI, ("i/2", "(1-i)/3", "-1"), 2), (QI, ("1+i", "2"), 3)],
+)
+def test_cofactor_route_matches_the_oracles(field, texts, n):
+    elements = _elements(texts, field)
+    expected = oracles.sweep_counts(elements, n, n)
+    raw = _raw(elements, n, n)
+    assert raw["rank"] == expected["rank"]
+    assert _pairs(elements, n, raw)["det"] == expected["det"]
+
+
+def test_cofactor_route_past_the_int64_proof():
+    elements = _elements(("1", "2^22"))
+    _, _, bound = elements.scaled_integers()
+    assert not _kernels.supports(bound, 3, True, True, False, False)
+    hist = sweep(elements, 3, 3)
+    ranks, dets = _reference(elements, 3, 3)
+    assert hist.rank_profile == ranks
+    assert hist.raw["det"] == dets
+    expected = oracles.sweep_counts(elements, 3, 3)
+    assert hist.rank_profile == expected["rank"]
+    assert {oracles.pair(k): c for k, c in hist.det_histogram.items()} == expected["det"]
+
+
+@pytest.mark.parametrize("texts", [("1", "-1"), ("2", "4")])
+def test_zero_cofactor_blocks_at_4x4(texts):
+    # Over {1, -1} and {2, 4} many 3x4 top blocks have rank below 3, so all
+    # their cofactors vanish; ranks below 3 come only from those blocks.
+    elements = _elements(texts)
+    ranks, dets = _reference(elements, 4, 4)
+    raw = _raw(elements, 4, 4)
+    assert raw["rank"] == ranks and raw["det"] == dets
+    assert min(ranks) == 1 and ranks[2] > 0
+
+
+@pytest.mark.parametrize("field,texts", [(Q, ("1/2", "-3")), (QI, ("1+i", "-i/2"))])
+@pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (2, 3), (3, 2), (3, 4), (4, 3)])
+def test_non_square_rank_keeps_the_per_matrix_loop(field, texts, m, n):
+    elements = _elements(texts, field)
+    ranks, _ = _reference(elements, m, n)
+    raw = _raw(elements, m, n, det=False)
+    assert raw["rank"] == ranks
+    assert raw["det"] is None
+    assert raw["total"] == len(elements) ** (m * n)
+    if m * n <= 6:
+        assert ranks == oracles.sweep_counts(elements, m, n)["rank"]
+
+
+@pytest.mark.parametrize("field,texts", [(Q, ("1/2", "-3")), (QI, ("1+i", "-i/2"))])
+def test_square_sweep_with_charpoly_matches_the_oracles(field, texts):
+    # rank and det by cofactors, charpoly and power sums per matrix, one sweep.
+    elements = _elements(texts, field)
+    raw = _raw(elements, 3, 3, charpoly=True, powersums=True)
+    ranks, dets = _reference(elements, 3, 3)
+    assert raw["rank"] == ranks and raw["det"] == dets
+    expected = oracles.sweep_counts(elements, 3, 3)
+    got = _pairs(elements, 3, raw)
+    assert got["charpoly"] == expected["charpoly"]
+    assert got["powersums"] == expected["powersums"]

@@ -5,13 +5,15 @@ matrices with nonzero entries may have at most n-2 vanishing minors along
 any one line.
 """
 
+import itertools
 import random
 
 import pytest
 
-from unitcount import Q, QI, MatrixInstance, det, parse_scalar
+from unitcount import Q, QI, MatrixInstance, det, matrices, parse_scalar
 from unitcount.families import ElementSet, Geometric, materialize
-from unitcount.minors import audit_prop_zero_cofactors, laplace_report
+from unitcount.matrices import BudgetExceededError, random_matrix
+from unitcount.minors import AuditSummary, audit_prop_zero_cofactors, laplace_report
 
 import oracles
 from conftest import int_element_set, rand_element_set
@@ -146,3 +148,87 @@ def test_audit_validation():
         audit_prop_zero_cofactors(elements, 1, trials=5, seed=0)
     with pytest.raises(ValueError):
         audit_prop_zero_cofactors(elements, 2, trials=0, seed=0)
+
+
+def test_audit_out_of_draws_is_a_budget_error():
+    # Over {1} every matrix is singular, so no draw count reaches one
+    # nonsingular sample; the audit stops after 100 * max(trials, 1) draws.
+    with pytest.raises(BudgetExceededError, match="over the budget of 300"):
+        audit_prop_zero_cofactors(int_element_set([1]), 2, trials=3, seed=0, min_nonsingular=1)
+    with pytest.raises(ValueError, match="min_nonsingular"):
+        audit_prop_zero_cofactors(int_element_set([1, 2]), 2, trials=3, seed=0, min_nonsingular=-5)
+
+
+# -- the one-pass audit against a laplace_report reference ------------------------
+
+
+def _laplace_audit(elements, n, trials, seed, min_nonsingular=0) -> AuditSummary:
+    """The audit as 2n `laplace_report` calls per sample, in Scalars: every
+    minor computed twice, each line recombined on its own."""
+    rng = random.Random(seed)
+    samples = nonsingular = singular = max_zero = mismatches = 0
+    violations = []
+    while samples < trials or nonsingular < min_nonsingular:
+        X = random_matrix(elements, n, n, rng)
+        samples += 1
+        value = det(X, elements)
+        reports = [
+            laplace_report(X, elements, axis, index)
+            for axis in ("row", "col")
+            for index in range(n)
+        ]
+        mismatches += sum(1 for r in reports if r.reconstruction != value)
+        if value.is_zero():
+            singular += 1
+            continue
+        nonsingular += 1
+        most = max(r.zero_count for r in reports)
+        max_zero = max(max_zero, most)
+        if most > n - 2:
+            violations.append(X.entries)
+    return AuditSummary(
+        n=n, trials=trials, seed=seed, samples=samples,
+        nonsingular_checked=nonsingular, singular_skipped=singular,
+        max_zero_count=max_zero, zero_count_bound=n - 2,
+        reconstruction_mismatches=mismatches, violations=tuple(violations),
+        passed=not violations and mismatches == 0,
+    )
+
+
+_AUDIT_SETS = {
+    "q-powers": materialize(Geometric(parse_scalar("2", Q), 0, 3)),
+    "q-signs": int_element_set([1, -1, 2]),
+    "q-units": int_element_set([1, -1]),
+    "qi-powers": materialize(Geometric(parse_scalar("1+i", QI), 0, 3)),
+    "qi-dens": ElementSet(tuple(parse_scalar(t, QI) for t in ("i/2", "1", "(1-i)/3"))),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_AUDIT_SETS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_audit_equals_the_laplace_reference(label, n, seed):
+    elements = _AUDIT_SETS[label]
+    got = audit_prop_zero_cofactors(elements, n, trials=12, seed=seed)
+    assert got == _laplace_audit(elements, n, 12, seed)
+    forced = audit_prop_zero_cofactors(elements, n, trials=4, seed=seed, min_nonsingular=15)
+    assert forced == _laplace_audit(elements, n, 4, seed, min_nonsingular=15)
+    assert forced.nonsingular_checked >= 15
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_audit_catches_a_corrupted_minor(field, monkeypatch):
+    # Shift the first minor of the first sample by one: its row and its
+    # column no longer recombine to det, and the audit must fail.
+    calls = itertools.count()
+    real = matrices._det
+
+    def corrupted(rows, ring):
+        value = real(rows, ring)
+        return ring.add(value, ring.one) if next(calls) == 0 else value
+
+    monkeypatch.setattr(matrices, "_det", corrupted)
+    base = parse_scalar("2" if field == Q else "1+i", field)
+    summary = audit_prop_zero_cofactors(materialize(Geometric(base, 0, 3)), 3, trials=5, seed=1)
+    assert summary.reconstruction_mismatches == 2
+    assert summary.passed is False
