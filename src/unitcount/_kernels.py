@@ -6,11 +6,13 @@ the kernel computes fits comfortably in a signed 64-bit word.  If the proof
 fails the caller falls back to the arbitrary-precision sweep, so results are
 exact either way.
 
-Layout: matrices are enumerated in row-major odometer order.  The first row
-is a Python-level loop over `itertools.product`; the remaining rows live in
-numpy arrays indexed by the flattened odometer of the bottom entries,
-chunked to bound memory.  `sweep_square` histograms every key;
-`count_target3` counts one 3x3 key without a histogram.
+Layout: matrices are enumerated in row-major odometer order.  For 3x3 the
+first row is a Python-level loop over `itertools.product`; the remaining
+rows live in numpy arrays indexed by the flattened odometer of the bottom
+entries, chunked to bound memory.  For 2x2 a batch of first rows meets
+every bottom row in one block of at most `_CHUNK` matrices.
+`sweep_square` histograms every key; `count_target3` counts one 3x3 key
+without a histogram.
 
 Histogram keys with two or three columns are grouped as one int64 per row:
 each column less its minimum, packed by mixed radix over the column spans,
@@ -200,7 +202,9 @@ def sweep_square(
 def _sweep2(values, want_det, want_rank, want_charpoly, want_powersums):
     v = np.array(values, dtype=np.int64)
     size = v.shape[0]
-    # Bottom row (c, d): c is the slow digit, d the fast one.
+    block = size * size
+    # Rows (x, y) in odometer order: x is the slow digit, y the fast one.
+    # C, D are the bottom row; slices of them, as columns, are first rows.
     C = np.repeat(v, size)
     D = np.tile(v, size)
     det_acc = _HistAccumulator(1) if want_det else None
@@ -208,24 +212,29 @@ def _sweep2(values, want_det, want_rank, want_charpoly, want_powersums):
     ps_acc = _HistAccumulator(2) if want_powersums else None
     rank_counts = {1: 0, 2: 0} if want_rank else None
     total = 0
-    block = size * size
 
+    # A batch of first rows times every bottom row is one block of at most
+    # _CHUNK matrices (at least one first row), grouped once.
+    batch = max(1, _CHUNK // block)
     need_dets = want_det or want_rank or want_charpoly
-    for a, b in itertools.product(values, repeat=2):
-        dets = a * D - b * C if need_dets else None
+    for start in range(0, block, batch):
+        a = C[start : start + batch, None]
+        b = D[start : start + batch, None]
+        rows = a.shape[0] * block
+        dets = (a * D - b * C).ravel() if need_dets else None
         if det_acc is not None:
             _block_histogram(det_acc, dets)
         if rank_counts is not None:
             singular = int(np.count_nonzero(dets == 0))
             rank_counts[1] += singular
-            rank_counts[2] += block - singular
+            rank_counts[2] += rows - singular
         if cp_acc is not None:
-            _block_histogram(cp_acc, dets, -(a + D))
+            _block_histogram(cp_acc, dets, -(a + D).ravel())
         if ps_acc is not None:
-            t1 = a + D
-            t2 = a * a + D * D + (2 * b) * C
+            t1 = (a + D).ravel()
+            t2 = (a * a + D * D + (2 * b) * C).ravel()
             _block_histogram(ps_acc, t1, t2)
-        total += block
+        total += rows
 
     return {
         "total": total,

@@ -155,16 +155,33 @@ class ElementSet:
 
 
 def _dedupe(values: list[Scalar]) -> tuple[list[Scalar], int]:
-    seen: set[Scalar] = set()
-    kept: list[Scalar] = []
-    collisions = 0
-    for value in values:
-        if value in seen:
-            collisions += 1
-            continue
-        seen.add(value)
-        kept.append(value)
-    return kept, collisions
+    kept = list(dict.fromkeys(values))
+    return kept, len(values) - len(kept)
+
+
+def _powers(base: Scalar, start: int, count: int) -> list[Scalar]:
+    """base^start, ..., base^(start+count-1), each power one product from
+    the one before."""
+    if count < 1:
+        return []
+    return list(accumulate([base] * (count - 1), operator.mul, initial=base**start))
+
+
+def _power_table(base: Scalar, exponents) -> dict[int, Scalar]:
+    """base^e for each e in `exponents`, walked in increasing order so that
+    each power is the one before times base^gap (one product for gap 1)."""
+    table: dict[int, Scalar] = {}
+    power = previous = None
+    for e in sorted(set(exponents)):
+        if power is None:
+            power = base**e
+        elif e - previous == 1:
+            power = power * base
+        else:
+            power = power * base ** (e - previous)
+        table[e] = power
+        previous = e
+    return table
 
 
 def materialize(spec: FamilySpec) -> ElementSet:
@@ -172,15 +189,14 @@ def materialize(spec: FamilySpec) -> ElementSet:
     if isinstance(spec, Geometric):
         if spec.base.is_zero():
             raise FamilyError("geometric family with zero base")
-        values = [spec.base**s for s in range(spec.start, spec.stop + 1)]
+        values = _powers(spec.base, spec.start, spec.stop - spec.start + 1)
     elif isinstance(spec, SignedGeometric):
         if spec.base.is_zero():
             raise FamilyError("signed geometric family with zero base")
         if spec.count < 1:
             raise FamilyError("signed geometric family needs count >= 1")
         values = []
-        for s in range(spec.count):
-            power = spec.base**s
+        for power in _powers(spec.base, 0, spec.count):
             values.append(power)
             values.append(-power)
     elif isinstance(spec, GaussianUnitsScaled):
@@ -208,11 +224,18 @@ def materialize(spec: FamilySpec) -> ElementSet:
             raise FamilyError("lattice box needs sample_size >= 1")
         rng = random.Random(spec.seed)
         field = spec.generators[0].field
+        draws = [
+            [rng.randint(lo, hi) for lo, hi in spec.ranges]
+            for _ in range(spec.sample_size)
+        ]
+        tables = [
+            _power_table(gen, column) for gen, column in zip(spec.generators, zip(*draws))
+        ]
         values = []
-        for _ in range(spec.sample_size):
+        for exponents in draws:
             value = Scalar.one(field)
-            for gen, (lo, hi) in zip(spec.generators, spec.ranges):
-                value = value * gen ** rng.randint(lo, hi)
+            for table, e in zip(tables, exponents):
+                value = value * table[e]
             values.append(value)
     elif isinstance(spec, Explicit):
         values = list(spec.elements)
@@ -384,8 +407,7 @@ class FamilyTemplate:
             obj["count"] = k
         elif variant == "gaussian_units_scaled":
             base = parse_scalar(obj["scale_base"], QI)
-            powers = accumulate([base] * (k - 1), operator.mul, initial=Scalar.one(QI))
-            obj["scales"] = [power.text() for power in powers]
+            obj["scales"] = [power.text() for power in _powers(base, 0, k)]
         else:
             obj["sample_size"] = k
         return family_from_json(obj)

@@ -28,6 +28,7 @@ import itertools
 import math
 import operator
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -631,14 +632,17 @@ def sweep(
 # statistic and the set size A (plan_square, plan_rank); charges the budget
 # with that route's work; and runs it.
 #
-#   conv2    2x2 det, charpoly or power sums by product convolution, A^2
+#   conv2    2x2 det, charpoly or power sums by product convolution over
+#            the ring integers, A^2
 #   target3  3x3 det, charpoly or power sums: the one key is counted by the
 #            int64 kernel under its `supports` proof, else read off the
 #            generic sweep; A^9
 #   rank1    rank <= 1 on any m x n, by line directions, A^min(m,n)
 #            (also 2x2 det = 0, which is rank <= 1 over zero-free entries)
+#   flats    rank <= 2 when min(m, n) = 3, by the lines and planes the A^3
+#            vectors span (also 3x3 det = 0): the direction pass and all
+#            pairs of at most A^3 directions, A^3 + A^3 (A^3 - 1) / 2
 #   closed   rank <= min(m, n): every matrix, A^(mn) with no work
-#   det0     3x3 rank <= 2: the det = 0 count by its own route
 #   sweep    the full-histogram sweep, A^(mn); every route must agree with it
 #
 # An exact rank count is rank <= r minus rank <= r-1, each by its route; the
@@ -659,8 +663,13 @@ def plan_square(n: int, size: int, *, det_zero: bool = False) -> CountRoute:
     if n == 2:
         return CountRoute("rank1" if det_zero else "conv2", size**2)
     if n == 3:
-        return CountRoute("target3", size**9)
+        return _flats_route(size) if det_zero else CountRoute("target3", size**9)
     return CountRoute("sweep", size ** (n * n))
+
+
+def _flats_route(size: int) -> CountRoute:
+    vectors = size**3
+    return CountRoute("flats", vectors + vectors * (vectors - 1) // 2)
 
 
 def _cumulative_rank_route(m: int, n: int, k: int, size: int) -> CountRoute | None:
@@ -671,8 +680,8 @@ def _cumulative_rank_route(m: int, n: int, k: int, size: int) -> CountRoute | No
         return CountRoute("closed", 0)
     if k == 1:
         return CountRoute("rank1", size**low)
-    if (m, n, k) == (3, 3, 2):
-        return CountRoute("det0", plan_square(3, size).work)
+    if (low, k) == (3, 2):
+        return _flats_route(size)
     return None
 
 
@@ -720,23 +729,51 @@ def _target3_kernel(
     return _kernels.count_target3(values, stat, raw)
 
 
-def _int_direction(line: tuple[int, ...]) -> tuple[int, ...]:
-    """The primitive integer vector with positive first entry on the line."""
-    g = math.gcd(*line)
-    if line[0] < 0:
-        g = -g
-    return tuple(x // g for x in line)
-
-
-def _gauss_direction(line: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """The ratios line[j] / line[0] over their least positive common
-    denominator, flattened to (den, re_1, im_1, ...)."""
-    conj = (line[0][0], -line[0][1])
-    parts = [line[0][0] ** 2 + line[0][1] ** 2]
-    for z in line[1:]:
-        parts.extend(_gmul(z, conj))
+def _primitive(vector: tuple, field: str) -> tuple[int, ...]:
+    """The canonical integer vector on the line through a nonzero ring
+    vector: over Qi it is first turned by the conjugate of its first
+    nonzero coordinate, which makes that coordinate a positive integer, and
+    flattened to (re, im) parts; then it is divided by the gcd of its parts,
+    signed so that the first nonzero part is positive.  Two vectors give the
+    same tuple exactly when one is a nonzero multiple of the other."""
+    if field == QI:
+        re, im = next(filter(any, vector))
+        parts = [p for z in vector for p in _gmul(z, (re, -im))]
+    else:
+        parts = vector
     g = math.gcd(*parts)
-    return tuple(x // g for x in parts)
+    if next(filter(None, parts)) < 0:
+        g = -g
+    return tuple(map(operator.floordiv, parts, itertools.repeat(g)))
+
+
+def _line_classes(elements: ElementSet, k: int) -> tuple[object, Counter]:
+    """The lines through the A^k vectors of elements^k: (s, classes), where
+    `classes` maps each line's key to its number of vectors.  The key of
+    (x_1, ..., x_k) is its exact ratios x_j / x_1 (j >= 2) times the common
+    ring scale s, so (s, *key) is a vector on the line.  Over Q, s is the
+    lcm L of the scaled values and the key is x_j * (L // x_1); over Qi, s
+    is the lcm N of their norms and the key x_j * conj(x_1) * (N // |x_1|^2).
+    Each first coordinate scales its A^(k-1) tails with one table of A
+    products, so no line costs a gcd."""
+    _, values, _ = elements.scaled_integers()
+    if elements.field == QI:
+        norms = [re * re + im * im for re, im in values]
+        scale = math.lcm(*norms)
+        factors = [
+            (re * (scale // norm), -im * (scale // norm))
+            for (re, im), norm in zip(values, norms)
+        ]
+        scale = (scale, 0)
+    else:
+        scale = math.lcm(*values)
+        factors = [scale // x for x in values]
+    mul = _ring(elements.field).mul
+    classes: Counter = Counter()
+    for factor in factors:
+        scaled = map(mul, values, itertools.repeat(factor))
+        classes.update(itertools.product(scaled, repeat=k - 1))
+    return scale, classes
 
 
 def _rank1_count(elements: ElementSet, m: int, n: int) -> int:
@@ -744,24 +781,55 @@ def _rank1_count(elements: ElementSet, m: int, n: int) -> int:
     every line along the longer side on one direction, so histogram the
     A^min(m,n) lines of the shorter side by direction (rank is invariant
     under transposition) and sum each class size to the power max(m, n)."""
-    _, values, _ = elements.scaled_integers()
-    direction = _gauss_direction if elements.field == QI else _int_direction
-    classes: dict[tuple[int, ...], int] = {}
-    for line in itertools.product(values, repeat=min(m, n)):
-        key = direction(line)
-        classes[key] = classes.get(key, 0) + 1
+    _, classes = _line_classes(elements, min(m, n))
     return sum(c ** max(m, n) for c in classes.values())
 
 
-def _cumulative_rank(
-    elements: ElementSet, m: int, n: int, k: int, budget: int | None
-) -> int:
+def _flats_count(elements: ElementSet, m: int, n: int) -> int:
+    """Number of m x n matrices of rank <= 2 when min(m, n) = 3.  Such a
+    matrix is max(m, n) vectors of elements^3 (along the shorter side)
+    spanning a line or a plane, so by Moebius inversion over the flats
+        N = sum_L |L|^w + sum_P (|P|^w - sum_{L in P} |L|^w),  w = max(m, n),
+    where L runs over the lines of `_line_classes` and P over the planes
+    that two of them span, |.| counting vectors.  A plane is keyed by the
+    `_primitive` cross product of two line vectors; walking the lines in
+    order, each plane is summed at its first line, where every other line
+    in it is met.  Python ints throughout, so no magnitude bound is needed."""
+    field = elements.field
+    ring = _ring(field)
+    sub, mul = ring.sub, ring.mul
+    power = max(m, n)
+    scale, classes = _line_classes(elements, 3)
+    lines = list(classes.items())
+    total = sum(c**power for c in classes.values())
+    seen: set[tuple[int, ...]] = set()
+    for i, ((a2, a3), size) in enumerate(lines):
+        planes: dict[tuple[int, ...], list[int]] = {}
+        for (b2, b3), other in lines[i + 1 :]:
+            # (s, a2, a3) x (s, b2, b3)
+            normal = _primitive(
+                (
+                    sub(mul(a2, b3), mul(a3, b2)),
+                    mul(scale, sub(a3, b3)),
+                    mul(scale, sub(b2, a2)),
+                ),
+                field,
+            )
+            planes.setdefault(normal, [size]).append(other)
+        for normal, members in planes.items():
+            if normal not in seen:
+                seen.add(normal)
+                total += sum(members) ** power - sum(c**power for c in members)
+    return total
+
+
+def _cumulative_rank(elements: ElementSet, m: int, n: int, k: int) -> int:
     route = _cumulative_rank_route(m, n, k, len(elements))
     if route.name == "closed":
         return len(elements) ** (m * n)
     if route.name == "rank1":
         return _rank1_count(elements, m, n)
-    return count_det(elements, 3, Scalar.zero(elements.field), budget=budget)
+    return _flats_count(elements, m, n)
 
 
 def count_det(
@@ -775,6 +843,8 @@ def count_det(
     route = _charged(plan_square(n, len(elements), det_zero=target.is_zero()), budget)
     if route.name == "rank1":
         return _rank1_count(elements, 2, 2)
+    if route.name == "flats":
+        return _flats_count(elements, 3, 3)
     if route.name == "conv2":
         return fast_det2_count(elements, target)
     if route.name == "target3":
@@ -800,9 +870,9 @@ def count_rank(
         if cumulative:
             return sum(c for rr, c in hist.rank_profile.items() if rr <= r)
         return hist.rank_profile.get(r, 0)
-    count = _cumulative_rank(elements, m, n, r, budget)
+    count = _cumulative_rank(elements, m, n, r)
     if not cumulative and r > 1:
-        count -= _cumulative_rank(elements, m, n, r - 1, budget)
+        count -= _cumulative_rank(elements, m, n, r - 1)
     return count
 
 
@@ -853,23 +923,28 @@ def count_power_sums(
 # product difference), so histograms reduce to convolutions of the pairwise
 # product multiset.  This gives exact counts in roughly A^2 dictionary work,
 # independent of how large the entries are; it is the planner's 2x2 route
-# for det, charpoly and power sums.  Equality with the exhaustive sweep is
-# part of the acceptance checks, keeping the two routes honest against each
-# other.
+# for det, charpoly and power sums.  The counts run on the scaled ring
+# integers: a product is over lcm^2 and a trace over lcm, so each target is
+# scaled into the ring once (`_ring_key`), and one that does not scale into
+# it counts 0.  `fast_det2_histogram` stays on Scalars as a reference.
+# Equality with the exhaustive sweep is part of the acceptance checks,
+# keeping the routes honest against each other.
 
 
-def _product_counter(elements: ElementSet) -> dict[Scalar, int]:
-    counts: dict[Scalar, int] = {}
-    for x in elements:
-        for y in elements:
-            p = x * y
-            counts[p] = counts.get(p, 0) + 1
-    return counts
+def _product_counter(elements: ElementSet) -> Counter:
+    """Number of ordered pairs of scaled values with each ring product."""
+    _, values, _ = elements.scaled_integers()
+    mul = _ring(elements.field).mul
+    return Counter(itertools.starmap(mul, itertools.product(values, repeat=2)))
 
 
 def fast_det2_histogram(elements: ElementSet) -> dict[Scalar, int]:
     """Histogram of det over all 2x2 matrices, via product convolution."""
-    products = _product_counter(elements)
+    products: dict[Scalar, int] = {}
+    for x in elements:
+        for y in elements:
+            p = x * y
+            products[p] = products.get(p, 0) + 1
     hist: dict[Scalar, int] = {}
     for p1, c1 in products.items():
         for p2, c2 in products.items():
@@ -880,25 +955,35 @@ def fast_det2_histogram(elements: ElementSet) -> dict[Scalar, int]:
 
 def fast_det2_count(elements: ElementSet, target: Scalar) -> int:
     """Number of 2x2 matrices with det equal to target, in O(A^2)."""
+    _check_fields(elements, target)
+    lcm, _, _ = elements.scaled_integers()
+    key = _ring_key(elements.field, (target,), _key_scales("det", 2, lcm))
+    if key is None:
+        return 0
+    sub, (target,) = _ring(elements.field).sub, key
     products = _product_counter(elements)
-    return sum(
-        c * products.get(p - target, 0) for p, c in products.items()
-    )
+    return sum(c * products.get(sub(p, target), 0) for p, c in products.items())
 
 
 def fast_charpoly2_count(elements: ElementSet, key: CharPolyKey) -> int:
     """Number of 2x2 matrices with charpoly T^2 + c1 T + c0, in O(A^2)."""
     if key.n != 2:
         raise ValueError("fast_charpoly2_count needs a degree-2 polynomial")
-    c0, c1 = key.coeffs
-    trace_target = -c1
+    _check_fields(elements, *key.coeffs)
+    lcm, values, _ = elements.scaled_integers()
+    ring_key = _ring_key(elements.field, key.coeffs, _key_scales("charpoly", 2, lcm))
+    if ring_key is None:
+        return 0
+    c0, c1 = ring_key
+    ring = _ring(elements.field)
+    trace = ring.neg(c1)
     products = _product_counter(elements)
-    membership = {x: None for x in elements}
+    members = set(values)
     total = 0
-    for a in elements:
-        d = trace_target - a
-        if d in membership:
-            total += products.get(a * d - c0, 0)
+    for a in values:
+        d = ring.sub(trace, a)
+        if d in members:
+            total += products.get(ring.sub(ring.mul(a, d), c0), 0)
     return total
 
 

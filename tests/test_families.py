@@ -108,6 +108,54 @@ def test_lattice_box_seeded_and_deterministic():
     assert [v.text() for v in materialize(shifted)] != [v.text() for v in first]
 
 
+def _materialized_by_pow(spec) -> list[Scalar]:
+    """Each element as one `base**s` (the values before deduplication)."""
+    if isinstance(spec, Geometric):
+        return [spec.base**s for s in range(spec.start, spec.stop + 1)]
+    if isinstance(spec, SignedGeometric):
+        return [v for s in range(spec.count) for v in (spec.base**s, -(spec.base**s))]
+    rng = random.Random(spec.seed)
+    values = []
+    for _ in range(spec.sample_size):
+        value = Scalar.one(spec.generators[0].field)
+        for gen, (lo, hi) in zip(spec.generators, spec.ranges):
+            value = value * gen ** rng.randint(lo, hi)
+        values.append(value)
+    return values
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Geometric(parse_scalar("2"), 1, 56),
+        Geometric(parse_scalar("-3/2"), -5, 7),
+        Geometric(parse_scalar("1+i", QI), -3, 9),
+        Geometric(parse_scalar("-1"), 0, 4),
+        SignedGeometric(parse_scalar("2/3"), 6),
+        SignedGeometric(parse_scalar("i", QI), 5),
+        LatticeBox((parse_scalar("2"), parse_scalar("3")), ((0, 11), (0, 7)), 30, 22),
+        LatticeBox((parse_scalar("i", QI), parse_scalar("1+i", QI)), ((0, 3), (0, 19)), 30, 33),
+        LatticeBox((parse_scalar("2"), parse_scalar("-1/3")), ((-40, 200), (3, 4)), 25, 5),
+        LatticeBox((parse_scalar("5"),), ((7, 7),), 3, 1),
+    ],
+)
+def test_materialize_builds_the_same_powers_as_pow(spec):
+    """Powers built one product at a time (and lattice powers read from a
+    table) are the same Scalars, in the same order, as one `**` each."""
+    values = _materialized_by_pow(spec)
+    kept = list(dict.fromkeys(values))
+    es = materialize(spec)
+    assert [(v.field, v.re, v.im, v.den) for v in es] == [
+        (v.field, v.re, v.im, v.den) for v in kept
+    ]
+    assert es.collisions == len(values) - len(kept)
+
+
+def test_geometric_with_an_empty_range_is_an_error():
+    with pytest.raises(FamilyError):
+        materialize(Geometric(base=Scalar.rational(2), start=3, stop=2))
+
+
 def test_lattice_box_validates_shape():
     two = Scalar.rational(2)
     with pytest.raises(FamilyError):

@@ -113,6 +113,34 @@ def test_charpoly_agrees_with_trace_recursion(field):
         assert [oracles.pair(c) for c in charpoly(X, elements).coeffs] == expected
 
 
+def test_qi_det_and_charpoly_match_sympy():
+    """A third check, outside the package and its oracles: sympy's exact
+    det and charpoly of random small Gaussian-rational matrices."""
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(value: Scalar):
+        return sympy.Rational(value.re, value.den) + sympy.I * sympy.Rational(
+            value.im, value.den
+        )
+
+    def equal(value: Scalar, expr) -> bool:
+        return sympy.expand(expr - to_sympy(value)) == 0
+
+    rng = random.Random(41)
+    lam = sympy.Symbol("lam")
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        elements = rand_element_set(rng, QI, size=4, span=4, max_den=3)
+        X = _rand_instance(rng, elements, n, n)
+        M = sympy.Matrix([[to_sympy(v) for v in row] for row in X.scalar_rows(elements)])
+        assert equal(det(X, elements), M.det())
+        # all_coeffs() runs from T^n down to c_0.
+        expected = M.charpoly(lam).all_coeffs()
+        assert expected[0] == 1
+        key = charpoly(X, elements)
+        assert all(equal(c, e) for c, e in zip(key.coeffs, expected[:0:-1], strict=True))
+
+
 def test_charpoly_requires_square():
     elements = int_element_set([1, 2])
     X = _rand_instance(random.Random(0), elements, 2, 3)

@@ -1,0 +1,155 @@
+"""Property tests of the planner's ring-integer routes on random small sets
+with signs and denominators, over Q and Qi: the 2x2 product convolutions
+(conv2) equal the sweep's histograms, rank <= 1 by line directions (rank1)
+and rank <= 2 by lines and planes (flats) equal the sweep's rank profile and
+the Fraction oracle (where it is small), and no count depends on the order of the elements.
+Needs hypothesis; skipped without it."""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import oracles  # noqa: E402
+from unitcount import matrices  # noqa: E402
+from unitcount.families import ElementSet  # noqa: E402
+from unitcount.matrices import (  # noqa: E402
+    CharPolyKey,
+    SweepOptions,
+    count_charpoly,
+    count_det,
+    count_power_sums,
+    count_rank,
+    fast_charpoly2_count,
+    fast_det2_count,
+    fast_power_sums2_count,
+    sweep,
+)
+from unitcount.scalars import Q, QI, Scalar  # noqa: E402
+
+_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _element_sets(draw, max_size: int) -> tuple[ElementSet, ElementSet]:
+    """A random set and the same elements in another order."""
+    field = draw(st.sampled_from([Q, QI]))
+    imag = st.integers(-3, 3) if field == QI else st.just(0)
+    scalars = st.builds(
+        lambda re, im, den: Scalar(field, re, im, den),
+        st.integers(-6, 6), imag, st.integers(1, 4),
+    ).filter(lambda s: not s.is_zero())
+    picks = draw(st.lists(scalars, min_size=1, max_size=max_size, unique=True))
+    shuffled = draw(st.permutations(picks))
+    return ElementSet(tuple(picks)), ElementSet(tuple(shuffled))
+
+
+def _oracle_ranks(elements: ElementSet, m: int, n: int) -> dict[int, int]:
+    ranks: dict[int, int] = {}
+    for combo in oracles.all_matrices(elements, m, n):
+        rows = [[oracles.pair(combo[i * n + j]) for j in range(n)] for i in range(m)]
+        r = oracles.rank_pairs(rows)
+        ranks[r] = ranks.get(r, 0) + 1
+    return ranks
+
+
+def _at_most(profile: dict[int, int], r: int) -> int:
+    return sum(c for k, c in profile.items() if k <= r)
+
+
+@_SETTINGS
+@given(_element_sets(5))
+def test_conv2_counts_match_the_sweep(case):
+    elements, shuffled = case
+    field = elements.field
+    opts = SweepOptions(rank=False, det=True, charpoly=True, powersums=True)
+    hist = sweep(elements, 2, 2, opts)
+    lcm, _, _ = elements.scaled_integers()
+    # Absent keys: one in the ring, one whose denominator is off the ring.
+    absent = Scalar.rational(10**6 + 7, 1, field)
+    off_ring = Scalar.rational(1, 3 * lcm * lcm, field)
+
+    dets = dict(hist.det_histogram)
+    for target in (absent, off_ring):
+        assert target not in dets
+        dets[target] = 0
+    for target, count in dets.items():
+        assert fast_det2_count(elements, target) == count, target
+        assert fast_det2_count(shuffled, target) == count, target
+        assert count_det(elements, 2, target) == count, target
+
+    polys = dict(hist.charpoly_histogram)
+    some = next(iter(polys)).coeffs
+    for key in (CharPolyKey((absent, some[1])), CharPolyKey((some[0], off_ring))):
+        assert key not in polys
+        polys[key] = 0
+    for key, count in polys.items():
+        assert fast_charpoly2_count(elements, key) == count, key
+        assert fast_charpoly2_count(shuffled, key) == count, key
+        assert count_charpoly(elements, 2, key) == count, key
+
+    sums = dict(hist.powersum_histogram)
+    t1, t2 = next(iter(sums))
+    # t2 + 1 flips the parity of t1^2 - t2, so c0 = (t1^2 - t2)/2 may leave
+    # the ring.
+    for key in ((absent, t2), (t1, off_ring), (t1, t2 + Scalar.one(field))):
+        sums.setdefault(key, 0)
+    for (t1, t2), count in sums.items():
+        assert fast_power_sums2_count(elements, t1, t2) == count, (t1, t2)
+        assert fast_power_sums2_count(shuffled, t1, t2) == count, (t1, t2)
+        assert count_power_sums(elements, 2, t1, t2) == count, (t1, t2)
+
+
+# 2 x n and 3 x n and their transposes, at most 3^9 matrices.
+_RANK1_CASES = st.tuples(
+    st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                     (4, 2), (1, 3)]),
+    _element_sets(3),
+)
+
+
+@_SETTINGS
+@given(_RANK1_CASES)
+def test_rank1_matches_the_sweep(case):
+    (m, n), (elements, shuffled) = case
+    profile = sweep(elements, m, n, SweepOptions(det=False)).rank_profile
+    expected = profile.get(1, 0)
+    assert matrices._rank1_count(elements, m, n) == expected
+    assert matrices._rank1_count(shuffled, m, n) == expected
+    assert count_rank(elements, m, n, 1) == expected
+    if len(elements) ** (m * n) <= 2**9:
+        assert _oracle_ranks(elements, m, n).get(1, 0) == expected
+
+
+@_SETTINGS
+@given(_element_sets(3))
+def test_flats_count_3x3_det_zero(case):
+    elements, shuffled = case
+    zero = Scalar.zero(elements.field)
+    hist = sweep(elements, 3, 3, SweepOptions())
+    singular = hist.raw["det"].get(matrices._ring(elements.field).zero, 0)
+    assert _at_most(hist.rank_profile, 2) == singular
+    assert matrices.plan_square(3, len(elements), det_zero=True).name == "flats"
+    assert count_det(elements, 3, zero) == singular
+    assert count_det(shuffled, 3, zero) == singular
+    assert count_rank(elements, 3, 3, 2, cumulative=True) == singular
+    assert count_rank(elements, 3, 3, 2, cumulative=False) == hist.rank_profile.get(2, 0)
+    if len(elements) <= 2:
+        assert _at_most(_oracle_ranks(elements, 3, 3), 2) == singular
+
+
+@_SETTINGS
+@given(st.sampled_from([(3, 4), (4, 3)]), _element_sets(2))
+def test_flats_count_rank_two_with_a_side_of_three(shape, case):
+    m, n = shape
+    elements, shuffled = case
+    # tests/test_routes.py checks this sweep against the oracle.
+    profile = sweep(elements, m, n, SweepOptions(det=False)).rank_profile
+    assert matrices.plan_rank(m, n, 2, True, len(elements)).name == "flats"
+    expected = _at_most(profile, 2)
+    assert matrices._flats_count(elements, m, n) == expected
+    assert matrices._flats_count(shuffled, m, n) == expected
+    assert count_rank(elements, m, n, 2, cumulative=True) == expected
+    assert count_rank(shuffled, m, n, 2, cumulative=False) == profile.get(2, 0)

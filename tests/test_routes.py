@@ -40,7 +40,7 @@ _RANK_SETS = {
     Q: (("1/2", "2", "-3"), ("1/2", "-3")),
     QI: (("1", "i", "1+i"), ("i", "2+i")),
 }
-_SHAPES = [(1, 3), (2, 3), (3, 2), (2, 4), (3, 3)]
+_SHAPES = [(1, 3), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4), (4, 3)]
 
 
 def _elements(texts, field: str = Q) -> ElementSet:
@@ -74,27 +74,34 @@ def test_rank_route_names_and_work():
     assert plan_rank(3, 3, 1, True, 5) == plan_rank(3, 3, 1, False, 5)
     assert plan_rank(3, 3, 1, True, 5).name == "rank1"
     assert plan_rank(3, 5, 1, True, 4).work == 4**3
-    assert plan_rank(3, 3, 2, True, 5).name == "det0"
-    assert plan_rank(3, 3, 2, False, 5).name == "det0-rank1"
-    assert plan_rank(3, 3, 3, False, 5).name == "closed-det0"
+    assert plan_rank(3, 3, 2, True, 5).name == "flats"
+    assert plan_rank(3, 3, 2, False, 5).name == "flats-rank1"
+    assert plan_rank(3, 3, 3, False, 5).name == "closed-flats"
+    assert plan_rank(3, 6, 2, True, 5).name == "flats"
+    assert plan_rank(6, 3, 2, False, 5).name == "flats-rank1"
     assert plan_rank(2, 4, 2, True, 5).name == "closed"
     assert plan_rank(4, 4, 2, True, 2).name == "sweep"
+    assert plan_rank(4, 5, 3, True, 2).name == "sweep"
     assert [plan_square(n, 5).name for n in (1, 2, 3, 4)] == [
         "sweep", "conv2", "target3", "sweep",
     ]
+    assert plan_square(3, 5, det_zero=True).name == "flats"
     with pytest.raises(ValueError):
         plan_rank(2, 3, 3, True, 5)
 
 
 def test_planner_work_per_statistic():
     # 2x2 convolution, 3x3 single-key kernel, rank <= 1 by directions of
-    # the shorter side, closed full rank, and the sweep.
+    # the shorter side, rank <= 2 by flats (the A^3 direction pass and all
+    # pairs of at most A^3 directions), closed full rank, and the sweep.
     assert plan_square(2, 10, det_zero=True).work == 100
-    assert plan_square(3, 10, det_zero=True).work == 10**9
+    assert plan_square(3, 10).work == 10**9
+    assert plan_square(3, 10, det_zero=True).work == 10**3 + 10**3 * 999 // 2
     assert plan_rank(2, 2, 1, True, 7).work == 49
     assert plan_rank(2, 3, 1, True, 3).work == 3**2
     assert plan_rank(3, 3, 1, True, 3).work == 3**3
-    assert plan_rank(3, 3, 2, True, 3).work == 3**9
+    assert plan_rank(3, 3, 2, True, 3).work == 27 + 27 * 26 // 2
+    assert plan_rank(3, 7, 2, False, 3).work == 27 + 27 * 26 // 2 + 3**3
     assert plan_rank(3, 3, 3, True, 3).work == 0
     assert plan_rank(2, 4, 2, False, 3).work == 3**2
     assert plan_rank(4, 4, 2, True, 2).work == 2**16
@@ -133,8 +140,18 @@ def test_budget_charges_the_route_work():
     with pytest.raises(BudgetExceededError) as info:
         count_rank(elements, 3, 3, 1, budget=3**3 - 1)
     assert info.value.required == 3**3
+    flats = 27 + 27 * 26 // 2
+    assert count_det(elements, 3, Scalar.zero(Q), budget=flats) == count_det(
+        elements, 3, Scalar.zero(Q)
+    )
     with pytest.raises(BudgetExceededError) as info:
-        count_det(elements, 3, Scalar.zero(Q), budget=3**9 - 1)
+        count_det(elements, 3, Scalar.zero(Q), budget=flats - 1)
+    assert info.value.required == flats
+    with pytest.raises(BudgetExceededError) as info:
+        count_rank(elements, 4, 3, 2, cumulative=False, budget=flats + 3**3 - 1)
+    assert info.value.required == flats + 3**3
+    with pytest.raises(BudgetExceededError) as info:
+        count_det(elements, 3, Scalar.one(Q), budget=3**9 - 1)
     assert info.value.required == 3**9
     assert count_det(elements, 2, Scalar.zero(Q), budget=9) == 15
 
@@ -228,6 +245,12 @@ def _check_keys(elements: ElementSet, texts, stat: str, keys) -> None:
         assert spec.count(elements, key) == expected, key
 
 
+def _kernel_keys(stat: str, keys) -> list[tuple]:
+    """The keys a count sends to the 3x3 kernel: det = 0 takes the flats
+    route."""
+    return [key for key in keys if not (stat == "det" and key[0].is_zero())]
+
+
 _TARGET_TEXTS = ("1/2", "-3")
 
 
@@ -239,7 +262,7 @@ def test_single_key_kernel_matches_sweep_and_oracle(stat, monkeypatch):
     spy = _KernelSpy(monkeypatch)
     _check_keys(elements, _TARGET_TEXTS, stat, keys)
     # The unrepresentable key is answered before the kernel runs.
-    assert spy.calls == len(keys) - 1
+    assert spy.calls == len(_kernel_keys(stat, keys)) - 1
 
 
 @pytest.mark.parametrize(
@@ -265,4 +288,4 @@ def test_single_key_at_and_past_the_int64_proof(stat, bound, kernel, monkeypatch
     keys = [common, largest, _missing_keys(elements, stat, hist)[0]]
     spy = _KernelSpy(monkeypatch)
     _check_keys(elements, texts, stat, keys)
-    assert spy.calls == (len(keys) if kernel else 0)
+    assert spy.calls == (len(_kernel_keys(stat, keys)) if kernel else 0)
