@@ -6,13 +6,18 @@ the kernel computes fits comfortably in a signed 64-bit word.  If the proof
 fails the caller falls back to the arbitrary-precision sweep, so results are
 exact either way.
 
-Layout: matrices are enumerated in row-major odometer order.  For 3x3 the
-first row is a Python-level loop over `itertools.product`; the remaining
-rows live in numpy arrays indexed by the flattened odometer of the bottom
-entries, chunked to bound memory.  For 2x2 a batch of first rows meets
-every bottom row in one block of at most `_CHUNK` matrices.
-`sweep_square` histograms every key; `count_target3` counts one 3x3 key
-without a histogram.
+Layout: for 2x2 a batch of first rows (odometer order) meets every bottom
+row in one block of at most `_CHUNK` matrices.  For 3x3 the det histogram
+comes from the unordered triples of distinct rows i < j < k among the A^3
+rows, row i dotted with the cross product of rows j and k, built for at
+most `_CHUNK` pairs (j, k) at a time; a triple's six row orders give det d
+three times and -d three times, and every matrix with a repeated row has
+det 0.  The caller composes the 3x3 rank profile from the det zeros and the
+rank-1 count (`matrices.sweep`).  The 3x3 charpoly and power-sums keys take
+one block per first row against numpy arrays of the bottom rows, indexed by
+the flattened odometer of the six bottom entries and chunked to bound
+memory.  `sweep_square` histograms every key; `count_target3` counts one
+3x3 key without a histogram.
 
 Histogram keys with two or three columns are grouped as one int64 per row:
 each column less its minimum, packed by mixed radix over the column spans,
@@ -32,7 +37,7 @@ import numpy as np
 # Keep every intermediate at or below 2^62: one spare bit on top of the proof.
 _SAFE_LIMIT = 1 << 62
 
-# Bottom-rows odometer is processed in chunks of at most this many matrices.
+# Blocks hold at most this many matrices, or 3x3 row pairs (j, k).
 _CHUNK = 1 << 20
 
 # A multi-column key packs into one int64 when its frame has fewer cells.
@@ -64,8 +69,6 @@ def supports(
     else:
         if want_det or want_rank or want_charpoly:
             needed = max(needed, 6 * B * B * B)
-        if want_rank:
-            needed = max(needed, B * B)
         if want_charpoly:
             needed = max(needed, 6 * B * B)
         if want_powersums:
@@ -194,6 +197,8 @@ def sweep_square(
 
     Returns {"total", "rank", "det", "charpoly", "powersums"} with integer
     (or integer-tuple) keys in the denominator-cleared coordinate system.
+    For n = 3 "rank" is None whatever `want_rank` says: the caller composes
+    it from the det histogram (`matrices.sweep`).
     """
     sweep = _sweep2 if n == 2 else _sweep3
     return sweep(values, want_det, want_rank, want_charpoly, want_powersums)
@@ -251,6 +256,43 @@ def _clean_rank(rank_counts):
     return {r: c for r, c in rank_counts.items() if c}
 
 
+def _triple_dets(values: list[int]):
+    """det(r_i, r_j, r_k) for every triple i < j < k of the A^3 rows over
+    `values` (odometer order), one int64 block per first row i and chunk of
+    pairs.
+
+    The pairs j < k are taken in lexicographic order, at most `_CHUNK` at a
+    time, and each pair's cross product r_j x r_k is computed once per chunk.
+    The pairs with j > i are a suffix of that order, so row i meets a
+    contiguous tail of the chunk in one dot product.  Each component of a
+    cross product is a 2x2 minor, at most 2B^2, and each det at most 6B^3,
+    the bound `supports` proves."""
+    rows = list(itertools.product(values, repeat=3))
+    x, y, z = np.array(rows, dtype=np.int64).T
+    count = len(rows)
+    # Index of the first pair (j, j + 1) in lexicographic order, per j.
+    first = np.arange(count, dtype=np.int64)
+    first = first * (count - 1) - first * (first - 1) // 2
+    firsts = first.tolist()
+    pairs = count * (count - 1) // 2
+    for p0 in range(0, pairs, _CHUNK):
+        p1 = min(p0 + _CHUNK, pairs)
+        p = np.arange(p0, p1, dtype=np.int64)
+        j = np.searchsorted(first, p, side="right") - 1
+        k = p - first[j] + j + 1
+        c1 = y[j] * z[k] - z[j] * y[k]
+        c2 = z[j] * x[k] - x[j] * z[k]
+        c3 = x[j] * y[k] - y[j] * x[k]
+        # Every row before the chunk's last j meets a tail of it.
+        for i in range(int(j[-1])):
+            a1, a2, a3 = rows[i]
+            tail = max(firsts[i + 1] - p0, 0)
+            dets = a1 * c1[tail:]
+            dets += a2 * c2[tail:]
+            dets += a3 * c3[tail:]
+            yield dets
+
+
 def _bottom_digits3(size: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
     flat = np.arange(start, stop, dtype=np.int64)
     digits = []
@@ -260,51 +302,58 @@ def _bottom_digits3(size: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
     return tuple(digits)
 
 
+def _repeated_rows3(size: int) -> int:
+    """Number of 3x3 matrices over `size` values with two equal rows."""
+    rows = size**3
+    return rows**3 - rows * (rows - 1) * (rows - 2)
+
+
+def _det_histogram3(values: list[int]) -> dict:
+    """3x3 det histogram from the dets of the unordered row triples: an even
+    permutation of three distinct rows keeps det, an odd one negates it, so
+    a triple's det d counts 3 at d and 3 at -d; every matrix with two equal
+    rows has det 0."""
+    triples = _HistAccumulator(1)
+    for dets in _triple_dets(values):
+        _block_histogram(triples, dets)
+    hist = {0: _repeated_rows3(len(values))}
+    for d, count in triples.result().items():
+        hist[d] = hist.get(d, 0) + 3 * count
+        hist[-d] = hist.get(-d, 0) + 3 * count
+    return hist
+
+
 def _sweep3(values, want_det, want_rank, want_charpoly, want_powersums):
+    """3x3 histograms.  The det histogram comes from the row triples
+    (`_det_histogram3`); charpoly and power sums from one block per first
+    row against every bottom pair of rows, in odometer order.  The rank
+    profile is not swept here: `matrices.sweep` composes it from the det
+    zeros and the rank-1 count."""
     v = np.array(values, dtype=np.int64)
     size = v.shape[0]
     bottom_space = size**6
-    det_acc = _HistAccumulator(1) if want_det else None
     cp_acc = _HistAccumulator(3) if want_charpoly else None
     ps_acc = _HistAccumulator(2) if want_powersums else None
-    rank_counts = {1: 0, 2: 0, 3: 0} if want_rank else None
-    total = 0
-
-    need_minors = want_det or want_rank or want_charpoly
     first_rows = list(itertools.product(values, repeat=3))
 
     start = 0
-    while start < bottom_space:
+    while (want_charpoly or want_powersums) and start < bottom_space:
         stop = min(start + _CHUNK, bottom_space)
         d21, d22, d23, d31, d32, d33 = _bottom_digits3(size, start, stop)
         r21, r22, r23 = v[d21], v[d22], v[d23]
         r31, r32, r33 = v[d31], v[d32], v[d33]
-        chunk = stop - start
-        if need_minors:
+        s23 = r22 + r33
+        if want_charpoly:
             m1 = r22 * r33 - r23 * r32
             m2 = r21 * r33 - r23 * r31
             m3 = r21 * r32 - r22 * r31
-        if want_charpoly or want_powersums:
-            s23 = r22 + r33
         if want_powersums:
             q23 = r22 * r22 + r33 * r33
             w = r23 * r32
 
         for a1, a2, a3 in first_rows:
-            if need_minors:
-                dets = a1 * m1 - a2 * m2 + a3 * m3
-            if det_acc is not None:
-                _block_histogram(det_acc, dets)
-            if rank_counts is not None:
-                rank3 = int(np.count_nonzero(dets))
-                # Both bottom rows proportional to the (nonzero) first row.
-                prop2 = (a1 * r22 == a2 * r21) & (a1 * r23 == a3 * r21)
-                prop3 = (a1 * r32 == a2 * r31) & (a1 * r33 == a3 * r31)
-                rank1 = int(np.count_nonzero(prop2 & prop3))
-                rank_counts[3] += rank3
-                rank_counts[1] += rank1
-                rank_counts[2] += chunk - rank3 - rank1
             if cp_acc is not None:
+                dets = a1 * m1 - a2 * m2 + a3 * m3
                 c2 = -(a1 + s23)
                 c1 = a1 * s23 - a2 * r21 - a3 * r31 + m1
                 _block_histogram(cp_acc, -dets, c1, c2)
@@ -312,13 +361,12 @@ def _sweep3(values, want_det, want_rank, want_charpoly, want_powersums):
                 t1 = a1 + s23
                 t2 = a1 * a1 + q23 + 2 * (a2 * r21 + a3 * r31 + w)
                 _block_histogram(ps_acc, t1, t2)
-            total += chunk
         start = stop
 
     return {
-        "total": total,
-        "rank": _clean_rank(rank_counts),
-        "det": det_acc.result() if det_acc else None,
+        "total": size**9,
+        "rank": None,
+        "det": _det_histogram3(values) if want_det else None,
         "charpoly": cp_acc.result() if cp_acc else None,
         "powersums": ps_acc.result() if ps_acc else None,
     }
@@ -329,13 +377,24 @@ def count_target3(values: list[int], stat: str, target: tuple[int, ...]) -> int:
     `target`, in the key layout of `_sweep3`: "det" (det,), "charpoly"
     (c0, c1, c2), "powersums" (t1, t2).
 
-    Same blocks and arithmetic as `_sweep3`, under the same `supports` proof
-    (the caller's job), but each key column is compared with its target and
-    the hits are counted; no histogram is built.  The proof bounds every key
-    by _SAFE_LIMIT, so a larger target counts 0.
+    Same arithmetic as `_sweep3`, under the same `supports` proof (the
+    caller's job), but each key column is compared with its target and the
+    hits are counted; no histogram is built.  A det target t is counted
+    over the row triples: 3 matrices per triple with det t or -t, plus the
+    matrices with two equal rows when t = 0.  The proof bounds every key by
+    _SAFE_LIMIT, so a larger target counts 0.
     """
     if any(abs(t) > _SAFE_LIMIT for t in target):
         return 0
+    if stat == "det":
+        (det,) = target
+        found = sum(
+            int(np.count_nonzero(np.abs(dets) == abs(det)))
+            for dets in _triple_dets(values)
+        )
+        if det == 0:
+            return 6 * found + _repeated_rows3(len(values))
+        return 3 * found
     v = np.array(values, dtype=np.int64)
     size = v.shape[0]
     bottom_space = size**6
@@ -347,29 +406,23 @@ def count_target3(values: list[int], stat: str, target: tuple[int, ...]) -> int:
         d21, d22, d23, d31, d32, d33 = _bottom_digits3(size, start, stop)
         r21, r22, r23 = v[d21], v[d22], v[d23]
         r31, r32, r33 = v[d31], v[d32], v[d33]
+        s23 = r22 + r33
         if stat == "powersums":
             t1, t2 = target
-            s23 = r22 + r33
             q23w = r22 * r22 + r33 * r33 + 2 * (r23 * r32)
             for a1, a2, a3 in first_rows:
                 hit = a1 + s23 == t1
                 hit &= a1 * a1 + q23w + 2 * (a2 * r21 + a3 * r31) == t2
                 found += int(np.count_nonzero(hit))
         else:
+            c0, c1, c2 = target
             m1 = r22 * r33 - r23 * r32
             m2 = r21 * r33 - r23 * r31
             m3 = r21 * r32 - r22 * r31
-            if stat == "det":
-                (det,) = target
-                for a1, a2, a3 in first_rows:
-                    found += int(np.count_nonzero(a1 * m1 - a2 * m2 + a3 * m3 == det))
-            else:
-                c0, c1, c2 = target
-                s23 = r22 + r33
-                for a1, a2, a3 in first_rows:
-                    hit = a1 + s23 == -c2
-                    hit &= a1 * s23 - a2 * r21 - a3 * r31 + m1 == c1
-                    hit &= a1 * m1 - a2 * m2 + a3 * m3 == -c0
-                    found += int(np.count_nonzero(hit))
+            for a1, a2, a3 in first_rows:
+                hit = a1 + s23 == -c2
+                hit &= a1 * s23 - a2 * r21 - a3 * r31 + m1 == c1
+                hit &= a1 * m1 - a2 * m2 + a3 * m3 == -c0
+                found += int(np.count_nonzero(hit))
         start = stop
     return found

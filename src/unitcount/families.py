@@ -93,9 +93,8 @@ class ElementSet:
                 raise FamilyError("element set mixes fields")
             if value.is_zero():
                 raise FamilyError("element set contains zero")
-            if value in positions:
+            if positions.setdefault(value, pos) != pos:
                 raise FamilyError(f"duplicate element {value}")
-            positions[value] = pos
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "provenance", provenance)

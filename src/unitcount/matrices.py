@@ -592,6 +592,16 @@ def _finalize(raw: dict, elements: ElementSet, m: int, n: int) -> SweepHistogram
     return hist
 
 
+def _rank_profile3(elements: ElementSet, total: int, dets: dict) -> dict[int, int]:
+    """Rank profile of the 3x3 matrices over zero-free `elements`, from the
+    number of singular ones (the raw det histogram's key 0): rank 1 is the
+    rank1 route's count, rank 2 the other singular matrices, rank 3 the rest."""
+    singular = dets.get(0, 0)
+    rank1 = _rank1_count(elements, 3, 3)
+    profile = ((1, rank1), (2, singular - rank1), (3, total - singular))
+    return {r: c for r, c in profile if c}
+
+
 def sweep(
     elements: ElementSet, m: int, n: int, options: SweepOptions | None = None
 ) -> SweepHistogram:
@@ -618,9 +628,15 @@ def sweep(
             bound, n, opts.det, opts.rank, opts.charpoly, opts.powersums
         )
     ):
+        # The 3x3 kernel leaves rank to `_rank_profile3`, which needs det.
+        want_det = opts.det or (n == 3 and opts.rank)
         raw = _kernels.sweep_square(
-            values, n, opts.det, opts.rank, opts.charpoly, opts.powersums
+            values, n, want_det, opts.rank, opts.charpoly, opts.powersums
         )
+        if n == 3 and opts.rank:
+            raw["rank"] = _rank_profile3(elements, raw["total"], raw["det"])
+            if not opts.det:
+                raw["det"] = None
     else:
         raw = _generic_shard(values, elements.field, m, n, opts)
     return _finalize(raw, elements, m, n)

@@ -1,11 +1,18 @@
 """Property tests of the planner's ring-integer routes on random small sets
 with signs and denominators, over Q and Qi: the 2x2 product convolutions
 (conv2) equal the sweep's histograms, rank <= 1 by line directions (rank1)
-and rank <= 2 by lines and planes (flats) equal the sweep's rank profile and
-the Fraction oracle (where it is small), and no count depends on the order of the elements.
-Needs hypothesis; skipped without it."""
+and rank <= 2 by lines and planes (flats) equal the rank profile of the
+generic sweep and the Fraction oracle (where it is small), and no count
+depends on the order of the elements.  The generic sweep
+(`_kernels.supports` patched to False) is the rank reference because the
+3x3 int64 sweep composes its rank profile from rank1 and its det zeros;
+that sweep, with its det over unordered row triples, is itself checked
+against the generic sweep and the oracle on shuffled Q sets with sign pairs
+(x, -x).  Needs hypothesis; skipped without it."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 
@@ -13,7 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from unitcount import matrices  # noqa: E402
+from unitcount import _kernels, matrices  # noqa: E402
 from unitcount.families import ElementSet  # noqa: E402
 from unitcount.matrices import (  # noqa: E402
     CharPolyKey,
@@ -53,6 +60,12 @@ def _oracle_ranks(elements: ElementSet, m: int, n: int) -> dict[int, int]:
         r = oracles.rank_pairs(rows)
         ranks[r] = ranks.get(r, 0) + 1
     return ranks
+
+
+def _generic(elements: ElementSet, m: int, n: int, opts: SweepOptions):
+    """The sweep on the generic path, with no int64 kernel."""
+    with mock.patch.object(_kernels, "supports", lambda *args: False):
+        return sweep(elements, m, n, opts)
 
 
 def _at_most(profile: dict[int, int], r: int) -> int:
@@ -114,7 +127,7 @@ _RANK1_CASES = st.tuples(
 @given(_RANK1_CASES)
 def test_rank1_matches_the_sweep(case):
     (m, n), (elements, shuffled) = case
-    profile = sweep(elements, m, n, SweepOptions(det=False)).rank_profile
+    profile = _generic(elements, m, n, SweepOptions(det=False)).rank_profile
     expected = profile.get(1, 0)
     assert matrices._rank1_count(elements, m, n) == expected
     assert matrices._rank1_count(shuffled, m, n) == expected
@@ -128,7 +141,7 @@ def test_rank1_matches_the_sweep(case):
 def test_flats_count_3x3_det_zero(case):
     elements, shuffled = case
     zero = Scalar.zero(elements.field)
-    hist = sweep(elements, 3, 3, SweepOptions())
+    hist = _generic(elements, 3, 3, SweepOptions())
     singular = hist.raw["det"].get(matrices._ring(elements.field).zero, 0)
     assert _at_most(hist.rank_profile, 2) == singular
     assert matrices.plan_square(3, len(elements), det_zero=True).name == "flats"
@@ -153,3 +166,35 @@ def test_flats_count_rank_two_with_a_side_of_three(shape, case):
     assert matrices._flats_count(shuffled, m, n) == expected
     assert count_rank(elements, m, n, 2, cumulative=True) == expected
     assert count_rank(shuffled, m, n, 2, cumulative=False) == profile.get(2, 0)
+
+
+@st.composite
+def _sign_pair_sets(draw) -> tuple[ElementSet, int]:
+    """A shuffled Q set of 1 to 3 elements with denominators, often holding
+    both x and -x, and a pair chunk size for the 3x3 det sweep."""
+    size = draw(st.sampled_from([3, 2, 1]))
+    magnitudes = draw(st.lists(
+        st.builds(lambda num, den: Scalar.rational(num, den, Q),
+                  st.integers(1, 6), st.integers(1, 4)),
+        min_size=size, max_size=size, unique=True,
+    ))
+    picks: list[Scalar] = []
+    for x in magnitudes:
+        picks.append(x if draw(st.booleans()) else -x)
+        if draw(st.booleans()):
+            picks.append(-picks[-1])
+    chunk = draw(st.sampled_from([1, 3, 40, 1 << 20]))
+    return ElementSet(tuple(draw(st.permutations(picks[:size])))), chunk
+
+
+@_SETTINGS
+@given(_sign_pair_sets())
+def test_triple_det_sweep_matches_the_generic_sweep_and_oracle(case):
+    elements, chunk = case
+    with mock.patch.object(_kernels, "_CHUNK", chunk):
+        hist = sweep(elements, 3, 3, SweepOptions())
+    generic = _generic(elements, 3, 3, SweepOptions())
+    assert hist.rank_profile == generic.rank_profile
+    assert hist.raw["det"] == generic.raw["det"]
+    if len(elements) <= 2:
+        assert hist.rank_profile == _oracle_ranks(elements, 3, 3)

@@ -1,0 +1,154 @@
+"""The 3x3 int64 det sweep over unordered row triples, and the rank profile
+composed from its det zeros and the rank-1 route.
+
+`_kernels._sweep3` takes det from the triples i < j < k of the A^3 rows, row
+i dotted with the cross product of rows j and k; it counts each triple's det
+d three times at d and three times at -d, and puts the matrices with a
+repeated row at 0.  `matrices.sweep` then reads rank 3 and rank <= 2 off the
+det zeros and rank 1 off `_rank1_count`.  Both are checked here against
+references that share none of that: the generic cofactor sweep
+(`_kernels.supports` patched to False), the per-matrix Bareiss loop
+(`oracles.bareiss_sweep`) and the Fraction ranks of `tests/oracles.py`, on
+sets with sign pairs (x, -x), with denominators, in shuffled order, with the
+pairs split over many chunks, and at the int64 proof's boundary.
+"""
+
+from __future__ import annotations
+
+import itertools
+from unittest import mock
+
+import pytest
+
+import oracles
+from unitcount import _kernels, matrices
+from unitcount.families import ElementSet
+from unitcount.matrices import SweepOptions, count_det, sweep
+from unitcount.scalars import Q, Scalar, parse_scalar
+
+# The largest B with 6 B^3 <= 2^62, the bound on every 3x3 det.
+_B = 916015
+
+
+def _elements(texts) -> ElementSet:
+    return ElementSet(tuple(parse_scalar(t, Q) for t in texts))
+
+
+def _generic(elements: ElementSet, opts: SweepOptions):
+    with mock.patch.object(_kernels, "supports", lambda *args: False):
+        return sweep(elements, 3, 3, opts)
+
+
+def _oracle_ranks(elements: ElementSet) -> dict[int, int]:
+    ranks: dict[int, int] = {}
+    for combo in oracles.all_matrices(elements, 3, 3):
+        rows = [[oracles.pair(combo[i * 3 + j]) for j in range(3)] for i in range(3)]
+        r = oracles.rank_pairs(rows)
+        ranks[r] = ranks.get(r, 0) + 1
+    return ranks
+
+
+class _SweepSpy:
+    """Counts the calls of `_kernels.sweep_square`."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = _kernels.sweep_square
+
+        def spy(*args):
+            self.calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(_kernels, "sweep_square", spy)
+
+
+def test_triple_dets_cover_each_unordered_triple_once(monkeypatch):
+    values = [1, -1, 2]
+    rows = list(itertools.product(values, repeat=3))
+    expected = sorted(
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+        for a, b, c in itertools.combinations(rows, 3)
+    )
+    # 351 pairs: one chunk, chunks of 1 and 2 pairs, and an uneven split.
+    for chunk in (1 << 20, 1, 2, 37):
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        got = sorted(d for block in _kernels._triple_dets(values) for d in block.tolist())
+        assert got == expected, chunk
+    assert list(_kernels._triple_dets([5])) == []
+
+
+@pytest.mark.parametrize(
+    "texts", [("1", "-1", "2"), ("1/2", "-1/2", "3", "-3"), ("2", "-2/3", "1/3")]
+)
+def test_count_target3_det_matches_the_generic_sweep(texts, monkeypatch):
+    elements = _elements(texts)
+    lcm, values, _ = elements.scaled_integers()
+    dets = _generic(elements, SweepOptions(rank=False)).raw["det"]
+    common = max((d for d in dets if d), key=dets.get)
+    assert -common in dets
+    absent = max(dets) + 1
+    for d in [*dets, absent, -absent]:
+        assert _kernels.count_target3(values, "det", (d,)) == dets.get(d, 0), d
+    for d in (0, common, -common):
+        assert count_det(elements, 3, Scalar.rational(d, lcm**3)) == dets[d], d
+    # The pairs split over many chunks.
+    monkeypatch.setattr(_kernels, "_CHUNK", 5)
+    for d in (0, common, -common, absent):
+        assert _kernels.count_target3(values, "det", (d,)) == dets.get(d, 0), d
+
+
+def test_rank_profile_matches_the_fraction_ranks(monkeypatch):
+    elements = _elements(("1/2", "-1/2", "3"))
+    monkeypatch.setattr(_kernels, "_CHUNK", 11)
+    spy = _SweepSpy(monkeypatch)
+    hist = sweep(elements, 3, 3, SweepOptions())
+    assert spy.calls == 1
+    assert hist.rank_profile == _oracle_ranks(elements)
+    assert hist.raw["det"] == _generic(elements, SweepOptions(rank=False)).raw["det"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rank,det", [(True, False), (False, True)])
+def test_one_statistic_alone(rank, det, n):
+    elements = _elements(("3", "-1/2", "1/2", "1"))
+    opts = SweepOptions(rank=rank, det=det)
+    hist = sweep(elements, n, n, opts)
+    with mock.patch.object(_kernels, "supports", lambda *args: False):
+        generic = sweep(elements, n, n, opts)
+    assert hist.rank_profile == generic.rank_profile
+    assert hist.raw["det"] == generic.raw["det"]
+    assert (hist.rank_profile is None) is not rank
+    assert (hist.raw["det"] is None) is not det
+
+
+def test_kernel_at_the_int64_proof_boundary(monkeypatch):
+    assert 6 * _B**3 <= 2**62 < 6 * (_B + 1) ** 3
+    assert _kernels.supports(_B, 3, True, True, False, False)
+    assert _kernels.supports(_B, 3, False, True, False, False)
+    elements = _elements(("1", str(_B), str(-_B)))
+    spy = _SweepSpy(monkeypatch)
+    hist = sweep(elements, 3, 3, SweepOptions())
+    assert spy.calls == 1
+    generic = _generic(elements, SweepOptions())
+    assert hist.rank_profile == generic.rank_profile
+    assert hist.raw["det"] == generic.raw["det"]
+    # |det| reaches 4 B^3 (a +-1 matrix has |det| <= 4), near the bound.
+    assert max(map(abs, hist.raw["det"])) == 4 * _B**3
+    ranks, dets = oracles.bareiss_sweep([1, _B, -_B], Q, 3, 3)
+    assert hist.rank_profile == ranks
+    assert hist.raw["det"] == dets
+
+
+def test_sweep_past_the_int64_proof_boundary_is_generic(monkeypatch):
+    big = _B + 1
+    assert not _kernels.supports(big, 3, True, True, False, False)
+    assert not _kernels.supports(big, 3, False, True, False, False)
+    elements = _elements(("1", str(big), str(-big)))
+    spy = _SweepSpy(monkeypatch)
+    hist = sweep(elements, 3, 3, SweepOptions())
+    assert spy.calls == 0
+    ranks, dets = oracles.bareiss_sweep([1, big, -big], Q, 3, 3)
+    assert hist.rank_profile == ranks
+    assert hist.raw["det"] == dets
