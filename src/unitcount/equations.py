@@ -17,15 +17,29 @@ against it, turning an A^n scan into roughly A^(n/2) work and memory.  When
 the table would exceed the entry budget the left half is split into prefix
 chunks and the right half is streamed again for each chunk, trading time for
 memory without giving up exactness or determinism.
+
+Equal coefficients give equal rows, and the tight patterns repeat one
+coefficient up to n/2 times, so each half is walked over multisets rather
+than ordered tuples.  The rows are ordered so equal ones sit together, and a
+run of k equal rows T is one group.  Each multiset of k draws from T is an
+index run i_1 < ... < i_r with multiplicities m_1 + ... + m_r = k; it adds
+m_1*T[i_1] + ... + m_r*T[i_r] and stands for the k!/(m_1! ... m_r!) ordered
+tuples that hold it, so a group costs about A^k/k! sums instead of A^k.
+Groups combine by product.  The all-distinct pattern (every m_j = 1) is most
+of the work; it is tallied in one pass and its weight k! applied afterwards,
+while the smaller patterns add their weights key by key.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import _count_elements
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import chain, combinations, product, repeat
+from operator import mul
 from pathlib import Path
 
 from .families import ElementSet
@@ -87,9 +101,11 @@ def _pack(
 
     A term is a tuple of scalars, all put over one common denominator L; its
     digits are the scaled real parts, and over Q(i) the imaginary parts too.
+    Variables that share one list object share one packed list.
     """
     imaginary = rhs[0].field == QI
-    dens = [x.den for row in rows for term in row for x in term]
+    distinct = {id(row): row for row in rows}
+    dens = [x.den for row in distinct.values() for term in row for x in term]
     lcm = math.lcm(*dens, *(x.den for x in rhs))
 
     def digits(term: tuple[Scalar, ...]) -> list[int]:
@@ -101,11 +117,12 @@ def _pack(
                 out.append(x.im * scale)
         return out
 
-    digit_rows = [[digits(t) for t in row] for row in rows]
+    digit_rows = {key: [digits(t) for t in row] for key, row in distinct.items()}
+    peaks = {
+        key: max(abs(c) for vec in row for c in vec) for key, row in digit_rows.items()
+    }
     rhs_digits = digits(rhs)
-    bound = max(map(abs, rhs_digits)) + sum(
-        max(abs(c) for vec in row for c in vec) for row in digit_rows
-    )
+    bound = max(map(abs, rhs_digits)) + sum(peaks[id(row)] for row in rows)
     shift = bound.bit_length() + 1
 
     def pack(vec: list[int]) -> int:
@@ -114,7 +131,8 @@ def _pack(
             value = (value << shift) + c
         return value
 
-    return [[pack(vec) for vec in row] for row in digit_rows], pack(rhs_digits)
+    packed = {key: [pack(vec) for vec in row] for key, row in digit_rows.items()}
+    return [packed[id(row)] for row in rows], pack(rhs_digits)
 
 
 def _equation_rows(
@@ -124,30 +142,94 @@ def _equation_rows(
         raise FieldMismatchError(
             f"equation field {eq.field} does not match set field {elements.field}"
         )
-    return _pack([[(coeff * x,) for x in elements] for coeff in eq.coeffs], (eq.rhs,))
+    terms = {c: [(c * x,) for x in elements] for c in dict.fromkeys(eq.coeffs)}
+    return _pack([terms[c] for c in eq.coeffs], (eq.rhs,))
+
+
+@lru_cache(maxsize=None)
+def _compositions(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(k!/(m_1! ... m_r!), (m_1, ..., m_r)) for every composition of k.
+
+    The all-ones composition, the multisets of k distinct draws, comes first.
+    """
+    def parts(rest: int) -> list[tuple[int, ...]]:
+        if not rest:
+            return [()]
+        return [(m,) + tail for m in range(1, rest + 1) for tail in parts(rest - m)]
+
+    ordered = sorted(parts(k), key=len, reverse=True)
+    return tuple(
+        (math.factorial(k) // math.prod(map(math.factorial, m)), m) for m in ordered
+    )
+
+
+def _draws(row: list[int], mults: tuple[int, ...], start: int) -> Iterable[int]:
+    """start + m_1*row[i_1] + ... + m_r*row[i_r] over every i_1 < ... < i_r."""
+    if mults == (1,):
+        return map(start.__add__, row)
+    runs = combinations(row, len(mults))
+    if max(mults) == 1:
+        return map(sum, runs, repeat(start))
+    return (sum(map(mul, mults, run), start) for run in runs)
+
+
+def _groups(terms: list[list[int]]) -> list[list]:
+    """[row, k] for each run of k consecutive terms that are one list object."""
+    groups: list[list] = []
+    for row in terms:
+        if groups and groups[-1][0] is row:
+            groups[-1][1] += 1
+        else:
+            groups.append([row, 1])
+    return groups
+
+
+def _weighted_sums(groups: list, start: int) -> Iterator[tuple[int, Iterable[int]]]:
+    """(weight, sums) pairs, one per choice of a composition for each group.
+
+    Over all pairs, every ordered tuple of one draw per variable is counted
+    once: each sum stands for weight tuples.  The first pair is the one where
+    every group draws distinct indices.
+    """
+    if not groups:
+        yield 1, [start]
+        return
+    *outer, (row, k) = groups
+    for choice in product(*[_compositions(j) for _, j in outer]):
+        weight = math.prod([w for w, _ in choice])
+        heads = [list(_draws(r, m, 0)) for (r, _), (_, m) in zip(outer, choice)]
+        for w, mults in _compositions(k):
+            if not heads:
+                yield weight * w, _draws(row, mults, start)
+            else:
+                yield weight * w, chain.from_iterable(
+                    _draws(row, mults, start + sum(head)) for head in product(*heads)
+                )
 
 
 def _tally_sums(terms: list[list[int]], start: int, table: dict[int, int]) -> None:
-    """Add every sum start + t_1 + ... over the term lists into table."""
-    if not terms:
-        table[start] = table.get(start, 0) + 1
-        return
-    *outer, last = terms
+    """Fill the empty table with every sum start + t_1 + ... over the term
+    lists, keyed to the number of ordered tuples that give it."""
+    pairs = _weighted_sums(_groups(terms), start)
+    weight, sums = next(pairs)
+    # Counter.update's C counting loop, run on the plain dict.
+    _count_elements(table, sums)
+    if weight > 1:
+        for key in table:
+            table[key] *= weight
     get = table.get
-    for combo in product(*outer):
-        for key in map((start + sum(combo)).__add__, last):
-            table[key] = get(key, 0) + 1
+    for weight, sums in pairs:
+        for key in sums:
+            table[key] = get(key, 0) + weight
 
 
 def _count_lookups(terms: list[list[int]], rhs: int, table: dict[int, int]) -> int:
     """Sum table[rhs - (t_1 + ...)] over the term lists."""
-    if not terms:
-        return table.get(rhs, 0)
-    *outer, last = terms
+    groups = [[[-t for t in row], k] for row, k in _groups(terms)]
     get = table.get
     return sum(
-        sum(map(get, map((rhs - sum(combo)).__sub__, last), repeat(0)))
-        for combo in product(*outer)
+        weight * sum(map(get, keys, repeat(0)))
+        for weight, keys in _weighted_sums(groups, rhs)
     )
 
 
@@ -159,6 +241,14 @@ def _join(rows: list[list[int]], rhs: int, max_entries: int) -> int:
     """
     if max_entries < 1:
         raise ValueError("max_entries must be at least 1")
+    # Rows that are one list object side by side, the largest group first;
+    # the count does not depend on the order of the variables.
+    groups: dict[int, list[list[int]]] = {}
+    for row in rows:
+        groups.setdefault(id(row), []).append(row)
+    rows = [
+        row for group in sorted(groups.values(), key=len, reverse=True) for row in group
+    ]
     half = (len(rows) + 1) // 2
     left, right = rows[:half], rows[half:]
     prefix = 0

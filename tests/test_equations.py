@@ -1,7 +1,10 @@
 import json
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import int_element_set, rand_element_set, rand_scalar
@@ -16,7 +19,7 @@ from unitcount.equations import (
     system_exponent,
 )
 from unitcount.families import ElementSet, Geometric, materialize, tight_equation_coeffs
-from unitcount.scalars import Q, QI, FieldMismatchError, Scalar
+from unitcount.scalars import Q, QI, FieldMismatchError, Scalar, parse_scalar
 
 
 def _ints(*values, field=Q):
@@ -101,6 +104,86 @@ def test_meet_in_the_middle_matches_naive(field):
         assert count_solutions(eq, elements) == expected
         for cap in (1, 2, size):
             assert count_solutions(eq, elements, max_entries=cap) == expected
+
+
+# Coefficients from a small pool, so groups of 1..n equal rows occur.
+_COEFF_POOLS = {Q: ("1", "-1", "2", "1/2"), QI: ("1", "-1", "i")}
+_ELEMENT_POOLS = {
+    Q: ("1", "-1", "2", "-2", "1/2", "3", "-1/3", "4"),
+    QI: ("1", "-1", "i", "-i", "1+i", "-1-i", "2", "2*i", "1/2"),
+}
+
+
+def _pool_set(draw, field: str, n: int) -> ElementSet:
+    # Keep the A^n oracle small: A^n <= 3000.
+    most = max(1, min(6, int(3000 ** (1 / n))))
+    picks = draw(st.lists(
+        st.sampled_from(_ELEMENT_POOLS[field]), min_size=1, max_size=most, unique=True
+    ))
+    return ElementSet(tuple(parse_scalar(x, field) for x in picks))
+
+
+@st.composite
+def _pooled_equations(draw) -> tuple[EquationSpec, ElementSet]:
+    field = draw(st.sampled_from([Q, QI]))
+    n = draw(st.integers(1, 7))
+    pool = st.sampled_from(_COEFF_POOLS[field])
+    coeffs = tuple(
+        parse_scalar(c, field) for c in draw(st.lists(pool, min_size=n, max_size=n))
+    )
+    elements = _pool_set(draw, field, n)
+    kind = draw(st.sampled_from(["zero", "random", "hit"]))
+    if kind == "zero":
+        rhs = Scalar.zero(field)
+    elif kind == "random":
+        rhs = parse_scalar(draw(st.sampled_from(("0", "1", "-2", "3/2", "5"))), field)
+    else:
+        xs = draw(st.lists(st.sampled_from(elements.elements), min_size=n, max_size=n))
+        rhs = sum((c * x for c, x in zip(coeffs, xs)), Scalar.zero(field))
+    return EquationSpec(coeffs=coeffs, rhs=rhs), elements
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_pooled_equations(), st.sampled_from([1, 3, None]))
+def test_grouped_join_matches_oracle(case, cap):
+    eq, elements = case
+    expected = oracles.equation_count(
+        [oracles.pair(c) for c in eq.coeffs], oracles.pair(eq.rhs), elements
+    )
+    kwargs = {} if cap is None else {"max_entries": cap}
+    assert count_solutions(eq, elements, **kwargs) == expected
+
+
+@st.composite
+def _pooled_systems(draw) -> tuple[int, ElementSet]:
+    n = draw(st.integers(1, 6))
+    return n, _pool_set(draw, draw(st.sampled_from([Q, QI])), n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_pooled_systems())
+def test_grouped_system_matches_oracle(case):
+    n, elements = case
+    expected = oracles.system_count(n, elements)
+    assert count_system_sum_squares(n, elements) == expected
+    assert count_system_sum_squares(n, elements, max_entries=1) == expected
+
+
+# Row a has colliding sums (1 + 4 = 2 + 3); "abba" repeats a row apart.
+@pytest.mark.parametrize(
+    "pattern", ["a", "aa", "aaa", "aaaa", "aaaaa", "aab", "abbb", "abba", ""]
+)
+def test_multiset_weights_match_ordered_tuples(pattern):
+    rows = {"a": [1, 2, 3, 4], "b": [-1, 1, 5]}
+    terms = [rows[c] for c in pattern]
+    table: dict[int, int] = {}
+    equations._tally_sums(terms, 7, table)
+    ordered = Counter(7 + sum(combo) for combo in product(*terms))
+    assert table == ordered
+    probe = {key: key % 5 + 1 for key in range(-10, 40)}
+    assert equations._count_lookups(terms, 20, probe) == sum(
+        probe.get(20 - sum(combo), 0) for combo in product(*terms)
+    )
 
 
 def test_prefix_chunking_fallback_matches_default():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rand_scalar
 from oracles import PONE, PZERO, padd, pair, pdiv, pmul, psub
@@ -187,3 +188,54 @@ def test_from_fraction_and_back():
     assert s.to_fraction() == f
     with pytest.raises(ValueError):
         Scalar.imaginary_unit().to_fraction()
+
+
+# -- properties ------------------------------------------------------------
+
+_FIELDS = st.sampled_from([Q, QI])
+
+
+def _scalars(field: str):
+    imag = st.integers(-60, 60) if field == QI else st.just(0)
+    nonzero_den = st.integers(-24, 24).filter(bool)
+    return st.builds(
+        lambda re, im, den: Scalar(field, re, im, den),
+        st.integers(-60, 60), imag, nonzero_den,
+    )
+
+
+_TRIPLES = _FIELDS.flatmap(lambda f: st.tuples(_scalars(f), _scalars(f), _scalars(f)))
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(_TRIPLES)
+def test_field_axioms(triple):
+    a, b, c = triple
+    field = a.field
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + b == b + a and a * b == b * a
+    assert a + Scalar.zero(field) == a and a * Scalar.one(field) == a
+    assert a + (-a) == Scalar.zero(field) and a - b == a + (-b)
+    if not a.is_zero():
+        assert a * a.inverse() == Scalar.one(field)
+        assert (b / a) * a == b
+
+
+@_PROPERTY
+@given(_FIELDS.flatmap(_scalars), st.integers(-9, 9).filter(bool))
+def test_equal_values_hash_equal(x, g):
+    # The same value written over the denominator g*den, unreduced.
+    twin = Scalar(x.field, x.re * g, x.im * g, x.den * g)
+    assert twin == x and hash(twin) == hash(x)
+    assert (twin.re, twin.im, twin.den) == (x.re, x.im, x.den)
+    assert len({x, twin, x + Scalar.zero(x.field)}) == 1
+
+
+@_PROPERTY
+@given(_FIELDS.flatmap(_scalars))
+def test_text_round_trip_property(x):
+    assert parse_scalar(x.text(), x.field) == x
