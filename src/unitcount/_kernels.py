@@ -1,23 +1,21 @@
-"""Vectorized int64 sweep kernels for 2x2 and 3x3 matrices over field Q.
+"""Vectorized int64 sweep kernels for 3x3 matrices over field Q.
 
 Rather than checking each operation for overflow, `supports` proves up
 front, from the largest scaled entry magnitude B, that every intermediate
 the kernel computes fits comfortably in a signed 64-bit word.  If the proof
 fails the caller falls back to the arbitrary-precision sweep, so results are
-exact either way.
+exact either way.  2x2 sweeps need no kernel: `matrices` convolves products.
 
-Layout: for 2x2 a batch of first rows (odometer order) meets every bottom
-row in one block of at most `_CHUNK` matrices.  For 3x3 the det histogram
-comes from the unordered triples of distinct rows i < j < k among the A^3
-rows, row i dotted with the cross product of rows j and k, built for at
-most `_CHUNK` pairs (j, k) at a time; a triple's six row orders give det d
-three times and -d three times, and every matrix with a repeated row has
-det 0.  The caller composes the 3x3 rank profile from the det zeros and the
-rank-1 count (`matrices.sweep`).  The 3x3 charpoly and power-sums keys take
-one block per first row against numpy arrays of the bottom rows, indexed by
-the flattened odometer of the six bottom entries and chunked to bound
-memory.  `sweep_square` histograms every key; `count_target3` counts one
-3x3 key without a histogram.
+Layout: the det histogram comes from the unordered triples of distinct
+rows i < j < k among the A^3 rows, row i dotted with the cross product of
+rows j and k, built for at most `_CHUNK` pairs (j, k) at a time; a triple's
+six row orders give det d three times and -d three times, and every matrix
+with a repeated row has det 0.  The caller composes the rank profile from
+the det zeros and the rank-1 count (`matrices.sweep`).  The charpoly and
+power-sums keys take one block per first row against numpy arrays of the
+bottom rows, indexed by the flattened odometer of the six bottom entries
+and chunked to bound memory (`_key_blocks3`).  `sweep_square` histograms
+every key; `count_target3` counts one key without a histogram.
 
 Histogram keys with two or three columns are grouped as one int64 per row:
 each column less its minimum, packed by mixed radix over the column spans,
@@ -48,31 +46,14 @@ _COMPACT_ROWS = 4_000_000
 
 
 def supports(
-    bound: int, n: int, want_det: bool, want_rank: bool,
-    want_charpoly: bool, want_powersums: bool,
+    bound: int, want_det: bool, want_charpoly: bool, want_powersums: bool
 ) -> bool:
-    """True when every intermediate is provably within int64 for entry
-    magnitudes up to `bound`."""
-    if n not in (2, 3):
-        return False
+    """True when every intermediate of the 3x3 kernels is provably within
+    int64 for entry magnitudes up to `bound`."""
     B = int(bound)
-    if B == 0:
-        return False
-    needed = 0
-    if n == 2:
-        if want_det or want_rank or want_charpoly:
-            needed = max(needed, 2 * B * B)
-        if want_charpoly or want_powersums:
-            needed = max(needed, 2 * B)
-        if want_powersums:
-            needed = max(needed, 4 * B * B)
-    else:
-        if want_det or want_rank or want_charpoly:
-            needed = max(needed, 6 * B * B * B)
-        if want_charpoly:
-            needed = max(needed, 6 * B * B)
-        if want_powersums:
-            needed = max(needed, 9 * B * B)
+    needed = 6 * B * B * B if want_det or want_charpoly else 0
+    if want_powersums:
+        needed = max(needed, 9 * B * B)
     return 0 < needed <= _SAFE_LIMIT
 
 
@@ -188,74 +169,6 @@ def _block_histogram(acc: _HistAccumulator, *columns: np.ndarray) -> None:
     acc.add(*_group(columns))
 
 
-# perfbench/spans.py wraps this name; it reads the raw dict's "total".
-def sweep_square(
-    values: list[int], n: int, want_det: bool, want_rank: bool,
-    want_charpoly: bool, want_powersums: bool,
-) -> dict:
-    """Raw sweep over every n x n matrix with entries in `values`.
-
-    Returns {"total", "rank", "det", "charpoly", "powersums"} with integer
-    (or integer-tuple) keys in the denominator-cleared coordinate system.
-    For n = 3 "rank" is None whatever `want_rank` says: the caller composes
-    it from the det histogram (`matrices.sweep`).
-    """
-    sweep = _sweep2 if n == 2 else _sweep3
-    return sweep(values, want_det, want_rank, want_charpoly, want_powersums)
-
-
-def _sweep2(values, want_det, want_rank, want_charpoly, want_powersums):
-    v = np.array(values, dtype=np.int64)
-    size = v.shape[0]
-    block = size * size
-    # Rows (x, y) in odometer order: x is the slow digit, y the fast one.
-    # C, D are the bottom row; slices of them, as columns, are first rows.
-    C = np.repeat(v, size)
-    D = np.tile(v, size)
-    det_acc = _HistAccumulator(1) if want_det else None
-    cp_acc = _HistAccumulator(2) if want_charpoly else None
-    ps_acc = _HistAccumulator(2) if want_powersums else None
-    rank_counts = {1: 0, 2: 0} if want_rank else None
-    total = 0
-
-    # A batch of first rows times every bottom row is one block of at most
-    # _CHUNK matrices (at least one first row), grouped once.
-    batch = max(1, _CHUNK // block)
-    need_dets = want_det or want_rank or want_charpoly
-    for start in range(0, block, batch):
-        a = C[start : start + batch, None]
-        b = D[start : start + batch, None]
-        rows = a.shape[0] * block
-        dets = (a * D - b * C).ravel() if need_dets else None
-        if det_acc is not None:
-            _block_histogram(det_acc, dets)
-        if rank_counts is not None:
-            singular = int(np.count_nonzero(dets == 0))
-            rank_counts[1] += singular
-            rank_counts[2] += rows - singular
-        if cp_acc is not None:
-            _block_histogram(cp_acc, dets, -(a + D).ravel())
-        if ps_acc is not None:
-            t1 = (a + D).ravel()
-            t2 = (a * a + D * D + (2 * b) * C).ravel()
-            _block_histogram(ps_acc, t1, t2)
-        total += rows
-
-    return {
-        "total": total,
-        "rank": _clean_rank(rank_counts),
-        "det": det_acc.result() if det_acc else None,
-        "charpoly": cp_acc.result() if cp_acc else None,
-        "powersums": ps_acc.result() if ps_acc else None,
-    }
-
-
-def _clean_rank(rank_counts):
-    if rank_counts is None:
-        return None
-    return {r: c for r, c in rank_counts.items() if c}
-
-
 def _triple_dets(values: list[int]):
     """det(r_i, r_j, r_k) for every triple i < j < k of the A^3 rows over
     `values` (odometer order), one int64 block per first row i and chunk of
@@ -293,13 +206,38 @@ def _triple_dets(values: list[int]):
             yield dets
 
 
-def _bottom_digits3(size: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    flat = np.arange(start, stop, dtype=np.int64)
-    digits = []
-    for position in range(6):
-        power = size ** (5 - position)
-        digits.append((flat // power) % size)
-    return tuple(digits)
+def _key_blocks3(values: list[int], stat: str):
+    """The raw `stat` key columns of every 3x3 matrix over `values`,
+    "charpoly" (c0, c1, c2) or "powersums" (t1, t2), as int64 arrays: one
+    block per first row against a chunk of at most `_CHUNK` bottom pairs of
+    rows, in odometer order.  The charpoly is c2 = -trace, c1 = the sum of
+    the principal 2x2 minors and c0 = -det; the power sums are t1 = trace
+    and t2 = trace of the square.  Every intermediate is at most 6 B^3
+    (charpoly) or 9 B^2 (power sums), the bounds `supports` proves."""
+    v = np.array(values, dtype=np.int64)
+    size = v.shape[0]
+    bottom_space = size**6
+    first_rows = list(itertools.product(values, repeat=3))
+    for start in range(0, bottom_space, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, bottom_space), dtype=np.int64)
+        r21, r22, r23, r31, r32, r33 = (
+            v[(flat // size ** (5 - position)) % size] for position in range(6)
+        )
+        s23 = r22 + r33
+        if stat == "charpoly":
+            m1 = r22 * r33 - r23 * r32
+            m2 = r21 * r33 - r23 * r31
+            m3 = r21 * r32 - r22 * r31
+            for a1, a2, a3 in first_rows:
+                yield (
+                    a2 * m2 - a1 * m1 - a3 * m3,
+                    a1 * s23 - a2 * r21 - a3 * r31 + m1,
+                    -a1 - s23,
+                )
+        else:
+            q23w = r22 * r22 + r33 * r33 + 2 * (r23 * r32)
+            for a1, a2, a3 in first_rows:
+                yield a1 + s23, a1 * a1 + q23w + 2 * (a2 * r21 + a3 * r31)
 
 
 def _repeated_rows3(size: int) -> int:
@@ -323,61 +261,39 @@ def _det_histogram3(values: list[int]) -> dict:
     return hist
 
 
-def _sweep3(values, want_det, want_rank, want_charpoly, want_powersums):
-    """3x3 histograms.  The det histogram comes from the row triples
-    (`_det_histogram3`); charpoly and power sums from one block per first
-    row against every bottom pair of rows, in odometer order.  The rank
-    profile is not swept here: `matrices.sweep` composes it from the det
-    zeros and the rank-1 count."""
-    v = np.array(values, dtype=np.int64)
-    size = v.shape[0]
-    bottom_space = size**6
-    cp_acc = _HistAccumulator(3) if want_charpoly else None
-    ps_acc = _HistAccumulator(2) if want_powersums else None
-    first_rows = list(itertools.product(values, repeat=3))
+def _key_histogram3(values: list[int], stat: str) -> dict:
+    """Histogram of the `_key_blocks3` keys."""
+    acc = _HistAccumulator(3 if stat == "charpoly" else 2)
+    for columns in _key_blocks3(values, stat):
+        _block_histogram(acc, *columns)
+    return acc.result()
 
-    start = 0
-    while (want_charpoly or want_powersums) and start < bottom_space:
-        stop = min(start + _CHUNK, bottom_space)
-        d21, d22, d23, d31, d32, d33 = _bottom_digits3(size, start, stop)
-        r21, r22, r23 = v[d21], v[d22], v[d23]
-        r31, r32, r33 = v[d31], v[d32], v[d33]
-        s23 = r22 + r33
-        if want_charpoly:
-            m1 = r22 * r33 - r23 * r32
-            m2 = r21 * r33 - r23 * r31
-            m3 = r21 * r32 - r22 * r31
-        if want_powersums:
-            q23 = r22 * r22 + r33 * r33
-            w = r23 * r32
 
-        for a1, a2, a3 in first_rows:
-            if cp_acc is not None:
-                dets = a1 * m1 - a2 * m2 + a3 * m3
-                c2 = -(a1 + s23)
-                c1 = a1 * s23 - a2 * r21 - a3 * r31 + m1
-                _block_histogram(cp_acc, -dets, c1, c2)
-            if ps_acc is not None:
-                t1 = a1 + s23
-                t2 = a1 * a1 + q23 + 2 * (a2 * r21 + a3 * r31 + w)
-                _block_histogram(ps_acc, t1, t2)
-        start = stop
+# perfbench/spans.py wraps this name; it reads the raw dict's "total".
+def sweep_square(
+    values: list[int], want_det: bool, want_charpoly: bool, want_powersums: bool
+) -> dict:
+    """Raw sweep over every 3x3 matrix with entries in `values`.
 
+    Returns {"total", "rank", "det", "charpoly", "powersums"} with integer
+    (or integer-tuple) keys in the denominator-cleared coordinate system.
+    "rank" is None: the caller composes it from the det histogram
+    (`matrices.sweep`)."""
     return {
-        "total": size**9,
+        "total": len(values) ** 9,
         "rank": None,
         "det": _det_histogram3(values) if want_det else None,
-        "charpoly": cp_acc.result() if cp_acc else None,
-        "powersums": ps_acc.result() if ps_acc else None,
+        "charpoly": _key_histogram3(values, "charpoly") if want_charpoly else None,
+        "powersums": _key_histogram3(values, "powersums") if want_powersums else None,
     }
 
 
 def count_target3(values: list[int], stat: str, target: tuple[int, ...]) -> int:
     """Number of 3x3 matrices over `values` whose raw key for `stat` equals
-    `target`, in the key layout of `_sweep3`: "det" (det,), "charpoly"
+    `target`, in the key layout of `sweep_square`: "det" (det,), "charpoly"
     (c0, c1, c2), "powersums" (t1, t2).
 
-    Same arithmetic as `_sweep3`, under the same `supports` proof (the
+    Same arithmetic as `sweep_square`, under the same `supports` proof (the
     caller's job), but each key column is compared with its target and the
     hits are counted; no histogram is built.  A det target t is counted
     over the row triples: 3 matrices per triple with det t or -t, plus the
@@ -395,34 +311,10 @@ def count_target3(values: list[int], stat: str, target: tuple[int, ...]) -> int:
         if det == 0:
             return 6 * found + _repeated_rows3(len(values))
         return 3 * found
-    v = np.array(values, dtype=np.int64)
-    size = v.shape[0]
-    bottom_space = size**6
-    first_rows = list(itertools.product(values, repeat=3))
     found = 0
-    start = 0
-    while start < bottom_space:
-        stop = min(start + _CHUNK, bottom_space)
-        d21, d22, d23, d31, d32, d33 = _bottom_digits3(size, start, stop)
-        r21, r22, r23 = v[d21], v[d22], v[d23]
-        r31, r32, r33 = v[d31], v[d32], v[d33]
-        s23 = r22 + r33
-        if stat == "powersums":
-            t1, t2 = target
-            q23w = r22 * r22 + r33 * r33 + 2 * (r23 * r32)
-            for a1, a2, a3 in first_rows:
-                hit = a1 + s23 == t1
-                hit &= a1 * a1 + q23w + 2 * (a2 * r21 + a3 * r31) == t2
-                found += int(np.count_nonzero(hit))
-        else:
-            c0, c1, c2 = target
-            m1 = r22 * r33 - r23 * r32
-            m2 = r21 * r33 - r23 * r31
-            m3 = r21 * r32 - r22 * r31
-            for a1, a2, a3 in first_rows:
-                hit = a1 + s23 == -c2
-                hit &= a1 * s23 - a2 * r21 - a3 * r31 + m1 == c1
-                hit &= a1 * m1 - a2 * m2 + a3 * m3 == -c0
-                found += int(np.count_nonzero(hit))
-        start = stop
+    for columns in _key_blocks3(values, stat):
+        hit = columns[0] == target[0]
+        for column, value in zip(columns[1:], target[1:]):
+            hit &= column == value
+        found += int(np.count_nonzero(hit))
     return found

@@ -11,11 +11,12 @@ algorithm.  Each routine is written once over a ring of exact integer
 or Gaussian-integer operations, so Q and Qi share it.
 
 Sweeps histogram the requested statistics over every matrix in
-elements^(m*n).  When the field is Q, the shape is 2x2 or 3x3, and an
-a-priori magnitude bound proves that no intermediate can leave int64, a
-vectorized kernel does it.  Otherwise square rank and det come from the
-last row's cofactors, computed once per top block, and the other
-statistics from one pass over every matrix.
+elements^(m*n).  A 2x2 sweep convolves the multiset of pairwise products,
+over Q and Qi alike.  A 3x3 sweep over Q whose a-priori magnitude bound
+proves that no intermediate can leave int64 runs the vectorized kernel.
+Otherwise square rank and det come from the last row's cofactors, computed
+once per top block, and the other statistics from one pass over every
+matrix.
 
 Single counts (count_det, count_rank, count_charpoly, count_power_sums) go
 through a planner that picks a cheaper exact route where one exists and
@@ -620,20 +621,18 @@ def sweep(
         raise BudgetExceededError(total_work, budget)
 
     _, values, bound = elements.scaled_integers()
-    if (
+    if m == n == 2:
+        raw = _conv2_sweep(elements, opts)
+    elif (
         elements.field == Q
-        and m == n
-        and n in (2, 3)
-        and _kernels.supports(
-            bound, n, opts.det, opts.rank, opts.charpoly, opts.powersums
-        )
+        and m == n == 3
+        and _kernels.supports(bound, opts.det or opts.rank, opts.charpoly, opts.powersums)
     ):
         # The 3x3 kernel leaves rank to `_rank_profile3`, which needs det.
-        want_det = opts.det or (n == 3 and opts.rank)
         raw = _kernels.sweep_square(
-            values, n, want_det, opts.rank, opts.charpoly, opts.powersums
+            values, opts.det or opts.rank, opts.charpoly, opts.powersums
         )
-        if n == 3 and opts.rank:
+        if opts.rank:
             raw["rank"] = _rank_profile3(elements, raw["total"], raw["det"])
             if not opts.det:
                 raw["det"] = None
@@ -739,7 +738,7 @@ def _target3_kernel(
     if raw is None:
         return 0
     if elements.field != Q or not _kernels.supports(
-        bound, 3, stat == "det", False, stat == "charpoly", stat == "powersums"
+        bound, stat == "det", stat == "charpoly", stat == "powersums"
     ):
         return None
     return _kernels.count_target3(values, stat, raw)
@@ -877,9 +876,11 @@ def count_rank(
     n: int,
     r: int,
     *,
-    cumulative: bool = False,
+    cumulative: bool = True,
     budget: int | None = None,
 ) -> int:
+    """Number of m x n matrices of rank <= r, or of rank exactly r when not
+    `cumulative`."""
     route = _charged(plan_rank(m, n, r, cumulative, len(elements)), budget)
     if route.name == "sweep":
         hist = sweep(elements, m, n, SweepOptions(det=False, budget=budget))
@@ -935,15 +936,17 @@ def count_power_sums(
 
 # -- closed 2x2 product-convolution paths --------------------------------------
 #
-# For 2x2 matrices every statistic is a function of (sum of a diagonal pair,
-# product difference), so histograms reduce to convolutions of the pairwise
-# product multiset.  This gives exact counts in roughly A^2 dictionary work,
-# independent of how large the entries are; it is the planner's 2x2 route
-# for det, charpoly and power sums.  The counts run on the scaled ring
-# integers: a product is over lcm^2 and a trace over lcm, so each target is
-# scaled into the ring once (`_ring_key`), and one that does not scale into
-# it counts 0.  `fast_det2_histogram` stays on Scalars as a reference.
-# Equality with the exhaustive sweep is part of the acceptance checks,
+# For 2x2 matrices every statistic is a function of a diagonal pair (a, d)
+# and the product bc: det = ad - bc, charpoly (ad - bc, -(a + d)), power
+# sums (a + d, a^2 + d^2 + 2bc).  So histograms reduce to convolutions with
+# the pairwise product multiset, about A^2 |A.A| dictionary work where a
+# matrix-by-matrix pass costs A^4, however large the entries are.  This is
+# the 2x2 sweep over Q and Qi, and the planner's 2x2 route for det,
+# charpoly and power sums.  It runs on the scaled ring integers: a product
+# is over lcm^2 and a trace over lcm, so each count's target is scaled into
+# the ring once (`_ring_key`), and one that does not scale into it counts
+# 0.  `fast_det2_histogram` stays on Scalars as a reference.  Equality with
+# the per-matrix sweep (`_generic_shard`) is part of the acceptance checks,
 # keeping the routes honest against each other.
 
 
@@ -952,6 +955,50 @@ def _product_counter(elements: ElementSet) -> Counter:
     _, values, _ = elements.scaled_integers()
     mul = _ring(elements.field).mul
     return Counter(itertools.starmap(mul, itertools.product(values, repeat=2)))
+
+
+def _convolve(left: dict, products: Counter, combine: Callable) -> dict:
+    """{combine(key, p): sum of left[key] * products[p]} over every key of
+    `left` and every product p."""
+    out: dict = {}
+    for key, count in left.items():
+        for p, weight in products.items():
+            joined = combine(key, p)
+            out[joined] = out.get(joined, 0) + count * weight
+    return out
+
+
+def _conv2_sweep(elements: ElementSet, opts: SweepOptions) -> dict:
+    """Raw 2x2 histograms, in the layout of `_generic_shard`, by product
+    convolution: det is the product Counter convolved with itself, the
+    charpoly a Counter of diagonal keys (ad, -(a + d)) convolved with it,
+    and the power sums a one-to-one relabelling of the charpoly keys.  Over
+    zero-free entries rank is 1 exactly when ad = bc, so its count is the
+    sum of the squared product counts, and rank is 2 otherwise."""
+    _, values, _ = elements.scaled_integers()
+    ring = _ring(elements.field)
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    products = _product_counter(elements)
+    total = len(values) ** 4
+    raw = {"total": total, "rank": None, "det": None, "charpoly": None, "powersums": None}
+    if opts.rank:
+        singular = sum(c * c for c in products.values())
+        raw["rank"] = {r: c for r, c in ((1, singular), (2, total - singular)) if c}
+    if opts.det:
+        raw["det"] = _convolve(products, products, sub)
+    if opts.charpoly or opts.powersums:
+        diagonals = itertools.product(values, repeat=2)
+        keys = Counter((mul(a, d), ring.neg(add(a, d))) for a, d in diagonals)
+        charpoly = _convolve(keys, products, lambda k, p: (sub(k[0], p), k[1]))
+        if opts.charpoly:
+            raw["charpoly"] = charpoly
+        if opts.powersums:
+            # t1 = -c1 and t2 = a^2 + d^2 + 2bc = c1^2 - 2 c0: one to one.
+            raw["powersums"] = {
+                (ring.neg(c1), sub(mul(c1, c1), add(c0, c0))): count
+                for (c0, c1), count in charpoly.items()
+            }
+    return raw
 
 
 def fast_det2_histogram(elements: ElementSet) -> dict[Scalar, int]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 from unitcount.families import ElementSet
+from unitcount.matrices import SweepOptions, _finalize, _generic_shard
 from unitcount.scalars import Q, QI, Scalar
 
 
@@ -44,3 +45,12 @@ def rand_element_set(
 
 def int_element_set(values, field: str = Q) -> ElementSet:
     return ElementSet(tuple(Scalar.rational(v, 1, field) for v in values))
+
+
+def generic_sweep(elements: ElementSet, m: int, n: int, opts: SweepOptions | None = None):
+    """The sweep on the per-matrix path (`_generic_shard`), which shares no
+    code with the 2x2 product convolution or the 3x3 int64 kernel: the
+    reference they are checked against."""
+    _, values, _ = elements.scaled_integers()
+    raw = _generic_shard(values, elements.field, m, n, opts or SweepOptions())
+    return _finalize(raw, elements, m, n)

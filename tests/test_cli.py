@@ -11,7 +11,7 @@ import pytest
 
 from unitcount.cli import build_parser, main
 from unitcount.families import load_set
-from unitcount.matrices import SweepOptions, sweep
+from unitcount.matrices import SweepOptions, count_rank, sweep
 from unitcount.scalars import Scalar
 
 
@@ -116,6 +116,18 @@ def test_count_rank_cumulative_and_exact(set12, capsys):
     )
     assert code == 0
     assert int(capsys.readouterr().out) == 10
+
+
+def test_count_rank_default_matches_the_library(tmp_path, capsys):
+    """`count rank` and `count_rank` share one default, rank <= r: over {1}
+    the one 3x3 matrix has rank 1, so rank <= 2 counts 1."""
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps({"field": "Q", "elements": ["1"]}))
+    assert main(["count", "rank", "--set", str(path), "-m", "3", "-n", "3", "-r", "2"]) == 0
+    assert int(capsys.readouterr().out) == 1
+    elements = load_set(str(path))
+    assert count_rank(elements, 3, 3, 2) == 1
+    assert count_rank(elements, 3, 3, 2, cumulative=False) == 0
 
 
 def test_count_charpoly_and_powersums(set12, capsys):

@@ -91,7 +91,7 @@ def test_cofactor_route_matches_the_oracles(field, texts, n):
 def test_cofactor_route_past_the_int64_proof():
     elements = _elements(("1", "2^22"))
     _, _, bound = elements.scaled_integers()
-    assert not _kernels.supports(bound, 3, True, True, False, False)
+    assert not _kernels.supports(bound, True, False, False)
     hist = sweep(elements, 3, 3)
     ranks, dets = _reference(elements, 3, 3)
     assert hist.rank_profile == ranks

@@ -5,8 +5,8 @@ their counts by packing each row into one int64 (mixed radix over the column
 spans).  When that frame would reach 2^63 it re-ranks the columns to dense
 indices first, and folds two index columns into one when even those do not
 fit.  Each path is checked against a plain Counter, right at the 2^63
-boundary, and through full kernel sweeps against the 2x2 product
-convolutions and the generic sweep.
+boundary, and through full 3x3 kernel sweeps against the per-matrix generic
+sweep.
 """
 
 from __future__ import annotations
@@ -17,14 +17,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import generic_sweep
 from unitcount import _kernels
 from unitcount.families import ElementSet
-from unitcount.matrices import (
-    SweepOptions,
-    fast_charpoly2_count,
-    fast_power_sums2_count,
-    sweep,
-)
+from unitcount.matrices import SweepOptions, sweep
 from unitcount.scalars import Q, parse_scalar
 
 _WIDE = 2**63 - 1  # = 7^2 * 73 * 127 * 337 * 92737 * 649657
@@ -164,34 +160,28 @@ def test_accumulator_merges_blocks_across_compactions(monkeypatch):
         assert acc.result() == expected
 
 
-def test_sweep_past_the_packing_frame_matches_convolutions(monkeypatch):
-    """2x2 over {1, 2^30, -2^30}: the supports proof holds, but the (t1, t2)
-    frame of every block and the (c0, c1) frame of some span more than
-    2^63, so the kernel's histograms go through the re-rank path."""
-    elements = _elements(("1", str(2**30), str(-(2**30))))
-    assert _kernels.supports(2**30, 2, False, False, True, True)
+def test_sweep_past_the_packing_frame_matches_generic(monkeypatch):
+    """3x3 charpoly over {1, 2^19, -2^19}: the supports proof holds
+    (6 B^3 = 3 * 2^58), but the (c0, c1, c2) frame of every block spans more
+    than 2^63, so the kernel's histogram goes through the re-rank path."""
+    big = 2**19
+    elements = _elements(("1", str(big), str(-big)))
+    assert _kernels.supports(big, False, True, False)
+    opts = SweepOptions(rank=False, det=False, charpoly=True)
     spy = _PathSpy(monkeypatch)
-    hist = sweep(elements, 2, 2, SweepOptions(rank=False, det=False, charpoly=True, powersums=True))
+    hist = sweep(elements, 3, 3, opts)
     assert spy.reranks > 0
-    assert sum(hist.powersum_histogram.values()) == 3**4
-    assert sum(hist.charpoly_histogram.values()) == 3**4
-    for (t1, t2), count in hist.powersum_histogram.items():
-        assert count == fast_power_sums2_count(elements, t1, t2)
-    for key, count in hist.charpoly_histogram.items():
-        assert count == fast_charpoly2_count(elements, key)
+    assert hist.raw["charpoly"] == generic_sweep(elements, 3, 3, opts).raw["charpoly"]
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_small_set_sweep_packs_and_matches_generic(n, monkeypatch):
+def test_small_set_sweep_packs_and_matches_generic(monkeypatch):
     elements = _elements(("1", "-1", "2"))
     opts = SweepOptions(rank=True, det=True, charpoly=True, powersums=True)
-    with monkeypatch.context() as patch:
-        patch.setattr(_kernels, "supports", lambda *args: False)
-        generic = sweep(elements, n, n, opts)
+    generic = generic_sweep(elements, 3, 3, opts)
     spy = _PathSpy(monkeypatch)
-    kernel = sweep(elements, n, n, opts)
+    kernel = sweep(elements, 3, 3, opts)
     assert spy.reranks == 0
-    assert n in spy.groups and 2 in spy.groups
+    assert 3 in spy.groups and 2 in spy.groups
     assert kernel.charpoly_histogram == generic.charpoly_histogram
     assert kernel.powersum_histogram == generic.powersum_histogram
     assert kernel.det_histogram == generic.det_histogram

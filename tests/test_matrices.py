@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 import oracles
-from conftest import int_element_set, rand_element_set
+from conftest import generic_sweep, int_element_set, rand_element_set
 from unitcount import matrices
 from unitcount.families import ElementSet
 from unitcount.matrices import (
@@ -238,14 +239,12 @@ def test_rectangular_sweep_matches_naive_rank_profile():
         assert _hist_as_pairs(hist)["rank"] == oracles.sweep_counts(elements, m, n)["rank"]
 
 
-def test_kernel_and_generic_paths_agree(monkeypatch):
+def test_kernel_and_generic_paths_agree():
     rng = random.Random(45)
     for n in (2, 3):
         elements = rand_element_set(rng, Q, size=3, span=4, max_den=2)
         fast = sweep(elements, n, n, options=_ALL_STATS)
-        monkeypatch.setattr(matrices._kernels, "supports", lambda *a: False)
-        slow = sweep(elements, n, n, options=_ALL_STATS)
-        monkeypatch.undo()
+        slow = generic_sweep(elements, n, n, _ALL_STATS)
         assert fast.rank_profile == slow.rank_profile
         assert fast.det_histogram == slow.det_histogram
         assert fast.charpoly_histogram == slow.charpoly_histogram
@@ -277,20 +276,36 @@ def _parsed(texts, field: str = Q) -> ElementSet:
 
 
 # The second set has entries 1, 2, -1 over lcm 2^30, so the 3x3 det scale
-# lcm^3 = 2^90 is far past int64 while the kernel's proof holds easily.
+# lcm^3 = 2^90 is far past int64 while the kernel's proof holds easily.  A
+# 2x2 sweep is the product convolution, a 3x3 one the int64 kernel.
 @pytest.mark.parametrize("texts", [("1/2", "-3", "2/3"), ("2^-30", "2^-29", "-2^-30")])
 @pytest.mark.parametrize("n", [2, 3])
-def test_kernel_and_generic_sweeps_write_identical_csv(texts, n, monkeypatch):
+def test_kernel_and_generic_sweeps_write_identical_csv(texts, n):
     elements = _parsed(texts)
     _, _, bound = elements.scaled_integers()
-    assert matrices._kernels.supports(bound, n, True, True, True, True)
+    assert matrices._kernels.supports(bound, True, True, True)
     kernel = sweep(elements, n, n, options=_ALL_STATS)
-    with monkeypatch.context() as patch:
-        patch.setattr(matrices._kernels, "supports", lambda *a: False)
-        generic = sweep(elements, n, n, options=_ALL_STATS)
+    generic = generic_sweep(elements, n, n, _ALL_STATS)
     rows = kernel.csv_rows()
     assert rows == generic.csv_rows() == _scalar_csv_rows(kernel)
     assert any("/" in text for _, text, _ in rows)
+
+
+# 2x2 sweeps whose entries are past any int64 bound (products reach 2^80
+# and 2^68), pinned to the CSV bytes of the per-matrix sweep.
+@pytest.mark.parametrize(
+    "texts,digest",
+    [
+        (("1", "2^40", "-2^40"),
+         "ca7887b1e47962b9928418f3a3766aba2b61791f94df694118386423225cfaf1"),
+        (tuple(f"2^{k}" for k in range(20, 35)),
+         "1c2d898a7f6660d760b0816b1f2ac7df1345d80040e2cd5f694e04ea291b1d00"),
+    ],
+    ids=["1,+-2^40", "2^20..2^34"],
+)
+def test_conv2_sweep_past_int64_keeps_its_csv_bytes(texts, digest):
+    hist = sweep(_parsed(texts), 2, 2, options=_ALL_STATS)
+    assert hashlib.sha256(hist.csv_text().encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n,texts", [(2, ("1/2", "-i", "(1+i)/3")), (3, ("i/2", "(1-i)/3"))])

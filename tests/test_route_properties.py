@@ -1,14 +1,15 @@
 """Property tests of the planner's ring-integer routes on random small sets
 with signs and denominators, over Q and Qi: the 2x2 product convolutions
-(conv2) equal the sweep's histograms, rank <= 1 by line directions (rank1)
-and rank <= 2 by lines and planes (flats) equal the rank profile of the
-generic sweep and the Fraction oracle (where it is small), and no count
-depends on the order of the elements.  The generic sweep
-(`_kernels.supports` patched to False) is the rank reference because the
-3x3 int64 sweep composes its rank profile from rank1 and its det zeros;
-that sweep, with its det over unordered row triples, is itself checked
-against the generic sweep and the oracle on shuffled Q sets with sign pairs
-(x, -x).  Needs hypothesis; skipped without it."""
+(conv2), as single counts and as the 2x2 sweep, equal the histograms of the
+per-matrix generic sweep, rank <= 1 by line directions (rank1) and rank <= 2
+by lines and planes (flats) equal its rank profile and the Fraction oracle
+(where it is small), and no count depends on the order of the elements.
+The generic sweep (`conftest.generic_sweep`) is the reference because the
+2x2 sweep is itself a convolution and the 3x3 int64 sweep composes its rank
+profile from rank1 and its det zeros; that sweep, with its det over
+unordered row triples, is checked against the generic sweep and the oracle
+on shuffled Q sets with sign pairs (x, -x).  Needs hypothesis; skipped
+without it."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
+from conftest import generic_sweep  # noqa: E402
 from unitcount import _kernels, matrices  # noqa: E402
 from unitcount.families import ElementSet  # noqa: E402
 from unitcount.matrices import (  # noqa: E402
@@ -62,12 +64,6 @@ def _oracle_ranks(elements: ElementSet, m: int, n: int) -> dict[int, int]:
     return ranks
 
 
-def _generic(elements: ElementSet, m: int, n: int, opts: SweepOptions):
-    """The sweep on the generic path, with no int64 kernel."""
-    with mock.patch.object(_kernels, "supports", lambda *args: False):
-        return sweep(elements, m, n, opts)
-
-
 def _at_most(profile: dict[int, int], r: int) -> int:
     return sum(c for k, c in profile.items() if k <= r)
 
@@ -78,7 +74,7 @@ def test_conv2_counts_match_the_sweep(case):
     elements, shuffled = case
     field = elements.field
     opts = SweepOptions(rank=False, det=True, charpoly=True, powersums=True)
-    hist = sweep(elements, 2, 2, opts)
+    hist = generic_sweep(elements, 2, 2, opts)
     lcm, _, _ = elements.scaled_integers()
     # Absent keys: one in the ring, one whose denominator is off the ring.
     absent = Scalar.rational(10**6 + 7, 1, field)
@@ -115,6 +111,39 @@ def test_conv2_counts_match_the_sweep(case):
         assert count_power_sums(elements, 2, t1, t2) == count, (t1, t2)
 
 
+@st.composite
+def _conv2_sweep_cases(draw) -> tuple[ElementSet, SweepOptions]:
+    """A shuffled Q or Qi set of up to 6 elements with denominators, often
+    holding x with -x (and over Qi with i x), and any mix of statistics."""
+    field = draw(st.sampled_from([Q, QI]))
+    imag = st.integers(-3, 3) if field == QI else st.just(0)
+    scalars = st.builds(
+        lambda re, im, den: Scalar(field, re, im, den),
+        st.integers(-6, 6), imag, st.integers(1, 4),
+    ).filter(lambda s: not s.is_zero())
+    picks: list[Scalar] = []
+    for x in draw(st.lists(scalars, min_size=1, max_size=4, unique=True)):
+        picks.append(x)
+        if draw(st.booleans()):
+            picks.append(-x)
+        if field == QI and draw(st.booleans()):
+            picks.append(Scalar(QI, 0, 1) * x)
+    picks = list(dict.fromkeys(picks))[:6]
+    stats = draw(st.lists(st.booleans(), min_size=4, max_size=4).filter(any))
+    opts = SweepOptions(*stats)
+    return ElementSet(tuple(draw(st.permutations(picks)))), opts
+
+
+@_SETTINGS
+@given(_conv2_sweep_cases())
+def test_conv2_sweep_matches_the_per_matrix_sweep(case):
+    elements, opts = case
+    hist = sweep(elements, 2, 2, opts)
+    generic = generic_sweep(elements, 2, 2, opts)
+    assert hist.rank_profile == generic.rank_profile
+    assert hist.raw == generic.raw
+
+
 # 2 x n and 3 x n and their transposes, at most 3^9 matrices.
 _RANK1_CASES = st.tuples(
     st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
@@ -127,7 +156,7 @@ _RANK1_CASES = st.tuples(
 @given(_RANK1_CASES)
 def test_rank1_matches_the_sweep(case):
     (m, n), (elements, shuffled) = case
-    profile = _generic(elements, m, n, SweepOptions(det=False)).rank_profile
+    profile = generic_sweep(elements, m, n, SweepOptions(det=False)).rank_profile
     expected = profile.get(1, 0)
     assert matrices._rank1_count(elements, m, n) == expected
     assert matrices._rank1_count(shuffled, m, n) == expected
@@ -141,7 +170,7 @@ def test_rank1_matches_the_sweep(case):
 def test_flats_count_3x3_det_zero(case):
     elements, shuffled = case
     zero = Scalar.zero(elements.field)
-    hist = _generic(elements, 3, 3, SweepOptions())
+    hist = generic_sweep(elements, 3, 3, SweepOptions())
     singular = hist.raw["det"].get(matrices._ring(elements.field).zero, 0)
     assert _at_most(hist.rank_profile, 2) == singular
     assert matrices.plan_square(3, len(elements), det_zero=True).name == "flats"
@@ -193,7 +222,7 @@ def test_triple_det_sweep_matches_the_generic_sweep_and_oracle(case):
     elements, chunk = case
     with mock.patch.object(_kernels, "_CHUNK", chunk):
         hist = sweep(elements, 3, 3, SweepOptions())
-    generic = _generic(elements, 3, 3, SweepOptions())
+    generic = generic_sweep(elements, 3, 3, SweepOptions())
     assert hist.rank_profile == generic.rank_profile
     assert hist.raw["det"] == generic.raw["det"]
     if len(elements) <= 2:

@@ -280,7 +280,7 @@ def test_single_key_at_and_past_the_int64_proof(stat, bound, kernel, monkeypatch
     texts = ("1", str(bound))
     elements = _elements(texts)
     assert _kernels.supports(
-        bound, 3, stat == "det", False, stat == "charpoly", stat == "powersums"
+        bound, stat == "det", stat == "charpoly", stat == "powersums"
     ) is kernel
     hist = _sweep_keys(elements, stat)
     common = max(hist, key=hist.get)

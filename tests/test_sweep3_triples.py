@@ -1,13 +1,13 @@
 """The 3x3 int64 det sweep over unordered row triples, and the rank profile
 composed from its det zeros and the rank-1 route.
 
-`_kernels._sweep3` takes det from the triples i < j < k of the A^3 rows, row
-i dotted with the cross product of rows j and k; it counts each triple's det
-d three times at d and three times at -d, and puts the matrices with a
-repeated row at 0.  `matrices.sweep` then reads rank 3 and rank <= 2 off the
-det zeros and rank 1 off `_rank1_count`.  Both are checked here against
-references that share none of that: the generic cofactor sweep
-(`_kernels.supports` patched to False), the per-matrix Bareiss loop
+`_kernels.sweep_square` takes det from the triples i < j < k of the A^3
+rows, row i dotted with the cross product of rows j and k; it counts each
+triple's det d three times at d and three times at -d, and puts the matrices
+with a repeated row at 0.  `matrices.sweep` then reads rank 3 and rank <= 2
+off the det zeros and rank 1 off `_rank1_count`.  Both are checked here
+against references that share none of that: the generic cofactor sweep
+(`conftest.generic_sweep`), the per-matrix Bareiss loop
 (`oracles.bareiss_sweep`) and the Fraction ranks of `tests/oracles.py`, on
 sets with sign pairs (x, -x), with denominators, in shuffled order, with the
 pairs split over many chunks, and at the int64 proof's boundary.
@@ -16,12 +16,12 @@ pairs split over many chunks, and at the int64 proof's boundary.
 from __future__ import annotations
 
 import itertools
-from unittest import mock
 
 import pytest
 
 import oracles
-from unitcount import _kernels, matrices
+from conftest import generic_sweep
+from unitcount import _kernels
 from unitcount.families import ElementSet
 from unitcount.matrices import SweepOptions, count_det, sweep
 from unitcount.scalars import Q, Scalar, parse_scalar
@@ -32,11 +32,6 @@ _B = 916015
 
 def _elements(texts) -> ElementSet:
     return ElementSet(tuple(parse_scalar(t, Q) for t in texts))
-
-
-def _generic(elements: ElementSet, opts: SweepOptions):
-    with mock.patch.object(_kernels, "supports", lambda *args: False):
-        return sweep(elements, 3, 3, opts)
 
 
 def _oracle_ranks(elements: ElementSet) -> dict[int, int]:
@@ -85,7 +80,7 @@ def test_triple_dets_cover_each_unordered_triple_once(monkeypatch):
 def test_count_target3_det_matches_the_generic_sweep(texts, monkeypatch):
     elements = _elements(texts)
     lcm, values, _ = elements.scaled_integers()
-    dets = _generic(elements, SweepOptions(rank=False)).raw["det"]
+    dets = generic_sweep(elements, 3, 3, SweepOptions(rank=False)).raw["det"]
     common = max((d for d in dets if d), key=dets.get)
     assert -common in dets
     absent = max(dets) + 1
@@ -106,7 +101,8 @@ def test_rank_profile_matches_the_fraction_ranks(monkeypatch):
     hist = sweep(elements, 3, 3, SweepOptions())
     assert spy.calls == 1
     assert hist.rank_profile == _oracle_ranks(elements)
-    assert hist.raw["det"] == _generic(elements, SweepOptions(rank=False)).raw["det"]
+    generic = generic_sweep(elements, 3, 3, SweepOptions(rank=False))
+    assert hist.raw["det"] == generic.raw["det"]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -115,8 +111,7 @@ def test_one_statistic_alone(rank, det, n):
     elements = _elements(("3", "-1/2", "1/2", "1"))
     opts = SweepOptions(rank=rank, det=det)
     hist = sweep(elements, n, n, opts)
-    with mock.patch.object(_kernels, "supports", lambda *args: False):
-        generic = sweep(elements, n, n, opts)
+    generic = generic_sweep(elements, n, n, opts)
     assert hist.rank_profile == generic.rank_profile
     assert hist.raw["det"] == generic.raw["det"]
     assert (hist.rank_profile is None) is not rank
@@ -125,13 +120,12 @@ def test_one_statistic_alone(rank, det, n):
 
 def test_kernel_at_the_int64_proof_boundary(monkeypatch):
     assert 6 * _B**3 <= 2**62 < 6 * (_B + 1) ** 3
-    assert _kernels.supports(_B, 3, True, True, False, False)
-    assert _kernels.supports(_B, 3, False, True, False, False)
+    assert _kernels.supports(_B, True, False, False)
     elements = _elements(("1", str(_B), str(-_B)))
     spy = _SweepSpy(monkeypatch)
     hist = sweep(elements, 3, 3, SweepOptions())
     assert spy.calls == 1
-    generic = _generic(elements, SweepOptions())
+    generic = generic_sweep(elements, 3, 3, SweepOptions())
     assert hist.rank_profile == generic.rank_profile
     assert hist.raw["det"] == generic.raw["det"]
     # |det| reaches 4 B^3 (a +-1 matrix has |det| <= 4), near the bound.
@@ -143,8 +137,7 @@ def test_kernel_at_the_int64_proof_boundary(monkeypatch):
 
 def test_sweep_past_the_int64_proof_boundary_is_generic(monkeypatch):
     big = _B + 1
-    assert not _kernels.supports(big, 3, True, True, False, False)
-    assert not _kernels.supports(big, 3, False, True, False, False)
+    assert not _kernels.supports(big, True, False, False)
     elements = _elements(("1", str(big), str(-big)))
     spy = _SweepSpy(monkeypatch)
     hist = sweep(elements, 3, 3, SweepOptions())
