@@ -38,13 +38,11 @@ from .matrices import (
     det,
     rank,
     charpoly,
-    power_sums_from_coeffs,
     sweep,
     count_det,
     count_rank,
     count_charpoly,
     count_power_sums,
-    fast_det2_histogram,
     fast_det2_count,
     fast_charpoly2_count,
     fast_power_sums2_count,

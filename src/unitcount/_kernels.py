@@ -4,20 +4,21 @@ Rather than checking each operation for overflow, `supports` proves up
 front, from the largest scaled entry magnitude B, that every intermediate
 the kernel computes fits comfortably in a signed 64-bit word.  If the proof
 fails the caller falls back to the arbitrary-precision sweep, so results are
-exact either way.  2x2 sweeps need no kernel: `matrices` convolves products.
+exact either way.  2x2 sweeps and power sums need no kernel: `matrices`
+convolves products.
 
 Layout: the det histogram comes from the unordered triples of distinct
 rows i < j < k among the A^3 rows, row i dotted with the cross product of
 rows j and k, built for at most `_CHUNK` pairs (j, k) at a time; a triple's
 six row orders give det d three times and -d three times, and every matrix
 with a repeated row has det 0.  The caller composes the rank profile from
-the det zeros and the rank-1 count (`matrices.sweep`).  The charpoly and
-power-sums keys take one block per first row against numpy arrays of the
-bottom rows, indexed by the flattened odometer of the six bottom entries
-and chunked to bound memory (`_key_blocks3`).  `sweep_square` histograms
-every key; `count_target3` counts one key without a histogram.
+the det zeros and the rank-1 count (`matrices.sweep`).  The charpoly keys
+take one block per first row against numpy arrays of the bottom rows,
+indexed by the flattened odometer of the six bottom entries and chunked to
+bound memory (`_charpoly_blocks3`).  `sweep_square` histograms every key;
+`count_target3` counts one key without a histogram.
 
-Histogram keys with two or three columns are grouped as one int64 per row:
+Charpoly keys, three columns, are grouped as one int64 per row:
 each column less its minimum, packed by mixed radix over the column spans,
 so a block costs one 1-D sort.  The frame is checked with Python ints; when
 it would reach 2^63 the columns are re-ranked to dense indices first, which
@@ -45,16 +46,11 @@ _PACK_LIMIT = 1 << 63
 _COMPACT_ROWS = 4_000_000
 
 
-def supports(
-    bound: int, want_det: bool, want_charpoly: bool, want_powersums: bool
-) -> bool:
-    """True when every intermediate of the 3x3 kernels is provably within
-    int64 for entry magnitudes up to `bound`."""
-    B = int(bound)
-    needed = 6 * B * B * B if want_det or want_charpoly else 0
-    if want_powersums:
-        needed = max(needed, 9 * B * B)
-    return 0 < needed <= _SAFE_LIMIT
+def supports(bound: int) -> bool:
+    """True when every intermediate of the 3x3 kernels, at most 6 B^3 for
+    det and charpoly alike, is provably within int64 for entry magnitudes
+    up to B = `bound`."""
+    return 0 < 6 * int(bound) ** 3 <= _SAFE_LIMIT
 
 
 class _HistAccumulator:
@@ -206,14 +202,12 @@ def _triple_dets(values: list[int]):
             yield dets
 
 
-def _key_blocks3(values: list[int], stat: str):
-    """The raw `stat` key columns of every 3x3 matrix over `values`,
-    "charpoly" (c0, c1, c2) or "powersums" (t1, t2), as int64 arrays: one
-    block per first row against a chunk of at most `_CHUNK` bottom pairs of
-    rows, in odometer order.  The charpoly is c2 = -trace, c1 = the sum of
-    the principal 2x2 minors and c0 = -det; the power sums are t1 = trace
-    and t2 = trace of the square.  Every intermediate is at most 6 B^3
-    (charpoly) or 9 B^2 (power sums), the bounds `supports` proves."""
+def _charpoly_blocks3(values: list[int]):
+    """The raw charpoly key columns (c0, c1, c2) of every 3x3 matrix over
+    `values` as int64 arrays: one block per first row against a chunk of at
+    most `_CHUNK` bottom pairs of rows, in odometer order.  c2 = -trace,
+    c1 = the sum of the principal 2x2 minors and c0 = -det; every
+    intermediate is at most 6 B^3, the bound `supports` proves."""
     v = np.array(values, dtype=np.int64)
     size = v.shape[0]
     bottom_space = size**6
@@ -224,20 +218,15 @@ def _key_blocks3(values: list[int], stat: str):
             v[(flat // size ** (5 - position)) % size] for position in range(6)
         )
         s23 = r22 + r33
-        if stat == "charpoly":
-            m1 = r22 * r33 - r23 * r32
-            m2 = r21 * r33 - r23 * r31
-            m3 = r21 * r32 - r22 * r31
-            for a1, a2, a3 in first_rows:
-                yield (
-                    a2 * m2 - a1 * m1 - a3 * m3,
-                    a1 * s23 - a2 * r21 - a3 * r31 + m1,
-                    -a1 - s23,
-                )
-        else:
-            q23w = r22 * r22 + r33 * r33 + 2 * (r23 * r32)
-            for a1, a2, a3 in first_rows:
-                yield a1 + s23, a1 * a1 + q23w + 2 * (a2 * r21 + a3 * r31)
+        m1 = r22 * r33 - r23 * r32
+        m2 = r21 * r33 - r23 * r31
+        m3 = r21 * r32 - r22 * r31
+        for a1, a2, a3 in first_rows:
+            yield (
+                a2 * m2 - a1 * m1 - a3 * m3,
+                a1 * s23 - a2 * r21 - a3 * r31 + m1,
+                -a1 - s23,
+            )
 
 
 def _repeated_rows3(size: int) -> int:
@@ -261,37 +250,34 @@ def _det_histogram3(values: list[int]) -> dict:
     return hist
 
 
-def _key_histogram3(values: list[int], stat: str) -> dict:
-    """Histogram of the `_key_blocks3` keys."""
-    acc = _HistAccumulator(3 if stat == "charpoly" else 2)
-    for columns in _key_blocks3(values, stat):
+def _charpoly_histogram3(values: list[int]) -> dict:
+    """Histogram of the `_charpoly_blocks3` keys."""
+    acc = _HistAccumulator(3)
+    for columns in _charpoly_blocks3(values):
         _block_histogram(acc, *columns)
     return acc.result()
 
 
 # perfbench/spans.py wraps this name; it reads the raw dict's "total".
-def sweep_square(
-    values: list[int], want_det: bool, want_charpoly: bool, want_powersums: bool
-) -> dict:
+def sweep_square(values: list[int], want_det: bool, want_charpoly: bool) -> dict:
     """Raw sweep over every 3x3 matrix with entries in `values`.
 
-    Returns {"total", "rank", "det", "charpoly", "powersums"} with integer
-    (or integer-tuple) keys in the denominator-cleared coordinate system.
+    Returns {"total", "rank", "det", "charpoly"} with integer (or
+    integer-tuple) keys in the denominator-cleared coordinate system.
     "rank" is None: the caller composes it from the det histogram
     (`matrices.sweep`)."""
     return {
         "total": len(values) ** 9,
         "rank": None,
         "det": _det_histogram3(values) if want_det else None,
-        "charpoly": _key_histogram3(values, "charpoly") if want_charpoly else None,
-        "powersums": _key_histogram3(values, "powersums") if want_powersums else None,
+        "charpoly": _charpoly_histogram3(values) if want_charpoly else None,
     }
 
 
 def count_target3(values: list[int], stat: str, target: tuple[int, ...]) -> int:
     """Number of 3x3 matrices over `values` whose raw key for `stat` equals
-    `target`, in the key layout of `sweep_square`: "det" (det,), "charpoly"
-    (c0, c1, c2), "powersums" (t1, t2).
+    `target`, in the key layout of `sweep_square`: "det" (det,) or
+    "charpoly" (c0, c1, c2).
 
     Same arithmetic as `sweep_square`, under the same `supports` proof (the
     caller's job), but each key column is compared with its target and the
@@ -311,10 +297,8 @@ def count_target3(values: list[int], stat: str, target: tuple[int, ...]) -> int:
         if det == 0:
             return 6 * found + _repeated_rows3(len(values))
         return 3 * found
-    found = 0
-    for columns in _key_blocks3(values, stat):
-        hit = columns[0] == target[0]
-        for column, value in zip(columns[1:], target[1:]):
-            hit &= column == value
-        found += int(np.count_nonzero(hit))
-    return found
+    c0, c1, c2 = target
+    return sum(
+        int(np.count_nonzero((k0 == c0) & (k1 == c1) & (k2 == c2)))
+        for k0, k1, k2 in _charpoly_blocks3(values)
+    )

@@ -11,12 +11,12 @@ algorithm.  Each routine is written once over a ring of exact integer
 or Gaussian-integer operations, so Q and Qi share it.
 
 Sweeps histogram the requested statistics over every matrix in
-elements^(m*n).  A 2x2 sweep convolves the multiset of pairwise products,
-over Q and Qi alike.  A 3x3 sweep over Q whose a-priori magnitude bound
-proves that no intermediate can leave int64 runs the vectorized kernel.
-Otherwise square rank and det come from the last row's cofactors, computed
-once per top block, and the other statistics from one pass over every
-matrix.
+elements^(m*n).  Power sums, at every n, and every 2x2 statistic are
+convolutions of pairwise products, over Q and Qi alike.  A 3x3 sweep over
+Q whose a-priori magnitude bound proves that no intermediate can leave
+int64 runs the vectorized kernel.  Otherwise square rank and det come from
+the last row's cofactors, computed once per top block, and the charpoly and
+the rank of other shapes from one pass over every matrix.
 
 Single counts (count_det, count_rank, count_charpoly, count_power_sums) go
 through a planner that picks a cheaper exact route where one exists and
@@ -315,14 +315,6 @@ def charpoly(X: MatrixInstance, elements: ElementSet) -> CharPolyKey:
     )
 
 
-def power_sums_from_coeffs(c_top: Scalar, c_second: Scalar) -> tuple[Scalar, Scalar]:
-    """(t1, t2) = (trace, trace of the square) from the two leading
-    non-monic coefficients: t1 = -c_(n-1), t2 = t1^2 - 2 c_(n-2)."""
-    t1 = -c_top
-    t2 = t1 * t1 - (c_second + c_second)
-    return t1, t2
-
-
 # -- sweeps -------------------------------------------------------------------
 
 
@@ -532,18 +524,11 @@ def _generic_shard(
 ) -> dict:
     """Sweep over every matrix, any field and shape, in ring arithmetic.
     Returns the raw histograms in the layout of `_kernels.sweep_square`.
-    Square rank and det come from `_square_rank_det`; charpoly, power sums
-    and the rank of other shapes from one pass over every matrix."""
+    Square rank and det come from `_square_rank_det`; charpoly and the rank
+    of other shapes from one pass over every matrix."""
     ring = _ring(field)
-    add, mul, zero = ring.add, ring.mul, ring.zero
     rows = list(itertools.product(values, repeat=n))
-    raw = {
-        "total": len(rows) ** m,
-        "rank": None,
-        "det": None,
-        "charpoly": None,
-        "powersums": None,
-    }
+    raw = {"total": len(rows) ** m, "rank": None, "det": None, "charpoly": None}
     if m == n and (opts.rank or opts.det):
         raw["rank"], det_hist = _square_rank_det(rows, n, ring, opts.rank)
         if opts.det:
@@ -551,8 +536,7 @@ def _generic_shard(
 
     rank_hist = {} if opts.rank and m != n else None
     cp_hist = {} if opts.charpoly else None
-    ps_hist = {} if opts.powersums else None
-    if rank_hist is None and cp_hist is None and ps_hist is None:
+    if rank_hist is None and cp_hist is None:
         return raw
     for matrix in itertools.product(rows, repeat=m):
         if rank_hist is not None:
@@ -561,18 +545,9 @@ def _generic_shard(
         if cp_hist is not None:
             cs = tuple(_charpoly_coeffs(matrix, ring))
             cp_hist[cs] = cp_hist.get(cs, 0) + 1
-        if ps_hist is not None:
-            t1 = t2 = zero
-            for i in range(n):
-                t1 = add(t1, matrix[i][i])
-                for j in range(n):
-                    t2 = add(t2, mul(matrix[i][j], matrix[j][i]))
-            ps_key = (t1, t2)
-            ps_hist[ps_key] = ps_hist.get(ps_key, 0) + 1
     if rank_hist is not None:
         raw["rank"] = rank_hist
     raw["charpoly"] = cp_hist
-    raw["powersums"] = ps_hist
     return raw
 
 
@@ -587,7 +562,7 @@ def _finalize(raw: dict, elements: ElementSet, m: int, n: int) -> SweepHistogram
         total=raw["total"],
         lcm=lcm,
         rank_profile=raw["rank"],
-        raw={stat: raw[stat] for stat in ("det", "charpoly", "powersums")},
+        raw={stat: raw.get(stat) for stat in ("det", "charpoly", "powersums")},
     )
     hist.validate()
     return hist
@@ -621,37 +596,37 @@ def sweep(
         raise BudgetExceededError(total_work, budget)
 
     _, values, bound = elements.scaled_integers()
-    if m == n == 2:
+    if not (opts.rank or opts.det or opts.charpoly):
+        raw = {"total": total_work, "rank": None}
+    elif m == n == 2:
         raw = _conv2_sweep(elements, opts)
-    elif (
-        elements.field == Q
-        and m == n == 3
-        and _kernels.supports(bound, opts.det or opts.rank, opts.charpoly, opts.powersums)
-    ):
+    elif elements.field == Q and m == n == 3 and _kernels.supports(bound):
         # The 3x3 kernel leaves rank to `_rank_profile3`, which needs det.
-        raw = _kernels.sweep_square(
-            values, opts.det or opts.rank, opts.charpoly, opts.powersums
-        )
+        raw = _kernels.sweep_square(values, opts.det or opts.rank, opts.charpoly)
         if opts.rank:
             raw["rank"] = _rank_profile3(elements, raw["total"], raw["det"])
             if not opts.det:
                 raw["det"] = None
     else:
         raw = _generic_shard(values, elements.field, m, n, opts)
+    if opts.powersums:
+        raw["powersums"] = _power_sums_histogram(elements, n)
     return _finalize(raw, elements, m, n)
 
 
 # -- count planner ------------------------------------------------------------
 #
 # Each count_* picks its exact route in one place, from the shape, the
-# statistic and the set size A (plan_square, plan_rank); charges the budget
-# with that route's work; and runs it.
+# statistic and the set size A (plan_square, plan_rank; power sums have one
+# route); charges the budget with that route's work; and runs it.
 #
-#   conv2    2x2 det, charpoly or power sums by product convolution over
-#            the ring integers, A^2
-#   target3  3x3 det, charpoly or power sums: the one key is counted by the
-#            int64 kernel under its `supports` proof, else read off the
-#            generic sweep; A^9
+#   conv2    2x2 det or charpoly by product convolution over the ring
+#            integers, A^2
+#   target3  3x3 det or charpoly: the one key is counted by the int64
+#            kernel under its `supports` proof, else read off the generic
+#            sweep; A^9
+#   powersums  power sums at any n by product convolution: the product
+#            table and the off-diagonal convolution, A^(n(n-1)); A at n = 1
 #   rank1    rank <= 1 on any m x n, by line directions, A^min(m,n)
 #            (also 2x2 det = 0, which is rank <= 1 over zero-free entries)
 #   flats    rank <= 2 when min(m, n) = 3, by the lines and planes the A^3
@@ -673,8 +648,8 @@ class CountRoute:
 
 
 def plan_square(n: int, size: int, *, det_zero: bool = False) -> CountRoute:
-    """Route of an n x n det, charpoly or power-sums count over a set of
-    `size` elements; `det_zero` marks a det = 0 count."""
+    """Route of an n x n det or charpoly count over a set of `size`
+    elements; `det_zero` marks a det = 0 count."""
     if n == 2:
         return CountRoute("rank1" if det_zero else "conv2", size**2)
     if n == 3:
@@ -737,9 +712,7 @@ def _target3_kernel(
     raw = _ring_key(elements.field, target, _key_scales(stat, 3, lcm))
     if raw is None:
         return 0
-    if elements.field != Q or not _kernels.supports(
-        bound, stat == "det", stat == "charpoly", stat == "powersums"
-    ):
+    if elements.field != Q or not _kernels.supports(bound):
         return None
     return _kernels.count_target3(values, stat, raw)
 
@@ -922,39 +895,35 @@ def count_power_sums(
     *,
     budget: int | None = None,
 ) -> int:
-    _check_fields(elements, t1, t2)
-    route = _charged(plan_square(n, len(elements)), budget)
-    if route.name == "conv2":
-        return fast_power_sums2_count(elements, t1, t2)
-    if route.name == "target3":
-        found = _target3_kernel(elements, "powersums", (t1, t2))
-        if found is not None:
-            return found
-    opts = SweepOptions(rank=False, det=False, powersums=True, budget=budget)
-    return sweep(elements, n, n, opts).count("powersums", (t1, t2))
+    if n < 1:
+        raise ValueError("matrix dimensions must be positive")
+    _charged(CountRoute("powersums", len(elements) ** max(n * (n - 1), 1)), budget)
+    return _power_sums_count(elements, n, t1, t2)
 
 
-# -- closed 2x2 product-convolution paths --------------------------------------
+# -- product-convolution paths -------------------------------------------------
 #
-# For 2x2 matrices every statistic is a function of a diagonal pair (a, d)
-# and the product bc: det = ad - bc, charpoly (ad - bc, -(a + d)), power
-# sums (a + d, a^2 + d^2 + 2bc).  So histograms reduce to convolutions with
-# the pairwise product multiset, about A^2 |A.A| dictionary work where a
-# matrix-by-matrix pass costs A^4, however large the entries are.  This is
-# the 2x2 sweep over Q and Qi, and the planner's 2x2 route for det,
-# charpoly and power sums.  It runs on the scaled ring integers: a product
-# is over lcm^2 and a trace over lcm, so each count's target is scaled into
-# the ring once (`_ring_key`), and one that does not scale into it counts
-# 0.  `fast_det2_histogram` stays on Scalars as a reference.  Equality with
-# the per-matrix sweep (`_generic_shard`) is part of the acceptance checks,
-# keeping the routes honest against each other.
+# A 2x2 det is ad - bc and its charpoly (ad - bc, -(a + d)).  The power
+# sums of any n x n matrix are tr X = sum_i x_ii and tr X^2 = sum_i x_ii^2
+# + 2 sum_{i<j} x_ij x_ji, where the diagonal and the n(n-1)/2 transposed
+# pairs share no entry.  So each histogram is a convolution of diagonal
+# keys with pairwise products, about A^n |A.A|^(n(n-1)/2) dictionary work
+# where a matrix-by-matrix pass costs A^(n^2), however large the entries
+# are.  All of it runs on the scaled ring integers: a product is over lcm^2
+# and a trace over lcm, so each count's target is scaled into the ring once
+# (`_ring_key`), and one that does not scale into it counts 0.  Equality
+# with the per-matrix sweep is part of the acceptance checks.
 
 
 def _product_counter(elements: ElementSet) -> Counter:
-    """Number of ordered pairs of scaled values with each ring product."""
+    """Number of ordered pairs of scaled values with each ring product: each
+    unordered pair of distinct values twice, and each square once."""
     _, values, _ = elements.scaled_integers()
     mul = _ring(elements.field).mul
-    return Counter(itertools.starmap(mul, itertools.product(values, repeat=2)))
+    counts = Counter(itertools.starmap(mul, itertools.combinations(values, 2)))
+    counts = Counter({p: 2 * c for p, c in counts.items()})
+    counts.update(map(mul, values, values))
+    return counts
 
 
 def _convolve(left: dict, products: Counter, combine: Callable) -> dict:
@@ -968,52 +937,87 @@ def _convolve(left: dict, products: Counter, combine: Callable) -> dict:
     return out
 
 
+def _convolve_power(step: dict, k: int, combine: Callable, unit) -> dict:
+    """The k-fold convolution of `step` under `combine`; {unit: 1} at k = 0."""
+    out = step if k else {unit: 1}
+    for _ in range(k - 1):
+        out = _convolve(out, step, combine)
+    return out
+
+
 def _conv2_sweep(elements: ElementSet, opts: SweepOptions) -> dict:
     """Raw 2x2 histograms, in the layout of `_generic_shard`, by product
-    convolution: det is the product Counter convolved with itself, the
-    charpoly a Counter of diagonal keys (ad, -(a + d)) convolved with it,
-    and the power sums a one-to-one relabelling of the charpoly keys.  Over
-    zero-free entries rank is 1 exactly when ad = bc, so its count is the
-    sum of the squared product counts, and rank is 2 otherwise."""
+    convolution: det is the product Counter convolved with itself and the
+    charpoly a Counter of diagonal keys (ad, -(a + d)) convolved with it.
+    Over zero-free entries rank is 1 exactly when ad = bc, so its count is
+    the sum of the squared product counts, and rank is 2 otherwise."""
     _, values, _ = elements.scaled_integers()
     ring = _ring(elements.field)
     add, sub, mul = ring.add, ring.sub, ring.mul
     products = _product_counter(elements)
     total = len(values) ** 4
-    raw = {"total": total, "rank": None, "det": None, "charpoly": None, "powersums": None}
+    raw = {"total": total, "rank": None, "det": None, "charpoly": None}
     if opts.rank:
         singular = sum(c * c for c in products.values())
         raw["rank"] = {r: c for r, c in ((1, singular), (2, total - singular)) if c}
     if opts.det:
         raw["det"] = _convolve(products, products, sub)
-    if opts.charpoly or opts.powersums:
+    if opts.charpoly:
         diagonals = itertools.product(values, repeat=2)
         keys = Counter((mul(a, d), ring.neg(add(a, d))) for a, d in diagonals)
-        charpoly = _convolve(keys, products, lambda k, p: (sub(k[0], p), k[1]))
-        if opts.charpoly:
-            raw["charpoly"] = charpoly
-        if opts.powersums:
-            # t1 = -c1 and t2 = a^2 + d^2 + 2bc = c1^2 - 2 c0: one to one.
-            raw["powersums"] = {
-                (ring.neg(c1), sub(mul(c1, c1), add(c0, c0))): count
-                for (c0, c1), count in charpoly.items()
-            }
+        raw["charpoly"] = _convolve(keys, products, lambda k, p: (sub(k[0], p), k[1]))
     return raw
 
 
-def fast_det2_histogram(elements: ElementSet) -> dict[Scalar, int]:
-    """Histogram of det over all 2x2 matrices, via product convolution."""
-    products: dict[Scalar, int] = {}
-    for x in elements:
-        for y in elements:
-            p = x * y
-            products[p] = products.get(p, 0) + 1
-    hist: dict[Scalar, int] = {}
-    for p1, c1 in products.items():
-        for p2, c2 in products.items():
-            key = p1 - p2
-            hist[key] = hist.get(key, 0) + c1 * c2
-    return hist
+def _diagonal_sums(elements: ElementSet, k: int) -> dict:
+    """Number of diagonals (a_1, ..., a_k) over the scaled values with each
+    key (sum a_i, sum a_i^2)."""
+    _, values, _ = elements.scaled_integers()
+    ring = _ring(elements.field)
+    add, mul = ring.add, ring.mul
+    step = {(a, mul(a, a)): 1 for a in values}
+
+    def join(s, a):
+        return add(s[0], a[0]), add(s[1], a[1])
+
+    return _convolve_power(step, k, join, (ring.zero, ring.zero))
+
+
+def _off_diagonal_sums(elements: ElementSet, n: int) -> dict:
+    """Number of off-diagonal fillings of an n x n matrix with each value of
+    2 sum_{i<j} x_ij x_ji: the n(n-1)/2-fold convolution of the doubled
+    products."""
+    ring = _ring(elements.field)
+    doubled = {ring.add(p, p): c for p, c in _product_counter(elements).items()}
+    return _convolve_power(doubled, n * (n - 1) // 2, ring.add, ring.zero)
+
+
+def _power_sums_histogram(elements: ElementSet, n: int) -> dict:
+    """Raw (t1, t2) histogram of every n x n matrix: each diagonal key
+    (s1, s2) joined with each off-diagonal value o as (s1, s2 + o)."""
+    add = _ring(elements.field).add
+    diagonals, off_diagonal = _diagonal_sums(elements, n), _off_diagonal_sums(elements, n)
+    return _convolve(diagonals, off_diagonal, lambda s, o: (s[0], add(s[1], o)))
+
+
+def _power_sums_count(elements: ElementSet, n: int, t1: Scalar, t2: Scalar) -> int:
+    """Number of n x n matrices with (tr X, tr X^2) = (t1, t2), without the
+    histogram: each key (s1, s2) of the first n-1 diagonal entries fixes the
+    last one, d = t1 - s1, and t2 - s2 - d^2 is looked up among the
+    off-diagonal values (an odd one matches none)."""
+    _check_fields(elements, t1, t2)
+    lcm, values, _ = elements.scaled_integers()
+    key = _ring_key(elements.field, (t1, t2), _key_scales("powersums", n, lcm))
+    if key is None:
+        return 0
+    (t1, t2), ring = key, _ring(elements.field)
+    sub, mul = ring.sub, ring.mul
+    off_diagonal, members = _off_diagonal_sums(elements, n), set(values)
+    return sum(
+        count * off_diagonal.get(sub(sub(t2, s2), mul(d, d)), 0)
+        for (s1, s2), count in _diagonal_sums(elements, n - 1).items()
+        if (d := sub(t1, s1)) in members
+    )
 
 
 def fast_det2_count(elements: ElementSet, target: Scalar) -> int:
@@ -1029,32 +1033,15 @@ def fast_det2_count(elements: ElementSet, target: Scalar) -> int:
 
 
 def fast_charpoly2_count(elements: ElementSet, key: CharPolyKey) -> int:
-    """Number of 2x2 matrices with charpoly T^2 + c1 T + c0, in O(A^2)."""
+    """Number of 2x2 matrices with charpoly T^2 + c1 T + c0, in O(A^2): those
+    with power sums t1 = -c1 and t2 = t1^2 - 2 c0, one to one."""
     if key.n != 2:
         raise ValueError("fast_charpoly2_count needs a degree-2 polynomial")
     _check_fields(elements, *key.coeffs)
-    lcm, values, _ = elements.scaled_integers()
-    ring_key = _ring_key(elements.field, key.coeffs, _key_scales("charpoly", 2, lcm))
-    if ring_key is None:
-        return 0
-    c0, c1 = ring_key
-    ring = _ring(elements.field)
-    trace = ring.neg(c1)
-    products = _product_counter(elements)
-    members = set(values)
-    total = 0
-    for a in values:
-        d = ring.sub(trace, a)
-        if d in members:
-            total += products.get(ring.sub(ring.mul(a, d), c0), 0)
-    return total
+    c0, c1 = key.coeffs
+    return _power_sums_count(elements, 2, -c1, c1 * c1 - (c0 + c0))
 
 
 def fast_power_sums2_count(elements: ElementSet, t1: Scalar, t2: Scalar) -> int:
-    """Number of 2x2 matrices with given (trace, trace of square), in O(A^2).
-
-    (t1, t2) determines the charpoly: c1 = -t1, c0 = (t1^2 - t2)/2.
-    """
-    half = Scalar.rational(1, 2, elements.field)
-    c0 = (t1 * t1 - t2) * half
-    return fast_charpoly2_count(elements, CharPolyKey((c0, -t1)))
+    """Number of 2x2 matrices with given (trace, trace of square), in O(A^2)."""
+    return _power_sums_count(elements, 2, t1, t2)

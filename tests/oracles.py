@@ -1,16 +1,19 @@
 """Independent reference implementations used to check the package.
 
-Everything here except `bareiss_sweep` works on pairs (re, im) of
-Fractions, so the only shared surface with the package is the Scalar
+Everything here except the three references in the last paragraph works
+on pairs (re, im) of Fractions, so the only shared surface with the package is the Scalar
 accessors (re, im, den).  Determinants use permutation expansion, rank uses
 textbook Gaussian elimination, and the characteristic polynomial comes from
 Lagrange interpolation of det(tI - X) and, as a second check, from the trace
 recursion.  Most of it is exponentially slow and meant for tiny inputs only.
 
-`bareiss_sweep` is the one reference built on the package: the plain loop of
+`bareiss_sweep` is built on the package's elimination: the plain loop of
 one Bareiss elimination per matrix, which the last-row cofactor sweep
 replaced.  It is fast enough for 4x4 sweeps that the Fraction oracles cannot
 reach, and it shares no grouping or cofactor code with the route it checks.
+`fast_det2_histogram` and `power_sums_from_coeffs` are written in `Scalar`
+arithmetic: the 2x2 det convolution over Scalars, and Newton's identities
+for the two leading coefficients.
 """
 
 from __future__ import annotations
@@ -192,7 +195,31 @@ def _lagrange(points: list[tuple[Fraction, Pair]]) -> list[Pair]:
     return coeffs
 
 
+def power_sums_from_coeffs(c_top, c_second):
+    """(t1, t2) = (trace, trace of the square) from the two leading
+    non-monic coefficients, as Scalars: t1 = -c_(n-1), t2 = t1^2 - 2 c_(n-2)."""
+    t1 = -c_top
+    t2 = t1 * t1 - (c_second + c_second)
+    return t1, t2
+
+
 # -- oracles over element sets --------------------------------------------------
+
+
+def fast_det2_histogram(elements) -> dict:
+    """Histogram of det over all 2x2 matrices, via product convolution in
+    Scalar arithmetic."""
+    products: dict = {}
+    for x in elements:
+        for y in elements:
+            p = x * y
+            products[p] = products.get(p, 0) + 1
+    hist: dict = {}
+    for p1, c1 in products.items():
+        for p2, c2 in products.items():
+            key = p1 - p2
+            hist[key] = hist.get(key, 0) + c1 * c2
+    return hist
 
 
 def pairs_from_rows(scalar_rows) -> list[list[Pair]]:

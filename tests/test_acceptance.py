@@ -27,7 +27,6 @@ from unitcount import (
     count_solutions,
     count_system_sum_squares,
     classify_by_vanishing_subsums,
-    fast_det2_histogram,
     parse_scalar,
     sweep,
 )
@@ -72,7 +71,7 @@ def test_acceptance_1_oracle_equivalence(capsys):
         field = Q if trial % 2 == 0 else QI
         size = rng.randint(2, 12)
         elements = rand_element_set(rng, field, size=size, span=6, max_den=2)
-        fast = fast_det2_histogram(elements)
+        fast = oracles.fast_det2_histogram(elements)
         slow = sweep(elements, 2, 2, options=SweepOptions(rank=False, det=True))
         if fast != slow.det_histogram:
             hist_mismatches += 1

@@ -1,8 +1,8 @@
 """The last-row cofactor route of the generic sweep.
 
 `matrices._generic_shard` gets square rank and det histograms from the
-cofactors of each top (n-1) x n block; charpoly, power sums and the rank of
-other shapes keep one pass over every matrix.  Each is checked against the
+cofactors of each top (n-1) x n block; charpoly and the rank of other
+shapes keep one pass over every matrix.  Each is checked against the
 per-matrix Bareiss loop in tests/oracles.py (`bareiss_sweep`) and, where the
 sweep is small, against the Fraction oracles.
 """
@@ -33,17 +33,14 @@ def _reference(elements: ElementSet, m: int, n: int) -> tuple[dict, dict | None]
 
 
 def _pairs(elements: ElementSet, n: int, raw: dict) -> dict:
-    """The raw det, charpoly and power-sum histograms keyed by Fraction
-    pairs, through the Scalar-keyed dicts of the finished histogram."""
+    """The raw det and charpoly histograms keyed by Fraction pairs, through
+    the Scalar-keyed dicts of the finished histogram."""
     hist = matrices._finalize(raw, elements, n, n)
     out = {"det": {oracles.pair(k): c for k, c in hist.det_histogram.items()}}
     if hist.charpoly_histogram is not None:
         out["charpoly"] = {
             tuple(map(oracles.pair, k.coeffs)): c
             for k, c in hist.charpoly_histogram.items()
-        }
-        out["powersums"] = {
-            tuple(map(oracles.pair, k)): c for k, c in hist.powersum_histogram.items()
         }
     return out
 
@@ -91,7 +88,7 @@ def test_cofactor_route_matches_the_oracles(field, texts, n):
 def test_cofactor_route_past_the_int64_proof():
     elements = _elements(("1", "2^22"))
     _, _, bound = elements.scaled_integers()
-    assert not _kernels.supports(bound, True, False, False)
+    assert not _kernels.supports(bound)
     hist = sweep(elements, 3, 3)
     ranks, dets = _reference(elements, 3, 3)
     assert hist.rank_profile == ranks
@@ -127,12 +124,17 @@ def test_non_square_rank_keeps_the_per_matrix_loop(field, texts, m, n):
 
 @pytest.mark.parametrize("field,texts", [(Q, ("1/2", "-3")), (QI, ("1+i", "-i/2"))])
 def test_square_sweep_with_charpoly_matches_the_oracles(field, texts):
-    # rank and det by cofactors, charpoly and power sums per matrix, one sweep.
+    # rank and det by cofactors and charpoly per matrix, one sweep; the
+    # power sums by their convolution, which the generic sweep leaves out.
     elements = _elements(texts, field)
     raw = _raw(elements, 3, 3, charpoly=True, powersums=True)
+    assert "powersums" not in raw
     ranks, dets = _reference(elements, 3, 3)
     assert raw["rank"] == ranks and raw["det"] == dets
     expected = oracles.sweep_counts(elements, 3, 3)
     got = _pairs(elements, 3, raw)
     assert got["charpoly"] == expected["charpoly"]
-    assert got["powersums"] == expected["powersums"]
+    sums = sweep(elements, 3, 3, SweepOptions(rank=False, det=False, powersums=True))
+    assert {
+        tuple(map(oracles.pair, k)): c for k, c in sums.powersum_histogram.items()
+    } == expected["powersums"]

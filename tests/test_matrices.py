@@ -20,10 +20,8 @@ from unitcount.matrices import (
     det,
     fast_charpoly2_count,
     fast_det2_count,
-    fast_det2_histogram,
     fast_power_sums2_count,
     parse_budget,
-    power_sums_from_coeffs,
     random_matrix,
     rank,
     resolve_budget,
@@ -157,7 +155,7 @@ def test_power_sums_from_coeffs_identity():
         elements = rand_element_set(rng, field, size=4, span=4, max_den=2)
         X = _rand_instance(rng, elements, n, n)
         key = charpoly(X, elements)
-        t1, t2 = power_sums_from_coeffs(key.coeffs[n - 1], key.coeffs[n - 2])
+        t1, t2 = oracles.power_sums_from_coeffs(key.coeffs[n - 1], key.coeffs[n - 2])
         rows = oracles.pairs_from_rows(X.scalar_rows(elements))
         trace = oracles.PZERO
         for i in range(n):
@@ -283,7 +281,7 @@ def _parsed(texts, field: str = Q) -> ElementSet:
 def test_kernel_and_generic_sweeps_write_identical_csv(texts, n):
     elements = _parsed(texts)
     _, _, bound = elements.scaled_integers()
-    assert matrices._kernels.supports(bound, True, True, True)
+    assert matrices._kernels.supports(bound)
     kernel = sweep(elements, n, n, options=_ALL_STATS)
     generic = generic_sweep(elements, n, n, _ALL_STATS)
     rows = kernel.csv_rows()
@@ -467,7 +465,7 @@ def test_fast_det2_paths_match_sweep():
         for _ in range(8):
             elements = rand_element_set(rng, field, size=rng.randint(2, 5), span=5, max_den=2)
             hist = sweep(elements, 2, 2, options=_ALL_STATS)
-            fast_hist = fast_det2_histogram(elements)
+            fast_hist = oracles.fast_det2_histogram(elements)
             assert fast_hist == hist.det_histogram
             for value, expected in hist.det_histogram.items():
                 assert fast_det2_count(elements, value) == expected

@@ -1,7 +1,9 @@
 """Property tests of the planner's ring-integer routes on random small sets
 with signs and denominators, over Q and Qi: the 2x2 product convolutions
-(conv2), as single counts and as the 2x2 sweep, equal the histograms of the
-per-matrix generic sweep, rank <= 1 by line directions (rank1) and rank <= 2
+(conv2), as single counts and as the 2x2 sweep, and the power sums at
+n = 1..4 (powersums), as single counts and as the sweep, equal the
+histograms of the per-matrix generic sweep, rank <= 1 by line directions
+(rank1) and rank <= 2
 by lines and planes (flats) equal its rank profile and the Fraction oracle
 (where it is small), and no count depends on the order of the elements.
 The generic sweep (`conftest.generic_sweep`) is the reference because the
@@ -101,8 +103,8 @@ def test_conv2_counts_match_the_sweep(case):
 
     sums = dict(hist.powersum_histogram)
     t1, t2 = next(iter(sums))
-    # t2 + 1 flips the parity of t1^2 - t2, so c0 = (t1^2 - t2)/2 may leave
-    # the ring.
+    # t2 + 1 may flip the parity of t2 less the diagonal squares, which
+    # then is no doubled off-diagonal sum.
     for key in ((absent, t2), (t1, off_ring), (t1, t2 + Scalar.one(field))):
         sums.setdefault(key, 0)
     for (t1, t2), count in sums.items():
@@ -142,6 +144,60 @@ def test_conv2_sweep_matches_the_per_matrix_sweep(case):
     generic = generic_sweep(elements, 2, 2, opts)
     assert hist.rank_profile == generic.rank_profile
     assert hist.raw == generic.raw
+
+
+@st.composite
+def _power_sums_cases(draw) -> tuple[int, ElementSet, ElementSet]:
+    """n = 1..4 with a Q set (denominators, often x with -x) or a Qi set,
+    and the same set shuffled; at most 6, 4, 3 and 2 elements at n = 1, 2,
+    3 and 4, so the per-matrix reference stays at most 2^16 matrices."""
+    n = draw(st.integers(1, 4))
+    size = {1: 6, 2: 4, 3: 3, 4: 2}[n]
+    field = draw(st.sampled_from([Q, QI]))
+    imag = st.integers(-3, 3) if field == QI else st.just(0)
+    scalars = st.builds(
+        lambda re, im, den: Scalar(field, re, im, den),
+        st.integers(-6, 6), imag, st.integers(1, 4),
+    ).filter(lambda s: not s.is_zero())
+    picks: list[Scalar] = []
+    for x in draw(st.lists(scalars, min_size=1, max_size=size, unique=True)):
+        picks.append(x)
+        if draw(st.booleans()):
+            picks.append(-x)
+    picks = list(dict.fromkeys(picks))[:size]
+    shuffled = draw(st.permutations(picks))
+    return n, ElementSet(tuple(picks)), ElementSet(tuple(shuffled))
+
+
+@_SETTINGS
+@given(_power_sums_cases())
+def test_power_sums_route_matches_the_per_matrix_sweep(case):
+    n, elements, shuffled = case
+    field = elements.field
+    opts = SweepOptions(rank=False, det=False, powersums=True)
+    generic = generic_sweep(elements, n, n, opts)
+    assert sweep(elements, n, n, opts).raw == generic.raw
+    assert sweep(shuffled, n, n, opts).raw == generic.raw
+    sums = dict(generic.powersum_histogram)
+    t1, t2 = next(iter(sums))
+    lcm, _, _ = elements.scaled_integers()
+    # Absent, not scalable into the ring, and with an odd remainder: the
+    # squares of every diagonal of trace t1 have the parity of t2 (in each
+    # part over Qi), so t2 + 1/lcm^2, and over Qi t2 + i/lcm^2, leave an
+    # odd remainder for every diagonal and are no key.
+    odd = [Scalar(field, 1, 0, lcm * lcm)]
+    if field == QI:
+        odd.append(Scalar(QI, 0, 1, lcm * lcm))
+    others = [(Scalar.rational(10**6 + 7, 1, field), t2),
+              (Scalar.rational(1, 3 * lcm, field), t2),
+              (t1, Scalar.rational(1, 3 * lcm * lcm, field))]
+    others += [(t1, t2 + step) for step in odd]
+    for key in others:
+        assert key not in sums
+        sums[key] = 0
+    for (t1, t2), count in sums.items():
+        assert count_power_sums(elements, n, t1, t2) == count, (t1, t2)
+        assert count_power_sums(shuffled, n, t1, t2) == count, (t1, t2)
 
 
 # 2 x n and 3 x n and their transposes, at most 3^9 matrices.

@@ -3,8 +3,11 @@
 The planner (matrices.plan_square / plan_rank) sends a count to a closed or
 single-key route; each such count must equal what `sweep` histograms and
 what the naive enumeration in tests/oracles.py gives.  The 3x3 single-key
-kernel is also checked right at each int64 proof threshold of
+kernel is also checked right at the int64 proof threshold of
 `_kernels.supports` and one past it, where the generic path must take over.
+Power-sums keys never reach the kernel; their route has no magnitude bound,
+and they are checked with entries B = 715827882 and 715827883, where 9 B^2,
+the bound on |tr X^2| of a 3x3 matrix, crosses 2^62.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from unitcount.matrices import (
     plan_square,
     sweep,
 )
+from unitcount.cli import main
 from unitcount.scalars import Q, QI, Scalar, parse_scalar
 
 # Three elements where a shape has at most 6 entries, two beyond that, so
@@ -156,6 +160,28 @@ def test_budget_charges_the_route_work():
     assert count_det(elements, 2, Scalar.zero(Q), budget=9) == 15
 
 
+def test_power_sums_budget_is_the_off_diagonal_convolution(tmp_path, capsys):
+    """Power sums at any n are charged A^(n(n-1)): the product table and
+    the convolution over the n(n-1)/2 transposed pairs; A at n = 1."""
+    elements = _elements(("1/2", "2", "-3"))
+    hist = sweep(elements, 3, 3, SweepOptions(rank=False, det=False, powersums=True))
+    (t1, t2), expected = max(hist.powersum_histogram.items(), key=lambda kv: kv[1])
+    for n, work in ((1, 3), (2, 3**2), (3, 3**6), (4, 3**12)):
+        with pytest.raises(BudgetExceededError) as info:
+            count_power_sums(elements, n, t1, t2, budget=work - 1)
+        assert info.value.required == work
+        assert str(info.value).startswith("powersums count")
+    assert count_power_sums(elements, 3, t1, t2, budget=3**6) == expected
+    path = tmp_path / "set.json"
+    path.write_text('{"field": "Q", "elements": ["1/2", "2", "-3"]}')
+    argv = ["count", "powersums", "--set", str(path), "-n", "3",
+            f"--t1={t1.text()}", f"--t2={t2.text()}", "--budget"]
+    assert main(argv + [str(3**6 - 1)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(argv + [str(3**6)]) == 0
+    assert capsys.readouterr().out == f"{expected}\n"
+
+
 def test_target_field_must_match_the_set():
     elements = _elements(("1", "2"))
     with pytest.raises(ValueError):
@@ -247,7 +273,9 @@ def _check_keys(elements: ElementSet, texts, stat: str, keys) -> None:
 
 def _kernel_keys(stat: str, keys) -> list[tuple]:
     """The keys a count sends to the 3x3 kernel: det = 0 takes the flats
-    route."""
+    route and power sums their convolution."""
+    if stat == "powersums":
+        return []
     return [key for key in keys if not (stat == "det" and key[0].is_zero())]
 
 
@@ -258,11 +286,12 @@ _TARGET_TEXTS = ("1/2", "-3")
 def test_single_key_kernel_matches_sweep_and_oracle(stat, monkeypatch):
     elements = _elements(_TARGET_TEXTS)
     present = list(_sweep_keys(elements, stat))
-    keys = present + _missing_keys(elements, stat, present)
+    absent, unrepresentable, huge = _missing_keys(elements, stat, present)
+    keys = present + [absent, unrepresentable, huge]
     spy = _KernelSpy(monkeypatch)
     _check_keys(elements, _TARGET_TEXTS, stat, keys)
     # The unrepresentable key is answered before the kernel runs.
-    assert spy.calls == len(_kernel_keys(stat, keys)) - 1
+    assert spy.calls == len(_kernel_keys(stat, present + [absent, huge]))
 
 
 @pytest.mark.parametrize(
@@ -272,16 +301,16 @@ def test_single_key_kernel_matches_sweep_and_oracle(stat, monkeypatch):
         ("det", 916016, False),
         ("charpoly", 916015, True),
         ("charpoly", 916016, False),
-        ("powersums", 715827882, True),
+        ("powersums", 715827882, False),
         ("powersums", 715827883, False),
     ],
 )
 def test_single_key_at_and_past_the_int64_proof(stat, bound, kernel, monkeypatch):
     texts = ("1", str(bound))
     elements = _elements(texts)
-    assert _kernels.supports(
-        bound, stat == "det", stat == "charpoly", stat == "powersums"
-    ) is kernel
+    # Power sums never reach the kernel; det and charpoly keys do while its
+    # proof holds.
+    assert (stat != "powersums" and _kernels.supports(bound)) is kernel
     hist = _sweep_keys(elements, stat)
     common = max(hist, key=hist.get)
     largest = max(hist, key=lambda key: max(abs(c.re) for c in key))

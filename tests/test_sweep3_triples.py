@@ -10,7 +10,8 @@ against references that share none of that: the generic cofactor sweep
 (`conftest.generic_sweep`), the per-matrix Bareiss loop
 (`oracles.bareiss_sweep`) and the Fraction ranks of `tests/oracles.py`, on
 sets with sign pairs (x, -x), with denominators, in shuffled order, with the
-pairs split over many chunks, and at the int64 proof's boundary.
+pairs split over many chunks, and at the int64 proof's boundary, where the
+3x3 charpoly sweep is checked against the generic sweep too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from unitcount.families import ElementSet
 from unitcount.matrices import SweepOptions, count_det, sweep
 from unitcount.scalars import Q, Scalar, parse_scalar
 
-# The largest B with 6 B^3 <= 2^62, the bound on every 3x3 det.
+# The largest B with 6 B^3 <= 2^62, the bound on every 3x3 det and charpoly
+# intermediate.
 _B = 916015
 
 
@@ -120,14 +122,16 @@ def test_one_statistic_alone(rank, det, n):
 
 def test_kernel_at_the_int64_proof_boundary(monkeypatch):
     assert 6 * _B**3 <= 2**62 < 6 * (_B + 1) ** 3
-    assert _kernels.supports(_B, True, False, False)
+    assert _kernels.supports(_B)
     elements = _elements(("1", str(_B), str(-_B)))
+    opts = SweepOptions(charpoly=True)
     spy = _SweepSpy(monkeypatch)
-    hist = sweep(elements, 3, 3, SweepOptions())
+    hist = sweep(elements, 3, 3, opts)
     assert spy.calls == 1
-    generic = generic_sweep(elements, 3, 3, SweepOptions())
+    generic = generic_sweep(elements, 3, 3, opts)
     assert hist.rank_profile == generic.rank_profile
     assert hist.raw["det"] == generic.raw["det"]
+    assert hist.raw["charpoly"] == generic.raw["charpoly"]
     # |det| reaches 4 B^3 (a +-1 matrix has |det| <= 4), near the bound.
     assert max(map(abs, hist.raw["det"])) == 4 * _B**3
     ranks, dets = oracles.bareiss_sweep([1, _B, -_B], Q, 3, 3)
@@ -137,11 +141,16 @@ def test_kernel_at_the_int64_proof_boundary(monkeypatch):
 
 def test_sweep_past_the_int64_proof_boundary_is_generic(monkeypatch):
     big = _B + 1
-    assert not _kernels.supports(big, True, False, False)
+    assert not _kernels.supports(big)
     elements = _elements(("1", str(big), str(-big)))
+    opts = SweepOptions(charpoly=True)
     spy = _SweepSpy(monkeypatch)
-    hist = sweep(elements, 3, 3, SweepOptions())
+    hist = sweep(elements, 3, 3, opts)
     assert spy.calls == 0
     ranks, dets = oracles.bareiss_sweep([1, big, -big], Q, 3, 3)
     assert hist.rank_profile == ranks
     assert hist.raw["det"] == dets
+    generic = generic_sweep(elements, 3, 3, opts)
+    assert hist.raw["charpoly"] == generic.raw["charpoly"]
+    # c0 = -det reaches 4 (B + 1)^3, as det does.
+    assert max(abs(key[0]) for key in hist.raw["charpoly"]) == 4 * big**3
