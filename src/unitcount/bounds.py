@@ -288,13 +288,6 @@ def nondegenerate_cap_log10(n: int, group_rank: int) -> Decimal:
         return +raw
 
 
-def nondegenerate_cap_exact(n: int, group_rank: int) -> int:
-    """The cap itself as an exact integer; cheap for n <= 2, grows quickly."""
-    if n < 1 or group_rank < 0:
-        raise ValueError("need n >= 1 and group_rank >= 0")
-    return (8 * n) ** (4 * n**4 * (n + group_rank + 1))
-
-
 def _dedupe_rows(rows: list[ExponentValue]) -> list[ExponentValue]:
     seen = set()
     kept = []

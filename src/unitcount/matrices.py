@@ -14,9 +14,11 @@ Sweeps histogram the requested statistics over every matrix in
 elements^(m*n).  Power sums, at every n, and every 2x2 statistic are
 convolutions of pairwise products, over Q and Qi alike.  A 3x3 sweep over
 Q whose a-priori magnitude bound proves that no intermediate can leave
-int64 runs the vectorized kernel.  Otherwise square rank and det come from
-the last row's cofactors, computed once per top block, and the charpoly and
-the rank of other shapes from one pass over every matrix.
+int64 runs the vectorized kernel.  Otherwise square det comes from the last
+row's cofactors, computed once per top block, and the charpoly from one
+pass over every matrix.  Rank comes from the count planner's routes, with a
+square's rank <= n-1 read off its det zeros, wherever they give the whole
+profile (min(m, n) <= 3, and 4x4); other shapes rank every matrix.
 
 Single counts (count_det, count_rank, count_charpoly, count_power_sums) go
 through a planner that picks a cheaper exact route where one exists and
@@ -31,7 +33,6 @@ import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from . import _kernels
@@ -359,8 +360,7 @@ class SweepHistogram:
     not swept) as the sweep built them: keyed in the denominator-cleared
     ring, a det key one ring value, the others tuples (c_0..c_(n-1) and
     (t1, t2)), each coordinate over its `_key_scales` of `lcm`.  Scalars
-    appear only on lookup and output; the Scalar-keyed `*_histogram` dicts
-    are built on first access."""
+    appear only on lookup and output."""
 
     field: str
     m: int
@@ -370,29 +370,6 @@ class SweepHistogram:
     lcm: int
     rank_profile: dict[int, int] | None
     raw: dict[str, dict | None]
-
-    def _scalar_histogram(self, stat: str, wrap: Callable) -> dict | None:
-        raw = self.raw[stat]
-        if raw is None:
-            return None
-        scales = _key_scales(stat, self.n, self.lcm)
-        return {
-            wrap(tuple(map(_to_scalar, itertools.repeat(self.field),
-                           (key,) if stat == "det" else key, scales))): count
-            for key, count in raw.items()
-        }
-
-    @cached_property
-    def det_histogram(self) -> dict[Scalar, int] | None:
-        return self._scalar_histogram("det", operator.itemgetter(0))
-
-    @cached_property
-    def charpoly_histogram(self) -> dict[CharPolyKey, int] | None:
-        return self._scalar_histogram("charpoly", CharPolyKey)
-
-    @cached_property
-    def powersum_histogram(self) -> dict[tuple[Scalar, Scalar], int] | None:
-        return self._scalar_histogram("powersums", tuple)
 
     def count(self, stat: str, target: tuple[Scalar, ...]) -> int:
         """Number of matrices whose `stat` key has the values `target`."""
@@ -472,50 +449,21 @@ def _cofactors(block, ring: _Ring) -> tuple:
     return tuple(out)
 
 
-def _square_rank_det(rows: list[tuple], n: int, ring: _Ring, want_rank: bool):
-    """(rank, det) histograms of every n x n matrix whose rows come from
-    `rows`, by last-row cofactors.  The cofactors of each top block are
-    computed once, and each distinct nonzero cofactor vector meets the last
-    rows once: det is the dot product, and rank is n when det is nonzero and
-    n-1 otherwise, since a nonzero cofactor means the top rows have rank
-    n-1.  When every cofactor vanishes, det is zero for every last row and
-    rank depends only on the set of distinct rows, so it is cached by that
-    set.  The rank histogram is None unless `want_rank`."""
-    zero, dot = ring.zero, ring.dot
-    zeros = (zero,) * n
-    vectors: dict[tuple, int] = {}
-    degenerate: dict[frozenset, int] = {}
-    for block in itertools.product(rows, repeat=n - 1):
-        cof = _cofactors(block, ring)
-        if cof == zeros:
-            key = frozenset(block)
-            degenerate[key] = degenerate.get(key, 0) + 1
-        else:
-            vectors[cof] = vectors.get(cof, 0) + 1
-
+def _square_det(rows: list[tuple], n: int, ring: _Ring) -> dict:
+    """Det histogram of every n x n matrix whose rows come from `rows`, by
+    last-row cofactors: the cofactors of each top block are computed once,
+    and each distinct cofactor vector meets the last rows once, det being
+    the dot product.  A zero vector, from a top block of rank below n-1,
+    gives det 0 for every last row."""
+    dot = ring.dot
+    blocks = itertools.product(rows, repeat=n - 1)
+    vectors = Counter(map(_cofactors, blocks, itertools.repeat(ring)))
     det_hist: dict = {}
     for cof, mult in vectors.items():
         for last in rows:
             d = dot(last, cof)
             det_hist[d] = det_hist.get(d, 0) + mult
-    singular = det_hist.get(zero, 0)
-    full = sum(vectors.values()) * len(rows) - singular
-    from_degenerate = sum(degenerate.values()) * len(rows)
-    if from_degenerate:
-        det_hist[zero] = singular + from_degenerate
-    if not want_rank:
-        return None, det_hist
-
-    rank_hist = {r: c for r, c in ((n, full), (n - 1, singular)) if c}
-    known: dict[frozenset, int] = {}
-    for rowset, mult in degenerate.items():
-        for last in rows:
-            key = rowset | {last}
-            r = known.get(key)
-            if r is None:
-                r = known[key] = _rank_det(list(key), ring)[0]
-            rank_hist[r] = rank_hist.get(r, 0) + mult
-    return rank_hist, det_hist
+    return det_hist
 
 
 # perfbench/spans.py wraps this name; it reads the raw dict's "total".
@@ -524,17 +472,16 @@ def _generic_shard(
 ) -> dict:
     """Sweep over every matrix, any field and shape, in ring arithmetic.
     Returns the raw histograms in the layout of `_kernels.sweep_square`.
-    Square rank and det come from `_square_rank_det`; charpoly and the rank
-    of other shapes from one pass over every matrix."""
+    Square det comes from `_square_det`; rank and charpoly from one pass
+    over every matrix.  `sweep` asks it for rank only where the planner's
+    routes cannot give the profile; the tests use that per-matrix rank as
+    their reference."""
     ring = _ring(field)
     rows = list(itertools.product(values, repeat=n))
     raw = {"total": len(rows) ** m, "rank": None, "det": None, "charpoly": None}
-    if m == n and (opts.rank or opts.det):
-        raw["rank"], det_hist = _square_rank_det(rows, n, ring, opts.rank)
-        if opts.det:
-            raw["det"] = det_hist
-
-    rank_hist = {} if opts.rank and m != n else None
+    if m == n and opts.det:
+        raw["det"] = _square_det(rows, n, ring)
+    rank_hist = {} if opts.rank else None
     cp_hist = {} if opts.charpoly else None
     if rank_hist is None and cp_hist is None:
         return raw
@@ -545,9 +492,7 @@ def _generic_shard(
         if cp_hist is not None:
             cs = tuple(_charpoly_coeffs(matrix, ring))
             cp_hist[cs] = cp_hist.get(cs, 0) + 1
-    if rank_hist is not None:
-        raw["rank"] = rank_hist
-    raw["charpoly"] = cp_hist
+    raw["rank"], raw["charpoly"] = rank_hist, cp_hist
     return raw
 
 
@@ -568,14 +513,20 @@ def _finalize(raw: dict, elements: ElementSet, m: int, n: int) -> SweepHistogram
     return hist
 
 
-def _rank_profile3(elements: ElementSet, total: int, dets: dict) -> dict[int, int]:
-    """Rank profile of the 3x3 matrices over zero-free `elements`, from the
-    number of singular ones (the raw det histogram's key 0): rank 1 is the
-    rank1 route's count, rank 2 the other singular matrices, rank 3 the rest."""
-    singular = dets.get(0, 0)
-    rank1 = _rank1_count(elements, 3, 3)
-    profile = ((1, rank1), (2, singular - rank1), (3, total - singular))
-    return {r: c for r, c in profile if c}
+def _rank_profile(
+    elements: ElementSet, m: int, n: int, dets: dict | None
+) -> dict[int, int]:
+    """Rank profile of the m x n matrices over zero-free `elements` from the
+    number of rank <= k for each k < min(m, n): by `_cumulative_rank`, but
+    for a square's k = n-1, the zeros of its raw det histogram `dets`."""
+    zero = _ring(elements.field).zero
+    at_most = [
+        dets.get(zero, 0) if m == n == k + 1 else _cumulative_rank(elements, m, n, k)
+        for k in range(1, min(m, n))
+    ]
+    at_most.append(len(elements) ** (m * n))
+    counts = map(operator.sub, at_most, [0, *at_most])
+    return {r: c for r, c in enumerate(counts, 1) if c}
 
 
 def sweep(
@@ -596,21 +547,32 @@ def sweep(
         raise BudgetExceededError(total_work, budget)
 
     _, values, bound = elements.scaled_integers()
-    if not (opts.rank or opts.det or opts.charpoly):
-        raw = {"total": total_work, "rank": None}
-    elif m == n == 2:
-        raw = _conv2_sweep(elements, opts)
+    # The planner's routes give the rank profile when rank <= k has one for
+    # every k < min(m, n) but a square's n-1, which is read off its det zeros.
+    routed = opts.rank and all(
+        m == n == k + 1 or _cumulative_rank_route(m, n, k, len(elements))
+        for k in range(1, min(m, n))
+    )
+    want_det = opts.det or (routed and m == n > 1)
+    shard_opts = SweepOptions(
+        rank=opts.rank and not routed, det=want_det, charpoly=opts.charpoly
+    )
+    square2 = m == n == 2
+    products = _product_counter(elements) if square2 or opts.powersums else None
+    if not (shard_opts.rank or want_det or opts.charpoly):
+        raw = {"total": total_work, "rank": None, "det": None}
+    elif square2:
+        raw = _conv2_sweep(elements, want_det, opts.charpoly, products)
     elif elements.field == Q and m == n == 3 and _kernels.supports(bound):
-        # The 3x3 kernel leaves rank to `_rank_profile3`, which needs det.
-        raw = _kernels.sweep_square(values, opts.det or opts.rank, opts.charpoly)
-        if opts.rank:
-            raw["rank"] = _rank_profile3(elements, raw["total"], raw["det"])
-            if not opts.det:
-                raw["det"] = None
+        raw = _kernels.sweep_square(values, want_det, opts.charpoly)
     else:
-        raw = _generic_shard(values, elements.field, m, n, opts)
+        raw = _generic_shard(values, elements.field, m, n, shard_opts)
+    if routed:
+        raw["rank"] = _rank_profile(elements, m, n, raw["det"])
+    if not opts.det:
+        raw["det"] = None
     if opts.powersums:
-        raw["powersums"] = _power_sums_histogram(elements, n)
+        raw["powersums"] = _power_sums_histogram(elements, n, products)
     return _finalize(raw, elements, m, n)
 
 
@@ -629,14 +591,15 @@ def sweep(
 #            table and the off-diagonal convolution, A^(n(n-1)); A at n = 1
 #   rank1    rank <= 1 on any m x n, by line directions, A^min(m,n)
 #            (also 2x2 det = 0, which is rank <= 1 over zero-free entries)
-#   flats    rank <= 2 when min(m, n) = 3, by the lines and planes the A^3
-#            vectors span (also 3x3 det = 0): the direction pass and all
-#            pairs of at most A^3 directions, A^3 + A^3 (A^3 - 1) / 2
+#   flats    rank <= 2 when d = min(m, n) >= 3, by the lines and planes the
+#            A^d vectors span (also 3x3 det = 0): the direction pass and all
+#            pairs of at most A^d directions, A^d + A^d (A^d - 1) / 2
 #   closed   rank <= min(m, n): every matrix, A^(mn) with no work
 #   sweep    the full-histogram sweep, A^(mn); every route must agree with it
 #
 # An exact rank count is rank <= r minus rank <= r-1, each by its route; the
 # route name joins the two with "-".  The sweep runs when either has none.
+# `sweep` takes its rank profile from these routes too (`_rank_profile`).
 
 
 @dataclass(frozen=True)
@@ -649,16 +612,19 @@ class CountRoute:
 
 def plan_square(n: int, size: int, *, det_zero: bool = False) -> CountRoute:
     """Route of an n x n det or charpoly count over a set of `size`
-    elements; `det_zero` marks a det = 0 count."""
+    elements; `det_zero` marks a det = 0 count, which over zero-free
+    entries is rank <= n-1 and takes that count's route where it has one."""
+    if det_zero and (route := _cumulative_rank_route(n, n, n - 1, size)):
+        return route
     if n == 2:
-        return CountRoute("rank1" if det_zero else "conv2", size**2)
+        return CountRoute("conv2", size**2)
     if n == 3:
-        return _flats_route(size) if det_zero else CountRoute("target3", size**9)
+        return CountRoute("target3", size**9)
     return CountRoute("sweep", size ** (n * n))
 
 
-def _flats_route(size: int) -> CountRoute:
-    vectors = size**3
+def _flats_route(size: int, d: int) -> CountRoute:
+    vectors = size**d
     return CountRoute("flats", vectors + vectors * (vectors - 1) // 2)
 
 
@@ -670,8 +636,8 @@ def _cumulative_rank_route(m: int, n: int, k: int, size: int) -> CountRoute | No
         return CountRoute("closed", 0)
     if k == 1:
         return CountRoute("rank1", size**low)
-    if (low, k) == (3, 2):
-        return _flats_route(size)
+    if k == 2:
+        return _flats_route(size, low)
     return None
 
 
@@ -774,36 +740,42 @@ def _rank1_count(elements: ElementSet, m: int, n: int) -> int:
 
 
 def _flats_count(elements: ElementSet, m: int, n: int) -> int:
-    """Number of m x n matrices of rank <= 2 when min(m, n) = 3.  Such a
-    matrix is max(m, n) vectors of elements^3 (along the shorter side)
+    """Number of m x n matrices of rank <= 2 when d = min(m, n) >= 3.  Such
+    a matrix is max(m, n) vectors of elements^d (along the shorter side)
     spanning a line or a plane, so by Moebius inversion over the flats
         N = sum_L |L|^w + sum_P (|P|^w - sum_{L in P} |L|^w),  w = max(m, n),
     where L runs over the lines of `_line_classes` and P over the planes
     that two of them span, |.| counting vectors.  A plane is keyed by the
-    `_primitive` cross product of two line vectors; walking the lines in
-    order, each plane is summed at its first line, where every other line
-    in it is met.  Python ints throughout, so no magnitude bound is needed."""
+    `_primitive` 2x2 minors of two line vectors (s, a) and (s, b), which
+    are s b_j - s a_j and a_p b_q - a_q b_p; at d = 3 they are the cross
+    product, up to order and sign.  Walking the lines in order, each plane
+    is summed at its first line, where every other line in it is met.
+    Python ints throughout, so no magnitude bound is needed."""
     field = elements.field
     ring = _ring(field)
     sub, mul = ring.sub, ring.mul
-    power = max(m, n)
-    scale, classes = _line_classes(elements, 3)
+    d, power = min(m, n), max(m, n)
+    scale, classes = _line_classes(elements, d)
     lines = list(classes.items())
     total = sum(c**power for c in classes.values())
+    pairs = list(itertools.combinations(range(d - 1), 2))
     seen: set[tuple[int, ...]] = set()
-    for i, ((a2, a3), size) in enumerate(lines):
+    for i, (a, size) in enumerate(lines):
         planes: dict[tuple[int, ...], list[int]] = {}
-        for (b2, b3), other in lines[i + 1 :]:
-            # (s, a2, a3) x (s, b2, b3)
-            normal = _primitive(
-                (
+        for b, other in lines[i + 1 :]:
+            if d == 3:
+                # (s, a2, a3) x (s, b2, b3), written out: the general minors
+                # cost a quarter more per pair here.
+                (a2, a3), (b2, b3) = a, b
+                minors = (
                     sub(mul(a2, b3), mul(a3, b2)),
                     mul(scale, sub(a3, b3)),
                     mul(scale, sub(b2, a2)),
-                ),
-                field,
-            )
-            planes.setdefault(normal, [size]).append(other)
+                )
+            else:
+                minors = [mul(scale, sub(y, x)) for x, y in zip(a, b)]
+                minors += [sub(mul(a[p], b[q]), mul(a[q], b[p])) for p, q in pairs]
+            planes.setdefault(_primitive(minors, field), [size]).append(other)
         for normal, members in planes.items():
             if normal not in seen:
                 seen.add(normal)
@@ -829,10 +801,8 @@ def count_det(
 ) -> int:
     _check_fields(elements, target)
     route = _charged(plan_square(n, len(elements), det_zero=target.is_zero()), budget)
-    if route.name == "rank1":
-        return _rank1_count(elements, 2, 2)
-    if route.name == "flats":
-        return _flats_count(elements, 3, 3)
+    if route.name in ("rank1", "flats"):
+        return _cumulative_rank(elements, n, n, n - 1)
     if route.name == "conv2":
         return fast_det2_count(elements, target)
     if route.name == "target3":
@@ -945,24 +915,20 @@ def _convolve_power(step: dict, k: int, combine: Callable, unit) -> dict:
     return out
 
 
-def _conv2_sweep(elements: ElementSet, opts: SweepOptions) -> dict:
-    """Raw 2x2 histograms, in the layout of `_generic_shard`, by product
-    convolution: det is the product Counter convolved with itself and the
-    charpoly a Counter of diagonal keys (ad, -(a + d)) convolved with it.
-    Over zero-free entries rank is 1 exactly when ad = bc, so its count is
-    the sum of the squared product counts, and rank is 2 otherwise."""
+def _conv2_sweep(
+    elements: ElementSet, want_det: bool, want_charpoly: bool, products: Counter
+) -> dict:
+    """Raw 2x2 det and charpoly histograms, in the layout of
+    `_generic_shard`, by product convolution: det is the `_product_counter`
+    table `products` convolved with itself and the charpoly a Counter of
+    diagonal keys (ad, -(a + d)) convolved with it."""
     _, values, _ = elements.scaled_integers()
     ring = _ring(elements.field)
     add, sub, mul = ring.add, ring.sub, ring.mul
-    products = _product_counter(elements)
-    total = len(values) ** 4
-    raw = {"total": total, "rank": None, "det": None, "charpoly": None}
-    if opts.rank:
-        singular = sum(c * c for c in products.values())
-        raw["rank"] = {r: c for r, c in ((1, singular), (2, total - singular)) if c}
-    if opts.det:
+    raw = {"total": len(values) ** 4, "rank": None, "det": None, "charpoly": None}
+    if want_det:
         raw["det"] = _convolve(products, products, sub)
-    if opts.charpoly:
+    if want_charpoly:
         diagonals = itertools.product(values, repeat=2)
         keys = Counter((mul(a, d), ring.neg(add(a, d))) for a, d in diagonals)
         raw["charpoly"] = _convolve(keys, products, lambda k, p: (sub(k[0], p), k[1]))
@@ -983,20 +949,21 @@ def _diagonal_sums(elements: ElementSet, k: int) -> dict:
     return _convolve_power(step, k, join, (ring.zero, ring.zero))
 
 
-def _off_diagonal_sums(elements: ElementSet, n: int) -> dict:
+def _off_diagonal_sums(elements: ElementSet, n: int, products: Counter) -> dict:
     """Number of off-diagonal fillings of an n x n matrix with each value of
     2 sum_{i<j} x_ij x_ji: the n(n-1)/2-fold convolution of the doubled
-    products."""
+    `_product_counter` table `products`."""
     ring = _ring(elements.field)
-    doubled = {ring.add(p, p): c for p, c in _product_counter(elements).items()}
+    doubled = {ring.add(p, p): c for p, c in products.items()}
     return _convolve_power(doubled, n * (n - 1) // 2, ring.add, ring.zero)
 
 
-def _power_sums_histogram(elements: ElementSet, n: int) -> dict:
+def _power_sums_histogram(elements: ElementSet, n: int, products: Counter) -> dict:
     """Raw (t1, t2) histogram of every n x n matrix: each diagonal key
     (s1, s2) joined with each off-diagonal value o as (s1, s2 + o)."""
     add = _ring(elements.field).add
-    diagonals, off_diagonal = _diagonal_sums(elements, n), _off_diagonal_sums(elements, n)
+    diagonals = _diagonal_sums(elements, n)
+    off_diagonal = _off_diagonal_sums(elements, n, products)
     return _convolve(diagonals, off_diagonal, lambda s, o: (s[0], add(s[1], o)))
 
 
@@ -1012,7 +979,8 @@ def _power_sums_count(elements: ElementSet, n: int, t1: Scalar, t2: Scalar) -> i
         return 0
     (t1, t2), ring = key, _ring(elements.field)
     sub, mul = ring.sub, ring.mul
-    off_diagonal, members = _off_diagonal_sums(elements, n), set(values)
+    off_diagonal = _off_diagonal_sums(elements, n, _product_counter(elements))
+    members = set(values)
     return sum(
         count * off_diagonal.get(sub(sub(t2, s2), mul(d, d)), 0)
         for (s1, s2), count in _diagonal_sums(elements, n - 1).items()

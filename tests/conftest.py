@@ -3,11 +3,13 @@ seed, so failures replay exactly."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 from unitcount.families import ElementSet
-from unitcount.matrices import SweepOptions, _finalize, _generic_shard, _ring
+from unitcount.matrices import SweepOptions, _finalize, _generic_shard, _rank_det, _ring
 from unitcount.scalars import Q, QI, Scalar
 
 
@@ -66,14 +68,31 @@ def _per_matrix_power_sums(values: list, field: str, n: int) -> dict:
     return hist
 
 
+def _row_set_ranks(values: list, field: str, m: int, n: int) -> dict[int, int]:
+    """Rank profile of every m x n matrix, by one Bareiss elimination per
+    distinct set of rows, which is all that rank depends on."""
+    ring = _ring(field)
+    rows = list(itertools.product(values, repeat=n))
+    ranks: dict[int, int] = {}
+    rowsets = Counter(map(frozenset, itertools.product(rows, repeat=m)))
+    for rowset, count in rowsets.items():
+        r = _rank_det(list(rowset), ring)[0]
+        ranks[r] = ranks.get(r, 0) + count
+    return ranks
+
+
 def generic_sweep(elements: ElementSet, m: int, n: int, opts: SweepOptions | None = None):
-    """The sweep on the per-matrix path: `_generic_shard` for rank, det and
-    charpoly, and the power sums summed per matrix here.  It shares no code
-    with the product convolutions or the 3x3 int64 kernel: the reference
-    they are checked against."""
+    """The sweep on the per-matrix path: `_generic_shard` for charpoly per
+    matrix and det by last-row cofactors, and here the ranks by Bareiss per
+    distinct set of rows and the power sums summed per matrix.  It shares
+    no code with the product convolutions, the 3x3 int64 kernel or the rank
+    routes: the reference they are checked against."""
     opts = opts or SweepOptions()
     _, values, _ = elements.scaled_integers()
-    raw = _generic_shard(values, elements.field, m, n, opts)
+    det_charpoly = dataclasses.replace(opts, rank=False)
+    raw = _generic_shard(values, elements.field, m, n, det_charpoly)
+    if opts.rank:
+        raw["rank"] = _row_set_ranks(values, elements.field, m, n)
     if opts.powersums:
         raw["powersums"] = _per_matrix_power_sums(values, elements.field, n)
     return _finalize(raw, elements, m, n)

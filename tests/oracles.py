@@ -1,27 +1,34 @@
 """Independent reference implementations used to check the package.
 
-Everything here except the three references in the last paragraph works
-on pairs (re, im) of Fractions, so the only shared surface with the package is the Scalar
-accessors (re, im, den).  Determinants use permutation expansion, rank uses
+Everything here except the helpers in the last paragraph works on pairs
+(re, im) of Fractions, so the only shared surface with the package is the
+Scalar accessors (re, im, den).  Determinants use permutation expansion, rank uses
 textbook Gaussian elimination, and the characteristic polynomial comes from
 Lagrange interpolation of det(tI - X) and, as a second check, from the trace
-recursion.  Most of it is exponentially slow and meant for tiny inputs only.
+recursion.  Most of it is exponentially slow and meant for tiny inputs only;
+`rank_profile_by_row_sets` reaches 4 x 5 by ranking each set of distinct
+rows once.
 
 `bareiss_sweep` is built on the package's elimination: the plain loop of
-one Bareiss elimination per matrix, which the last-row cofactor sweep
-replaced.  It is fast enough for 4x4 sweeps that the Fraction oracles cannot
+one Bareiss elimination per matrix, which the last-row cofactor sweep and
+the rank routes replaced.  It is fast enough for 4x4 sweeps that the Fraction oracles cannot
 reach, and it shares no grouping or cofactor code with the route it checks.
 `fast_det2_histogram` and `power_sums_from_coeffs` are written in `Scalar`
 arithmetic: the 2x2 det convolution over Scalars, and Newton's identities
-for the two leading coefficients.
+for the two leading coefficients.  `det_histogram`, `charpoly_histogram`
+and `powersum_histogram` turn a sweep's raw ring-keyed histograms into
+`Scalar`-keyed dicts, and `nondegenerate_cap_exact` is the exact integer of
+the cap whose log10 `bounds.nondegenerate_cap_log10` gives.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
-from unitcount.matrices import _rank_det, _ring
+from unitcount.matrices import CharPolyKey, _key_scales, _rank_det, _ring, _to_scalar
 
 Pair = tuple[Fraction, Fraction]
 
@@ -222,6 +229,40 @@ def fast_det2_histogram(elements) -> dict:
     return hist
 
 
+def _scalar_histogram(hist, stat: str, wrap) -> dict | None:
+    """A sweep's raw `stat` histogram keyed by `wrap` of its Scalar values
+    (None when not swept)."""
+    raw = hist.raw[stat]
+    if raw is None:
+        return None
+    scales = _key_scales(stat, hist.n, hist.lcm)
+    return {
+        wrap(tuple(map(_to_scalar, itertools.repeat(hist.field),
+                       (key,) if stat == "det" else key, scales))): count
+        for key, count in raw.items()
+    }
+
+
+def det_histogram(hist) -> dict | None:
+    return _scalar_histogram(hist, "det", operator.itemgetter(0))
+
+
+def charpoly_histogram(hist) -> dict | None:
+    return _scalar_histogram(hist, "charpoly", CharPolyKey)
+
+
+def powersum_histogram(hist) -> dict | None:
+    return _scalar_histogram(hist, "powersums", tuple)
+
+
+def nondegenerate_cap_exact(n: int, group_rank: int) -> int:
+    """The cap (8n)^(4 n^4 (n + rank + 1)) as an exact integer; cheap for
+    n <= 2, grows quickly."""
+    if n < 1 or group_rank < 0:
+        raise ValueError("need n >= 1 and group_rank >= 0")
+    return (8 * n) ** (4 * n**4 * (n + group_rank + 1))
+
+
 def pairs_from_rows(scalar_rows) -> list[list[Pair]]:
     return [[pair(entry) for entry in row] for row in scalar_rows]
 
@@ -263,6 +304,31 @@ def sweep_counts(elements, m: int, n: int) -> dict:
         out["charpoly"] = charpolys
         out["powersums"] = powersums
     return out
+
+
+def rank_profile_by_row_sets(elements, m: int, n: int, top: int) -> dict[int, int]:
+    """Number of m x n matrices over `elements` of each rank <= `top`,
+    without visiting each: a matrix is w = max(m, n) vectors of elements^d,
+    d = min(m, n) (rank is invariant under transposition), and the w-tuples
+    whose set of distinct vectors is S number the surjections of w
+    positions onto S.  Sets are grown one vector at a time in index order
+    and ranked by `rank_pairs`; one of rank above `top` is not grown, since
+    every superset has rank above `top` too."""
+    d, w = min(m, n), max(m, n)
+    vectors = [[pair(x) for x in v] for v in itertools.product(tuple(elements), repeat=d)]
+    onto = [sum((-1) ** j * math.comb(k, j) * (k - j) ** w for j in range(k + 1))
+            for k in range(w + 1)]
+    ranks: dict[int, int] = {}
+    stack = [([], 0)]
+    while stack:
+        rows, start = stack.pop()
+        for i in range(start, len(vectors) if len(rows) < w else 0):
+            grown = rows + [vectors[i]]
+            r = rank_pairs(grown)
+            if r <= top:
+                ranks[r] = ranks.get(r, 0) + onto[len(grown)]
+                stack.append((grown, i + 1))
+    return ranks
 
 
 def bareiss_sweep(values: list, field: str, m: int, n: int) -> tuple[dict, dict | None]:

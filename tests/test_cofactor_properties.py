@@ -1,6 +1,7 @@
 """Property test of the last-row cofactor sweep on random small sets: its
-square rank and det histograms equal the per-matrix Bareiss loop of
-tests/oracles.py.  Needs hypothesis; skipped without it."""
+square det histogram, and the rank profile `sweep` reads off its zeros and
+the rank routes, equal the per-matrix Bareiss loop of tests/oracles.py.
+Needs hypothesis; skipped without it."""
 
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ def test_cofactor_sweep_matches_per_matrix_bareiss(case):
     n, elements = case
     _, values, _ = elements.scaled_integers()
     ranks, dets = oracles.bareiss_sweep(values, elements.field, n, n)
-    raw = matrices._generic_shard(values, elements.field, n, n, SweepOptions())
-    assert raw["rank"] == ranks
+    raw = matrices._generic_shard(values, elements.field, n, n, SweepOptions(rank=False))
     assert raw["det"] == dets
+    # The sweep's rank profile: the rank routes below n-1, the det zeros at n-1.
+    assert matrices.sweep(elements, n, n).rank_profile == ranks

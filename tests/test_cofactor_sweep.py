@@ -1,10 +1,14 @@
-"""The last-row cofactor route of the generic sweep.
+"""The last-row cofactor route of the generic sweep, and the rank profile
+that `sweep` composes around it.
 
-`matrices._generic_shard` gets square rank and det histograms from the
-cofactors of each top (n-1) x n block; charpoly and the rank of other
-shapes keep one pass over every matrix.  Each is checked against the
-per-matrix Bareiss loop in tests/oracles.py (`bareiss_sweep`) and, where the
-sweep is small, against the Fraction oracles.
+`matrices._generic_shard` gets the square det histogram from the cofactors
+of each top (n-1) x n block; rank and charpoly keep one pass over every
+matrix.  `sweep` asks that pass for rank only where the planner's routes
+cannot give the profile: up to 4x4, rank <= n-1 of a square is the zero
+count of the cofactor det histogram and the lower ranks come from the
+rank1 and flats routes.  Each is checked against the per-matrix Bareiss
+loop in tests/oracles.py (`bareiss_sweep`) and, where the sweep is small,
+against the Fraction oracles.
 """
 
 from __future__ import annotations
@@ -36,11 +40,11 @@ def _pairs(elements: ElementSet, n: int, raw: dict) -> dict:
     """The raw det and charpoly histograms keyed by Fraction pairs, through
     the Scalar-keyed dicts of the finished histogram."""
     hist = matrices._finalize(raw, elements, n, n)
-    out = {"det": {oracles.pair(k): c for k, c in hist.det_histogram.items()}}
-    if hist.charpoly_histogram is not None:
+    out = {"det": {oracles.pair(k): c for k, c in oracles.det_histogram(hist).items()}}
+    if hist.raw["charpoly"] is not None:
         out["charpoly"] = {
             tuple(map(oracles.pair, k.coeffs)): c
-            for k, c in hist.charpoly_histogram.items()
+            for k, c in oracles.charpoly_histogram(hist).items()
         }
     return out
 
@@ -62,14 +66,14 @@ _SQUARE_CASES = [
 def test_cofactor_route_matches_per_matrix_bareiss(field, texts, n):
     elements = _elements(texts, field)
     ranks, dets = _reference(elements, n, n)
-    both = _raw(elements, n, n)
-    assert both["total"] == len(elements) ** (n * n)
-    assert both["rank"] == ranks
-    assert both["det"] == dets
     det_only = _raw(elements, n, n, rank=False)
+    assert det_only["total"] == len(elements) ** (n * n)
     assert det_only["rank"] is None and det_only["det"] == dets
-    rank_only = _raw(elements, n, n, det=False)
-    assert rank_only["rank"] == ranks and rank_only["det"] is None
+    # The sweep's rank profile: routes below n-1, the det zeros at n-1.
+    both = sweep(elements, n, n)
+    assert both.rank_profile == ranks and both.raw["det"] == dets
+    rank_only = sweep(elements, n, n, SweepOptions(det=False))
+    assert rank_only.rank_profile == ranks and rank_only.raw["det"] is None
 
 
 @pytest.mark.parametrize(
@@ -95,17 +99,20 @@ def test_cofactor_route_past_the_int64_proof():
     assert hist.raw["det"] == dets
     expected = oracles.sweep_counts(elements, 3, 3)
     assert hist.rank_profile == expected["rank"]
-    assert {oracles.pair(k): c for k, c in hist.det_histogram.items()} == expected["det"]
+    scalar_dets = oracles.det_histogram(hist)
+    assert {oracles.pair(k): c for k, c in scalar_dets.items()} == expected["det"]
 
 
 @pytest.mark.parametrize("texts", [("1", "-1"), ("2", "4")])
 def test_zero_cofactor_blocks_at_4x4(texts):
     # Over {1, -1} and {2, 4} many 3x4 top blocks have rank below 3, so all
-    # their cofactors vanish; ranks below 3 come only from those blocks.
+    # their cofactors vanish and give det 0 for every last row; the ranks
+    # below 3 come from the rank1 and flats routes.
     elements = _elements(texts)
     ranks, dets = _reference(elements, 4, 4)
-    raw = _raw(elements, 4, 4)
-    assert raw["rank"] == ranks and raw["det"] == dets
+    assert _raw(elements, 4, 4, rank=False)["det"] == dets
+    hist = sweep(elements, 4, 4)
+    assert hist.rank_profile == ranks and hist.raw["det"] == dets
     assert min(ranks) == 1 and ranks[2] > 0
 
 
@@ -118,13 +125,15 @@ def test_non_square_rank_keeps_the_per_matrix_loop(field, texts, m, n):
     assert raw["rank"] == ranks
     assert raw["det"] is None
     assert raw["total"] == len(elements) ** (m * n)
+    # `sweep` takes these profiles from the routes instead.
+    assert sweep(elements, m, n, SweepOptions(det=False)).rank_profile == ranks
     if m * n <= 6:
         assert ranks == oracles.sweep_counts(elements, m, n)["rank"]
 
 
 @pytest.mark.parametrize("field,texts", [(Q, ("1/2", "-3")), (QI, ("1+i", "-i/2"))])
 def test_square_sweep_with_charpoly_matches_the_oracles(field, texts):
-    # rank and det by cofactors and charpoly per matrix, one sweep; the
+    # det by cofactors, rank and charpoly per matrix, one sweep; the
     # power sums by their convolution, which the generic sweep leaves out.
     elements = _elements(texts, field)
     raw = _raw(elements, 3, 3, charpoly=True, powersums=True)
@@ -136,5 +145,5 @@ def test_square_sweep_with_charpoly_matches_the_oracles(field, texts):
     assert got["charpoly"] == expected["charpoly"]
     sums = sweep(elements, 3, 3, SweepOptions(rank=False, det=False, powersums=True))
     assert {
-        tuple(map(oracles.pair, k)): c for k, c in sums.powersum_histogram.items()
+        tuple(map(oracles.pair, k)): c for k, c in oracles.powersum_histogram(sums).items()
     } == expected["powersums"]

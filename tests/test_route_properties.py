@@ -3,18 +3,20 @@ with signs and denominators, over Q and Qi: the 2x2 product convolutions
 (conv2), as single counts and as the 2x2 sweep, and the power sums at
 n = 1..4 (powersums), as single counts and as the sweep, equal the
 histograms of the per-matrix generic sweep, rank <= 1 by line directions
-(rank1) and rank <= 2
-by lines and planes (flats) equal its rank profile and the Fraction oracle
-(where it is small), and no count depends on the order of the elements.
-The generic sweep (`conftest.generic_sweep`) is the reference because the
-2x2 sweep is itself a convolution and the 3x3 int64 sweep composes its rank
-profile from rank1 and its det zeros; that sweep, with its det over
-unordered row triples, is checked against the generic sweep and the oracle
-on shuffled Q sets with sign pairs (x, -x).  Needs hypothesis; skipped
-without it."""
+(rank1) and rank <= 2 by lines and planes (flats) equal its rank profile
+and the Fraction oracle (where it is small), and no count depends on the
+order of the elements.  The generic sweep (`conftest.generic_sweep`) is the
+reference because every other sweep takes its rank profile from rank1,
+flats and its det zeros; that profile is checked against the per-matrix
+Bareiss loop at every shape up to 4x4 and at 2x5, 5x2 and 3x5, and the
+flats count in four dimensions against the distinct-row oracle.  The 3x3
+int64 sweep, with its det over unordered row triples, is checked against
+the generic sweep and the oracle on shuffled Q sets with sign pairs
+(x, -x).  Needs hypothesis; skipped without it."""
 
 from __future__ import annotations
 
+import itertools
 from unittest import mock
 
 import pytest
@@ -82,7 +84,7 @@ def test_conv2_counts_match_the_sweep(case):
     absent = Scalar.rational(10**6 + 7, 1, field)
     off_ring = Scalar.rational(1, 3 * lcm * lcm, field)
 
-    dets = dict(hist.det_histogram)
+    dets = dict(oracles.det_histogram(hist))
     for target in (absent, off_ring):
         assert target not in dets
         dets[target] = 0
@@ -91,7 +93,7 @@ def test_conv2_counts_match_the_sweep(case):
         assert fast_det2_count(shuffled, target) == count, target
         assert count_det(elements, 2, target) == count, target
 
-    polys = dict(hist.charpoly_histogram)
+    polys = dict(oracles.charpoly_histogram(hist))
     some = next(iter(polys)).coeffs
     for key in (CharPolyKey((absent, some[1])), CharPolyKey((some[0], off_ring))):
         assert key not in polys
@@ -101,7 +103,7 @@ def test_conv2_counts_match_the_sweep(case):
         assert fast_charpoly2_count(shuffled, key) == count, key
         assert count_charpoly(elements, 2, key) == count, key
 
-    sums = dict(hist.powersum_histogram)
+    sums = dict(oracles.powersum_histogram(hist))
     t1, t2 = next(iter(sums))
     # t2 + 1 may flip the parity of t2 less the diagonal squares, which
     # then is no doubled off-diagonal sum.
@@ -178,7 +180,7 @@ def test_power_sums_route_matches_the_per_matrix_sweep(case):
     generic = generic_sweep(elements, n, n, opts)
     assert sweep(elements, n, n, opts).raw == generic.raw
     assert sweep(shuffled, n, n, opts).raw == generic.raw
-    sums = dict(generic.powersum_histogram)
+    sums = dict(oracles.powersum_histogram(generic))
     t1, t2 = next(iter(sums))
     lcm, _, _ = elements.scaled_integers()
     # Absent, not scalable into the ring, and with an odd remainder: the
@@ -243,8 +245,7 @@ def test_flats_count_3x3_det_zero(case):
 def test_flats_count_rank_two_with_a_side_of_three(shape, case):
     m, n = shape
     elements, shuffled = case
-    # tests/test_routes.py checks this sweep against the oracle.
-    profile = sweep(elements, m, n, SweepOptions(det=False)).rank_profile
+    profile = generic_sweep(elements, m, n, SweepOptions(det=False)).rank_profile
     assert matrices.plan_rank(m, n, 2, True, len(elements)).name == "flats"
     expected = _at_most(profile, 2)
     assert matrices._flats_count(elements, m, n) == expected
@@ -283,3 +284,76 @@ def test_triple_det_sweep_matches_the_generic_sweep_and_oracle(case):
     assert hist.raw["det"] == generic.raw["det"]
     if len(elements) <= 2:
         assert hist.rank_profile == _oracle_ranks(elements, 3, 3)
+
+
+@st.composite
+def _rank_sets(draw, field: str, size: int) -> ElementSet:
+    """A shuffled set of `size` elements of `field`: over Q with
+    denominators, often holding x with -x."""
+    imag = st.integers(-3, 3) if field == QI else st.just(0)
+    scalars = st.builds(
+        lambda re, im, den: Scalar(field, re, im, den),
+        st.integers(-6, 6), imag, st.integers(1, 4),
+    ).filter(lambda s: not s.is_zero())
+    picks: list[Scalar] = []
+    for x in draw(st.lists(scalars, min_size=size, max_size=size, unique=True)):
+        picks.append(x)
+        if field == Q and draw(st.booleans()):
+            picks.append(-x)
+    picks = list(dict.fromkeys(picks))[:size]
+    return ElementSet(tuple(draw(st.permutations(picks))))
+
+
+def _rank_cases() -> list[tuple[int, int, str, int]]:
+    """(m, n, field, size) for every shape up to 4x4 and 2x5, 5x2 and 3x5,
+    with the most elements, up to 3, that give at most 2^16 matrices.
+    Shapes past 2^12 matrices take one field each, Q and Qi in turn."""
+    cases = []
+    turn = itertools.cycle([QI, Q])
+    shapes = [(m, n) for m in range(1, 5) for n in range(1, 5)] + [(2, 5), (5, 2), (3, 5)]
+    for m, n in shapes:
+        size = max(a for a in (1, 2, 3) if a ** (m * n) <= 1 << 16)
+        fields = [Q, QI] if size ** (m * n) <= 1 << 12 else [next(turn)]
+        cases += [(m, n, field, size) for field in fields]
+    return cases
+
+
+@pytest.mark.parametrize("m,n,field,size", _rank_cases())
+def test_sweep_rank_profile_matches_per_matrix_bareiss(m, n, field, size):
+    # The profile comes from the rank1 and flats routes and, for a square,
+    # the det zeros, whichever of the 3x3 kernel, the 2x2 convolution or the
+    # cofactor pass built them; asked with charpoly where it is small.
+    small = size ** (m * n) <= 1 << 12
+
+    @settings(max_examples=2 if small else 1, deadline=None, derandomize=True,
+              database=None)
+    @given(_rank_sets(field, size))
+    def check(elements):
+        _, values, _ = elements.scaled_integers()
+        ranks, dets = oracles.bareiss_sweep(values, field, m, n)
+        hist = sweep(elements, m, n, SweepOptions(det=False))
+        assert hist.rank_profile == ranks and hist.raw["det"] is None
+        if m != n:
+            return
+        hist = sweep(elements, n, n, SweepOptions())
+        assert hist.rank_profile == ranks and hist.raw["det"] == dets
+        if small:
+            hist = sweep(elements, n, n, SweepOptions(det=False, charpoly=True))
+            assert hist.rank_profile == ranks and hist.raw["det"] is None
+
+    check()
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+@pytest.mark.parametrize("m,n", [(4, 4), (4, 5), (5, 4)])
+def test_rank_two_counts_in_four_dimensions_match_the_oracle(m, n, field):
+    # The oracle ranks sets of distinct rows, not each of the 2^20 matrices.
+    @settings(max_examples=1, deadline=None, derandomize=True, database=None)
+    @given(_rank_sets(field, 2))
+    def check(elements):
+        low = oracles.rank_profile_by_row_sets(elements, m, n, 2)
+        assert matrices.plan_rank(m, n, 2, True, 2).name == "flats"
+        assert count_rank(elements, m, n, 2) == sum(low.values())
+        assert count_rank(elements, m, n, 2, cumulative=False) == low.get(2, 0)
+
+    check()

@@ -84,7 +84,8 @@ def test_rank_route_names_and_work():
     assert plan_rank(3, 6, 2, True, 5).name == "flats"
     assert plan_rank(6, 3, 2, False, 5).name == "flats-rank1"
     assert plan_rank(2, 4, 2, True, 5).name == "closed"
-    assert plan_rank(4, 4, 2, True, 2).name == "sweep"
+    assert plan_rank(4, 4, 2, True, 2).name == "flats"
+    assert plan_rank(5, 4, 2, False, 2).name == "flats-rank1"
     assert plan_rank(4, 5, 3, True, 2).name == "sweep"
     assert [plan_square(n, 5).name for n in (1, 2, 3, 4)] == [
         "sweep", "conv2", "target3", "sweep",
@@ -96,8 +97,9 @@ def test_rank_route_names_and_work():
 
 def test_planner_work_per_statistic():
     # 2x2 convolution, 3x3 single-key kernel, rank <= 1 by directions of
-    # the shorter side, rank <= 2 by flats (the A^3 direction pass and all
-    # pairs of at most A^3 directions), closed full rank, and the sweep.
+    # the shorter side, rank <= 2 by flats (the A^d direction pass and all
+    # pairs of at most A^d directions, d = min(m, n)), closed full rank, and
+    # the sweep.
     assert plan_square(2, 10, det_zero=True).work == 100
     assert plan_square(3, 10).work == 10**9
     assert plan_square(3, 10, det_zero=True).work == 10**3 + 10**3 * 999 // 2
@@ -108,7 +110,8 @@ def test_planner_work_per_statistic():
     assert plan_rank(3, 7, 2, False, 3).work == 27 + 27 * 26 // 2 + 3**3
     assert plan_rank(3, 3, 3, True, 3).work == 0
     assert plan_rank(2, 4, 2, False, 3).work == 3**2
-    assert plan_rank(4, 4, 2, True, 2).work == 2**16
+    assert plan_rank(4, 4, 2, True, 2).work == 16 + 16 * 15 // 2
+    assert plan_rank(4, 5, 3, True, 2).work == 2**20
 
 
 @pytest.mark.parametrize(
@@ -165,7 +168,7 @@ def test_power_sums_budget_is_the_off_diagonal_convolution(tmp_path, capsys):
     the convolution over the n(n-1)/2 transposed pairs; A at n = 1."""
     elements = _elements(("1/2", "2", "-3"))
     hist = sweep(elements, 3, 3, SweepOptions(rank=False, det=False, powersums=True))
-    (t1, t2), expected = max(hist.powersum_histogram.items(), key=lambda kv: kv[1])
+    (t1, t2), expected = max(oracles.powersum_histogram(hist).items(), key=lambda kv: kv[1])
     for n, work in ((1, 3), (2, 3**2), (3, 3**6), (4, 3**12)):
         with pytest.raises(BudgetExceededError) as info:
             count_power_sums(elements, n, t1, t2, budget=work - 1)
@@ -180,6 +183,26 @@ def test_power_sums_budget_is_the_off_diagonal_convolution(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(argv + [str(3**6)]) == 0
     assert capsys.readouterr().out == f"{expected}\n"
+
+
+def test_flats_budget_in_four_dimensions(tmp_path, capsys):
+    """4 x n rank <= 2 is charged the A^4 direction pass and all pairs of at
+    most A^4 directions, here 16 + 16 * 15 / 2 = 136."""
+    elements = _elements(("1+i", "-i/2"), QI)
+    work = 16 + 16 * 15 // 2
+    for m, n in ((4, 4), (4, 6), (7, 4)):
+        with pytest.raises(BudgetExceededError) as info:
+            count_rank(elements, m, n, 2, budget=work - 1)
+        assert info.value.required == work
+        assert str(info.value).startswith("flats count")
+    assert count_rank(elements, 4, 4, 2, budget=work) == 2872
+    path = tmp_path / "qi2.json"
+    path.write_text('{"field": "Qi", "elements": ["1+i", "-i/2"]}')
+    argv = ["count", "rank", "--set", str(path), "-m", "4", "-n", "4", "-r", "2"]
+    assert main(argv + ["--budget", str(work - 1)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(argv + ["--budget", str(work)]) == 0
+    assert capsys.readouterr().out == "2872\n"
 
 
 def test_target_field_must_match_the_set():
@@ -220,19 +243,19 @@ class _Stat:
 _STATS = {
     "det": _Stat(
         lambda elements, key: count_det(elements, 3, key[0]),
-        lambda h: {(k,): c for k, c in h.det_histogram.items()},
+        lambda h: {(k,): c for k, c in oracles.det_histogram(h).items()},
         lambda key: oracles.pair(key[0]),
         (3,),
     ),
     "charpoly": _Stat(
         lambda elements, key: count_charpoly(elements, 3, CharPolyKey(key)),
-        lambda h: {k.coeffs: c for k, c in h.charpoly_histogram.items()},
+        lambda h: {k.coeffs: c for k, c in oracles.charpoly_histogram(h).items()},
         lambda key: tuple(oracles.pair(c) for c in key),
         (3, 2, 1),
     ),
     "powersums": _Stat(
         lambda elements, key: count_power_sums(elements, 3, *key),
-        lambda h: dict(h.powersum_histogram),
+        lambda h: dict(oracles.powersum_histogram(h)),
         lambda key: tuple(oracles.pair(c) for c in key),
         (1, 2),
     ),
