@@ -12,13 +12,15 @@ or Gaussian-integer operations, so Q and Qi share it.
 
 Sweeps histogram the requested statistics over every matrix in
 elements^(m*n).  Power sums, at every n, and every 2x2 statistic are
-convolutions of pairwise products, over Q and Qi alike.  A 3x3 sweep over
-Q whose a-priori magnitude bound proves that no intermediate can leave
-int64 runs the vectorized kernel.  Otherwise square det comes from the last
-row's cofactors, computed once per top block, and the charpoly from one
-pass over every matrix.  Rank comes from the count planner's routes, with a
-square's rank <= n-1 read off its det zeros, wherever they give the whole
-profile (min(m, n) <= 3, and 4x4); other shapes rank every matrix.
+convolutions of pairwise products, and the 3x3 charpoly one join of cycle
+invariants, over Q and Qi alike.  A 3x3 det sweep over Q whose a-priori
+magnitude bound proves that no intermediate can leave int64 runs the
+vectorized kernel.  Otherwise square det comes from the last row's
+cofactors, computed once per top block, and any other charpoly from one
+pass over every matrix.  Rank comes from the count planner's routes (a
+square's rank <= n-1 from its det zeros when det is swept or has no route)
+wherever they give the whole profile (min(m, n) <= 3, and 4x4); other
+shapes rank every matrix.
 
 Single counts (count_det, count_rank, count_charpoly, count_power_sums) go
 through a planner that picks a cheaper exact route where one exists and
@@ -471,11 +473,11 @@ def _generic_shard(
     values: list, field: str, m: int, n: int, opts: SweepOptions
 ) -> dict:
     """Sweep over every matrix, any field and shape, in ring arithmetic.
-    Returns the raw histograms in the layout of `_kernels.sweep_square`.
+    Returns the raw {"total", "rank", "det", "charpoly"} histograms.
     Square det comes from `_square_det`; rank and charpoly from one pass
     over every matrix.  `sweep` asks it for rank only where the planner's
-    routes cannot give the profile; the tests use that per-matrix rank as
-    their reference."""
+    routes cannot give the profile, and for charpoly only at n != 3; the
+    tests take its 3x3 charpoly as their reference."""
     ring = _ring(field)
     rows = list(itertools.product(values, repeat=n))
     raw = {"total": len(rows) ** m, "rank": None, "det": None, "charpoly": None}
@@ -518,10 +520,13 @@ def _rank_profile(
 ) -> dict[int, int]:
     """Rank profile of the m x n matrices over zero-free `elements` from the
     number of rank <= k for each k < min(m, n): by `_cumulative_rank`, but
-    for a square's k = n-1, the zeros of its raw det histogram `dets`."""
+    for a square's k = n-1, the zeros of its raw det histogram `dets` when
+    it was swept."""
     zero = _ring(elements.field).zero
     at_most = [
-        dets.get(zero, 0) if m == n == k + 1 else _cumulative_rank(elements, m, n, k)
+        dets.get(zero, 0)
+        if m == n == k + 1 and dets is not None
+        else _cumulative_rank(elements, m, n, k)
         for k in range(1, min(m, n))
     ]
     at_most.append(len(elements) ** (m * n))
@@ -547,26 +552,32 @@ def sweep(
         raise BudgetExceededError(total_work, budget)
 
     _, values, bound = elements.scaled_integers()
+    size = len(elements)
     # The planner's routes give the rank profile when rank <= k has one for
-    # every k < min(m, n) but a square's n-1, which is read off its det zeros.
+    # every k < min(m, n) but a square's n-1, which is read off its det
+    # zeros; those are swept for rank alone only where n-1 has no route.
     routed = opts.rank and all(
-        m == n == k + 1 or _cumulative_rank_route(m, n, k, len(elements))
+        m == n == k + 1 or _cumulative_rank_route(m, n, k, size)
         for k in range(1, min(m, n))
     )
-    want_det = opts.det or (routed and m == n > 1)
+    want_det = opts.det or (
+        routed and m == n > 1 and not _cumulative_rank_route(n, n, n - 1, size)
+    )
     shard_opts = SweepOptions(
-        rank=opts.rank and not routed, det=want_det, charpoly=opts.charpoly
+        rank=opts.rank and not routed, det=want_det, charpoly=opts.charpoly and n != 3
     )
     square2 = m == n == 2
     products = _product_counter(elements) if square2 or opts.powersums else None
-    if not (shard_opts.rank or want_det or opts.charpoly):
+    if not (shard_opts.rank or shard_opts.det or shard_opts.charpoly):
         raw = {"total": total_work, "rank": None, "det": None}
     elif square2:
         raw = _conv2_sweep(elements, want_det, opts.charpoly, products)
     elif elements.field == Q and m == n == 3 and _kernels.supports(bound):
-        raw = _kernels.sweep_square(values, want_det, opts.charpoly)
+        raw = _kernels.sweep_square(values)
     else:
         raw = _generic_shard(values, elements.field, m, n, shard_opts)
+    if opts.charpoly and n == 3:
+        raw["charpoly"] = _cycles3_histogram(elements)
     if routed:
         raw["rank"] = _rank_profile(elements, m, n, raw["det"])
     if not opts.det:
@@ -584,9 +595,10 @@ def sweep(
 #
 #   conv2    2x2 det or charpoly by product convolution over the ring
 #            integers, A^2
-#   target3  3x3 det or charpoly: the one key is counted by the int64
-#            kernel under its `supports` proof, else read off the generic
-#            sweep; A^9
+#   target3  3x3 det: the one key is counted by the int64 kernel over the
+#            C(A^3, 3) row triples under its `supports` proof; past it, and
+#            over Qi, the sweep runs and charges its own A^9
+#   cycles3  3x3 charpoly by the cycle-invariant join, A^6
 #   powersums  power sums at any n by product convolution: the product
 #            table and the off-diagonal convolution, A^(n(n-1)); A at n = 1
 #   rank1    rank <= 1 on any m x n, by line directions, A^min(m,n)
@@ -599,7 +611,7 @@ def sweep(
 #
 # An exact rank count is rank <= r minus rank <= r-1, each by its route; the
 # route name joins the two with "-".  The sweep runs when either has none.
-# `sweep` takes its rank profile from these routes too (`_rank_profile`).
+# `sweep` takes its rank profile and 3x3 charpoly from these routes too.
 
 
 @dataclass(frozen=True)
@@ -610,16 +622,19 @@ class CountRoute:
     work: int
 
 
-def plan_square(n: int, size: int, *, det_zero: bool = False) -> CountRoute:
-    """Route of an n x n det or charpoly count over a set of `size`
-    elements; `det_zero` marks a det = 0 count, which over zero-free
+def plan_square(n: int, size: int, stat: str, *, det_zero: bool = False) -> CountRoute:
+    """Route of an n x n `stat` count, "det" or "charpoly", over a set of
+    `size` elements; `det_zero` marks a det = 0 count, which over zero-free
     entries is rank <= n-1 and takes that count's route where it has one."""
     if det_zero and (route := _cumulative_rank_route(n, n, n - 1, size)):
         return route
     if n == 2:
         return CountRoute("conv2", size**2)
+    if n == 3 and stat == "charpoly":
+        return CountRoute("cycles3", size**6)
     if n == 3:
-        return CountRoute("target3", size**9)
+        rows = size**3
+        return CountRoute("target3", rows * (rows - 1) * (rows - 2) // 6)
     return CountRoute("sweep", size ** (n * n))
 
 
@@ -668,19 +683,17 @@ def _check_fields(elements: ElementSet, *values: Scalar) -> None:
             )
 
 
-def _target3_kernel(
-    elements: ElementSet, stat: str, target: tuple[Scalar, ...]
-) -> int | None:
-    """3x3 count of one `stat` key.  A key that is not a ring element counts
-    0; otherwise the int64 kernel counts when its proof holds, and None
-    means sweep instead."""
+def _target3_kernel(elements: ElementSet, target: Scalar) -> int | None:
+    """3x3 count of one det.  A det that is not a ring element counts 0;
+    otherwise the int64 kernel counts when its proof holds, and None means
+    sweep instead."""
     lcm, values, bound = elements.scaled_integers()
-    raw = _ring_key(elements.field, target, _key_scales(stat, 3, lcm))
+    raw = _ring_key(elements.field, (target,), _key_scales("det", 3, lcm))
     if raw is None:
         return 0
     if elements.field != Q or not _kernels.supports(bound):
         return None
-    return _kernels.count_target3(values, stat, raw)
+    return _kernels.count_target3(values, raw[0])
 
 
 def _primitive(vector: tuple, field: str) -> tuple[int, ...]:
@@ -800,13 +813,15 @@ def count_det(
     budget: int | None = None,
 ) -> int:
     _check_fields(elements, target)
-    route = _charged(plan_square(n, len(elements), det_zero=target.is_zero()), budget)
+    route = _charged(
+        plan_square(n, len(elements), "det", det_zero=target.is_zero()), budget
+    )
     if route.name in ("rank1", "flats"):
         return _cumulative_rank(elements, n, n, n - 1)
     if route.name == "conv2":
         return fast_det2_count(elements, target)
     if route.name == "target3":
-        found = _target3_kernel(elements, "det", (target,))
+        found = _target3_kernel(elements, target)
         if found is not None:
             return found
     opts = SweepOptions(rank=False, budget=budget)
@@ -846,13 +861,11 @@ def count_charpoly(
     if key.n != n:
         raise ValueError(f"characteristic polynomial has {key.n} coefficients, need {n}")
     _check_fields(elements, *key.coeffs)
-    route = _charged(plan_square(n, len(elements)), budget)
+    route = _charged(plan_square(n, len(elements), "charpoly"), budget)
     if route.name == "conv2":
         return fast_charpoly2_count(elements, key)
-    if route.name == "target3":
-        found = _target3_kernel(elements, "charpoly", key.coeffs)
-        if found is not None:
-            return found
+    if route.name == "cycles3":
+        return _cycles3_count(elements, key.coeffs)
     opts = SweepOptions(rank=False, det=False, charpoly=True, budget=budget)
     return sweep(elements, n, n, opts).count("charpoly", key.coeffs)
 
@@ -1013,3 +1026,101 @@ def fast_charpoly2_count(elements: ElementSet, key: CharPolyKey) -> int:
 def fast_power_sums2_count(elements: ElementSet, t1: Scalar, t2: Scalar) -> int:
     """Number of 2x2 matrices with given (trace, trace of square), in O(A^2)."""
     return _power_sums_count(elements, 2, t1, t2)
+
+
+# -- 3x3 charpoly by cycle invariants ------------------------------------------
+#
+# With diagonal d, pair products p_ij = x_ij x_ji and cycle sum
+# s = x12 x23 x31 + x13 x32 x21, a 3x3 charpoly is that of diag(d),
+# (-d1 d2 d3, e2(d), -(d1 + d2 + d3)), plus
+# (d1 p23 + d2 p13 + d3 p12 - s, -(p12 + p13 + p23), 0).  So its histogram
+# joins one Counter of the A^6 off-diagonal keys (p12, p13, p23, s) with the
+# diagonals.  A simultaneous permutation of rows and columns keeps the
+# charpoly and maps that Counter to itself, so the diagonal runs over its
+# C(A + 2, 3) multisets, weighted by their orderings.  Ring integers
+# throughout: Q and Qi share the code, with no magnitude bound.
+
+
+def _cycle_buckets(values: list, ring: _Ring) -> dict:
+    """The off-diagonal keys of every 3x3 matrix over `values` and their
+    counts, as columns bucketed by P = p12 + p13 + p23:
+    {P: (p12s, p13s, p23s, cycles, counts)}.  s = u x31 + v x13 with
+    u = x12 x23 and v = x21 x32, so each pair of pairs (x12, x21),
+    (x23, x32) meets the A^2 pairs (x31, x13) in one Counter update."""
+    add, mul = ring.add, ring.mul
+    repeat = itertools.repeat
+    pairs = [(a, b, mul(a, b)) for a in values for b in values]
+    x31s, x13s, p13s = zip(*pairs)
+    keys: Counter = Counter()
+    for x12, x21, p12 in pairs:
+        for x23, x32, p23 in pairs:
+            u, v = mul(x12, x23), mul(x21, x32)
+            cycles = map(add, map(mul, repeat(u), x31s), map(mul, repeat(v), x13s))
+            keys.update(zip(repeat(p12), p13s, repeat(p23), cycles))
+    rows: dict = {}
+    for key, n in keys.items():
+        rows.setdefault(add(add(key[0], key[1]), key[2]), []).append((*key, n))
+    return {pair_sum: tuple(zip(*bucket)) for pair_sum, bucket in rows.items()}
+
+
+def _diagonal_multisets(values: list, ring: _Ring):
+    """Each multiset {d1, d2, d3} of `values` once: d, its number of
+    orderings 6 / (m1! m2! m3!) and the charpoly coefficients of diag(d)."""
+    zero = ring.zero
+    for i, j, k in itertools.combinations_with_replacement(range(len(values)), 3):
+        d = (values[i], values[j], values[k])
+        diagonal = [[d[r] if r == c else zero for c in range(3)] for r in range(3)]
+        orderings = 6 if i < j < k else 1 if i == k else 3
+        yield d, orderings, _charpoly_coeffs(diagonal, ring)
+
+
+def _cycle_lows(d: tuple, columns, ring: _Ring):
+    """d1 p23 + d2 p13 + d3 p12 - s, what c0 adds to that of diag(d), for
+    each key of the `_cycle_buckets` columns (p12s, p13s, p23s, cycles), by
+    `map` over the ring operations."""
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    repeat = itertools.repeat
+    (d1, d2, d3), (p12s, p13s, p23s, cycles) = d, columns
+    terms = map(add, map(mul, repeat(d1), p23s), map(mul, repeat(d2), p13s))
+    return map(sub, map(add, terms, map(mul, repeat(d3), p12s)), cycles)
+
+
+def _cycles3_histogram(elements: ElementSet) -> dict:
+    """Raw 3x3 charpoly histogram, keyed (c0, c1, c2) in the ring like the
+    other sweeps: per diagonal multiset and bucket, the c0 parts are
+    tallied with their counts, then shifted by diag(d)'s."""
+    _, values, _ = elements.scaled_integers()
+    ring = _ring(elements.field)
+    buckets = _cycle_buckets(values, ring)
+    hist: dict = {}
+    for d, weight, (a0, a1, a2) in _diagonal_multisets(values, ring):
+        for pair_sum, (*columns, counts) in buckets.items():
+            c1 = ring.sub(a1, pair_sum)
+            lows: dict = {}
+            for low, n in zip(_cycle_lows(d, columns, ring), counts):
+                lows[low] = lows.get(low, 0) + n
+            for low, n in lows.items():
+                key = (ring.add(a0, low), c1, a2)
+                hist[key] = hist.get(key, 0) + weight * n
+    return hist
+
+
+def _cycles3_count(elements: ElementSet, target: tuple[Scalar, ...]) -> int:
+    """Number of 3x3 matrices with charpoly coefficients `target`, without
+    the histogram: c2 picks the diagonal multisets, c1 the bucket of
+    off-diagonal keys, and c0 the keys counted there."""
+    lcm, values, _ = elements.scaled_integers()
+    key = _ring_key(elements.field, target, _key_scales("charpoly", 3, lcm))
+    if key is None:
+        return 0
+    (c0, c1, c2), ring = key, _ring(elements.field)
+    buckets = _cycle_buckets(values, ring)
+    found = 0
+    for d, weight, (a0, a1, a2) in _diagonal_multisets(values, ring):
+        bucket = buckets.get(ring.sub(a1, c1))
+        if a2 != c2 or bucket is None:
+            continue
+        *columns, counts = bucket
+        want, lows = ring.sub(c0, a0), _cycle_lows(d, columns, ring)
+        found += weight * sum(n for low, n in zip(lows, counts) if low == want)
+    return found

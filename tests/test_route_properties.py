@@ -12,7 +12,11 @@ Bareiss loop at every shape up to 4x4 and at 2x5, 5x2 and 3x5, and the
 flats count in four dimensions against the distinct-row oracle.  The 3x3
 int64 sweep, with its det over unordered row triples, is checked against
 the generic sweep and the oracle on shuffled Q sets with sign pairs
-(x, -x).  Needs hypothesis; skipped without it."""
+(x, -x).  The 3x3 charpoly join over cycle invariants (cycles3), as the
+sweep and as single counts, is checked against the generic sweep's
+per-matrix Berkowitz charpoly on shuffled Q sets, Qi sets and sets past the
+int64 det proof, and its decoded keys against the Fraction oracle.  Needs
+hypothesis; skipped without it."""
 
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ from unitcount.matrices import (  # noqa: E402
     fast_power_sums2_count,
     sweep,
 )
-from unitcount.scalars import Q, QI, Scalar  # noqa: E402
+from unitcount.scalars import Q, QI, Scalar, parse_scalar  # noqa: E402
 
 _SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -231,7 +235,7 @@ def test_flats_count_3x3_det_zero(case):
     hist = generic_sweep(elements, 3, 3, SweepOptions())
     singular = hist.raw["det"].get(matrices._ring(elements.field).zero, 0)
     assert _at_most(hist.rank_profile, 2) == singular
-    assert matrices.plan_square(3, len(elements), det_zero=True).name == "flats"
+    assert matrices.plan_square(3, len(elements), "det", det_zero=True).name == "flats"
     assert count_det(elements, 3, zero) == singular
     assert count_det(shuffled, 3, zero) == singular
     assert count_rank(elements, 3, 3, 2, cumulative=True) == singular
@@ -357,3 +361,136 @@ def test_rank_two_counts_in_four_dimensions_match_the_oracle(m, n, field):
         assert count_rank(elements, m, n, 2, cumulative=False) == low.get(2, 0)
 
     check()
+
+
+# The largest B with 6 B^3 <= 2^62, the 3x3 int64 det proof.
+_B = 916015
+
+
+@st.composite
+def _charpoly3_sets(draw) -> tuple[ElementSet, ElementSet]:
+    """A set for the 3x3 charpoly join and the same set shuffled: a Q set
+    of 1 to 3 elements with denominators, often holding x with -x; a Qi set
+    of 1 to 3; or a set past the int64 det proof, {1, B+1, -(B+1)} at
+    B = 916015 or {2^a, 2^b} with b >= 21."""
+    kind = draw(st.sampled_from([Q, QI, "past"]))
+    if kind != "past":
+        elements = draw(_rank_sets(kind, draw(st.integers(1, 3))))
+    elif draw(st.booleans()):
+        elements = ElementSet(tuple(Scalar.rational(v) for v in (1, _B + 1, -_B - 1)))
+    else:
+        a, b = draw(st.integers(0, 20)), draw(st.integers(21, 40))
+        elements = ElementSet((Scalar.rational(2**a), Scalar.rational(2**b)))
+    shuffled = ElementSet(tuple(draw(st.permutations(list(elements)))))
+    return elements, shuffled
+
+
+def _fraction_charpolys(elements: ElementSet) -> dict:
+    """Charpoly histogram of every 3x3 matrix by the Fraction oracle."""
+    polys: dict = {}
+    for combo in oracles.all_matrices(elements, 3, 3):
+        rows = [[oracles.pair(combo[i * 3 + j]) for j in range(3)] for i in range(3)]
+        key = tuple(oracles.charpoly_pairs(rows))
+        polys[key] = polys.get(key, 0) + 1
+    return polys
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_charpoly3_sets(), st.randoms(use_true_random=False))
+def test_cycle_join_matches_the_per_matrix_charpoly(case, rng):
+    # The generic sweep takes each matrix's charpoly by Berkowitz; `sweep`
+    # and `count_charpoly` take it from the cycle-invariant join.
+    elements, shuffled = case
+    field = elements.field
+    opts = SweepOptions(rank=False, det=False, charpoly=True)
+    generic = generic_sweep(elements, 3, 3, opts)
+    hist = sweep(elements, 3, 3, opts)
+    assert hist.raw == generic.raw
+    assert sweep(shuffled, 3, 3, opts).raw == generic.raw
+    polys = dict(oracles.charpoly_histogram(hist))
+    # Absent, not scalable into the ring, and past 2^70.
+    lcm, _, _ = elements.scaled_integers()
+    absent = Scalar.rational(10**6 + 7, 1, field)
+    others = [
+        CharPolyKey((absent,) * 3),
+        CharPolyKey((Scalar.rational(1, 2 * lcm**3, field),) + (absent,) * 2),
+        CharPolyKey((Scalar.rational(2**70, 1, field),) * 3),
+    ]
+    # Every key where the set is small; a drawn dozen at three elements.
+    keys = list(polys) if len(elements) <= 2 else rng.sample(list(polys), 12)
+    for key in others:
+        assert key not in polys
+        polys[key] = 0
+    for key in keys + others:
+        assert count_charpoly(elements, 3, key) == polys[key], key
+        assert count_charpoly(shuffled, 3, key) == polys[key], key
+
+
+@pytest.mark.parametrize(
+    "field,texts",
+    [(Q, ("2/3", "-2/3")), (QI, ("i/2", "1-i")), (Q, ("1", "2^21"))],
+    ids=["Q-sign-pair", "Qi", "Q-past-the-proof"],
+)
+def test_cycle_join_decodes_to_the_fraction_charpolys(field, texts):
+    elements = ElementSet(tuple(parse_scalar(t, field) for t in texts))
+    hist = sweep(elements, 3, 3, SweepOptions(rank=False, det=False, charpoly=True))
+    decoded = {
+        tuple(map(oracles.pair, key.coeffs)): count
+        for key, count in oracles.charpoly_histogram(hist).items()
+    }
+    assert decoded == _fraction_charpolys(elements)
+
+
+@st.composite
+def _ring_matrices(draw) -> tuple[str, list]:
+    """A field and the 9 entries of a 3x3 matrix of its scaled ring values:
+    ints over Q, (re, im) int pairs over Qi, zero allowed, since the
+    formula needs no zero-free entries."""
+    field = draw(st.sampled_from([Q, QI]))
+    if field == QI:
+        values = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    else:
+        values = st.integers(-(2**40), 2**40)
+    return field, draw(st.lists(values, min_size=9, max_size=9))
+
+
+@_SETTINGS
+@given(_ring_matrices())
+def test_cycle_invariants_give_each_matrix_charpoly(case):
+    # One matrix's diagonal, pair products and cycle sum, through the
+    # join's own formula pieces, against its Berkowitz charpoly.
+    field, flat = case
+    ring = matrices._ring(field)
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    rows = [flat[0:3], flat[3:6], flat[6:9]]
+    (d1, x12, x13), (x21, d2, x23), (x31, x32, d3) = rows
+    p12, p13, p23 = mul(x12, x21), mul(x13, x31), mul(x23, x32)
+    s = add(mul(mul(x12, x23), x31), mul(mul(x13, x32), x21))
+    (low,) = matrices._cycle_lows((d1, d2, d3), ([p12], [p13], [p23], [s]), ring)
+    e2 = add(add(mul(d1, d2), mul(d1, d3)), mul(d2, d3))
+    coeffs = [
+        sub(low, mul(mul(d1, d2), d3)),
+        sub(e2, add(add(p12, p13), p23)),
+        ring.neg(add(add(d1, d2), d3)),
+    ]
+    assert coeffs == matrices._charpoly_coeffs(rows, ring)
+
+
+@_SETTINGS
+@given(_element_sets(4))
+def test_cycle_buckets_hold_every_off_diagonal_filling(case):
+    elements, _ = case
+    _, values, _ = elements.scaled_integers()
+    ring = matrices._ring(elements.field)
+    add, mul = ring.add, ring.mul
+    expected: dict = {}
+    for x12, x13, x21, x23, x31, x32 in itertools.product(values, repeat=6):
+        s = add(mul(mul(x12, x23), x31), mul(mul(x13, x32), x21))
+        key = (mul(x12, x21), mul(x13, x31), mul(x23, x32), s)
+        expected[key] = expected.get(key, 0) + 1
+    got: dict = {}
+    for pair_sum, columns in matrices._cycle_buckets(values, ring).items():
+        for *key, count in zip(*columns):
+            assert add(add(key[0], key[1]), key[2]) == pair_sum
+            got[tuple(key)] = got.get(tuple(key), 0) + count
+    assert got == expected

@@ -3,11 +3,13 @@
 The planner (matrices.plan_square / plan_rank) sends a count to a closed or
 single-key route; each such count must equal what `sweep` histograms and
 what the naive enumeration in tests/oracles.py gives.  The 3x3 single-key
-kernel is also checked right at the int64 proof threshold of
+det kernel is also checked right at the int64 proof threshold of
 `_kernels.supports` and one past it, where the generic path must take over.
-Power-sums keys never reach the kernel; their route has no magnitude bound,
-and they are checked with entries B = 715827882 and 715827883, where 9 B^2,
-the bound on |tr X^2| of a 3x3 matrix, crosses 2^62.
+Charpoly keys (the cycles3 join) and power-sums keys never reach the
+kernel; their routes have no magnitude bound, and they are checked at the
+same threshold and, for power sums, with entries B = 715827882 and
+715827883, where 9 B^2, the bound on |tr X^2| of a 3x3 matrix, crosses
+2^62.
 """
 
 from __future__ import annotations
@@ -87,22 +89,29 @@ def test_rank_route_names_and_work():
     assert plan_rank(4, 4, 2, True, 2).name == "flats"
     assert plan_rank(5, 4, 2, False, 2).name == "flats-rank1"
     assert plan_rank(4, 5, 3, True, 2).name == "sweep"
-    assert [plan_square(n, 5).name for n in (1, 2, 3, 4)] == [
+    assert [plan_square(n, 5, "det").name for n in (1, 2, 3, 4)] == [
         "sweep", "conv2", "target3", "sweep",
     ]
-    assert plan_square(3, 5, det_zero=True).name == "flats"
+    assert [plan_square(n, 5, "charpoly").name for n in (1, 2, 3, 4)] == [
+        "sweep", "conv2", "cycles3", "sweep",
+    ]
+    assert plan_square(3, 5, "det", det_zero=True).name == "flats"
     with pytest.raises(ValueError):
         plan_rank(2, 3, 3, True, 5)
 
 
 def test_planner_work_per_statistic():
-    # 2x2 convolution, 3x3 single-key kernel, rank <= 1 by directions of
-    # the shorter side, rank <= 2 by flats (the A^d direction pass and all
-    # pairs of at most A^d directions, d = min(m, n)), closed full rank, and
-    # the sweep.
-    assert plan_square(2, 10, det_zero=True).work == 100
-    assert plan_square(3, 10).work == 10**9
-    assert plan_square(3, 10, det_zero=True).work == 10**3 + 10**3 * 999 // 2
+    # 2x2 convolution, the 3x3 single-key det kernel over the C(A^3, 3)
+    # unordered row triples, the 3x3 charpoly join over the A^6 off-diagonal
+    # keys, rank <= 1 by directions of the shorter side, rank <= 2 by flats
+    # (the A^d direction pass and all pairs of at most A^d directions,
+    # d = min(m, n)), closed full rank, and the sweep.
+    assert plan_square(2, 10, "det", det_zero=True).work == 100
+    assert plan_square(2, 10, "charpoly").work == 100
+    assert plan_square(3, 10, "det").work == 1000 * 999 * 998 // 6
+    assert plan_square(3, 10, "charpoly").work == 10**6
+    assert plan_square(3, 10, "det", det_zero=True).work == 10**3 + 10**3 * 999 // 2
+    assert plan_square(4, 2, "charpoly").work == 2**16
     assert plan_rank(2, 2, 1, True, 7).work == 49
     assert plan_rank(2, 3, 1, True, 3).work == 3**2
     assert plan_rank(3, 3, 1, True, 3).work == 3**3
@@ -123,8 +132,8 @@ def test_det0_2x2_counts_rank_at_most_one(field, texts, monkeypatch):
     elements = _elements(texts, field)
     zero = Scalar.zero(field)
     size = len(elements)
-    assert plan_square(2, size, det_zero=True) == CountRoute("rank1", size**2)
-    assert plan_square(2, size) == CountRoute("conv2", size**2)
+    assert plan_square(2, size, "det", det_zero=True) == CountRoute("rank1", size**2)
+    assert plan_square(2, size, "det") == CountRoute("conv2", size**2)
     expected = _oracle(texts, field, 2, 2)["det"].get(oracles.PZERO, 0)
     assert fast_det2_count(elements, zero) == expected
     convolutions = []
@@ -141,7 +150,7 @@ def test_det0_2x2_counts_rank_at_most_one(field, texts, monkeypatch):
     assert len(convolutions) == 1
 
 
-def test_budget_charges_the_route_work():
+def test_budget_charges_the_route_work(tmp_path, capsys):
     elements = _elements(("1", "2", "3"))
     assert count_rank(elements, 3, 3, 1, budget=3**3) == count_rank(elements, 3, 3, 1)
     with pytest.raises(BudgetExceededError) as info:
@@ -157,10 +166,47 @@ def test_budget_charges_the_route_work():
     with pytest.raises(BudgetExceededError) as info:
         count_rank(elements, 4, 3, 2, cumulative=False, budget=flats + 3**3 - 1)
     assert info.value.required == flats + 3**3
-    with pytest.raises(BudgetExceededError) as info:
-        count_det(elements, 3, Scalar.one(Q), budget=3**9 - 1)
-    assert info.value.required == 3**9
     assert count_det(elements, 2, Scalar.zero(Q), budget=9) == 15
+    # A 3x3 det != 0 under the kernel's proof is charged its C(27, 3) row
+    # triples, a 3x3 charpoly its 3^6 off-diagonal keys.
+    one, triples = Scalar.one(Q), 27 * 26 * 25 // 6
+    key = CharPolyKey((Scalar.zero(Q), Scalar.rational(-1), Scalar.rational(-3)))
+    expected = {
+        "det": count_det(elements, 3, one),
+        "charpoly": count_charpoly(elements, 3, key),
+    }
+    assert expected["det"] > 0 and expected["charpoly"] > 0
+    for stat, count, work in (
+        ("det", lambda b: count_det(elements, 3, one, budget=b), triples),
+        ("charpoly", lambda b: count_charpoly(elements, 3, key, budget=b), 3**6),
+    ):
+        with pytest.raises(BudgetExceededError) as info:
+            count(work - 1)
+        assert info.value.required == work
+        assert count(work) == expected[stat]
+    path = tmp_path / "set.json"
+    path.write_text('{"field": "Q", "elements": ["1", "2", "3"]}')
+    for stat, target, work in (
+        ("det", ["--d", "1"], triples),
+        ("charpoly", ["--coeffs", "0,-1,-3"], 3**6),
+    ):
+        argv = ["count", stat, "--set", str(path), "-n", "3", *target, "--budget"]
+        assert main(argv + [str(work - 1)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert main(argv + [str(work)]) == 0
+        assert capsys.readouterr().out == f"{expected[stat]}\n"
+    # Past the proof the det count is charged its C(8, 3) triples first, and
+    # then the sweep it falls back to charges its own 2^9.
+    wide = _elements(("1", "916016"))
+    assert not _kernels.supports(916016)
+    dets = oracles.det_histogram(sweep(wide, 3, 3, SweepOptions(rank=False)))
+    target = max((d for d in dets if not d.is_zero()), key=dets.get)
+    swept = dets[target]
+    for budget, required in ((8 * 7 * 6 // 6 - 1, 56), (2**9 - 1, 2**9)):
+        with pytest.raises(BudgetExceededError) as info:
+            count_det(wide, 3, target, budget=budget)
+        assert info.value.required == required
+    assert count_det(wide, 3, target, budget=2**9) == swept
 
 
 def test_power_sums_budget_is_the_off_diagonal_convolution(tmp_path, capsys):
@@ -295,11 +341,12 @@ def _check_keys(elements: ElementSet, texts, stat: str, keys) -> None:
 
 
 def _kernel_keys(stat: str, keys) -> list[tuple]:
-    """The keys a count sends to the 3x3 kernel: det = 0 takes the flats
-    route and power sums their convolution."""
-    if stat == "powersums":
+    """The keys a count sends to the 3x3 kernel: only det keys, as det = 0
+    takes the flats route, the charpoly the cycles3 join and power sums
+    their convolution."""
+    if stat != "det":
         return []
-    return [key for key in keys if not (stat == "det" and key[0].is_zero())]
+    return [key for key in keys if not key[0].is_zero()]
 
 
 _TARGET_TEXTS = ("1/2", "-3")
@@ -318,7 +365,7 @@ def test_single_key_kernel_matches_sweep_and_oracle(stat, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "stat,bound,kernel",
+    "stat,bound,proof",
     [
         ("det", 916015, True),
         ("det", 916016, False),
@@ -328,16 +375,15 @@ def test_single_key_kernel_matches_sweep_and_oracle(stat, monkeypatch):
         ("powersums", 715827883, False),
     ],
 )
-def test_single_key_at_and_past_the_int64_proof(stat, bound, kernel, monkeypatch):
+def test_single_key_at_and_past_the_int64_proof(stat, bound, proof, monkeypatch):
     texts = ("1", str(bound))
     elements = _elements(texts)
-    # Power sums never reach the kernel; det and charpoly keys do while its
-    # proof holds.
-    assert (stat != "powersums" and _kernels.supports(bound)) is kernel
+    # Only det keys reach the kernel, while its proof holds.
+    assert _kernels.supports(bound) is proof
     hist = _sweep_keys(elements, stat)
     common = max(hist, key=hist.get)
     largest = max(hist, key=lambda key: max(abs(c.re) for c in key))
     keys = [common, largest, _missing_keys(elements, stat, hist)[0]]
     spy = _KernelSpy(monkeypatch)
     _check_keys(elements, texts, stat, keys)
-    assert spy.calls == (len(_kernel_keys(stat, keys)) if kernel else 0)
+    assert spy.calls == (len(_kernel_keys(stat, keys)) if proof else 0)

@@ -11,7 +11,9 @@ against references that share none of that: the generic cofactor sweep
 (`oracles.bareiss_sweep`) and the Fraction ranks of `tests/oracles.py`, on
 sets with sign pairs (x, -x), with denominators, in shuffled order, with the
 pairs split over many chunks, and at the int64 proof's boundary, where the
-3x3 charpoly sweep is checked against the generic sweep too.
+3x3 charpoly sweep (the cycle-invariant join) is checked against the
+generic sweep too.  A square sweep without det builds no det histogram:
+its rank <= n-1 comes from the rank1 or flats route.
 """
 
 from __future__ import annotations
@@ -22,18 +24,18 @@ import pytest
 
 import oracles
 from conftest import generic_sweep
-from unitcount import _kernels
+from unitcount import _kernels, matrices
 from unitcount.families import ElementSet
 from unitcount.matrices import SweepOptions, count_det, sweep
-from unitcount.scalars import Q, Scalar, parse_scalar
+from unitcount.scalars import Q, QI, Scalar, parse_scalar
 
 # The largest B with 6 B^3 <= 2^62, the bound on every 3x3 det and charpoly
 # intermediate.
 _B = 916015
 
 
-def _elements(texts) -> ElementSet:
-    return ElementSet(tuple(parse_scalar(t, Q) for t in texts))
+def _elements(texts, field: str = Q) -> ElementSet:
+    return ElementSet(tuple(parse_scalar(t, field) for t in texts))
 
 
 def _oracle_ranks(elements: ElementSet) -> dict[int, int]:
@@ -87,13 +89,13 @@ def test_count_target3_det_matches_the_generic_sweep(texts, monkeypatch):
     assert -common in dets
     absent = max(dets) + 1
     for d in [*dets, absent, -absent]:
-        assert _kernels.count_target3(values, "det", (d,)) == dets.get(d, 0), d
+        assert _kernels.count_target3(values, d) == dets.get(d, 0), d
     for d in (0, common, -common):
         assert count_det(elements, 3, Scalar.rational(d, lcm**3)) == dets[d], d
     # The pairs split over many chunks.
     monkeypatch.setattr(_kernels, "_CHUNK", 5)
     for d in (0, common, -common, absent):
-        assert _kernels.count_target3(values, "det", (d,)) == dets.get(d, 0), d
+        assert _kernels.count_target3(values, d) == dets.get(d, 0), d
 
 
 def test_rank_profile_matches_the_fraction_ranks(monkeypatch):
@@ -154,3 +156,32 @@ def test_sweep_past_the_int64_proof_boundary_is_generic(monkeypatch):
     assert hist.raw["charpoly"] == generic.raw["charpoly"]
     # c0 = -det reaches 4 (B + 1)^3, as det does.
     assert max(abs(key[0]) for key in hist.raw["charpoly"]) == 4 * big**3
+
+
+@pytest.mark.parametrize(
+    "n,field,texts",
+    [
+        (2, Q, ("3", "-1/2", "1/2", "1")),
+        (2, QI, ("1+i", "-i/2", "2", "i")),
+        (3, Q, ("-1/2", "1/2", "3")),
+        (3, QI, ("1+i", "-i/2", "2")),
+    ],
+)
+def test_rank_only_square_sweeps_take_the_rank_routes(n, field, texts, monkeypatch):
+    """Without det, a square's rank <= n-1 is the rank1 count at n = 2 and
+    the flats count at n = 3: no det convolution, kernel or cofactor pass
+    runs."""
+    elements = _elements(texts, field)
+    built = []
+    for name in ("_convolve", "_generic_shard"):
+        original = getattr(matrices, name)
+        monkeypatch.setattr(
+            matrices, name, lambda *a, _f=original, _n=name: built.append(_n) or _f(*a)
+        )
+    spy = _SweepSpy(monkeypatch)
+    hist = sweep(elements, n, n, SweepOptions(det=False))
+    assert built == [] and spy.calls == 0
+    assert hist.raw["det"] is None
+    _, values, _ = elements.scaled_integers()
+    ranks, _ = oracles.bareiss_sweep(values, field, n, n)
+    assert hist.rank_profile == ranks
