@@ -11,24 +11,24 @@ algorithm.  Each routine is written once over a ring of exact integer
 or Gaussian-integer operations, so Q and Qi share it.
 
 Sweeps histogram the requested statistics over every matrix in
-elements^(m*n).  Power sums, at every n, and every 2x2 statistic are
+elements^(m*n), and single counts (count_det, count_rank, count_charpoly,
+count_power_sums) count one key.  Both run the route that one planner
+picks for each statistic (plan_square, plan_rank; see the count planner
+section).  Power sums, at every n, and every 2x2 statistic are
 convolutions of pairwise products, and the 3x3 charpoly one join of cycle
-invariants, over Q and Qi alike.  A 3x3 det sweep over Q whose a-priori
+invariants, over Q and Qi alike.  A 3x3 det over Q whose a-priori
 magnitude bound proves that no intermediate can leave int64 runs the
 vectorized kernel.  Otherwise square det comes from the last row's
 cofactors, computed once per top block, and any other charpoly from one
-pass over every matrix.  Rank comes from the count planner's routes (a
+pass over every matrix.  Rank comes from the planner's rank routes (a
 square's rank <= n-1 from its det zeros when det is swept or has no route)
 wherever they give the whole profile (min(m, n) <= 3, and 4x4); other
 shapes rank every matrix.
-
-Single counts (count_det, count_rank, count_charpoly, count_power_sums) go
-through a planner that picks a cheaper exact route where one exists and
-falls back to the sweep otherwise; see the count planner section.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -330,6 +330,9 @@ class SweepOptions:
     budget: int | None = None
 
 
+_SQUARE_STATS = ("det", "charpoly", "powersums")
+
+
 def _key_scales(stat: str, n: int, lcm: int) -> tuple[int, ...]:
     """Denominator of each coordinate of an n x n `stat` key in the
     denominator-cleared ring: det lcm^n, charpoly c_k lcm^(n-k), power sums
@@ -343,9 +346,12 @@ def _key_scales(stat: str, n: int, lcm: int) -> tuple[int, ...]:
 
 def _ring_key(field: str, target: tuple[Scalar, ...], scales) -> tuple | None:
     """Each target value times its scale, as ring values; None when one is
-    not a ring element (its denominator does not divide the scale)."""
+    not a ring element (its denominator does not divide the scale).  A
+    value of another field is an error."""
     key = []
     for value, scale in zip(target, scales):
+        if value.field != field:
+            raise FieldMismatchError(f"target in field {value.field}, set in field {field}")
         if scale % value.den:
             return None
         factor = scale // value.den
@@ -375,10 +381,13 @@ class SweepHistogram:
 
     def count(self, stat: str, target: tuple[Scalar, ...]) -> int:
         """Number of matrices whose `stat` key has the values `target`."""
+        hist = self.raw.get(stat)
+        if hist is None:
+            raise ValueError(f"no {stat} keys in this sweep")
         key = _ring_key(self.field, target, _key_scales(stat, self.n, self.lcm))
         if key is None:
             return 0
-        return self.raw[stat].get(key[0] if stat == "det" else key, 0)
+        return hist.get(key[0] if stat == "det" else key, 0)
 
     def validate(self) -> None:
         expected = self.set_size ** (self.m * self.n)
@@ -475,9 +484,9 @@ def _generic_shard(
     """Sweep over every matrix, any field and shape, in ring arithmetic.
     Returns the raw {"total", "rank", "det", "charpoly"} histograms.
     Square det comes from `_square_det`; rank and charpoly from one pass
-    over every matrix.  `sweep` asks it for rank only where the planner's
-    routes cannot give the profile, and for charpoly only at n != 3; the
-    tests take its 3x3 charpoly as their reference."""
+    over every matrix.  It runs the planner's "sweep" route of one square
+    statistic, and the rank profiles the rank routes cannot give; the tests
+    take its 3x3 charpoly as their reference."""
     ring = _ring(field)
     rows = list(itertools.product(values, repeat=n))
     raw = {"total": len(rows) ** m, "rank": None, "det": None, "charpoly": None}
@@ -509,7 +518,7 @@ def _finalize(raw: dict, elements: ElementSet, m: int, n: int) -> SweepHistogram
         total=raw["total"],
         lcm=lcm,
         rank_profile=raw["rank"],
-        raw={stat: raw.get(stat) for stat in ("det", "charpoly", "powersums")},
+        raw={stat: raw.get(stat) for stat in _SQUARE_STATS},
     )
     hist.validate()
     return hist
@@ -521,14 +530,17 @@ def _rank_profile(
     """Rank profile of the m x n matrices over zero-free `elements` from the
     number of rank <= k for each k < min(m, n): by `_cumulative_rank`, but
     for a square's k = n-1, the zeros of its raw det histogram `dets` when
-    it was swept."""
+    it was swept.  Where some k has no route, every matrix is ranked."""
     zero = _ring(elements.field).zero
-    at_most = [
-        dets.get(zero, 0)
-        if m == n == k + 1 and dets is not None
-        else _cumulative_rank(elements, m, n, k)
-        for k in range(1, min(m, n))
-    ]
+    at_most = []
+    for k in range(1, min(m, n)):
+        if m == n == k + 1 and dets is not None:
+            count = dets.get(zero, 0)
+        elif (count := _cumulative_rank(elements, m, n, k)) is None:
+            _, values, _ = elements.scaled_integers()
+            opts = SweepOptions(det=False)
+            return _generic_shard(values, elements.field, m, n, opts)["rank"]
+        at_most.append(count)
     at_most.append(len(elements) ** (m * n))
     counts = map(operator.sub, at_most, [0, *at_most])
     return {r: c for r, c in enumerate(counts, 1) if c}
@@ -537,13 +549,15 @@ def _rank_profile(
 def sweep(
     elements: ElementSet, m: int, n: int, options: SweepOptions | None = None
 ) -> SweepHistogram:
-    """Histogram the enabled statistics over every matrix in elements^(m*n)."""
+    """Histogram the enabled statistics over every matrix in elements^(m*n),
+    each square statistic by the route `plan_square` picks for it."""
     opts = options or SweepOptions()
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
-    if m != n and (opts.det or opts.charpoly or opts.powersums):
+    stats = [stat for stat in _SQUARE_STATS if getattr(opts, stat)]
+    if m != n and stats:
         raise ValueError("det, charpoly and powersums need a square matrix")
-    if not (opts.rank or opts.det or opts.charpoly or opts.powersums):
+    if not (opts.rank or stats):
         raise ValueError("no statistic enabled")
 
     total_work = len(elements) ** (m * n)
@@ -551,53 +565,24 @@ def sweep(
     if total_work > budget:
         raise BudgetExceededError(total_work, budget)
 
-    _, values, bound = elements.scaled_integers()
-    size = len(elements)
-    # The planner's routes give the rank profile when rank <= k has one for
-    # every k < min(m, n) but a square's n-1, which is read off its det
-    # zeros; those are swept for rank alone only where n-1 has no route.
-    routed = opts.rank and all(
-        m == n == k + 1 or _cumulative_rank_route(m, n, k, size)
-        for k in range(1, min(m, n))
-    )
-    want_det = opts.det or (
-        routed and m == n > 1 and not _cumulative_rank_route(n, n, n - 1, size)
-    )
-    shard_opts = SweepOptions(
-        rank=opts.rank and not routed, det=want_det, charpoly=opts.charpoly and n != 3
-    )
-    square2 = m == n == 2
-    products = _product_counter(elements) if square2 or opts.powersums else None
-    if not (shard_opts.rank or shard_opts.det or shard_opts.charpoly):
-        raw = {"total": total_work, "rank": None, "det": None}
-    elif square2:
-        raw = _conv2_sweep(elements, want_det, opts.charpoly, products)
-    elif elements.field == Q and m == n == 3 and _kernels.supports(bound):
-        raw = _kernels.sweep_square(values)
-    else:
-        raw = _generic_shard(values, elements.field, m, n, shard_opts)
-    if opts.charpoly and n == 3:
-        raw["charpoly"] = _cycles3_histogram(elements)
-    if routed:
-        raw["rank"] = _rank_profile(elements, m, n, raw["det"])
-    if not opts.det:
-        raw["det"] = None
-    if opts.powersums:
-        raw["powersums"] = _power_sums_histogram(elements, n, products)
+    raw = {stat: _square_histogram(elements, n, stat) for stat in stats}
+    raw["total"] = total_work
+    raw["rank"] = _rank_profile(elements, m, n, raw.get("det")) if opts.rank else None
     return _finalize(raw, elements, m, n)
 
 
 # -- count planner ------------------------------------------------------------
 #
-# Each count_* picks its exact route in one place, from the shape, the
-# statistic and the set size A (plan_square, plan_rank; power sums have one
-# route); charges the budget with that route's work; and runs it.
+# Each statistic picks its exact route in one place, from the shape, the
+# field, the set size A and, for the 3x3 det, the set's magnitude bound
+# (plan_square, plan_rank).  A count is charged that route's work and runs
+# its one-key counter (`_square_count`); a sweep histograms each square
+# statistic by the same route (`_square_histogram`) and charges A^(mn).
 #
 #   conv2    2x2 det or charpoly by product convolution over the ring
 #            integers, A^2
-#   target3  3x3 det: the one key is counted by the int64 kernel over the
-#            C(A^3, 3) row triples under its `supports` proof; past it, and
-#            over Qi, the sweep runs and charges its own A^9
+#   target3  3x3 det over Q under the int64 kernel's `supports` proof: the
+#            one key over the C(A^3, 3) row triples
 #   cycles3  3x3 charpoly by the cycle-invariant join, A^6
 #   powersums  power sums at any n by product convolution: the product
 #            table and the off-diagonal convolution, A^(n(n-1)); A at n = 1
@@ -607,11 +592,11 @@ def sweep(
 #            A^d vectors span (also 3x3 det = 0): the direction pass and all
 #            pairs of at most A^d directions, A^d + A^d (A^d - 1) / 2
 #   closed   rank <= min(m, n): every matrix, A^(mn) with no work
-#   sweep    the full-histogram sweep, A^(mn); every route must agree with it
+#   sweep    the per-matrix pass of `_generic_shard`, A^(mn); every route
+#            must agree with it
 #
 # An exact rank count is rank <= r minus rank <= r-1, each by its route; the
 # route name joins the two with "-".  The sweep runs when either has none.
-# `sweep` takes its rank profile and 3x3 charpoly from these routes too.
 
 
 @dataclass(frozen=True)
@@ -622,17 +607,25 @@ class CountRoute:
     work: int
 
 
-def plan_square(n: int, size: int, stat: str, *, det_zero: bool = False) -> CountRoute:
-    """Route of an n x n `stat` count, "det" or "charpoly", over a set of
-    `size` elements; `det_zero` marks a det = 0 count, which over zero-free
-    entries is rank <= n-1 and takes that count's route where it has one."""
+def plan_square(
+    n: int, elements: ElementSet, stat: str, *, det_zero: bool = False
+) -> CountRoute:
+    """Route of an n x n `stat` count or histogram, "det", "charpoly" or
+    "powersums", over `elements`; `det_zero` marks a det = 0 count, which
+    over zero-free entries is rank <= n-1 and takes that count's route where
+    it has one."""
+    if n < 1:
+        raise ValueError("matrix dimensions must be positive")
+    size = len(elements)
+    if stat == "powersums":
+        return CountRoute("powersums", size ** max(n * (n - 1), 1))
     if det_zero and (route := _cumulative_rank_route(n, n, n - 1, size)):
         return route
     if n == 2:
         return CountRoute("conv2", size**2)
     if n == 3 and stat == "charpoly":
         return CountRoute("cycles3", size**6)
-    if n == 3:
+    if n == 3 and elements.field == Q and _kernels.supports(elements.scaled_integers()[2]):
         rows = size**3
         return CountRoute("target3", rows * (rows - 1) * (rows - 2) // 6)
     return CountRoute("sweep", size ** (n * n))
@@ -675,25 +668,51 @@ def _charged(route: CountRoute, budget: int | None) -> CountRoute:
     return route
 
 
-def _check_fields(elements: ElementSet, *values: Scalar) -> None:
-    for value in values:
-        if value.field != elements.field:
-            raise FieldMismatchError(
-                f"target in field {value.field}, set in field {elements.field}"
-            )
+def _square_histogram(elements: ElementSet, n: int, stat: str) -> dict:
+    """Raw histogram of `stat` over every n x n matrix, in the key layout of
+    `SweepHistogram.raw`, by the route `plan_square` picks."""
+    route = plan_square(n, elements, stat).name
+    _, values, _ = elements.scaled_integers()
+    if route == "conv2":
+        return _conv2_histogram(elements, stat)
+    if route == "cycles3":
+        return _cycles3_histogram(elements)
+    if route == "powersums":
+        return _power_sums_histogram(elements, n)
+    if route == "target3":
+        return _kernels.sweep_square(values)["det"]
+    opts = SweepOptions(rank=False, det=stat == "det", charpoly=stat == "charpoly")
+    return _generic_shard(values, elements.field, n, n, opts)[stat]
 
 
-def _target3_kernel(elements: ElementSet, target: Scalar) -> int | None:
-    """3x3 count of one det.  A det that is not a ring element counts 0;
-    otherwise the int64 kernel counts when its proof holds, and None means
-    sweep instead."""
-    lcm, values, bound = elements.scaled_integers()
-    raw = _ring_key(elements.field, (target,), _key_scales("det", 3, lcm))
-    if raw is None:
+def _square_count(
+    elements: ElementSet, n: int, stat: str, target: tuple[Scalar, ...], route: str
+) -> int:
+    """Number of n x n matrices whose `stat` key has the values `target`, by
+    the planned `route`: the target is scaled into the ring once (one that
+    does not scale counts 0), then counted by the route's one-key counter,
+    or looked up in the route's histogram."""
+    lcm, values, _ = elements.scaled_integers()
+    key = _ring_key(elements.field, target, _key_scales(stat, n, lcm))
+    if key is None:
         return 0
-    if elements.field != Q or not _kernels.supports(bound):
-        return None
-    return _kernels.count_target3(values, raw[0])
+    ring = _ring(elements.field)
+    if route in ("rank1", "flats"):
+        return _cumulative_rank(elements, n, n, n - 1)
+    if route == "conv2" and stat == "det":
+        products = _product_counter(elements)
+        return sum(c * products.get(ring.sub(p, key[0]), 0) for p, c in products.items())
+    if route == "conv2":
+        # A 2x2 charpoly (c0, c1) is the power sums (-c1, c1^2 - 2 c0).
+        c0, c1 = key
+        key = (ring.neg(c1), ring.sub(ring.mul(c1, c1), ring.add(c0, c0)))
+    if route in ("conv2", "powersums"):
+        return _power_sums_count(elements, n, key)
+    if route == "cycles3":
+        return _cycles3_count(elements, key)
+    if route == "target3":
+        return _kernels.count_target3(values, key[0])
+    return _square_histogram(elements, n, stat).get(key[0] if stat == "det" else key, 0)
 
 
 def _primitive(vector: tuple, field: str) -> tuple[int, ...]:
@@ -796,8 +815,15 @@ def _flats_count(elements: ElementSet, m: int, n: int) -> int:
     return total
 
 
-def _cumulative_rank(elements: ElementSet, m: int, n: int, k: int) -> int:
+def _cumulative_rank(elements: ElementSet, m: int, n: int, k: int) -> int | None:
+    """Number of m x n matrices of rank <= k by its route; a square's
+    rank <= n-1 with no route is its det histogram's zeros, and any other
+    shape with no route gives None."""
     route = _cumulative_rank_route(m, n, k, len(elements))
+    if route is None and m == n == k + 1:
+        return _square_histogram(elements, n, "det").get(_ring(elements.field).zero, 0)
+    if route is None:
+        return None
     if route.name == "closed":
         return len(elements) ** (m * n)
     if route.name == "rank1":
@@ -812,20 +838,8 @@ def count_det(
     *,
     budget: int | None = None,
 ) -> int:
-    _check_fields(elements, target)
-    route = _charged(
-        plan_square(n, len(elements), "det", det_zero=target.is_zero()), budget
-    )
-    if route.name in ("rank1", "flats"):
-        return _cumulative_rank(elements, n, n, n - 1)
-    if route.name == "conv2":
-        return fast_det2_count(elements, target)
-    if route.name == "target3":
-        found = _target3_kernel(elements, target)
-        if found is not None:
-            return found
-    opts = SweepOptions(rank=False, budget=budget)
-    return sweep(elements, n, n, opts).count("det", (target,))
+    route = plan_square(n, elements, "det", det_zero=target.is_zero())
+    return _square_count(elements, n, "det", (target,), _charged(route, budget).name)
 
 
 def count_rank(
@@ -841,10 +855,8 @@ def count_rank(
     `cumulative`."""
     route = _charged(plan_rank(m, n, r, cumulative, len(elements)), budget)
     if route.name == "sweep":
-        hist = sweep(elements, m, n, SweepOptions(det=False, budget=budget))
-        if cumulative:
-            return sum(c for rr, c in hist.rank_profile.items() if rr <= r)
-        return hist.rank_profile.get(r, 0)
+        profile = _rank_profile(elements, m, n, None).items()
+        return sum(c for k, c in profile if (k <= r if cumulative else k == r))
     count = _cumulative_rank(elements, m, n, r)
     if not cumulative and r > 1:
         count -= _cumulative_rank(elements, m, n, r - 1)
@@ -860,14 +872,8 @@ def count_charpoly(
 ) -> int:
     if key.n != n:
         raise ValueError(f"characteristic polynomial has {key.n} coefficients, need {n}")
-    _check_fields(elements, *key.coeffs)
-    route = _charged(plan_square(n, len(elements), "charpoly"), budget)
-    if route.name == "conv2":
-        return fast_charpoly2_count(elements, key)
-    if route.name == "cycles3":
-        return _cycles3_count(elements, key.coeffs)
-    opts = SweepOptions(rank=False, det=False, charpoly=True, budget=budget)
-    return sweep(elements, n, n, opts).count("charpoly", key.coeffs)
+    route = _charged(plan_square(n, elements, "charpoly"), budget)
+    return _square_count(elements, n, "charpoly", key.coeffs, route.name)
 
 
 def count_power_sums(
@@ -878,10 +884,8 @@ def count_power_sums(
     *,
     budget: int | None = None,
 ) -> int:
-    if n < 1:
-        raise ValueError("matrix dimensions must be positive")
-    _charged(CountRoute("powersums", len(elements) ** max(n * (n - 1), 1)), budget)
-    return _power_sums_count(elements, n, t1, t2)
+    route = _charged(plan_square(n, elements, "powersums"), budget)
+    return _square_count(elements, n, "powersums", (t1, t2), route.name)
 
 
 # -- product-convolution paths -------------------------------------------------
@@ -928,24 +932,19 @@ def _convolve_power(step: dict, k: int, combine: Callable, unit) -> dict:
     return out
 
 
-def _conv2_sweep(
-    elements: ElementSet, want_det: bool, want_charpoly: bool, products: Counter
-) -> dict:
-    """Raw 2x2 det and charpoly histograms, in the layout of
-    `_generic_shard`, by product convolution: det is the `_product_counter`
-    table `products` convolved with itself and the charpoly a Counter of
-    diagonal keys (ad, -(a + d)) convolved with it."""
+def _conv2_histogram(elements: ElementSet, stat: str) -> dict:
+    """Raw 2x2 det or charpoly histogram by product convolution: det is the
+    `_product_counter` table convolved with itself and the charpoly a
+    Counter of diagonal keys (ad, -(a + d)) convolved with it."""
     _, values, _ = elements.scaled_integers()
     ring = _ring(elements.field)
     add, sub, mul = ring.add, ring.sub, ring.mul
-    raw = {"total": len(values) ** 4, "rank": None, "det": None, "charpoly": None}
-    if want_det:
-        raw["det"] = _convolve(products, products, sub)
-    if want_charpoly:
-        diagonals = itertools.product(values, repeat=2)
-        keys = Counter((mul(a, d), ring.neg(add(a, d))) for a, d in diagonals)
-        raw["charpoly"] = _convolve(keys, products, lambda k, p: (sub(k[0], p), k[1]))
-    return raw
+    products = _product_counter(elements)
+    if stat == "det":
+        return _convolve(products, products, sub)
+    diagonals = itertools.product(values, repeat=2)
+    keys = Counter((mul(a, d), ring.neg(add(a, d))) for a, d in diagonals)
+    return _convolve(keys, products, lambda k, p: (sub(k[0], p), k[1]))
 
 
 def _diagonal_sums(elements: ElementSet, k: int) -> dict:
@@ -962,37 +961,33 @@ def _diagonal_sums(elements: ElementSet, k: int) -> dict:
     return _convolve_power(step, k, join, (ring.zero, ring.zero))
 
 
-def _off_diagonal_sums(elements: ElementSet, n: int, products: Counter) -> dict:
+def _off_diagonal_sums(elements: ElementSet, n: int) -> dict:
     """Number of off-diagonal fillings of an n x n matrix with each value of
     2 sum_{i<j} x_ij x_ji: the n(n-1)/2-fold convolution of the doubled
-    `_product_counter` table `products`."""
+    `_product_counter` table."""
     ring = _ring(elements.field)
-    doubled = {ring.add(p, p): c for p, c in products.items()}
+    doubled = {ring.add(p, p): c for p, c in _product_counter(elements).items()}
     return _convolve_power(doubled, n * (n - 1) // 2, ring.add, ring.zero)
 
 
-def _power_sums_histogram(elements: ElementSet, n: int, products: Counter) -> dict:
+def _power_sums_histogram(elements: ElementSet, n: int) -> dict:
     """Raw (t1, t2) histogram of every n x n matrix: each diagonal key
     (s1, s2) joined with each off-diagonal value o as (s1, s2 + o)."""
     add = _ring(elements.field).add
     diagonals = _diagonal_sums(elements, n)
-    off_diagonal = _off_diagonal_sums(elements, n, products)
+    off_diagonal = _off_diagonal_sums(elements, n)
     return _convolve(diagonals, off_diagonal, lambda s, o: (s[0], add(s[1], o)))
 
 
-def _power_sums_count(elements: ElementSet, n: int, t1: Scalar, t2: Scalar) -> int:
-    """Number of n x n matrices with (tr X, tr X^2) = (t1, t2), without the
-    histogram: each key (s1, s2) of the first n-1 diagonal entries fixes the
-    last one, d = t1 - s1, and t2 - s2 - d^2 is looked up among the
-    off-diagonal values (an odd one matches none)."""
-    _check_fields(elements, t1, t2)
-    lcm, values, _ = elements.scaled_integers()
-    key = _ring_key(elements.field, (t1, t2), _key_scales("powersums", n, lcm))
-    if key is None:
-        return 0
+def _power_sums_count(elements: ElementSet, n: int, key: tuple) -> int:
+    """Number of n x n matrices with ring power sums `key` = (t1, t2),
+    without the histogram: each key (s1, s2) of the first n-1 diagonal
+    entries fixes the last one, d = t1 - s1, and t2 - s2 - d^2 is looked up
+    among the off-diagonal values (an odd one matches none)."""
+    _, values, _ = elements.scaled_integers()
     (t1, t2), ring = key, _ring(elements.field)
     sub, mul = ring.sub, ring.mul
-    off_diagonal = _off_diagonal_sums(elements, n, _product_counter(elements))
+    off_diagonal = _off_diagonal_sums(elements, n)
     members = set(values)
     return sum(
         count * off_diagonal.get(sub(sub(t2, s2), mul(d, d)), 0)
@@ -1003,14 +998,7 @@ def _power_sums_count(elements: ElementSet, n: int, t1: Scalar, t2: Scalar) -> i
 
 def fast_det2_count(elements: ElementSet, target: Scalar) -> int:
     """Number of 2x2 matrices with det equal to target, in O(A^2)."""
-    _check_fields(elements, target)
-    lcm, _, _ = elements.scaled_integers()
-    key = _ring_key(elements.field, (target,), _key_scales("det", 2, lcm))
-    if key is None:
-        return 0
-    sub, (target,) = _ring(elements.field).sub, key
-    products = _product_counter(elements)
-    return sum(c * products.get(sub(p, target), 0) for p, c in products.items())
+    return _square_count(elements, 2, "det", (target,), "conv2")
 
 
 def fast_charpoly2_count(elements: ElementSet, key: CharPolyKey) -> int:
@@ -1018,14 +1006,12 @@ def fast_charpoly2_count(elements: ElementSet, key: CharPolyKey) -> int:
     with power sums t1 = -c1 and t2 = t1^2 - 2 c0, one to one."""
     if key.n != 2:
         raise ValueError("fast_charpoly2_count needs a degree-2 polynomial")
-    _check_fields(elements, *key.coeffs)
-    c0, c1 = key.coeffs
-    return _power_sums_count(elements, 2, -c1, c1 * c1 - (c0 + c0))
+    return _square_count(elements, 2, "charpoly", key.coeffs, "conv2")
 
 
 def fast_power_sums2_count(elements: ElementSet, t1: Scalar, t2: Scalar) -> int:
     """Number of 2x2 matrices with given (trace, trace of square), in O(A^2)."""
-    return _power_sums_count(elements, 2, t1, t2)
+    return _square_count(elements, 2, "powersums", (t1, t2), "powersums")
 
 
 # -- 3x3 charpoly by cycle invariants ------------------------------------------
@@ -1041,22 +1027,35 @@ def fast_power_sums2_count(elements: ElementSet, t1: Scalar, t2: Scalar) -> int:
 # throughout: Q and Qi share the code, with no magnitude bound.
 
 
-def _cycle_buckets(values: list, ring: _Ring) -> dict:
+def _cycle_buckets(values: list, ring: _Ring, pair_sums=None) -> dict:
     """The off-diagonal keys of every 3x3 matrix over `values` and their
     counts, as columns bucketed by P = p12 + p13 + p23:
-    {P: (p12s, p13s, p23s, cycles, counts)}.  s = u x31 + v x13 with
-    u = x12 x23 and v = x21 x32, so each pair of pairs (x12, x21),
-    (x23, x32) meets the A^2 pairs (x31, x13) in one Counter update."""
-    add, mul = ring.add, ring.mul
+    {P: (p12s, p13s, p23s, cycles, counts)}, only for the P in `pair_sums`
+    if given.  s = u x31 + v x13 with u = x12 x23 and v = x21 x32, so each
+    pair of pairs (x12, x21), (x23, x32) meets the pairs (x31, x13) in one
+    Counter update: all A^2, or per P those with p13 = P - p12 - p23."""
+    add, sub, mul = ring.add, ring.sub, ring.mul
     repeat = itertools.repeat
     pairs = [(a, b, mul(a, b)) for a in values for b in values]
-    x31s, x13s, p13s = zip(*pairs)
+    groups: dict = {}
+    for pair in pairs:
+        groups.setdefault(None if pair_sums is None else pair[2], []).append(pair)
+    groups = {p13: tuple(zip(*group)) for p13, group in groups.items()}
+
+    @functools.cache
+    def tails(partial):
+        if pair_sums is None:
+            return groups.values()
+        p13s = (sub(pair_sum, partial) for pair_sum in pair_sums)
+        return [groups[p13] for p13 in p13s if p13 in groups]
+
     keys: Counter = Counter()
     for x12, x21, p12 in pairs:
         for x23, x32, p23 in pairs:
             u, v = mul(x12, x23), mul(x21, x32)
-            cycles = map(add, map(mul, repeat(u), x31s), map(mul, repeat(v), x13s))
-            keys.update(zip(repeat(p12), p13s, repeat(p23), cycles))
+            for x31s, x13s, p13s in tails(add(p12, p23)):
+                cycles = map(add, map(mul, repeat(u), x31s), map(mul, repeat(v), x13s))
+                keys.update(zip(repeat(p12), p13s, repeat(p23), cycles))
     rows: dict = {}
     for key, n in keys.items():
         rows.setdefault(add(add(key[0], key[1]), key[2]), []).append((*key, n))
@@ -1105,22 +1104,22 @@ def _cycles3_histogram(elements: ElementSet) -> dict:
     return hist
 
 
-def _cycles3_count(elements: ElementSet, target: tuple[Scalar, ...]) -> int:
-    """Number of 3x3 matrices with charpoly coefficients `target`, without
-    the histogram: c2 picks the diagonal multisets, c1 the bucket of
-    off-diagonal keys, and c0 the keys counted there."""
-    lcm, values, _ = elements.scaled_integers()
-    key = _ring_key(elements.field, target, _key_scales("charpoly", 3, lcm))
-    if key is None:
-        return 0
+def _cycles3_count(elements: ElementSet, key: tuple) -> int:
+    """Number of 3x3 matrices with ring charpoly key (c0, c1, c2), without
+    the histogram: c2 picks the diagonal multisets, each multiset's
+    P = e2(d) - c1 the one bucket of off-diagonal keys it meets, which are
+    all that is tallied, and c0 the keys counted there."""
+    _, values, _ = elements.scaled_integers()
     (c0, c1, c2), ring = key, _ring(elements.field)
-    buckets = _cycle_buckets(values, ring)
+    diagonals = [
+        (d, weight, a0, ring.sub(a1, c1))
+        for d, weight, (a0, a1, a2) in _diagonal_multisets(values, ring)
+        if a2 == c2
+    ]
+    buckets = _cycle_buckets(values, ring, {pair_sum for *_, pair_sum in diagonals})
     found = 0
-    for d, weight, (a0, a1, a2) in _diagonal_multisets(values, ring):
-        bucket = buckets.get(ring.sub(a1, c1))
-        if a2 != c2 or bucket is None:
-            continue
-        *columns, counts = bucket
+    for d, weight, a0, pair_sum in diagonals:
+        *columns, counts = buckets.get(pair_sum, ((),) * 5)  # or an empty bucket
         want, lows = ring.sub(c0, a0), _cycle_lows(d, columns, ring)
         found += weight * sum(n for low, n in zip(lows, counts) if low == want)
     return found

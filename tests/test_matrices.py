@@ -27,7 +27,7 @@ from unitcount.matrices import (
     resolve_budget,
     sweep,
 )
-from unitcount.scalars import Q, QI, Scalar, parse_scalar
+from unitcount.scalars import Q, QI, FieldMismatchError, Scalar, parse_scalar
 
 
 def _rand_instance(rng, elements, m, n):
@@ -361,6 +361,22 @@ def test_sweep_route_counts_scale_the_target_into_the_ring(monkeypatch):
         assert count_det(elements, 1, off_ring) == 0
         assert count_charpoly(elements, 1, CharPolyKey((off_ring,))) == 0
         assert count_power_sums(elements, 1, off_ring, Scalar.zero(field)) == 0
+
+
+def test_histogram_count_rejects_a_target_of_another_field():
+    hist = sweep(int_element_set([1, 2]), 2, 2)
+    assert hist.count("det", (Scalar.one(Q),)) == 2
+    with pytest.raises(FieldMismatchError):
+        hist.count("det", (Scalar(QI, 1, 5),))
+
+
+def test_histogram_count_of_a_statistic_not_swept_names_it():
+    hist = sweep(int_element_set([1, 2]), 2, 2)
+    one = Scalar.one(Q)
+    with pytest.raises(ValueError, match="charpoly"):
+        hist.count("charpoly", (one, one))
+    with pytest.raises(ValueError, match="powersums"):
+        hist.count("powersums", (one, one))
 
 
 def test_sweep_validates_options():

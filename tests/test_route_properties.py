@@ -235,7 +235,7 @@ def test_flats_count_3x3_det_zero(case):
     hist = generic_sweep(elements, 3, 3, SweepOptions())
     singular = hist.raw["det"].get(matrices._ring(elements.field).zero, 0)
     assert _at_most(hist.rank_profile, 2) == singular
-    assert matrices.plan_square(3, len(elements), "det", det_zero=True).name == "flats"
+    assert matrices.plan_square(3, elements, "det", det_zero=True).name == "flats"
     assert count_det(elements, 3, zero) == singular
     assert count_det(shuffled, 3, zero) == singular
     assert count_rank(elements, 3, 3, 2, cumulative=True) == singular
@@ -494,3 +494,41 @@ def test_cycle_buckets_hold_every_off_diagonal_filling(case):
             assert add(add(key[0], key[1]), key[2]) == pair_sum
             got[tuple(key)] = got.get(tuple(key), 0) + count
     assert got == expected
+
+
+
+@pytest.mark.parametrize(
+    "field,texts",
+    [(Q, ("1/2", "-3", "2")), (Q, ("1", "916016", "-1")), (QI, ("1+i", "-i/2", "2"))],
+    ids=["Q", "Q-past-the-proof", "Qi"],
+)
+def test_cycles3_count_tallies_only_its_buckets(field, texts, monkeypatch):
+    """A 3x3 charpoly count tallies only the buckets P = e2(d) - c1 of the
+    diagonal multisets d with trace -c2, each holding the same off-diagonal
+    keys as the full tally, and equals the histogram on every key; a c2
+    that no multiset has tallies nothing."""
+    elements = ElementSet(tuple(parse_scalar(t, field) for t in texts))
+    _, values, _ = elements.scaled_integers()
+    ring = matrices._ring(field)
+    buckets = matrices._cycle_buckets
+    full = {p: sorted(zip(*columns)) for p, columns in buckets(values, ring).items()}
+    traces: dict = {}
+    for _, _, (_, a1, a2) in matrices._diagonal_multisets(values, ring):
+        traces.setdefault(a2, []).append(a1)
+    hist = sweep(elements, 3, 3, SweepOptions(rank=False, det=False, charpoly=True))
+    tallied: list = []
+    monkeypatch.setattr(
+        matrices, "_cycle_buckets", lambda *a: tallied.append(buckets(*a)) or tallied[-1]
+    )
+    scalar_keys = oracles.charpoly_histogram(hist)
+    for (c0, c1, c2), (key, expected) in zip(hist.raw["charpoly"], scalar_keys.items()):
+        assert count_charpoly(elements, 3, key) == expected
+        assert set(tallied[-1]) <= {ring.sub(a1, c1) for a1 in traces[c2]}
+        for pair_sum, columns in tallied[-1].items():
+            assert sorted(zip(*columns)) == full[pair_sum]
+    absent = Scalar.rational(10**6 + 7, 1, field)
+    diagonals = itertools.combinations_with_replacement(elements, 3)
+    assert all(x + y + z != -absent for x, y, z in diagonals)
+    key = CharPolyKey((Scalar.zero(field), Scalar.zero(field), absent))
+    assert count_charpoly(elements, 3, key) == 0
+    assert tallied[-1] == {}

@@ -1,8 +1,10 @@
 """Every route of the count planner against the full sweep and the oracles.
 
 The planner (matrices.plan_square / plan_rank) sends a count to a closed or
-single-key route; each such count must equal what `sweep` histograms and
-what the naive enumeration in tests/oracles.py gives.  The 3x3 single-key
+single-key route, and each statistic of a sweep to the same route's
+histogram; each count must equal what `sweep` histograms and what the naive
+enumeration in tests/oracles.py gives, and a spy checks that the function
+run is the one the planner names.  The 3x3 single-key
 det kernel is also checked right at the int64 proof threshold of
 `_kernels.supports` and one past it, where the generic path must take over.
 Charpoly keys (the cycles3 join) and power-sums keys never reach the
@@ -21,6 +23,7 @@ from typing import Callable
 import pytest
 
 import oracles
+from conftest import generic_sweep
 from unitcount import _kernels, matrices
 from unitcount.families import ElementSet
 from unitcount.matrices import (
@@ -89,13 +92,18 @@ def test_rank_route_names_and_work():
     assert plan_rank(4, 4, 2, True, 2).name == "flats"
     assert plan_rank(5, 4, 2, False, 2).name == "flats-rank1"
     assert plan_rank(4, 5, 3, True, 2).name == "sweep"
-    assert [plan_square(n, 5, "det").name for n in (1, 2, 3, 4)] == [
+    five = _elements(("1", "2", "3", "4", "5"))
+    assert [plan_square(n, five, "det").name for n in (1, 2, 3, 4)] == [
         "sweep", "conv2", "target3", "sweep",
     ]
-    assert [plan_square(n, 5, "charpoly").name for n in (1, 2, 3, 4)] == [
+    assert [plan_square(n, five, "charpoly").name for n in (1, 2, 3, 4)] == [
         "sweep", "conv2", "cycles3", "sweep",
     ]
-    assert plan_square(3, 5, "det", det_zero=True).name == "flats"
+    assert {plan_square(n, five, "powersums").name for n in (1, 2, 3, 4)} == {"powersums"}
+    assert plan_square(3, five, "det", det_zero=True).name == "flats"
+    # The 3x3 det kernel runs only over Q under its int64 proof.
+    for texts, field in ((("1", "916016"), Q), (("1", "i"), QI)):
+        assert plan_square(3, _elements(texts, field), "det") == CountRoute("sweep", 2**9)
     with pytest.raises(ValueError):
         plan_rank(2, 3, 3, True, 5)
 
@@ -103,15 +111,18 @@ def test_rank_route_names_and_work():
 def test_planner_work_per_statistic():
     # 2x2 convolution, the 3x3 single-key det kernel over the C(A^3, 3)
     # unordered row triples, the 3x3 charpoly join over the A^6 off-diagonal
-    # keys, rank <= 1 by directions of the shorter side, rank <= 2 by flats
-    # (the A^d direction pass and all pairs of at most A^d directions,
+    # keys, power sums over the A^(n(n-1)) off-diagonal products, rank <= 1
+    # by directions of the shorter side, rank <= 2 by flats (the A^d
+    # direction pass and all pairs of at most A^d directions,
     # d = min(m, n)), closed full rank, and the sweep.
-    assert plan_square(2, 10, "det", det_zero=True).work == 100
-    assert plan_square(2, 10, "charpoly").work == 100
-    assert plan_square(3, 10, "det").work == 1000 * 999 * 998 // 6
-    assert plan_square(3, 10, "charpoly").work == 10**6
-    assert plan_square(3, 10, "det", det_zero=True).work == 10**3 + 10**3 * 999 // 2
-    assert plan_square(4, 2, "charpoly").work == 2**16
+    ten, two = _elements(map(str, range(1, 11))), _elements(("1", "2"))
+    assert plan_square(2, ten, "det", det_zero=True).work == 100
+    assert plan_square(2, ten, "charpoly").work == 100
+    assert plan_square(3, ten, "det").work == 1000 * 999 * 998 // 6
+    assert plan_square(3, ten, "charpoly").work == 10**6
+    assert plan_square(3, ten, "det", det_zero=True).work == 10**3 + 10**3 * 999 // 2
+    assert plan_square(4, two, "charpoly").work == 2**16
+    assert [plan_square(n, ten, "powersums").work for n in (1, 2, 3)] == [10, 10**2, 10**6]
     assert plan_rank(2, 2, 1, True, 7).work == 49
     assert plan_rank(2, 3, 1, True, 3).work == 3**2
     assert plan_rank(3, 3, 1, True, 3).work == 3**3
@@ -132,13 +143,14 @@ def test_det0_2x2_counts_rank_at_most_one(field, texts, monkeypatch):
     elements = _elements(texts, field)
     zero = Scalar.zero(field)
     size = len(elements)
-    assert plan_square(2, size, "det", det_zero=True) == CountRoute("rank1", size**2)
-    assert plan_square(2, size, "det") == CountRoute("conv2", size**2)
+    assert plan_square(2, elements, "det", det_zero=True) == CountRoute("rank1", size**2)
+    assert plan_square(2, elements, "det") == CountRoute("conv2", size**2)
     expected = _oracle(texts, field, 2, 2)["det"].get(oracles.PZERO, 0)
     assert fast_det2_count(elements, zero) == expected
     convolutions = []
+    product_counter = matrices._product_counter
     monkeypatch.setattr(
-        matrices, "fast_det2_count", lambda *a: convolutions.append(a) or fast_det2_count(*a)
+        matrices, "_product_counter", lambda *a: convolutions.append(a) or product_counter(*a)
     )
     assert count_det(elements, 2, zero) == expected
     assert convolutions == []
@@ -195,17 +207,18 @@ def test_budget_charges_the_route_work(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
         assert main(argv + [str(work)]) == 0
         assert capsys.readouterr().out == f"{expected[stat]}\n"
-    # Past the proof the det count is charged its C(8, 3) triples first, and
-    # then the sweep it falls back to charges its own 2^9.
+    # Past the proof the det count takes the sweep route and is charged its
+    # 2^9 once, whatever the budget below that.
     wide = _elements(("1", "916016"))
     assert not _kernels.supports(916016)
     dets = oracles.det_histogram(sweep(wide, 3, 3, SweepOptions(rank=False)))
     target = max((d for d in dets if not d.is_zero()), key=dets.get)
     swept = dets[target]
-    for budget, required in ((8 * 7 * 6 // 6 - 1, 56), (2**9 - 1, 2**9)):
+    for budget in (8 * 7 * 6 // 6 - 1, 8 * 7 * 6 // 6, 2**9 - 1):
         with pytest.raises(BudgetExceededError) as info:
             count_det(wide, 3, target, budget=budget)
-        assert info.value.required == required
+        assert info.value.required == 2**9
+        assert str(info.value).startswith("sweep count")
     assert count_det(wide, 3, target, budget=2**9) == swept
 
 
@@ -259,74 +272,122 @@ def test_target_field_must_match_the_set():
         count_power_sums(elements, 2, Scalar.zero(QI), Scalar.zero(Q))
 
 
-# -- single-key 3x3 counts -------------------------------------------------------
+# -- single-key counts -------------------------------------------------------------
+
+# The function each planned route runs: a count's first call among the
+# spied functions, and the one histogram a sweep builds per statistic.  A
+# 2x2 det count is the sum over `_product_counter`, and a 2x2 charpoly
+# count the power sums count.
+_COUNTERS = {
+    "powersums": "_power_sums_count",
+    "cycles3": "_cycles3_count",
+    "target3": "count_target3",
+    "sweep": "_generic_shard",
+    "rank1": "_rank1_count",
+    "flats": "_flats_count",
+}
+_HISTOGRAMS = {
+    "conv2": "_conv2_histogram",
+    "cycles3": "_cycles3_histogram",
+    "powersums": "_power_sums_histogram",
+    "target3": "sweep_square",
+    "sweep": "_generic_shard",
+}
 
 
-class _KernelSpy:
+def _counter(route: str, stat: str) -> str:
+    if route == "conv2":
+        return "_product_counter" if stat == "det" else "_power_sums_count"
+    return _COUNTERS[route]
+
+
+class _RouteSpy:
+    """Records, in call order, each route function that runs.  Each
+    `_generic_shard` result is kept per input, so a count on the sweep
+    route looks its key up without sweeping again."""
+
     def __init__(self, monkeypatch):
-        self.calls = 0
-        original = _kernels.count_target3
+        self.calls: list[str] = []
+        names = {*_COUNTERS.values(), *_HISTOGRAMS.values(), "_product_counter"}
+        for name in names:
+            owner = _kernels if name in ("count_target3", "sweep_square") else matrices
+            fn = getattr(owner, name)
+            if name == "_generic_shard":
+                fn = self._kept(fn)
+            monkeypatch.setattr(owner, name, self._spy(name, fn))
 
+    def _spy(self, name, fn):
         def spy(*args):
-            self.calls += 1
-            return original(*args)
+            self.calls.append(name)
+            return fn(*args)
 
-        monkeypatch.setattr(_kernels, "count_target3", spy)
+        return spy
+
+    @staticmethod
+    def _kept(fn):
+        kept = {}
+
+        def shard(values, *rest):
+            key = (tuple(values), *rest)
+            if key not in kept:
+                kept[key] = fn(values, *rest)
+            return dict(kept[key])
+
+        return shard
 
 
 @dataclass(frozen=True)
 class _Stat:
     """How one square statistic is counted, histogrammed and keyed.  A key
-    is a tuple of Scalars; `powers[k]` is the power of the set's lcm that
-    clears the denominator of its k-th value."""
+    is a tuple of Scalars; `powers(n)[k]` is the power of the set's lcm
+    that clears the denominator of its k-th value."""
 
-    count: Callable[[ElementSet, tuple], int]
+    count: Callable[[ElementSet, int, tuple], int]
     histogram: Callable[[object], dict]
     oracle_key: Callable[[tuple], object]
-    powers: tuple[int, ...]
+    powers: Callable[[int], tuple[int, ...]]
 
 
 _STATS = {
     "det": _Stat(
-        lambda elements, key: count_det(elements, 3, key[0]),
+        lambda elements, n, key: count_det(elements, n, key[0]),
         lambda h: {(k,): c for k, c in oracles.det_histogram(h).items()},
         lambda key: oracles.pair(key[0]),
-        (3,),
+        lambda n: (n,),
     ),
     "charpoly": _Stat(
-        lambda elements, key: count_charpoly(elements, 3, CharPolyKey(key)),
+        lambda elements, n, key: count_charpoly(elements, n, CharPolyKey(key)),
         lambda h: {k.coeffs: c for k, c in oracles.charpoly_histogram(h).items()},
         lambda key: tuple(oracles.pair(c) for c in key),
-        (3, 2, 1),
+        lambda n: tuple(range(n, 0, -1)),
     ),
     "powersums": _Stat(
-        lambda elements, key: count_power_sums(elements, 3, *key),
+        lambda elements, n, key: count_power_sums(elements, n, *key),
         lambda h: dict(oracles.powersum_histogram(h)),
         lambda key: tuple(oracles.pair(c) for c in key),
-        (1, 2),
+        lambda n: (1, 2),
     ),
 }
 
 
+def _only(stat: str) -> SweepOptions:
+    return SweepOptions(rank=False, **{s: s == stat for s in _STATS})
+
+
 def _sweep_keys(elements: ElementSet, stat: str) -> dict:
-    opts = SweepOptions(
-        rank=False,
-        det=stat == "det",
-        charpoly=stat == "charpoly",
-        powersums=stat == "powersums",
-    )
-    return _STATS[stat].histogram(sweep(elements, 3, 3, opts))
+    return _STATS[stat].histogram(sweep(elements, 3, 3, _only(stat)))
 
 
-def _missing_keys(elements: ElementSet, stat: str, present) -> list[tuple]:
+def _missing_keys(elements: ElementSet, stat: str, present, n: int = 3) -> list[tuple]:
     """An absent key that is integral after scaling, one whose first value
     cannot be represented after scaling, and one past int64."""
     lcm, _, _ = elements.scaled_integers()
-    powers = _STATS[stat].powers
-    absent = tuple(Scalar.rational(10**6 + 7) for _ in powers)
+    powers = _STATS[stat].powers(n)
+    field = elements.field
+    absent = tuple(Scalar.rational(10**6 + 7, 1, field) for _ in powers)
     assert absent not in present
-    unrepresentable = (Scalar.rational(1, 2 * lcm ** powers[0]),) + absent[1:]
-    huge = tuple(Scalar.rational(2**70) for _ in powers)
+    unrepresentable = (Scalar.rational(1, 2 * lcm ** powers[0], field),) + absent[1:]
+    huge = tuple(Scalar.rational(2**70, 1, field) for _ in powers)
     return [absent, unrepresentable, huge]
 
 
@@ -337,7 +398,7 @@ def _check_keys(elements: ElementSet, texts, stat: str, keys) -> None:
     for key in keys:
         expected = oracle.get(spec.oracle_key(key), 0)
         assert hist.get(key, 0) == expected, key
-        assert spec.count(elements, key) == expected, key
+        assert spec.count(elements, 3, key) == expected, key
 
 
 def _kernel_keys(stat: str, keys) -> list[tuple]:
@@ -349,19 +410,63 @@ def _kernel_keys(stat: str, keys) -> list[tuple]:
     return [key for key in keys if not key[0].is_zero()]
 
 
+def _check_routes(elements: ElementSet, n: int, stat: str, spy: _RouteSpy) -> None:
+    """The sweep of `stat` builds its histogram by the route `plan_square`
+    names and equals the per-matrix reference; each count on every present
+    key, an absent one and an unscalable one equals the histogram and runs
+    the function of its planned route (none for the unscalable key)."""
+    spec, opts = _STATS[stat], _only(stat)
+    spy.calls.clear()
+    swept = sweep(elements, n, n, opts)
+    route = plan_square(n, elements, stat).name
+    assert [c for c in spy.calls if c != "_product_counter"] == [_HISTOGRAMS[route]]
+    # The sweep route is the reference's own per-matrix pass.
+    if route != "sweep":
+        assert swept.raw[stat] == generic_sweep(elements, n, n, opts).raw[stat]
+    hist = spec.histogram(swept)
+    absent, unscalable, _ = _missing_keys(elements, stat, hist, n)
+    for key in [*hist, absent, unscalable]:
+        spy.calls.clear()
+        assert spec.count(elements, n, key) == hist.get(key, 0), (n, key)
+        if key is unscalable:
+            assert spy.calls == []
+            continue
+        det_zero = stat == "det" and key[0].is_zero()
+        counter = _counter(plan_square(n, elements, stat, det_zero=det_zero).name, stat)
+        assert spy.calls[0] == counter, (n, key, spy.calls)
+        assert set(spy.calls) <= {counter, "_product_counter"}, (n, key, spy.calls)
+
+
 _TARGET_TEXTS = ("1/2", "-3")
+
+# Three elements each, the first two at n = 4 so that the per-matrix
+# reference stays near 2^16 matrices: a Q set with denominators, out of
+# order; a Qi set; and a Q set past the 3x3 det kernel's int64 proof.
+_ROUTE_SETS = [
+    (Q, ("3", "-1/2", "2/3")),
+    (QI, ("1+i", "-i/2", "2")),
+    (Q, ("1", "916016", "-1")),
+]
 
 
 @pytest.mark.parametrize("stat", list(_STATS))
 def test_single_key_kernel_matches_sweep_and_oracle(stat, monkeypatch):
+    """Every square route, sweep and count, at n = 1..4: against the naive
+    oracle at 3x3, and against `conftest.generic_sweep` with a spy on the
+    function each route runs."""
     elements = _elements(_TARGET_TEXTS)
     present = list(_sweep_keys(elements, stat))
     absent, unrepresentable, huge = _missing_keys(elements, stat, present)
     keys = present + [absent, unrepresentable, huge]
-    spy = _KernelSpy(monkeypatch)
+    spy = _RouteSpy(monkeypatch)
     _check_keys(elements, _TARGET_TEXTS, stat, keys)
     # The unrepresentable key is answered before the kernel runs.
-    assert spy.calls == len(_kernel_keys(stat, present + [absent, huge]))
+    kernel_keys = _kernel_keys(stat, present + [absent, huge])
+    assert spy.calls.count("count_target3") == len(kernel_keys)
+    for field, texts in _ROUTE_SETS:
+        for n in (1, 2, 3, 4):
+            elements = _elements(texts[: 2 if n == 4 else 3], field)
+            _check_routes(elements, n, stat, spy)
 
 
 @pytest.mark.parametrize(
@@ -384,6 +489,7 @@ def test_single_key_at_and_past_the_int64_proof(stat, bound, proof, monkeypatch)
     common = max(hist, key=hist.get)
     largest = max(hist, key=lambda key: max(abs(c.re) for c in key))
     keys = [common, largest, _missing_keys(elements, stat, hist)[0]]
-    spy = _KernelSpy(monkeypatch)
+    spy = _RouteSpy(monkeypatch)
     _check_keys(elements, texts, stat, keys)
-    assert spy.calls == (len(_kernel_keys(stat, keys)) if proof else 0)
+    expected = len(_kernel_keys(stat, keys)) if proof else 0
+    assert spy.calls.count("count_target3") == expected
