@@ -226,7 +226,7 @@ def _cmd_equation(args) -> int:
         else:
             print(count_solutions(eq, elements))
         return 0
-    classification = classify_by_vanishing_subsums(eq, elements)
+    classification = classify_by_vanishing_subsums(eq, elements, budget=args.budget)
     classes = {
         ",".join(str(i) for i in indices) if indices else "none": count
         for indices, count in classification.classes.items()
@@ -239,12 +239,12 @@ def _cmd_equation(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_budget(p) -> None:
+def _add_budget(p, what: str = "sweeps") -> None:
     p.add_argument(
         "--budget",
         type=parse_budget,
         default=None,
-        help="work cap for sweeps (accepts 2e8 style; default from UNITCOUNT_BUDGET)",
+        help=f"work cap for {what} (accepts 2e8 style; default from UNITCOUNT_BUDGET)",
     )
 
 
@@ -393,6 +393,7 @@ def build_parser() -> _Parser:
     )
     e_classify.add_argument("--eq", required=True)
     e_classify.add_argument("--set", required=True)
+    _add_budget(e_classify, "the A^(n-1) walk")
     e_system = eq_sub.add_parser(
         "system", help="count tuples with vanishing sum and sum of squares"
     )

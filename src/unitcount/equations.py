@@ -13,10 +13,12 @@ are exact at any size, so no bound on the machine word is needed.
 
 The counter meets in the middle: it tallies the packed partial sums of the
 first half of the variables into a hash table and streams the second half
-against it, turning an A^n scan into roughly A^(n/2) work and memory.  When
-the table would exceed the entry budget the left half is split into prefix
-chunks and the right half is streamed again for each chunk, trading time for
-memory without giving up exactness or determinism.
+against it, turning an A^n scan into roughly A^(n/2) work and memory.  Under
+an entry cap the left half's sums fill the table until it holds exactly cap
+keys; the right half is streamed against it, the table is cleared, and the
+fill resumes at the next sum.  Every key comes from at least one sum, so a
+count takes at most ceil(left sums / cap) tables and right-half streams,
+trading time for memory without giving up exactness or determinism.
 
 Equal coefficients give equal rows, and the tight patterns repeat one
 coefficient up to n/2 times, so each half is walked over multisets rather
@@ -27,7 +29,10 @@ m_1*T[i_1] + ... + m_r*T[i_r] and stands for the k!/(m_1! ... m_r!) ordered
 tuples that hold it, so a group costs about A^k/k! sums instead of A^k.
 Groups combine by product.  The all-distinct pattern (every m_j = 1) is most
 of the work; it is tallied in one pass and its weight k! applied afterwards,
-while the smaller patterns add their weights key by key.
+while the smaller patterns add their weights key by key.  When the left
+half's multisets outnumber the cap, each pattern goes in batches of at most
+the room left in the table; a batch that opens an empty table, or has
+weight 1, takes the one-pass tally.
 """
 
 from __future__ import annotations
@@ -38,11 +43,12 @@ from collections import _count_elements
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from operator import mul
 from pathlib import Path
 
 from .families import ElementSet
+from .matrices import BudgetExceededError, resolve_budget
 from .scalars import QI, FieldMismatchError, Scalar, parse_list, parse_scalar
 
 # Cap on hash-table entries for the meet-in-the-middle join.
@@ -207,20 +213,46 @@ def _weighted_sums(groups: list, start: int) -> Iterator[tuple[int, Iterable[int
                 )
 
 
-def _tally_sums(terms: list[list[int]], start: int, table: dict[int, int]) -> None:
-    """Fill the empty table with every sum start + t_1 + ... over the term
-    lists, keyed to the number of ordered tuples that give it."""
-    pairs = _weighted_sums(_groups(terms), start)
-    weight, sums = next(pairs)
-    # Counter.update's C counting loop, run on the plain dict.
-    _count_elements(table, sums)
-    if weight > 1:
-        for key in table:
-            table[key] *= weight
+def _resumable(
+    pairs: Iterator[tuple[int, Iterable[int]]],
+) -> Iterator[tuple[int, Iterator[int]]]:
+    """The pairs with their sums as one shared iterator each, yielded again
+    while sums are left, so a consumer that stops partway through a pair
+    resumes it at the next step; empty sums are never yielded."""
+    for weight, sums in pairs:
+        sums = iter(sums)
+        for head in sums:
+            yield weight, chain((head,), sums)
+
+
+def _tally_sums(
+    pairs: Iterable[tuple[int, Iterable[int]]],
+    max_entries: int | None,
+    table: dict[int, int],
+) -> None:
+    """Fill the empty table from the (weight, sums) pairs, each sum keyed to
+    the number of ordered tuples that give it, until the pairs run out or the
+    table holds max_entries keys (None: no cap).
+
+    No batch is longer than the room left, so the table never grows past
+    max_entries.  A batch takes no sum past its own, so with pairs from
+    `_resumable` the next call resumes at the first sum not yet tallied.
+    """
     get = table.get
     for weight, sums in pairs:
-        for key in sums:
-            table[key] = get(key, 0) + weight
+        batch = sums if max_entries is None else islice(sums, max_entries - len(table))
+        if weight == 1 or not table:
+            # Counter.update's C counting loop, run on the plain dict; a
+            # weighted batch comes here only into an empty table.
+            _count_elements(table, batch)
+            if weight > 1:
+                for key in table:
+                    table[key] *= weight
+        else:
+            for key in batch:
+                table[key] = get(key, 0) + weight
+        if len(table) == max_entries:
+            return
 
 
 def _count_lookups(terms: list[list[int]], rhs: int, table: dict[int, int]) -> int:
@@ -236,8 +268,11 @@ def _count_lookups(terms: list[list[int]], rhs: int, table: dict[int, int]) -> i
 def _join(rows: list[list[int]], rhs: int, max_entries: int) -> int:
     """Number of tuples, one packed term per row, summing to rhs.
 
-    Tables hold at most max_entries keys: the left half is split into prefix
-    chunks until the rest fits, and the right half is streamed per chunk.
+    The left half's weighted sums fill a table until it holds max_entries
+    keys; the right half is streamed against it once, the table is cleared,
+    and the fill resumes where it stopped.  Each key comes from at least one
+    left sum, so there are at most ceil(left sums / max_entries) tables, and
+    one when the left half's multisets number at most max_entries.
     """
     if max_entries < 1:
         raise ValueError("max_entries must be at least 1")
@@ -251,13 +286,20 @@ def _join(rows: list[list[int]], rhs: int, max_entries: int) -> int:
     ]
     half = (len(rows) + 1) // 2
     left, right = rows[:half], rows[half:]
-    prefix = 0
-    while prefix < half and math.prod(map(len, left[prefix:])) > max_entries:
-        prefix += 1
+    left_groups = _groups(left)
+    pairs = _weighted_sums(left_groups, 0)
+    # A run of k equal rows draws C(A + k - 1, k) multisets.
+    multisets = math.prod(math.comb(len(row) + k - 1, k) for row, k in left_groups)
+    if multisets > max_entries:
+        pairs = _resumable(pairs)
+    else:
+        # One table takes every left sum, so no batch is cut.
+        max_entries = None
     total = 0
-    for combo in product(*left[:prefix]):
+    # Taking the next pair tells whether any left sum is still untallied.
+    for pair in pairs:
         table: dict[int, int] = {}
-        _tally_sums(left[prefix:], sum(combo), table)
+        _tally_sums(chain((pair,), pairs), max_entries, table)
         total += _count_lookups(right, rhs, table)
     return total
 
@@ -316,18 +358,23 @@ def _mask_scan_order(n: int) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def classify_by_vanishing_subsums(
-    eq: EquationSpec, elements: ElementSet
+    eq: EquationSpec, elements: ElementSet, *, budget: int | None = None
 ) -> SubsumClassification:
     """Group every solution by its maximal vanishing subset of terms.
 
     Walks the A^(n-1) choices of the first n-1 terms; the last term is the
     one that completes the sum, if the set holds it.  Exhaustive, so n is
-    capped at 10.
+    capped at 10, and the walk is charged its A^(n-1) choices against the
+    work budget (resolved as for the matrix counts) before it starts.
     """
     n = eq.n
     if n > 10:
         raise ValueError("classification is exhaustive; n is capped at 10")
     rows, rhs = _equation_rows(eq, elements)
+    work = len(elements) ** (n - 1)
+    budget = resolve_budget(budget)
+    if work > budget:
+        raise BudgetExceededError(work, budget, "classify")
     # Distinct elements give distinct terms a_n*x, so at most one completes.
     last = set(rows[-1])
     order = _mask_scan_order(n)

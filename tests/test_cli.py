@@ -513,6 +513,20 @@ def test_equation_classify_golden(eq_diff, set12, capsys):
     assert blob == {"classes": {"1,2": 2, "2,3": 1}, "total": 3}
 
 
+def test_equation_classify_budget_exits_2(eq_diff, set12, capsys):
+    # n = 3 over {1, 2}: the walk is charged A^(n-1) = 4.
+    argv = ["equation", "classify", "--eq", eq_diff, "--set", set12, "--budget"]
+    assert main(argv + ["3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: classify requires 4 units of work, over the budget of 3\n"
+    )
+    assert main(argv + ["4"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob == {"classes": {"1,2": 2, "2,3": 1}, "total": 3}
+
+
 def test_equation_coeffs_text_exits_1(set12, tmp_path, capsys):
     eq = tmp_path / "eq.json"
     eq.write_text(json.dumps({"field": "Q", "coeffs": "12", "rhs": "3"}))

@@ -1,7 +1,8 @@
 import json
+import math
 import random
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from unitcount.equations import (
     system_exponent,
 )
 from unitcount.families import ElementSet, Geometric, materialize, tight_equation_coeffs
+from unitcount.matrices import BUDGET_ENV_VAR, BudgetExceededError
 from unitcount.scalars import Q, QI, FieldMismatchError, Scalar, parse_scalar
 
 
@@ -177,9 +179,19 @@ def test_multiset_weights_match_ordered_tuples(pattern):
     rows = {"a": [1, 2, 3, 4], "b": [-1, 1, 5]}
     terms = [rows[c] for c in pattern]
     table: dict[int, int] = {}
-    equations._tally_sums(terms, 7, table)
+    equations._tally_sums(equations._weighted_sums(equations._groups(terms), 7), None, table)
     ordered = Counter(7 + sum(combo) for combo in product(*terms))
     assert table == ordered
+    # Filled to a cap and resumed, the tables split the same tally.
+    for cap in (1, 2, 3):
+        pairs = equations._resumable(equations._weighted_sums(equations._groups(terms), 7))
+        tables = []
+        for pair in pairs:
+            tables.append({})
+            equations._tally_sums(chain((pair,), pairs), cap, tables[-1])
+        assert [len(t) for t in tables[:-1]] == [cap] * (len(tables) - 1)
+        assert 0 < len(tables[-1]) <= cap
+        assert sum(map(Counter, tables), Counter()) == ordered
     probe = {key: key % 5 + 1 for key in range(-10, 40)}
     assert equations._count_lookups(terms, 20, probe) == sum(
         probe.get(20 - sum(combo), 0) for combo in product(*terms)
@@ -266,6 +278,53 @@ def test_packing_bound_at_and_below_a_power_of_two(k):
         assert count_solutions(hit, elements) == 1
 
 
+def _table_sizes(monkeypatch) -> list[int]:
+    """Key counts of the tables _tally_sums fills, in order."""
+    sizes: list[int] = []
+    original = equations._tally_sums
+
+    def spy(pairs, max_entries, table):
+        original(pairs, max_entries, table)
+        sizes.append(len(table))
+
+    monkeypatch.setattr(equations, "_tally_sums", spy)
+    return sizes
+
+
+def _left_sums(coeffs, size: int) -> int:
+    """Multisets the left half walks: the variables sorted into runs of
+    equal coefficients, the largest first, and the first ceil(n/2) taken."""
+    rest, sums = (len(coeffs) + 1) // 2, 1
+    for k in sorted(Counter(coeffs).values(), reverse=True):
+        take = min(k, rest)
+        sums *= math.comb(size + take - 1, take)
+        rest -= take
+    return sums
+
+
+def _assert_chunked(sizes, count, coeffs, size, caps) -> list[int]:
+    """count(max_entries=cap) equals the one-table count, every table but
+    the last holds exactly cap keys, none more, and there are between
+    ceil(D / cap) and ceil(left sums / cap) tables, D the distinct left sums.
+    sizes is the list `_table_sizes` fills.
+
+    Returns D and the number of tables at each cap.
+    """
+    sizes.clear()
+    expected = count()
+    (distinct,) = sizes
+    left = _left_sums(coeffs, size)
+    tables = []
+    for cap in caps:
+        sizes.clear()
+        assert count(max_entries=cap) == expected
+        assert sizes[:-1] == [cap] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= cap
+        assert -(-distinct // cap) <= len(sizes) <= -(-left // cap)
+        tables.append(len(sizes))
+    return [distinct, *tables]
+
+
 @pytest.mark.parametrize("cap", [1, 7, 30, 125, 10**6])
 def test_tables_are_chunked_under_the_cap(monkeypatch, cap):
     rng = random.Random(28)
@@ -274,26 +333,59 @@ def test_tables_are_chunked_under_the_cap(monkeypatch, cap):
         coeffs=tuple(rand_scalar(rng, QI, span=3, max_den=2) for _ in range(5)),
         rhs=Scalar.zero(QI),
     )
-    sizes = []
-    original = equations._tally_sums
-
-    def spy(terms, start, table):
-        original(terms, start, table)
-        sizes.append(len(table))
-
-    monkeypatch.setattr(equations, "_tally_sums", spy)
-    # n = 5 tallies half = 3 variables; the smallest prefix whose remaining
-    # 5^(3 - prefix) entries fit the cap sets the number of chunks.
+    # n = 5 tallies half = 3 variables.  Splitting off the smallest ordered
+    # prefix whose remaining 5^(3 - prefix) entries fit the cap took
+    # 5^prefix tables; filling each table to the cap never takes more.
     prefix = next(p for p in range(4) if 5 ** (3 - p) <= cap)
-    expected = count_solutions(eq, elements), count_system_sum_squares(5, elements)
-    sizes.clear()
-    assert count_solutions(eq, elements, max_entries=cap) == expected[0]
-    assert len(sizes) == 5**prefix
-    assert max(sizes) <= cap
-    sizes.clear()
-    assert count_system_sum_squares(5, elements, max_entries=cap) == expected[1]
-    assert len(sizes) == 5**prefix
-    assert max(sizes) <= cap
+    sizes = _table_sizes(monkeypatch)
+    for count, coeffs in (
+        (lambda **kw: count_solutions(eq, elements, **kw), eq.coeffs),
+        (lambda **kw: count_system_sum_squares(5, elements, **kw), (None,) * 5),
+    ):
+        _, tables = _assert_chunked(sizes, count, coeffs, 5, [cap])
+        assert tables <= 5**prefix
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_a_group_of_equal_rows_fills_tables_to_the_cap(monkeypatch, field):
+    # Three equal rows make the whole left half: C(A + 2, 3) multisets,
+    # whose sums collide (over 2^1..2^8, 2 + 2 + 8 = 4 + 4 + 4), so D is
+    # smaller.
+    if field == Q:
+        eq = EquationSpec(tight_equation_coeffs(6), Scalar.zero(Q))
+        elements = materialize(Geometric(base=Scalar.rational(2), start=1, stop=8))
+    else:
+        c = parse_scalar("1+i", QI)
+        others = (parse_scalar(t, QI) for t in ("-1", "-2*i", "-1+i"))
+        eq = EquationSpec((c, c, c, *others), Scalar.zero(QI))
+        elements = ElementSet(tuple(
+            parse_scalar(t, QI) for t in ("1", "i", "-1", "-i", "1+i", "2", "2*i", "1/2")
+        ))
+    size = len(elements)
+    assert _left_sums(eq.coeffs, size) == math.comb(size + 2, 3) == 120
+
+    def count(**kw):
+        return count_solutions(eq, elements, **kw)
+
+    assert count() > 0
+    sizes = _table_sizes(monkeypatch)
+    distinct, _ = _assert_chunked(sizes, count, eq.coeffs, size, [1])
+    assert distinct < 120
+    _, below, _, above = _assert_chunked(
+        sizes, count, eq.coeffs, size, [distinct - 1, distinct, distinct + 1]
+    )
+    # D - 1 keys cannot hold all D, and a table under D + 1 keys is never
+    # full, so it takes every sum; at D, one or two tables, as the last
+    # new key comes last or not.
+    assert below == 2 and above == 1
+
+
+def test_a_cap_past_the_machine_word_counts_in_one_table(monkeypatch):
+    sizes = _table_sizes(monkeypatch)
+    eq = EquationSpec(tight_equation_coeffs(4), Scalar.zero(Q))
+    elements = int_element_set([1, 2, 3, 4, 6])
+    assert count_solutions(eq, elements, max_entries=10**30) == count_solutions(eq, elements)
+    assert len(sizes) == 2
 
 
 def test_counts_make_linear_scalar_additions(monkeypatch):
@@ -373,6 +465,28 @@ def test_classify_matches_oracle_on_random_instances():
         assert result.classes == expected
         assert sum(result.classes.values()) == result.total
         assert result.total == count_solutions(eq, elements)
+
+
+def test_classify_is_charged_its_walk(monkeypatch):
+    eq = EquationSpec(_ints(1, 1, -1, -1), Scalar.rational(3))
+    elements = int_element_set([1, 2, 3, 4, 5])
+    charge = 5**3
+    with pytest.raises(BudgetExceededError) as info:
+        classify_by_vanishing_subsums(eq, elements, budget=charge - 1)
+    assert (info.value.required, info.value.budget) == (charge, charge - 1)
+    result = classify_by_vanishing_subsums(eq, elements, budget=charge)
+    assert result.total == count_solutions(eq, elements) > 0
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(charge - 1))
+    with pytest.raises(BudgetExceededError):
+        classify_by_vanishing_subsums(eq, elements)
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(charge))
+    assert classify_by_vanishing_subsums(eq, elements) == result
+    # A = 40, n = 10 walks 40^9 tuples: refused before it starts.
+    monkeypatch.delenv(BUDGET_ENV_VAR)
+    big = EquationSpec(tight_equation_coeffs(10), Scalar.zero(Q))
+    with pytest.raises(BudgetExceededError) as info:
+        classify_by_vanishing_subsums(big, int_element_set(range(1, 41)))
+    assert info.value.required == 40**9
 
 
 def test_classify_rejects_large_n():
