@@ -11,6 +11,7 @@ import json
 import math
 import operator
 import random
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
@@ -70,16 +71,18 @@ class ElementSet:
 
     Construction is strict: duplicates or zeros are errors here.  Family
     materialization deduplicates before constructing and reports how many
-    collisions it absorbed.
+    collisions it absorbed.  `first_indices[j]` is the index of element j's
+    first occurrence among the values the set was deduplicated from (j
+    itself for a set given explicitly); `prefix` reads it.
     """
 
-    __slots__ = ("field", "elements", "provenance", "collisions", "_positions", "_scaled")
+    __slots__ = ("field", "elements", "collisions", "first_indices", "_positions", "_scaled")
 
     def __init__(
         self,
         elements: tuple[Scalar, ...] | list[Scalar],
-        provenance: FamilySpec | str = "explicit",
         collisions: int = 0,
+        first_indices: tuple[int, ...] | None = None,
     ):
         elements = tuple(elements)
         if not elements:
@@ -97,8 +100,10 @@ class ElementSet:
                 raise FamilyError(f"duplicate element {value}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "collisions", collisions)
+        if first_indices is None:
+            first_indices = tuple(range(len(elements)))
+        object.__setattr__(self, "first_indices", first_indices)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_scaled", None)
 
@@ -119,6 +124,19 @@ class ElementSet:
 
     def index(self, value: Scalar) -> int:
         return self._positions[value]
+
+    def prefix(self, raw_length: int) -> "ElementSet":
+        """The set deduplicated from the first `raw_length` of the values
+        this set was deduplicated from: the elements first seen before that
+        index, in order, with the collisions among those values."""
+        if not 1 <= raw_length <= len(self) + self.collisions:
+            raise FamilyError(
+                f"prefix of {raw_length} values out of {len(self) + self.collisions}"
+            )
+        size = bisect_left(self.first_indices, raw_length)
+        return ElementSet(
+            self.elements[:size], raw_length - size, self.first_indices[:size]
+        )
 
     def scaled_integers(self) -> tuple[int, list, int]:
         """Clear denominators: (L, scaled values, max magnitude).
@@ -153,11 +171,6 @@ class ElementSet:
         return f"ElementSet({self.field}, [{shown}], size={len(self)})"
 
 
-def _dedupe(values: list[Scalar]) -> tuple[list[Scalar], int]:
-    kept = list(dict.fromkeys(values))
-    return kept, len(values) - len(kept)
-
-
 def _powers(base: Scalar, start: int, count: int) -> list[Scalar]:
     """base^start, ..., base^(start+count-1), each power one product from
     the one before."""
@@ -183,8 +196,8 @@ def _power_table(base: Scalar, exponents) -> dict[int, Scalar]:
     return table
 
 
-def materialize(spec: FamilySpec) -> ElementSet:
-    """Build the element set a family describes, deduplicating silently."""
+def _walk(spec: FamilySpec) -> list[Scalar]:
+    """The values a family describes, in order, duplicates included."""
     if isinstance(spec, Geometric):
         if spec.base.is_zero():
             raise FamilyError("geometric family with zero base")
@@ -241,10 +254,24 @@ def materialize(spec: FamilySpec) -> ElementSet:
     else:
         raise TypeError(f"unknown family spec {type(spec).__name__}")
 
-    kept, collisions = _dedupe(values)
-    if not kept:
+    return values
+
+
+def materialize(spec: FamilySpec) -> ElementSet:
+    """Build the element set a family describes, deduplicating silently and
+    keeping each element's first index in the walk, so that
+    `prefix(r)` is the set of the walk's first r values."""
+    values = _walk(spec)
+    first_indices: dict[Scalar, int] = {}
+    for index, value in enumerate(values):
+        first_indices.setdefault(value, index)
+    if not first_indices:
         raise FamilyError("family materialized to an empty set")
-    return ElementSet(tuple(kept), provenance=spec, collisions=collisions)
+    return ElementSet(
+        tuple(first_indices),
+        len(values) - len(first_indices),
+        tuple(first_indices.values()),
+    )
 
 
 def tight_equation_coeffs(n: int) -> tuple[Scalar, ...]:
@@ -344,6 +371,14 @@ _TEMPLATE_KEYS = {
     "lattice_box": ("generators", "ranges", "seed"),
 }
 
+# Values each variant's walk adds per unit of the size knob k: r(k) / k.
+_WALK_PER_K = {
+    "geometric": 2,
+    "signed_geometric": 2,
+    "gaussian_units_scaled": 4,
+    "lattice_box": 1,
+}
+
 
 def _frozen(value):
     return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
@@ -357,10 +392,19 @@ def _thawed(value):
 class FamilyTemplate:
     """A family object whose size field the size knob k fills in.
 
-    geometric: base^start .. base^(start+2k-1), 2k elements; start defaults to 1
-    signed_geometric: both signs of base^0..base^(k-1)
-    gaussian_units_scaled: the four units times scale_base^0..^(k-1), over Qi
-    lattice_box: a seeded sample of k exponent vectors
+    geometric: base^start .. base^(start+2k-1), 2k values; start defaults to 1
+    signed_geometric: both signs of base^0..base^(k-1), 2k values
+    gaussian_units_scaled: the four units times scale_base^0..^(k-1), over
+        Qi, 4k values
+    lattice_box: a seeded sample of k exponent vectors, k values
+
+    Contract, which a new variant must keep: the walk of `family_at(k)`
+    makes r(k) = `walk_length(k)` values, and they are the first r(k) values
+    of the walk of `family_at(K)` for every K > k.  A first-occurrence
+    dedupe of a prefix is a prefix of the dedupe, so
+    `materialize(family_at(K)).prefix(walk_length(k))` is
+    `materialize(family_at(k))`: the growth experiments build one set, at
+    the largest k, and take every other k's set from it.
     """
 
     config: tuple[tuple[str, object], ...]
@@ -394,6 +438,11 @@ class FamilyTemplate:
     def field(self) -> str:
         return dict(self.config)["field"]
 
+    def walk_length(self, k: int) -> int:
+        """r(k): how many values the walk of `family_at(k)` makes, before
+        duplicates drop."""
+        return _WALK_PER_K[dict(self.config)["variant"]] * k
+
     def family_at(self, k: int) -> FamilySpec:
         """The family at size knob k: the template with its size field set."""
         if k < 1:
@@ -401,7 +450,7 @@ class FamilyTemplate:
         obj = dict(self.config)
         variant = obj["variant"]
         if variant == "geometric":
-            obj["stop"] = parse_whole(obj["start"], "start") + 2 * k - 1
+            obj["stop"] = parse_whole(obj["start"], "start") + self.walk_length(k) - 1
         elif variant == "signed_geometric":
             obj["count"] = k
         elif variant == "gaussian_units_scaled":

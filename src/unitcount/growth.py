@@ -379,12 +379,16 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Exact counts per k, in k order; stops early (with a flag) when a count
-    would exceed the budget, which each count charges before it starts."""
+    would exceed the budget, which each count charges before it starts.
+
+    The family is materialized once, at the largest k; each k's set is the
+    prefix of it that the template's contract names (`FamilyTemplate`)."""
     budget = resolve_budget(spec.budget)
+    largest = materialize(spec.family.family_at(spec.k_values[-1]))
     points: list[GrowthPoint] = []
     exceeded = False
     for k in spec.k_values:
-        elements = materialize(spec.family.family_at(k))
+        elements = largest.prefix(spec.family.walk_length(k))
         started = time.perf_counter_ns()
         try:
             count = spec.statistic.count(elements, budget)

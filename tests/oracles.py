@@ -19,6 +19,9 @@ for the two leading coefficients.  `det_histogram`, `charpoly_histogram`
 and `powersum_histogram` turn a sweep's raw ring-keyed histograms into
 `Scalar`-keyed dicts, and `nondegenerate_cap_exact` is the exact integer of
 the cap whose log10 `bounds.nondegenerate_cap_log10` gives.
+`growth_points_per_k` runs a growth experiment with each k's set
+materialized from its own family, the reference for the shared set that
+`growth.run_experiment` takes prefixes of.
 """
 
 from __future__ import annotations
@@ -28,7 +31,16 @@ import math
 import operator
 from fractions import Fraction
 
-from unitcount.matrices import CharPolyKey, _key_scales, _rank_det, _ring, _to_scalar
+from unitcount.families import materialize
+from unitcount.matrices import (
+    BudgetExceededError,
+    CharPolyKey,
+    _key_scales,
+    _rank_det,
+    _ring,
+    _to_scalar,
+    resolve_budget,
+)
 
 Pair = tuple[Fraction, Fraction]
 
@@ -401,3 +413,18 @@ def classify_counts(coeff_pairs: list[Pair], rhs: Pair, elements) -> dict:
                 break
         classes[hit] = classes.get(hit, 0) + 1
     return classes
+
+
+def growth_points_per_k(spec) -> tuple[list[tuple[int, int, int]], bool]:
+    """(k, set_size, count) per k of a growth experiment and whether the
+    budget stopped it, with each k's set materialized from `family_at(k)`."""
+    budget = resolve_budget(spec.budget)
+    points = []
+    for k in spec.k_values:
+        elements = materialize(spec.family.family_at(k))
+        try:
+            count = spec.statistic.count(elements, budget)
+        except BudgetExceededError:
+            return points, True
+        points.append((k, len(elements), count))
+    return points, False

@@ -77,6 +77,22 @@ def test_geometric_rejects_zero_base_and_collapses_unit_base():
     assert len(es) == 1 and es.collisions == 4
 
 
+def test_prefix_is_the_set_of_the_first_values():
+    # (-1)^0 .. (-1)^4 walks 1, -1, 1, -1, 1.
+    es = materialize(Geometric(base=Scalar.rational(-1), start=0, stop=4))
+    assert es.first_indices == (0, 1) and es.collisions == 3
+    prefixes = [es.prefix(r) for r in range(1, 6)]
+    assert [[v.text() for v in p] for p in prefixes] == [["1"]] + [["1", "-1"]] * 4
+    assert [p.collisions for p in prefixes] == [0, 0, 1, 2, 3]
+    assert prefixes[-1].prefix(3).collisions == 1
+    for bad in (0, 6):
+        with pytest.raises(FamilyError):
+            es.prefix(bad)
+    explicit = ElementSet((Scalar.rational(2), Scalar.rational(3)))
+    assert explicit.first_indices == (0, 1)
+    assert [v.text() for v in explicit.prefix(1)] == ["2"]
+
+
 def test_signed_geometric_materialization():
     es = materialize(SignedGeometric(base=Scalar.rational(2), count=3))
     assert [v.text() for v in es] == ["1", "-1", "2", "-2", "4", "-4"]

@@ -2,11 +2,13 @@
 and the preset roster."""
 
 import json
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from unitcount import Q, QI, parse_scalar
+from unitcount import Q, QI, growth, parse_scalar
 from unitcount.families import FamilyError, FamilyTemplate, materialize
 from unitcount.growth import (
     LATTICE_PRESET_NAMES,
@@ -31,6 +33,8 @@ from unitcount.growth import (
     statistic_from_json,
 )
 from unitcount.matrices import BudgetExceededError, CharPolyKey
+
+from oracles import growth_points_per_k
 
 
 def _family(obj):
@@ -313,6 +317,99 @@ def test_run_experiment_points_in_order():
     assert [p.set_size for p in result.points] == [4, 6, 8]
     assert all(p.count > 0 for p in result.points)
     assert all(p.elapsed_us >= 0 for p in result.points)
+
+
+@dataclass(frozen=True)
+class _RecordingStatistic:
+    """Counts a set as its size and keeps every set it was given."""
+
+    seen: list = field(default_factory=list, compare=False)
+
+    def count(self, elements, budget):
+        self.seen.append(elements)
+        return len(elements)
+
+
+# Every template variant, with ones whose values collide: powers of -1 and
+# of i, unit scales that are themselves units, and the lattice boxes of
+# lattice-rank22 (sizes 5, 9, 12, 15, 17, 21 at its k values) and
+# lattice-det0-2x2-gaussian (9, 13, 16, 17, 19, 21).
+_PREFIX_TEMPLATES = {
+    "geometric": {"variant": "geometric", "base": "2"},
+    "geometric-start": {"variant": "geometric", "base": "-1/3", "start": -4},
+    "geometric-minus-one": {"variant": "geometric", "base": "-1"},
+    "geometric-i": {"variant": "geometric", "base": "i", "field": QI},
+    "signed": {"variant": "signed_geometric", "base": "3"},
+    "signed-one": {"variant": "signed_geometric", "base": "1"},
+    "units": {"variant": "gaussian_units_scaled", "scale_base": "1+i"},
+    "units-i": {"variant": "gaussian_units_scaled", "scale_base": "i"},
+    "lattice-rank22": PRESETS["lattice-rank22"]["family"],
+    "lattice-det0-2x2-gaussian": PRESETS["lattice-det0-2x2-gaussian"]["family"],
+}
+
+
+def _sets_per_k(template, k_values):
+    statistic = _RecordingStatistic()
+    spec = ExperimentSpec(
+        name="sets", family=template, k_values=tuple(k_values), statistic=statistic
+    )
+    run_experiment(spec)
+    return statistic.seen
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(_PREFIX_TEMPLATES)),
+    st.lists(st.integers(1, 32), min_size=3, max_size=7, unique=True).map(sorted),
+)
+def test_each_k_set_is_its_own_family_materialized(name, k_values):
+    template = _family(_PREFIX_TEMPLATES[name])
+    for k, elements in zip(k_values, _sets_per_k(template, k_values), strict=True):
+        own = materialize(template.family_at(k))
+        assert elements.elements == own.elements
+        assert elements.collisions == own.collisions
+        assert len(elements) + elements.collisions == template.walk_length(k)
+
+
+@pytest.mark.parametrize(
+    "name,sizes",
+    [
+        ("lattice-rank22", [5, 9, 12, 15, 17, 21]),
+        ("lattice-det0-2x2-gaussian", [9, 13, 16, 17, 19, 21]),
+    ],
+)
+def test_colliding_lattice_presets_keep_their_set_sizes(name, sizes):
+    spec = preset(name)
+    seen = _sets_per_k(spec.family, spec.k_values)
+    assert [len(elements) for elements in seen] == sizes
+    assert all(elements.collisions > 0 for elements in seen)
+
+
+def test_run_experiment_materializes_once(monkeypatch):
+    calls = []
+
+    def spy(spec):
+        calls.append(spec)
+        return materialize(spec)
+
+    monkeypatch.setattr(growth, "materialize", spy)
+    spec = preset("lattice-rank22")
+    result = run_experiment(spec)
+    assert len(calls) == 1 and calls[0] == spec.family.family_at(spec.k_values[-1])
+    assert ([(p.k, p.set_size, p.count) for p in result.points], False) == (
+        growth_points_per_k(spec)
+    )
+
+
+def test_a_budget_that_stops_at_the_third_k_matches_per_k_sets():
+    # 2x2 det charges A^2: 16, 36 and 64 for sets of 4, 6 and 8.
+    spec = _det2_spec(k_values=[2, 3, 4, 5], budget=50)
+    result = run_experiment(spec)
+    assert result.budget_exceeded and [p.k for p in result.points] == [2, 3]
+    assert (
+        [(p.k, p.set_size, p.count) for p in result.points],
+        result.budget_exceeded,
+    ) == growth_points_per_k(spec)
 
 
 def test_run_experiment_budget_stops_early():
