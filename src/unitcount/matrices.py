@@ -20,10 +20,10 @@ invariants, over Q and Qi alike.  A 3x3 det over Q whose a-priori
 magnitude bound proves that no intermediate can leave int64 runs the
 vectorized kernel.  Otherwise square det comes from the last row's
 cofactors, computed once per top block, and any other charpoly from one
-pass over every matrix.  Rank comes from the planner's rank routes (a
-square's rank <= n-1 from its det zeros when det is swept or has no route)
-wherever they give the whole profile (min(m, n) <= 3, and 4x4); other
-shapes rank every matrix.
+pass over every matrix.  Rank, in every shape, comes from one ordered walk
+over the flats that the lines of the shorter side span (a square's
+rank <= n-1 from its det zeros when det is swept); no matrix is ranked one
+by one.
 """
 
 from __future__ import annotations
@@ -478,32 +478,23 @@ def _square_det(rows: list[tuple], n: int, ring: _Ring) -> dict:
 
 
 # perfbench/spans.py wraps this name; it reads the raw dict's "total".
-def _generic_shard(
-    values: list, field: str, m: int, n: int, opts: SweepOptions
-) -> dict:
-    """Sweep over every matrix, any field and shape, in ring arithmetic.
-    Returns the raw {"total", "rank", "det", "charpoly"} histograms.
-    Square det comes from `_square_det`; rank and charpoly from one pass
-    over every matrix.  It runs the planner's "sweep" route of one square
-    statistic, and the rank profiles the rank routes cannot give; the tests
-    take its 3x3 charpoly as their reference."""
+def _generic_shard(values: list, field: str, n: int, stat: str) -> dict:
+    """The planner's "sweep" route of one square statistic, "det" or
+    "charpoly", over every n x n matrix in ring arithmetic, any field:
+    {"total": A^(n^2), stat: raw histogram}.  det comes from `_square_det`,
+    charpoly from one Berkowitz pass over every matrix; the tests take its
+    3x3 charpoly as their reference."""
     ring = _ring(field)
     rows = list(itertools.product(values, repeat=n))
-    raw = {"total": len(rows) ** m, "rank": None, "det": None, "charpoly": None}
-    if m == n and opts.det:
+    raw = {"total": len(rows) ** n}
+    if stat == "det":
         raw["det"] = _square_det(rows, n, ring)
-    rank_hist = {} if opts.rank else None
-    cp_hist = {} if opts.charpoly else None
-    if rank_hist is None and cp_hist is None:
         return raw
-    for matrix in itertools.product(rows, repeat=m):
-        if rank_hist is not None:
-            r = _rank_det(matrix, ring)[0]
-            rank_hist[r] = rank_hist.get(r, 0) + 1
-        if cp_hist is not None:
-            cs = tuple(_charpoly_coeffs(matrix, ring))
-            cp_hist[cs] = cp_hist.get(cs, 0) + 1
-    raw["rank"], raw["charpoly"] = rank_hist, cp_hist
+    hist: dict = {}
+    for matrix in itertools.product(rows, repeat=n):
+        cs = tuple(_charpoly_coeffs(matrix, ring))
+        hist[cs] = hist.get(cs, 0) + 1
+    raw["charpoly"] = hist
     return raw
 
 
@@ -528,21 +519,15 @@ def _rank_profile(
     elements: ElementSet, m: int, n: int, dets: dict | None
 ) -> dict[int, int]:
     """Rank profile of the m x n matrices over zero-free `elements` from the
-    number of rank <= k for each k < min(m, n): by `_cumulative_rank`, but
-    for a square's k = n-1, the zeros of its raw det histogram `dets` when
-    it was swept.  Where some k has no route, every matrix is ranked."""
-    zero = _ring(elements.field).zero
-    at_most = []
-    for k in range(1, min(m, n)):
-        if m == n == k + 1 and dets is not None:
-            count = dets.get(zero, 0)
-        elif (count := _cumulative_rank(elements, m, n, k)) is None:
-            _, values, _ = elements.scaled_integers()
-            opts = SweepOptions(det=False)
-            return _generic_shard(values, elements.field, m, n, opts)["rank"]
-        at_most.append(count)
-    at_most.append(len(elements) ** (m * n))
-    counts = map(operator.sub, at_most, [0, *at_most])
+    number of rank <= k for each k: one `_rank_counts` walk, but a square
+    whose raw det histogram `dets` was swept takes rank <= n-1 from its
+    zeros and walks one rank less."""
+    if m == n and dets is not None:
+        zeros = dets.get(_ring(elements.field).zero, 0)
+        at_most = _flats_walk(elements, n, n, n - 2) + [zeros, len(elements) ** (n * n)]
+    else:
+        at_most = _rank_counts(elements, m, n, min(m, n))
+    counts = map(operator.sub, at_most[1:], at_most)
     return {r: c for r, c in enumerate(counts, 1) if c}
 
 
@@ -586,17 +571,17 @@ def sweep(
 #   cycles3  3x3 charpoly by the cycle-invariant join, A^6
 #   powersums  power sums at any n by product convolution: the product
 #            table and the off-diagonal convolution, A^(n(n-1)); A at n = 1
-#   rank1    rank <= 1 on any m x n, by line directions, A^min(m,n)
-#            (also 2x2 det = 0, which is rank <= 1 over zero-free entries)
-#   flats    rank <= 2 when d = min(m, n) >= 3, by the lines and planes the
-#            A^d vectors span (also 3x3 det = 0): the direction pass and all
-#            pairs of at most A^d directions, A^d + A^d (A^d - 1) / 2
+#   flats    rank <= k for any k < d = min(m, n), on any m x n, by one
+#            ordered walk over the flats that the lines of the A^d vectors
+#            span (`_flats_walk`; also n x n det = 0, which is rank <= n-1
+#            over zero-free entries): sum_{j=1..k} C(A^d, j), so A^d at
+#            k = 1 and A^d + A^d (A^d - 1) / 2 at k = 2
 #   closed   rank <= min(m, n): every matrix, A^(mn) with no work
-#   sweep    the per-matrix pass of `_generic_shard`, A^(mn); every route
-#            must agree with it
+#   sweep    square det by last-row cofactors or charpoly per matrix
+#            (`_generic_shard`), A^(n^2)
 #
-# An exact rank count is rank <= r minus rank <= r-1, each by its route; the
-# route name joins the two with "-".  The sweep runs when either has none.
+# An exact rank count is rank <= r minus rank <= r-1, both from one walk to
+# rank min(r, d - 1), charged that walk.
 
 
 @dataclass(frozen=True)
@@ -619,8 +604,8 @@ def plan_square(
     size = len(elements)
     if stat == "powersums":
         return CountRoute("powersums", size ** max(n * (n - 1), 1))
-    if det_zero and (route := _cumulative_rank_route(n, n, n - 1, size)):
-        return route
+    if det_zero and n > 1:
+        return _flats_route(size, n, n - 1)
     if n == 2:
         return CountRoute("conv2", size**2)
     if n == 3 and stat == "charpoly":
@@ -631,34 +616,27 @@ def plan_square(
     return CountRoute("sweep", size ** (n * n))
 
 
-def _flats_route(size: int, d: int) -> CountRoute:
+def _flats_route(size: int, d: int, k: int) -> CountRoute:
+    """The flats walk to rank k over the A^d vectors, charged the bound that
+    `_flats_walk` proves: sum_{j=1..k} C(A^d, j)."""
     vectors = size**d
-    return CountRoute("flats", vectors + vectors * (vectors - 1) // 2)
-
-
-def _cumulative_rank_route(m: int, n: int, k: int, size: int) -> CountRoute | None:
-    """Route other than the sweep for the number of m x n matrices of
-    rank <= k, if there is one."""
-    low = min(m, n)
-    if k == low:
-        return CountRoute("closed", 0)
-    if k == 1:
-        return CountRoute("rank1", size**low)
-    if k == 2:
-        return _flats_route(size, low)
-    return None
+    return CountRoute("flats", sum(math.comb(vectors, j) for j in range(1, k + 1)))
 
 
 def plan_rank(m: int, n: int, r: int, cumulative: bool, size: int) -> CountRoute:
-    """Route of an m x n rank count (rank <= r, or == r) over `size` elements."""
-    if not 1 <= r <= min(m, n):
+    """Route of an m x n rank count (rank <= r, or == r) over `size` elements:
+    the flats walk to rank r, or to min(m, n) - 1 for an exact count of full
+    rank; rank <= min(m, n) is closed."""
+    if m < 1 or n < 1:
+        raise ValueError("matrix dimensions must be positive")
+    low = min(m, n)
+    if not 1 <= r <= low:
         raise ValueError(f"rank {r} impossible for a {m}x{n} matrix over nonzero entries")
-    parts = [_cumulative_rank_route(m, n, r, size)]
-    if not cumulative and r > 1:
-        parts.append(_cumulative_rank_route(m, n, r - 1, size))
-    if None in parts:
-        return CountRoute("sweep", size ** (m * n))
-    return CountRoute("-".join(p.name for p in parts), sum(p.work for p in parts))
+    if r < low:
+        return _flats_route(size, low, r)
+    if cumulative or low == 1:
+        return CountRoute("closed", 0)
+    return _flats_route(size, low, low - 1)
 
 
 def _charged(route: CountRoute, budget: int | None) -> CountRoute:
@@ -681,8 +659,7 @@ def _square_histogram(elements: ElementSet, n: int, stat: str) -> dict:
         return _power_sums_histogram(elements, n)
     if route == "target3":
         return _kernels.sweep_square(values)["det"]
-    opts = SweepOptions(rank=False, det=stat == "det", charpoly=stat == "charpoly")
-    return _generic_shard(values, elements.field, n, n, opts)[stat]
+    return _generic_shard(values, elements.field, n, stat)[stat]
 
 
 def _square_count(
@@ -697,8 +674,8 @@ def _square_count(
     if key is None:
         return 0
     ring = _ring(elements.field)
-    if route in ("rank1", "flats"):
-        return _cumulative_rank(elements, n, n, n - 1)
+    if route == "flats":
+        return _flats_walk(elements, n, n, n - 1)[n - 1]
     if route == "conv2" and stat == "det":
         products = _product_counter(elements)
         return sum(c * products.get(ring.sub(p, key[0]), 0) for p, c in products.items())
@@ -715,33 +692,36 @@ def _square_count(
     return _square_histogram(elements, n, stat).get(key[0] if stat == "det" else key, 0)
 
 
-def _primitive(vector: tuple, field: str) -> tuple[int, ...]:
-    """The canonical integer vector on the line through a nonzero ring
-    vector: over Qi it is first turned by the conjugate of its first
-    nonzero coordinate, which makes that coordinate a positive integer, and
-    flattened to (re, im) parts; then it is divided by the gcd of its parts,
-    signed so that the first nonzero part is positive.  Two vectors give the
-    same tuple exactly when one is a nonzero multiple of the other."""
+def _primitive(vector, field: str) -> tuple:
+    """The canonical ring vector on the line through a nonzero ring vector:
+    over Qi it is first turned by the conjugate of its first nonzero
+    coordinate, which makes that coordinate a positive integer; then it is
+    divided by the gcd of its integer parts, signed so that the first
+    nonzero part is positive.  Two vectors give the same tuple exactly when
+    one is a nonzero multiple of the other."""
     if field == QI:
         re, im = next(filter(any, vector))
-        parts = [p for z in vector for p in _gmul(z, (re, -im))]
-    else:
-        parts = vector
-    g = math.gcd(*parts)
-    if next(filter(None, parts)) < 0:
+        turned = [_gmul(z, (re, -im)) for z in vector]
+        g = math.gcd(*itertools.chain.from_iterable(turned))
+        return tuple((x // g, y // g) for x, y in turned)
+    g = math.gcd(*vector)
+    for x in vector:
+        if x:
+            break
+    if x < 0:
         g = -g
-    return tuple(map(operator.floordiv, parts, itertools.repeat(g)))
+    return tuple([y // g for y in vector])
 
 
-def _line_classes(elements: ElementSet, k: int) -> tuple[object, Counter]:
-    """The lines through the A^k vectors of elements^k: (s, classes), where
-    `classes` maps each line's key to its number of vectors.  The key of
-    (x_1, ..., x_k) is its exact ratios x_j / x_1 (j >= 2) times the common
-    ring scale s, so (s, *key) is a vector on the line.  Over Q, s is the
-    lcm L of the scaled values and the key is x_j * (L // x_1); over Qi, s
-    is the lcm N of their norms and the key x_j * conj(x_1) * (N // |x_1|^2).
-    Each first coordinate scales its A^(k-1) tails with one table of A
-    products, so no line costs a gcd."""
+def _line_classes(elements: ElementSet, k: int) -> Counter:
+    """The lines through the A^k vectors of elements^k: a Counter of each
+    line's key and its number of vectors.  The key of (x_1, ..., x_k) is
+    its exact ratios x_j / x_1 (j >= 2) times a ring scale s common to every
+    line, so (s, *key) is a vector on the line.  Over Q, s is the lcm L of
+    the scaled values and the key is x_j * (L // x_1); over Qi, s is the lcm
+    N of their norms and the key x_j * conj(x_1) * (N // |x_1|^2).  Each
+    first coordinate scales its A^(k-1) tails with one table of A products,
+    so no line costs a gcd."""
     _, values, _ = elements.scaled_integers()
     if elements.field == QI:
         norms = [re * re + im * im for re, im in values]
@@ -750,7 +730,6 @@ def _line_classes(elements: ElementSet, k: int) -> tuple[object, Counter]:
             (re * (scale // norm), -im * (scale // norm))
             for (re, im), norm in zip(values, norms)
         ]
-        scale = (scale, 0)
     else:
         scale = math.lcm(*values)
         factors = [scale // x for x in values]
@@ -759,76 +738,88 @@ def _line_classes(elements: ElementSet, k: int) -> tuple[object, Counter]:
     for factor in factors:
         scaled = map(mul, values, itertools.repeat(factor))
         classes.update(itertools.product(scaled, repeat=k - 1))
-    return scale, classes
+    return classes
 
 
-def _rank1_count(elements: ElementSet, m: int, n: int) -> int:
-    """Number of m x n matrices of rank 1.  With zero-free entries that is
-    every line along the longer side on one direction, so histogram the
-    A^min(m,n) lines of the shorter side by direction (rank is invariant
-    under transposition) and sum each class size to the power max(m, n)."""
-    _, classes = _line_classes(elements, min(m, n))
-    return sum(c ** max(m, n) for c in classes.values())
+def _flats_walk(elements: ElementSet, d: int, w: int, top: int) -> list[int]:
+    """[N_0, ..., N_top], where N_t is the number of w-tuples of vectors of
+    elements^d whose span has rank <= t: the d x w matrices of rank <= t,
+    and the w x d ones, as rank is invariant under transposition.
 
+    Over a list of lines, each with its number c of vectors, and z vectors
+    at the origin, let R_t(z) count the w-tuples of rank <= t.  A tuple that
+    meets a line is filed under the first line i it meets; modulo line i
+    the vectors of line i join the origin and the rank drops by one, so
+        R_t(z) = z^w + sum_i (R'_{t-1}(z + c_i) - R'_{t-1}(z)),  R_0(z) = z^w,
+    where R' counts over the lines after i modulo line i: the planes
+    through line i, each with the summed count of its lines.  N_t is R_t(0)
+    over the lines of `_line_classes`, and one walk to depth `top` gives
+    every t <= top.  Each tuple is counted once, under the first lines that
+    span it: Moebius inversion over the flats, taken line by line, so no
+    flat needs a global key and no count inside a flat is walked again.
 
-def _flats_count(elements: ElementSet, m: int, n: int) -> int:
-    """Number of m x n matrices of rank <= 2 when d = min(m, n) >= 3.  Such
-    a matrix is max(m, n) vectors of elements^d (along the shorter side)
-    spanning a line or a plane, so by Moebius inversion over the flats
-        N = sum_L |L|^w + sum_P (|P|^w - sum_{L in P} |L|^w),  w = max(m, n),
-    where L runs over the lines of `_line_classes` and P over the planes
-    that two of them span, |.| counting vectors.  A plane is keyed by the
-    `_primitive` 2x2 minors of two line vectors (s, a) and (s, b), which
-    are s b_j - s a_j and a_p b_q - a_q b_p; at d = 3 they are the cross
-    product, up to order and sign.  Walking the lines in order, each plane
-    is summed at its first line, where every other line in it is met.
-    Python ints throughout, so no magnitude bound is needed."""
+    A later line b is reduced modulo a line a as a_p b - b_p a without the
+    pivot coordinate p of a, then keyed by `_primitive`; on the first level
+    every vector is (s, *key) with one s, so the reduction is the difference
+    of the keys.  Work bound: a quotient keeps its lines in the order of
+    their first line, so each key taken at depth j (j = 2..top) is a
+    strictly increasing j-tuple of the D <= A^d lines, and no tuple is
+    taken twice.  The walk keys at most sum_{j=2..top} C(A^d, j) vectors,
+    after the A^d that `_line_classes` scales; `_flats_route` charges the
+    sum.  Python ints throughout, so no magnitude bound is needed."""
+    if top < 1:
+        return [0] * (top + 1)
     field = elements.field
     ring = _ring(field)
-    sub, mul = ring.sub, ring.mul
-    d, power = min(m, n), max(m, n)
-    scale, classes = _line_classes(elements, d)
-    lines = list(classes.items())
-    total = sum(c**power for c in classes.values())
-    pairs = list(itertools.combinations(range(d - 1), 2))
-    seen: set[tuple[int, ...]] = set()
-    for i, (a, size) in enumerate(lines):
-        planes: dict[tuple[int, ...], list[int]] = {}
-        for b, other in lines[i + 1 :]:
-            if d == 3:
-                # (s, a2, a3) x (s, b2, b3), written out: the general minors
-                # cost a quarter more per pair here.
-                (a2, a3), (b2, b3) = a, b
-                minors = (
-                    sub(mul(a2, b3), mul(a3, b2)),
-                    mul(scale, sub(a3, b3)),
-                    mul(scale, sub(b2, a2)),
-                )
-            else:
-                minors = [mul(scale, sub(y, x)) for x, y in zip(a, b)]
-                minors += [sub(mul(a[p], b[q]), mul(a[q], b[p])) for p, q in pairs]
-            planes.setdefault(_primitive(minors, field), [size]).append(other)
-        for normal, members in planes.items():
-            if normal not in seen:
-                seen.add(normal)
-                total += sum(members) ** power - sum(c**power for c in members)
-    return total
+    sub, mul, zero = ring.sub, ring.mul, ring.zero
+
+    def quotient(entries: list, i: int, first: bool) -> dict:
+        """The lines after entries[i] modulo its line: {key: summed count}."""
+        a, groups = entries[i][0], {}
+        if first:
+            for b, c in entries[i + 1 :]:
+                key = _primitive(tuple(map(sub, b, a)), field)
+                groups[key] = groups.get(key, 0) + c
+            return groups
+        p = next(j for j, x in enumerate(a) if x != zero)
+        ap, rest = a[p], a[:p] + a[p + 1 :]
+        for b, c in entries[i + 1 :]:
+            bp = b[p]
+            reduced = [sub(mul(ap, y), mul(bp, x)) for x, y in zip(rest, b[:p] + b[p + 1 :])]
+            key = _primitive(reduced, field)
+            groups[key] = groups.get(key, 0) + c
+        return groups
+
+    def tally(entries, zs: tuple, depth: int, first: bool = False) -> list:
+        """R_t(z) over `entries`, (line vector, count) pairs, for t = 0..depth
+        (rows) and each z in `zs` (columns)."""
+        powers = [z**w for z in zs]
+        if depth == 1:
+            lines = len(entries)
+            sums = [sum((z + c) ** w for _, c in entries) for z in zs]
+            return [powers, [(1 - lines) * p + s for p, s in zip(powers, sums)]]
+        rows = [powers] * (depth + 1)  # each row is rebound, never changed
+        n = len(zs)
+        for i, (_, c) in enumerate(entries):
+            later = list(quotient(entries, i, first).items())
+            below = tally(later, zs + tuple(z + c for z in zs), depth - 1)
+            for t in range(1, depth + 1):
+                low = below[t - 1]
+                rows[t] = [r + hi - lo for r, hi, lo in zip(rows[t], low[n:], low)]
+        return rows
+
+    lines = list(_line_classes(elements, d).items())
+    return [row[0] for row in tally(lines, (0,), top, True)]
 
 
-def _cumulative_rank(elements: ElementSet, m: int, n: int, k: int) -> int | None:
-    """Number of m x n matrices of rank <= k by its route; a square's
-    rank <= n-1 with no route is its det histogram's zeros, and any other
-    shape with no route gives None."""
-    route = _cumulative_rank_route(m, n, k, len(elements))
-    if route is None and m == n == k + 1:
-        return _square_histogram(elements, n, "det").get(_ring(elements.field).zero, 0)
-    if route is None:
-        return None
-    if route.name == "closed":
-        return len(elements) ** (m * n)
-    if route.name == "rank1":
-        return _rank1_count(elements, m, n)
-    return _flats_count(elements, m, n)
+def _rank_counts(elements: ElementSet, m: int, n: int, top: int) -> list[int]:
+    """[N_0, ..., N_top], N_t the number of m x n matrices of rank <= t: the
+    flats walk below min(m, n), and every matrix at min(m, n)."""
+    low = min(m, n)
+    counts = _flats_walk(elements, low, max(m, n), min(top, low - 1))
+    if top == low:
+        counts.append(len(elements) ** (m * n))
+    return counts
 
 
 def count_det(
@@ -854,13 +845,10 @@ def count_rank(
     """Number of m x n matrices of rank <= r, or of rank exactly r when not
     `cumulative`."""
     route = _charged(plan_rank(m, n, r, cumulative, len(elements)), budget)
-    if route.name == "sweep":
-        profile = _rank_profile(elements, m, n, None).items()
-        return sum(c for k, c in profile if (k <= r if cumulative else k == r))
-    count = _cumulative_rank(elements, m, n, r)
-    if not cumulative and r > 1:
-        count -= _cumulative_rank(elements, m, n, r - 1)
-    return count
+    if route.name == "closed":
+        return len(elements) ** (m * n)
+    counts = _rank_counts(elements, m, n, r)
+    return counts[r] if cumulative else counts[r] - counts[r - 1]
 
 
 def count_charpoly(

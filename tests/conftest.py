@@ -3,7 +3,6 @@ seed, so failures replay exactly."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -85,12 +84,14 @@ def generic_sweep(elements: ElementSet, m: int, n: int, opts: SweepOptions | Non
     """The sweep on the per-matrix path: `_generic_shard` for charpoly per
     matrix and det by last-row cofactors, and here the ranks by Bareiss per
     distinct set of rows and the power sums summed per matrix.  It shares
-    no code with the product convolutions, the 3x3 int64 kernel or the rank
-    routes: the reference they are checked against."""
+    no code with the product convolutions, the 3x3 int64 kernel or the flats
+    walk: the reference they are checked against."""
     opts = opts or SweepOptions()
     _, values, _ = elements.scaled_integers()
-    det_charpoly = dataclasses.replace(opts, rank=False)
-    raw = _generic_shard(values, elements.field, m, n, det_charpoly)
+    raw = {"total": len(values) ** (m * n), "rank": None}
+    for stat in ("det", "charpoly"):
+        wanted = m == n and getattr(opts, stat)
+        raw[stat] = _generic_shard(values, elements.field, n, stat)[stat] if wanted else None
     if opts.rank:
         raw["rank"] = _row_set_ranks(values, elements.field, m, n)
     if opts.powersums:

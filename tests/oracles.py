@@ -11,7 +11,7 @@ rows once.
 
 `bareiss_sweep` is built on the package's elimination: the plain loop of
 one Bareiss elimination per matrix, which the last-row cofactor sweep and
-the rank routes replaced.  It is fast enough for 4x4 sweeps that the Fraction oracles cannot
+the flats walk replaced.  It is fast enough for 4x4 sweeps that the Fraction oracles cannot
 reach, and it shares no grouping or cofactor code with the route it checks.
 `fast_det2_histogram` and `power_sums_from_coeffs` are written in `Scalar`
 arithmetic: the 2x2 det convolution over Scalars, and Newton's identities

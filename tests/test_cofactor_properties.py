@@ -1,6 +1,6 @@
 """Property test of the last-row cofactor sweep on random small sets: its
 square det histogram, and the rank profile `sweep` reads off its zeros and
-the rank routes, equal the per-matrix Bareiss loop of tests/oracles.py.
+the flats walk, equal the per-matrix Bareiss loop of tests/oracles.py.
 Needs hypothesis; skipped without it."""
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from unitcount import matrices  # noqa: E402
 from unitcount.families import ElementSet  # noqa: E402
-from unitcount.matrices import SweepOptions  # noqa: E402
 from unitcount.scalars import Q, QI, Scalar  # noqa: E402
 
 
@@ -39,7 +38,7 @@ def test_cofactor_sweep_matches_per_matrix_bareiss(case):
     n, elements = case
     _, values, _ = elements.scaled_integers()
     ranks, dets = oracles.bareiss_sweep(values, elements.field, n, n)
-    raw = matrices._generic_shard(values, elements.field, n, n, SweepOptions(rank=False))
+    raw = matrices._generic_shard(values, elements.field, n, "det")
     assert raw["det"] == dets
-    # The sweep's rank profile: the rank routes below n-1, the det zeros at n-1.
+    # The sweep's rank profile: the flats walk below n-1, the det zeros at n-1.
     assert matrices.sweep(elements, n, n).rank_profile == ranks

@@ -2,13 +2,12 @@
 that `sweep` composes around it.
 
 `matrices._generic_shard` gets the square det histogram from the cofactors
-of each top (n-1) x n block; rank and charpoly keep one pass over every
-matrix.  `sweep` asks that pass for rank only where the planner's routes
-cannot give the profile: up to 4x4, rank <= n-1 of a square is the zero
-count of the cofactor det histogram and the lower ranks come from the
-rank1 and flats routes.  Each is checked against the per-matrix Bareiss
-loop in tests/oracles.py (`bareiss_sweep`) and, where the sweep is small,
-against the Fraction oracles.
+of each top (n-1) x n block, and the charpoly from one pass over every
+matrix.  `sweep` ranks no matrix one by one: a square's rank <= n-1 is the
+zero count of its det histogram when det is swept, and every other rank
+count comes from the flats walk.  Each is checked against the per-matrix
+Bareiss loop in tests/oracles.py (`bareiss_sweep`) and, where the sweep is
+small, against the Fraction oracles.
 """
 
 from __future__ import annotations
@@ -26,9 +25,13 @@ def _elements(texts, field: str = Q) -> ElementSet:
     return ElementSet(tuple(parse_scalar(t, field) for t in texts))
 
 
-def _raw(elements: ElementSet, m: int, n: int, **options) -> dict:
+def _raw(elements: ElementSet, n: int, *stats: str) -> dict:
+    """The raw n x n histograms of `stats` from `_generic_shard`, no rank."""
     _, values, _ = elements.scaled_integers()
-    return matrices._generic_shard(values, elements.field, m, n, SweepOptions(**options))
+    raw = {"rank": None}
+    for stat in stats:
+        raw.update(matrices._generic_shard(values, elements.field, n, stat))
+    return raw
 
 
 def _reference(elements: ElementSet, m: int, n: int) -> tuple[dict, dict | None]:
@@ -66,10 +69,10 @@ _SQUARE_CASES = [
 def test_cofactor_route_matches_per_matrix_bareiss(field, texts, n):
     elements = _elements(texts, field)
     ranks, dets = _reference(elements, n, n)
-    det_only = _raw(elements, n, n, rank=False)
+    det_only = _raw(elements, n, "det")
     assert det_only["total"] == len(elements) ** (n * n)
-    assert det_only["rank"] is None and det_only["det"] == dets
-    # The sweep's rank profile: routes below n-1, the det zeros at n-1.
+    assert det_only["det"] == dets
+    # The sweep's rank profile: the walk below n-1, the det zeros at n-1.
     both = sweep(elements, n, n)
     assert both.rank_profile == ranks and both.raw["det"] == dets
     rank_only = sweep(elements, n, n, SweepOptions(det=False))
@@ -84,8 +87,8 @@ def test_cofactor_route_matches_per_matrix_bareiss(field, texts, n):
 def test_cofactor_route_matches_the_oracles(field, texts, n):
     elements = _elements(texts, field)
     expected = oracles.sweep_counts(elements, n, n)
-    raw = _raw(elements, n, n)
-    assert raw["rank"] == expected["rank"]
+    raw = _raw(elements, n, "det")
+    assert sweep(elements, n, n).rank_profile == expected["rank"]
     assert _pairs(elements, n, raw)["det"] == expected["det"]
 
 
@@ -107,10 +110,10 @@ def test_cofactor_route_past_the_int64_proof():
 def test_zero_cofactor_blocks_at_4x4(texts):
     # Over {1, -1} and {2, 4} many 3x4 top blocks have rank below 3, so all
     # their cofactors vanish and give det 0 for every last row; the ranks
-    # below 3 come from the rank1 and flats routes.
+    # below 3 come from the flats walk.
     elements = _elements(texts)
     ranks, dets = _reference(elements, 4, 4)
-    assert _raw(elements, 4, 4, rank=False)["det"] == dets
+    assert _raw(elements, 4, "det")["det"] == dets
     hist = sweep(elements, 4, 4)
     assert hist.rank_profile == ranks and hist.raw["det"] == dets
     assert min(ranks) == 1 and ranks[2] > 0
@@ -119,27 +122,28 @@ def test_zero_cofactor_blocks_at_4x4(texts):
 @pytest.mark.parametrize("field,texts", [(Q, ("1/2", "-3")), (QI, ("1+i", "-i/2"))])
 @pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (2, 3), (3, 2), (3, 4), (4, 3)])
 def test_non_square_rank_keeps_the_per_matrix_loop(field, texts, m, n):
+    """The per-matrix rank loop is kept as the reference only
+    (`oracles.bareiss_sweep`): `sweep` takes these profiles from the flats
+    walk."""
     elements = _elements(texts, field)
     ranks, _ = _reference(elements, m, n)
-    raw = _raw(elements, m, n, det=False)
-    assert raw["rank"] == ranks
-    assert raw["det"] is None
-    assert raw["total"] == len(elements) ** (m * n)
-    # `sweep` takes these profiles from the routes instead.
-    assert sweep(elements, m, n, SweepOptions(det=False)).rank_profile == ranks
+    hist = sweep(elements, m, n, SweepOptions(det=False))
+    assert hist.rank_profile == ranks
+    assert hist.raw["det"] is None
+    assert hist.total == len(elements) ** (m * n)
     if m * n <= 6:
         assert ranks == oracles.sweep_counts(elements, m, n)["rank"]
 
 
 @pytest.mark.parametrize("field,texts", [(Q, ("1/2", "-3")), (QI, ("1+i", "-i/2"))])
 def test_square_sweep_with_charpoly_matches_the_oracles(field, texts):
-    # det by cofactors, rank and charpoly per matrix, one sweep; the
-    # power sums by their convolution, which the generic sweep leaves out.
+    # det by cofactors and charpoly per matrix; rank by the walk and the
+    # det zeros; the power sums by their convolution.
     elements = _elements(texts, field)
-    raw = _raw(elements, 3, 3, charpoly=True, powersums=True)
-    assert "powersums" not in raw
+    raw = _raw(elements, 3, "det", "charpoly")
     ranks, dets = _reference(elements, 3, 3)
-    assert raw["rank"] == ranks and raw["det"] == dets
+    assert raw["det"] == dets
+    assert sweep(elements, 3, 3, SweepOptions(charpoly=True)).rank_profile == ranks
     expected = oracles.sweep_counts(elements, 3, 3)
     got = _pairs(elements, 3, raw)
     assert got["charpoly"] == expected["charpoly"]

@@ -2,14 +2,14 @@
 with signs and denominators, over Q and Qi: the 2x2 product convolutions
 (conv2), as single counts and as the 2x2 sweep, and the power sums at
 n = 1..4 (powersums), as single counts and as the sweep, equal the
-histograms of the per-matrix generic sweep, rank <= 1 by line directions
-(rank1) and rank <= 2 by lines and planes (flats) equal its rank profile
-and the Fraction oracle (where it is small), and no count depends on the
-order of the elements.  The generic sweep (`conftest.generic_sweep`) is the
-reference because every other sweep takes its rank profile from rank1,
-flats and its det zeros; that profile is checked against the per-matrix
-Bareiss loop at every shape up to 4x4 and at 2x5, 5x2 and 3x5, and the
-flats count in four dimensions against the distinct-row oracle.  The 3x3
+histograms of the per-matrix generic sweep, rank <= k by the ordered walk
+over the flats (flats) equals its rank profile and the Fraction oracle
+(where it is small), and no count depends on the order of the elements.
+The generic sweep (`conftest.generic_sweep`) is the reference because every
+other sweep takes its rank profile from the flats walk and its det zeros;
+that profile is checked against the per-matrix Bareiss loop at every shape
+up to 4x4 and at 2x5, 5x2 and 3x5, and every rank count in four dimensions
+against the distinct-row oracle.  The 3x3
 int64 sweep, with its det over unordered row triples, is checked against
 the generic sweep and the oracle on shuffled Q sets with sign pairs
 (x, -x).  The 3x3 charpoly join over cycle invariants (cycles3), as the
@@ -220,8 +220,9 @@ def test_rank1_matches_the_sweep(case):
     (m, n), (elements, shuffled) = case
     profile = generic_sweep(elements, m, n, SweepOptions(det=False)).rank_profile
     expected = profile.get(1, 0)
-    assert matrices._rank1_count(elements, m, n) == expected
-    assert matrices._rank1_count(shuffled, m, n) == expected
+    d, w = min(m, n), max(m, n)
+    assert matrices._flats_walk(elements, d, w, 1) == [0, expected]
+    assert matrices._flats_walk(shuffled, d, w, 1) == [0, expected]
     assert count_rank(elements, m, n, 1) == expected
     if len(elements) ** (m * n) <= 2**9:
         assert _oracle_ranks(elements, m, n).get(1, 0) == expected
@@ -252,8 +253,8 @@ def test_flats_count_rank_two_with_a_side_of_three(shape, case):
     profile = generic_sweep(elements, m, n, SweepOptions(det=False)).rank_profile
     assert matrices.plan_rank(m, n, 2, True, len(elements)).name == "flats"
     expected = _at_most(profile, 2)
-    assert matrices._flats_count(elements, m, n) == expected
-    assert matrices._flats_count(shuffled, m, n) == expected
+    assert matrices._flats_walk(elements, 3, 4, 2)[2] == expected
+    assert matrices._flats_walk(shuffled, 3, 4, 2)[2] == expected
     assert count_rank(elements, m, n, 2, cumulative=True) == expected
     assert count_rank(shuffled, m, n, 2, cumulative=False) == profile.get(2, 0)
 
@@ -324,7 +325,7 @@ def _rank_cases() -> list[tuple[int, int, str, int]]:
 
 @pytest.mark.parametrize("m,n,field,size", _rank_cases())
 def test_sweep_rank_profile_matches_per_matrix_bareiss(m, n, field, size):
-    # The profile comes from the rank1 and flats routes and, for a square,
+    # The profile comes from the flats walk and, for a square,
     # the det zeros, whichever of the 3x3 kernel, the 2x2 convolution or the
     # cofactor pass built them; asked with charpoly where it is small.
     small = size ** (m * n) <= 1 << 12
@@ -351,14 +352,28 @@ def test_sweep_rank_profile_matches_per_matrix_bareiss(m, n, field, size):
 @pytest.mark.parametrize("field", [Q, QI])
 @pytest.mark.parametrize("m,n", [(4, 4), (4, 5), (5, 4)])
 def test_rank_two_counts_in_four_dimensions_match_the_oracle(m, n, field):
-    # The oracle ranks sets of distinct rows, not each of the 2^20 matrices.
+    """Every rank count of a 4 x n or n x 4 shape, by one flats walk,
+    against the oracle that ranks sets of distinct rows, not each of the
+    2^20 matrices; 4x4 det = 0 also against the det zeros of the per-matrix
+    cofactor pass."""
     @settings(max_examples=1, deadline=None, derandomize=True, database=None)
     @given(_rank_sets(field, 2))
     def check(elements):
-        low = oracles.rank_profile_by_row_sets(elements, m, n, 2)
-        assert matrices.plan_rank(m, n, 2, True, 2).name == "flats"
-        assert count_rank(elements, m, n, 2) == sum(low.values())
-        assert count_rank(elements, m, n, 2, cumulative=False) == low.get(2, 0)
+        profile = oracles.rank_profile_by_row_sets(elements, m, n, 3)
+        total = len(elements) ** (m * n)
+        for k in range(1, 4):
+            assert matrices.plan_rank(m, n, k, True, 2).name == "flats"
+            assert count_rank(elements, m, n, k) == _at_most(profile, k)
+            assert count_rank(elements, m, n, k, cumulative=False) == profile.get(k, 0)
+        full = count_rank(elements, m, n, 4, cumulative=False)
+        assert full == total - _at_most(profile, 3)
+        ranks = sweep(elements, m, n, SweepOptions(det=False)).rank_profile
+        assert ranks == {**profile, 4: full}
+        if m == n:
+            zero = Scalar.zero(field)
+            dets = generic_sweep(elements, 4, 4, SweepOptions(rank=False)).raw["det"]
+            assert count_det(elements, 4, zero) == dets.get(matrices._ring(field).zero, 0)
+            assert count_det(elements, 4, zero) == _at_most(profile, 3)
 
     check()
 

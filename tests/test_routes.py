@@ -81,17 +81,25 @@ def test_rank_routes_match_sweep_and_oracle(field, m, n):
 
 def test_rank_route_names_and_work():
     assert plan_rank(3, 3, 1, True, 5) == plan_rank(3, 3, 1, False, 5)
-    assert plan_rank(3, 3, 1, True, 5).name == "rank1"
+    assert plan_rank(3, 3, 1, True, 5).name == "flats"
     assert plan_rank(3, 5, 1, True, 4).work == 4**3
     assert plan_rank(3, 3, 2, True, 5).name == "flats"
-    assert plan_rank(3, 3, 2, False, 5).name == "flats-rank1"
-    assert plan_rank(3, 3, 3, False, 5).name == "closed-flats"
+    assert plan_rank(3, 3, 2, False, 5).name == "flats"
+    assert plan_rank(3, 3, 3, False, 5).name == "flats"
     assert plan_rank(3, 6, 2, True, 5).name == "flats"
-    assert plan_rank(6, 3, 2, False, 5).name == "flats-rank1"
+    assert plan_rank(6, 3, 2, False, 5).name == "flats"
     assert plan_rank(2, 4, 2, True, 5).name == "closed"
     assert plan_rank(4, 4, 2, True, 2).name == "flats"
-    assert plan_rank(5, 4, 2, False, 2).name == "flats-rank1"
-    assert plan_rank(4, 5, 3, True, 2).name == "sweep"
+    assert plan_rank(5, 4, 2, False, 2).name == "flats"
+    assert plan_rank(4, 5, 3, True, 2).name == "flats"
+    # One walk over the flats below min(m, n), closed at it, in every shape.
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for r in range(1, min(m, n) + 1):
+                for cumulative in (True, False):
+                    name = plan_rank(m, n, r, cumulative, 3).name
+                    closed = r == min(m, n) and (cumulative or r == 1)
+                    assert name == ("closed" if closed else "flats"), (m, n, r, cumulative)
     five = _elements(("1", "2", "3", "4", "5"))
     assert [plan_square(n, five, "det").name for n in (1, 2, 3, 4)] == [
         "sweep", "conv2", "target3", "sweep",
@@ -100,7 +108,7 @@ def test_rank_route_names_and_work():
         "sweep", "conv2", "cycles3", "sweep",
     ]
     assert {plan_square(n, five, "powersums").name for n in (1, 2, 3, 4)} == {"powersums"}
-    assert plan_square(3, five, "det", det_zero=True).name == "flats"
+    assert {plan_square(n, five, "det", det_zero=True).name for n in (2, 3, 4, 5)} == {"flats"}
     # The 3x3 det kernel runs only over Q under its int64 proof.
     for texts, field in ((("1", "916016"), Q), (("1", "i"), QI)):
         assert plan_square(3, _elements(texts, field), "det") == CountRoute("sweep", 2**9)
@@ -112,9 +120,10 @@ def test_planner_work_per_statistic():
     # 2x2 convolution, the 3x3 single-key det kernel over the C(A^3, 3)
     # unordered row triples, the 3x3 charpoly join over the A^6 off-diagonal
     # keys, power sums over the A^(n(n-1)) off-diagonal products, rank <= 1
-    # by directions of the shorter side, rank <= 2 by flats (the A^d
-    # direction pass and all pairs of at most A^d directions,
-    # d = min(m, n)), closed full rank, and the sweep.
+    # and rank <= 2 by the flats walk over the A^d vectors of the shorter
+    # side, d = min(m, n) (A^d, and A^d + C(A^d, 2)), and rank <= k by the
+    # same walk, sum_{j=1..k} C(A^d, j); an exact rank count is one walk;
+    # closed full rank.
     ten, two = _elements(map(str, range(1, 11))), _elements(("1", "2"))
     assert plan_square(2, ten, "det", det_zero=True).work == 100
     assert plan_square(2, ten, "charpoly").work == 100
@@ -127,11 +136,14 @@ def test_planner_work_per_statistic():
     assert plan_rank(2, 3, 1, True, 3).work == 3**2
     assert plan_rank(3, 3, 1, True, 3).work == 3**3
     assert plan_rank(3, 3, 2, True, 3).work == 27 + 27 * 26 // 2
-    assert plan_rank(3, 7, 2, False, 3).work == 27 + 27 * 26 // 2 + 3**3
+    assert plan_rank(3, 7, 2, False, 3).work == 27 + 27 * 26 // 2
     assert plan_rank(3, 3, 3, True, 3).work == 0
     assert plan_rank(2, 4, 2, False, 3).work == 3**2
     assert plan_rank(4, 4, 2, True, 2).work == 16 + 16 * 15 // 2
-    assert plan_rank(4, 5, 3, True, 2).work == 2**20
+    assert plan_rank(4, 5, 3, True, 2).work == 16 + 16 * 15 // 2 + 16 * 15 * 14 // 6
+    assert plan_rank(4, 5, 3, False, 2) == plan_rank(4, 5, 3, True, 2)
+    assert plan_rank(4, 4, 4, False, 2) == plan_square(4, two, "det", det_zero=True)
+    assert plan_rank(5, 5, 4, True, 2).work == 32 + 496 + 4960 + 35960
 
 
 @pytest.mark.parametrize(
@@ -143,7 +155,7 @@ def test_det0_2x2_counts_rank_at_most_one(field, texts, monkeypatch):
     elements = _elements(texts, field)
     zero = Scalar.zero(field)
     size = len(elements)
-    assert plan_square(2, elements, "det", det_zero=True) == CountRoute("rank1", size**2)
+    assert plan_square(2, elements, "det", det_zero=True) == CountRoute("flats", size**2)
     assert plan_square(2, elements, "det") == CountRoute("conv2", size**2)
     expected = _oracle(texts, field, 2, 2)["det"].get(oracles.PZERO, 0)
     assert fast_det2_count(elements, zero) == expected
@@ -175,9 +187,13 @@ def test_budget_charges_the_route_work(tmp_path, capsys):
     with pytest.raises(BudgetExceededError) as info:
         count_det(elements, 3, Scalar.zero(Q), budget=flats - 1)
     assert info.value.required == flats
+    # An exact count takes rank <= 2 and rank <= 1 from one walk.
     with pytest.raises(BudgetExceededError) as info:
-        count_rank(elements, 4, 3, 2, cumulative=False, budget=flats + 3**3 - 1)
-    assert info.value.required == flats + 3**3
+        count_rank(elements, 4, 3, 2, cumulative=False, budget=flats - 1)
+    assert info.value.required == flats
+    assert count_rank(elements, 4, 3, 2, cumulative=False, budget=flats) == count_rank(
+        elements, 4, 3, 2, cumulative=False
+    )
     assert count_det(elements, 2, Scalar.zero(Q), budget=9) == 15
     # A 3x3 det != 0 under the kernel's proof is charged its C(27, 3) row
     # triples, a 3x3 charpoly its 3^6 off-diagonal keys.
@@ -264,6 +280,76 @@ def test_flats_budget_in_four_dimensions(tmp_path, capsys):
     assert capsys.readouterr().out == "2872\n"
 
 
+def test_flats_budget_past_rank_two(tmp_path, capsys):
+    """Rank <= k is charged sum_{j=1..k} C(A^d, j): 4x4 det = 0 and 4 x 5
+    rank <= 3 over two elements 16 + 120 + 560 = 696, and 5x5 rank <= 4
+    over {1, 2} 32 + 496 + 4960 + 35960 = 41448, a count the row-set oracle
+    takes minutes to confirm."""
+    ones = _elements(("1", "2"))
+    halves = _elements(("1/2", "-3"))
+    zero = Scalar.zero(Q)
+    for count, work, expected in (
+        (lambda b: count_det(ones, 4, zero, budget=b), 696, 33472),
+        (lambda b: count_rank(halves, 4, 5, 3, budget=b), 696, 246256),
+        (lambda b: count_rank(ones, 5, 5, 4, budget=b), 41448, 16661312),
+    ):
+        with pytest.raises(BudgetExceededError) as info:
+            count(work - 1)
+        assert info.value.required == work
+        assert str(info.value).startswith("flats count")
+        assert count(work) == expected
+    path = tmp_path / "halves.json"
+    path.write_text('{"field": "Q", "elements": ["1/2", "-3"]}')
+    argv = ["count", "rank", "--set", str(path), "-m", "4", "-n", "5", "-r", "3"]
+    assert main(argv + ["--budget", "695"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(argv + ["--budget", "696"]) == 0
+    assert capsys.readouterr().out == "246256\n"
+
+
+@pytest.mark.parametrize(
+    "field,texts,m,n,k",
+    [
+        (Q, ("-3", "1/2", "2"), 4, 4, 3),
+        (QI, ("2", "1+i", "-i/2"), 4, 4, 3),
+        (Q, ("-3", "1/2"), 5, 5, 4),
+        (QI, ("-i/2", "1+i"), 5, 6, 4),
+        (Q, ("1/2", "-3", "2/3"), 3, 7, 2),
+    ],
+)
+def test_flats_walk_keys_stay_under_the_charge(field, texts, m, n, k, monkeypatch):
+    """Each vector the walk reduces modulo a line is keyed by one
+    `_primitive` call; the keys stay within the planned work less the A^d
+    vectors of `_line_classes`, for every k the walk runs to."""
+    elements = _elements(texts, field)
+    keys = []
+    primitive = matrices._primitive
+    monkeypatch.setattr(
+        matrices, "_primitive", lambda *a: keys.append(1) or primitive(*a)
+    )
+    vectors = len(elements) ** min(m, n)
+    for top in range(1, k + 1):
+        keys.clear()
+        count_rank(elements, m, n, top)
+        assert bool(keys) == (top > 1)
+        assert len(keys) <= plan_rank(m, n, top, True, len(elements)).work - vectors
+
+
+def test_rank_counts_need_positive_dimensions(tmp_path, capsys):
+    """A shape with a side below 1 is reported as such, as `plan_square`
+    does, not as an impossible rank."""
+    elements = _elements(("1", "2"))
+    for m, n in ((0, 2), (2, 0), (-1, 3)):
+        for cumulative in (True, False):
+            with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+                count_rank(elements, m, n, 1, cumulative=cumulative)
+    path = tmp_path / "set12.json"
+    path.write_text('{"field": "Q", "elements": ["1", "2"]}')
+    argv = ["count", "rank", "--set", str(path), "-m", "0", "-n", "2", "-r", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: matrix dimensions must be positive\n"
+
+
 def test_target_field_must_match_the_set():
     elements = _elements(("1", "2"))
     with pytest.raises(ValueError):
@@ -283,8 +369,7 @@ _COUNTERS = {
     "cycles3": "_cycles3_count",
     "target3": "count_target3",
     "sweep": "_generic_shard",
-    "rank1": "_rank1_count",
-    "flats": "_flats_count",
+    "flats": "_flats_walk",
 }
 _HISTOGRAMS = {
     "conv2": "_conv2_histogram",

@@ -1,11 +1,11 @@
 """The 3x3 int64 det sweep over unordered row triples, and the rank profile
-composed from its det zeros and the rank-1 route.
+composed from its det zeros and the flats walk.
 
 `_kernels.sweep_square` takes det from the triples i < j < k of the A^3
 rows, row i dotted with the cross product of rows j and k; it counts each
 triple's det d three times at d and three times at -d, and puts the matrices
 with a repeated row at 0.  `matrices.sweep` then reads rank 3 and rank <= 2
-off the det zeros and rank 1 off `_rank1_count`.  Both are checked here
+off the det zeros and rank 1 off `_flats_walk`.  Both are checked here
 against references that share none of that: the generic cofactor sweep
 (`conftest.generic_sweep`), the per-matrix Bareiss loop
 (`oracles.bareiss_sweep`) and the Fraction ranks of `tests/oracles.py`, on
@@ -13,7 +13,7 @@ sets with sign pairs (x, -x), with denominators, in shuffled order, with the
 pairs split over many chunks, and at the int64 proof's boundary, where the
 3x3 charpoly sweep (the cycle-invariant join) is checked against the
 generic sweep too.  A square sweep without det builds no det histogram:
-its rank <= n-1 comes from the rank1 or flats route.
+its rank <= n-1 comes from the flats walk.
 """
 
 from __future__ import annotations
@@ -168,9 +168,8 @@ def test_sweep_past_the_int64_proof_boundary_is_generic(monkeypatch):
     ],
 )
 def test_rank_only_square_sweeps_take_the_rank_routes(n, field, texts, monkeypatch):
-    """Without det, a square's rank <= n-1 is the rank1 count at n = 2 and
-    the flats count at n = 3: no det convolution, kernel or cofactor pass
-    runs."""
+    """Without det, a square's rank <= n-1 comes from the flats walk: no
+    det convolution, kernel or cofactor pass runs."""
     elements = _elements(texts, field)
     built = []
     for name in ("_convolve", "_generic_shard"):
