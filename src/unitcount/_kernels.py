@@ -13,9 +13,11 @@ rows i < j < k among the A^3 rows, row i dotted with the cross product of
 rows j and k, built for at most `_CHUNK` pairs (j, k) at a time; a triple's
 six row orders give det d three times and -d three times, and every matrix
 with a repeated row has det 0.  The caller composes the rank profile from
-the det zeros and the rank-1 count (`matrices.sweep`).  Each block of dets
-is grouped by one sort (`_group`).  `sweep_square` histograms every det;
-`count_target3` counts one det without a histogram.
+the det zeros and the rank-1 count (`matrices.sweep`).  The dets come in
+batches of `_BATCH`, each grouped by |det| with one sort (`_group`), and
+the signs are folded back once, on the distinct values.  `sweep_square`
+histograms every det; `count_target3` counts one |det| per batch without a
+histogram.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ _SAFE_LIMIT = 1 << 62
 
 # Blocks hold at most this many 3x3 row pairs (j, k).
 _CHUNK = 1 << 20
+
+# Triple dets are grouped this many at a time.
+_BATCH = 1 << 17
 
 # Pending histogram rows merged once there are this many.
 _COMPACT_ROWS = 4_000_000
@@ -92,18 +97,21 @@ def _group(
 
 
 def _block_histogram(acc: _HistAccumulator, dets: np.ndarray) -> None:
-    acc.add(*_group(dets))
+    """Group one batch of dets by |det| (in place: the batch is the caller's
+    own) and feed the distinct values and their counts to `acc`."""
+    acc.add(*_group(np.abs(dets, out=dets)))
 
 
 def _triple_dets(values: list[int]):
     """det(r_i, r_j, r_k) for every triple i < j < k of the A^3 rows over
-    `values` (odometer order), one int64 block per first row i and chunk of
-    pairs.
+    `values` (odometer order), in new int64 batches of `_BATCH` dets (the
+    last one shorter; one batch when there are fewer triples).
 
     The pairs j < k are taken in lexicographic order, at most `_CHUNK` at a
     time, and each pair's cross product r_j x r_k is computed once per chunk.
     The pairs with j > i are a suffix of that order, so row i meets a
-    contiguous tail of the chunk in one dot product.  Each component of a
+    contiguous tail of the chunk; the tails are written one after another
+    into the batch, a tail split where a batch fills.  Each component of a
     cross product is a 2x2 minor, at most 2B^2, and each det at most 6B^3,
     the bound `supports` proves."""
     rows = list(itertools.product(values, repeat=3))
@@ -114,6 +122,10 @@ def _triple_dets(values: list[int]):
     first = first * (count - 1) - first * (first - 1) // 2
     firsts = first.tolist()
     pairs = count * (count - 1) // 2
+    size = min(_BATCH, pairs * (count - 2) // 3)
+    batch = np.empty(size, dtype=np.int64)
+    scratch = np.empty_like(batch)
+    filled = 0
     for p0 in range(0, pairs, _CHUNK):
         p1 = min(p0 + _CHUNK, pairs)
         p = np.arange(p0, p1, dtype=np.int64)
@@ -125,11 +137,21 @@ def _triple_dets(values: list[int]):
         # Every row before the chunk's last j meets a tail of it.
         for i in range(int(j[-1])):
             a1, a2, a3 = rows[i]
-            tail = max(firsts[i + 1] - p0, 0)
-            dets = a1 * c1[tail:]
-            dets += a2 * c2[tail:]
-            dets += a3 * c3[tail:]
-            yield dets
+            lo = max(firsts[i + 1] - p0, 0)
+            while lo < len(c1):
+                hi = min(len(c1), lo + size - filled)
+                out = batch[filled : filled + hi - lo]
+                tmp = scratch[: hi - lo]
+                np.multiply(c1[lo:hi], a1, out=out)
+                out += np.multiply(c2[lo:hi], a2, out=tmp)
+                out += np.multiply(c3[lo:hi], a3, out=tmp)
+                filled += hi - lo
+                lo = hi
+                if filled == size:
+                    yield batch
+                    batch, filled = np.empty(size, dtype=np.int64), 0
+    if filled:
+        yield batch[:filled]
 
 
 def _repeated_rows3(size: int) -> int:
@@ -139,17 +161,20 @@ def _repeated_rows3(size: int) -> int:
 
 
 def _det_histogram3(values: list[int]) -> dict:
-    """3x3 det histogram from the dets of the unordered row triples: an even
-    permutation of three distinct rows keeps det, an odd one negates it, so
-    a triple's det d counts 3 at d and 3 at -d; every matrix with two equal
-    rows has det 0."""
+    """3x3 det histogram from the dets of the unordered row triples, grouped
+    by |det|: an even permutation of three distinct rows keeps det, an odd
+    one negates it, so a triple with |det| = d > 0 counts 3 at d and 3 at
+    -d, one with det 0 counts 6 at 0; every matrix with two equal rows has
+    det 0."""
     triples = _HistAccumulator()
     for dets in _triple_dets(values):
         _block_histogram(triples, dets)
     hist = {0: _repeated_rows3(len(values))}
     for d, count in triples.result().items():
-        hist[d] = hist.get(d, 0) + 3 * count
-        hist[-d] = hist.get(-d, 0) + 3 * count
+        if d:
+            hist[d] = hist[-d] = 3 * count
+        else:
+            hist[0] += 6 * count
     return hist
 
 
@@ -168,15 +193,18 @@ def count_target3(values: list[int], det: int) -> int:
     of `sweep_square`, equals `det`.
 
     Same arithmetic as `sweep_square`, under the same `supports` proof (the
-    caller's job), but each block is compared with the target and the hits
-    are counted; no histogram is built: 3 matrices per triple with det t or
-    -t, plus the matrices with two equal rows when t = 0.  The proof bounds
-    every det by _SAFE_LIMIT, so a larger target counts 0.
+    caller's job), but each batch's |det| is compared with that of the
+    target t and the hits are counted; no histogram is built: 3 matrices per
+    triple with det t or -t, plus the matrices with two equal rows when
+    t = 0.  The proof bounds every det by _SAFE_LIMIT, so a larger target
+    counts 0.
     """
-    if abs(det) > _SAFE_LIMIT:
+    target = abs(det)
+    if target > _SAFE_LIMIT:
         return 0
     found = sum(
-        int(np.count_nonzero(np.abs(dets) == abs(det))) for dets in _triple_dets(values)
+        int(np.count_nonzero(np.abs(batch, out=batch) == target))
+        for batch in _triple_dets(values)
     )
     if det == 0:
         return 6 * found + _repeated_rows3(len(values))

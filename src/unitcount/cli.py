@@ -108,7 +108,12 @@ def _cmd_sweep(args) -> int:
         budget=args.budget,
     )
     hist = sweep(elements, args.m, args.n, options=opts)
-    _write_text(hist.csv_text(), args.out)
+    # The output is opened only now: a refused or failed sweep writes nothing.
+    if args.out is None or args.out == "-":
+        hist.write_csv(sys.stdout)
+    else:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            hist.write_csv(handle)
     return 0
 
 

@@ -422,12 +422,16 @@ class SweepHistogram:
             if raw is None:
                 continue
             keys = sorted(raw)
+            if stat == "det":
+                # Every det key is distinct: one text each.
+                (scale,) = _key_scales(stat, self.n, self.lcm)
+                yield stat, map(_coordinate_text(qi, scale), keys), map(raw.get, keys)
+                continue
+            # A coordinate of a tuple key repeats: one text per distinct value.
             texts = []
-            # One text per distinct value of each key column.
-            columns = [keys] if stat == "det" else zip(*keys)
-            for column, scale in zip(columns, _key_scales(stat, self.n, self.lcm)):
-                text = {v: scalar_text(*(v if qi else (v, 0)), scale) for v in set(column)}
-                texts.append(map(text.__getitem__, column))
+            for column, scale in zip(zip(*keys), _key_scales(stat, self.n, self.lcm)):
+                text = _coordinate_text(qi, scale)
+                texts.append(map({v: text(v) for v in set(column)}.__getitem__, column))
             yield stat, map(",".join, zip(*texts)), map(raw.get, keys)
 
     def csv_rows(self) -> list[tuple[str, str, int]]:
@@ -438,15 +442,22 @@ class SweepHistogram:
             for row in zip(itertools.repeat(stat), keys, counts)
         ]
 
-    def csv_text(self) -> str:
-        """The rows of `csv_rows` as CSV text under a header, each key
-        quoted, each line formatted once."""
-        lines = (
-            f'{stat},"{key}",{count}\n'
-            for stat, keys, counts in self._csv_columns()
-            for key, count in zip(keys, counts)
-        )
-        return "statistic,key,count\n" + "".join(lines)
+    def write_csv(self, out) -> None:
+        """Write the rows of `csv_rows` to the text handle `out` as CSV under
+        a header, each key quoted: one string per statistic."""
+        out.write("statistic,key,count\n")
+        for stat, keys, counts in self._csv_columns():
+            out.write("".join([f'{stat},"{key}",{count}\n' for key, count in zip(keys, counts)]))
+
+
+def _coordinate_text(qi: bool, scale: int):
+    """Text of a ring coordinate over `scale`: a Q integer over scale 1 is
+    its own text, anything else is reduced by `scalar_text`."""
+    if scale == 1 and not qi:
+        return str
+    if qi:
+        return lambda v: scalar_text(*v, scale)
+    return lambda v: scalar_text(v, 0, scale)
 
 
 def _cofactors(block, ring: _Ring) -> tuple:

@@ -245,6 +245,31 @@ def test_sweep_csv_is_csv_rows_with_quoted_keys(tmp_path, field, elements, m, n,
     assert capsys.readouterr().out == expected
 
 
+def test_sweep_refused_by_budget_writes_no_file(set12, tmp_path, capsys):
+    out = tmp_path / "refused.csv"
+    argv = ["sweep", "--set", set12, "-m", "3", "-n", "3", "--stats", "rank,det",
+            "--budget", "10", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field,elements,n,stats",
+    [("Q", ["1", "-1", "2", "-2", "1/3"], 3, "rank,det"),
+     ("Qi", ["1+i", "-i/2", "3"], 2, "rank,det,charpoly,powersums")],
+)
+def test_sweep_to_stdout_writes_the_file_bytes(tmp_path, field, elements, n, stats, capsysbinary):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"field": field, "elements": elements}))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--set", str(path), "-m", str(n), "-n", str(n), "--stats", stats]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 def test_sweep_rejects_unknown_statistic(set12, capsys):
     code = main(["sweep", "--set", set12, "-m", "2", "-n", "2", "--stats", "zeta"])
     assert code == 1

@@ -10,7 +10,8 @@ against references that share none of that: the generic cofactor sweep
 (`conftest.generic_sweep`), the per-matrix Bareiss loop
 (`oracles.bareiss_sweep`) and the Fraction ranks of `tests/oracles.py`, on
 sets with sign pairs (x, -x), with denominators, in shuffled order, with the
-pairs split over many chunks, and at the int64 proof's boundary, where the
+pairs split over many chunks and the dets over batches of any size, and at
+the int64 proof's boundary, where the
 3x3 charpoly sweep (the cycle-invariant join) is checked against the
 generic sweep too.  A square sweep without det builds no det histogram:
 its rank <= n-1 comes from the flats walk.
@@ -70,11 +71,14 @@ def test_triple_dets_cover_each_unordered_triple_once(monkeypatch):
         + a[2] * (b[0] * c[1] - b[1] * c[0])
         for a, b, c in itertools.combinations(rows, 3)
     )
-    # 351 pairs: one chunk, chunks of 1 and 2 pairs, and an uneven split.
-    for chunk in (1 << 20, 1, 2, 37):
+    # 351 pairs: one chunk, chunks of 1 and 2 pairs, and an uneven split;
+    # 2,925 triples: one batch, batches of 1 det, and uneven batches (the
+    # last of 1 det, then of 25).
+    for chunk, batch in ((1 << 20, 1 << 17), (1, 1), (2, 4), (37, 100)):
         monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        monkeypatch.setattr(_kernels, "_BATCH", batch)
         got = sorted(d for block in _kernels._triple_dets(values) for d in block.tolist())
-        assert got == expected, chunk
+        assert got == expected, (chunk, batch)
     assert list(_kernels._triple_dets([5])) == []
 
 
@@ -94,6 +98,37 @@ def test_count_target3_det_matches_the_generic_sweep(texts, monkeypatch):
         assert count_det(elements, 3, Scalar.rational(d, lcm**3)) == dets[d], d
     # The pairs split over many chunks.
     monkeypatch.setattr(_kernels, "_CHUNK", 5)
+    for d in (0, common, -common, absent):
+        assert _kernels.count_target3(values, d) == dets.get(d, 0), d
+
+
+# (set, _BATCH, _CHUNK): 2,925 triples one det per batch; 317,750 triples
+# in uneven batches that split row tails and chunks; and one batch larger
+# than every det.  {1, -1, 2, -2, 1/3} has sign pairs and a denominator.
+@pytest.mark.parametrize(
+    "texts,batch,chunk",
+    [
+        (("1", "-1", "1/2"), 1, 37),
+        (("1", "-1", "2", "-2", "1/3"), 9973, 1000),
+        (("1", "-1", "2", "-2", "1/3"), 1 << 20, 1000),
+    ],
+    ids=["batch-1", "batch-uneven", "batch-past-all"],
+)
+def test_det_batches_match_the_generic_sweep(texts, batch, chunk, monkeypatch):
+    monkeypatch.setattr(_kernels, "_BATCH", batch)
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    monkeypatch.setattr(_kernels, "_COMPACT_ROWS", 50)
+    elements = _elements(texts)
+    _, values, _ = elements.scaled_integers()
+    rows = len(values) ** 3
+    sizes = [len(block) for block in _kernels._triple_dets(values)]
+    assert sum(sizes) == rows * (rows - 1) * (rows - 2) // 6
+    assert set(sizes[:-1]) <= {batch} and 0 < sizes[-1] <= batch
+    dets = generic_sweep(elements, 3, 3, SweepOptions(rank=False)).raw["det"]
+    assert _kernels.sweep_square(values)["det"] == dets
+    common = max((d for d in dets if d), key=dets.get)
+    absent = max(dets) + 1
+    assert -common in dets and absent not in dets
     for d in (0, common, -common, absent):
         assert _kernels.count_target3(values, d) == dets.get(d, 0), d
 
