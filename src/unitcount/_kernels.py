@@ -3,10 +3,10 @@
 Rather than checking each operation for overflow, `supports` proves up
 front, from the largest scaled entry magnitude B, that every intermediate
 the kernel computes fits comfortably in a signed 64-bit word.  If the proof
-fails the caller falls back to the arbitrary-precision cofactor sweep, so
-results are exact either way.  No other statistic needs a kernel:
-`matrices` convolves products for 2x2 sweeps and power sums, and joins
-cycle invariants for the 3x3 charpoly, in Python ints.
+fails the caller falls back to the arbitrary-precision shared-minors det
+sweep, so results are exact either way.  No other statistic needs a
+kernel: `matrices` convolves products for 2x2 sweeps and power sums, and
+joins cycle invariants for the 3x3 charpoly, in Python ints.
 
 Layout: the det histogram comes from the unordered triples of distinct
 rows i < j < k among the A^3 rows, row i dotted with the cross product of

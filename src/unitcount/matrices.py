@@ -5,10 +5,13 @@ All computation clears denominators first: an ElementSet with denominator
 lcm L turns into integer (or Gaussian-integer) entries, statistics are
 computed fraction-free over the integers, and results are rescaled by the
 appropriate power of L at the end.  One Bareiss elimination, whose
-intermediate divisions are exact in any integral domain, gives both rank and
-determinant; characteristic polynomials come from Berkowitz's division-free
-algorithm.  Each routine is written once over a ring of exact integer
-or Gaussian-integer operations, so Q and Qi share it.
+intermediate divisions are exact in any integral domain, gives rank, and
+det alongside it where rank is wanted too; a det alone is the last row
+dotted with its cofactors, whose minors are built row by row by Laplace
+expansion (`_wedge`) and shared between blocks.  Characteristic
+polynomials come from Berkowitz's division-free algorithm.  Each routine
+is written once over a ring of exact integer or Gaussian-integer
+operations, so Q and Qi share it.
 
 Sweeps histogram the requested statistics over every matrix in
 elements^(m*n), and single counts (count_det, count_rank, count_charpoly,
@@ -18,12 +21,13 @@ section).  Power sums, at every n, and every 2x2 statistic are
 convolutions of pairwise products, and the 3x3 charpoly one join of cycle
 invariants, over Q and Qi alike.  A 3x3 det over Q whose a-priori
 magnitude bound proves that no intermediate can leave int64 runs the
-vectorized kernel.  Otherwise square det comes from the last row's
-cofactors, computed once per top block, and any other charpoly from one
-pass over every matrix.  Rank, in every shape, comes from one ordered walk
-over the flats that the lines of the shorter side span (a square's
-rank <= n-1 from its det zeros when det is swept); no matrix is ranked one
-by one.
+vectorized kernel.  Otherwise square det comes from shared minors, level
+by level: each distinct block's minors are computed once, and the last
+level's cofactor vectors, one of each pair v, -v, meet the last rows; any
+other charpoly comes from one pass over every matrix.  Rank, in every
+shape, comes from one ordered walk over the flats that the lines of the
+shorter side span (a square's rank <= n-1 from its det zeros when det is
+swept); no matrix is ranked one by one.
 """
 
 from __future__ import annotations
@@ -160,10 +164,28 @@ def _gdot(xs, ys):
     return (re, im)
 
 
+def _idots(xs, ys, size: int) -> tuple:
+    return tuple(map(sum, zip(*[map(operator.mul, xs, ys)] * size)))
+
+
+def _gdots(xs, ys, size: int) -> tuple:
+    out = []
+    re = im = t = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+        t += 1
+        if t == size:
+            out.append((re, im))
+            re = im = t = 0
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class _Ring:
     """Exact arithmetic on scaled entries; `div` is only ever called where
-    the quotient is known to be exact."""
+    the quotient is known to be exact, and `dots(xs, ys, size)` gives the
+    dot products of consecutive slices of `size` of xs and ys."""
 
     add: Callable
     sub: Callable
@@ -171,16 +193,17 @@ class _Ring:
     div: Callable
     neg: Callable
     dot: Callable
+    dots: Callable
     zero: object
     one: object
 
 
 _INTEGERS = _Ring(
     operator.add, operator.sub, operator.mul, operator.floordiv, operator.neg,
-    _idot, 0, 1,
+    _idot, _idots, 0, 1,
 )
 _GAUSSIAN_INTEGERS = _Ring(
-    _gadd, _gsub, _gmul, _gdiv_exact, _gneg, _gdot, (0, 0), (1, 0)
+    _gadd, _gsub, _gmul, _gdiv_exact, _gneg, _gdot, _gdots, (0, 0), (1, 0)
 )
 
 
@@ -228,24 +251,58 @@ def _rank_det(rows: list[list], ring: _Ring) -> tuple[int, object]:
     return r, ring.neg(prev) if swaps % 2 else prev
 
 
-def _det(rows: list[list], ring: _Ring):
-    """Determinant: cofactor formulas up to 3x3, which beat elimination for
-    callers that need only det, and Bareiss above.  The empty minor is one."""
-    n = len(rows)
-    if n > 3:
-        return _rank_det(rows, ring)[1]
-    if n <= 1:
-        return rows[0][0] if n else ring.one
-    add, sub, mul = ring.add, ring.sub, ring.mul
-    if n == 2:
-        return sub(mul(rows[0][0], rows[1][1]), mul(rows[0][1], rows[1][0]))
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    return add(
-        sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
-        mul(c, sub(mul(d, h), mul(e, g))),
-    )
+# -- shared minors -------------------------------------------------------------
+#
+# The k-minors of a k-row block with n columns are listed over the k-subsets
+# of the columns, in `itertools.combinations(range(n), k)` order.  One more
+# row on top gives the (k+1)-minors by Laplace expansion along that row
+# (`_wedge`), so the minors of a block are a fold from its bottom row up,
+# and blocks that share their lower rows share those rows' minors.
+
+
+@functools.cache
+def _wedge_plan(n: int, k: int, cofactors: bool) -> tuple:
+    """The Laplace terms of every (k+1)-subset S = (s_0 < ... < s_k) of the
+    n columns, S in combinations order: (-1)^t row[s_t] times the k-minor
+    of S without s_t, for t = 0..k.  Two getters list them, one the signed
+    entries from the row followed by its negation, one the k-minors; each
+    gets at least two items from n = 2 on.  For `cofactors` (k = n - 2)
+    the subsets run in reverse, so the j-th omits column j, and each term
+    takes the cofactor sign (-1)^(n-1+j) too."""
+    index = {cols: i for i, cols in enumerate(itertools.combinations(range(n), k))}
+    subsets = list(itertools.combinations(range(n), k + 1))
+    entries, subs = [], []
+    for j, cols in enumerate(subsets[::-1] if cofactors else subsets):
+        sign = n - 1 + j if cofactors else 0
+        entries += [c + n * ((t + sign) % 2) for t, c in enumerate(cols)]
+        subs += [index[cols[:t] + cols[t + 1 :]] for t in range(k + 1)]
+    return operator.itemgetter(*entries), operator.itemgetter(*subs)
+
+
+def _wedge(row, minors: tuple, k: int, ring: _Ring, cofactors: bool = False) -> tuple:
+    """The (k+1)-minors of `row` stacked on top of a k-row block whose
+    k-minors are `minors`; the empty block's one minor is ring.one.  With
+    `cofactors`, when row and block are the top n-1 rows of an n x n
+    matrix, its last row's signed cofactors instead, in column order."""
+    entries, subs = _wedge_plan(len(row), k, cofactors)
+    return ring.dots(entries((*row, *map(ring.neg, row))), subs(minors), k + 1)
+
+
+def _cofactors(block, ring: _Ring) -> tuple:
+    """Signed cofactors of the last row of a square matrix whose other rows
+    are the (n-1) x n `block`: its det is the last row dotted with them.
+    The block's minors are folded from its bottom row up, and the bottom
+    row's 1-minors are its entries, so with a row above it the fold starts
+    there.  The empty block of a 1 x 1 matrix has the one cofactor
+    ring.one."""
+    n = len(block) + 1
+    minors, k = (ring.one,), 0
+    if n > 2:
+        minors, k = tuple(block[-1]), 1
+    for row in reversed(block[: n - 1 - k]):
+        minors = _wedge(row, minors, k, ring, cofactors=k == n - 2)
+        k += 1
+    return minors
 
 
 def _charpoly_coeffs(rows: list[list], ring: _Ring) -> list:
@@ -276,7 +333,9 @@ def det(X: MatrixInstance, elements: ElementSet) -> Scalar:
     if X.m != X.n:
         raise ValueError("determinant needs a square matrix")
     lcm, _, _ = elements.scaled_integers()
-    raw = _det(_scaled_rows(X, elements), _ring(elements.field))
+    *block, last = _scaled_rows(X, elements)
+    ring = _ring(elements.field)
+    raw = ring.dot(last, _cofactors(block, ring))
     return _to_scalar(elements.field, raw, lcm**X.n)
 
 
@@ -460,41 +519,57 @@ def _coordinate_text(qi: bool, scale: int):
     return lambda v: scalar_text(v, 0, scale)
 
 
-def _cofactors(block, ring: _Ring) -> tuple:
-    """Signed cofactors of the last row of a square matrix whose other rows
-    are the (n-1) x n `block`: its det is the last row dotted with them."""
-    n = len(block) + 1
-    out = []
-    for j in range(n):
-        minor = _det([row[:j] + row[j + 1 :] for row in block], ring)
-        out.append(ring.neg(minor) if (n - 1 + j) % 2 else minor)
-    return tuple(out)
-
-
 def _square_det(rows: list[tuple], n: int, ring: _Ring) -> dict:
     """Det histogram of every n x n matrix whose rows come from `rows`, by
-    last-row cofactors: the cofactors of each top block are computed once,
-    and each distinct cofactor vector meets the last rows once, det being
-    the dot product.  A zero vector, from a top block of rank below n-1,
-    gives det 0 for every last row."""
-    dot = ring.dot
-    blocks = itertools.product(rows, repeat=n - 1)
-    vectors = Counter(map(_cofactors, blocks, itertools.repeat(ring)))
-    det_hist: dict = {}
-    for cof, mult in vectors.items():
+    shared minors, level by level: level k maps the minors of each distinct
+    k-row block to its number of blocks, and level k+1 stacks every row on
+    top of each (`_wedge`).  A block whose minors all vanish is set aside,
+    as every taller block on it and every last row under it give zeros.
+    The last level holds the cofactor vectors of the distinct top blocks,
+    and each meets the last rows once, det being the dot product.
+
+    From two rows on, swapping two rows negates a block's minors, so the
+    blocks with minors v and -v are equally many.  Such a level keeps one
+    vector of each pair v, -v, with the number of blocks of both, and a
+    row stacked on it stands for both, the minors of the other being the
+    negation.  So each det d of the last level counts half at d and half
+    at -d."""
+    dot, neg, size = ring.dot, ring.neg, len(rows)
+    level = {(ring.one,): 1}
+    vanishing = 0  # blocks so far whose minors all vanish
+    for k in range(n - 1):
+        grown: dict = {}
+        for minors, mult in level.items():
+            for row in rows:
+                key = _wedge(row, minors, k, ring, cofactors=k == n - 2)
+                if k:  # one of each pair v, -v from two rows on
+                    key = max(key, tuple(map(neg, key)))
+                grown[key] = grown.get(key, 0) + mult
+        vanishing = vanishing * size + grown.pop((ring.zero,) * math.comb(n, k + 1), 0)
+        level = grown
+    dets: dict = {}
+    for cofactors, mult in level.items():
         for last in rows:
-            d = dot(last, cof)
-            det_hist[d] = det_hist.get(d, 0) + mult
-    return det_hist
+            d = dot(last, cofactors)
+            dets[d] = dets.get(d, 0) + mult
+    if n > 2:
+        pairs, dets = dets, {}
+        for d, count in pairs.items():
+            dets[d] = dets.get(d, 0) + count // 2
+            dets[neg(d)] = dets.get(neg(d), 0) + count // 2
+    if vanishing:
+        dets[ring.zero] = dets.get(ring.zero, 0) + vanishing * size
+    return dets
 
 
 # perfbench/spans.py wraps this name; it reads the raw dict's "total".
 def _generic_shard(values: list, field: str, n: int, stat: str) -> dict:
     """The planner's "sweep" route of one square statistic, "det" or
     "charpoly", over every n x n matrix in ring arithmetic, any field:
-    {"total": A^(n^2), stat: raw histogram}.  det comes from `_square_det`,
-    charpoly from one Berkowitz pass over every matrix; the tests take its
-    3x3 charpoly as their reference."""
+    {"total": A^(n^2), stat: raw histogram}.  det comes from the shared
+    minors of `_square_det`, which computes each minor of each distinct
+    block once, charpoly from one Berkowitz pass over every matrix; the
+    tests take its 3x3 charpoly as their reference."""
     ring = _ring(field)
     rows = list(itertools.product(values, repeat=n))
     raw = {"total": len(rows) ** n}
@@ -588,8 +663,8 @@ def sweep(
 #            over zero-free entries): sum_{j=1..k} C(A^d, j), so A^d at
 #            k = 1 and A^d + A^d (A^d - 1) / 2 at k = 2
 #   closed   rank <= min(m, n): every matrix, A^(mn) with no work
-#   sweep    square det by last-row cofactors or charpoly per matrix
-#            (`_generic_shard`), A^(n^2)
+#   sweep    square det by shared minors, each distinct block's once, or
+#            charpoly per matrix (`_generic_shard`), A^(n^2)
 #
 # An exact rank count is rank <= r minus rank <= r-1, both from one walk to
 # rank min(r, d - 1), charged that walk.

@@ -3,12 +3,14 @@
 For a nonsingular square matrix with nonzero entries, at most n-2 of the
 n minors along any fixed row or column can vanish.  The audit samples random
 matrices, clears their denominators once, and computes each sample's n^2
-minors once, in ring integers.  From them it recombines the Laplace
-expansion along every row and every column, checks each recombination
-against the determinant from a Bareiss elimination (an algorithm that shares
-nothing with the cofactor formulas), and tallies zero minors on nonsingular
-samples.  `laplace_report` gives the same expansion for one line, in
-Scalars, as a report.
+minors once, in ring integers, as the last-row cofactors of the blocks
+without one row (`matrices._cofactors`: the shared-minors kernel that also
+gives the square det sweep, folding Laplace expansions from the bottom row
+up).  From them it recombines the Laplace expansion along every row and
+every column, checks each recombination against the determinant from a
+Bareiss elimination (an algorithm that shares nothing with the minors
+kernel), and tallies zero minors on nonsingular samples.  `laplace_report`
+gives the same expansion for one line, in Scalars, as a report.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ def _row_set_ranks(values: list, field: str, m: int, n: int) -> dict[int, int]:
 
 def generic_sweep(elements: ElementSet, m: int, n: int, opts: SweepOptions | None = None):
     """The sweep on the per-matrix path: `_generic_shard` for charpoly per
-    matrix and det by last-row cofactors, and here the ranks by Bareiss per
+    matrix and det by shared minors, and here the ranks by Bareiss per
     distinct set of rows and the power sums summed per matrix.  It shares
     no code with the product convolutions, the 3x3 int64 kernel or the flats
     walk: the reference they are checked against."""

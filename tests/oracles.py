@@ -10,7 +10,7 @@ recursion.  Most of it is exponentially slow and meant for tiny inputs only;
 rows once.
 
 `bareiss_sweep` is built on the package's elimination: the plain loop of
-one Bareiss elimination per matrix, which the last-row cofactor sweep and
+one Bareiss elimination per matrix, which the shared-minors det sweep and
 the flats walk replaced.  It is fast enough for 4x4 sweeps that the Fraction oracles cannot
 reach, and it shares no grouping or cofactor code with the route it checks.
 `fast_det2_histogram` and `power_sums_from_coeffs` are written in `Scalar`
@@ -343,16 +343,21 @@ def rank_profile_by_row_sets(elements, m: int, n: int, top: int) -> dict[int, in
     return ranks
 
 
-def bareiss_sweep(values: list, field: str, m: int, n: int) -> tuple[dict, dict | None]:
+def bareiss_sweep(
+    values: list, field: str, m: int, n: int, rows: list | None = None
+) -> tuple[dict, dict | None]:
     """(rank, det) histograms of every m x n matrix over the scaled ring
     values, keyed like the sweep's raw histograms; det is None unless
-    square.  One `_rank_det` call per matrix, in odometer order."""
+    square.  With `rows`, only the matrices whose rows all come from that
+    list of ring vectors.  One `_rank_det` call per matrix, in odometer
+    order."""
     ring = _ring(field)
     ranks: dict[int, int] = {}
     dets: dict | None = {} if m == n else None
-    for flat in itertools.product(values, repeat=m * n):
-        rows = [flat[i * n : (i + 1) * n] for i in range(m)]
-        r, d = _rank_det(rows, ring)
+    if rows is None:
+        rows = list(itertools.product(values, repeat=n))
+    for matrix in itertools.product(rows, repeat=m):
+        r, d = _rank_det(matrix, ring)
         ranks[r] = ranks.get(r, 0) + 1
         if dets is not None:
             dets[d] = dets.get(d, 0) + 1

@@ -1,9 +1,12 @@
-"""Property test of the last-row cofactor sweep on random small sets: its
-square det histogram, and the rank profile `sweep` reads off its zeros and
-the flats walk, equal the per-matrix Bareiss loop of tests/oracles.py.
-Needs hypothesis; skipped without it."""
+"""Property tests of the shared-minors kernel: the last-row cofactors of
+random blocks equal the signed permutation-expansion dets of their minors,
+and on random small sets the square det histogram, with the rank profile
+`sweep` reads off its zeros and the flats walk, equals the per-matrix
+Bareiss loop of tests/oracles.py.  Needs hypothesis; skipped without it."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -42,3 +45,33 @@ def test_cofactor_sweep_matches_per_matrix_bareiss(case):
     assert raw["det"] == dets
     # The sweep's rank profile: the flats walk below n-1, the det zeros at n-1.
     assert matrices.sweep(elements, n, n).rank_profile == ranks
+
+
+def _blocks(field: str, n: int):
+    """(n-1) x n blocks of small ring values of `field`."""
+    coordinate = st.integers(-5, 5)
+    value = st.tuples(coordinate, coordinate) if field == QI else coordinate
+    return st.lists(st.tuples(*[value] * n), min_size=n - 1, max_size=n - 1)
+
+
+def _pair(field: str, value) -> oracles.Pair:
+    re, im = value if field == QI else (value, 0)
+    return (Fraction(re), Fraction(im))
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cofactors_match_the_signed_permutation_dets(field, n, data):
+    # The j-th cofactor of the last row is (-1)^(n-1+j) times the det of
+    # the block without column j, here by permutation expansion.
+    block = data.draw(_blocks(field, n))
+    expected = []
+    for j in range(n):
+        minor = oracles.det_pairs(
+            [[_pair(field, v) for c, v in enumerate(row) if c != j] for row in block]
+        )
+        expected.append(minor if (n - 1 + j) % 2 == 0 else oracles.psub(oracles.PZERO, minor))
+    got = matrices._cofactors(block, matrices._ring(field))
+    assert [_pair(field, v) for v in got] == expected

@@ -1,16 +1,20 @@
-"""The last-row cofactor route of the generic sweep, and the rank profile
+"""The shared-minors det route of the generic sweep, and the rank profile
 that `sweep` composes around it.
 
-`matrices._generic_shard` gets the square det histogram from the cofactors
-of each top (n-1) x n block, and the charpoly from one pass over every
-matrix.  `sweep` ranks no matrix one by one: a square's rank <= n-1 is the
-zero count of its det histogram when det is swept, and every other rank
-count comes from the flats walk.  Each is checked against the per-matrix
+`matrices._generic_shard` gets the square det histogram from the last-row
+cofactors of the distinct top (n-1) x n blocks, whose minors are built
+level by level and shared (`_square_det`), and the charpoly from one pass
+over every matrix.  `sweep` ranks no matrix one by one: a square's
+rank <= n-1 is the zero count of its det histogram when det is swept, and
+every other rank count comes from the flats walk.  Each is checked against the per-matrix
 Bareiss loop in tests/oracles.py (`bareiss_sweep`) and, where the sweep is
 small, against the Fraction oracles.
 """
 
 from __future__ import annotations
+
+import itertools
+import random
 
 import pytest
 
@@ -18,7 +22,7 @@ import oracles
 from unitcount import _kernels, matrices
 from unitcount.families import ElementSet
 from unitcount.matrices import SweepOptions, sweep
-from unitcount.scalars import Q, QI, parse_scalar
+from unitcount.scalars import Q, QI, Scalar, parse_scalar
 
 
 def _elements(texts, field: str = Q) -> ElementSet:
@@ -151,3 +155,54 @@ def test_square_sweep_with_charpoly_matches_the_oracles(field, texts):
     assert {
         tuple(map(oracles.pair, k)): c for k, c in oracles.powersum_histogram(sums).items()
     } == expected["powersums"]
+
+
+# Each set reaches 4x4 (2^16 matrices); at 5x5 the rows are a sample of six
+# of the 2^5, so 6^5 matrices.  {1, 2} is not closed under negation, so
+# the sign fold there rests on swapping rows alone.
+_SHARED_MINOR_SETS = [(Q, ("1/2", "-3")), (QI, ("1+i", "-i/2")), (Q, ("1", "2"))]
+
+
+@pytest.mark.parametrize("field,texts", _SHARED_MINOR_SETS)
+@pytest.mark.parametrize("n", [4, 5])
+def test_square_det_matches_per_matrix_bareiss(field, texts, n, monkeypatch):
+    elements = _elements(texts, field)
+    _, values, _ = elements.scaled_integers()
+    rows = list(itertools.product(values, repeat=n))
+    if n == 5:
+        rows = random.Random(5).sample(rows, 6)
+    ring = matrices._ring(field)
+    # Record the cofactor vectors of the last level: some top block of
+    # rank below n-1 must reach it with all its cofactors zero.
+    last_level = []
+    real = matrices._wedge
+
+    def recorded(row, minors, k, ring, cofactors=False):
+        value = real(row, minors, k, ring, cofactors)
+        if cofactors:
+            last_level.append(value)
+        return value
+
+    monkeypatch.setattr(matrices, "_wedge", recorded)
+    got = matrices._square_det(rows, n, ring)
+    _, dets = oracles.bareiss_sweep(values, field, n, n, rows)
+    assert got == dets
+    if (field, texts) == (Q, ("1", "2")):
+        assert (ring.zero,) * n in last_level
+
+
+def test_the_5x5_sign_matrix_det_histogram():
+    # The zero mass is 2^9 times the 42,976 singular 4x4 (0,1)-matrices
+    # (OEIS A046747): 2^9 sign flips of rows and columns make the first row
+    # and column all 1, and then subtracting the first row from the others
+    # leaves 16 times the det of a 4x4 (0,1)-matrix, up to sign.
+    elements = _elements(("1", "-1"))
+    hist = sweep(elements, 5, 5, SweepOptions(rank=False))
+    expected = {0: 22_003_712, 16: 5_130_240, 32: 614_400, 48: 30_720}
+    expected |= {-d: c for d, c in expected.items()}
+    assert hist.raw["det"] == expected
+    assert expected[0] == 2**9 * 42_976
+    assert matrices.plan_square(5, elements, "det", det_zero=True).name == "flats"
+    assert matrices.count_det(elements, 5, Scalar.zero(Q)) == expected[0]
+    assert matrices.plan_square(5, elements, "det").name == "sweep"
+    assert matrices.count_det(elements, 5, parse_scalar("16")) == expected[16]

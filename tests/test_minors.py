@@ -218,16 +218,19 @@ def test_audit_equals_the_laplace_reference(label, n, seed):
 
 @pytest.mark.parametrize("field", [Q, QI])
 def test_audit_catches_a_corrupted_minor(field, monkeypatch):
-    # Shift the first minor of the first sample by one: its row and its
-    # column no longer recombine to det, and the audit must fail.
+    # Shift one minor of the first sample by one: the first cofactor that
+    # the shared-minors kernel gives, that of row 0 and column 0.  That row
+    # and that column no longer recombine to det, and the audit must fail.
     calls = itertools.count()
-    real = matrices._det
+    real = matrices._wedge
 
-    def corrupted(rows, ring):
-        value = real(rows, ring)
-        return ring.add(value, ring.one) if next(calls) == 0 else value
+    def corrupted(row, minors, k, ring, cofactors=False):
+        value = real(row, minors, k, ring, cofactors)
+        if cofactors and next(calls) == 0:
+            return (ring.add(value[0], ring.one), *value[1:])
+        return value
 
-    monkeypatch.setattr(matrices, "_det", corrupted)
+    monkeypatch.setattr(matrices, "_wedge", corrupted)
     base = parse_scalar("2" if field == Q else "1+i", field)
     summary = audit_prop_zero_cofactors(materialize(Geometric(base, 0, 3)), 3, trials=5, seed=1)
     assert summary.reconstruction_mismatches == 2
