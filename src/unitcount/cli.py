@@ -409,10 +409,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Options whose value is scalar text, which may start with "-" ("-1/2",
+# "-i", "-7/3,7/3"): argparse takes such a word for an option unless it is
+# joined to its option as OPTION=VALUE.
+_SCALAR_OPTIONS = ("--d", "--coeffs", "--t1", "--t2")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    words = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(words) - 1)):
+        if words[i] in _SCALAR_OPTIONS:
+            words[i : i + 2] = [f"{words[i]}={words[i + 1]}"]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(words)
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

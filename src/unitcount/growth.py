@@ -511,19 +511,13 @@ def analyze(result: ExperimentResult) -> SlopeReport:
     )
 
 
-def emit(
-    result: ExperimentResult,
-    report: SlopeReport,
-    out_dir: str | Path,
-    basename: str | None = None,
-) -> tuple[Path, Path]:
-    """Write <basename>.csv (points, with the timing column) and
-    <basename>.json (the report; timing-free, byte-deterministic)."""
+def emit(result: ExperimentResult, report: SlopeReport, out_dir: str | Path) -> tuple[Path, Path]:
+    """Write <report name>.csv (points, with the timing column) and
+    <report name>.json (the report; timing-free, byte-deterministic)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = basename or report.name
-    csv_path = out / f"{stem}.csv"
-    json_path = out / f"{stem}.json"
+    csv_path = out / f"{report.name}.csv"
+    json_path = out / f"{report.name}.json"
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["k", "set_size", "count", "elapsed_us"])

@@ -5,8 +5,8 @@ All computation clears denominators first: an ElementSet with denominator
 lcm L turns into integer (or Gaussian-integer) entries, statistics are
 computed fraction-free over the integers, and results are rescaled by the
 appropriate power of L at the end.  One Bareiss elimination, whose
-intermediate divisions are exact in any integral domain, gives rank, and
-det alongside it where rank is wanted too; a det alone is the last row
+intermediate divisions are exact in any integral domain, gives a matrix's
+rank, and the minor audit's det; a det alone is otherwise the last row
 dotted with its cofactors, whose minors are built row by row by Laplace
 expansion (`_wedge`) and shared between blocks.  Characteristic
 polynomials come from Berkowitz's division-free algorithm.  Each routine
@@ -636,7 +636,7 @@ def sweep(
     if total_work > budget:
         raise BudgetExceededError(total_work, budget)
 
-    raw = {stat: _square_histogram(elements, n, stat) for stat in stats}
+    raw = {stat: _run_route(plan_square(n, elements, stat), elements, n, stat) for stat in stats}
     raw["total"] = total_work
     raw["rank"] = _rank_profile(elements, m, n, raw.get("det")) if opts.rank else None
     return _finalize(raw, elements, m, n)
@@ -647,8 +647,8 @@ def sweep(
 # Each statistic picks its exact route in one place, from the shape, the
 # field, the set size A and, for the 3x3 det, the set's magnitude bound
 # (plan_square, plan_rank).  A count is charged that route's work and runs
-# its one-key counter (`_square_count`); a sweep histograms each square
-# statistic by the same route (`_square_histogram`) and charges A^(mn).
+# its one-key counter; a sweep histograms each square statistic by the same
+# route and charges A^(mn); `_run_route` runs both from the `_ROUTES` table.
 #
 #   conv2    2x2 det or charpoly by product convolution over the ring
 #            integers, A^2
@@ -732,50 +732,36 @@ def _charged(route: CountRoute, budget: int | None) -> CountRoute:
     return route
 
 
-def _square_histogram(elements: ElementSet, n: int, stat: str) -> dict:
-    """Raw histogram of `stat` over every n x n matrix, in the key layout of
-    `SweepHistogram.raw`, by the route `plan_square` picks."""
-    route = plan_square(n, elements, stat).name
-    _, values, _ = elements.scaled_integers()
-    if route == "conv2":
-        return _conv2_histogram(elements, stat)
-    if route == "cycles3":
-        return _cycles3_histogram(elements)
-    if route == "powersums":
-        return _power_sums_histogram(elements, n)
-    if route == "target3":
-        return _kernels.sweep_square(values)["det"]
-    return _generic_shard(values, elements.field, n, stat)[stat]
+# Each square route's raw histogram (elements, n, stat), keyed as in
+# `SweepHistogram.raw`, and one-key counter (elements, n, stat, ring key); a
+# counter of None looks the key up in the histogram.  An entry looks its
+# function up when it runs, so one set on the module later is the one run.
+_ROUTES = {
+    "conv2": (lambda e, n, s: _conv2_histogram(e, s), lambda e, n, s, k: _conv2_count(e, s, k)),
+    "cycles3": (lambda e, n, s: _cycles3_histogram(e), lambda e, n, s, k: _cycles3_count(e, k)),
+    "powersums": (lambda e, n, s: _power_sums_histogram(e, n),
+                  lambda e, n, s, k: _power_sums_count(e, n, k)),
+    "target3": (lambda e, n, s: _kernels.sweep_square(e.scaled_integers()[1])["det"],
+                lambda e, n, s, k: _kernels.count_target3(e.scaled_integers()[1], k[0])),
+    "sweep": (lambda e, n, s: _generic_shard(e.scaled_integers()[1], e.field, n, s)[s], None),
+    "flats": (None, lambda e, n, s, k: _flats_walk(e, n, n, n - 1)[n - 1]),
+}
 
 
-def _square_count(
-    elements: ElementSet, n: int, stat: str, target: tuple[Scalar, ...], route: str
-) -> int:
-    """Number of n x n matrices whose `stat` key has the values `target`, by
-    the planned `route`: the target is scaled into the ring once (one that
-    does not scale counts 0), then counted by the route's one-key counter,
-    or looked up in the route's histogram."""
-    lcm, values, _ = elements.scaled_integers()
-    key = _ring_key(elements.field, target, _key_scales(stat, n, lcm))
+def _run_route(route: CountRoute, elements: ElementSet, n: int, stat: str, target=None):
+    """The raw histogram of `stat` over every n x n matrix by the planned
+    `route`; or, given `target`, the number of those matrices whose `stat`
+    key has its values, scaled into the ring once (one that does not scale
+    counts 0): by the route's counter, or looked up in its histogram."""
+    histogram, counter = _ROUTES[route.name]
+    if target is None:
+        return histogram(elements, n, stat)
+    key = _ring_key(elements.field, target, _key_scales(stat, n, elements.scaled_integers()[0]))
     if key is None:
         return 0
-    ring = _ring(elements.field)
-    if route == "flats":
-        return _flats_walk(elements, n, n, n - 1)[n - 1]
-    if route == "conv2" and stat == "det":
-        products = _product_counter(elements)
-        return sum(c * products.get(ring.sub(p, key[0]), 0) for p, c in products.items())
-    if route == "conv2":
-        # A 2x2 charpoly (c0, c1) is the power sums (-c1, c1^2 - 2 c0).
-        c0, c1 = key
-        key = (ring.neg(c1), ring.sub(ring.mul(c1, c1), ring.add(c0, c0)))
-    if route in ("conv2", "powersums"):
-        return _power_sums_count(elements, n, key)
-    if route == "cycles3":
-        return _cycles3_count(elements, key)
-    if route == "target3":
-        return _kernels.count_target3(values, key[0])
-    return _square_histogram(elements, n, stat).get(key[0] if stat == "det" else key, 0)
+    if counter is not None:
+        return counter(elements, n, stat, key)
+    return histogram(elements, n, stat).get(key[0] if stat == "det" else key, 0)
 
 
 def _primitive(vector, field: str) -> tuple:
@@ -916,7 +902,7 @@ def count_det(
     budget: int | None = None,
 ) -> int:
     route = plan_square(n, elements, "det", det_zero=target.is_zero())
-    return _square_count(elements, n, "det", (target,), _charged(route, budget).name)
+    return _run_route(_charged(route, budget), elements, n, "det", (target,))
 
 
 def count_rank(
@@ -931,7 +917,7 @@ def count_rank(
     """Number of m x n matrices of rank <= r, or of rank exactly r when not
     `cumulative`."""
     route = _charged(plan_rank(m, n, r, cumulative, len(elements)), budget)
-    if route.name == "closed":
+    if not route.work:  # closed: every matrix
         return len(elements) ** (m * n)
     counts = _rank_counts(elements, m, n, r)
     return counts[r] if cumulative else counts[r] - counts[r - 1]
@@ -947,7 +933,7 @@ def count_charpoly(
     if key.n != n:
         raise ValueError(f"characteristic polynomial has {key.n} coefficients, need {n}")
     route = _charged(plan_square(n, elements, "charpoly"), budget)
-    return _square_count(elements, n, "charpoly", key.coeffs, route.name)
+    return _run_route(route, elements, n, "charpoly", key.coeffs)
 
 
 def count_power_sums(
@@ -959,7 +945,7 @@ def count_power_sums(
     budget: int | None = None,
 ) -> int:
     route = _charged(plan_square(n, elements, "powersums"), budget)
-    return _square_count(elements, n, "powersums", (t1, t2), route.name)
+    return _run_route(route, elements, n, "powersums", (t1, t2))
 
 
 # -- product-convolution paths -------------------------------------------------
@@ -1021,6 +1007,19 @@ def _conv2_histogram(elements: ElementSet, stat: str) -> dict:
     return _convolve(keys, products, lambda k, p: (sub(k[0], p), k[1]))
 
 
+def _conv2_count(elements: ElementSet, stat: str, key: tuple) -> int:
+    """Number of 2x2 matrices with ring det or charpoly `key`, without the
+    histogram: det d from the `_product_counter` table against itself shifted
+    by d; a charpoly (c0, c1) is the power sums (-c1, c1^2 - 2 c0)."""
+    ring = _ring(elements.field)
+    if stat == "det":
+        products = _product_counter(elements)
+        return sum(c * products.get(ring.sub(p, key[0]), 0) for p, c in products.items())
+    c0, c1 = key
+    sums = (ring.neg(c1), ring.sub(ring.mul(c1, c1), ring.add(c0, c0)))
+    return _power_sums_count(elements, 2, sums)
+
+
 def _diagonal_sums(elements: ElementSet, k: int) -> dict:
     """Number of diagonals (a_1, ..., a_k) over the scaled values with each
     key (sum a_i, sum a_i^2)."""
@@ -1072,7 +1071,7 @@ def _power_sums_count(elements: ElementSet, n: int, key: tuple) -> int:
 
 def fast_det2_count(elements: ElementSet, target: Scalar) -> int:
     """Number of 2x2 matrices with det equal to target, in O(A^2)."""
-    return _square_count(elements, 2, "det", (target,), "conv2")
+    return _run_route(plan_square(2, elements, "det"), elements, 2, "det", (target,))
 
 
 def fast_charpoly2_count(elements: ElementSet, key: CharPolyKey) -> int:
@@ -1080,12 +1079,12 @@ def fast_charpoly2_count(elements: ElementSet, key: CharPolyKey) -> int:
     with power sums t1 = -c1 and t2 = t1^2 - 2 c0, one to one."""
     if key.n != 2:
         raise ValueError("fast_charpoly2_count needs a degree-2 polynomial")
-    return _square_count(elements, 2, "charpoly", key.coeffs, "conv2")
+    return _run_route(plan_square(2, elements, "charpoly"), elements, 2, "charpoly", key.coeffs)
 
 
 def fast_power_sums2_count(elements: ElementSet, t1: Scalar, t2: Scalar) -> int:
     """Number of 2x2 matrices with given (trace, trace of square), in O(A^2)."""
-    return _square_count(elements, 2, "powersums", (t1, t2), "powersums")
+    return _run_route(plan_square(2, elements, "powersums"), elements, 2, "powersums", (t1, t2))
 
 
 # -- 3x3 charpoly by cycle invariants ------------------------------------------

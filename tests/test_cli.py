@@ -145,6 +145,31 @@ def test_count_charpoly_and_powersums(set12, capsys):
     assert powersum_count == 1
 
 
+@pytest.mark.parametrize(
+    "field,elements,n,stat,target,expected",
+    [
+        ("Q", ["1/2", "-3", "2/3"], 2, "det", ["--d", "-1/2"], 4),
+        ("Q", ["1/2", "-3", "2/3"], 2, "charpoly", ["--coeffs", "-7/3,7/3"], 4),
+        ("Q", ["1/2", "-3", "2/3"], 2, "powersums", ["--t1", "-5/2", "--t2", "21/4"], 4),
+        ("Qi", ["1", "i", "1+i", "-1/2+i"], 2, "det", ["--d", "-i"], 6),
+        # (T - 1)(T - 2)(T - 3): a list that starts with a negative number.
+        ("Q", ["1", "-1", "2", "3"], 3, "charpoly", ["--coeffs", "-6,11,-6"], 192),
+    ],
+)
+def test_scalar_values_may_start_with_a_minus(
+    field, elements, n, stat, target, expected, tmp_path, capsys
+):
+    """A scalar value that starts with "-" but is no plain negative number
+    is the option's value in the space form as in the '=' form."""
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"field": field, "elements": elements}))
+    argv = ["count", stat, "--set", str(path), "-n", str(n)]
+    joined = [f"{option}={value}" for option, value in zip(target[::2], target[1::2])]
+    for words in (target, joined):
+        assert main(argv + words) == 0, words
+        assert capsys.readouterr().out == f"{expected}\n"
+
+
 def test_count_budget_exhaustion_exits_2(set12, capsys):
     code = main(
         ["count", "det", "--set", set12, "-n", "3", "--d", "0", "--budget", "10"]

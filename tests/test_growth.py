@@ -533,10 +533,12 @@ def test_emit_outputs_are_deterministic(tmp_path):
     assert "elapsed_us" not in json.dumps(blob)
 
 
-def test_emit_respects_basename(tmp_path):
+def test_emit_names_files_after_the_report(tmp_path):
     result = run_experiment(_det2_spec())
-    csv_path, json_path = emit(result, analyze(result), tmp_path, basename="alt")
-    assert csv_path.name == "alt.csv" and json_path.name == "alt.json"
+    report = analyze(result)
+    assert report.name == "det2-demo"
+    csv_path, json_path = emit(result, report, tmp_path)
+    assert (csv_path.name, json_path.name) == ("det2-demo.csv", "det2-demo.json")
 
 
 # -------------------------------------------------------------------- presets

@@ -534,6 +534,14 @@ _ROUTE_SETS = [
 ]
 
 
+def _route_inputs():
+    """The (elements, n) of every route check: each of `_ROUTE_SETS` at
+    n = 1..4, its first two elements at n = 4."""
+    for field, texts in _ROUTE_SETS:
+        for n in (1, 2, 3, 4):
+            yield _elements(texts[: 2 if n == 4 else 3], field), n
+
+
 @pytest.mark.parametrize("stat", list(_STATS))
 def test_single_key_kernel_matches_sweep_and_oracle(stat, monkeypatch):
     """Every square route, sweep and count, at n = 1..4: against the naive
@@ -548,10 +556,35 @@ def test_single_key_kernel_matches_sweep_and_oracle(stat, monkeypatch):
     # The unrepresentable key is answered before the kernel runs.
     kernel_keys = _kernel_keys(stat, present + [absent, huge])
     assert spy.calls.count("count_target3") == len(kernel_keys)
-    for field, texts in _ROUTE_SETS:
-        for n in (1, 2, 3, 4):
-            elements = _elements(texts[: 2 if n == 4 else 3], field)
-            _check_routes(elements, n, stat, spy)
+    for elements, n in _route_inputs():
+        _check_routes(elements, n, stat, spy)
+
+
+def test_the_route_checks_plan_every_table_entry():
+    """The routes the checks above plan, for each statistic's sweep and
+    each count (det = 0 apart), are the keys of the route table: no entry
+    goes unchecked and no planned name lacks an entry."""
+    planned = {
+        plan_square(n, elements, stat, det_zero=det_zero).name
+        for stat in _STATS
+        for elements, n in _route_inputs()
+        for det_zero in {False, stat == "det"}
+    }
+    assert planned == set(matrices._ROUTES) == {*_COUNTERS, *_HISTOGRAMS}
+
+
+def test_a_count_is_planned_once(monkeypatch):
+    """A 3x3 det count past the int64 proof asks `_kernels.supports` once,
+    when it is planned, and takes its key from the planned sweep route's
+    histogram without planning again; a sweep plans each statistic once."""
+    elements = _elements(("1", "916016", "-1"))
+    calls = []
+    supports = _kernels.supports
+    monkeypatch.setattr(_kernels, "supports", lambda bound: calls.append(bound) or supports(bound))
+    assert count_det(elements, 3, Scalar.rational(4)) == 240
+    assert calls == [916016]
+    sweep(elements, 3, 3, SweepOptions(rank=False, charpoly=True))
+    assert calls == [916016] * 2
 
 
 @pytest.mark.parametrize(
