@@ -182,10 +182,9 @@ def _det_histogram3(values: list[int]) -> dict:
 def sweep_square(values: list[int]) -> dict:
     """Raw det sweep over every 3x3 matrix with entries in `values`.
 
-    Returns {"total", "rank", "det"} with integer keys in the
-    denominator-cleared coordinate system.  "rank" is None: the caller
-    composes it from the det histogram (`matrices.sweep`)."""
-    return {"total": len(values) ** 9, "rank": None, "det": _det_histogram3(values)}
+    Returns {"total", "det"} with integer keys in the denominator-cleared
+    coordinate system."""
+    return {"total": len(values) ** 9, "det": _det_histogram3(values)}
 
 
 def count_target3(values: list[int], det: int) -> int:

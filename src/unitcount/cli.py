@@ -42,7 +42,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage problems as exit code 1."""
+    """argparse parser: options by full name only, usage problems exit 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
@@ -411,7 +414,7 @@ def build_parser() -> _Parser:
 
 # Options whose value is scalar text, which may start with "-" ("-1/2",
 # "-i", "-7/3,7/3"): argparse takes such a word for an option unless it is
-# joined to its option as OPTION=VALUE.
+# joined to its option as OPTION=VALUE (no parser takes an abbreviation).
 _SCALAR_OPTIONS = ("--d", "--coeffs", "--t1", "--t2")
 
 

@@ -1,9 +1,11 @@
 """Exact solution counting for linear equations with variables in a finite set.
 
-Every count runs over plain Python ints.  The terms a_j*x (and, for the
-zero-sum system, the pairs (x, x^2)) and the rhs are put over one common
-denominator L, so each term is an integer digit vector: (re) over Q, (re, im)
-over Q(i), with the square's digits appended for the system.  A vector c is
+Every count runs over plain Python ints.  The elements are the set's
+denominator-cleared ring integers L*x (`ElementSet.scaled_integers`, L the
+set's denominator), the coefficients are scaled by M, the lcm of their and the
+rhs's denominators, and the rhs by M*L, so each term (M*a_j)*(L*x) is an
+integer digit vector: (re) over Q, (re, im) over Q(i).  The zero-sum system
+takes the pairs (L*x, (L*x)^2), exact as both its sums are zero.  A vector c is
 packed into the single int sum_j c_j * R^j with R = 2^(bitlen(B) + 1), where
 B is |rhs| plus, over the variables, each variable's largest digit.  Every
 partial sum and every lookup key rhs - s then has all |c_j| <= B < R/2, and
@@ -48,8 +50,8 @@ from operator import mul
 from pathlib import Path
 
 from .families import ElementSet
-from .matrices import BudgetExceededError, resolve_budget
-from .scalars import QI, FieldMismatchError, Scalar, parse_list, parse_scalar
+from .matrices import BudgetExceededError, _ring, _ring_key, resolve_budget
+from .scalars import FieldMismatchError, Scalar, parse_list, parse_scalar
 
 # Cap on hash-table entries for the meet-in-the-middle join.
 DEFAULT_MAX_ENTRIES = 2_000_000
@@ -100,33 +102,19 @@ def load_equation(path: str | Path) -> EquationSpec:
         return equation_from_json(json.load(handle))
 
 
-def _pack(
-    rows: list[list[tuple[Scalar, ...]]], rhs: tuple[Scalar, ...]
-) -> tuple[list[list[int]], int]:
+def _pack(rows: list[list[tuple]], rhs: tuple) -> tuple[list[list[int]], int]:
     """Packed ints of every term in rows (one list per variable) and of rhs.
 
-    A term is a tuple of scalars, all put over one common denominator L; its
-    digits are the scaled real parts, and over Q(i) the imaginary parts too.
-    Variables that share one list object share one packed list.
+    A term is a tuple of ring values, ints over Q and (re, im) pairs over
+    Q(i); its digits are their ints in order.  Variables that share one list
+    object share one packed list.
     """
-    imaginary = rhs[0].field == QI
+    def digits(term: tuple) -> list[int]:
+        return [c for x in term for c in (x if isinstance(x, tuple) else (x,))]
+
     distinct = {id(row): row for row in rows}
-    dens = [x.den for row in distinct.values() for term in row for x in term]
-    lcm = math.lcm(*dens, *(x.den for x in rhs))
-
-    def digits(term: tuple[Scalar, ...]) -> list[int]:
-        out = []
-        for x in term:
-            scale = lcm // x.den
-            out.append(x.re * scale)
-            if imaginary:
-                out.append(x.im * scale)
-        return out
-
     digit_rows = {key: [digits(t) for t in row] for key, row in distinct.items()}
-    peaks = {
-        key: max(abs(c) for vec in row for c in vec) for key, row in digit_rows.items()
-    }
+    peaks = {key: max(abs(c) for vec in row for c in vec) for key, row in digit_rows.items()}
     rhs_digits = digits(rhs)
     bound = max(map(abs, rhs_digits)) + sum(peaks[id(row)] for row in rows)
     shift = bound.bit_length() + 1
@@ -141,15 +129,18 @@ def _pack(
     return [packed[id(row)] for row in rows], pack(rhs_digits)
 
 
-def _equation_rows(
-    eq: EquationSpec, elements: ElementSet
-) -> tuple[list[list[int]], int]:
+def _equation_rows(eq: EquationSpec, elements: ElementSet) -> tuple[list[list[int]], int]:
     if elements.field != eq.field:
         raise FieldMismatchError(
             f"equation field {eq.field} does not match set field {elements.field}"
         )
-    terms = {c: [(c * x,) for x in elements] for c in dict.fromkeys(eq.coeffs)}
-    return _pack([terms[c] for c in eq.coeffs], (eq.rhs,))
+    lcm, values, _ = elements.scaled_integers()
+    scale = math.lcm(eq.rhs.den, *(c.den for c in eq.coeffs))
+    scales = (scale,) * eq.n + (scale * lcm,)
+    *coeffs, rhs = _ring_key(eq.field, (*eq.coeffs, eq.rhs), scales)
+    times = _ring(eq.field).mul
+    terms = {c: [(times(c, x),) for x in values] for c in dict.fromkeys(coeffs)}
+    return _pack([terms[c] for c in coeffs], (rhs,))
 
 
 @lru_cache(maxsize=None)
@@ -323,13 +314,14 @@ def count_system_sum_squares(
 ) -> int:
     """Count tuples with x_1 + ... + x_n = 0 and x_1^2 + ... + x_n^2 = 0.
 
-    The same join as count_solutions, over the packed pairs (x, x^2) with
-    rhs (0, 0).
+    The same join as count_solutions, over the packed pairs (x, x^2) of the
+    set's ring integers with rhs (0, 0).
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    zero = Scalar.zero(elements.field)
-    rows, rhs = _pack([[(x, x.square()) for x in elements]] * n, (zero, zero))
+    _, values, _ = elements.scaled_integers()
+    ring = _ring(elements.field)
+    rows, rhs = _pack([[(x, ring.mul(x, x)) for x in values]] * n, (ring.zero,) * 2)
     return _join(rows, rhs, max_entries)
 
 

@@ -1137,13 +1137,14 @@ def _cycle_buckets(values: list, ring: _Ring, pair_sums=None) -> dict:
 
 def _diagonal_multisets(values: list, ring: _Ring):
     """Each multiset {d1, d2, d3} of `values` once: d, its number of
-    orderings 6 / (m1! m2! m3!) and the charpoly coefficients of diag(d)."""
-    zero = ring.zero
+    orderings 6 / (m1! m2! m3!) and the charpoly coefficients of diag(d),
+    (-d1 d2 d3, d1 d2 + d1 d3 + d2 d3, -(d1 + d2 + d3))."""
+    add, mul, neg = ring.add, ring.mul, ring.neg
     for i, j, k in itertools.combinations_with_replacement(range(len(values)), 3):
-        d = (values[i], values[j], values[k])
-        diagonal = [[d[r] if r == c else zero for c in range(3)] for r in range(3)]
+        d1, d2, d3 = d = (values[i], values[j], values[k])
+        d12, s12 = mul(d1, d2), add(d1, d2)
         orderings = 6 if i < j < k else 1 if i == k else 3
-        yield d, orderings, _charpoly_coeffs(diagonal, ring)
+        yield d, orderings, (neg(mul(d12, d3)), add(d12, mul(s12, d3)), neg(add(s12, d3)))
 
 
 def _cycle_lows(d: tuple, columns, ring: _Ring):

@@ -3,8 +3,8 @@
 A value is stored as an integer triple (re, im, den) meaning (re + im*i)/den,
 kept in a unique canonical form: den > 0 and gcd(re, im, den) == 1, with zero
 represented as (0, 0, 1).  Canonical form makes equality, hashing and the
-byte encoding produced by `canonical_key` agree with value equality, which the
-counting code relies on when it buckets statistics into histograms.
+byte encoding produced by `canonical_key` agree with value equality.  The
+counts key their histograms by ring integers (`ElementSet.scaled_integers`).
 
 The field tag is explicit ("Q" or "Qi") so that accidental mixing of a purely
 rational computation with a Gaussian one is an error instead of a silent
@@ -194,6 +194,7 @@ class Scalar:
         self._coerce(other)
         return self * other.inverse()
 
+    # No count calls this; perfbench/spans.py looks the name up to count it.
     def square(self) -> "Scalar":
         return self * self
 

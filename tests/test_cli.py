@@ -170,6 +170,21 @@ def test_scalar_values_may_start_with_a_minus(
         assert capsys.readouterr().out == f"{expected}\n"
 
 
+def test_abbreviated_options_are_usage_errors(tmp_path, capsys):
+    """An option is taken by its full name only, in the space form as in
+    the '=' form: an abbreviation is a usage error, not another option."""
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"field": "Q", "elements": ["1/2", "-3", "2/3"]}))
+    argv = ["count", "charpoly", "--set", str(path), "-n", "2"]
+    for words in (["--coeff", "-7/3,7/3"], ["--coeff=-7/3,7/3"], ["--coeff", "7/3,7/3"]):
+        assert main(argv + words) == 1, words
+        assert capsys.readouterr().out == ""
+    assert main(["count", "charpoly", "--se", str(path), "-n", "2", "--coeffs", "0,0"]) == 1
+    assert capsys.readouterr().out == ""
+    assert main(argv + ["--coeffs", "-7/3,7/3"]) == 0
+    assert capsys.readouterr().out == "4\n"
+
+
 def test_count_budget_exhaustion_exits_2(set12, capsys):
     code = main(
         ["count", "det", "--set", set12, "-n", "3", "--d", "0", "--budget", "10"]

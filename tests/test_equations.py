@@ -225,16 +225,51 @@ def _big_set(field):
     return ElementSet(tuple(values))
 
 
-@pytest.mark.parametrize("field", [Q, QI])
-def test_counts_stay_exact_past_64_bits(field):
-    elements = _big_set(field)
-    big = 2**100
-    cases = [
-        ((1, 1, -1, -1), Scalar.zero(field)),
-        ((1, -1, 1), Scalar.rational(1, big, field)),
-        ((Scalar.rational(1, big, field), 1, -1), Scalar.rational(1, big**2, field)),
-        ((3, -1, -1, -1), Scalar.zero(field)),
-    ]
+# A Q(i) set and equations with denominators on every side.
+_QIH = ("1/2", "-1/2", "i/2", "-i/2", "1", "-1", "i", "-i", "(1+i)/3")
+_QIH_EQS = (
+    ({"field": "Qi", "coeffs": ["1/2", "1/2", "-1", "-1", "2*i"]}, 200),
+    ({"field": "Qi", "coeffs": ["1/3", "1/3", "-1/2", "i"], "rhs": "1/2+i/6"}, 12),
+)
+# Sets and equations (coeffs, rhs) with denominators on the coefficients,
+# the rhs and the set.  M*L, the scale of the rhs, may pass the lcm of the
+# term denominators, as where 2*(1/2) = 1 or 6*((1+i)/3) = 2+2i.
+_DENOMINATOR_INPUTS = {
+    Q: (
+        ("1/2", "-1/2", "1", "-1", "3/2"),
+        [(("2", "2", "-2", "4"), "1"), (("1/3", "1/3", "-1/3"), "1/2")],
+    ),
+    QI: (
+        _QIH,
+        [(("1/3", "1/3", "-1/2", "i"), "1/2+i/6"), (("6", "-6*i", "2"), "3+i")],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "field,denominators",
+    [(Q, False), (QI, False), (Q, True), (QI, True)],
+    ids=["Q", "Qi", "Q-denominators", "Qi-denominators"],
+)
+def test_counts_stay_exact_past_64_bits(field, denominators):
+    """The counts, the classification and the system against the oracles,
+    on values past 64 bits and on denominators on every side."""
+    if denominators:
+        texts, raw = _DENOMINATOR_INPUTS[field]
+        elements = ElementSet(tuple(parse_scalar(x, field) for x in texts))
+        cases = [
+            (tuple(parse_scalar(c, field) for c in coeffs), parse_scalar(rhs, field))
+            for coeffs, rhs in raw
+        ]
+    else:
+        elements = _big_set(field)
+        big = 2**100
+        cases = [
+            ((1, 1, -1, -1), Scalar.zero(field)),
+            ((1, -1, 1), Scalar.rational(1, big, field)),
+            ((Scalar.rational(1, big, field), 1, -1), Scalar.rational(1, big**2, field)),
+            ((3, -1, -1, -1), Scalar.zero(field)),
+        ]
     for raw_coeffs, rhs in cases:
         coeffs = tuple(
             c if isinstance(c, Scalar) else Scalar.rational(c, 1, field)
@@ -256,25 +291,34 @@ def test_counts_stay_exact_past_64_bits(field):
 
 @pytest.mark.parametrize("k", [3, 40, 70])
 def test_packing_bound_at_and_below_a_power_of_two(k):
-    # x = rhs over Q(i).  The bound is B = |rhs| + the largest digit of the
-    # set.  Each set holds a term t with t - rhs = (R, -1) for a power of two
-    # R <= B, so a packing base of R would carry re into im and match t
-    # against rhs.  B is 2^k, 2^k - 1 (2^k - 2 sets it), and 2^k with the
-    # rhs carrying three quarters of it.
+    # c*x = rhs over Q(i).  The bound is B = |rhs| + the largest digit of
+    # the set's terms, all scaled.  Each set holds a term t with
+    # t - rhs = (R, -1) for a power of two R <= B, so a packing base of R
+    # would carry re into im and match t against rhs.  B is 2^k, 2^k - 1
+    # (2^k - 2 sets it), 2^k with the rhs carrying three quarters of it, and
+    # 2^k over denominators: (1/2)x = -1/2 over a set of denominator 3 scales
+    # the rhs by M*L = 6 to -3 and the term of (2^k - 3 - i)/3 to (2^k - 3, -1).
+    one, half = Scalar.one(QI), Scalar.rational(1, 2, QI)
     cases = [
-        (Scalar.rational(-1, 1, QI), [Scalar.gaussian(2**k - 1, -1)]),
+        (one, Scalar.rational(-1, 1, QI), [Scalar.gaussian(2**k - 1, -1)]),
         (
+            one,
             Scalar.rational(-1, 1, QI),
             [Scalar.gaussian(2 ** (k - 1) - 1, -1), Scalar.rational(2**k - 2, 1, QI)],
         ),
-        (Scalar.gaussian(-3 * 2 ** (k - 2), 1), [Scalar.rational(2 ** (k - 2), 1, QI)]),
+        (one, Scalar.gaussian(-3 * 2 ** (k - 2), 1), [Scalar.rational(2 ** (k - 2), 1, QI)]),
+        (
+            half,
+            Scalar.rational(-1, 2, QI),
+            [Scalar.gaussian(2**k - 3, -1, 3), Scalar.rational(1, 3, QI)],
+        ),
     ]
-    for rhs, values in cases:
+    for coeff, rhs, values in cases:
         elements = ElementSet(tuple(values))
-        eq = EquationSpec(coeffs=(Scalar.one(QI),), rhs=rhs)
+        eq = EquationSpec(coeffs=(coeff,), rhs=rhs)
         assert count_solutions(eq, elements) == 0
         assert classify_by_vanishing_subsums(eq, elements).total == 0
-        hit = EquationSpec(eq.coeffs, elements[0])
+        hit = EquationSpec(eq.coeffs, coeff * elements[0])
         assert count_solutions(hit, elements) == 1
 
 
@@ -388,26 +432,49 @@ def test_a_cap_past_the_machine_word_counts_in_one_table(monkeypatch):
     assert len(sizes) == 2
 
 
-def test_counts_make_linear_scalar_additions(monkeypatch):
-    calls = []
-    for op in ("__add__", "__sub__"):
+_SCALAR_OPS = (
+    "__add__", "__sub__", "__mul__", "__neg__", "__truediv__", "inverse", "square", "__pow__"
+)
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_counts_make_no_scalar_arithmetic(monkeypatch, field):
+    """Every count runs on the set's ring integers: count_solutions, the
+    system and the classification make no Scalar arithmetic at all (the old
+    Scalar join made one addition per partial sum)."""
+    if field == Q:
+        elements = materialize(Geometric(base=Scalar.rational(2), start=1, stop=12))
+        tight = EquationSpec(coeffs=tight_equation_coeffs(6), rhs=Scalar.zero(Q))
+        small = EquationSpec(coeffs=tight.coeffs[:4], rhs=Scalar.zero(Q))
+        cases, system = [(tight, 9990, None), (small, None, 30)], {6: 0}
+    else:
+        elements = ElementSet(tuple(parse_scalar(x, QI) for x in _QIH))
+        eqs = [(equation_from_json(obj), count) for obj, count in _QIH_EQS]
+        cases, system = [(eq, count, count) for eq, count in eqs], {4: 48, 6: 720}
+    calls: Counter = Counter()
+    for op in _SCALAR_OPS:
         original = getattr(Scalar, op)
 
-        def spy(self, other, _original=original):
-            calls.append(1)
-            return _original(self, other)
+        def spy(*args, _op=op, _original=original):
+            calls[_op] += 1
+            return _original(*args)
 
         monkeypatch.setattr(Scalar, op, spy)
-    elements = materialize(Geometric(base=Scalar.rational(2), start=1, stop=12))
-    eq = EquationSpec(coeffs=tight_equation_coeffs(6), rhs=Scalar.zero(Q))
-    n, size = eq.n, len(elements)
-    assert count_solutions(eq, elements) > 0
-    assert count_solutions(eq, elements, max_entries=size) > 0
-    assert count_system_sum_squares(n, elements) == 0
-    small = EquationSpec(coeffs=eq.coeffs[:4], rhs=Scalar.zero(Q))
-    assert classify_by_vanishing_subsums(small, elements).total > 0
-    # The old Scalar join made one addition per partial sum: A^3 = 1728 here.
-    assert len(calls) <= n * size
+
+    def made(count, *args, **kwargs):
+        calls.clear()
+        value = count(*args, **kwargs)
+        assert not calls, (count.__name__, dict(calls))
+        return value
+
+    for eq, solutions, classified in cases:
+        if solutions is not None:
+            assert made(count_solutions, eq, elements) == solutions
+            assert made(count_solutions, eq, elements, max_entries=5) == solutions
+        if classified is not None:
+            assert made(classify_by_vanishing_subsums, eq, elements).total == classified
+    for n, expected in system.items():
+        assert made(count_system_sum_squares, n, elements) == expected
 
 
 def test_scaling_the_equation_preserves_counts():
