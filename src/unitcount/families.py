@@ -14,7 +14,7 @@ import random
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .scalars import Q, QI, Scalar, parse_scalar, parse_whole
@@ -119,24 +119,52 @@ class ElementSet:
     def __getitem__(self, index: int) -> Scalar:
         return self.elements[index]
 
+    # A prefix shares the positions of the set it was taken from, so a
+    # position past its own size is not one of its elements.
     def __contains__(self, value: Scalar) -> bool:
-        return value in self._positions
+        return self._positions.get(value, len(self)) < len(self)
 
     def index(self, value: Scalar) -> int:
-        return self._positions[value]
+        position = self._positions[value]
+        if position >= len(self):
+            raise KeyError(value)
+        return position
 
     def prefix(self, raw_length: int) -> "ElementSet":
         """The set deduplicated from the first `raw_length` of the values
         this set was deduplicated from: the elements first seen before that
-        index, in order, with the collisions among those values."""
+        index, in order, with the collisions among those values.  Its
+        elements were checked when this set was built, and its scaled
+        integers are this set's, rescaled to its own denominator."""
         if not 1 <= raw_length <= len(self) + self.collisions:
             raise FamilyError(
                 f"prefix of {raw_length} values out of {len(self) + self.collisions}"
             )
         size = bisect_left(self.first_indices, raw_length)
-        return ElementSet(
-            self.elements[:size], raw_length - size, self.first_indices[:size]
-        )
+        lcm, values, _ = self.scaled_integers()
+        values = values[:size]
+        # The prefix's denominator is lcm / g, g the gcd of lcm and every
+        # scaled coordinate, as each reduced element x = v / lcm needs
+        # lcm / gcd(lcm, coordinates of v).
+        if self.field == Q:
+            shrink = math.gcd(lcm, *values)
+            if shrink > 1:
+                values = [v // shrink for v in values]
+        else:
+            shrink = math.gcd(lcm, *chain.from_iterable(values))
+            if shrink > 1:
+                values = [(a // shrink, b // shrink) for a, b in values]
+        prefix = object.__new__(ElementSet)
+        for name, value in (
+            ("field", self.field),
+            ("elements", self.elements[:size]),
+            ("collisions", raw_length - size),
+            ("first_indices", self.first_indices[:size]),
+            ("_positions", self._positions),
+            ("_scaled", (lcm // shrink, values, _magnitude(self.field, values))),
+        ):
+            object.__setattr__(prefix, name, value)
+        return prefix
 
     def scaled_integers(self) -> tuple[int, list, int]:
         """Clear denominators: (L, scaled values, max magnitude).
@@ -148,19 +176,15 @@ class ElementSet:
         cached = self._scaled
         if cached is not None:
             return cached
-        lcm = 1
-        for value in self.elements:
-            lcm = lcm * value.den // math.gcd(lcm, value.den)
+        lcm = math.lcm(*(value.den for value in self.elements))
         if self.field == Q:
             scaled = [value.re * (lcm // value.den) for value in self.elements]
-            bound = max(abs(v) for v in scaled)
         else:
             scaled = [
                 (value.re * (lcm // value.den), value.im * (lcm // value.den))
                 for value in self.elements
             ]
-            bound = max(max(abs(a), abs(b)) for a, b in scaled)
-        result = (lcm, scaled, bound)
+        result = (lcm, scaled, _magnitude(self.field, scaled))
         object.__setattr__(self, "_scaled", result)
         return result
 
@@ -169,6 +193,13 @@ class ElementSet:
         if len(self.elements) > 6:
             shown += ", ..."
         return f"ElementSet({self.field}, [{shown}], size={len(self)})"
+
+
+def _magnitude(field: str, scaled: list) -> int:
+    """The largest magnitude of a component of the scaled values."""
+    if field == Q:
+        return max(map(abs, scaled))
+    return max(max(abs(a), abs(b)) for a, b in scaled)
 
 
 def _powers(base: Scalar, start: int, count: int) -> list[Scalar]:

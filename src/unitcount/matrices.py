@@ -6,9 +6,10 @@ lcm L turns into integer (or Gaussian-integer) entries, statistics are
 computed fraction-free over the integers, and results are rescaled by the
 appropriate power of L at the end.  One Bareiss elimination, whose
 intermediate divisions are exact in any integral domain, gives a matrix's
-rank, and the minor audit's det; a det alone is otherwise the last row
-dotted with its cofactors, whose minors are built row by row by Laplace
-expansion (`_wedge`) and shared between blocks.  Characteristic
+rank and det.  The square det sweep dots each last row with cofactors whose
+minors are built row by row by Laplace expansion (`_wedge`) and shared
+between blocks, and the minor audit takes a sample's whole adjugate from
+one cached expansion plan (`_adjugate`).  Characteristic
 polynomials come from Berkowitz's division-free algorithm.  Each routine
 is written once over a ring of exact integer or Gaussian-integer
 operations, so Q and Qi share it.
@@ -164,11 +165,11 @@ def _gdot(xs, ys):
     return (re, im)
 
 
-def _idots(xs, ys, size: int) -> tuple:
-    return tuple(map(sum, zip(*[map(operator.mul, xs, ys)] * size)))
+def _idots(xs, ys, size: int) -> list:
+    return list(map(sum, zip(*[map(operator.mul, xs, ys)] * size)))
 
 
-def _gdots(xs, ys, size: int) -> tuple:
+def _gdots(xs, ys, size: int) -> list:
     out = []
     re = im = t = 0
     for (a, b), (c, d) in zip(xs, ys):
@@ -178,14 +179,16 @@ def _gdots(xs, ys, size: int) -> tuple:
         if t == size:
             out.append((re, im))
             re = im = t = 0
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
 class _Ring:
     """Exact arithmetic on scaled entries; `div` is only ever called where
-    the quotient is known to be exact, and `dots(xs, ys, size)` gives the
-    dot products of consecutive slices of `size` of xs and ys."""
+    the quotient is known to be exact, and `dots(xs, ys, size)` lists the
+    dot products of consecutive slices of `size` of xs and ys.  A list, as
+    a tuple built from an iterator is resized, and CPython's per-size tuple
+    free lists then keep up to 2,000 freed tuples of each result size."""
 
     add: Callable
     sub: Callable
@@ -257,7 +260,10 @@ def _rank_det(rows: list[list], ring: _Ring) -> tuple[int, object]:
 # of the columns, in `itertools.combinations(range(n), k)` order.  One more
 # row on top gives the (k+1)-minors by Laplace expansion along that row
 # (`_wedge`), so the minors of a block are a fold from its bottom row up,
-# and blocks that share their lower rows share those rows' minors.
+# and blocks that share their lower rows share those rows' minors.  The
+# square det sweep folds that way; the minor audit, which needs all n^2
+# cofactors of one matrix, expands each from the top down instead, sharing
+# equal sub-minors (`_adjugate_plan`).
 
 
 @functools.cache
@@ -285,23 +291,54 @@ def _wedge(row, minors: tuple, k: int, ring: _Ring, cofactors: bool = False) -> 
     `cofactors`, when row and block are the top n-1 rows of an n x n
     matrix, its last row's signed cofactors instead, in column order."""
     entries, subs = _wedge_plan(len(row), k, cofactors)
-    return ring.dots(entries((*row, *map(ring.neg, row))), subs(minors), k + 1)
+    return tuple(ring.dots(entries((*row, *map(ring.neg, row))), subs(minors), k + 1))
 
 
-def _cofactors(block, ring: _Ring) -> tuple:
-    """Signed cofactors of the last row of a square matrix whose other rows
-    are the (n-1) x n `block`: its det is the last row dotted with them.
-    The block's minors are folded from its bottom row up, and the bottom
-    row's 1-minors are its entries, so with a row above it the fold starts
-    there.  The empty block of a 1 x 1 matrix has the one cofactor
-    ring.one."""
-    n = len(block) + 1
-    minors, k = (ring.one,), 0
-    if n > 2:
-        minors, k = tuple(block[-1]), 1
-    for row in reversed(block[: n - 1 - k]):
-        minors = _wedge(row, minors, k, ring, cofactors=k == n - 2)
-        k += 1
+@functools.cache
+def _adjugate_plan(n: int) -> tuple:
+    """The rounds that give every signed cofactor of an n x n matrix (n >= 3)
+    from its n^2 row-major entries.  The minor M(R, C) on rows R and columns
+    C is expanded along its top row: the sum over t of (-1)^t x[R_0][C_t]
+    times M(R without R_0, C without C_t).  Expanding the n^2 cofactors so
+    lists the (n-2)-minors they need, each once, and so on down to the
+    2-minors, whose sub-minors are entries.  Each round, from the 2-minors
+    up, is (entry getter, sub-minor getter, size): the entry getter reads
+    the entries followed by their negations, so the signs, and at the top
+    the cofactor signs (-1)^(i+j), are folded in; the sub-minor getter reads
+    the round before's minors, or the entries for the first round."""
+    full = range(n)
+    rounds = []
+    level = [
+        (tuple(r for r in full if r != i), tuple(c for c in full if c != j), i + j)
+        for i in full
+        for j in full
+    ]
+    for size in range(n - 1, 1, -1):
+        # The 1-minors are the entries themselves, row-major.
+        index = {((r,), (c,)): r * n + c for r in full for c in full} if size == 2 else {}
+        entries, subs = [], []
+        for rows, cols, sign in level:
+            for t, c in enumerate(cols):
+                entries.append(rows[0] * n + c + n * n * ((t + sign) % 2))
+                subs.append(index.setdefault((rows[1:], cols[:t] + cols[t + 1 :]), len(index)))
+        rounds.append((operator.itemgetter(*entries), operator.itemgetter(*subs), size))
+        level = [(rows, cols, 0) for rows, cols in index]
+    return tuple(reversed(rounds))
+
+
+def _adjugate(flat, ring: _Ring, n: int) -> list:
+    """C[i][j] = (-1)^(i+j) times the minor of the n x n matrix with
+    row-major entries `flat` without row i and column j, row-major: n - 2
+    rounds of `ring.dots` over `_adjugate_plan(n)`.  Row i dotted with
+    row i of C, or column j with column j, is the det."""
+    if n == 1:
+        return [ring.one]
+    if n == 2:
+        return [flat[3], ring.neg(flat[2]), ring.neg(flat[1]), flat[0]]
+    signed = [*flat, *map(ring.neg, flat)]
+    minors = flat
+    for entries, subs, size in _adjugate_plan(n):
+        minors = ring.dots(entries(signed), subs(minors), size)
     return minors
 
 
@@ -330,12 +367,11 @@ def _charpoly_coeffs(rows: list[list], ring: _Ring) -> list:
 
 
 def det(X: MatrixInstance, elements: ElementSet) -> Scalar:
+    """Determinant from the one Bareiss elimination that also gives rank."""
     if X.m != X.n:
         raise ValueError("determinant needs a square matrix")
     lcm, _, _ = elements.scaled_integers()
-    *block, last = _scaled_rows(X, elements)
-    ring = _ring(elements.field)
-    raw = ring.dot(last, _cofactors(block, ring))
+    raw = _rank_det(_scaled_rows(X, elements), _ring(elements.field))[1]
     return _to_scalar(elements.field, raw, lcm**X.n)
 
 
@@ -480,12 +516,15 @@ class SweepHistogram:
         for stat, raw in self.raw.items():
             if raw is None:
                 continue
-            keys = sorted(raw)
             if stat == "det":
                 # Every det key is distinct: one text each.
+                keys = sorted(raw)
                 (scale,) = _key_scales(stat, self.n, self.lcm)
                 yield stat, map(_coordinate_text(qi, scale), keys), map(raw.get, keys)
                 continue
+            # Over Qi a tuple key's coordinates are (re, im) pairs, whose
+            # concatenation sorts the same and compares faster than nesting.
+            keys = sorted(raw, key=lambda key: sum(key, ())) if qi else sorted(raw)
             # A coordinate of a tuple key repeats: one text per distinct value.
             texts = []
             for column, scale in zip(zip(*keys), _key_scales(stat, self.n, self.lcm)):

@@ -2,33 +2,26 @@
 
 For a nonsingular square matrix with nonzero entries, at most n-2 of the
 n minors along any fixed row or column can vanish.  The audit samples random
-matrices, clears their denominators once, and computes each sample's n^2
-minors once, in ring integers, as the last-row cofactors of the blocks
-without one row (`matrices._cofactors`: the shared-minors kernel that also
-gives the square det sweep, folding Laplace expansions from the bottom row
-up).  From them it recombines the Laplace expansion along every row and
-every column, checks each recombination against the determinant from a
-Bareiss elimination (an algorithm that shares nothing with the minors
-kernel), and tallies zero minors on nonsingular samples.  `laplace_report`
-gives the same expansion for one line, in Scalars, as a report.
+matrices, reading each entry's denominator-cleared ring integer straight
+from the set, and takes all n^2 signed cofactors of a sample from one
+cached expansion plan (`matrices._adjugate`: n-2 rounds of dot products,
+each sub-minor computed once).  It then gathers every row and every column
+of the sample and of its cofactors, recombines all 2n Laplace expansions in
+one call, checks each against the determinant from a Bareiss elimination
+(an algorithm that shares nothing with the cofactor plan), and tallies
+zero minors on nonsingular samples.  `laplace_report` gives the same
+expansion for one line, in Scalars, as a report.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
+from . import matrices
 from .families import ElementSet
-from .matrices import (
-    BudgetExceededError,
-    MatrixInstance,
-    _cofactors,
-    _rank_det,
-    _ring,
-    _scaled_rows,
-    det,
-    random_matrix,
-)
+from .matrices import BudgetExceededError, MatrixInstance, _rank_det, _ring, det
 from .scalars import Scalar
 
 
@@ -118,26 +111,16 @@ class AuditSummary:
         }
 
 
-def _line_checks(rows: list[list], ring, value) -> tuple[int, int]:
+def _line_checks(entries, cofactors, lines, n: int, ring, value) -> tuple[int, int]:
     """(mismatches, most zero minors on one line) over the 2n Laplace
-    expansions of the scaled square matrix `rows` with determinant `value`.
-    Each minor is computed once and serves one row and one column."""
-    n = len(rows)
-    zero, neg, dot = ring.zero, ring.neg, ring.dot
-    signed = []  # signed[i][j] = (-1)^(i+j) * minor(i, j)
-    for i in range(n):
-        # `_cofactors` signs the minors for the last row; row i is n-1-i
-        # row swaps away from it.
-        cofactors = _cofactors(rows[:i] + rows[i + 1 :], ring)
-        signed.append(tuple(map(neg, cofactors)) if (n - 1 - i) % 2 else cofactors)
-    mismatches = 0
-    most_zero = 0
-    for cofactor_lines, entry_lines in ((signed, rows), (zip(*signed), zip(*rows))):
-        for cofactors, entries in zip(cofactor_lines, entry_lines):
-            if dot(entries, cofactors) != value:
-                mismatches += 1
-            most_zero = max(most_zero, cofactors.count(zero))
-    return mismatches, most_zero
+    expansions of the square matrix with row-major `entries`, signed
+    `cofactors` and determinant `value`; `lines` gathers the rows and then
+    the columns of a row-major n x n matrix."""
+    gathered = lines(cofactors)
+    sums = ring.dots(lines(entries), gathered, n)
+    zero = ring.zero
+    most_zero = max(gathered[k : k + n].count(zero) for k in range(0, 2 * n * n, n))
+    return len(sums) - sums.count(value), most_zero
 
 
 def audit_prop_zero_cofactors(
@@ -163,8 +146,13 @@ def audit_prop_zero_cofactors(
         raise ValueError("need trials >= 1")
     if min_nonsingular < 0:
         raise ValueError(f"min_nonsingular must be >= 0, got {min_nonsingular}")
-    rng = random.Random(seed)
+    draw = random.Random(seed).randrange
+    size = len(elements)
+    values = elements.scaled_integers()[1]
     ring = _ring(elements.field)
+    cells = range(n * n)
+    lines = operator.itemgetter(*cells, *(i * n + j for j in range(n) for i in range(n)))
+    adjugate = matrices._adjugate  # by module attribute, so a test can substitute it
     bound = n - 2
     samples = 0
     nonsingular = 0
@@ -178,11 +166,14 @@ def audit_prop_zero_cofactors(
             raise BudgetExceededError(
                 samples + 1, cap, f"minor audit for {min_nonsingular} nonsingular samples"
             )
-        X = random_matrix(elements, n, n, rng)
+        # The draws of `matrices.random_matrix`: one randrange per entry,
+        # row-major.
+        indices = [draw(size) for _ in cells]
         samples += 1
-        rows = _scaled_rows(X, elements)
-        value = _rank_det(rows, ring)[1]
-        bad_lines, matrix_max_zero = _line_checks(rows, ring, value)
+        entries = [values[j] for j in indices]
+        value = _rank_det([entries[k : k + n] for k in range(0, n * n, n)], ring)[1]
+        cofactors = adjugate(entries, ring, n)
+        bad_lines, matrix_max_zero = _line_checks(entries, cofactors, lines, n, ring, value)
         mismatches += bad_lines
         if value == ring.zero:
             singular += 1
@@ -190,7 +181,7 @@ def audit_prop_zero_cofactors(
         nonsingular += 1
         max_zero = max(max_zero, matrix_max_zero)
         if matrix_max_zero > bound:
-            violations.append(X.entries)
+            violations.append(tuple(tuple(indices[k : k + n]) for k in range(0, n * n, n)))
     passed = not violations and mismatches == 0
     return AuditSummary(
         n=n,

@@ -1,8 +1,9 @@
-"""Property tests of the shared-minors kernel: the last-row cofactors of
-random blocks equal the signed permutation-expansion dets of their minors,
-and on random small sets the square det histogram, with the rank profile
-`sweep` reads off its zeros and the flats walk, equals the per-matrix
-Bareiss loop of tests/oracles.py.  Needs hypothesis; skipped without it."""
+"""Property tests of the cofactor kernels: every signed cofactor that the
+adjugate plan gives for a random matrix equals the signed
+permutation-expansion det of its minor, and on random small sets the
+square det histogram, with the rank profile `sweep` reads off its zeros
+and the flats walk, equals the per-matrix Bareiss loop of
+tests/oracles.py.  Needs hypothesis; skipped without it."""
 
 from __future__ import annotations
 
@@ -47,11 +48,11 @@ def test_cofactor_sweep_matches_per_matrix_bareiss(case):
     assert matrices.sweep(elements, n, n).rank_profile == ranks
 
 
-def _blocks(field: str, n: int):
-    """(n-1) x n blocks of small ring values of `field`."""
+def _squares(field: str, n: int):
+    """n x n matrices of small ring values of `field`, row-major."""
     coordinate = st.integers(-5, 5)
     value = st.tuples(coordinate, coordinate) if field == QI else coordinate
-    return st.lists(st.tuples(*[value] * n), min_size=n - 1, max_size=n - 1)
+    return st.lists(value, min_size=n * n, max_size=n * n)
 
 
 def _pair(field: str, value) -> oracles.Pair:
@@ -64,14 +65,17 @@ def _pair(field: str, value) -> oracles.Pair:
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cofactors_match_the_signed_permutation_dets(field, n, data):
-    # The j-th cofactor of the last row is (-1)^(n-1+j) times the det of
-    # the block without column j, here by permutation expansion.
-    block = data.draw(_blocks(field, n))
+    # Every entry C[i][j] of the adjugate plan's output is (-1)^(i+j) times
+    # the det of the matrix without row i and column j, here by permutation
+    # expansion (the empty minor of a 1 x 1 matrix is 1).
+    flat = data.draw(_squares(field, n))
+    rows = [[_pair(field, v) for v in flat[i * n : (i + 1) * n]] for i in range(n)]
     expected = []
-    for j in range(n):
-        minor = oracles.det_pairs(
-            [[_pair(field, v) for c, v in enumerate(row) if c != j] for row in block]
-        )
-        expected.append(minor if (n - 1 + j) % 2 == 0 else oracles.psub(oracles.PZERO, minor))
-    got = matrices._cofactors(block, matrices._ring(field))
+    for i in range(n):
+        for j in range(n):
+            minor = oracles.det_pairs(
+                [[v for c, v in enumerate(row) if c != j] for r, row in enumerate(rows) if r != i]
+            )
+            expected.append(minor if (i + j) % 2 == 0 else oracles.psub(oracles.PZERO, minor))
+    got = matrices._adjugate(flat, matrices._ring(field), n)
     assert [_pair(field, v) for v in got] == expected

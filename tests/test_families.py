@@ -93,6 +93,39 @@ def test_prefix_is_the_set_of_the_first_values():
     assert [v.text() for v in explicit.prefix(1)] == ["2"]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # 30 draws from a 12 x 8 box: some collide.
+        LatticeBox((parse_scalar("2"), parse_scalar("3")), ((0, 11), (0, 7)), 30, 22),
+        # Denominators: a prefix's denominator can be below the whole set's.
+        Explicit(tuple(parse_scalar(t) for t in ("3", "1/2", "-5", "7/6", "1/4", "2"))),
+        Geometric(parse_scalar("1+i", QI), -3, 9),
+        # Its prefixes' denominators are 1, 2 and 4.
+        LatticeBox((parse_scalar("i", QI), parse_scalar("(1+i)/2", QI)), ((0, 3), (-4, 4)), 30, 4),
+    ],
+    ids=["lattice-collisions", "q-denominators", "qi-geometric", "qi-lattice"],
+)
+def test_prefix_equals_a_freshly_built_set(spec):
+    es = materialize(spec)
+    for raw_length in range(1, len(es) + es.collisions + 1):
+        got = es.prefix(raw_length)
+        fresh = ElementSet(got.elements, got.collisions, got.first_indices)
+        size = len(fresh)
+        assert got.elements == es.elements[:size]
+        assert got.first_indices == es.first_indices[:size]
+        assert got.field == fresh.field
+        assert got.collisions == raw_length - size
+        assert all(es.first_indices[j] < raw_length for j in range(size))
+        assert size == len(es) or es.first_indices[size] >= raw_length
+        assert [value in got for value in es] == [value in fresh for value in es]
+        assert [got.index(value) for value in got] == list(range(size))
+        for value in es.elements[size:]:
+            with pytest.raises(KeyError):
+                got.index(value)
+        assert got.scaled_integers() == fresh.scaled_integers()
+
+
 def test_signed_geometric_materialization():
     es = materialize(SignedGeometric(base=Scalar.rational(2), count=3))
     assert [v.text() for v in es] == ["1", "-1", "2", "-2", "4", "-4"]

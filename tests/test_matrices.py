@@ -317,6 +317,28 @@ def test_gaussian_sweep_csv_rows_match_scalar_keys(n, texts):
     assert any("*i" in text and "/" in text for _, text, _ in rows)
 
 
+@pytest.mark.parametrize(
+    "texts", [("1", "i", "-1", "-i", "1+i"), ("i/2", "(1-i)/3", "-1", "2*i")], ids=["units", "dens"]
+)
+def test_gaussian_tuple_keys_keep_the_nested_tuple_order(texts):
+    # The CSV sorts a Qi tuple key by its flattened coordinates; the rows
+    # must come in the order of the nested (re, im) tuples all the same.
+    options = SweepOptions(rank=False, det=False, charpoly=True, powersums=True)
+    hist = sweep(_parsed(texts, QI), 3, 3, options=options)
+    rows = hist.csv_rows()
+    for stat in ("charpoly", "powersums"):
+        raw = hist.raw[stat]
+        coordinate_texts = [
+            matrices._coordinate_text(True, scale)
+            for scale in matrices._key_scales(stat, 3, hist.lcm)
+        ]
+        expected = [
+            (stat, ",".join(text(v) for text, v in zip(coordinate_texts, key)), raw[key])
+            for key in sorted(raw)
+        ]
+        assert [row for row in rows if row[0] == stat] == expected
+
+
 def test_sweep_route_counts_scale_the_target_into_the_ring(monkeypatch):
     """Over Q(i), and over Q past the kernel's proof, 3x3 counts read the
     sweep's raw histogram; 1x1 counts always do."""

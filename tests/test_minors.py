@@ -216,22 +216,67 @@ def test_audit_equals_the_laplace_reference(label, n, seed):
     assert forced.nonsingular_checked >= 15
 
 
+@pytest.mark.parametrize("label", sorted(_AUDIT_SETS))
+def test_audit_equals_the_laplace_reference_at_n5(label):
+    elements = _AUDIT_SETS[label]
+    got = audit_prop_zero_cofactors(elements, 5, trials=12, seed=4)
+    assert got == _laplace_audit(elements, 5, 12, 4)
+    forced = audit_prop_zero_cofactors(elements, 5, trials=4, seed=5, min_nonsingular=15)
+    assert forced == _laplace_audit(elements, 5, 4, 5, min_nonsingular=15)
+
+
 @pytest.mark.parametrize("field", [Q, QI])
 def test_audit_catches_a_corrupted_minor(field, monkeypatch):
-    # Shift one minor of the first sample by one: the first cofactor that
-    # the shared-minors kernel gives, that of row 0 and column 0.  That row
-    # and that column no longer recombine to det, and the audit must fail.
+    # Shift one cofactor of the first sample by one: the first that the
+    # adjugate plan gives, that of row 0 and column 0.  That row and that
+    # column no longer recombine to det, and the audit must fail.
     calls = itertools.count()
-    real = matrices._wedge
+    real = matrices._adjugate
 
-    def corrupted(row, minors, k, ring, cofactors=False):
-        value = real(row, minors, k, ring, cofactors)
-        if cofactors and next(calls) == 0:
-            return (ring.add(value[0], ring.one), *value[1:])
+    def corrupted(flat, ring, n):
+        value = real(flat, ring, n)
+        if next(calls) == 0:
+            value[0] = ring.add(value[0], ring.one)
         return value
 
-    monkeypatch.setattr(matrices, "_wedge", corrupted)
+    monkeypatch.setattr(matrices, "_adjugate", corrupted)
     base = parse_scalar("2" if field == Q else "1+i", field)
     summary = audit_prop_zero_cofactors(materialize(Geometric(base, 0, 3)), 3, trials=5, seed=1)
     assert summary.reconstruction_mismatches == 2
     assert summary.passed is False
+
+
+# The summaries that the audit gave before it took its cofactors from the
+# adjugate plan: 500 samples at n = 4 over 2^0..2^5 and (1+i)^0..(1+i)^5,
+# seed 2025.  The samples are the same randrange draws.
+_PINNED_N4 = {
+    "max_zero_count": 2, "n": 4, "nonsingular_checked": 486, "passed": True,
+    "reconstruction_mismatches": 0, "samples": 500, "seed": 2025,
+    "singular_skipped": 14, "trials": 500, "violations": [], "zero_count_bound": 2,
+}
+
+
+@pytest.mark.parametrize("base,field", [("2", Q), ("1+i", QI)])
+def test_audit_draw_stream_is_pinned(base, field):
+    elements = materialize(Geometric(parse_scalar(base, field), 0, 5))
+    assert audit_prop_zero_cofactors(elements, 4, trials=500, seed=2025).to_json() == _PINNED_N4
+
+
+@pytest.mark.parametrize("label", ["q-units", "qi-powers"])
+def test_forced_audit_reads_the_draws_of_random_matrix(label, monkeypatch):
+    # With every cofactor zero, each nonsingular sample breaks the n-2
+    # bound, so the violations list every nonsingular draw's index rows.
+    elements = _AUDIT_SETS[label]
+    monkeypatch.setattr(matrices, "_adjugate", lambda flat, ring, n: [ring.zero] * n * n)
+    got = audit_prop_zero_cofactors(elements, 3, trials=4, seed=6, min_nonsingular=20)
+    rng = random.Random(6)
+    draws, nonsingular = [], []
+    while len(draws) < 4 or len(nonsingular) < 20:
+        X = random_matrix(elements, 3, 3, rng)
+        draws.append(X)
+        if not det(X, elements).is_zero():
+            nonsingular.append(X.entries)
+    assert got.samples == len(draws)
+    assert got.singular_skipped == len(draws) - len(nonsingular)
+    assert got.violations == tuple(nonsingular)
+    assert got.reconstruction_mismatches == 6 * len(nonsingular)
