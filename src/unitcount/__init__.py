@@ -7,7 +7,6 @@ from .scalars import (
     FieldMismatchError,
     ScalarParseError,
     Scalar,
-    canonical_key,
     parse_scalar,
 )
 from .families import (
@@ -36,8 +35,6 @@ from .matrices import (
     SweepOptions,
     SweepHistogram,
     det,
-    rank,
-    charpoly,
     sweep,
     count_det,
     count_rank,

@@ -76,7 +76,7 @@ class ElementSet:
     itself for a set given explicitly); `prefix` reads it.
     """
 
-    __slots__ = ("field", "elements", "collisions", "first_indices", "_positions", "_scaled")
+    __slots__ = ("field", "elements", "collisions", "first_indices", "_scaled")
 
     def __init__(
         self,
@@ -87,11 +87,12 @@ class ElementSet:
         elements = tuple(elements)
         if not elements:
             raise FamilyError("element set is empty")
+        for value in elements:
+            if not isinstance(value, Scalar):
+                raise TypeError(f"expected Scalar, got {type(value).__name__}")
         field = elements[0].field
         positions: dict[Scalar, int] = {}
         for pos, value in enumerate(elements):
-            if not isinstance(value, Scalar):
-                raise TypeError(f"expected Scalar, got {type(value).__name__}")
             if value.field != field:
                 raise FamilyError("element set mixes fields")
             if value.is_zero():
@@ -104,7 +105,6 @@ class ElementSet:
         if first_indices is None:
             first_indices = tuple(range(len(elements)))
         object.__setattr__(self, "first_indices", first_indices)
-        object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_scaled", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -118,17 +118,6 @@ class ElementSet:
 
     def __getitem__(self, index: int) -> Scalar:
         return self.elements[index]
-
-    # A prefix shares the positions of the set it was taken from, so a
-    # position past its own size is not one of its elements.
-    def __contains__(self, value: Scalar) -> bool:
-        return self._positions.get(value, len(self)) < len(self)
-
-    def index(self, value: Scalar) -> int:
-        position = self._positions[value]
-        if position >= len(self):
-            raise KeyError(value)
-        return position
 
     def prefix(self, raw_length: int) -> "ElementSet":
         """The set deduplicated from the first `raw_length` of the values
@@ -160,7 +149,6 @@ class ElementSet:
             ("elements", self.elements[:size]),
             ("collisions", raw_length - size),
             ("first_indices", self.first_indices[:size]),
-            ("_positions", self._positions),
             ("_scaled", (lcm // shrink, values, _magnitude(self.field, values))),
         ):
             object.__setattr__(prefix, name, value)

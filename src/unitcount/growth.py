@@ -306,6 +306,9 @@ class ExperimentSpec:
     budget: int | None = None
 
     def __post_init__(self):
+        # `emit` writes <name>.csv and <name>.json in the output directory.
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise GrowthConfigError(f"experiment name {self.name!r} is not a file name")
         if len(self.k_values) < 3:
             raise GrowthConfigError("need at least 3 k values for a slope fit")
         if any(b >= a for a, b in zip(self.k_values[1:], self.k_values)):

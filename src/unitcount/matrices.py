@@ -103,14 +103,6 @@ class MatrixInstance:
         return [[elements[j] for j in row] for row in self.entries]
 
 
-def random_matrix(elements: ElementSet, m: int, n: int, rng) -> MatrixInstance:
-    size = len(elements)
-    entries = tuple(
-        tuple(rng.randrange(size) for _ in range(n)) for _ in range(m)
-    )
-    return MatrixInstance(m, n, entries)
-
-
 def _scaled_rows(X: MatrixInstance, elements: ElementSet) -> list[list]:
     _, values, _ = elements.scaled_integers()
     size = len(elements)
@@ -363,9 +355,10 @@ def _charpoly_coeffs(rows: list[list], ring: _Ring) -> list:
     return poly[:0:-1]
 
 
-# -- single-matrix public statistics ------------------------------------------
+# -- one matrix's det, and the charpoly key ------------------------------------
 
 
+# No count calls this; perfbench/spans.py looks it up as minors.det to span it.
 def det(X: MatrixInstance, elements: ElementSet) -> Scalar:
     """Determinant from the one Bareiss elimination that also gives rank."""
     if X.m != X.n:
@@ -373,10 +366,6 @@ def det(X: MatrixInstance, elements: ElementSet) -> Scalar:
     lcm, _, _ = elements.scaled_integers()
     raw = _rank_det(_scaled_rows(X, elements), _ring(elements.field))[1]
     return _to_scalar(elements.field, raw, lcm**X.n)
-
-
-def rank(X: MatrixInstance, elements: ElementSet) -> int:
-    return _rank_det(_scaled_rows(X, elements), _ring(elements.field))[0]
 
 
 @dataclass(frozen=True)
@@ -399,18 +388,6 @@ class CharPolyKey:
         if not parts or not any(p.strip() for p in parts):
             raise ValueError("empty characteristic polynomial text")
         return CharPolyKey(tuple(parse_scalar(p, field) for p in parts))
-
-
-def charpoly(X: MatrixInstance, elements: ElementSet) -> CharPolyKey:
-    """Characteristic polynomial by Berkowitz's division-free algorithm."""
-    if X.m != X.n:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    n = X.n
-    lcm, _, _ = elements.scaled_integers()
-    cs = _charpoly_coeffs(_scaled_rows(X, elements), _ring(elements.field))
-    return CharPolyKey(
-        tuple(_to_scalar(elements.field, cs[k], lcm ** (n - k)) for k in range(n))
-    )
 
 
 # -- sweeps -------------------------------------------------------------------

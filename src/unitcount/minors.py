@@ -46,6 +46,7 @@ def _delete_line(X: MatrixInstance, row: int, col: int) -> MatrixInstance:
     return MatrixInstance(X.m - 1, X.n - 1, entries)
 
 
+# No count calls this; perfbench/spans.py looks it up to count its calls.
 def laplace_report(
     X: MatrixInstance, elements: ElementSet, axis: str = "row", index: int = 0
 ) -> MinorReport:
@@ -166,8 +167,7 @@ def audit_prop_zero_cofactors(
             raise BudgetExceededError(
                 samples + 1, cap, f"minor audit for {min_nonsingular} nonsingular samples"
             )
-        # The draws of `matrices.random_matrix`: one randrange per entry,
-        # row-major.
+        # One randrange per entry, row-major; pinned audit summaries depend on it.
         indices = [draw(size) for _ in cells]
         samples += 1
         entries = [values[j] for j in indices]

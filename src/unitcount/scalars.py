@@ -2,9 +2,9 @@
 
 A value is stored as an integer triple (re, im, den) meaning (re + im*i)/den,
 kept in a unique canonical form: den > 0 and gcd(re, im, den) == 1, with zero
-represented as (0, 0, 1).  Canonical form makes equality, hashing and the
-byte encoding produced by `canonical_key` agree with value equality.  The
-counts key their histograms by ring integers (`ElementSet.scaled_integers`).
+represented as (0, 0, 1).  Canonical form makes equality and hashing agree
+with value equality.  The counts key their histograms by ring integers
+(`ElementSet.scaled_integers`).
 
 The field tag is explicit ("Q" or "Qi") so that accidental mixing of a purely
 rational computation with a Gaussian one is an error instead of a silent
@@ -123,26 +123,10 @@ class Scalar:
     def imaginary_unit() -> "Scalar":
         return Scalar(QI, 0, 1)
 
-    @staticmethod
-    def from_fraction(value: Fraction, field: str = Q) -> "Scalar":
-        return Scalar(field, value.numerator, 0, value.denominator)
-
     # -- predicates and views -------------------------------------------
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def real_part(self) -> Fraction:
-        return Fraction(self.re, self.den)
-
-    def imag_part(self) -> Fraction:
-        return Fraction(self.im, self.den)
-
-    def to_fraction(self) -> Fraction:
-        """The value as a Fraction; requires a purely rational value."""
-        if self.im != 0:
-            raise ValueError(f"{self} has a nonzero imaginary part")
-        return Fraction(self.re, self.den)
 
     def sort_tuple(self) -> tuple[int | Fraction, int | Fraction]:
         """Deterministic order key (real part, then imaginary part).  Plain
@@ -234,12 +218,6 @@ class Scalar:
 
     # -- encoding ----------------------------------------------------------
 
-    def canonical_key(self) -> bytes:
-        """Injective byte encoding of (field, value); equal iff values equal."""
-        if self.field == Q:
-            return b"Q:%d/%d" % (self.re, self.den)
-        return b"Qi:%d,%d/%d" % (self.re, self.im, self.den)
-
     def text(self) -> str:
         """Render in the grammar accepted by `parse_scalar` (round-trips)."""
         return scalar_text(self.re, self.im, self.den)
@@ -275,10 +253,6 @@ def scalar_text(re: int, im: int, den: int) -> str:
     else:
         body = f"({re}-{-im}*i)"
     return body if den == 1 else f"{body}/{den}"
-
-
-def canonical_key(value: Scalar) -> bytes:
-    return value.canonical_key()
 
 
 # -- parsing ----------------------------------------------------------------

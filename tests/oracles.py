@@ -21,7 +21,8 @@ and `powersum_histogram` turn a sweep's raw ring-keyed histograms into
 the cap whose log10 `bounds.nondegenerate_cap_log10` gives.
 `growth_points_per_k` runs a growth experiment with each k's set
 materialized from its own family, the reference for the shared set that
-`growth.run_experiment` takes prefixes of.
+`growth.run_experiment` takes prefixes of.  `random_matrix` draws a matrix's
+indices the way the minor audit draws its samples.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from unitcount.families import materialize
 from unitcount.matrices import (
     BudgetExceededError,
     CharPolyKey,
+    MatrixInstance,
     _key_scales,
     _rank_det,
     _ring,
@@ -273,6 +275,15 @@ def nondegenerate_cap_exact(n: int, group_rank: int) -> int:
     if n < 1 or group_rank < 0:
         raise ValueError("need n >= 1 and group_rank >= 0")
     return (8 * n) ** (4 * n**4 * (n + group_rank + 1))
+
+
+def random_matrix(elements, m: int, n: int, rng) -> MatrixInstance:
+    """An m x n matrix of indices into `elements`: one `rng.randrange(A)`
+    per entry, row-major, the draws the minor audit makes per sample."""
+    size = len(elements)
+    return MatrixInstance.from_rows(
+        [[rng.randrange(size) for _ in range(n)] for _ in range(m)]
+    )
 
 
 def pairs_from_rows(scalar_rows) -> list[list[Pair]]:

@@ -484,6 +484,22 @@ def test_growth_config_read_exactly_exits_1(change, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "a/b", "a\\b"])
+def test_growth_name_outside_out_dir_exits_1(name, tmp_path, capsys):
+    # emit writes <name>.csv and <name>.json: a name that is not a plain
+    # file name would write outside --out, or hidden files in it.
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "name": name,
+        "family": {"variant": "geometric", "base": "2"},
+        "k_values": [2, 3, 4],
+        "statistic": {"kind": "det", "n": 2, "target": "0"},
+    }))
+    assert main(["growth", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "is not a file name" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["exp.json"]
+
+
 def test_family_spec_read_exactly_exits_1(tmp_path, capsys):
     spec = tmp_path / "fam.json"
     family = {"variant": "geometric", "base": "2", "start": 1.5, "stop": 4}

@@ -13,7 +13,11 @@ from unitcount.matrices import (
     CharPolyKey,
     MatrixInstance,
     SweepOptions,
-    charpoly,
+    _charpoly_coeffs,
+    _rank_det,
+    _ring,
+    _scaled_rows,
+    _to_scalar,
     count_charpoly,
     count_det,
     count_power_sums,
@@ -23,16 +27,25 @@ from unitcount.matrices import (
     fast_det2_count,
     fast_power_sums2_count,
     parse_budget,
-    random_matrix,
-    rank,
     resolve_budget,
     sweep,
 )
 from unitcount.scalars import Q, QI, FieldMismatchError, Scalar, parse_scalar
 
 
-def _rand_instance(rng, elements, m, n):
-    return random_matrix(elements, m, n, rng)
+def rank(X, elements) -> int:
+    """Rank from the one Bareiss elimination, on the scaled rows."""
+    return _rank_det(_scaled_rows(X, elements), _ring(elements.field))[0]
+
+
+def charpoly(X, elements) -> CharPolyKey:
+    """Berkowitz's c_0..c_(n-1) on the scaled rows, c_k rescaled by lcm^(n-k)."""
+    n = X.n
+    lcm = elements.scaled_integers()[0]
+    cs = _charpoly_coeffs(_scaled_rows(X, elements), _ring(elements.field))
+    return CharPolyKey(
+        tuple(_to_scalar(elements.field, cs[k], lcm ** (n - k)) for k in range(n))
+    )
 
 
 @pytest.mark.parametrize("field", [Q, QI])
@@ -41,7 +54,7 @@ def test_det_matches_permutation_expansion(field):
     for _ in range(60):
         n = rng.randint(1, 5)
         elements = rand_element_set(rng, field, size=5, span=5, max_den=3)
-        X = _rand_instance(rng, elements, n, n)
+        X = oracles.random_matrix(elements, n, n, rng)
         expected = oracles.det_pairs(oracles.pairs_from_rows(X.scalar_rows(elements)))
         assert oracles.pair(det(X, elements)) == expected
 
@@ -53,7 +66,7 @@ def test_rank_matches_gaussian_elimination(field):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         elements = rand_element_set(rng, field, size=4, span=3, max_den=2)
-        X = _rand_instance(rng, elements, m, n)
+        X = oracles.random_matrix(elements, m, n, rng)
         expected = oracles.rank_pairs(oracles.pairs_from_rows(X.scalar_rows(elements)))
         assert rank(X, elements) == expected
     # Rank-deficient inputs over the powers q^0..q^5: each row after the first
@@ -93,7 +106,7 @@ def test_charpoly_matches_interpolation_oracle(field):
     for _ in range(40):
         n = rng.randint(1, 5)
         elements = rand_element_set(rng, field, size=4, span=4, max_den=3)
-        X = _rand_instance(rng, elements, n, n)
+        X = oracles.random_matrix(elements, n, n, rng)
         key = charpoly(X, elements)
         assert key.n == n
         expected = oracles.charpoly_pairs(oracles.pairs_from_rows(X.scalar_rows(elements)))
@@ -106,7 +119,7 @@ def test_charpoly_agrees_with_trace_recursion(field):
     for _ in range(30):
         n = rng.randint(1, 4)
         elements = rand_element_set(rng, field, size=4, span=4, max_den=2)
-        X = _rand_instance(rng, elements, n, n)
+        X = oracles.random_matrix(elements, n, n, rng)
         expected = oracles.charpoly_trace_recursion(
             oracles.pairs_from_rows(X.scalar_rows(elements))
         )
@@ -131,7 +144,7 @@ def test_qi_det_and_charpoly_match_sympy():
     for _ in range(25):
         n = rng.randint(1, 4)
         elements = rand_element_set(rng, QI, size=4, span=4, max_den=3)
-        X = _rand_instance(rng, elements, n, n)
+        X = oracles.random_matrix(elements, n, n, rng)
         M = sympy.Matrix([[to_sympy(v) for v in row] for row in X.scalar_rows(elements)])
         assert equal(det(X, elements), M.det())
         # all_coeffs() runs from T^n down to c_0.
@@ -141,20 +154,13 @@ def test_qi_det_and_charpoly_match_sympy():
         assert all(equal(c, e) for c, e in zip(key.coeffs, expected[:0:-1], strict=True))
 
 
-def test_charpoly_requires_square():
-    elements = int_element_set([1, 2])
-    X = _rand_instance(random.Random(0), elements, 2, 3)
-    with pytest.raises(ValueError):
-        charpoly(X, elements)
-
-
 def test_power_sums_from_coeffs_identity():
     rng = random.Random(39)
     for _ in range(30):
         n = rng.randint(2, 4)
         field = rng.choice([Q, QI])
         elements = rand_element_set(rng, field, size=4, span=4, max_den=2)
-        X = _rand_instance(rng, elements, n, n)
+        X = oracles.random_matrix(elements, n, n, rng)
         key = charpoly(X, elements)
         t1, t2 = oracles.power_sums_from_coeffs(key.coeffs[n - 1], key.coeffs[n - 2])
         rows = oracles.pairs_from_rows(X.scalar_rows(elements))
@@ -541,7 +547,7 @@ def test_pinned_determinant_and_charpoly_counts():
 def test_matrix_instance_shape_and_indexing():
     elements = int_element_set([1, 2, 3])
     rng = random.Random(50)
-    X = random_matrix(elements, 2, 3, rng)
+    X = oracles.random_matrix(elements, 2, 3, rng)
     assert (X.m, X.n) == (2, 3)
     assert len(X.entries) == 2 and all(len(r) == 3 for r in X.entries)
     rows = X.scalar_rows(elements)

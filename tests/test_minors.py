@@ -12,7 +12,7 @@ import pytest
 
 from unitcount import Q, QI, MatrixInstance, det, matrices, parse_scalar
 from unitcount.families import ElementSet, Geometric, materialize
-from unitcount.matrices import BudgetExceededError, random_matrix
+from unitcount.matrices import BudgetExceededError
 from unitcount.minors import AuditSummary, audit_prop_zero_cofactors, laplace_report
 
 import oracles
@@ -169,7 +169,7 @@ def _laplace_audit(elements, n, trials, seed, min_nonsingular=0) -> AuditSummary
     samples = nonsingular = singular = max_zero = mismatches = 0
     violations = []
     while samples < trials or nonsingular < min_nonsingular:
-        X = random_matrix(elements, n, n, rng)
+        X = oracles.random_matrix(elements, n, n, rng)
         samples += 1
         value = det(X, elements)
         reports = [
@@ -272,7 +272,7 @@ def test_forced_audit_reads_the_draws_of_random_matrix(label, monkeypatch):
     rng = random.Random(6)
     draws, nonsingular = [], []
     while len(draws) < 4 or len(nonsingular) < 20:
-        X = random_matrix(elements, 3, 3, rng)
+        X = oracles.random_matrix(elements, 3, 3, rng)
         draws.append(X)
         if not det(X, elements).is_zero():
             nonsingular.append(X.entries)
