@@ -30,7 +30,6 @@ from .equations import (
 )
 from .matrices import (
     BudgetExceededError,
-    CharPolyKey,
     MatrixInstance,
     SweepOptions,
     SweepHistogram,

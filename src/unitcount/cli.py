@@ -24,17 +24,11 @@ from .equations import (
 from .families import load_set, set_to_json
 from .matrices import (
     BudgetExceededError,
-    CharPolyKey,
     SweepOptions,
-    count_charpoly,
-    count_det,
-    count_power_sums,
-    count_rank,
     parse_budget,
     sweep,
 )
 from .minors import audit_prop_zero_cofactors
-from .scalars import parse_scalar
 
 
 class _UsageError(Exception):
@@ -63,30 +57,17 @@ def _write_text(text: str, out: str | None) -> None:
 # -- count ---------------------------------------------------------------------
 
 
+# The parsed options of a count that are not keys of its statistic.
+_COUNT_WORDS = ("command", "handler", "set", "budget")
+
+
 def _cmd_count(args) -> int:
+    """Read the statistic from the parsed flags, each of which is named
+    after its key in a growth config, and run its count."""
     elements = load_set(args.set)
-    field = elements.field
-    if args.stat == "det":
-        target = parse_scalar(args.d, field)
-        print(count_det(elements, args.n, target, budget=args.budget))
-    elif args.stat == "rank":
-        print(
-            count_rank(
-                elements,
-                args.m,
-                args.n,
-                args.r,
-                cumulative=not args.exact,
-                budget=args.budget,
-            )
-        )
-    elif args.stat == "charpoly":
-        key = CharPolyKey.from_text(args.coeffs, field)
-        print(count_charpoly(elements, args.n, key, budget=args.budget))
-    else:
-        t1 = parse_scalar(args.t1, field)
-        t2 = parse_scalar(args.t2, field)
-        print(count_power_sums(elements, args.n, t1, t2, budget=args.budget))
+    obj = {key: value for key, value in vars(args).items() if key not in _COUNT_WORDS}
+    statistic = growth_mod.statistic_from_json(obj, elements.field)
+    print(statistic.count(elements, args.budget))
     return 0
 
 
@@ -262,11 +243,15 @@ def build_parser() -> _Parser:
 
     # count
     p_count = sub.add_parser("count", help="count matrices with a fixed statistic")
-    count_sub = p_count.add_subparsers(dest="stat", required=True)
+    # Each statistic's flags are stored under its growth-config keys, and
+    # the statistic's name under "kind".
+    count_sub = p_count.add_subparsers(dest="kind", required=True)
     p_det = count_sub.add_parser("det", help="matrices with a given determinant")
     p_det.add_argument("--set", required=True, help="element set JSON file")
     p_det.add_argument("-n", type=int, required=True, help="matrix dimension")
-    p_det.add_argument("--d", required=True, help="determinant target scalar")
+    p_det.add_argument(
+        "--d", dest="target", required=True, help="determinant target scalar"
+    )
     _add_budget(p_det)
     p_rank = count_sub.add_parser("rank", help="matrices of bounded or exact rank")
     p_rank.add_argument("--set", required=True)
@@ -275,7 +260,8 @@ def build_parser() -> _Parser:
     p_rank.add_argument("-r", type=int, required=True, help="rank threshold")
     p_rank.add_argument(
         "--exact",
-        action="store_true",
+        dest="cumulative",
+        action="store_false",
         help="count rank == r instead of rank <= r",
     )
     _add_budget(p_rank)
@@ -284,6 +270,7 @@ def build_parser() -> _Parser:
     p_cp.add_argument("-n", type=int, required=True)
     p_cp.add_argument(
         "--coeffs",
+        type=lambda text: text.split(","),
         required=True,
         help="comma list c_0,...,c_{n-1} of non-leading coefficients",
     )

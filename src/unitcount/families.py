@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 
-from .scalars import Q, QI, Scalar, parse_scalar, parse_whole
+from .scalars import Q, QI, Scalar, parse_list, parse_scalar, parse_whole
 
 
 class FamilyError(ValueError):
@@ -73,7 +73,9 @@ class ElementSet:
     materialization deduplicates before constructing and reports how many
     collisions it absorbed.  `first_indices[j]` is the index of element j's
     first occurrence among the values the set was deduplicated from (j
-    itself for a set given explicitly); `prefix` reads it.
+    itself for a set given explicitly); `prefix` reads it, so construction
+    checks that it rises strictly from 0 and stays below the number of
+    those values, len + collisions.
     """
 
     __slots__ = ("field", "elements", "collisions", "first_indices", "_scaled")
@@ -99,11 +101,24 @@ class ElementSet:
                 raise FamilyError("element set contains zero")
             if positions.setdefault(value, pos) != pos:
                 raise FamilyError(f"duplicate element {value}")
+        if collisions < 0:
+            raise FamilyError(f"collisions must be >= 0, got {collisions}")
+        if first_indices is None:
+            first_indices = tuple(range(len(elements)))
+        elif not (
+            isinstance(first_indices, tuple)
+            and len(first_indices) == len(elements)
+            and first_indices[0] == 0
+            and first_indices[-1] < len(elements) + collisions
+            and all(map(operator.lt, first_indices, first_indices[1:]))
+        ):
+            raise FamilyError(
+                "first_indices must rise strictly from 0, one per element, below"
+                f" {len(elements) + collisions}; got {first_indices!r}"
+            )
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "collisions", collisions)
-        if first_indices is None:
-            first_indices = tuple(range(len(elements)))
         object.__setattr__(self, "first_indices", first_indices)
         object.__setattr__(self, "_scaled", None)
 
@@ -314,28 +329,21 @@ def tight_equation_coeffs(n: int) -> tuple[Scalar, ...]:
 
 
 @contextmanager
-def _reading(variant):
-    """Turn a missing key or a malformed value of a family object into a
-    FamilyError."""
+def _reading(what: str):
+    """Turn a missing key or a malformed value of the object `what` names
+    into a FamilyError."""
     try:
         yield
     except FamilyError:
         raise
     except KeyError as exc:
-        raise FamilyError(f"family variant {variant!r} missing key {exc}") from exc
+        raise FamilyError(f"{what} missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise FamilyError(f"family variant {variant!r}: {exc}") from exc
-
-
-def _listed(value, what: str):
-    """A JSON list (a tuple in a template), never a string read char by char."""
-    if not isinstance(value, (list, tuple)):
-        raise FamilyError(f"{what} must be a list, got {value!r}")
-    return value
+        raise FamilyError(f"{what}: {exc}") from exc
 
 
 def _range(value) -> tuple[int, int]:
-    lo, hi = _listed(value, "a range")
+    lo, hi = parse_list(value, "a range")
     return parse_whole(lo, "range end"), parse_whole(hi, "range end")
 
 
@@ -344,7 +352,7 @@ def family_from_json(obj: dict) -> FamilySpec:
         raise FamilyError("family object needs a 'variant' key")
     variant = obj["variant"]
     field = obj.get("field", Q)
-    with _reading(variant):
+    with _reading(f"family variant {variant!r}"):
         if variant == "geometric":
             return Geometric(
                 base=parse_scalar(obj["base"], field),
@@ -359,23 +367,23 @@ def family_from_json(obj: dict) -> FamilySpec:
         if variant == "gaussian_units_scaled":
             return GaussianUnitsScaled(
                 scales=tuple(
-                    parse_scalar(s, QI) for s in _listed(obj["scales"], "scales")
+                    parse_scalar(s, QI) for s in parse_list(obj["scales"], "scales")
                 )
             )
         if variant == "lattice_box":
             return LatticeBox(
                 generators=tuple(
                     parse_scalar(g, field)
-                    for g in _listed(obj["generators"], "generators")
+                    for g in parse_list(obj["generators"], "generators")
                 ),
-                ranges=tuple(_range(r) for r in _listed(obj["ranges"], "ranges")),
+                ranges=tuple(_range(r) for r in parse_list(obj["ranges"], "ranges")),
                 sample_size=parse_whole(obj["sample_size"], "sample_size"),
                 seed=parse_whole(obj["seed"], "seed"),
             )
         if variant == "explicit":
             return Explicit(
                 elements=tuple(
-                    parse_scalar(e, field) for e in _listed(obj["elements"], "elements")
+                    parse_scalar(e, field) for e in parse_list(obj["elements"], "elements")
                 )
             )
     raise FamilyError(f"unknown family variant {variant!r}")
@@ -446,7 +454,7 @@ class FamilyTemplate:
         template = FamilyTemplate(
             tuple(sorted((key, _frozen(value)) for key, value in keep.items()))
         )
-        with _reading(variant):
+        with _reading(f"family variant {variant!r}"):
             template.family_at(1)
         return template
 
@@ -495,8 +503,9 @@ def set_from_json(obj: dict) -> ElementSet:
     if "elements" not in obj:
         raise FamilyError("set object needs 'elements' or 'family'")
     field = obj.get("field", Q)
-    elements = _listed(obj["elements"], "elements")
-    return ElementSet(tuple(parse_scalar(e, field) for e in elements))
+    with _reading("set object"):
+        elements = tuple(parse_scalar(e, field) for e in parse_list(obj["elements"], "elements"))
+    return ElementSet(elements)
 
 
 def load_set(path: str | Path) -> ElementSet:

@@ -28,7 +28,6 @@ from .equations import EquationSpec, count_solutions, count_system_sum_squares
 from .families import ElementSet, FamilyTemplate, materialize, tight_equation_coeffs
 from .matrices import (
     BudgetExceededError,
-    CharPolyKey,
     CountRoute,
     _charged,
     count_charpoly,
@@ -62,7 +61,7 @@ class DetStatistic:
     def to_json(self) -> dict:
         return {"kind": "det", "n": self.n, "target": self.target.text()}
 
-    def count(self, elements: ElementSet, budget: int) -> int:
+    def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_det(elements, self.n, self.target, budget=budget)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
@@ -87,7 +86,7 @@ class RankStatistic:
             "cumulative": self.cumulative,
         }
 
-    def count(self, elements: ElementSet, budget: int) -> int:
+    def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_rank(
             elements, self.m, self.n, self.r, cumulative=self.cumulative, budget=budget
         )
@@ -102,21 +101,23 @@ class RankStatistic:
 
 @dataclass(frozen=True)
 class CharpolyStatistic:
+    """T^n + c_(n-1) T^(n-1) + ... + c_0, `coeffs` = (c_0, ..., c_(n-1))."""
+
     n: int
-    key: CharPolyKey
+    coeffs: tuple[Scalar, ...]
 
     def to_json(self) -> dict:
         return {
             "kind": "charpoly",
             "n": self.n,
-            "coeffs": [c.text() for c in self.key.coeffs],
+            "coeffs": [c.text() for c in self.coeffs],
         }
 
-    def count(self, elements: ElementSet, budget: int) -> int:
-        return count_charpoly(elements, self.n, self.key, budget=budget)
+    def count(self, elements: ElementSet, budget: int | None) -> int:
+        return count_charpoly(elements, self.n, self.coeffs, budget=budget)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
-        coeffs = self.key.coeffs
+        coeffs = self.coeffs
         if self.n == 2:
             det_zero = coeffs[0].is_zero()
             trace_zero = coeffs[1].is_zero()
@@ -149,7 +150,7 @@ class PowerSumsStatistic:
             "t2": self.t2.text(),
         }
 
-    def count(self, elements: ElementSet, budget: int) -> int:
+    def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_power_sums(elements, self.n, self.t1, self.t2, budget=budget)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
@@ -182,7 +183,7 @@ class EquationStatistic:
             "rhs": self.eq.rhs.text(),
         }
 
-    def count(self, elements: ElementSet, budget: int) -> int:
+    def count(self, elements: ElementSet, budget: int | None) -> int:
         _charged(CountRoute("mitm", len(elements) ** ((self.eq.n + 1) // 2)), budget)
         return count_solutions(self.eq, elements)
 
@@ -211,7 +212,7 @@ class SystemStatistic:
     def to_json(self) -> dict:
         return {"kind": "system", "n": self.n}
 
-    def count(self, elements: ElementSet, budget: int) -> int:
+    def count(self, elements: ElementSet, budget: int | None) -> int:
         _charged(CountRoute("mitm", len(elements) ** ((self.n + 1) // 2)), budget)
         return count_system_sum_squares(self.n, elements)
 
@@ -265,8 +266,7 @@ def statistic_from_json(obj: dict, field: str) -> Statistic:
             coeffs = parse_list(obj["coeffs"], "coeffs")
             if len(coeffs) != n:
                 raise ValueError(f"{len(coeffs)} coeffs for a degree-{n} charpoly")
-            key = CharPolyKey(tuple(parse_scalar(c, field) for c in coeffs))
-            return CharpolyStatistic(n=n, key=key)
+            return CharpolyStatistic(n=n, coeffs=tuple(parse_scalar(c, field) for c in coeffs))
         if kind == "powersums":
             return PowerSumsStatistic(
                 n=_dimension(obj, "n"),

@@ -45,7 +45,7 @@ from typing import Callable
 from . import _kernels
 from .families import ElementSet
 from .scalars import (
-    Q, QI, FieldMismatchError, Scalar, parse_scalar, parse_whole, scalar_text,
+    Q, QI, FieldMismatchError, Scalar, parse_whole, scalar_text,
 )
 
 DEFAULT_BUDGET = 200_000_000
@@ -355,7 +355,7 @@ def _charpoly_coeffs(rows: list[list], ring: _Ring) -> list:
     return poly[:0:-1]
 
 
-# -- one matrix's det, and the charpoly key ------------------------------------
+# -- one matrix's det ---------------------------------------------------------
 
 
 # No count calls this; perfbench/spans.py looks it up as minors.det to span it.
@@ -366,28 +366,6 @@ def det(X: MatrixInstance, elements: ElementSet) -> Scalar:
     lcm, _, _ = elements.scaled_integers()
     raw = _rank_det(_scaled_rows(X, elements), _ring(elements.field))[1]
     return _to_scalar(elements.field, raw, lcm**X.n)
-
-
-@dataclass(frozen=True)
-class CharPolyKey:
-    """Monic characteristic polynomial, stored as coefficients c_0..c_(n-1)
-    of T^n + c_(n-1) T^(n-1) + ... + c_0."""
-
-    coeffs: tuple[Scalar, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
-
-    def text(self) -> str:
-        return ",".join(c.text() for c in self.coeffs)
-
-    @staticmethod
-    def from_text(text: str, field: str = Q) -> "CharPolyKey":
-        parts = [p for p in text.split(",")]
-        if not parts or not any(p.strip() for p in parts):
-            raise ValueError("empty characteristic polynomial text")
-        return CharPolyKey(tuple(parse_scalar(p, field) for p in parts))
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -440,7 +418,7 @@ class SweepHistogram:
     not swept) as the sweep built them: keyed in the denominator-cleared
     ring, a det key one ring value, the others tuples (c_0..c_(n-1) and
     (t1, t2)), each coordinate over its `_key_scales` of `lcm`.  Scalars
-    appear only on lookup and output."""
+    appear only in a count's target and in the output."""
 
     field: str
     m: int
@@ -450,16 +428,6 @@ class SweepHistogram:
     lcm: int
     rank_profile: dict[int, int] | None
     raw: dict[str, dict | None]
-
-    def count(self, stat: str, target: tuple[Scalar, ...]) -> int:
-        """Number of matrices whose `stat` key has the values `target`."""
-        hist = self.raw.get(stat)
-        if hist is None:
-            raise ValueError(f"no {stat} keys in this sweep")
-        key = _ring_key(self.field, target, _key_scales(stat, self.n, self.lcm))
-        if key is None:
-            return 0
-        return hist.get(key[0] if stat == "det" else key, 0)
 
     def validate(self) -> None:
         expected = self.set_size ** (self.m * self.n)
@@ -647,13 +615,9 @@ def sweep(
     if not (opts.rank or stats):
         raise ValueError("no statistic enabled")
 
-    total_work = len(elements) ** (m * n)
-    budget = resolve_budget(opts.budget)
-    if total_work > budget:
-        raise BudgetExceededError(total_work, budget)
-
+    route = _charged(CountRoute("sweep", len(elements) ** (m * n)), opts.budget, "sweep")
     raw = {stat: _run_route(plan_square(n, elements, stat), elements, n, stat) for stat in stats}
-    raw["total"] = total_work
+    raw["total"] = route.work
     raw["rank"] = _rank_profile(elements, m, n, raw.get("det")) if opts.rank else None
     return _finalize(raw, elements, m, n)
 
@@ -741,10 +705,12 @@ def plan_rank(m: int, n: int, r: int, cumulative: bool, size: int) -> CountRoute
     return _flats_route(size, low, low - 1)
 
 
-def _charged(route: CountRoute, budget: int | None) -> CountRoute:
+def _charged(route: CountRoute, budget: int | None, what: str | None = None) -> CountRoute:
+    """`route`, once its work is within the resolved budget; otherwise a
+    BudgetExceededError naming `what`, by default the route's count."""
     budget = resolve_budget(budget)
     if route.work > budget:
-        raise BudgetExceededError(route.work, budget, f"{route.name} count")
+        raise BudgetExceededError(route.work, budget, what or f"{route.name} count")
     return route
 
 
@@ -942,14 +908,16 @@ def count_rank(
 def count_charpoly(
     elements: ElementSet,
     n: int,
-    key: CharPolyKey,
+    coeffs: tuple[Scalar, ...],
     *,
     budget: int | None = None,
 ) -> int:
-    if key.n != n:
-        raise ValueError(f"characteristic polynomial has {key.n} coefficients, need {n}")
+    """Number of n x n matrices with characteristic polynomial
+    T^n + c_(n-1) T^(n-1) + ... + c_0, given `coeffs` = (c_0, ..., c_(n-1))."""
+    if len(coeffs) != n:
+        raise ValueError(f"characteristic polynomial has {len(coeffs)} coefficients, need {n}")
     route = _charged(plan_square(n, elements, "charpoly"), budget)
-    return _run_route(route, elements, n, "charpoly", key.coeffs)
+    return _run_route(route, elements, n, "charpoly", coeffs)
 
 
 def count_power_sums(
@@ -1090,12 +1058,13 @@ def fast_det2_count(elements: ElementSet, target: Scalar) -> int:
     return _run_route(plan_square(2, elements, "det"), elements, 2, "det", (target,))
 
 
-def fast_charpoly2_count(elements: ElementSet, key: CharPolyKey) -> int:
-    """Number of 2x2 matrices with charpoly T^2 + c1 T + c0, in O(A^2): those
-    with power sums t1 = -c1 and t2 = t1^2 - 2 c0, one to one."""
-    if key.n != 2:
+def fast_charpoly2_count(elements: ElementSet, coeffs: tuple[Scalar, ...]) -> int:
+    """Number of 2x2 matrices with charpoly T^2 + c1 T + c0, `coeffs` =
+    (c0, c1), in O(A^2): those with power sums t1 = -c1 and t2 = t1^2 - 2 c0,
+    one to one."""
+    if len(coeffs) != 2:
         raise ValueError("fast_charpoly2_count needs a degree-2 polynomial")
-    return _run_route(plan_square(2, elements, "charpoly"), elements, 2, "charpoly", key.coeffs)
+    return _run_route(plan_square(2, elements, "charpoly"), elements, 2, "charpoly", coeffs)
 
 
 def fast_power_sums2_count(elements: ElementSet, t1: Scalar, t2: Scalar) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import re as _re
 from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 
 Q = "Q"
 QI = "Qi"
@@ -128,14 +127,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def sort_tuple(self) -> tuple[int | Fraction, int | Fraction]:
-        """Deterministic order key (real part, then imaginary part).  Plain
-        ints when the denominator is 1: ints and Fractions compare exactly,
-        so the order is the same, and it is much cheaper to build."""
-        if self.den == 1:
-            return (self.re, self.im)
-        return (Fraction(self.re, self.den), Fraction(self.im, self.den))
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other: "Scalar") -> None:
@@ -197,7 +188,7 @@ class Scalar:
             exponent >>= 1
         return result
 
-    # -- equality, ordering, hashing --------------------------------------
+    # -- equality and hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
@@ -211,10 +202,6 @@ class Scalar:
 
     def __hash__(self) -> int:
         return hash((self.field, self.re, self.im, self.den))
-
-    def __lt__(self, other: "Scalar") -> bool:
-        self._coerce(other)
-        return self.sort_tuple() < other.sort_tuple()
 
     # -- encoding ----------------------------------------------------------
 

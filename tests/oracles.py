@@ -35,7 +35,6 @@ from fractions import Fraction
 from unitcount.families import materialize
 from unitcount.matrices import (
     BudgetExceededError,
-    CharPolyKey,
     MatrixInstance,
     _key_scales,
     _rank_det,
@@ -262,7 +261,7 @@ def det_histogram(hist) -> dict | None:
 
 
 def charpoly_histogram(hist) -> dict | None:
-    return _scalar_histogram(hist, "charpoly", CharPolyKey)
+    return _scalar_histogram(hist, "charpoly", tuple)
 
 
 def powersum_histogram(hist) -> dict | None:

@@ -19,7 +19,6 @@ from conftest import rand_element_set, rand_scalar
 from unitcount import (
     Q,
     QI,
-    CharPolyKey,
     Scalar,
     count_charpoly,
     count_det,
@@ -110,7 +109,7 @@ def test_acceptance_2_pinned_counts(capsys):
     det_count = count_det(one_two, 2, parse_scalar("0", Q))
 
     # T^2 - 2T: constant coefficient 0, linear coefficient -2
-    key = CharPolyKey((parse_scalar("0", Q), parse_scalar("-2", Q)))
+    key = (parse_scalar("0", Q), parse_scalar("-2", Q))
     cp_count = count_charpoly(one_two, 2, key)
 
     rng = random.Random(5)

@@ -11,6 +11,7 @@ import pytest
 
 from unitcount.cli import build_parser, main
 from unitcount.families import load_set
+from unitcount.growth import statistic_from_json
 from unitcount.matrices import SweepOptions, count_rank, sweep
 from unitcount.scalars import Scalar
 
@@ -622,6 +623,48 @@ def test_equation_system(set12, set_units, capsys):
     assert capsys.readouterr().out == "0\n"
     assert main(["equation", "system", "-n", "4", "--set", set_units]) == 0
     assert capsys.readouterr().out == "24\n"
+
+
+def test_count_prints_the_growth_statistic_count(set12, capsys):
+    """Each count reads its flags as the keys of a growth statistic, so it
+    prints what that statistic's own count gives."""
+    elements = load_set(set12)
+    cases = (
+        (["det", "-n", "2", "--d", "0"], {"kind": "det", "n": 2, "target": "0"}),
+        (
+            ["rank", "-m", "2", "-n", "3", "-r", "1", "--exact"],
+            {"kind": "rank", "m": 2, "n": 3, "r": 1, "cumulative": False},
+        ),
+        (["rank", "-m", "3", "-n", "2", "-r", "1"], {"kind": "rank", "m": 3, "n": 2, "r": 1}),
+        (
+            ["charpoly", "-n", "3", "--coeffs", "-3,-1,-4"],
+            {"kind": "charpoly", "n": 3, "coeffs": ["-3", "-1", "-4"]},
+        ),
+        (
+            ["powersums", "-n", "2", "--t1", "3", "--t2", "7"],
+            {"kind": "powersums", "n": 2, "t1": "3", "t2": "7"},
+        ),
+    )
+    for words, obj in cases:
+        expected = statistic_from_json(obj, elements.field).count(elements, None)
+        assert expected > 0, obj
+        assert main(["count", words[0], "--set", set12, *words[1:]]) == 0
+        assert capsys.readouterr().out == f"{expected}\n"
+
+
+def test_count_of_no_matrix_exits_1(set12, capsys):
+    """What a growth config refuses, a count refuses: a rank above
+    min(m, n), a charpoly of the wrong degree, a dimension below 1 and an
+    empty coefficient list, each with exit 1 and nothing on stdout."""
+    for words in (
+        ["rank", "-m", "2", "-n", "2", "-r", "3"],
+        ["charpoly", "-n", "3", "--coeffs", "1,2"],
+        ["det", "-n", "0", "--d", "1"],
+        ["charpoly", "-n", "1", "--coeffs", ""],
+    ):
+        assert main(["count", words[0], "--set", set12, *words[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 # --------------------------------------------------------------- exit codes

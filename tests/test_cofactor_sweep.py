@@ -50,7 +50,7 @@ def _pairs(elements: ElementSet, n: int, raw: dict) -> dict:
     out = {"det": {oracles.pair(k): c for k, c in oracles.det_histogram(hist).items()}}
     if hist.raw["charpoly"] is not None:
         out["charpoly"] = {
-            tuple(map(oracles.pair, k.coeffs)): c
+            tuple(map(oracles.pair, k)): c
             for k, c in oracles.charpoly_histogram(hist).items()
         }
     return out

@@ -40,6 +40,37 @@ def test_element_set_rejects_bad_inputs():
             ElementSet(bad)
 
 
+def test_element_set_rejects_dedupe_records_that_do_not_match():
+    """`collisions` and `first_indices` say which values a set was
+    deduplicated from; ones that cannot describe its elements are refused
+    at construction, not met later by `prefix`."""
+    values = (Scalar.rational(1), Scalar.rational(2))
+    for kwargs in (
+        {"first_indices": ()},  # prefix(1) once failed inside max()
+        {"collisions": -1},
+        {"first_indices": (0, 5)},  # prefix(2) once returned 1 element
+        {"first_indices": (1, 2), "collisions": 1},
+        {"first_indices": (0, 0), "collisions": 1},
+        {"first_indices": [0, 1]},
+    ):
+        with pytest.raises(FamilyError):
+            ElementSet(values, **kwargs)
+    es = ElementSet(values, 1, (0, 2))
+    assert [v.text() for v in es.prefix(2)] == ["1"]
+    assert es.prefix(3).elements == values
+
+
+def test_set_from_json_reads_its_list_like_a_family():
+    """A set object's malformed values are FamilyErrors, as a family's are."""
+    for obj in (
+        {"field": "Q", "elements": ["1", "2+"]},
+        {"field": "Q", "elements": ["1", "i"]},
+        {"field": "Q", "elements": ["1", 2]},
+    ):
+        with pytest.raises(FamilyError, match="set object"):
+            set_from_json(obj)
+
+
 def test_element_set_lookup_and_order():
     es = int_element_set([3, 1, 2])
     assert [v.text() for v in es] == ["3", "1", "2"]

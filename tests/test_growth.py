@@ -32,7 +32,7 @@ from unitcount.growth import (
     run_experiment,
     statistic_from_json,
 )
-from unitcount.matrices import BudgetExceededError, CharPolyKey
+from unitcount.matrices import BudgetExceededError
 
 from oracles import growth_points_per_k
 
@@ -186,8 +186,7 @@ def test_exponent_info_values():
     assert (v, tight) == (Fraction(7), True)
     assert RankStatistic(3, 3, 2, cumulative=False).exponent_info(Q)[2] is False
 
-    key = CharPolyKey((zero, zero))
-    v, src, tight = CharpolyStatistic(2, key).exponent_info(Q)
+    v, src, tight = CharpolyStatistic(2, (zero, zero)).exponent_info(Q)
     assert (v, src, tight) == (Fraction(2), "charpoly2", True)
 
     v, src, tight = PowerSumsStatistic(2, zero, zero).exponent_info(Q)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,6 @@ from unitcount import matrices
 from unitcount.families import ElementSet
 from unitcount.matrices import (
     BudgetExceededError,
-    CharPolyKey,
     MatrixInstance,
     SweepOptions,
     _charpoly_coeffs,
@@ -38,14 +38,12 @@ def rank(X, elements) -> int:
     return _rank_det(_scaled_rows(X, elements), _ring(elements.field))[0]
 
 
-def charpoly(X, elements) -> CharPolyKey:
+def charpoly(X, elements) -> tuple[Scalar, ...]:
     """Berkowitz's c_0..c_(n-1) on the scaled rows, c_k rescaled by lcm^(n-k)."""
     n = X.n
     lcm = elements.scaled_integers()[0]
     cs = _charpoly_coeffs(_scaled_rows(X, elements), _ring(elements.field))
-    return CharPolyKey(
-        tuple(_to_scalar(elements.field, cs[k], lcm ** (n - k)) for k in range(n))
-    )
+    return tuple(_to_scalar(elements.field, cs[k], lcm ** (n - k)) for k in range(n))
 
 
 @pytest.mark.parametrize("field", [Q, QI])
@@ -108,9 +106,9 @@ def test_charpoly_matches_interpolation_oracle(field):
         elements = rand_element_set(rng, field, size=4, span=4, max_den=3)
         X = oracles.random_matrix(elements, n, n, rng)
         key = charpoly(X, elements)
-        assert key.n == n
+        assert len(key) == n
         expected = oracles.charpoly_pairs(oracles.pairs_from_rows(X.scalar_rows(elements)))
-        assert [oracles.pair(c) for c in key.coeffs] == expected
+        assert [oracles.pair(c) for c in key] == expected
 
 
 @pytest.mark.parametrize("field", [Q, QI])
@@ -123,7 +121,7 @@ def test_charpoly_agrees_with_trace_recursion(field):
         expected = oracles.charpoly_trace_recursion(
             oracles.pairs_from_rows(X.scalar_rows(elements))
         )
-        assert [oracles.pair(c) for c in charpoly(X, elements).coeffs] == expected
+        assert [oracles.pair(c) for c in charpoly(X, elements)] == expected
 
 
 def test_qi_det_and_charpoly_match_sympy():
@@ -151,7 +149,7 @@ def test_qi_det_and_charpoly_match_sympy():
         expected = M.charpoly(lam).all_coeffs()
         assert expected[0] == 1
         key = charpoly(X, elements)
-        assert all(equal(c, e) for c, e in zip(key.coeffs, expected[:0:-1], strict=True))
+        assert all(equal(c, e) for c, e in zip(key, expected[:0:-1], strict=True))
 
 
 def test_power_sums_from_coeffs_identity():
@@ -162,7 +160,7 @@ def test_power_sums_from_coeffs_identity():
         elements = rand_element_set(rng, field, size=4, span=4, max_den=2)
         X = oracles.random_matrix(elements, n, n, rng)
         key = charpoly(X, elements)
-        t1, t2 = oracles.power_sums_from_coeffs(key.coeffs[n - 1], key.coeffs[n - 2])
+        t1, t2 = oracles.power_sums_from_coeffs(key[n - 1], key[n - 2])
         rows = oracles.pairs_from_rows(X.scalar_rows(elements))
         trace = oracles.PZERO
         for i in range(n):
@@ -177,15 +175,6 @@ def test_power_sums_from_coeffs_identity():
         assert oracles.pair(t2) == square_trace
 
 
-def test_charpoly_key_text_round_trip():
-    key = CharPolyKey(
-        (Scalar.rational(-3, 2), Scalar.zero(Q), Scalar.rational(5))
-    )
-    assert CharPolyKey.from_text(key.text(), Q) == key
-    with pytest.raises(ValueError):
-        CharPolyKey.from_text("", Q)
-
-
 def _hist_as_pairs(hist):
     """Package SweepHistogram -> oracle-keyed dicts for comparison."""
     out = {"rank": dict(hist.rank_profile)}
@@ -195,7 +184,7 @@ def _hist_as_pairs(hist):
         }
     if hist.raw["charpoly"] is not None:
         out["charpoly"] = {
-            tuple(oracles.pair(c) for c in k.coeffs): v
+            tuple(oracles.pair(c) for c in k): v
             for k, v in oracles.charpoly_histogram(hist).items()
         }
     if hist.raw["powersums"] is not None:
@@ -262,16 +251,21 @@ def test_kernel_and_generic_paths_agree():
 # lookup and output.  The references below are the Scalar-keyed dicts.
 
 
+def _value_order(value: Scalar) -> tuple[Fraction, Fraction]:
+    """A scalar's order in the CSV: real part, then imaginary part."""
+    return (Fraction(value.re, value.den), Fraction(value.im, value.den))
+
+
 def _scalar_csv_rows(hist) -> list[tuple[str, str, int]]:
     """csv_rows built from the Scalar-keyed dicts: keys sorted by each
-    coordinate's Scalar.sort_tuple, written by Scalar.text."""
+    coordinate's real and then imaginary part, written by Scalar.text."""
     rows = [("rank", str(r), c) for r, c in sorted((hist.rank_profile or {}).items())]
     for stat, scalars, coords in (
         ("det", oracles.det_histogram(hist), lambda key: (key,)),
-        ("charpoly", oracles.charpoly_histogram(hist), lambda key: key.coeffs),
+        ("charpoly", oracles.charpoly_histogram(hist), lambda key: key),
         ("powersums", oracles.powersum_histogram(hist), lambda key: key),
     ):
-        for key in sorted(scalars, key=lambda k: [c.sort_tuple() for c in coords(k)]):
+        for key in sorted(scalars, key=lambda k: [_value_order(c) for c in coords(k)]):
             rows.append((stat, ",".join(c.text() for c in coords(key)), scalars[key]))
     return rows
 
@@ -346,68 +340,61 @@ def test_gaussian_tuple_keys_keep_the_nested_tuple_order(texts):
 
 
 def test_sweep_route_counts_scale_the_target_into_the_ring(monkeypatch):
-    """Over Q(i), and over Q past the kernel's proof, 3x3 counts read the
-    sweep's raw histogram; 1x1 counts always do."""
+    """Over Q(i), and over Q past the kernel's proof, 3x3 det counts read the
+    sweep route's raw histogram; 1x1 counts always do.  Every key of the
+    sweep is counted again from its Scalar values, and a value whose
+    denominator does not divide its scale is no key."""
     for elements, patch in (
         (_parsed(("i/2", "(1-i)/3"), QI), False),
         (_parsed(("1/2", "-3/2"), Q), True),
     ):
         field = elements.field
         hist = sweep(elements, 3, 3, options=_ALL_STATS)
-        with monkeypatch.context() as context:
-            if patch:
-                context.setattr(matrices._kernels, "supports", lambda *a: False)
-            for value, expected in list(oracles.det_histogram(hist).items())[:3]:
-                assert count_det(elements, 3, value) == expected
-            for key, expected in list(oracles.charpoly_histogram(hist).items())[:3]:
-                assert count_charpoly(elements, 3, key) == expected
-            for (t1, t2), expected in list(oracles.powersum_histogram(hist).items())[:3]:
-                assert count_power_sums(elements, 3, t1, t2) == expected
-            absent = Scalar(field, 10**6 + 7)
-            assert count_det(elements, 3, absent) == 0
-            assert count_charpoly(elements, 3, CharPolyKey((absent,) * 3)) == 0
-            assert count_power_sums(elements, 3, absent, absent) == 0
-        # A value whose denominator does not divide its scale is no key.
         lcm, _, _ = elements.scaled_integers()
         unscaled = Scalar(field, 1, 0, 7 * lcm**3)
         assert lcm**3 % unscaled.den
-        assert hist.count("det", (unscaled,)) == 0
-        assert hist.count("charpoly", (unscaled,) * 3) == 0
-        assert hist.count("powersums", (unscaled, Scalar.zero(field))) == 0
-        # Every key of the sweep is found again by scaling it back.
-        for value, expected in oracles.det_histogram(hist).items():
-            assert hist.count("det", (value,)) == expected
-        for key, expected in oracles.charpoly_histogram(hist).items():
-            assert hist.count("charpoly", key.coeffs) == expected
-        for pair, expected in oracles.powersum_histogram(hist).items():
-            assert hist.count("powersums", pair) == expected
+        absent = Scalar(field, 10**6 + 7)
+        with monkeypatch.context() as context:
+            if patch:
+                context.setattr(matrices._kernels, "supports", lambda *a: False)
+            assert matrices.plan_square(3, elements, "det").name == "sweep"
+            for value, expected in oracles.det_histogram(hist).items():
+                assert count_det(elements, 3, value) == expected
+            for key, expected in oracles.charpoly_histogram(hist).items():
+                assert count_charpoly(elements, 3, key) == expected
+            for (t1, t2), expected in oracles.powersum_histogram(hist).items():
+                assert count_power_sums(elements, 3, t1, t2) == expected
+            assert count_det(elements, 3, absent) == 0
+            assert count_charpoly(elements, 3, (absent,) * 3) == 0
+            assert count_power_sums(elements, 3, absent, absent) == 0
+            assert count_det(elements, 3, unscaled) == 0
+            assert count_charpoly(elements, 3, (unscaled,) * 3) == 0
+            assert count_power_sums(elements, 3, unscaled, Scalar.zero(field)) == 0
         # 1x1: hit, miss and a target off the ring, by the planner's sweep route.
         one = sweep(elements, 1, 1, options=_ALL_STATS)
         for value, expected in oracles.det_histogram(one).items():
             assert count_det(elements, 1, value) == expected
-            assert count_charpoly(elements, 1, CharPolyKey((-value,))) == expected
+            assert count_charpoly(elements, 1, (-value,)) == expected
             assert count_power_sums(elements, 1, value, value * value) == expected
         assert count_det(elements, 1, absent) == 0
         off_ring = Scalar(field, 1, 0, 7 * lcm)
         assert count_det(elements, 1, off_ring) == 0
-        assert count_charpoly(elements, 1, CharPolyKey((off_ring,))) == 0
+        assert count_charpoly(elements, 1, (off_ring,)) == 0
         assert count_power_sums(elements, 1, off_ring, Scalar.zero(field)) == 0
 
 
-def test_histogram_count_rejects_a_target_of_another_field():
-    hist = sweep(int_element_set([1, 2]), 2, 2)
-    assert hist.count("det", (Scalar.one(Q),)) == 2
-    with pytest.raises(FieldMismatchError):
-        hist.count("det", (Scalar(QI, 1, 5),))
-
-
-def test_histogram_count_of_a_statistic_not_swept_names_it():
-    hist = sweep(int_element_set([1, 2]), 2, 2)
-    one = Scalar.one(Q)
-    with pytest.raises(ValueError, match="charpoly"):
-        hist.count("charpoly", (one, one))
-    with pytest.raises(ValueError, match="powersums"):
-        hist.count("powersums", (one, one))
+def test_histogram_count_rejects_a_target_of_another_field(monkeypatch):
+    """A count that reads the sweep route's histogram, 3x3 over Q past the
+    kernel's proof, and a 1x1 one, reject a target of another field."""
+    elements = int_element_set([1, 2])
+    dets = oracles.det_histogram(sweep(elements, 3, 3))
+    monkeypatch.setattr(matrices._kernels, "supports", lambda *a: False)
+    assert count_det(elements, 3, Scalar.one(Q)) == dets[Scalar.one(Q)] > 0
+    for n in (1, 3):
+        with pytest.raises(FieldMismatchError):
+            count_det(elements, n, Scalar(QI, 1, 5))
+        with pytest.raises(FieldMismatchError):
+            count_charpoly(elements, n, (Scalar(QI, 1, 5),) * n)
 
 
 def test_sweep_validates_options():
@@ -501,7 +488,7 @@ def test_count_rank_validates_r():
 
 def test_count_charpoly_validates_degree():
     elements = int_element_set([1, 2])
-    key = CharPolyKey((Scalar.zero(Q), Scalar.zero(Q)))
+    key = (Scalar.zero(Q), Scalar.zero(Q))
     with pytest.raises(ValueError):
         count_charpoly(elements, 3, key)
 
@@ -540,7 +527,7 @@ def test_fast_paths_handle_huge_values_exactly():
 def test_pinned_determinant_and_charpoly_counts():
     elements = int_element_set([1, 2])
     assert count_det(elements, 2, Scalar.zero(Q)) == 6
-    key = CharPolyKey((Scalar.zero(Q), Scalar.rational(-2)))
+    key = (Scalar.zero(Q), Scalar.rational(-2))
     assert count_charpoly(elements, 2, key) == 1
 
 

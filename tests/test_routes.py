@@ -28,7 +28,6 @@ from unitcount import _kernels, matrices
 from unitcount.families import ElementSet
 from unitcount.matrices import (
     BudgetExceededError,
-    CharPolyKey,
     CountRoute,
     SweepOptions,
     count_charpoly,
@@ -198,7 +197,7 @@ def test_budget_charges_the_route_work(tmp_path, capsys):
     # A 3x3 det != 0 under the kernel's proof is charged its C(27, 3) row
     # triples, a 3x3 charpoly its 3^6 off-diagonal keys.
     one, triples = Scalar.one(Q), 27 * 26 * 25 // 6
-    key = CharPolyKey((Scalar.zero(Q), Scalar.rational(-1), Scalar.rational(-3)))
+    key = (Scalar.zero(Q), Scalar.rational(-1), Scalar.rational(-3))
     expected = {
         "det": count_det(elements, 3, one),
         "charpoly": count_charpoly(elements, 3, key),
@@ -337,7 +336,8 @@ def test_flats_walk_keys_stay_under_the_charge(field, texts, m, n, k, monkeypatc
 
 def test_rank_counts_need_positive_dimensions(tmp_path, capsys):
     """A shape with a side below 1 is reported as such, as `plan_square`
-    does, not as an impossible rank."""
+    does, not as an impossible rank: by `count_rank`, and by the CLI, which
+    reads its rank statistic as a growth config does."""
     elements = _elements(("1", "2"))
     for m, n in ((0, 2), (2, 0), (-1, 3)):
         for cumulative in (True, False):
@@ -347,7 +347,7 @@ def test_rank_counts_need_positive_dimensions(tmp_path, capsys):
     path.write_text('{"field": "Q", "elements": ["1", "2"]}')
     argv = ["count", "rank", "--set", str(path), "-m", "0", "-n", "2", "-r", "1"]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: matrix dimensions must be positive\n"
+    assert capsys.readouterr().err == "error: statistic 'rank': m must be at least 1, got 0\n"
 
 
 def test_target_field_must_match_the_set():
@@ -441,8 +441,8 @@ _STATS = {
         lambda n: (n,),
     ),
     "charpoly": _Stat(
-        lambda elements, n, key: count_charpoly(elements, n, CharPolyKey(key)),
-        lambda h: {k.coeffs: c for k, c in oracles.charpoly_histogram(h).items()},
+        count_charpoly,
+        lambda h: dict(oracles.charpoly_histogram(h)),
         lambda key: tuple(oracles.pair(c) for c in key),
         lambda n: tuple(range(n, 0, -1)),
     ),

@@ -147,19 +147,6 @@ def test_parse_rejects_imaginary_in_rational_field():
         parse_scalar("i", Q)
 
 
-def test_ordering_is_total_and_consistent():
-    rng = random.Random(7)
-    values = [rand_scalar(rng, QI, nonzero=False) for _ in range(60)]
-    for a in values:
-        for b in values:
-            assert (a < b) + (b < a) + (a == b) == 1
-    ordered = sorted(values)
-    assert ordered == sorted(values, key=Scalar.sort_tuple)
-    # Real part first, then imaginary part, whatever the denominator.
-    for a in values:
-        assert a.sort_tuple() == pair(a)
-
-
 def test_hash_eq_consistency():
     a = Scalar(Q, 2, 0, 4)
     b = Scalar.rational(1, 2)
