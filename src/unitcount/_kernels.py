@@ -1,7 +1,7 @@
-"""Vectorized int64 det sweep kernel for 3x3 matrices over field Q.
+"""Vectorized int64 det sweep kernel for 3x3 matrices over Q and Q(i).
 
 Rather than checking each operation for overflow, `supports` proves up
-front, from the largest scaled entry magnitude B, that every intermediate
+front, from the largest scaled entry component B, that every intermediate
 the kernel computes fits comfortably in a signed 64-bit word.  If the proof
 fails the caller falls back to the arbitrary-precision shared-minors det
 sweep, so results are exact either way.  No other statistic needs a
@@ -18,6 +18,11 @@ dets come in batches of `_BATCH`, each grouped by |det| with one sort
 (`_group`), and the signs are folded back once, on the distinct values.
 `sweep_square` histograms every det; `count_target3` counts one |det| per
 batch without a histogram.
+
+Over Q(i) a det re + i im is one int64 key, re 2^32 + im (`_pack`).  The
+packing is linear and |im| < 2^31, so -key is the key of -det and |key|
+tells d from -d as |det| does over Q: the grouping and the sign fold run
+unchanged on keys, and only the histogram's keys are unpacked at the end.
 """
 
 from __future__ import annotations
@@ -38,11 +43,37 @@ _BATCH = 1 << 17
 # Pending histogram rows merged once there are this many.
 _COMPACT_ROWS = 4_000_000
 
+# A Q(i) det re + i im is keyed re * _PACK + im, with |re|, |im| < _HALF.
+_PACK = 1 << 32
+_HALF = 1 << 31
 
-def supports(bound: int) -> bool:
-    """True when every intermediate of the 3x3 det kernel, at most 6 B^3,
-    is provably within int64 for entry magnitudes up to B = `bound`."""
+
+def supports(bound: int, gaussian: bool = False) -> bool:
+    """True when the 3x3 det kernel is exact for entry components up to
+    B = `bound`.
+
+    Over Q every intermediate is at most 6 B^3, within _SAFE_LIMIT.  Over
+    Q(i) each is the key of a Gaussian integer of modulus at most
+    (6 B^2)^(3/2) (`_gaussian_arithmetic`), so 216 B^6 < 2^62 keeps each of
+    its parts below 2^31."""
+    if gaussian:
+        return 0 < 216 * int(bound) ** 6 < _HALF * _HALF
     return 0 < 6 * int(bound) ** 3 <= _SAFE_LIMIT
+
+
+def _pack(det) -> int | None:
+    """The int64 key of a ring det: itself over Q, re 2^32 + im for a Q(i)
+    pair (re, im); None when no det under the proof has that key."""
+    if isinstance(det, tuple):
+        re, im = det
+        return re * _PACK + im if max(abs(re), abs(im)) < _HALF else None
+    return det if abs(det) <= _SAFE_LIMIT else None
+
+
+def _unpack(key: int) -> tuple[int, int]:
+    """The Q(i) det (re, im) of a key re 2^32 + im, |im| < 2^31."""
+    im = (key + _HALF) % _PACK - _HALF
+    return (key - im) // _PACK, im
 
 
 class _HistAccumulator:
@@ -102,20 +133,83 @@ def _block_histogram(acc: _HistAccumulator, dets: np.ndarray) -> None:
     acc.add(*_group(np.abs(dets, out=dets)))
 
 
-def _triple_dets(values: list[int]):
+def _integer_arithmetic(rows: list):
+    """Over Q: `cross(j, k)`, the cross products r_j x r_k of the pairs
+    (j, k) as one int64 array per component, and `dot(terms, i, lo, hi,
+    out, tmp)`, which writes row i dotted with the cross products lo..hi
+    into `out`.  Each component is a 2x2 minor, at most 2B^2, and each det
+    at most 6B^3."""
+    x, y, z = np.array(rows, dtype=np.int64).T
+
+    def cross(j, k):
+        return [y[j] * z[k] - z[j] * y[k], z[j] * x[k] - x[j] * z[k], x[j] * y[k] - y[j] * x[k]]
+
+    def dot(terms, i, lo, hi, out, tmp):
+        (c1, c2, c3), (a1, a2, a3) = terms, rows[i]
+        np.multiply(c1[lo:hi], a1, out=out)
+        out += np.multiply(c2[lo:hi], a2, out=tmp)
+        out += np.multiply(c3[lo:hi], a3, out=tmp)
+
+    return cross, dot
+
+
+def _gaussian_arithmetic(rows: list):
+    """Over Q(i), `cross` and `dot` as over Q, on keys (`_pack`): per pair
+    (j, k) the keys of the components c_t of r_j x r_k and of i c_t, six
+    int64 arrays.  The key is linear, so row a meets the pair as the sum
+    over t of Re(a_t) key(c_t) + Im(a_t) key(i c_t) = key(a . c), its zero
+    weights skipped.
+
+    Each part of c_t is a sum of four products, at most 4B^2.  Each partial
+    sum of a det is sum_t x_t c_t with |x_t| <= |a_t|, of modulus at most
+    |a| |c| (Cauchy-Schwarz) <= |a| |r_j| |r_k| (Lagrange's identity) <=
+    (6B^2)^(3/2), rows having norm at most sqrt(6) B: under `supports` its
+    parts stay below 2^31 and its key within int64."""
+    entries = np.array(rows, dtype=np.int64)
+    columns = [(entries[:, t, 0], entries[:, t, 1]) for t in range(3)]
+    weights = [
+        [(t, w) for t, w in enumerate([z[0] for z in row] + [z[1] for z in row]) if w]
+        for row in rows
+    ]
+
+    def cross(j, k):
+        a = [(re[j], im[j]) for re, im in columns]
+        b = [(re[k], im[k]) for re, im in columns]
+        keys, turned = [], []
+        # Component t of a x b is a_u b_v - a_v b_u.
+        for u, v in ((1, 2), (2, 0), (0, 1)):
+            (aur, aui), (avr, avi), (bur, bui), (bvr, bvi) = a[u], a[v], b[u], b[v]
+            cr = aur * bvr - aui * bvi - avr * bur + avi * bui
+            ci = aur * bvi + aui * bvr - avr * bui - avi * bur
+            keys.append(cr * _PACK + ci)
+            turned.append(cr - ci * _PACK)
+        return keys + turned
+
+    def dot(terms, i, lo, hi, out, tmp):
+        (t0, w0), *rest = weights[i]
+        np.multiply(terms[t0][lo:hi], w0, out=out)
+        for t, w in rest:
+            out += np.multiply(terms[t][lo:hi], w, out=tmp)
+
+    return cross, dot
+
+
+def _triple_dets(values: list):
     """det(r_i, r_j, r_k) for every triple i < j < k of the A^3 rows over
-    `values` (odometer order), in new int64 batches of `_BATCH` dets (the
-    last one shorter; one batch when there are fewer triples).
+    `values` (odometer order), ints over Q and `_pack` keys over Q(i), in
+    new int64 batches of `_BATCH` dets (the last one shorter; one batch when
+    there are fewer triples).
 
     The pairs j < k are taken in lexicographic order, at most `_CHUNK` at a
     time, and each pair's cross product r_j x r_k is computed once per chunk.
     The pairs with j > i are a suffix of that order, so row i meets a
     contiguous tail of the chunk; the tails are written one after another
-    into the batch, a tail split where a batch fills.  Each component of a
-    cross product is a 2x2 minor, at most 2B^2, and each det at most 6B^3,
-    the bound `supports` proves."""
+    into the batch, a tail split where a batch fills.  The field's
+    arithmetic (`_integer_arithmetic`, `_gaussian_arithmetic`) gives the
+    cross products and the dots."""
     rows = list(itertools.product(values, repeat=3))
-    x, y, z = np.array(rows, dtype=np.int64).T
+    gaussian = isinstance(values[0], tuple)
+    cross, dot = (_gaussian_arithmetic if gaussian else _integer_arithmetic)(rows)
     count = len(rows)
     # Index of the first pair (j, j + 1) in lexicographic order, per j.
     first = np.arange(count, dtype=np.int64)
@@ -131,20 +225,13 @@ def _triple_dets(values: list[int]):
         p = np.arange(p0, p1, dtype=np.int64)
         j = np.searchsorted(first, p, side="right") - 1
         k = p - first[j] + j + 1
-        c1 = y[j] * z[k] - z[j] * y[k]
-        c2 = z[j] * x[k] - x[j] * z[k]
-        c3 = x[j] * y[k] - y[j] * x[k]
+        terms = cross(j, k)
         # Every row before the chunk's last j meets a tail of it.
         for i in range(int(j[-1])):
-            a1, a2, a3 = rows[i]
             lo = max(firsts[i + 1] - p0, 0)
-            while lo < len(c1):
-                hi = min(len(c1), lo + size - filled)
-                out = batch[filled : filled + hi - lo]
-                tmp = scratch[: hi - lo]
-                np.multiply(c1[lo:hi], a1, out=out)
-                out += np.multiply(c2[lo:hi], a2, out=tmp)
-                out += np.multiply(c3[lo:hi], a3, out=tmp)
+            while lo < len(p):
+                hi = min(len(p), lo + size - filled)
+                dot(terms, i, lo, hi, batch[filled : filled + hi - lo], scratch[: hi - lo])
                 filled += hi - lo
                 lo = hi
                 if filled == size:
@@ -160,12 +247,12 @@ def _repeated_rows3(size: int) -> int:
     return rows**3 - rows * (rows - 1) * (rows - 2)
 
 
-def _det_histogram3(values: list[int]) -> dict:
+def _det_histogram3(values: list) -> dict:
     """3x3 det histogram from the dets of the unordered row triples, grouped
-    by |det|: an even permutation of three distinct rows keeps det, an odd
-    one negates it, so a triple with |det| = d > 0 counts 3 at d and 3 at
-    -d, one with det 0 counts 6 at 0; every matrix with two equal rows has
-    det 0."""
+    by |det| (by |key| over Q(i)): an even permutation of three distinct
+    rows keeps det, an odd one negates it, so a triple with |det| = d > 0
+    counts 3 at d and 3 at -d, one with det 0 counts 6 at 0; every matrix
+    with two equal rows has det 0."""
     triples = _HistAccumulator()
     for dets in _triple_dets(values):
         _block_histogram(triples, dets)
@@ -175,36 +262,40 @@ def _det_histogram3(values: list[int]) -> dict:
             hist[d] = hist[-d] = 3 * count
         else:
             hist[0] += 6 * count
+    if isinstance(values[0], tuple):
+        return {_unpack(key): count for key, count in hist.items()}
     return hist
 
 
 # perfbench/spans.py wraps this name; it reads the raw dict's "total".
-def sweep_square(values: list[int]) -> dict:
-    """Raw det sweep over every 3x3 matrix with entries in `values`.
+def sweep_square(values: list) -> dict:
+    """Raw det sweep over every 3x3 matrix with entries in `values`, ints
+    over Q or (re, im) pairs over Q(i).
 
-    Returns {"total", "det"} with integer keys in the denominator-cleared
+    Returns {"total", "det"} with ring keys in the denominator-cleared
     coordinate system."""
     return {"total": len(values) ** 9, "det": _det_histogram3(values)}
 
 
-def count_target3(values: list[int], det: int) -> int:
-    """Number of 3x3 matrices over `values` whose raw det, in the key layout
-    of `sweep_square`, equals `det`.
+def count_target3(values: list, det) -> int:
+    """Number of 3x3 matrices over `values` whose raw det, a ring value in
+    the key layout of `sweep_square`, equals `det`.
 
     Same arithmetic as `sweep_square`, under the same `supports` proof (the
-    caller's job), but each batch's |det| is compared with that of the
-    target t and the hits are counted; no histogram is built: 3 matrices per
-    triple with det t or -t, plus the matrices with two equal rows when
-    t = 0.  The proof bounds every det by _SAFE_LIMIT, so a larger target
-    counts 0.
+    caller's job), but each batch's |det| (|key| over Q(i)) is compared with
+    that of the target t and the hits are counted; no histogram is built: 3
+    matrices per triple with det t or -t, plus the matrices with two equal
+    rows when t = 0.  The proof bounds every det, so a target past it counts
+    0.
     """
-    target = abs(det)
-    if target > _SAFE_LIMIT:
+    key = _pack(det)
+    if key is None:
         return 0
+    target = abs(key)
     found = sum(
         int(np.count_nonzero(np.abs(batch, out=batch) == target))
         for batch in _triple_dets(values)
     )
-    if det == 0:
+    if key == 0:
         return 6 * found + _repeated_rows3(len(values))
     return 3 * found

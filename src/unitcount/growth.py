@@ -240,13 +240,34 @@ def _dimension(obj: dict, key: str) -> int:
     return value
 
 
+# The keys each statistic kind reads, besides "kind"; an equation reads
+# "tight_n" alone, or "coeffs" and "rhs".
+_STATISTIC_KEYS = {
+    "det": {"n", "target"},
+    "rank": {"m", "n", "r", "cumulative"},
+    "charpoly": {"n", "coeffs"},
+    "powersums": {"n", "t1", "t2"},
+    "equation": {"coeffs", "rhs"},
+    "system": {"n"},
+}
+
+
 def statistic_from_json(obj: dict, field: str) -> Statistic:
-    """Read a statistic exactly: one that is malformed, or that no matrix or
-    tuple can have (a dimension below 1, a rank outside 1..min(m, n), a
-    charpoly of the wrong degree), raises GrowthConfigError."""
+    """Read a statistic exactly: one that is malformed, has a key its kind
+    does not read, or that no matrix or tuple can have (a dimension below 1,
+    a rank outside 1..min(m, n), a charpoly of the wrong degree), raises
+    GrowthConfigError."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise GrowthConfigError("statistic needs a 'kind' key")
     kind = obj["kind"]
+    known = _STATISTIC_KEYS.get(kind) if isinstance(kind, str) else None
+    if known is None:
+        raise GrowthConfigError(f"unknown statistic kind {kind!r}")
+    if kind == "equation" and "tight_n" in obj:
+        known = {"tight_n"}
+    unknown = sorted(set(obj) - known - {"kind"})
+    if unknown:
+        raise GrowthConfigError(f"statistic {kind!r} has unknown key {unknown[0]!r}")
     try:
         if kind == "det":
             return DetStatistic(
@@ -290,7 +311,6 @@ def statistic_from_json(obj: dict, field: str) -> Statistic:
         raise GrowthConfigError(f"statistic {kind!r} missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise GrowthConfigError(f"statistic {kind!r}: {exc}") from exc
-    raise GrowthConfigError(f"unknown statistic kind {kind!r}")
 
 
 # -- experiment spec and execution --------------------------------------------

@@ -20,9 +20,9 @@ count_power_sums) count one key.  Both run the route that one planner
 picks for each statistic (plan_square, plan_rank; see the count planner
 section).  Power sums, at every n, and every 2x2 statistic are
 convolutions of pairwise products, and the 3x3 charpoly one join of cycle
-invariants, over Q and Qi alike.  A 3x3 det over Q whose a-priori
-magnitude bound proves that no intermediate can leave int64 runs the
-vectorized kernel.  Otherwise square det comes from shared minors, level
+invariants, over Q and Qi alike.  A 3x3 det, over Q or Qi, whose
+a-priori magnitude bound proves that no intermediate can leave int64 runs
+the vectorized kernel.  Otherwise square det comes from shared minors, level
 by level: each distinct block's minors are computed once, and the last
 level's cofactor vectors, one of each pair v, -v, meet the last rows; any
 other charpoly comes from one pass over every matrix.  Rank, in every
@@ -382,6 +382,9 @@ class SweepOptions:
 
 _SQUARE_STATS = ("det", "charpoly", "powersums")
 
+# `SweepHistogram.write_csv` writes this many rows per string.
+_CSV_ROWS = 1 << 16
+
 
 def _key_scales(stat: str, n: int, lcm: int) -> tuple[int, ...]:
     """Denominator of each coordinate of an n x n `stat` key in the
@@ -452,52 +455,57 @@ class SweepHistogram:
                 raise AssertionError("rank/determinant cross-check failed")
 
     def _csv_columns(self):
-        """(statistic, key texts, counts) for each statistic, keys in value
+        """(statistic, key columns, counts) for each statistic, keys in value
         order, which is the order of the ring keys since every scale is
-        positive."""
+        positive.  A key column holds one coordinate of every key: its
+        texts, or the ints themselves for a Q coordinate over scale 1."""
         ranks, qi = self.rank_profile or {}, self.field == QI
         order = sorted(ranks)
-        yield "rank", map(str, order), map(ranks.get, order)
+        yield "rank", [order], [ranks[r] for r in order]
         for stat, raw in self.raw.items():
             if raw is None:
                 continue
             if stat == "det":
-                # Every det key is distinct: one text each.
                 keys = sorted(raw)
-                (scale,) = _key_scales(stat, self.n, self.lcm)
-                yield stat, map(_coordinate_text(qi, scale), keys), map(raw.get, keys)
-                continue
-            # Over Qi a tuple key's coordinates are (re, im) pairs, whose
-            # concatenation sorts the same and compares faster than nesting.
-            keys = sorted(raw, key=lambda key: sum(key, ())) if qi else sorted(raw)
-            # A coordinate of a tuple key repeats: one text per distinct value.
+                columns = [keys]
+            else:
+                # Over Qi a tuple key's coordinates are (re, im) pairs, whose
+                # concatenation sorts the same and compares faster than nesting.
+                keys = sorted(raw, key=lambda key: sum(key, ())) if qi else sorted(raw)
+                columns = list(zip(*keys))
             texts = []
-            for column, scale in zip(zip(*keys), _key_scales(stat, self.n, self.lcm)):
+            for column, scale in zip(columns, _key_scales(stat, self.n, self.lcm)):
+                if scale == 1 and not qi:
+                    texts.append(column)
+                    continue
                 text = _coordinate_text(qi, scale)
-                texts.append(map({v: text(v) for v in set(column)}.__getitem__, column))
-            yield stat, map(",".join, zip(*texts)), map(raw.get, keys)
+                if stat == "det":  # every det key is distinct: one text each
+                    texts.append(list(map(text, column)))
+                else:  # a tuple key's coordinate repeats: one text per value
+                    texts.append(list(map({v: text(v) for v in set(column)}.get, column)))
+            yield stat, texts, [raw[key] for key in keys]
 
     def csv_rows(self) -> list[tuple[str, str, int]]:
         """(statistic, key text, count) rows, keys in value order."""
         return [
-            row
-            for stat, keys, counts in self._csv_columns()
-            for row in zip(itertools.repeat(stat), keys, counts)
+            (stat, ",".join(map(str, key)), count)
+            for stat, columns, counts in self._csv_columns()
+            for *key, count in zip(*columns, counts)
         ]
 
     def write_csv(self, out) -> None:
         """Write the rows of `csv_rows` to the text handle `out` as CSV under
-        a header, each key quoted: one string per statistic."""
+        a header, each key quoted: one string per `_CSV_ROWS` rows."""
         out.write("statistic,key,count\n")
-        for stat, keys, counts in self._csv_columns():
-            out.write("".join([f'{stat},"{key}",{count}\n' for key, count in zip(keys, counts)]))
+        for stat, columns, counts in self._csv_columns():
+            row = stat + ',"' + ",".join(["{}"] * len(columns)) + '",{}\n'
+            for lo in range(0, len(counts), _CSV_ROWS):
+                hi = lo + _CSV_ROWS
+                out.write("".join(map(row.format, *[c[lo:hi] for c in columns], counts[lo:hi])))
 
 
 def _coordinate_text(qi: bool, scale: int):
-    """Text of a ring coordinate over `scale`: a Q integer over scale 1 is
-    its own text, anything else is reduced by `scalar_text`."""
-    if scale == 1 and not qi:
-        return str
+    """Text of a ring coordinate over `scale`, reduced by `scalar_text`."""
     if qi:
         return lambda v: scalar_text(*v, scale)
     return lambda v: scalar_text(v, 0, scale)
@@ -632,8 +640,8 @@ def sweep(
 #
 #   conv2    2x2 det or charpoly by product convolution over the ring
 #            integers, A^2
-#   target3  3x3 det over Q under the int64 kernel's `supports` proof: the
-#            one key over the C(A^3, 3) row triples
+#   target3  3x3 det over Q or Q(i) under the int64 kernel's `supports`
+#            proof: the one key over the C(A^3, 3) row triples
 #   cycles3  3x3 charpoly by the cycle-invariant join, A^6
 #   powersums  power sums at any n by product convolution: the product
 #            table and the off-diagonal convolution, A^(n(n-1)); A at n = 1
@@ -643,7 +651,8 @@ def sweep(
 #            over zero-free entries): sum_{j=1..k} C(A^d, j), so A^d at
 #            k = 1 and A^d + A^d (A^d - 1) / 2 at k = 2
 #   closed   rank <= min(m, n): every matrix, A^(mn) with no work
-#   sweep    square det by shared minors, each distinct block's once, or
+#   sweep    square det past target3 (n = 1, n >= 4, or a 3x3 past the
+#            proof) by shared minors, each distinct block's once, or
 #            charpoly per matrix (`_generic_shard`), A^(n^2)
 #
 # An exact rank count is rank <= r minus rank <= r-1, both from one walk to
@@ -676,7 +685,7 @@ def plan_square(
         return CountRoute("conv2", size**2)
     if n == 3 and stat == "charpoly":
         return CountRoute("cycles3", size**6)
-    if n == 3 and elements.field == Q and _kernels.supports(elements.scaled_integers()[2]):
+    if n == 3 and _kernels.supports(elements.scaled_integers()[2], elements.field == QI):
         rows = size**3
         return CountRoute("target3", rows * (rows - 1) * (rows - 2) // 6)
     return CountRoute("sweep", size ** (n * n))

@@ -485,6 +485,20 @@ def test_growth_config_read_exactly_exits_1(change, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_growth_config_with_a_misspelt_statistic_key_exits_1(tmp_path, capsys):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "name": "typo",
+        "family": {"variant": "geometric", "base": "2"},
+        "k_values": [2, 3, 4],
+        "statistic": {"kind": "rank", "m": 2, "n": 2, "r": 1, "cumulativ": False},
+    }))
+    assert main(["growth", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown key 'cumulativ'" in captured.err
+
+
 @pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "a/b", "a\\b"])
 def test_growth_name_outside_out_dir_exits_1(name, tmp_path, capsys):
     # emit writes <name>.csv and <name>.json: a name that is not a plain

@@ -135,6 +135,25 @@ def test_statistic_json_validation():
 
 
 @pytest.mark.parametrize(
+    "obj,key",
+    [
+        ({"kind": "rank", "m": 2, "n": 2, "r": 1, "cumulativ": False}, "cumulativ"),
+        ({"kind": "det", "n": 2, "target": "0", "d": "1"}, "d"),
+        ({"kind": "charpoly", "n": 1, "coeffs": ["0"], "coeff": ["1"]}, "coeff"),
+        ({"kind": "powersums", "n": 2, "t1": "0", "t2": "0", "t3": "0"}, "t3"),
+        ({"kind": "equation", "tight_n": 3, "rhs": "1"}, "rhs"),
+        ({"kind": "equation", "coeffs": ["1", "-1"], "tight": 2}, "tight"),
+        ({"kind": "system", "n": 4, "m": 4}, "m"),
+    ],
+)
+def test_statistic_keys_its_kind_does_not_read_are_rejected(obj, key):
+    """A misspelt key is refused by name, not read as its default: with
+    "cumulativ" the rank statistic would count rank <= r, not rank == r."""
+    with pytest.raises(GrowthConfigError, match=f"unknown key '{key}'"):
+        statistic_from_json(obj, Q)
+
+
+@pytest.mark.parametrize(
     "obj",
     [
         {"kind": "det", "n": 0, "target": "0"},

@@ -340,14 +340,12 @@ def test_gaussian_tuple_keys_keep_the_nested_tuple_order(texts):
 
 
 def test_sweep_route_counts_scale_the_target_into_the_ring(monkeypatch):
-    """Over Q(i), and over Q past the kernel's proof, 3x3 det counts read the
-    sweep route's raw histogram; 1x1 counts always do.  Every key of the
-    sweep is counted again from its Scalar values, and a value whose
-    denominator does not divide its scale is no key."""
-    for elements, patch in (
-        (_parsed(("i/2", "(1-i)/3"), QI), False),
-        (_parsed(("1/2", "-3/2"), Q), True),
-    ):
+    """Past the kernel's proof, forced here, 3x3 det counts over Q(i) and Q
+    read the sweep route's raw histogram; 1x1 counts always do.  Every key
+    of the sweep, whose det is the kernel's, is counted again from its
+    Scalar values, and a value whose denominator does not divide its scale
+    is no key."""
+    for elements in (_parsed(("i/2", "(1-i)/3"), QI), _parsed(("1/2", "-3/2"), Q)):
         field = elements.field
         hist = sweep(elements, 3, 3, options=_ALL_STATS)
         lcm, _, _ = elements.scaled_integers()
@@ -355,8 +353,7 @@ def test_sweep_route_counts_scale_the_target_into_the_ring(monkeypatch):
         assert lcm**3 % unscaled.den
         absent = Scalar(field, 10**6 + 7)
         with monkeypatch.context() as context:
-            if patch:
-                context.setattr(matrices._kernels, "supports", lambda *a: False)
+            context.setattr(matrices._kernels, "supports", lambda *a: False)
             assert matrices.plan_square(3, elements, "det").name == "sweep"
             for value, expected in oracles.det_histogram(hist).items():
                 assert count_det(elements, 3, value) == expected

@@ -15,7 +15,9 @@ the generic sweep and the oracle on shuffled Q sets with sign pairs
 (x, -x).  The 3x3 charpoly join over cycle invariants (cycles3), as the
 sweep and as single counts, is checked against the generic sweep's
 per-matrix Berkowitz charpoly on shuffled Q sets, Qi sets and sets past the
-int64 det proof, and its decoded keys against the Fraction oracle.  Needs
+int64 det proof, and its decoded keys against the Fraction oracle.  The
+3x3 int64 det over Qi, on packed keys, is checked against the shared-minors
+det on shuffled Qi sets with denominators and values of equal norm.  Needs
 hypothesis; skipped without it."""
 
 from __future__ import annotations
@@ -288,6 +290,52 @@ def test_triple_det_sweep_matches_the_generic_sweep_and_oracle(case):
     assert hist.raw["det"] == generic.raw["det"]
     if len(elements) <= 2:
         assert hist.rank_profile == _oracle_ranks(elements, 3, 3)
+
+
+@st.composite
+def _gaussian_sets(draw) -> tuple[ElementSet, int, int]:
+    """A shuffled Qi set of 1 to 4 elements with denominators, each value z
+    often followed by partners of equal norm (-z, i z, -i z, its
+    conjugate), and a pair chunk size and a det batch size for the kernel."""
+    size = draw(st.integers(1, 4))
+    values = st.builds(
+        lambda re, im, den: Scalar(QI, re, im, den),
+        st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3),
+    ).filter(lambda s: not s.is_zero())
+    i = Scalar(QI, 0, 1)
+    partners = {
+        "neg": lambda z: -z,
+        "i": lambda z: i * z,
+        "-i": lambda z: -(i * z),
+        "conj": lambda z: Scalar(QI, z.re, -z.im, z.den),
+    }
+    picks: list[Scalar] = []
+    for z in draw(st.lists(values, min_size=1, max_size=size, unique=True)):
+        picks.append(z)
+        for name in draw(st.lists(st.sampled_from(sorted(partners)), max_size=2, unique=True)):
+            picks.append(partners[name](z))
+    picks = list(dict.fromkeys(picks))[:size]
+    chunk = draw(st.sampled_from([7, 1 << 20]))
+    batch = draw(st.sampled_from([97, 1 << 17]))
+    return ElementSet(tuple(draw(st.permutations(picks)))), chunk, batch
+
+
+@_SETTINGS
+@given(_gaussian_sets())
+def test_gaussian_triple_dets_match_the_shared_minors(case):
+    """The Q(i) kernel's packed triple dets, grouped and unpacked, give the
+    det histogram of `_square_det`, and its one-key count each key of it."""
+    elements, chunk, batch = case
+    _, values, bound = elements.scaled_integers()
+    assert _kernels.supports(bound, True)
+    rows = list(itertools.product(values, repeat=3))
+    expected = matrices._square_det(rows, 3, matrices._ring(QI))
+    with mock.patch.object(_kernels, "_CHUNK", chunk), \
+            mock.patch.object(_kernels, "_BATCH", batch):
+        assert _kernels.sweep_square(values)["det"] == expected
+        common = max(expected, key=expected.get)
+        for key in {(0, 0), common, (-common[0], -common[1]), (10**6 + 7, 1)}:
+            assert _kernels.count_target3(values, key) == expected.get(key, 0), key
 
 
 @st.composite

@@ -108,8 +108,11 @@ def test_rank_route_names_and_work():
     ]
     assert {plan_square(n, five, "powersums").name for n in (1, 2, 3, 4)} == {"powersums"}
     assert {plan_square(n, five, "det", det_zero=True).name for n in (2, 3, 4, 5)} == {"flats"}
-    # The 3x3 det kernel runs only over Q under its int64 proof.
-    for texts, field in ((("1", "916016"), Q), (("1", "i"), QI)):
+    # The 3x3 det kernel runs over Q and Q(i) under its int64 proofs,
+    # charged the C(8, 3) row triples over two elements; past them a count
+    # takes the sweep route.
+    assert plan_square(3, _elements(("1", "i"), QI), "det") == CountRoute("target3", 56)
+    for texts, field in ((("1", "916016"), Q), (("1", "527*i"), QI)):
         assert plan_square(3, _elements(texts, field), "det") == CountRoute("sweep", 2**9)
     with pytest.raises(ValueError):
         plan_rank(2, 3, 3, True, 5)
@@ -580,7 +583,9 @@ def test_a_count_is_planned_once(monkeypatch):
     elements = _elements(("1", "916016", "-1"))
     calls = []
     supports = _kernels.supports
-    monkeypatch.setattr(_kernels, "supports", lambda bound: calls.append(bound) or supports(bound))
+    monkeypatch.setattr(
+        _kernels, "supports", lambda bound, *rest: calls.append(bound) or supports(bound, *rest)
+    )
     assert count_det(elements, 3, Scalar.rational(4)) == 240
     assert calls == [916016]
     sweep(elements, 3, 3, SweepOptions(rank=False, charpoly=True))

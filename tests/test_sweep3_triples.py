@@ -14,7 +14,10 @@ pairs split over many chunks and the dets over batches of any size, and at
 the int64 proof's boundary, where the
 3x3 charpoly sweep (the cycle-invariant join) is checked against the
 generic sweep too.  A square sweep without det builds no det histogram:
-its rank <= n-1 comes from the flats walk.
+its rank <= n-1 comes from the flats walk.  Over Q(i) the same kernel
+packs each det into one int64 key re 2^32 + im; its histogram, single
+counts and route are checked against the shared-minors det
+(`matrices._square_det`) on both sides of its own proof's boundary.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import oracles
 from conftest import generic_sweep
 from unitcount import _kernels, matrices
 from unitcount.families import ElementSet
-from unitcount.matrices import SweepOptions, count_det, sweep
+from unitcount.matrices import CountRoute, SweepOptions, count_det, plan_square, sweep
 from unitcount.scalars import Q, QI, Scalar, parse_scalar
 
 # The largest B with 6 B^3 <= 2^62, the bound on every 3x3 det and charpoly
@@ -219,3 +222,101 @@ def test_rank_only_square_sweeps_take_the_rank_routes(n, field, texts, monkeypat
     _, values, _ = elements.scaled_integers()
     ranks, _ = oracles.bareiss_sweep(values, field, n, n)
     assert hist.rank_profile == ranks
+
+
+# -- over Q(i): triple dets packed as one int64 key re 2^32 + im --------------
+
+# The largest B with 216 B^6 < 2^62: every det of the Q(i) kernel, and every
+# partial sum of one, has modulus below 2^31.
+_BI = 526
+
+
+def _square_dets(elements: ElementSet) -> dict:
+    _, values, _ = elements.scaled_integers()
+    rows = list(itertools.product(values, repeat=3))
+    return matrices._square_det(rows, 3, matrices._ring(elements.field))
+
+
+@pytest.mark.parametrize(
+    "texts,batch,chunk",
+    [
+        (("i/2", "(1-i)/3", "-1"), 1 << 17, 1 << 20),
+        (("1", "i", "1+i", "-1/2+i"), 997, 100),
+        (("1", "i", "-1", "-i", "1+i"), 1 << 17, 1 << 20),
+    ],
+    ids=["A3-denominators", "A4-uneven", "A5-units"],
+)
+def test_gaussian_sweep_matches_the_shared_minors(texts, batch, chunk, monkeypatch):
+    """A 3x3 rank and det sweep over Q(i) under the proof runs the kernel
+    once, and its det histogram and rank profile are the shared-minors
+    det's and the generic sweep's: sets with denominators, with all four
+    units (sign pairs of equal norm), and with batches and chunks that
+    split row tails."""
+    monkeypatch.setattr(_kernels, "_BATCH", batch)
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    elements = _elements(texts, QI)
+    rows = len(elements) ** 3
+    assert plan_square(3, elements, "det") == CountRoute(
+        "target3", rows * (rows - 1) * (rows - 2) // 6
+    )
+    spy = _SweepSpy(monkeypatch)
+    hist = sweep(elements, 3, 3, SweepOptions())
+    assert spy.calls == 1
+    assert hist.raw["det"] == _square_dets(elements)
+    # The generic rank profile ranks every distinct set of rows: 5^9 is slow.
+    if len(elements) <= 4:
+        assert hist.rank_profile == generic_sweep(elements, 3, 3, SweepOptions()).rank_profile
+
+
+def test_gaussian_one_key_counts(monkeypatch):
+    """count_det over Q(i) under the proof compares each batch with the one
+    packed target: every present key and an absent one are counted by the
+    kernel, a key that does not scale into the ring counts 0 before it, and
+    a key past the proof counts 0 in it."""
+    elements = _elements(("i/2", "(1-i)/3", "-1"), QI)
+    lcm, values, _ = elements.scaled_integers()
+    dets = _square_dets(elements)
+    calls = []
+    count_target3 = _kernels.count_target3
+    monkeypatch.setattr(
+        _kernels, "count_target3", lambda *a: calls.append(a[1]) or count_target3(*a)
+    )
+    scale = lcm**3
+    for (re, im), expected in dets.items():
+        assert count_det(elements, 3, Scalar(QI, re, im, scale)) == expected, (re, im)
+    absent = Scalar(QI, 10**6 + 7, 1)
+    assert (absent.re * scale, absent.im * scale) not in dets
+    assert count_det(elements, 3, absent) == 0
+    # Every key but det 0, which takes the flats walk, and the absent one.
+    assert len(calls) == len(dets)
+    calls.clear()
+    assert scale % 7
+    assert count_det(elements, 3, Scalar(QI, 1, 1, 7 * scale)) == 0
+    assert calls == []
+    for past in (Scalar(QI, 2**70), Scalar(QI, 1, 2**31, scale)):
+        assert count_det(elements, 3, past) == 0
+    assert count_target3(values, (2**31, 0)) == count_target3(values, (0, -(2**31))) == 0
+    assert count_target3(values, (0, 0)) == dets[(0, 0)]
+
+
+@pytest.mark.parametrize("bound", [_BI, _BI + 1])
+def test_gaussian_kernel_at_the_int64_proof_boundary(bound, monkeypatch):
+    """At B = 526 a Q(i) 3x3 det is the kernel's, at B = 527 the sweep
+    route's; the histogram and single counts are the shared-minors det's
+    either way."""
+    assert 216 * _BI**6 < 2**62 <= 216 * (_BI + 1) ** 6
+    proof = bound == _BI
+    assert _kernels.supports(bound, True) is proof
+    elements = _elements(("1", f"{bound}*i", f"{bound}-{bound}*i"), QI)
+    assert elements.scaled_integers()[2] == bound
+    route = plan_square(3, elements, "det")
+    assert route == (CountRoute("target3", 27 * 26 * 25 // 6) if proof else CountRoute("sweep", 3**9))
+    spy = _SweepSpy(monkeypatch)
+    hist = sweep(elements, 3, 3, SweepOptions(rank=False))
+    assert spy.calls == (1 if proof else 0)
+    dets = _square_dets(elements)
+    assert hist.raw["det"] == dets
+    common = max((d for d in dets if d != (0, 0)), key=dets.get)
+    largest = max(dets, key=lambda d: d[0] ** 2 + d[1] ** 2)
+    for re, im in (common, largest):
+        assert count_det(elements, 3, Scalar(QI, re, im)) == dets[(re, im)]
