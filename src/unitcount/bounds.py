@@ -300,7 +300,8 @@ def _dedupe_rows(rows: list[ExponentValue]) -> list[ExponentValue]:
 
 
 def bound_table(kind: str, **params) -> list[ExponentValue]:
-    """Rows for the CLI bound table: every applicable exponent for the kind."""
+    """Rows for the CLI bound table: every applicable exponent for the kind.
+    A charpoly's `c0_zero` (None: unknown) is its `constant_term_zero`."""
     if kind == "rank":
         n, m, r = params["n"], params["m"], params["r"]
         _, _, triv = trivial_exponents(n, m, r)
@@ -324,7 +325,7 @@ def bound_table(kind: str, **params) -> list[ExponentValue]:
                 c2_zero=params["c2_zero"],
                 field_real=params["field_real"],
                 twice_c2_equals_c1=params.get("twice_c2_equals_c1", False),
-                constant_term_zero=params.get("constant_term_zero"),
+                constant_term_zero=params.get("c0_zero"),
             ),
             charpoly_refined_exponent(n, params["c1_zero"], params["c2_zero"]),
             ExponentValue(

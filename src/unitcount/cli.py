@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import growth as growth_mod
 from .bounds import bound_table, nondegenerate_cap_log10
 from .equations import (
+    DEFAULT_MAX_ENTRIES,
     classify_by_vanishing_subsums,
     count_solutions,
     count_system_sum_squares,
@@ -54,18 +56,20 @@ def _write_text(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _flags(args, *words: str) -> dict:
+    """The parsed options less `words`, the subcommand and its handler."""
+    skip = ("command", "handler", *words)
+    return {key: value for key, value in vars(args).items() if key not in skip}
+
+
 # -- count ---------------------------------------------------------------------
-
-
-# The parsed options of a count that are not keys of its statistic.
-_COUNT_WORDS = ("command", "handler", "set", "budget")
 
 
 def _cmd_count(args) -> int:
     """Read the statistic from the parsed flags, each of which is named
     after its key in a growth config, and run its count."""
     elements = load_set(args.set)
-    obj = {key: value for key, value in vars(args).items() if key not in _COUNT_WORDS}
+    obj = _flags(args, "set", "budget")
     statistic = growth_mod.statistic_from_json(obj, elements.field)
     print(statistic.count(elements, args.budget))
     return 0
@@ -73,24 +77,18 @@ def _cmd_count(args) -> int:
 
 # -- sweep ---------------------------------------------------------------------
 
-_STAT_NAMES = ("rank", "det", "charpoly", "powersums")
-
 
 def _cmd_sweep(args) -> int:
     elements = load_set(args.set)
+    # The statistics are the switches of SweepOptions, every field but the budget.
+    names = tuple(f.name for f in fields(SweepOptions) if f.name != "budget")
     wanted = [s.strip() for s in args.stats.split(",") if s.strip()]
-    unknown = [s for s in wanted if s not in _STAT_NAMES]
+    unknown = [s for s in wanted if s not in names]
     if unknown:
-        raise ValueError(f"unknown statistics {unknown}; expected {_STAT_NAMES}")
+        raise ValueError(f"unknown statistics {unknown}; expected {names}")
     if not wanted:
         raise ValueError("no statistics requested")
-    opts = SweepOptions(
-        rank="rank" in wanted,
-        det="det" in wanted,
-        charpoly="charpoly" in wanted,
-        powersums="powersums" in wanted,
-        budget=args.budget,
-    )
+    opts = SweepOptions(**{name: name in wanted for name in names}, budget=args.budget)
     hist = sweep(elements, args.m, args.n, options=opts)
     # The output is opened only now: a refused or failed sweep writes nothing.
     if args.out is None or args.out == "-":
@@ -112,35 +110,13 @@ def _print_bound_rows(rows) -> None:
 
 
 def _cmd_bound(args) -> int:
-    kind = args.kind
-    if kind == "rank":
-        rows = bound_table("rank", n=args.n, m=args.m, r=args.r)
-    elif kind == "det":
-        rows = bound_table("det", n=args.n, target_is_zero=not args.nonzero)
-    elif kind == "charpoly":
-        if args.n == 2:
-            rows = bound_table(
-                "charpoly", n=2, c0_zero=args.c0_zero, c1_zero=args.c1_zero
-            )
-        else:
-            rows = bound_table(
-                "charpoly",
-                n=args.n,
-                c1_zero=args.c1_zero,
-                c2_zero=args.c2_zero,
-                field_real=not args.complex_entries,
-                twice_c2_equals_c1=args.twice_c2_equals_c1,
-                constant_term_zero=args.c0_zero or None,
-            )
-    elif kind == "equation":
-        rows = bound_table("equation", n=args.n, homogeneous=not args.inhomogeneous)
-    elif kind == "system":
-        rows = bound_table("system", n=args.n)
-    else:
-        digits = nondegenerate_cap_log10(args.n, args.group_rank)
-        print(f"log10(cap) = {digits}")
+    """Pass the parsed flags, each named after the parameter it sets, to
+    `bound_table` (or to `nondegenerate_cap_log10` for the cap)."""
+    params = _flags(args, "kind")
+    if args.kind == "cap":
+        print(f"log10(cap) = {nondegenerate_cap_log10(**params)}")
         return 0
-    _print_bound_rows(rows)
+    _print_bound_rows(bound_table(args.kind, **params))
     return 0
 
 
@@ -210,10 +186,7 @@ def _cmd_equation(args) -> int:
     eq = load_equation(args.eq)
     elements = load_set(args.set)
     if args.action == "count":
-        if args.max_entries is not None:
-            print(count_solutions(eq, elements, max_entries=args.max_entries))
-        else:
-            print(count_solutions(eq, elements))
+        print(count_solutions(eq, elements, max_entries=args.max_entries))
         return 0
     classification = classify_by_vanishing_subsums(eq, elements, budget=args.budget)
     classes = {
@@ -299,7 +272,7 @@ def build_parser() -> _Parser:
     _add_budget(p_sweep)
     p_sweep.set_defaults(handler=_cmd_sweep)
 
-    # bound
+    # bound: each flag is stored under the bound_table parameter it sets.
     p_bound = sub.add_parser("bound", help="print theoretical exponents")
     bound_sub = p_bound.add_subparsers(dest="kind", required=True)
     b_rank = bound_sub.add_parser("rank", help="rank-count exponent")
@@ -309,11 +282,16 @@ def build_parser() -> _Parser:
     b_det = bound_sub.add_parser("det", help="determinant-count exponent")
     b_det.add_argument("-n", type=int, required=True)
     b_det.add_argument(
-        "--nonzero", action="store_true", help="nonzero determinant target"
+        "--nonzero",
+        dest="target_is_zero",
+        action="store_false",
+        help="nonzero determinant target",
     )
     b_cp = bound_sub.add_parser("charpoly", help="charpoly-count exponent")
     b_cp.add_argument("-n", type=int, required=True)
-    b_cp.add_argument("--c0-zero", action="store_true", help="constant term is zero")
+    b_cp.add_argument(
+        "--c0-zero", action="store_const", const=True, help="constant term is zero"
+    )
     b_cp.add_argument("--c1-zero", action="store_true", help="trace coefficient zero")
     b_cp.add_argument("--c2-zero", action="store_true", help="second coefficient zero")
     b_cp.add_argument(
@@ -321,12 +299,13 @@ def build_parser() -> _Parser:
     )
     b_cp.add_argument(
         "--complex-entries",
-        action="store_true",
+        dest="field_real",
+        action="store_false",
         help="entries from the Gaussian rationals",
     )
     b_eq = bound_sub.add_parser("equation", help="linear-equation solution exponent")
     b_eq.add_argument("-n", type=int, required=True)
-    b_eq.add_argument("--inhomogeneous", action="store_true")
+    b_eq.add_argument("--inhomogeneous", dest="homogeneous", action="store_false")
     b_sys = bound_sub.add_parser("system", help="sum and sum-of-squares system")
     b_sys.add_argument("-n", type=int, required=True)
     b_cap = bound_sub.add_parser(
@@ -380,7 +359,7 @@ def build_parser() -> _Parser:
     e_count.add_argument(
         "--max-entries",
         type=parse_budget,
-        default=None,
+        default=DEFAULT_MAX_ENTRIES,
         help="memory cap for the meet-in-the-middle table",
     )
     e_classify = eq_sub.add_parser(

@@ -51,7 +51,7 @@ from pathlib import Path
 
 from .families import ElementSet
 from .matrices import CountRoute, _charged, _ring, _ring_key
-from .scalars import FieldMismatchError, Scalar, parse_list, parse_scalar
+from .scalars import FieldMismatchError, Scalar, _refuse_unknown_keys, parse_list, parse_scalar
 
 # Cap on hash-table entries for the meet-in-the-middle join.
 DEFAULT_MAX_ENTRIES = 2_000_000
@@ -91,6 +91,7 @@ class EquationSpec:
 def equation_from_json(obj: dict) -> EquationSpec:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("equation object needs a 'coeffs' key")
+    _refuse_unknown_keys(obj, ("coeffs", "rhs", "field"), "equation object")
     field = obj.get("field", "Q")
     coeffs = tuple(parse_scalar(c, field) for c in parse_list(obj["coeffs"], "coeffs"))
     rhs = parse_scalar(obj.get("rhs", "0"), field)

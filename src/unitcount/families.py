@@ -13,11 +13,11 @@ import operator
 import random
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, chain
 from pathlib import Path
 
-from .scalars import Q, QI, Scalar, parse_list, parse_scalar, parse_whole
+from .scalars import Q, QI, Scalar, _refuse_unknown_keys, parse_list, parse_scalar, parse_whole
 
 
 class FamilyError(ValueError):
@@ -64,6 +64,15 @@ class Explicit:
 
 
 FamilySpec = Geometric | SignedGeometric | GaussianUnitsScaled | LatticeBox | Explicit
+
+# A family object's keys are "variant", "field" and its dataclass's fields.
+_VARIANTS = {
+    "geometric": Geometric,
+    "signed_geometric": SignedGeometric,
+    "gaussian_units_scaled": GaussianUnitsScaled,
+    "lattice_box": LatticeBox,
+    "explicit": Explicit,
+}
 
 
 class ElementSet:
@@ -351,6 +360,11 @@ def family_from_json(obj: dict) -> FamilySpec:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise FamilyError("family object needs a 'variant' key")
     variant = obj["variant"]
+    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise FamilyError(f"unknown family variant {variant!r}")
+    known = ("variant", "field", *(f.name for f in fields(cls)))
+    _refuse_unknown_keys(obj, known, f"family variant {variant!r}", FamilyError)
     field = obj.get("field", Q)
     with _reading(f"family variant {variant!r}"):
         if variant == "geometric":
@@ -380,13 +394,11 @@ def family_from_json(obj: dict) -> FamilySpec:
                 sample_size=parse_whole(obj["sample_size"], "sample_size"),
                 seed=parse_whole(obj["seed"], "seed"),
             )
-        if variant == "explicit":
-            return Explicit(
-                elements=tuple(
-                    parse_scalar(e, field) for e in parse_list(obj["elements"], "elements")
-                )
+        return Explicit(
+            elements=tuple(
+                parse_scalar(e, field) for e in parse_list(obj["elements"], "elements")
             )
-    raise FamilyError(f"unknown family variant {variant!r}")
+        )
 
 
 # A growth template is a family object without its size field; the keys each
@@ -481,7 +493,7 @@ class FamilyTemplate:
         elif variant == "signed_geometric":
             obj["count"] = k
         elif variant == "gaussian_units_scaled":
-            base = parse_scalar(obj["scale_base"], QI)
+            base = parse_scalar(obj.pop("scale_base"), QI)
             obj["scales"] = [power.text() for power in _powers(base, 0, k)]
         else:
             obj["sample_size"] = k
@@ -499,9 +511,11 @@ def set_from_json(obj: dict) -> ElementSet:
     if not isinstance(obj, dict):
         raise FamilyError("set object must be a JSON object")
     if "family" in obj:
+        _refuse_unknown_keys(obj, ("family",), "set object", FamilyError)
         return materialize(family_from_json(obj["family"]))
     if "elements" not in obj:
         raise FamilyError("set object needs 'elements' or 'family'")
+    _refuse_unknown_keys(obj, ("field", "elements"), "set object", FamilyError)
     field = obj.get("field", Q)
     with _reading("set object"):
         elements = tuple(parse_scalar(e, field) for e in parse_list(obj["elements"], "elements"))

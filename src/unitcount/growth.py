@@ -17,14 +17,15 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import ClassVar, get_args
 
 from . import bounds
 # count_solutions, count_system_sum_squares and materialize are imported by
 # name: perfbench/spans.py wraps them on this module.
-from .equations import EquationSpec, count_solutions, count_system_sum_squares
+from .equations import EquationSpec, count_solutions, count_system_sum_squares, equation_from_json
 from .families import ElementSet, FamilyTemplate, materialize, tight_equation_coeffs
 from .matrices import (
     BudgetExceededError,
@@ -40,6 +41,7 @@ from .matrices import (
 # Re-exported: perfbench/spans.py wraps these names on this module.
 from .matrices import fast_charpoly2_count, fast_det2_count, fast_power_sums2_count  # noqa: F401
 from .scalars import Q, QI, Scalar, parse_list, parse_scalar, parse_whole
+from .scalars import _json_form, _refuse_unknown_keys
 
 
 class GrowthConfigError(ValueError):
@@ -48,18 +50,25 @@ class GrowthConfigError(ValueError):
 
 # -- statistics ---------------------------------------------------------------
 #
-# Matrix statistics delegate route choice, work and budget to the count
-# planner in `matrices`; the equation and system statistics charge their
-# meet-in-the-middle table, A^ceil(n/2), the same way before they count.
+# A statistic's JSON object is its `kind` and its dataclass fields, the
+# only keys `statistic_from_json` accepts (an equation may give `tight_n`
+# alone instead).  Matrix statistics delegate route choice, work and budget
+# to the count planner in `matrices`; the equation and system statistics
+# charge their meet-in-the-middle table, A^ceil(n/2), the same way first.
+
+
+class _Statistic:
+    kind: ClassVar[str]
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **_json_form(self)}
 
 
 @dataclass(frozen=True)
-class DetStatistic:
+class DetStatistic(_Statistic):
+    kind = "det"
     n: int
     target: Scalar
-
-    def to_json(self) -> dict:
-        return {"kind": "det", "n": self.n, "target": self.target.text()}
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_det(elements, self.n, self.target, budget=budget)
@@ -71,20 +80,12 @@ class DetStatistic:
 
 
 @dataclass(frozen=True)
-class RankStatistic:
+class RankStatistic(_Statistic):
+    kind = "rank"
     m: int
     n: int
     r: int
     cumulative: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "rank",
-            "m": self.m,
-            "n": self.n,
-            "r": self.r,
-            "cumulative": self.cumulative,
-        }
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_rank(
@@ -100,18 +101,12 @@ class RankStatistic:
 
 
 @dataclass(frozen=True)
-class CharpolyStatistic:
+class CharpolyStatistic(_Statistic):
     """T^n + c_(n-1) T^(n-1) + ... + c_0, `coeffs` = (c_0, ..., c_(n-1))."""
 
+    kind = "charpoly"
     n: int
     coeffs: tuple[Scalar, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "charpoly",
-            "n": self.n,
-            "coeffs": [c.text() for c in self.coeffs],
-        }
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_charpoly(elements, self.n, self.coeffs, budget=budget)
@@ -137,18 +132,11 @@ class CharpolyStatistic:
 
 
 @dataclass(frozen=True)
-class PowerSumsStatistic:
+class PowerSumsStatistic(_Statistic):
+    kind = "powersums"
     n: int
     t1: Scalar
     t2: Scalar
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "powersums",
-            "n": self.n,
-            "t1": self.t1.text(),
-            "t2": self.t2.text(),
-        }
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_power_sums(elements, self.n, self.t1, self.t2, budget=budget)
@@ -173,44 +161,37 @@ class PowerSumsStatistic:
 
 
 @dataclass(frozen=True)
-class EquationStatistic:
-    eq: EquationSpec
+class EquationStatistic(_Statistic):
+    """coeffs . x = rhs, held as the `EquationSpec` fields it builds."""
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "equation",
-            "coeffs": [c.text() for c in self.eq.coeffs],
-            "rhs": self.eq.rhs.text(),
-        }
+    kind = "equation"
+    coeffs: tuple[Scalar, ...]
+    rhs: Scalar
+
+    @property
+    def eq(self) -> EquationSpec:
+        return EquationSpec(coeffs=self.coeffs, rhs=self.rhs)
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
-        _charged(CountRoute("mitm", len(elements) ** ((self.eq.n + 1) // 2)), budget)
-        return count_solutions(self.eq, elements)
+        eq = self.eq
+        _charged(CountRoute("mitm", len(elements) ** ((eq.n + 1) // 2)), budget)
+        return count_solutions(eq, elements)
 
     def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
-        homogeneous = self.eq.is_homogeneous()
-        ev = bounds.equation_exponent(self.eq.n, homogeneous)
-        tight = homogeneous and self._matches_tight_pattern()
-        return ev.value, ev.source, tight
-
-    def _matches_tight_pattern(self) -> bool:
-        n = self.eq.n
-        if n < 2:
-            return False
-        pattern = tight_equation_coeffs(n)
-        mine = self.eq.coeffs
-        return all(
-            a.den == b.den and a.re == b.re and a.im == 0
-            for a, b in zip(mine, pattern)
+        n = len(self.coeffs)
+        homogeneous = self.rhs.is_zero()
+        ev = bounds.equation_exponent(n, homogeneous)
+        # The coefficients match the tight pattern by text, over Q and Q(i) alike.
+        tight = homogeneous and n >= 2 and (
+            _json_form(self.coeffs) == _json_form(tight_equation_coeffs(n))
         )
+        return ev.value, ev.source, tight
 
 
 @dataclass(frozen=True)
-class SystemStatistic:
+class SystemStatistic(_Statistic):
+    kind = "system"
     n: int
-
-    def to_json(self) -> dict:
-        return {"kind": "system", "n": self.n}
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
         _charged(CountRoute("mitm", len(elements) ** ((self.n + 1) // 2)), budget)
@@ -240,34 +221,25 @@ def _dimension(obj: dict, key: str) -> int:
     return value
 
 
-# The keys each statistic kind reads, besides "kind"; an equation reads
-# "tight_n" alone, or "coeffs" and "rhs".
-_STATISTIC_KEYS = {
-    "det": {"n", "target"},
-    "rank": {"m", "n", "r", "cumulative"},
-    "charpoly": {"n", "coeffs"},
-    "powersums": {"n", "t1", "t2"},
-    "equation": {"coeffs", "rhs"},
-    "system": {"n"},
-}
+_KINDS = {cls.kind: cls for cls in get_args(Statistic)}
 
 
 def statistic_from_json(obj: dict, field: str) -> Statistic:
-    """Read a statistic exactly: one that is malformed, has a key its kind
-    does not read, or that no matrix or tuple can have (a dimension below 1,
-    a rank outside 1..min(m, n), a charpoly of the wrong degree), raises
-    GrowthConfigError."""
+    """Read a statistic exactly: one that is malformed, has a key that is
+    not a field of its kind, or that no matrix or tuple can have (a
+    dimension below 1, a rank outside 1..min(m, n), a charpoly of the wrong
+    degree), raises GrowthConfigError."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise GrowthConfigError("statistic needs a 'kind' key")
     kind = obj["kind"]
-    known = _STATISTIC_KEYS.get(kind) if isinstance(kind, str) else None
-    if known is None:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise GrowthConfigError(f"unknown statistic kind {kind!r}")
     if kind == "equation" and "tight_n" in obj:
-        known = {"tight_n"}
-    unknown = sorted(set(obj) - known - {"kind"})
-    if unknown:
-        raise GrowthConfigError(f"statistic {kind!r} has unknown key {unknown[0]!r}")
+        known = {"kind", "tight_n"}
+    else:
+        known = {"kind", *(f.name for f in fields(cls))}
+    _refuse_unknown_keys(obj, known, f"statistic {kind!r}", GrowthConfigError)
     try:
         if kind == "det":
             return DetStatistic(
@@ -300,11 +272,10 @@ def statistic_from_json(obj: dict, field: str) -> Statistic:
                 coeffs = tight_equation_coeffs(n)
                 if field != Q:
                     coeffs = tuple(Scalar(field, c.re, 0, c.den) for c in coeffs)
-                rhs = Scalar.zero(field)
-            else:
-                coeffs = tuple(parse_scalar(c, field) for c in parse_list(obj["coeffs"], "coeffs"))
-                rhs = parse_scalar(obj.get("rhs", "0"), field)
-            return EquationStatistic(eq=EquationSpec(coeffs=coeffs, rhs=rhs))
+                return EquationStatistic(coeffs=coeffs, rhs=Scalar.zero(field))
+            body = {key: value for key, value in obj.items() if key != "kind"}
+            eq = equation_from_json({**body, "field": field})
+            return EquationStatistic(coeffs=eq.coeffs, rhs=eq.rhs)
         if kind == "system":
             return SystemStatistic(n=_dimension(obj, "n"))
     except KeyError as exc:

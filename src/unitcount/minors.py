@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import matrices
 from .families import ElementSet
 from .matrices import BudgetExceededError, MatrixInstance, _rank_det, _ring, det
-from .scalars import Scalar
+from .scalars import Scalar, _json_form
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,7 @@ class AuditSummary:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "samples": self.samples,
-            "nonsingular_checked": self.nonsingular_checked,
-            "singular_skipped": self.singular_skipped,
-            "max_zero_count": self.max_zero_count,
-            "zero_count_bound": self.zero_count_bound,
-            "reconstruction_mismatches": self.reconstruction_mismatches,
-            "violations": [
-                [list(row) for row in matrix] for matrix in self.violations
-            ],
-            "passed": self.passed,
-        }
+        return _json_form(self)
 
 
 def _line_checks(entries, cofactors, lines, n: int, ring, value) -> tuple[int, int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re as _re
+from dataclasses import fields, is_dataclass
 from decimal import Decimal, InvalidOperation
 
 Q = "Q"
@@ -58,6 +59,13 @@ def parse_list(value, what: str = "value"):
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a list, got {value!r}")
     return value
+
+
+def _refuse_unknown_keys(obj: dict, known, what: str, error=ValueError) -> None:
+    """Raise `error` naming the first key of `obj` (sorted) not in `known`."""
+    unknown = sorted(set(obj).difference(known))
+    if unknown:
+        raise error(f"{what} has unknown key {unknown[0]!r}")
 
 
 class FieldMismatchError(ValueError):
@@ -240,6 +248,18 @@ def scalar_text(re: int, im: int, den: int) -> str:
     else:
         body = f"({re}-{-im}*i)"
     return body if den == 1 else f"{body}/{den}"
+
+
+def _json_form(value):
+    """JSON of a field value: a Scalar's text, a tuple as a list and a
+    dataclass as the object of its fields, each read the same way."""
+    if isinstance(value, Scalar):
+        return value.text()
+    if isinstance(value, tuple):
+        return [_json_form(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _json_form(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 # -- parsing ----------------------------------------------------------------

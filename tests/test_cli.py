@@ -6,6 +6,7 @@ All tests drive main() in-process and rely on capsys; nothing here shells out.
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -375,6 +376,100 @@ def test_bound_cap(capsys):
     assert out.startswith("log10(cap) = 308.254")
 
 
+# Every kind and flag of `bound`, with the full text it prints.
+_BOUND_OUTPUTS = [
+    ("rank -n 3 -m 3 -r 2", "rank-bound    2m>n+r  7\nrank-trivial  any r   8\n"),
+    ("rank -n 5 -m 4 -r 3", "rank-bound    2m<=n+r  16\nrank-trivial  any r    18\n"),
+    ("rank -n 4 -m 4 -r 1", "rank-bound    2m>n+r  7\nrank-trivial  any r   7\n"),
+    (
+        "det -n 3",
+        "det-bound        det=0       7\n"
+        "det-zero-family  det=0       7\n"
+        "det-trivial      any target  8\n",
+    ),
+    ("det -n 3 --nonzero", "det-bound    det!=0      7\ndet-trivial  any target  8\n"),
+    ("det -n 1", "det-bound    det=0       0\ndet-trivial  any target  0\n"),
+    ("det -n 1 --nonzero", "det-bound    det!=0      0\ndet-trivial  any target  0\n"),
+    ("charpoly -n 2", "charpoly2  dt!=0  0\n"),
+    ("charpoly -n 2 --c0-zero", "charpoly2  dt=0, not both  1\n"),
+    ("charpoly -n 2 --c1-zero", "charpoly2  dt=0, not both  1\n"),
+    ("charpoly -n 2 --c0-zero --c1-zero", "charpoly2  d=t=0  2\n"),
+    (
+        "charpoly -n 3",
+        "charpoly-refined  c1!=0             5\n"
+        "charpoly-general  any coefficients  5\n"
+        "charpoly-trivial  any polynomial    7\n",
+    ),
+    (
+        "charpoly -n 3 --c0-zero",
+        "charpoly-refined  c1!=0             5\n"
+        "charpoly-general  any coefficients  5\n"
+        "charpoly-trivial  any polynomial    7\n",
+    ),
+    (
+        "charpoly -n 3 --c1-zero --complex-entries",
+        "charpoly-refined  c1=0,c2!=0        5\n"
+        "charpoly-general  any coefficients  5\n"
+        "charpoly-trivial  any polynomial    7\n",
+    ),
+    (
+        "charpoly -n 4 --twice-c2-equals-c1",
+        "charpoly-real     c1!=0, 2c2=c1, real  9\n"
+        "charpoly-refined  c1!=0                10\n"
+        "charpoly-general  any coefficients     10\n"
+        "charpoly-trivial  any polynomial       14\n",
+    ),
+    (
+        "charpoly -n 4 --twice-c2-equals-c1 --complex-entries",
+        "charpoly-refined  c1!=0             10\n"
+        "charpoly-general  any coefficients  10\n"
+        "charpoly-trivial  any polynomial    14\n",
+    ),
+    (
+        "charpoly -n 4 --c2-zero --c0-zero --complex-entries",
+        "charpoly-refined  c1!=0             10\n"
+        "charpoly-general  any coefficients  10\n"
+        "charpoly-trivial  any polynomial    14\n",
+    ),
+    (
+        "charpoly -n 5 --c1-zero --c2-zero --c0-zero",
+        "charpoly-real     c1=c2=0, n=5, real  16\n"
+        "charpoly-refined  c1=0,c2=0           17\n"
+        "charpoly-general  any coefficients    17\n"
+        "charpoly-trivial  any polynomial      23\n",
+    ),
+    ("equation -n 5", "equation-homogeneous  rhs=0  2\n"),
+    ("equation -n 5 --inhomogeneous", "equation-inhomogeneous  rhs!=0  2\n"),
+    ("equation -n 2", "equation-homogeneous  rhs=0  1\n"),
+    ("system -n 10", "system-sum-squares  sum=sumsq=0  4\n"),
+    ("system -n 4", "system-sum-squares  sum=sumsq=0  1\n"),
+    ("cap -n 2 --group-rank 1", "log10(cap) = 308.254715559916743898868628198\n"),
+    ("cap -n 3 --group-rank 0", "log10(cap) = 1788.75376925824140572537298531\n"),
+]
+
+
+@pytest.mark.parametrize("words,text", _BOUND_OUTPUTS, ids=[w for w, _ in _BOUND_OUTPUTS])
+def test_bound_prints_its_rows_byte_for_byte(words, text, capsys):
+    assert main(["bound", *words.split()]) == 0
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize(
+    "words,message",
+    [
+        ("rank -n 3 -m 4 -r 2", "need 1 <= r <= m <= n, got r=2, m=4, n=3"),
+        ("charpoly -n 1", "need n >= 3; use charpoly2_bound for n = 2"),
+        ("det -n 0", "need n >= 1"),
+        ("cap -n 0 --group-rank 1", "need n >= 1 and group_rank >= 0"),
+    ],
+)
+def test_bound_out_of_range_exits_1(words, message, capsys):
+    assert main(["bound", *words.split()]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # -------------------------------------------------------------------- family
 
 
@@ -521,6 +616,59 @@ def test_family_spec_read_exactly_exits_1(tmp_path, capsys):
     spec.write_text(json.dumps({"family": family}))
     assert main(["family", "--spec", str(spec)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+_GEOMETRIC = {"variant": "geometric", "base": "2", "start": 1, "stop": 4}
+
+
+@pytest.mark.parametrize(
+    "obj,key",
+    [
+        ({"field": "Q", "elements": ["1", "2"], "feild": "Qi"}, "feild"),
+        ({"family": _GEOMETRIC, "field": "Q"}, "field"),
+        ({"family": dict(_GEOMETRIC, count=3)}, "count"),
+        ({"family": {"variant": "gaussian_units_scaled", "scales": ["1"], "scale_base": "2"}},
+         "scale_base"),
+        ({"family": {"variant": "lattice_box", "generators": ["2"], "ranges": [[0, 3]],
+                     "sample_sise": 3, "sample_size": 3, "seed": 1}}, "sample_sise"),
+    ],
+    ids=["set", "set-with-family", "geometric", "units-template-key", "lattice-typo"],
+)
+def test_set_and_family_objects_refuse_keys_they_do_not_read(obj, key, tmp_path, eq_diff, capsys):
+    """Every command that reads a set refuses a key by name, before any
+    count: exit 1, nothing on stdout."""
+    path = str(tmp_path / "set.json")
+    Path(path).write_text(json.dumps(obj))
+    for argv in (
+        ["count", "det", "--set", path, "-n", "2", "--d", "0"],
+        ["sweep", "--set", path, "-m", "2", "-n", "2", "--out", "-"],
+        ["family", "--spec", path],
+        ["equation", "count", "--eq", eq_diff, "--set", path],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"has unknown key {key!r}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "obj,key",
+    [
+        # x1 - x2 = 2 has 1 solution over {1, 2, 4, 8}, x1 - x2 = 0 has 4.
+        ({"coeffs": ["1", "-1"], "rsh": "2"}, "rsh"),
+        ({"kind": "equation", "coeffs": ["1", "-1"], "rhs": "2"}, "kind"),
+    ],
+)
+def test_equation_objects_refuse_keys_they_do_not_read(obj, key, tmp_path, capsys):
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(obj))
+    pows = tmp_path / "pows.json"
+    pows.write_text(json.dumps({"field": "Q", "elements": ["1", "2", "4", "8"]}))
+    for action in ("count", "classify"):
+        assert main(["equation", action, "--eq", str(path), "--set", str(pows)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: equation object has unknown key {key!r}\n"
 
 
 def test_growth_requires_a_source(capsys):

@@ -500,6 +500,26 @@ def test_set_from_json_rejects_malformed():
         set_from_json({"field": "Q", "elements": "123"})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"variant": "geometric", "base": "2", "start": 1, "stop": 3},
+        {"variant": "signed_geometric", "base": "2", "count": 2},
+        {"variant": "gaussian_units_scaled", "scales": ["1"]},
+        {"variant": "lattice_box", "generators": ["2"], "ranges": [[0, 3]],
+         "sample_size": 3, "seed": 1},
+        {"variant": "explicit", "elements": ["1", "2"]},
+    ],
+    ids=lambda obj: obj["variant"],
+)
+def test_family_keys_are_variant_field_and_the_dataclass_fields(obj):
+    assert family_from_json(dict(obj, field=QI)) is not None
+    with pytest.raises(FamilyError, match="unknown key 'shards'"):
+        family_from_json(dict(obj, shards=2))
+    with pytest.raises(FamilyError, match="set object has unknown key 'field'"):
+        set_from_json({"family": obj, "field": "Q"})
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tight_equation_coeffs_solve_on_diagonal(n):
     coeffs = tight_equation_coeffs(n)

@@ -125,6 +125,35 @@ def test_statistic_json_round_trips():
         assert stat == again
 
 
+@pytest.mark.parametrize(
+    "obj,field,expected",
+    [
+        ({"kind": "det", "n": 3, "target": "-7/2"}, Q,
+         {"kind": "det", "n": 3, "target": "-7/2"}),
+        ({"kind": "rank", "m": 2, "n": 3, "r": 1, "cumulative": False}, Q,
+         {"kind": "rank", "m": 2, "n": 3, "r": 1, "cumulative": False}),
+        ({"kind": "rank", "m": 2, "n": 2, "r": 1}, Q,
+         {"kind": "rank", "m": 2, "n": 2, "r": 1, "cumulative": True}),
+        ({"kind": "charpoly", "n": 3, "coeffs": ["1+i", "-i/2", "0"]}, QI,
+         {"kind": "charpoly", "n": 3, "coeffs": ["(1+i)", "-i/2", "0"]}),
+        ({"kind": "charpoly", "n": 2, "coeffs": ["0", "0"]}, Q,
+         {"kind": "charpoly", "n": 2, "coeffs": ["0", "0"]}),
+        ({"kind": "powersums", "n": 3, "t1": "2", "t2": "-1/3"}, Q,
+         {"kind": "powersums", "n": 3, "t1": "2", "t2": "-1/3"}),
+        ({"kind": "equation", "coeffs": ["1", "-1/2", "3"], "rhs": "5/4"}, Q,
+         {"kind": "equation", "coeffs": ["1", "-1/2", "3"], "rhs": "5/4"}),
+        ({"kind": "equation", "tight_n": 3}, QI,
+         {"kind": "equation", "coeffs": ["-1", "-1", "2"], "rhs": "0"}),
+        ({"kind": "system", "n": 4}, QI, {"kind": "system", "n": 4}),
+    ],
+    ids=["det", "rank-exact", "rank", "charpoly-3x3-qi", "charpoly-2x2", "powersums-3",
+         "equation", "equation-tight", "system"],
+)
+def test_statistic_to_json_is_pinned(obj, field, expected):
+    """The JSON each kind writes into a growth report, key for key."""
+    assert statistic_from_json(obj, field).to_json() == expected
+
+
 def test_statistic_json_validation():
     with pytest.raises(GrowthConfigError):
         statistic_from_json({"n": 2}, Q)

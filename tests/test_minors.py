@@ -159,6 +159,28 @@ def test_audit_out_of_draws_is_a_budget_error():
         audit_prop_zero_cofactors(int_element_set([1, 2]), 2, trials=3, seed=0, min_nonsingular=-5)
 
 
+def test_audit_summary_json_is_pinned():
+    summary = AuditSummary(
+        n=3, trials=5, seed=7, samples=6, nonsingular_checked=4, singular_skipped=2,
+        max_zero_count=2, zero_count_bound=1, reconstruction_mismatches=0,
+        violations=(((0, 1, 2), (1, 0, 2), (2, 2, 0)), ((1, 1, 0), (0, 1, 1), (1, 0, 1))),
+        passed=False,
+    )
+    assert summary.to_json() == {
+        "n": 3,
+        "trials": 5,
+        "seed": 7,
+        "samples": 6,
+        "nonsingular_checked": 4,
+        "singular_skipped": 2,
+        "max_zero_count": 2,
+        "zero_count_bound": 1,
+        "reconstruction_mismatches": 0,
+        "violations": [[[0, 1, 2], [1, 0, 2], [2, 2, 0]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]],
+        "passed": False,
+    }
+
+
 # -- the one-pass audit against a laplace_report reference ------------------------
 
 
