@@ -9,6 +9,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -210,6 +211,8 @@ def _add_budget(p, what: str = "sweeps") -> None:
     )
 
 
+# One parser per process: `--budget`'s env default is read when a command runs.
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="unitcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

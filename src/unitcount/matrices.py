@@ -8,11 +8,11 @@ appropriate power of L at the end.  One Bareiss elimination, whose
 intermediate divisions are exact in any integral domain, gives a matrix's
 rank and det.  The square det sweep dots each last row with cofactors whose
 minors are built row by row by Laplace expansion (`_wedge`) and shared
-between blocks, and the minor audit takes a sample's whole adjugate from
-one cached expansion plan (`_adjugate`).  Characteristic
-polynomials come from Berkowitz's division-free algorithm.  Each routine
-is written once over a ring of exact integer or Gaussian-integer
-operations, so Q and Qi share it.
+between blocks, and the minor audit takes a batch's adjugates, each entry a
+numpy array over samples, from one cached expansion plan (`_adjugate`).
+Characteristic polynomials come from Berkowitz's division-free algorithm.
+Each routine is written once over a ring of exact integer or
+Gaussian-integer operations, so Q and Qi share it.
 
 Sweeps histogram the requested statistics over every matrix in
 elements^(m*n), and single counts (count_det, count_rank, count_charpoly,

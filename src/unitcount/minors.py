@@ -1,16 +1,16 @@
 """Laplace-expansion minor reports and the zero-cofactor audit.
 
 For a nonsingular square matrix with nonzero entries, at most n-2 of the
-n minors along any fixed row or column can vanish.  The audit samples random
-matrices, reading each entry's denominator-cleared ring integer straight
-from the set, and takes all n^2 signed cofactors of a sample from one
-cached expansion plan (`matrices._adjugate`: n-2 rounds of dot products,
-each sub-minor computed once).  It then gathers every row and every column
-of the sample and of its cofactors, recombines all 2n Laplace expansions in
-one call, checks each against the determinant from a Bareiss elimination
-(an algorithm that shares nothing with the cofactor plan), and tallies
-zero minors on nonsingular samples.  `laplace_report` gives the same
-expansion for one line, in Scalars, as a report.
+n minors along any fixed row or column can vanish.  The audit runs its
+random samples in batches of lanes: a cell is one numpy array of ring
+integers read from the set, one per sample (over Q(i), a pair of arrays).
+One pass of the cached adjugate plan (`matrices._adjugate`) gives every
+lane's n^2 signed cofactors, one `ring.dots` call recombines all 2n rows
+and columns, and each is compared with the det (-1)^n c_0 from Berkowitz
+(`matrices._charpoly_coeffs`: no division, no branch, nothing shared with
+the cofactor plan); zero minors are tallied on nonsingular lanes.  Lanes
+are int64 where `_lane_dtype` proves it exact, Python ints otherwise.
+`laplace_report` gives one line's expansion, in Scalars, as a report.
 """
 
 from __future__ import annotations
@@ -18,11 +18,16 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from . import matrices
 from .families import ElementSet
-from .matrices import BudgetExceededError, MatrixInstance, _rank_det, _ring, det
-from .scalars import Scalar, _json_form
+from .matrices import BudgetExceededError, MatrixInstance, _charpoly_coeffs, _ring, det
+from .scalars import QI, Scalar, _json_form
+
+_LANES = 1 << 10  # samples per batch
 
 
 @dataclass(frozen=True)
@@ -98,25 +103,27 @@ class AuditSummary:
         return _json_form(self)
 
 
-def _line_checks(entries, cofactors, lines, n: int, ring, value) -> tuple[int, int]:
-    """(mismatches, most zero minors on one line) over the 2n Laplace
-    expansions of the square matrix with row-major `entries`, signed
-    `cofactors` and determinant `value`; `lines` gathers the rows and then
-    the columns of a row-major n x n matrix."""
-    gathered = lines(cofactors)
-    sums = ring.dots(lines(entries), gathered, n)
-    zero = ring.zero
-    most_zero = max(gathered[k : k + n].count(zero) for k in range(0, 2 * n * n, n))
-    return len(sums) - sums.count(value), most_zero
+def _lane_dtype(values, n: int):
+    """int64 when (n+2) (n M)^n < 2^62, M the largest |x| of the ring
+    `values` (M^2 = re^2 + im^2 over Q(i)); else object, Python ints.
+
+    Each adjugate minor, and each partial sum of a minor's or a line's
+    expansion, is a partial Leibniz sum: at most n! M^n <= (n M)^n, and a
+    line sum less the det twice that.  Berkowitz's step to the (r+1)-block
+    convolves t_i = R A^(i-2) C <= r^(i-1) M^i with p_j <= r^j M^j, i + j
+    <= r + 1, so each term is at most (r M)^(r+1) and a sum of r + 2 of them
+    below (n+2) (n M)^n.  Over Q(i) these bound moduli, hence both parts."""
+    square = max(v[0] ** 2 + v[1] ** 2 if isinstance(v, tuple) else v * v for v in values)
+    return np.int64 if (n + 2) ** 2 * n ** (2 * n) * square**n < 1 << 124 else object
+
+
+def _nonzero(value):
+    """The lanes where a ring value (an array, or a Q(i) pair) is nonzero."""
+    return (value[0] | value[1] if isinstance(value, tuple) else value) != 0
 
 
 def audit_prop_zero_cofactors(
-    elements: ElementSet,
-    n: int,
-    trials: int,
-    seed: int,
-    *,
-    min_nonsingular: int = 0,
+    elements: ElementSet, n: int, trials: int, seed: int, *, min_nonsingular: int = 0
 ) -> AuditSummary:
     """Sample matrices, verify every Laplace recombination equals det, and
     check the n-2 zero-minor bound on each nonsingular sample.
@@ -136,16 +143,12 @@ def audit_prop_zero_cofactors(
     draw = random.Random(seed).randrange
     size = len(elements)
     values = elements.scaled_integers()[1]
+    table = np.array(values, dtype=_lane_dtype(values, n)).T
     ring = _ring(elements.field)
-    cells = range(n * n)
-    lines = operator.itemgetter(*cells, *(i * n + j for j in range(n) for i in range(n)))
-    adjugate = matrices._adjugate  # by module attribute, so a test can substitute it
+    cells = n * n
+    lines = operator.itemgetter(*range(cells), *(i * n + j for j in range(n) for i in range(n)))
     bound = n - 2
-    samples = 0
-    nonsingular = 0
-    singular = 0
-    max_zero = 0
-    mismatches = 0
+    samples = nonsingular = max_zero = mismatches = 0
     violations: list[tuple[tuple[int, ...], ...]] = []
     cap = 100 * max(trials, min_nonsingular, 1)
     while samples < trials or nonsingular < min_nonsingular:
@@ -153,32 +156,28 @@ def audit_prop_zero_cofactors(
             raise BudgetExceededError(
                 samples + 1, cap, f"minor audit for {min_nonsingular} nonsingular samples"
             )
-        # One randrange per entry, row-major; pinned audit summaries depend on it.
-        indices = [draw(size) for _ in cells]
-        samples += 1
-        entries = [values[j] for j in indices]
-        value = _rank_det([entries[k : k + n] for k in range(0, n * n, n)], ring)[1]
-        cofactors = adjugate(entries, ring, n)
-        bad_lines, matrix_max_zero = _line_checks(entries, cofactors, lines, n, ring, value)
-        mismatches += bad_lines
-        if value == ring.zero:
-            singular += 1
-            continue
-        nonsingular += 1
-        max_zero = max(max_zero, matrix_max_zero)
-        if matrix_max_zero > bound:
-            violations.append(tuple(tuple(indices[k : k + n]) for k in range(0, n * n, n)))
-    passed = not violations and mismatches == 0
+        lanes = min(max(trials - samples, min_nonsingular - nonsingular), cap - samples, _LANES)
+        # A batch draws no more samples than are still needed, one randrange per
+        # entry, row-major, as one sample at a time did; pinned summaries need it.
+        indices = np.fromiter(map(draw, repeat(size, lanes * cells)), np.intp).reshape(lanes, cells)
+        gathered = table[..., indices.T]
+        flat = list(zip(*gathered)) if elements.field == QI else list(gathered)
+        value = _charpoly_coeffs([flat[k : k + n] for k in range(0, cells, n)], ring)[0]
+        value = ring.neg(value) if n % 2 else value
+        cofactors = matrices._adjugate(flat, ring, n)  # looked up here, so tests can swap it
+        sums = ring.dots(lines(flat), lines(cofactors), n)
+        mismatches += int(np.count_nonzero([_nonzero(ring.sub(s, value)) for s in sums]))
+        nonzero = np.array(list(map(_nonzero, cofactors))).reshape(n, n, lanes)
+        most = n - np.minimum(nonzero.sum(axis=0), nonzero.sum(axis=1)).min(axis=0)
+        checked = _nonzero(value)
+        samples += lanes
+        nonsingular += int(np.count_nonzero(checked))
+        max_zero = max(max_zero, int(most[checked].max(initial=0)))
+        for lane in np.flatnonzero(checked & (most > bound)):
+            violations.append(tuple(map(tuple, indices[lane].reshape(n, n).tolist())))
     return AuditSummary(
-        n=n,
-        trials=trials,
-        seed=seed,
-        samples=samples,
-        nonsingular_checked=nonsingular,
-        singular_skipped=singular,
-        max_zero_count=max_zero,
-        zero_count_bound=bound,
-        reconstruction_mismatches=mismatches,
-        violations=tuple(violations),
-        passed=passed,
+        n=n, trials=trials, seed=seed, samples=samples, nonsingular_checked=nonsingular,
+        singular_skipped=samples - nonsingular, max_zero_count=max_zero,
+        zero_count_bound=bound, reconstruction_mismatches=mismatches,
+        violations=tuple(violations), passed=not violations and mismatches == 0,
     )

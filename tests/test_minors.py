@@ -8,12 +8,14 @@ any one line.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from unitcount import Q, QI, MatrixInstance, det, matrices, parse_scalar
+from unitcount import Q, QI, MatrixInstance, det, matrices, minors, parse_scalar
 from unitcount.families import ElementSet, Geometric, materialize
 from unitcount.matrices import BudgetExceededError
 from unitcount.minors import AuditSummary, audit_prop_zero_cofactors, laplace_report
+from unitcount.scalars import Scalar
 
 import oracles
 from conftest import int_element_set, rand_element_set
@@ -249,16 +251,18 @@ def test_audit_equals_the_laplace_reference_at_n5(label):
 
 @pytest.mark.parametrize("field", [Q, QI])
 def test_audit_catches_a_corrupted_minor(field, monkeypatch):
-    # Shift one cofactor of the first sample by one: the first that the
-    # adjugate plan gives, that of row 0 and column 0.  That row and that
-    # column no longer recombine to det, and the audit must fail.
+    # Shift one cofactor of the first sample, lane 0 of the first batch, by
+    # one: the first that the adjugate plan gives, that of row 0 and column
+    # 0.  That row and that column no longer recombine to det, and the
+    # audit must fail.
     calls = itertools.count()
     real = matrices._adjugate
 
     def corrupted(flat, ring, n):
         value = real(flat, ring, n)
         if next(calls) == 0:
-            value[0] = ring.add(value[0], ring.one)
+            first = np.arange(np.shape(flat[0])[-1]) == 0
+            value[0] = ring.add(value[0], first if field == Q else (first, 0))
         return value
 
     monkeypatch.setattr(matrices, "_adjugate", corrupted)
@@ -289,7 +293,11 @@ def test_forced_audit_reads_the_draws_of_random_matrix(label, monkeypatch):
     # With every cofactor zero, each nonsingular sample breaks the n-2
     # bound, so the violations list every nonsingular draw's index rows.
     elements = _AUDIT_SETS[label]
-    monkeypatch.setattr(matrices, "_adjugate", lambda flat, ring, n: [ring.zero] * n * n)
+
+    def zero_lanes(flat, ring, n):
+        return [ring.mul(ring.zero, flat[0])] * n * n
+
+    monkeypatch.setattr(matrices, "_adjugate", zero_lanes)
     got = audit_prop_zero_cofactors(elements, 3, trials=4, seed=6, min_nonsingular=20)
     rng = random.Random(6)
     draws, nonsingular = [], []
@@ -302,3 +310,81 @@ def test_forced_audit_reads_the_draws_of_random_matrix(label, monkeypatch):
     assert got.singular_skipped == len(draws) - len(nonsingular)
     assert got.violations == tuple(nonsingular)
     assert got.reconstruction_mismatches == 6 * len(nonsingular)
+
+
+# -- sample lanes: the int64 proof at its boundary and the batch seams ---------
+
+# The largest M for which the lane proof, (n+2) (n M)^n < 2^62, picks int64.
+_LANE_BOUNDARY = {3: 324_470, 4: 7_402, 5: 732}
+
+
+def _audits_agree_on_both_dtypes(elements, n, monkeypatch):
+    lanes = audit_prop_zero_cofactors(elements, n, trials=300, seed=n)
+    with monkeypatch.context() as patch:
+        patch.setattr(minors, "_lane_dtype", lambda values, n: object)
+        assert audit_prop_zero_cofactors(elements, n, trials=300, seed=n) == lanes
+    assert audit_prop_zero_cofactors(elements, n, trials=6, seed=n) == _laplace_audit(
+        elements, n, 6, n
+    )
+    assert lanes.passed
+
+
+@pytest.mark.parametrize("n", sorted(_LANE_BOUNDARY))
+def test_lane_dtype_at_the_int64_proof_boundary(n, monkeypatch):
+    M = _LANE_BOUNDARY[n]
+    assert (n + 2) * (n * M) ** n < 2**62 <= (n + 2) * (n * (M + 1)) ** n
+    assert minors._lane_dtype([M, 1 - M], n) is np.int64
+    assert minors._lane_dtype([M + 1, 1], n) is object
+    assert minors._lane_dtype([-M - 1], n) is object
+    _audits_agree_on_both_dtypes(int_element_set([M, -M, M - 1, 1 - M]), n, monkeypatch)
+
+
+def test_gaussian_lane_dtype_at_the_int64_proof_boundary(monkeypatch):
+    # |a + a i|^2 = 2 a^2; the proof holds for a = 229,435 at n = 3.
+    a = 229_435
+    assert 5 * 5 * 3**6 * (2 * a * a) ** 3 < 2**124 <= 5 * 5 * 3**6 * (2 * (a + 1) ** 2) ** 3
+    assert minors._lane_dtype([(a, -a), (1, a - 1)], 3) is np.int64
+    assert minors._lane_dtype([(-a - 1, a + 1)], 3) is object
+    values = [(a, a), (-a, a), (a - 1, a), (a, 1 - a)]
+    elements = ElementSet(tuple(Scalar(QI, re, im, 1) for re, im in values))
+    _audits_agree_on_both_dtypes(elements, 3, monkeypatch)
+
+
+def test_object_lanes_past_the_proof():
+    # Every det is a multiple of 2^160 here, so int64 lanes would wrap each
+    # one to 0 and skip every sample as singular.
+    elements = int_element_set([2**40, -(2**40), 2**41])
+    assert minors._lane_dtype(elements.scaled_integers()[1], 4) is object
+    got = audit_prop_zero_cofactors(elements, 4, trials=10, seed=1)
+    assert got == _laplace_audit(elements, 4, 10, 1)
+    assert got.nonsingular_checked > 0
+
+
+@pytest.mark.parametrize("label", ["q-signs", "qi-dens"])
+def test_audit_batches_meet_at_their_seams(label, monkeypatch):
+    monkeypatch.setattr(minors, "_LANES", 3)
+    real = matrices._adjugate
+    batches = []
+
+    def spy(flat, ring, n):
+        batches.append(np.shape(flat[0])[-1])
+        return real(flat, ring, n)
+
+    monkeypatch.setattr(matrices, "_adjugate", spy)
+    elements = _AUDIT_SETS[label]
+    assert audit_prop_zero_cofactors(elements, 3, trials=7, seed=2) == _laplace_audit(
+        elements, 3, 7, 2
+    )
+    assert batches == [3, 3, 1]
+    forced = audit_prop_zero_cofactors(elements, 3, trials=2, seed=3, min_nonsingular=10)
+    assert forced == _laplace_audit(elements, 3, 2, 3, min_nonsingular=10)
+    assert len(batches) > 3 + 3
+
+
+@pytest.mark.parametrize("trials,cap", [(3, 300), (4, 400)])
+def test_audit_out_of_draws_across_batches(trials, cap, monkeypatch):
+    # The error names the same draw, one past the cap, as one sample at a time.
+    monkeypatch.setattr(minors, "_LANES", 3)
+    with pytest.raises(BudgetExceededError, match=f"over the budget of {cap}") as info:
+        audit_prop_zero_cofactors(int_element_set([1]), 2, trials, seed=0, min_nonsingular=1)
+    assert info.value.required == cap + 1
