@@ -23,6 +23,10 @@ Over Q(i) a det re + i im is one int64 key, re 2^32 + im (`_pack`).  The
 packing is linear and |im| < 2^31, so -key is the key of -det and |key|
 tells d from -d as |det| does over Q: the grouping and the sign fold run
 unchanged on keys, and only the histogram's keys are unpacked at the end.
+
+The other int64 proofs sit beside `supports`, so that one place says when
+int64 is exact: `audit_dtype` for the minor audit's sample lanes and
+`charpoly_dtype` for the charpoly sweep's matrix lanes.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ _CHUNK = 1 << 20
 
 # Triple dets are grouped this many at a time.
 _BATCH = 1 << 17
+
+# Charpoly lanes hold at most this many matrices: 4x4 lanes ran faster at
+# 2^14 than at 2^17 (over {1, 2} 2.6 against 2.1 million a second) and a
+# batch's arrays then stay a few MB, Python-int lanes' included.
+_LANE_BATCH = 1 << 14
 
 # Pending histogram rows merged once there are this many.
 _COMPACT_ROWS = 4_000_000
@@ -59,6 +68,43 @@ def supports(bound: int, gaussian: bool = False) -> bool:
     if gaussian:
         return 0 < 216 * int(bound) ** 6 < _HALF * _HALF
     return 0 < 6 * int(bound) ** 3 <= _SAFE_LIMIT
+
+
+def _square_bound(values) -> int:
+    """M^2, M the largest |x| of the ring `values`: ints over Q, (re, im)
+    pairs over Q(i), where M^2 = re^2 + im^2."""
+    return max(v[0] ** 2 + v[1] ** 2 if isinstance(v, tuple) else v * v for v in values)
+
+
+def _lanes_fit(values, n: int, terms: int) -> bool:
+    """terms (n M)^n < 2^62, compared squared: over Q(i) M^2 is an integer
+    where M need not be."""
+    return terms**2 * n ** (2 * n) * _square_bound(values) ** n < _SAFE_LIMIT**2
+
+
+def audit_dtype(values, n: int):
+    """int64 when (n+2) (n M)^n < 2^62 for the ring `values`; else object,
+    Python ints: the dtype of the minor audit's n x n sample lanes.
+
+    Each adjugate minor, and each partial sum of a minor's or a line's
+    expansion, is a partial Leibniz sum: at most n! M^n <= (n M)^n, and a
+    line sum less the det twice that.  The det comes from Berkowitz, under
+    the (n+1) (n M)^n of `charpoly_dtype`.  Over Q(i) these bound moduli,
+    hence both parts."""
+    return np.int64 if _lanes_fit(values, n, n + 2) else object
+
+
+def charpoly_dtype(values, n: int):
+    """int64 when (n+1) (n M)^n < 2^62 for the ring `values`; else object:
+    the dtype of Berkowitz (`matrices._charpoly_coeffs`) on n x n lanes.
+
+    Its step to the (r+1)-block convolves the Toeplitz column t_i =
+    R A^(i-2) C, at most r^(i-1) M^i (and t_1 = -a, t_0 = 1), with the
+    r-block's coefficients p_j <= r^j M^j, i + j <= r + 1: each term is at
+    most (r M)^(r+1), a partial sum of r + 2 of them below (n+1) (n M)^n,
+    and each product A^k C or R A^k C on the way is smaller.  Over Q(i)
+    these bound moduli, hence both parts."""
+    return np.int64 if _lanes_fit(values, n, n + 1) else object
 
 
 def _pack(det) -> int | None:

@@ -450,17 +450,18 @@ class FamilyTemplate:
 
     @staticmethod
     def from_json(obj: dict) -> "FamilyTemplate":
-        """Keep the template keys, fill the defaults, and check every key
-        by reading the family at k = 1 through `family_from_json`."""
+        """Refuse any key but the template keys, fill the defaults, and
+        check every key by reading the family at k = 1 through
+        `family_from_json`."""
         if not isinstance(obj, dict) or "variant" not in obj:
             raise FamilyError("family template needs a 'variant' key")
         variant = obj["variant"]
         if not isinstance(variant, str) or variant not in _TEMPLATE_KEYS:
             raise FamilyError(f"unknown family template variant {variant!r}")
-        keep = {"variant": variant, "field": obj.get("field", Q)}
-        if variant == "geometric":
-            keep["start"] = 1
-        keep.update((key, obj[key]) for key in _TEMPLATE_KEYS[variant] if key in obj)
+        known = ("variant", "field", *_TEMPLATE_KEYS[variant])
+        _refuse_unknown_keys(obj, known, f"family template {variant!r}", FamilyError)
+        keep = {"field": Q, "start": 1} if variant == "geometric" else {"field": Q}
+        keep.update(obj)
         if variant == "gaussian_units_scaled":
             keep["field"] = QI
         template = FamilyTemplate(

@@ -313,10 +313,12 @@ class ExperimentSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentSpec":
-        """Read a config exactly: any malformed key, the family's included,
-        raises GrowthConfigError."""
+        """Read a config exactly: a key that is not a field, or any malformed
+        key, the family's included, raises GrowthConfigError."""
         if not isinstance(obj, dict):
             raise GrowthConfigError("experiment config must be a JSON object")
+        known = [f.name for f in fields(ExperimentSpec)]
+        _refuse_unknown_keys(obj, known, "experiment config", GrowthConfigError)
         try:
             family = FamilyTemplate.from_json(obj["family"])
             tolerance = obj.get("tolerance", 0.2)

@@ -25,10 +25,10 @@ a-priori magnitude bound proves that no intermediate can leave int64 runs
 the vectorized kernel.  Otherwise square det comes from shared minors, level
 by level: each distinct block's minors are computed once, and the last
 level's cofactor vectors, one of each pair v, -v, meet the last rows; any
-other charpoly comes from one pass over every matrix.  Rank, in every
-shape, comes from one ordered walk over the flats that the lines of the
-shorter side span (a square's rank <= n-1 from its det zeros when det is
-swept); no matrix is ranked one by one.
+other charpoly comes from Berkowitz on numpy lanes of matrices.  Rank, in
+every shape, comes from one ordered walk over the flats that the lines of
+the shorter side span (a square's rank <= n-1 from its det zeros when det
+is swept); no matrix is ranked one by one.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from . import _kernels
 from .families import ElementSet
@@ -554,25 +556,58 @@ def _square_det(rows: list[tuple], n: int, ring: _Ring) -> dict:
     return dets
 
 
+def _matrix_lanes(table: np.ndarray, cells: int):
+    """Every matrix of `cells` entries over the A values on the last axis
+    of `table`, in odometer order, as lists of `cells` lanes (each an array
+    over matrices, or a (re, im) pair over Q(i)) of at most
+    `_kernels._LANE_BATCH` matrices.  The last `low` cells, A^low at most
+    that, run in full in every batch, the cell before them is split into
+    runs of values, and the cells before that are constant, broadcast."""
+    size, batch = table.shape[-1], _kernels._LANE_BATCH
+    low = 0
+    while low < cells - 1 and size ** (low + 1) <= batch:
+        low += 1
+    inner = size**low
+    step = max(1, batch // inner)
+    for prefix in itertools.product(range(size), repeat=cells - low - 1):
+        for first in range(0, size, step):
+            index = np.arange(first * inner, min(size, first + step) * inner)
+            shape = table.shape[:-1] + index.shape
+            lanes = [np.broadcast_to(table[..., d : d + 1], shape) for d in prefix]
+            lanes += [table[..., index // size**j % size] for j in range(low, -1, -1)]
+            yield [tuple(lane) for lane in lanes] if table.ndim == 2 else lanes
+
+
+def _charpoly_histogram(values: list, field: str, n: int) -> dict:
+    """Raw charpoly histogram of every n x n matrix over the ring `values`:
+    Berkowitz (`_charpoly_coeffs`) on lanes of matrices (`_matrix_lanes`),
+    int64 under `_kernels.charpoly_dtype` and Python ints past it, each
+    batch's keys counted by a Counter over the coefficient columns."""
+    ring = _ring(field)
+    table = np.array(values, dtype=_kernels.charpoly_dtype(values, n)).T
+    hist: Counter = Counter()
+    for flat in _matrix_lanes(table, n * n):
+        coeffs = _charpoly_coeffs([flat[k : k + n] for k in range(0, n * n, n)], ring)
+        if field == QI:
+            hist.update(zip(*(zip(re.tolist(), im.tolist()) for re, im in coeffs)))
+        else:
+            hist.update(zip(*(c.tolist() for c in coeffs)))
+    return dict(hist)
+
+
 # perfbench/spans.py wraps this name; it reads the raw dict's "total".
 def _generic_shard(values: list, field: str, n: int, stat: str) -> dict:
     """The planner's "sweep" route of one square statistic, "det" or
     "charpoly", over every n x n matrix in ring arithmetic, any field:
     {"total": A^(n^2), stat: raw histogram}.  det comes from the shared
     minors of `_square_det`, which computes each minor of each distinct
-    block once, charpoly from one Berkowitz pass over every matrix; the
-    tests take its 3x3 charpoly as their reference."""
-    ring = _ring(field)
-    rows = list(itertools.product(values, repeat=n))
-    raw = {"total": len(rows) ** n}
+    block once, charpoly from Berkowitz on lanes of matrices
+    (`_charpoly_histogram`)."""
+    raw = {"total": len(values) ** (n * n)}
     if stat == "det":
-        raw["det"] = _square_det(rows, n, ring)
-        return raw
-    hist: dict = {}
-    for matrix in itertools.product(rows, repeat=n):
-        cs = tuple(_charpoly_coeffs(matrix, ring))
-        hist[cs] = hist.get(cs, 0) + 1
-    raw["charpoly"] = hist
+        raw["det"] = _square_det(list(itertools.product(values, repeat=n)), n, _ring(field))
+    else:
+        raw["charpoly"] = _charpoly_histogram(values, field, n)
     return raw
 
 
@@ -653,7 +688,8 @@ def sweep(
 #   closed   rank <= min(m, n): every matrix, A^(mn) with no work
 #   sweep    square det past target3 (n = 1, n >= 4, or a 3x3 past the
 #            proof) by shared minors, each distinct block's once, or
-#            charpoly per matrix (`_generic_shard`), A^(n^2)
+#            charpoly at n = 1 and n >= 4 by Berkowitz on lanes of up to
+#            `_kernels._LANE_BATCH` matrices (`_generic_shard`), A^(n^2)
 #
 # An exact rank count is rank <= r minus rank <= r-1, both from one walk to
 # rank min(r, d - 1), charged that walk.

@@ -9,8 +9,10 @@ lane's n^2 signed cofactors, one `ring.dots` call recombines all 2n rows
 and columns, and each is compared with the det (-1)^n c_0 from Berkowitz
 (`matrices._charpoly_coeffs`: no division, no branch, nothing shared with
 the cofactor plan); zero minors are tallied on nonsingular lanes.  Lanes
-are int64 where `_lane_dtype` proves it exact, Python ints otherwise.
-`laplace_report` gives one line's expansion, in Scalars, as a report.
+are int64 where `_kernels.audit_dtype` proves it exact, Python ints
+otherwise.  The entries' indices are those of one `randrange` per entry,
+drawn in bulk (`_index_stream`).  `laplace_report` gives one line's
+expansion, in Scalars, as a report.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from . import matrices
+from . import _kernels, matrices
 from .families import ElementSet
 from .matrices import BudgetExceededError, MatrixInstance, _charpoly_coeffs, _ring, det
 from .scalars import QI, Scalar, _json_form
@@ -103,18 +104,34 @@ class AuditSummary:
         return _json_form(self)
 
 
-def _lane_dtype(values, n: int):
-    """int64 when (n+2) (n M)^n < 2^62, M the largest |x| of the ring
-    `values` (M^2 = re^2 + im^2 over Q(i)); else object, Python ints.
+def _index_stream(rng: random.Random, size: int):
+    """`take(count)`: the next `count` of the indices that calls of
+    `rng.randrange(size)` give, as an intp array.
 
-    Each adjugate minor, and each partial sum of a minor's or a line's
-    expansion, is a partial Leibniz sum: at most n! M^n <= (n M)^n, and a
-    line sum less the det twice that.  Berkowitz's step to the (r+1)-block
-    convolves t_i = R A^(i-2) C <= r^(i-1) M^i with p_j <= r^j M^j, i + j
-    <= r + 1, so each term is at most (r M)^(r+1) and a sum of r + 2 of them
-    below (n+2) (n M)^n.  Over Q(i) these bound moduli, hence both parts."""
-    square = max(v[0] ** 2 + v[1] ** 2 if isinstance(v, tuple) else v * v for v in values)
-    return np.int64 if (n + 2) ** 2 * n ** (2 * n) * square**n < 1 << 124 else object
+    For 0 < size < 2^32, `randrange(size)` is CPython's `_randbelow`: one
+    32-bit Mersenne Twister word per try, shifted right to k =
+    size.bit_length() bits, tried again while it is >= size.  One
+    `getrandbits(32 N)` call gives the next N words, little-endian, so the
+    tries are drawn N at a time, N the expected number one batch needs, and
+    the indices a batch leaves over are kept for the next."""
+    shift = 32 - size.bit_length()
+    spare = np.empty(0, dtype=np.intp)
+
+    def take(count: int) -> np.ndarray:
+        nonlocal spare
+        parts = [spare]
+        have = len(spare)
+        while have < count:
+            words = -(-((count - have) << (32 - shift)) // size)
+            bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            tries = np.frombuffer(bits, "<u4") >> shift
+            parts.append(tries[tries < size].astype(np.intp))
+            have += len(parts[-1])
+        stream = np.concatenate(parts)
+        spare = stream[count:]
+        return stream[:count]
+
+    return take
 
 
 def _nonzero(value):
@@ -140,10 +157,9 @@ def audit_prop_zero_cofactors(
         raise ValueError("need trials >= 1")
     if min_nonsingular < 0:
         raise ValueError(f"min_nonsingular must be >= 0, got {min_nonsingular}")
-    draw = random.Random(seed).randrange
-    size = len(elements)
+    draw = _index_stream(random.Random(seed), len(elements))
     values = elements.scaled_integers()[1]
-    table = np.array(values, dtype=_lane_dtype(values, n)).T
+    table = np.array(values, dtype=_kernels.audit_dtype(values, n)).T
     ring = _ring(elements.field)
     cells = n * n
     lines = operator.itemgetter(*range(cells), *(i * n + j for j in range(n) for i in range(n)))
@@ -157,9 +173,9 @@ def audit_prop_zero_cofactors(
                 samples + 1, cap, f"minor audit for {min_nonsingular} nonsingular samples"
             )
         lanes = min(max(trials - samples, min_nonsingular - nonsingular), cap - samples, _LANES)
-        # A batch draws no more samples than are still needed, one randrange per
+        # A batch takes no more samples than are still needed, an index per
         # entry, row-major, as one sample at a time did; pinned summaries need it.
-        indices = np.fromiter(map(draw, repeat(size, lanes * cells)), np.intp).reshape(lanes, cells)
+        indices = draw(lanes * cells).reshape(lanes, cells)
         gathered = table[..., indices.T]
         flat = list(zip(*gathered)) if elements.field == QI else list(gathered)
         value = _charpoly_coeffs([flat[k : k + n] for k in range(0, cells, n)], ring)[0]

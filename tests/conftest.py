@@ -67,6 +67,36 @@ def _per_matrix_power_sums(values: list, field: str, n: int) -> dict:
     return hist
 
 
+def _berkowitz(matrix, ring) -> tuple:
+    """c_0..c_(n-1) of det(T I - X) for one matrix X, by Berkowitz's
+    recurrence: the charpoly of the leading (r+1)-block is the lower
+    triangular Toeplitz matrix on (1, -a, -R C, -R A C, ...) times that of
+    the leading r-block A, C the column above the new diagonal entry a and
+    R the row left of it."""
+    dot, neg = ring.dot, ring.neg
+    poly = [ring.one]  # highest degree first
+    for r, row in enumerate(matrix):
+        column = [matrix[i][r] for i in range(r)]
+        firsts = [ring.one, neg(row[r])]
+        for _ in range(r):
+            firsts.append(neg(dot(row[:r], column)))
+            column = [dot(matrix[i][:r], column) for i in range(r)]
+        poly = [dot(firsts[i::-1], poly) for i in range(r + 2)]
+    return tuple(poly[:0:-1])
+
+
+def _per_matrix_charpolys(values: list, field: str, n: int) -> dict:
+    """Raw charpoly histogram, one Berkowitz pass per matrix in ring
+    arithmetic."""
+    ring = _ring(field)
+    rows = list(itertools.product(values, repeat=n))
+    hist: dict = {}
+    for matrix in itertools.product(rows, repeat=n):
+        key = _berkowitz(matrix, ring)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
 def _row_set_ranks(values: list, field: str, m: int, n: int) -> dict[int, int]:
     """Rank profile of every m x n matrix, by one Bareiss elimination per
     distinct set of rows, which is all that rank depends on."""
@@ -81,17 +111,19 @@ def _row_set_ranks(values: list, field: str, m: int, n: int) -> dict[int, int]:
 
 
 def generic_sweep(elements: ElementSet, m: int, n: int, opts: SweepOptions | None = None):
-    """The sweep on the per-matrix path: `_generic_shard` for charpoly per
-    matrix and det by shared minors, and here the ranks by Bareiss per
-    distinct set of rows and the power sums summed per matrix.  It shares
-    no code with the product convolutions, the 3x3 int64 kernel or the flats
-    walk: the reference they are checked against."""
+    """The sweep on per-matrix paths: `_generic_shard` for det by shared
+    minors, and here the charpoly by Berkowitz per matrix, the ranks by
+    Bareiss per distinct set of rows and the power sums summed per matrix.
+    It shares no code with the product convolutions, the cycle join, the
+    charpoly lanes, the 3x3 int64 kernel or the flats walk: the reference
+    they are checked against."""
     opts = opts or SweepOptions()
     _, values, _ = elements.scaled_integers()
-    raw = {"total": len(values) ** (m * n), "rank": None}
-    for stat in ("det", "charpoly"):
-        wanted = m == n and getattr(opts, stat)
-        raw[stat] = _generic_shard(values, elements.field, n, stat)[stat] if wanted else None
+    raw = {"total": len(values) ** (m * n), "rank": None, "det": None, "charpoly": None}
+    if m == n and opts.det:
+        raw["det"] = _generic_shard(values, elements.field, n, "det")["det"]
+    if m == n and opts.charpoly:
+        raw["charpoly"] = _per_matrix_charpolys(values, elements.field, n)
     if opts.rank:
         raw["rank"] = _row_set_ranks(values, elements.field, m, n)
     if opts.powersums:

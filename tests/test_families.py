@@ -429,12 +429,18 @@ def test_family_template_as_dict_round_trip(variant):
 
 
 def test_family_template_keeps_only_template_keys():
-    obj = {"variant": "geometric", "base": "2", "stop": 9, "count": 3, "shards": 8}
+    obj = {"variant": "geometric", "base": "2"}
     template = FamilyTemplate.from_json(obj)
     assert template.as_dict() == {
         "variant": "geometric", "base": "2", "start": 1, "field": "Q",
     }
     assert template.family_at(2).stop == 4
+    # The size field, which k sets, another variant's size field, an old
+    # "shards" key and a misspelt "start" are each refused by name.
+    for key in ("stop", "count", "shards", "strat"):
+        refused = f"family template 'geometric' has unknown key '{key}'"
+        with pytest.raises(FamilyError, match=refused):
+            FamilyTemplate.from_json(dict(obj, **{key: 3}))
 
 
 @pytest.mark.parametrize(

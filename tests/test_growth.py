@@ -297,14 +297,13 @@ def test_experiment_spec_defaults_and_budget_parsing():
             _det2_spec(budget=bad)
 
 
-def test_config_with_shards_key_still_loads():
-    # Sweeps run in one pass; a "shards" key from older configs is ignored.
-    config = dict(PRESETS["det0-3x3-geometric"], k_values=[1, 2, 3])
-    plain = ExperimentSpec.from_json(config)
-    old = ExperimentSpec.from_json(dict(config, shards=8))
-    assert old == plain
-    report = analyze(run_experiment(old)).to_json()
-    assert report == analyze(run_experiment(plain)).to_json()
+@pytest.mark.parametrize("key", ["tolerence", "shards", "budjet"])
+def test_config_with_an_unknown_key_is_refused(key):
+    # A misspelt key is never read as its default: "tolerence" would
+    # otherwise run at tolerance 0.2.
+    assert _det2_spec().tolerance == 0.2
+    with pytest.raises(GrowthConfigError, match=f"experiment config has unknown key '{key}'"):
+        _det2_spec(**{key: 0.9})
 
 
 def test_load_experiment_from_file(tmp_path):

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from unitcount import Q, QI, MatrixInstance, det, matrices, minors, parse_scalar
+from unitcount import Q, QI, MatrixInstance, _kernels, det, matrices, minors, parse_scalar
 from unitcount.families import ElementSet, Geometric, materialize
 from unitcount.matrices import BudgetExceededError
 from unitcount.minors import AuditSummary, audit_prop_zero_cofactors, laplace_report
@@ -288,6 +288,32 @@ def test_audit_draw_stream_is_pinned(base, field):
     assert audit_prop_zero_cofactors(elements, 4, trials=500, seed=2025).to_json() == _PINNED_N4
 
 
+class _CountedWords(random.Random):
+    """A Random that counts the 32-bit words its getrandbits calls draw."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 5, 7, 8, 13, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2025])
+def test_bulk_draws_are_the_randrange_stream(size, seed):
+    # The audit's indices come from getrandbits in bulk; they must be those
+    # of one randrange(size) per entry, across batches of uneven lengths
+    # that leave drawn indices over for the next.  A change to CPython's
+    # `_randbelow` fails here.
+    bulk, reference = _CountedWords(seed), _CountedWords(seed)
+    take = minors._index_stream(bulk, size)
+    ahead = 0
+    for count in (1, 16, 3, 0, 1000, 7, 4096, 2):
+        assert take(count).tolist() == [reference.randrange(size) for _ in range(count)]
+        ahead += bulk.words > reference.words
+    assert ahead > 0
+
+
 @pytest.mark.parametrize("label", ["q-units", "qi-powers"])
 def test_forced_audit_reads_the_draws_of_random_matrix(label, monkeypatch):
     # With every cofactor zero, each nonsingular sample breaks the n-2
@@ -314,14 +340,15 @@ def test_forced_audit_reads_the_draws_of_random_matrix(label, monkeypatch):
 
 # -- sample lanes: the int64 proof at its boundary and the batch seams ---------
 
-# The largest M for which the lane proof, (n+2) (n M)^n < 2^62, picks int64.
+# The largest M for which the audit's lane proof, (n+2) (n M)^n < 2^62,
+# picks int64.
 _LANE_BOUNDARY = {3: 324_470, 4: 7_402, 5: 732}
 
 
 def _audits_agree_on_both_dtypes(elements, n, monkeypatch):
     lanes = audit_prop_zero_cofactors(elements, n, trials=300, seed=n)
     with monkeypatch.context() as patch:
-        patch.setattr(minors, "_lane_dtype", lambda values, n: object)
+        patch.setattr(_kernels, "audit_dtype", lambda values, n: object)
         assert audit_prop_zero_cofactors(elements, n, trials=300, seed=n) == lanes
     assert audit_prop_zero_cofactors(elements, n, trials=6, seed=n) == _laplace_audit(
         elements, n, 6, n
@@ -333,9 +360,9 @@ def _audits_agree_on_both_dtypes(elements, n, monkeypatch):
 def test_lane_dtype_at_the_int64_proof_boundary(n, monkeypatch):
     M = _LANE_BOUNDARY[n]
     assert (n + 2) * (n * M) ** n < 2**62 <= (n + 2) * (n * (M + 1)) ** n
-    assert minors._lane_dtype([M, 1 - M], n) is np.int64
-    assert minors._lane_dtype([M + 1, 1], n) is object
-    assert minors._lane_dtype([-M - 1], n) is object
+    assert _kernels.audit_dtype([M, 1 - M], n) is np.int64
+    assert _kernels.audit_dtype([M + 1, 1], n) is object
+    assert _kernels.audit_dtype([-M - 1], n) is object
     _audits_agree_on_both_dtypes(int_element_set([M, -M, M - 1, 1 - M]), n, monkeypatch)
 
 
@@ -343,8 +370,8 @@ def test_gaussian_lane_dtype_at_the_int64_proof_boundary(monkeypatch):
     # |a + a i|^2 = 2 a^2; the proof holds for a = 229,435 at n = 3.
     a = 229_435
     assert 5 * 5 * 3**6 * (2 * a * a) ** 3 < 2**124 <= 5 * 5 * 3**6 * (2 * (a + 1) ** 2) ** 3
-    assert minors._lane_dtype([(a, -a), (1, a - 1)], 3) is np.int64
-    assert minors._lane_dtype([(-a - 1, a + 1)], 3) is object
+    assert _kernels.audit_dtype([(a, -a), (1, a - 1)], 3) is np.int64
+    assert _kernels.audit_dtype([(-a - 1, a + 1)], 3) is object
     values = [(a, a), (-a, a), (a - 1, a), (a, 1 - a)]
     elements = ElementSet(tuple(Scalar(QI, re, im, 1) for re, im in values))
     _audits_agree_on_both_dtypes(elements, 3, monkeypatch)
@@ -354,7 +381,7 @@ def test_object_lanes_past_the_proof():
     # Every det is a multiple of 2^160 here, so int64 lanes would wrap each
     # one to 0 and skip every sample as singular.
     elements = int_element_set([2**40, -(2**40), 2**41])
-    assert minors._lane_dtype(elements.scaled_integers()[1], 4) is object
+    assert _kernels.audit_dtype(elements.scaled_integers()[1], 4) is object
     got = audit_prop_zero_cofactors(elements, 4, trials=10, seed=1)
     assert got == _laplace_audit(elements, 4, 10, 1)
     assert got.nonsingular_checked > 0

@@ -508,7 +508,8 @@ def _check_routes(elements: ElementSet, n: int, stat: str, spy: _RouteSpy) -> No
     swept = sweep(elements, n, n, opts)
     route = plan_square(n, elements, stat).name
     assert [c for c in spy.calls if c != "_product_counter"] == [_HISTOGRAMS[route]]
-    # The sweep route is the reference's own per-matrix pass.
+    # The reference takes det by the sweep route's own shared minors; the
+    # sweep route's charpoly lanes are checked in test_charpoly_lanes.py.
     if route != "sweep":
         assert swept.raw[stat] == generic_sweep(elements, n, n, opts).raw[stat]
     hist = spec.histogram(swept)
