@@ -17,8 +17,6 @@ Exponent sources, by tag:
   charpoly-refined  base 3n^2/4 - n/4 minus a saving keyed on whether the
                     two leading non-monic coefficients vanish
   charpoly-real     sharper savings for subsets of the reals (n = 0,1 mod 4)
-  det-route         a full charpoly fixes the determinant, so the det bound
-                    applies to charpoly counts as well
   equation-*        linear equations, homogeneous and not
   system-sum-squares  the simultaneous zero-sum / zero-square-sum system
 """
@@ -208,18 +206,12 @@ def best_charpoly_exponent(
     c2_zero: bool,
     field_real: bool,
     twice_c2_equals_c1: bool = False,
-    constant_term_zero: bool | None = None,
-    include_det_route: bool = True,
 ) -> ExponentValue:
     """Smallest applicable exponent for a prescribed charpoly of an n x n
-    matrix (n >= 3), chosen among the refined, real-refined, general, and
-    determinant-route bounds.
-
-    constant_term_zero states whether the polynomial's constant coefficient
-    (hence the determinant, up to sign) vanishes; None means unknown, in
-    which case the weaker det=0 exponent is used for the det route.  Pass
-    include_det_route=False when only the two leading coefficients are
-    prescribed (the power-sum relaxation), where no determinant is fixed.
+    matrix (n >= 3), chosen among the refined, real-refined and general
+    bounds.  The det bound, which a full charpoly also fixes, is at least
+    n^2 - (n+2)/2 > (3n^2 - n)/4 >= the refined bound from n = 3 on, so it
+    never wins.
     """
     if n < 3:
         raise ValueError("need n >= 3; use charpoly2_bound for n = 2")
@@ -241,17 +233,6 @@ def best_charpoly_exponent(
             "any coefficients",
         )
     )
-    if include_det_route:
-        if constant_term_zero is None:
-            det_value = det_exponent(n, True)
-            candidates.append(
-                ExponentValue(det_value.value, "det-route", "det unknown")
-            )
-        else:
-            det_value = det_exponent(n, constant_term_zero)
-            candidates.append(
-                ExponentValue(det_value.value, "det-route", det_value.regime)
-            )
     best = candidates[0]
     for cand in candidates[1:]:
         if cand.value < best.value:
@@ -301,7 +282,8 @@ def _dedupe_rows(rows: list[ExponentValue]) -> list[ExponentValue]:
 
 def bound_table(kind: str, **params) -> list[ExponentValue]:
     """Rows for the CLI bound table: every applicable exponent for the kind.
-    A charpoly's `c0_zero` (None: unknown) is its `constant_term_zero`."""
+    A charpoly reads `c0_zero`, whether its constant term vanishes, at
+    n = 2 only."""
     if kind == "rank":
         n, m, r = params["n"], params["m"], params["r"]
         _, _, triv = trivial_exponents(n, m, r)
@@ -325,7 +307,6 @@ def bound_table(kind: str, **params) -> list[ExponentValue]:
                 c2_zero=params["c2_zero"],
                 field_real=params["field_real"],
                 twice_c2_equals_c1=params.get("twice_c2_equals_c1", False),
-                constant_term_zero=params.get("c0_zero"),
             ),
             charpoly_refined_exponent(n, params["c1_zero"], params["c2_zero"]),
             ExponentValue(

@@ -293,7 +293,7 @@ def build_parser() -> _Parser:
     b_cp = bound_sub.add_parser("charpoly", help="charpoly-count exponent")
     b_cp.add_argument("-n", type=int, required=True)
     b_cp.add_argument(
-        "--c0-zero", action="store_const", const=True, help="constant term is zero"
+        "--c0-zero", action="store_true", help="constant term is zero (read at n = 2)"
     )
     b_cp.add_argument("--c1-zero", action="store_true", help="trace coefficient zero")
     b_cp.add_argument("--c2-zero", action="store_true", help="second coefficient zero")

@@ -126,7 +126,6 @@ class CharpolyStatistic(_Statistic):
             c2_zero=c2.is_zero(),
             field_real=field == Q,
             twice_c2_equals_c1=(c2 + c2) == c1,
-            constant_term_zero=coeffs[0].is_zero(),
         )
         return ev.value, ev.source, False
 
@@ -155,7 +154,6 @@ class PowerSumsStatistic(_Statistic):
             c2_zero=second_zero,
             field_real=field == Q,
             twice_c2_equals_c1=twice,
-            include_det_route=False,
         )
         return ev.value, ev.source, False
 

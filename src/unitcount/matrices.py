@@ -4,15 +4,14 @@ with entries drawn from a finite scalar set, plus full-domain sweeps.
 All computation clears denominators first: an ElementSet with denominator
 lcm L turns into integer (or Gaussian-integer) entries, statistics are
 computed fraction-free over the integers, and results are rescaled by the
-appropriate power of L at the end.  One Bareiss elimination, whose
-intermediate divisions are exact in any integral domain, gives a matrix's
-rank and det.  The square det sweep dots each last row with cofactors whose
-minors are built row by row by Laplace expansion (`_wedge`) and shared
-between blocks, and the minor audit takes a batch's adjugates, each entry a
-numpy array over samples, from one cached expansion plan (`_adjugate`).
-Characteristic polynomials come from Berkowitz's division-free algorithm.
-Each routine is written once over a ring of exact integer or
-Gaussian-integer operations, so Q and Qi share it.
+appropriate power of L at the end; nothing divides.  The square det sweep
+dots each last row with cofactors whose minors are built row by row by
+Laplace expansion (`_wedge`) and shared between blocks, and the minor audit
+takes a batch's adjugates, each entry a numpy array over samples, from the
+same fold (`_adjugate`).  Characteristic polynomials, and one matrix's det,
+come from Berkowitz's division-free algorithm.  Each routine is written
+once over a ring of exact integer or Gaussian-integer operations, so Q and
+Qi share it.
 
 Sweeps histogram the requested statistics over every matrix in
 elements^(m*n), and single counts (count_det, count_rank, count_charpoly,
@@ -119,7 +118,7 @@ def _scaled_rows(X: MatrixInstance, elements: ElementSet) -> list[list]:
 #
 # Scaled entries are ints (field Q) or (re, im) int pairs (field QI).  Each
 # core below is written once against a _Ring of the exact operations on those
-# values, so one elimination and one charpoly routine serve both fields.
+# values, so one minor fold and one charpoly routine serve both fields.
 
 
 def _gadd(a, b):
@@ -132,15 +131,6 @@ def _gsub(a, b):
 
 def _gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gdiv_exact(a, b):
-    # (a * conj b) / |b|^2; exact by construction wherever Bareiss divides.
-    norm = b[0] * b[0] + b[1] * b[1]
-    return (
-        (a[0] * b[0] + a[1] * b[1]) // norm,
-        (a[1] * b[0] - a[0] * b[1]) // norm,
-    )
 
 
 def _gneg(a):
@@ -178,8 +168,7 @@ def _gdots(xs, ys, size: int) -> list:
 
 @dataclass(frozen=True)
 class _Ring:
-    """Exact arithmetic on scaled entries; `div` is only ever called where
-    the quotient is known to be exact, and `dots(xs, ys, size)` lists the
+    """Exact arithmetic on scaled entries; `dots(xs, ys, size)` lists the
     dot products of consecutive slices of `size` of xs and ys.  A list, as
     a tuple built from an iterator is resized, and CPython's per-size tuple
     free lists then keep up to 2,000 freed tuples of each result size."""
@@ -187,7 +176,6 @@ class _Ring:
     add: Callable
     sub: Callable
     mul: Callable
-    div: Callable
     neg: Callable
     dot: Callable
     dots: Callable
@@ -196,11 +184,10 @@ class _Ring:
 
 
 _INTEGERS = _Ring(
-    operator.add, operator.sub, operator.mul, operator.floordiv, operator.neg,
-    _idot, _idots, 0, 1,
+    operator.add, operator.sub, operator.mul, operator.neg, _idot, _idots, 0, 1,
 )
 _GAUSSIAN_INTEGERS = _Ring(
-    _gadd, _gsub, _gmul, _gdiv_exact, _gneg, _gdot, _gdots, (0, 0), (1, 0)
+    _gadd, _gsub, _gmul, _gneg, _gdot, _gdots, (0, 0), (1, 0)
 )
 
 
@@ -215,39 +202,6 @@ def _to_scalar(field: str, value, den: int) -> Scalar:
     return Scalar(Q, value, 0, den)
 
 
-def _rank_det(rows: list[list], ring: _Ring) -> tuple[int, object]:
-    """(rank, det) from one fraction-free Bareiss pass with pivot search and
-    column skipping; det is zero unless the matrix is square of full rank."""
-    sub, mul, div, zero = ring.sub, ring.mul, ring.div, ring.zero
-    M = [list(r) for r in rows]
-    m, n = len(M), len(M[0])
-    r = 0
-    prev = ring.one
-    swaps = 0
-    for c in range(n):
-        for p in range(r, m):
-            if M[p][c] != zero:
-                break
-        else:
-            continue
-        if p != r:
-            M[r], M[p] = M[p], M[r]
-            swaps += 1
-        row_r = M[r]
-        pivot = row_r[c]
-        for i in range(r + 1, m):
-            row_i = M[i]
-            mic = row_i[c]
-            for j in range(c + 1, n):
-                row_i[j] = div(sub(mul(row_i[j], pivot), mul(mic, row_r[j])), prev)
-        # The k-th Bareiss pivot is a k x k minor, so the last one is det.
-        prev = pivot
-        r += 1
-    if r < n or m != n:
-        return r, zero
-    return r, ring.neg(prev) if swaps % 2 else prev
-
-
 # -- shared minors -------------------------------------------------------------
 #
 # The k-minors of a k-row block with n columns are listed over the k-subsets
@@ -255,9 +209,8 @@ def _rank_det(rows: list[list], ring: _Ring) -> tuple[int, object]:
 # row on top gives the (k+1)-minors by Laplace expansion along that row
 # (`_wedge`), so the minors of a block are a fold from its bottom row up,
 # and blocks that share their lower rows share those rows' minors.  The
-# square det sweep folds that way; the minor audit, which needs all n^2
-# cofactors of one matrix, expands each from the top down instead, sharing
-# equal sub-minors (`_adjugate_plan`).
+# square det sweep folds that way over blocks, and the minor audit's
+# adjugate over the n blocks of n-1 rows of one matrix (`_adjugate`).
 
 
 @functools.cache
@@ -288,52 +241,34 @@ def _wedge(row, minors: tuple, k: int, ring: _Ring, cofactors: bool = False) -> 
     return tuple(ring.dots(entries((*row, *map(ring.neg, row))), subs(minors), k + 1))
 
 
-@functools.cache
-def _adjugate_plan(n: int) -> tuple:
-    """The rounds that give every signed cofactor of an n x n matrix (n >= 3)
-    from its n^2 row-major entries.  The minor M(R, C) on rows R and columns
-    C is expanded along its top row: the sum over t of (-1)^t x[R_0][C_t]
-    times M(R without R_0, C without C_t).  Expanding the n^2 cofactors so
-    lists the (n-2)-minors they need, each once, and so on down to the
-    2-minors, whose sub-minors are entries.  Each round, from the 2-minors
-    up, is (entry getter, sub-minor getter, size): the entry getter reads
-    the entries followed by their negations, so the signs, and at the top
-    the cofactor signs (-1)^(i+j), are folded in; the sub-minor getter reads
-    the round before's minors, or the entries for the first round."""
-    full = range(n)
-    rounds = []
-    level = [
-        (tuple(r for r in full if r != i), tuple(c for c in full if c != j), i + j)
-        for i in full
-        for j in full
-    ]
-    for size in range(n - 1, 1, -1):
-        # The 1-minors are the entries themselves, row-major.
-        index = {((r,), (c,)): r * n + c for r in full for c in full} if size == 2 else {}
-        entries, subs = [], []
-        for rows, cols, sign in level:
-            for t, c in enumerate(cols):
-                entries.append(rows[0] * n + c + n * n * ((t + sign) % 2))
-                subs.append(index.setdefault((rows[1:], cols[:t] + cols[t + 1 :]), len(index)))
-        rounds.append((operator.itemgetter(*entries), operator.itemgetter(*subs), size))
-        level = [(rows, cols, 0) for rows, cols in index]
-    return tuple(reversed(rounds))
-
-
 def _adjugate(flat, ring: _Ring, n: int) -> list:
     """C[i][j] = (-1)^(i+j) times the minor of the n x n matrix with
-    row-major entries `flat` without row i and column j, row-major: n - 2
-    rounds of `ring.dots` over `_adjugate_plan(n)`.  Row i dotted with
-    row i of C, or column j with column j, is the det."""
+    row-major entries `flat` without row i and column j, row-major.  Row i
+    of C is the last row's signed cofactors (`_wedge`) of the matrix with
+    row i moved last, negated when n-1-i is odd; the minors of the rows
+    other than i are folded from the bottom up, and `below[b]`, the
+    b-minors of the last b rows, is shared by every row above them.  Row i
+    dotted with row i of C, or column j with column j, is the det."""
     if n == 1:
         return [ring.one]
-    if n == 2:
-        return [flat[3], ring.neg(flat[2]), ring.neg(flat[1]), flat[0]]
-    signed = [*flat, *map(ring.neg, flat)]
-    minors = flat
-    for entries, subs, size in _adjugate_plan(n):
-        minors = ring.dots(entries(signed), subs(minors), size)
-    return minors
+    rows = [flat[k : k + n] for k in range(0, n * n, n)]
+
+    def fold(row, minors, k):  # a row's 1-minors are its entries
+        return _wedge(row, minors, k, ring) if k else row
+
+    below = [(ring.one,)]
+    for b in range(1, n - 1):
+        below.append(fold(rows[n - b], below[-1], b - 1))
+    adjugate = []
+    for i in range(n):
+        others = rows[:i] + rows[i + 1 :]
+        k = min(n - 1 - i, n - 2)
+        minors = below[k]
+        for row in others[n - 2 - k : 0 : -1]:
+            minors, k = fold(row, minors, k), k + 1
+        last = _wedge(others[0], minors, k, ring, cofactors=True)
+        adjugate += map(ring.neg, last) if (n - 1 - i) % 2 else last
+    return adjugate
 
 
 def _charpoly_coeffs(rows: list[list], ring: _Ring) -> list:
@@ -362,12 +297,13 @@ def _charpoly_coeffs(rows: list[list], ring: _Ring) -> list:
 
 # No count calls this; perfbench/spans.py looks it up as minors.det to span it.
 def det(X: MatrixInstance, elements: ElementSet) -> Scalar:
-    """Determinant from the one Bareiss elimination that also gives rank."""
+    """Determinant (-1)^n c_0 from Berkowitz (`_charpoly_coeffs`)."""
     if X.m != X.n:
         raise ValueError("determinant needs a square matrix")
     lcm, _, _ = elements.scaled_integers()
-    raw = _rank_det(_scaled_rows(X, elements), _ring(elements.field))[1]
-    return _to_scalar(elements.field, raw, lcm**X.n)
+    ring = _ring(elements.field)
+    raw = _charpoly_coeffs(_scaled_rows(X, elements), ring)[0]
+    return _to_scalar(elements.field, ring.neg(raw) if X.n % 2 else raw, lcm**X.n)
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -560,22 +496,13 @@ def _matrix_lanes(table: np.ndarray, cells: int):
     """Every matrix of `cells` entries over the A values on the last axis
     of `table`, in odometer order, as lists of `cells` lanes (each an array
     over matrices, or a (re, im) pair over Q(i)) of at most
-    `_kernels._LANE_BATCH` matrices.  The last `low` cells, A^low at most
-    that, run in full in every batch, the cell before them is split into
-    runs of values, and the cells before that are constant, broadcast."""
+    `_kernels._LANE_BATCH` matrices: the matrix numbered t has the value of
+    digit j of t in base A in its j-th cell from the last."""
     size, batch = table.shape[-1], _kernels._LANE_BATCH
-    low = 0
-    while low < cells - 1 and size ** (low + 1) <= batch:
-        low += 1
-    inner = size**low
-    step = max(1, batch // inner)
-    for prefix in itertools.product(range(size), repeat=cells - low - 1):
-        for first in range(0, size, step):
-            index = np.arange(first * inner, min(size, first + step) * inner)
-            shape = table.shape[:-1] + index.shape
-            lanes = [np.broadcast_to(table[..., d : d + 1], shape) for d in prefix]
-            lanes += [table[..., index // size**j % size] for j in range(low, -1, -1)]
-            yield [tuple(lane) for lane in lanes] if table.ndim == 2 else lanes
+    for start in range(0, size**cells, batch):
+        index = np.arange(start, min(start + batch, size**cells))
+        lanes = [table[..., index // size**j % size] for j in range(cells - 1, -1, -1)]
+        yield [tuple(lane) for lane in lanes] if table.ndim == 2 else lanes
 
 
 def _charpoly_histogram(values: list, field: str, n: int) -> dict:

@@ -4,11 +4,11 @@ For a nonsingular square matrix with nonzero entries, at most n-2 of the
 n minors along any fixed row or column can vanish.  The audit runs its
 random samples in batches of lanes: a cell is one numpy array of ring
 integers read from the set, one per sample (over Q(i), a pair of arrays).
-One pass of the cached adjugate plan (`matrices._adjugate`) gives every
-lane's n^2 signed cofactors, one `ring.dots` call recombines all 2n rows
-and columns, and each is compared with the det (-1)^n c_0 from Berkowitz
+The det sweep's Laplace fold (`matrices._adjugate`) gives every lane's n^2
+signed cofactors, one `ring.dots` call recombines all 2n rows and columns,
+and each is compared with the det (-1)^n c_0 from Berkowitz
 (`matrices._charpoly_coeffs`: no division, no branch, nothing shared with
-the cofactor plan); zero minors are tallied on nonsingular lanes.  Lanes
+the cofactor fold); zero minors are tallied on nonsingular lanes.  Lanes
 are int64 where `_kernels.audit_dtype` proves it exact, Python ints
 otherwise.  The entries' indices are those of one `randrange` per entry,
 drawn in bulk (`_index_stream`).  `laplace_report` gives one line's

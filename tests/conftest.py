@@ -8,8 +8,10 @@ import random
 from collections import Counter
 
 from unitcount.families import ElementSet
-from unitcount.matrices import SweepOptions, _finalize, _generic_shard, _rank_det, _ring
+from unitcount.matrices import SweepOptions, _finalize, _generic_shard, _ring
 from unitcount.scalars import Q, QI, Scalar
+
+from oracles import rank_det
 
 
 def rand_scalar(
@@ -98,14 +100,14 @@ def _per_matrix_charpolys(values: list, field: str, n: int) -> dict:
 
 
 def _row_set_ranks(values: list, field: str, m: int, n: int) -> dict[int, int]:
-    """Rank profile of every m x n matrix, by one Bareiss elimination per
-    distinct set of rows, which is all that rank depends on."""
-    ring = _ring(field)
+    """Rank profile of every m x n matrix, by one Bareiss elimination
+    (`oracles.rank_det`) per distinct set of rows, which is all that rank
+    depends on."""
     rows = list(itertools.product(values, repeat=n))
     ranks: dict[int, int] = {}
     rowsets = Counter(map(frozenset, itertools.product(rows, repeat=m)))
     for rowset, count in rowsets.items():
-        r = _rank_det(list(rowset), ring)[0]
+        r = rank_det(list(rowset), field)[0]
         ranks[r] = ranks.get(r, 0) + count
     return ranks
 

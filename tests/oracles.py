@@ -9,10 +9,12 @@ recursion.  Most of it is exponentially slow and meant for tiny inputs only;
 `rank_profile_by_row_sets` reaches 4 x 5 by ranking each set of distinct
 rows once.
 
-`bareiss_sweep` is built on the package's elimination: the plain loop of
-one Bareiss elimination per matrix, which the shared-minors det sweep and
-the flats walk replaced.  It is fast enough for 4x4 sweeps that the Fraction oracles cannot
-reach, and it shares no grouping or cofactor code with the route it checks.
+`rank_det` is a fraction-free Bareiss elimination over the scaled ring
+values, with its own exact division; the package eliminates nowhere.
+`bareiss_sweep` is the plain loop of one `rank_det` per matrix, which the
+shared-minors det sweep and the flats walk replaced.  It is fast enough for
+4x4 sweeps that the Fraction oracles cannot reach, and it shares no
+grouping or cofactor code with the route it checks.
 `fast_det2_histogram` and `power_sums_from_coeffs` are written in `Scalar`
 arithmetic: the 2x2 det convolution over Scalars, and Newton's identities
 for the two leading coefficients.  `det_histogram`, `charpoly_histogram`
@@ -37,11 +39,11 @@ from unitcount.matrices import (
     BudgetExceededError,
     MatrixInstance,
     _key_scales,
-    _rank_det,
     _ring,
     _to_scalar,
     resolve_budget,
 )
+from unitcount.scalars import QI
 
 Pair = tuple[Fraction, Fraction]
 
@@ -353,21 +355,60 @@ def rank_profile_by_row_sets(elements, m: int, n: int, top: int) -> dict[int, in
     return ranks
 
 
+def _gaussian_quotient(a, b):
+    """a / b for (re, im) pairs known to divide exactly: a conj(b) / |b|^2."""
+    norm = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) // norm, (a[1] * b[0] - a[0] * b[1]) // norm)
+
+
+def rank_det(rows, field: str) -> tuple[int, object]:
+    """(rank, det) of a matrix of scaled ring values from one fraction-free
+    Bareiss pass with pivot search and column skipping; det is the ring's
+    zero unless the matrix is square of full rank.  Each division is exact."""
+    ring = _ring(field)
+    sub, mul, zero = ring.sub, ring.mul, ring.zero
+    div = _gaussian_quotient if field == QI else operator.floordiv
+    M = [list(r) for r in rows]
+    m, n = len(M), len(M[0])
+    r = swaps = 0
+    prev = ring.one
+    for c in range(n):
+        for p in range(r, m):
+            if M[p][c] != zero:
+                break
+        else:
+            continue
+        if p != r:
+            M[r], M[p] = M[p], M[r]
+            swaps += 1
+        row_r = M[r]
+        pivot = row_r[c]
+        for row_i in M[r + 1 :]:
+            mic = row_i[c]
+            for j in range(c + 1, n):
+                row_i[j] = div(sub(mul(row_i[j], pivot), mul(mic, row_r[j])), prev)
+        # The k-th Bareiss pivot is a k x k minor, so the last one is det.
+        prev = pivot
+        r += 1
+    if r < n or m != n:
+        return r, zero
+    return r, ring.neg(prev) if swaps % 2 else prev
+
+
 def bareiss_sweep(
     values: list, field: str, m: int, n: int, rows: list | None = None
 ) -> tuple[dict, dict | None]:
     """(rank, det) histograms of every m x n matrix over the scaled ring
     values, keyed like the sweep's raw histograms; det is None unless
     square.  With `rows`, only the matrices whose rows all come from that
-    list of ring vectors.  One `_rank_det` call per matrix, in odometer
+    list of ring vectors.  One `rank_det` call per matrix, in odometer
     order."""
-    ring = _ring(field)
     ranks: dict[int, int] = {}
     dets: dict | None = {} if m == n else None
     if rows is None:
         rows = list(itertools.product(values, repeat=n))
     for matrix in itertools.product(rows, repeat=m):
-        r, d = _rank_det(matrix, ring)
+        r, d = rank_det(matrix, field)
         ranks[r] = ranks.get(r, 0) + 1
         if dets is not None:
             dets[d] = dets.get(d, 0) + 1

@@ -220,14 +220,16 @@ def test_best_charpoly_picks_minimum_candidate():
                 assert best.value <= charpoly_refined_exponent(n, c1z, c2z).value
 
 
-def test_best_charpoly_det_route_toggle():
-    with_route = best_charpoly_exponent(
-        3, c1_zero=True, c2_zero=True, field_real=True, constant_term_zero=False
-    )
-    without = best_charpoly_exponent(
-        3, c1_zero=True, c2_zero=True, field_real=True, include_det_route=False
-    )
-    assert with_route.value <= without.value
+def test_det_bound_never_beats_the_refined_charpoly_bound():
+    # A full charpoly fixes the det, but the det bound, at its smallest
+    # (det != 0), exceeds the refined bound in every regime from n = 3 on,
+    # so best_charpoly_exponent need not offer it.
+    for n in range(3, 60):
+        det_value = det_exponent(n, False).value
+        for c1z in (False, True):
+            for c2z in (False, True):
+                assert det_value > charpoly_refined_exponent(n, c1z, c2z).value
+        assert det_exponent(n, True).value >= det_value
     with pytest.raises(ValueError):
         best_charpoly_exponent(2, c1_zero=True, c2_zero=True, field_real=True)
 

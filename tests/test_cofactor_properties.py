@@ -1,5 +1,5 @@
 """Property tests of the cofactor kernels: every signed cofactor that the
-adjugate plan gives for a random matrix equals the signed
+adjugate fold gives for a random matrix equals the signed
 permutation-expansion det of its minor, and on random small sets the
 square det histogram, with the rank profile `sweep` reads off its zeros
 and the flats walk, equals the per-matrix Bareiss loop of
@@ -61,11 +61,11 @@ def _pair(field: str, value) -> oracles.Pair:
 
 
 @pytest.mark.parametrize("field", [Q, QI])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cofactors_match_the_signed_permutation_dets(field, n, data):
-    # Every entry C[i][j] of the adjugate plan's output is (-1)^(i+j) times
+    # Every entry C[i][j] of the adjugate fold's output is (-1)^(i+j) times
     # the det of the matrix without row i and column j, here by permutation
     # expansion (the empty minor of a 1 x 1 matrix is 1).
     flat = data.draw(_squares(field, n))

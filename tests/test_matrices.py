@@ -14,7 +14,6 @@ from unitcount.matrices import (
     MatrixInstance,
     SweepOptions,
     _charpoly_coeffs,
-    _rank_det,
     _ring,
     _scaled_rows,
     _to_scalar,
@@ -34,8 +33,8 @@ from unitcount.scalars import Q, QI, FieldMismatchError, Scalar, parse_scalar
 
 
 def rank(X, elements) -> int:
-    """Rank from the one Bareiss elimination, on the scaled rows."""
-    return _rank_det(_scaled_rows(X, elements), _ring(elements.field))[0]
+    """Rank from the Bareiss reference `oracles.rank_det`, on the scaled rows."""
+    return oracles.rank_det(_scaled_rows(X, elements), elements.field)[0]
 
 
 def charpoly(X, elements) -> tuple[Scalar, ...]:

@@ -13,7 +13,7 @@ import pytest
 
 from unitcount import Q, QI, MatrixInstance, _kernels, det, matrices, minors, parse_scalar
 from unitcount.families import ElementSet, Geometric, materialize
-from unitcount.matrices import BudgetExceededError
+from unitcount.matrices import BudgetExceededError, _scaled_rows
 from unitcount.minors import AuditSummary, audit_prop_zero_cofactors, laplace_report
 from unitcount.scalars import Scalar
 
@@ -183,30 +183,43 @@ def test_audit_summary_json_is_pinned():
     }
 
 
-# -- the one-pass audit against a laplace_report reference ------------------------
+# -- the one-pass audit against a Bareiss reference ----------------------------
 
 
 def _laplace_audit(elements, n, trials, seed, min_nonsingular=0) -> AuditSummary:
-    """The audit as 2n `laplace_report` calls per sample, in Scalars: every
-    minor computed twice, each line recombined on its own."""
+    """The audit one sample at a time on its scaled rows: the det and each
+    of the n^2 minors from its own Bareiss elimination (`oracles.rank_det`,
+    which shares no code with the audit's Berkowitz det or cofactor fold),
+    and each of the 2n lines recombined on its own."""
+    field, ring = elements.field, matrices._ring(elements.field)
+    lines = [[(i, j) for j in range(n)] for i in range(n)]
+    lines += [[(i, j) for i in range(n)] for j in range(n)]
     rng = random.Random(seed)
     samples = nonsingular = singular = max_zero = mismatches = 0
     violations = []
     while samples < trials or nonsingular < min_nonsingular:
         X = oracles.random_matrix(elements, n, n, rng)
         samples += 1
-        value = det(X, elements)
-        reports = [
-            laplace_report(X, elements, axis, index)
-            for axis in ("row", "col")
-            for index in range(n)
-        ]
-        mismatches += sum(1 for r in reports if r.reconstruction != value)
-        if value.is_zero():
+        rows = _scaled_rows(X, elements)
+        value = oracles.rank_det(rows, field)[1]
+        minors = {
+            (i, j): oracles.rank_det(
+                [row[:j] + row[j + 1 :] for r, row in enumerate(rows) if r != i], field
+            )[1]
+            for i in range(n)
+            for j in range(n)
+        }
+        for line in lines:
+            recon = ring.zero
+            for i, j in line:
+                term = ring.mul(rows[i][j], minors[i, j])
+                recon = ring.sub(recon, term) if (i + j) % 2 else ring.add(recon, term)
+            mismatches += recon != value
+        if value == ring.zero:
             singular += 1
             continue
         nonsingular += 1
-        most = max(r.zero_count for r in reports)
+        most = max(sum(minors[cell] == ring.zero for cell in line) for line in lines)
         max_zero = max(max_zero, most)
         if most > n - 2:
             violations.append(X.entries)
@@ -252,7 +265,7 @@ def test_audit_equals_the_laplace_reference_at_n5(label):
 @pytest.mark.parametrize("field", [Q, QI])
 def test_audit_catches_a_corrupted_minor(field, monkeypatch):
     # Shift one cofactor of the first sample, lane 0 of the first batch, by
-    # one: the first that the adjugate plan gives, that of row 0 and column
+    # one: the first that the adjugate fold gives, that of row 0 and column
     # 0.  That row and that column no longer recombine to det, and the
     # audit must fail.
     calls = itertools.count()
@@ -273,7 +286,7 @@ def test_audit_catches_a_corrupted_minor(field, monkeypatch):
 
 
 # The summaries that the audit gave before it took its cofactors from the
-# adjugate plan: 500 samples at n = 4 over 2^0..2^5 and (1+i)^0..(1+i)^5,
+# batched adjugate: 500 samples at n = 4 over 2^0..2^5 and (1+i)^0..(1+i)^5,
 # seed 2025.  The samples are the same randrange draws.
 _PINNED_N4 = {
     "max_zero_count": 2, "n": 4, "nonsingular_checked": 486, "passed": True,
@@ -330,7 +343,7 @@ def test_forced_audit_reads_the_draws_of_random_matrix(label, monkeypatch):
     while len(draws) < 4 or len(nonsingular) < 20:
         X = oracles.random_matrix(elements, 3, 3, rng)
         draws.append(X)
-        if not det(X, elements).is_zero():
+        if oracles.rank_det(_scaled_rows(X, elements), elements.field)[0] == 3:
             nonsingular.append(X.entries)
     assert got.samples == len(draws)
     assert got.singular_skipped == len(draws) - len(nonsingular)
