@@ -51,15 +51,6 @@ def _check_rank_args(n: int, m: int, r: int) -> None:
         raise ValueError(f"need 1 <= r <= m <= n, got r={r}, m={m}, n={n}")
 
 
-def trivial_exponents(n: int, m: int, r: int) -> tuple[ExponentValue, ExponentValue, ExponentValue]:
-    """Baseline exponents (det, charpoly, rank) from fixing all free entries."""
-    _check_rank_args(n, m, r)
-    det = ExponentValue(Fraction(n * n - 1), "det-trivial", "any target")
-    cp = ExponentValue(Fraction(n * n - 2), "charpoly-trivial", "any polynomial")
-    rk = ExponentValue(Fraction(n * r + m * r - r * r), "rank-trivial", "any r")
-    return det, cp, rk
-
-
 def rank_exponent(n: int, m: int, r: int) -> ExponentValue:
     """Exponent for counting m x n matrices of rank at most r."""
     _check_rank_args(n, m, r)
@@ -208,36 +199,21 @@ def best_charpoly_exponent(
     twice_c2_equals_c1: bool = False,
 ) -> ExponentValue:
     """Smallest applicable exponent for a prescribed charpoly of an n x n
-    matrix (n >= 3), chosen among the refined, real-refined and general
-    bounds.  The det bound, which a full charpoly also fixes, is at least
-    n^2 - (n+2)/2 > (3n^2 - n)/4 >= the refined bound from n = 3 on, so it
-    never wins.
+    matrix (n >= 3): row 0 of its `bound_table`, the least of the
+    real-refined, refined and general bounds.  The det bound, which a full
+    charpoly also fixes, is at least n^2 - (n+2)/2 > (3n^2 - n)/4 >= the
+    refined bound from n = 3 on, so it never wins.
     """
     if n < 3:
-        raise ValueError("need n >= 3; use charpoly2_bound for n = 2")
-    candidates: list[ExponentValue] = []
-    if field_real:
-        sharper = charpoly_real_refined_exponent(
-            n,
-            c1_zero=c1_zero,
-            c2_zero=c2_zero,
-            twice_c2_equals_c1=twice_c2_equals_c1,
-        )
-        if sharper is not None:
-            candidates.append(sharper)
-    candidates.append(charpoly_refined_exponent(n, c1_zero, c2_zero))
-    candidates.append(
-        ExponentValue(
-            Fraction(charpoly_general_exponent(n)),
-            "charpoly-general",
-            "any coefficients",
-        )
-    )
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.value < best.value:
-            best = cand
-    return best
+        raise ValueError("need n >= 3")
+    return bound_table(
+        "charpoly",
+        n=n,
+        c1_zero=c1_zero,
+        c2_zero=c2_zero,
+        field_real=field_real,
+        twice_c2_equals_c1=twice_c2_equals_c1,
+    )[0]
 
 
 def equation_exponent(n: int, homogeneous: bool) -> ExponentValue:
@@ -269,54 +245,46 @@ def nondegenerate_cap_log10(n: int, group_rank: int) -> Decimal:
         return +raw
 
 
-def _dedupe_rows(rows: list[ExponentValue]) -> list[ExponentValue]:
-    seen = set()
-    kept = []
-    for row in rows:
-        key = (row.source, row.regime, row.value)
-        if key not in seen:
-            seen.add(key)
-            kept.append(row)
-    return kept
-
-
 def bound_table(kind: str, **params) -> list[ExponentValue]:
-    """Rows for the CLI bound table: every applicable exponent for the kind.
-    A charpoly reads `c0_zero`, whether its constant term vanishes, at
-    n = 2 only."""
+    """Every applicable exponent for the kind, least first: row 0 is the
+    bound a growth statistic compares its slope with, and the CLI prints
+    all rows.  A charpoly reads `c0_zero`, whether its constant term
+    vanishes, at n = 2 only."""
     if kind == "rank":
         n, m, r = params["n"], params["m"], params["r"]
-        _, _, triv = trivial_exponents(n, m, r)
-        return [rank_exponent(n, m, r), triv]
+        bound = rank_exponent(n, m, r)  # checks the arguments first
+        return [bound, ExponentValue(n * r + m * r - r * r, "rank-trivial", "any r")]
     if kind == "det":
         n = params["n"]
         rows = [det_exponent(n, params["target_is_zero"])]
         if params["target_is_zero"] and n >= 2:
             rows.append(det_zero_family_exponent(n))
-        if n >= 1:
-            rows.append(ExponentValue(Fraction(n * n - 1), "det-trivial", "any target"))
+        rows.append(ExponentValue(n * n - 1, "det-trivial", "any target"))
         return rows
     if kind == "charpoly":
         n = params["n"]
+        if n < 2:
+            raise ValueError("need n >= 2")
         if n == 2:
             return [charpoly2_bound(params["c0_zero"], params["c1_zero"])]
-        rows = [
-            best_charpoly_exponent(
+        c1_zero, c2_zero = params["c1_zero"], params["c2_zero"]
+        refined = charpoly_refined_exponent(n, c1_zero, c2_zero)
+        general = ExponentValue(charpoly_general_exponent(n), "charpoly-general", "any coefficients")
+        candidates = [refined, general]
+        if params["field_real"]:
+            sharper = charpoly_real_refined_exponent(
                 n,
-                c1_zero=params["c1_zero"],
-                c2_zero=params["c2_zero"],
-                field_real=params["field_real"],
+                c1_zero=c1_zero,
+                c2_zero=c2_zero,
                 twice_c2_equals_c1=params.get("twice_c2_equals_c1", False),
-            ),
-            charpoly_refined_exponent(n, params["c1_zero"], params["c2_zero"]),
-            ExponentValue(
-                Fraction(charpoly_general_exponent(n)),
-                "charpoly-general",
-                "any coefficients",
-            ),
-            ExponentValue(Fraction(n * n - 2), "charpoly-trivial", "any polynomial"),
-        ]
-        return _dedupe_rows(rows)
+            )
+            if sharper is not None:
+                candidates.insert(0, sharper)
+        # min keeps the first of equal values: a tie goes to the real, then
+        # the refined bound.  The table lists the rest after it.
+        best = min(candidates, key=lambda row: row.value)
+        rest = [row for row in (refined, general) if row is not best]
+        return [best, *rest, ExponentValue(n * n - 2, "charpoly-trivial", "any polynomial")]
     if kind == "equation":
         return [equation_exponent(params["n"], params["homogeneous"])]
     if kind == "system":

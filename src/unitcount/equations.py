@@ -84,9 +84,6 @@ class EquationSpec:
     def field(self) -> str:
         return self.coeffs[0].field
 
-    def is_homogeneous(self) -> bool:
-        return self.rhs.is_zero()
-
 
 def equation_from_json(obj: dict) -> EquationSpec:
     if not isinstance(obj, dict) or "coeffs" not in obj:

@@ -55,6 +55,8 @@ class GrowthConfigError(ValueError):
 # alone instead).  Matrix statistics delegate route choice, work and budget
 # to the count planner in `matrices`; the equation and system statistics
 # charge their meet-in-the-middle table, A^ceil(n/2), the same way first.
+# Each statistic's `_bound` names its `bounds.bound_table` kind and flags,
+# and whether a family attains row 0, the exponent its report compares with.
 
 
 class _Statistic:
@@ -62,6 +64,22 @@ class _Statistic:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **_json_form(self)}
+
+    def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
+        """The value and source of the statistic's least bound, and whether
+        a family attains it; a ValueError when it has no bound."""
+        kind, flags, tight = self._bound(field)
+        best = bounds.bound_table(kind, **flags)[0]
+        return best.value, best.source, tight
+
+
+def _charpoly_bound(n: int, c1: Scalar, twice_c2: Scalar, field: str) -> tuple[str, dict, bool]:
+    """The bound of T^n + c1 T^(n-1) + c2 T^(n-2) + ..., given 2 c2.  At
+    n = 2, c2 is the constant term, and only T^2 has an attaining family."""
+    c1_zero, c2_zero = c1.is_zero(), twice_c2.is_zero()
+    flags = {"n": n, "c0_zero": c2_zero, "c1_zero": c1_zero, "c2_zero": c2_zero,
+             "field_real": field == Q, "twice_c2_equals_c1": twice_c2 == c1}
+    return "charpoly", flags, n == 2 and c1_zero and c2_zero
 
 
 @dataclass(frozen=True)
@@ -73,10 +91,9 @@ class DetStatistic(_Statistic):
     def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_det(elements, self.n, self.target, budget=budget)
 
-    def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
-        ev = bounds.det_exponent(self.n, self.target.is_zero())
-        tight = self.target.is_zero() and self.n in (2, 3)
-        return ev.value, ev.source, tight
+    def _bound(self, field: str) -> tuple[str, dict, bool]:
+        zero = self.target.is_zero()
+        return "det", {"n": self.n, "target_is_zero": zero}, zero and self.n in (2, 3)
 
 
 @dataclass(frozen=True)
@@ -92,12 +109,11 @@ class RankStatistic(_Statistic):
             elements, self.m, self.n, self.r, cumulative=self.cumulative, budget=budget
         )
 
-    def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
+    def _bound(self, field: str) -> tuple[str, dict, bool]:
         wide, narrow = max(self.m, self.n), min(self.m, self.n)
-        ev = bounds.rank_exponent(wide, narrow, self.r)
         coincide = 2 * narrow <= wide + self.r or self.r <= 2
         tight = coincide and (self.cumulative or self.r == 1)
-        return ev.value, ev.source, tight
+        return "rank", {"n": wide, "m": narrow, "r": self.r}, tight
 
 
 @dataclass(frozen=True)
@@ -111,27 +127,16 @@ class CharpolyStatistic(_Statistic):
     def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_charpoly(elements, self.n, self.coeffs, budget=budget)
 
-    def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
-        coeffs = self.coeffs
-        if self.n == 2:
-            det_zero = coeffs[0].is_zero()
-            trace_zero = coeffs[1].is_zero()
-            ev = bounds.charpoly2_bound(det_zero, trace_zero)
-            return ev.value, ev.source, det_zero and trace_zero
-        c1 = coeffs[self.n - 1]
-        c2 = coeffs[self.n - 2]
-        ev = bounds.best_charpoly_exponent(
-            self.n,
-            c1_zero=c1.is_zero(),
-            c2_zero=c2.is_zero(),
-            field_real=field == Q,
-            twice_c2_equals_c1=(c2 + c2) == c1,
-        )
-        return ev.value, ev.source, False
+    def _bound(self, field: str) -> tuple[str, dict, bool]:
+        c2 = self.coeffs[self.n - 2]
+        return _charpoly_bound(self.n, self.coeffs[self.n - 1], c2 + c2, field)
 
 
 @dataclass(frozen=True)
 class PowerSumsStatistic(_Statistic):
+    """tr X = t1 and tr X^2 = t2, which fix the charpoly's top coefficients
+    by Newton's identities: c_(n-1) = -t1 and 2 c_(n-2) = t1^2 - t2."""
+
     kind = "powersums"
     n: int
     t1: Scalar
@@ -140,22 +145,8 @@ class PowerSumsStatistic(_Statistic):
     def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_power_sums(elements, self.n, self.t1, self.t2, budget=budget)
 
-    def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
-        trace_zero = self.t1.is_zero()
-        second_zero = (self.t1 * self.t1) == self.t2
-        if self.n == 2:
-            # Fixing (t1, t2) fixes the full 2x2 charpoly.
-            ev = bounds.charpoly2_bound(second_zero, trace_zero)
-            return ev.value, ev.source, trace_zero and second_zero
-        twice = (self.t1 * self.t1 - self.t2) == -self.t1
-        ev = bounds.best_charpoly_exponent(
-            self.n,
-            c1_zero=trace_zero,
-            c2_zero=second_zero,
-            field_real=field == Q,
-            twice_c2_equals_c1=twice,
-        )
-        return ev.value, ev.source, False
+    def _bound(self, field: str) -> tuple[str, dict, bool]:
+        return _charpoly_bound(self.n, -self.t1, self.t1 * self.t1 - self.t2, field)
 
 
 @dataclass(frozen=True)
@@ -175,15 +166,13 @@ class EquationStatistic(_Statistic):
         _charged(CountRoute("mitm", len(elements) ** ((eq.n + 1) // 2)), budget)
         return count_solutions(eq, elements)
 
-    def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
-        n = len(self.coeffs)
-        homogeneous = self.rhs.is_zero()
-        ev = bounds.equation_exponent(n, homogeneous)
+    def _bound(self, field: str) -> tuple[str, dict, bool]:
+        n, homogeneous = len(self.coeffs), self.rhs.is_zero()
         # The coefficients match the tight pattern by text, over Q and Q(i) alike.
         tight = homogeneous and n >= 2 and (
             _json_form(self.coeffs) == _json_form(tight_equation_coeffs(n))
         )
-        return ev.value, ev.source, tight
+        return "equation", {"n": n, "homogeneous": homogeneous}, tight
 
 
 @dataclass(frozen=True)
@@ -195,10 +184,9 @@ class SystemStatistic(_Statistic):
         _charged(CountRoute("mitm", len(elements) ** ((self.n + 1) // 2)), budget)
         return count_system_sum_squares(self.n, elements)
 
-    def exponent_info(self, field: str) -> tuple[Fraction, str, bool]:
-        ev = bounds.system_bound_exponent(self.n)
+    def _bound(self, field: str) -> tuple[str, dict, bool]:
         # The attaining family needs the imaginary unit's orbit in the set.
-        return ev.value, ev.source, field == QI
+        return "system", {"n": self.n}, field == QI
 
 
 Statistic = (
@@ -311,8 +299,9 @@ class ExperimentSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentSpec":
-        """Read a config exactly: a key that is not a field, or any malformed
-        key, the family's included, raises GrowthConfigError."""
+        """Read a config exactly: a key that is not a field, any malformed
+        key, the family's included, or a statistic with no bound, which
+        could be counted but never analyzed, raises GrowthConfigError."""
         if not isinstance(obj, dict):
             raise GrowthConfigError("experiment config must be a JSON object")
         known = [f.name for f in fields(ExperimentSpec)]
@@ -323,7 +312,7 @@ class ExperimentSpec:
             if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
                 raise ValueError(f"tolerance must be a number, got {tolerance!r}")
             budget = obj.get("budget")
-            return ExperimentSpec(
+            spec = ExperimentSpec(
                 name=str(obj.get("name", "experiment")),
                 family=family,
                 k_values=tuple(
@@ -337,6 +326,12 @@ class ExperimentSpec:
             raise GrowthConfigError(f"experiment config missing key {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise GrowthConfigError(str(exc)) from exc
+        try:
+            spec.statistic.exponent_info(family.field)
+        except ValueError as exc:
+            kind = spec.statistic.kind
+            raise GrowthConfigError(f"statistic {kind!r} has no bound: {exc}") from exc
+        return spec
 
     def to_json(self) -> dict:
         out = {

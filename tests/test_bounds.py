@@ -27,7 +27,6 @@ from unitcount.bounds import (
     rank_type_argmax,
     rank_type_exponent,
     system_bound_exponent,
-    trivial_exponents,
 )
 from unitcount.equations import system_exponent
 
@@ -82,7 +81,7 @@ def test_rank_saving_matches_trivial_minus_bound():
                     with pytest.raises(ValueError):
                         rank_saving(n, m, r)
                     continue
-                _, _, triv = trivial_exponents(n, m, r)
+                triv = bound_table("rank", n=n, m=m, r=r)[1]
                 assert triv.value - rank_exponent(n, m, r).value == rank_saving(n, m, r)
 
 

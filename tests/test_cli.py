@@ -12,7 +12,7 @@ import pytest
 
 from unitcount.cli import build_parser, main
 from unitcount.families import load_set
-from unitcount.growth import statistic_from_json
+from unitcount.growth import CharpolyStatistic, PowerSumsStatistic, statistic_from_json
 from unitcount.matrices import SweepOptions, count_rank, sweep
 from unitcount.scalars import Scalar
 
@@ -381,6 +381,8 @@ _BOUND_OUTPUTS = [
     ("rank -n 3 -m 3 -r 2", "rank-bound    2m>n+r  7\nrank-trivial  any r   8\n"),
     ("rank -n 5 -m 4 -r 3", "rank-bound    2m<=n+r  16\nrank-trivial  any r    18\n"),
     ("rank -n 4 -m 4 -r 1", "rank-bound    2m>n+r  7\nrank-trivial  any r   7\n"),
+    ("rank -n 3 -m 1 -r 1", "rank-bound    2m<=n+r  3\nrank-trivial  any r    3\n"),
+    ("rank -n 1 -m 1 -r 1", "rank-bound    2m<=n+r  1\nrank-trivial  any r    1\n"),
     (
         "det -n 3",
         "det-bound        det=0       7\n"
@@ -458,7 +460,7 @@ def test_bound_prints_its_rows_byte_for_byte(words, text, capsys):
     "words,message",
     [
         ("rank -n 3 -m 4 -r 2", "need 1 <= r <= m <= n, got r=2, m=4, n=3"),
-        ("charpoly -n 1", "need n >= 3; use charpoly2_bound for n = 2"),
+        ("charpoly -n 1", "need n >= 2"),
         ("det -n 0", "need n >= 1"),
         ("cap -n 0 --group-rank 1", "need n >= 1 and group_rank >= 0"),
     ],
@@ -592,6 +594,39 @@ def test_growth_config_with_a_misspelt_statistic_key_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown key 'cumulativ'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "cls,statistic,flags",
+    [
+        (CharpolyStatistic, {"kind": "charpoly", "n": 1, "coeffs": ["-2"]}, ["--coeffs=-2"]),
+        (PowerSumsStatistic, {"kind": "powersums", "n": 1, "t1": "2", "t2": "4"},
+         ["--t1", "2", "--t2", "4"]),
+    ],
+    ids=["charpoly", "powersums"],
+)
+def test_growth_config_with_no_bound_exits_1_before_counting(
+    cls, statistic, flags, set12, tmp_path, capsys, monkeypatch
+):
+    """No bound exists for a 1x1 charpoly, so a growth report could not be
+    analyzed: the config is refused before any count runs.  The same
+    statistic still counts."""
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "name": "unbounded",
+        "family": {"variant": "geometric", "base": "2"},
+        "k_values": [2, 3, 4],
+        "statistic": statistic,
+    }))
+    counted = []
+    monkeypatch.setattr(cls, "count", lambda self, *args: counted.append(args))
+    assert main(["growth", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and counted == []
+    assert captured.err == f"error: statistic {statistic['kind']!r} has no bound: need n >= 2\n"
+    monkeypatch.undo()
+    assert main(["count", statistic["kind"], "--set", set12, "-n", "1", *flags]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 @pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "a/b", "a\\b"])

@@ -233,6 +233,7 @@ def test_exponent_info_values():
     v, src, tight = RankStatistic(3, 3, 2).exponent_info(Q)
     assert (v, tight) == (Fraction(7), True)
     assert RankStatistic(3, 3, 2, cumulative=False).exponent_info(Q)[2] is False
+    assert RankStatistic(1, 1, 1).exponent_info(Q) == (Fraction(1), "rank-bound", True)
 
     v, src, tight = CharpolyStatistic(2, (zero, zero)).exponent_info(Q)
     assert (v, src, tight) == (Fraction(2), "charpoly2", True)
@@ -253,6 +254,28 @@ def test_exponent_info_values():
     sys4 = SystemStatistic(4)
     assert sys4.exponent_info(QI) == (Fraction(1), "system-sum-squares", True)
     assert sys4.exponent_info(Q)[2] is False
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_power_sums_take_the_charpoly_bound_by_newton(field):
+    """tr X = t1 and tr X^2 = t2 fix c_(n-1) = -t1 and c_(n-2) = (t1^2 - t2)/2,
+    so both statistics read the same bound, tightness included."""
+    values = ["0", "1", "-1", "2", "4", "6", "1/2"] + (["i", "-1+i"] if field == QI else [])
+    scalars = [parse_scalar(v, field) for v in values]
+    zero, half = parse_scalar("0", field), parse_scalar("1/2", field)
+    seen = set()
+    for n in range(2, 9):
+        for t1 in scalars:
+            for t2 in scalars:
+                coeffs = [zero] * n
+                coeffs[n - 1] = -t1
+                coeffs[n - 2] = (t1 * t1 - t2) * half
+                got = PowerSumsStatistic(n, t1, t2).exponent_info(field)
+                assert got == CharpolyStatistic(n, tuple(coeffs)).exponent_info(field)
+                cases = {"t1=0": t1.is_zero(), "t1^2=t2": t1 * t1 == t2,
+                         "2c2=c1": t1 * t1 - t2 == -t1 and not t1.is_zero()}
+                seen.update(case for case, hit in cases.items() if hit)
+    assert seen == {"t1=0", "t1^2=t2", "2c2=c1"}
 
 
 # ----------------------------------------------------------- experiment specs
