@@ -26,8 +26,8 @@ from .equations import (
     count_solutions,
     count_system_sum_squares,
     classify_by_vanishing_subsums,
-    system_exponent,
 )
+from .bounds import system_exponent
 from .matrices import (
     BudgetExceededError,
     MatrixInstance,

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .equations import system_exponent
-
 
 @dataclass(frozen=True)
 class ExponentValue:
@@ -225,6 +223,28 @@ def equation_exponent(n: int, homogeneous: bool) -> ExponentValue:
     return ExponentValue(Fraction((n - 1) // 2), "equation-inhomogeneous", "rhs!=0")
 
 
+def system_exponent(n: int) -> tuple[int, int]:
+    """Growth exponent of the zero-sum, zero-square-sum system.
+
+    Value is max over k in 0..n//2 of min((n+k)//3, (n-k)//2), which equals
+    floor(2n/5); the returned k is n//5 when that attains the maximum,
+    otherwise the smallest attaining k.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    best = -1
+    best_k = 0
+    for k in range(n // 2 + 1):
+        value = min((n + k) // 3, (n - k) // 2)
+        if value > best:
+            best = value
+            best_k = k
+    preferred = n // 5
+    if min((n + preferred) // 3, (n - preferred) // 2) == best:
+        best_k = preferred
+    return best, best_k
+
+
 def system_bound_exponent(n: int) -> ExponentValue:
     """Exponent floor(2n/5) for the zero-sum, zero-square-sum system."""
     value, _ = system_exponent(n)
@@ -251,8 +271,13 @@ def bound_table(kind: str, **params) -> list[ExponentValue]:
     all rows.  A charpoly reads `c0_zero`, whether its constant term
     vanishes, at n = 2 only."""
     if kind == "rank":
-        n, m, r = params["n"], params["m"], params["r"]
-        bound = rank_exponent(n, m, r)  # checks the arguments first
+        # An m x n matrix and its n x m transpose share the bound, which
+        # reads the narrow side as m and the wide side as n.
+        m, n, r = params["m"], params["n"], params["r"]
+        if not 1 <= r <= min(m, n):
+            raise ValueError(f"rank {r} impossible for a {m}x{n} matrix")
+        n, m = max(m, n), min(m, n)
+        bound = rank_exponent(n, m, r)
         return [bound, ExponentValue(n * r + m * r - r * r, "rank-trivial", "any r")]
     if kind == "det":
         n = params["n"]

@@ -279,8 +279,8 @@ def build_parser() -> _Parser:
     p_bound = sub.add_parser("bound", help="print theoretical exponents")
     bound_sub = p_bound.add_subparsers(dest="kind", required=True)
     b_rank = bound_sub.add_parser("rank", help="rank-count exponent")
-    b_rank.add_argument("-n", type=int, required=True)
-    b_rank.add_argument("-m", type=int, required=True)
+    b_rank.add_argument("-n", type=int, required=True, help="columns")
+    b_rank.add_argument("-m", type=int, required=True, help="rows")
     b_rank.add_argument("-r", type=int, required=True)
     b_det = bound_sub.add_parser("det", help="determinant-count exponent")
     b_det.add_argument("-n", type=int, required=True)

@@ -51,7 +51,7 @@ from pathlib import Path
 
 from .families import ElementSet
 from .matrices import CountRoute, _charged, _ring, _ring_key
-from .scalars import FieldMismatchError, Scalar, _refuse_unknown_keys, parse_list, parse_scalar
+from .scalars import Q, FieldMismatchError, Scalar, _read_fields, _refuse_unknown_keys
 
 # Cap on hash-table entries for the meet-in-the-middle join.
 DEFAULT_MAX_ENTRIES = 2_000_000
@@ -59,10 +59,12 @@ DEFAULT_MAX_ENTRIES = 2_000_000
 
 @dataclass(frozen=True)
 class EquationSpec:
-    """a_1*x_1 + ... + a_n*x_n = rhs with all a_j nonzero."""
+    """a_1*x_1 + ... + a_n*x_n = rhs with all a_j nonzero.  rhs defaults
+    to 0 over Q; read from JSON, a missing "rhs" is "0" in the object's
+    field."""
 
     coeffs: tuple[Scalar, ...]
-    rhs: Scalar
+    rhs: Scalar = Scalar.zero(Q)
 
     def __post_init__(self):
         if not self.coeffs:
@@ -89,10 +91,7 @@ def equation_from_json(obj: dict) -> EquationSpec:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("equation object needs a 'coeffs' key")
     _refuse_unknown_keys(obj, ("coeffs", "rhs", "field"), "equation object")
-    field = obj.get("field", "Q")
-    coeffs = tuple(parse_scalar(c, field) for c in parse_list(obj["coeffs"], "coeffs"))
-    rhs = parse_scalar(obj.get("rhs", "0"), field)
-    return EquationSpec(coeffs=coeffs, rhs=rhs)
+    return EquationSpec(**_read_fields(EquationSpec, obj, obj.get("field", Q)))
 
 
 def load_equation(path: str | Path) -> EquationSpec:
@@ -381,25 +380,3 @@ def classify_by_vanishing_subsums(
         indices = next((idx for mask, idx in order if not sums[mask]), ())
         classes[indices] = classes.get(indices, 0) + 1
     return SubsumClassification(classes=classes, total=total)
-
-
-def system_exponent(n: int) -> tuple[int, int]:
-    """Growth exponent of the zero-sum, zero-square-sum system.
-
-    Value is max over k in 0..n//2 of min((n+k)//3, (n-k)//2), which equals
-    floor(2n/5); the returned k is n//5 when that attains the maximum,
-    otherwise the smallest attaining k.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    best = -1
-    best_k = 0
-    for k in range(n // 2 + 1):
-        value = min((n + k) // 3, (n - k) // 2)
-        if value > best:
-            best = value
-            best_k = k
-    preferred = n // 5
-    if min((n + preferred) // 3, (n - preferred) // 2) == best:
-        best_k = preferred
-    return best, best_k

@@ -14,10 +14,10 @@ import random
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 
-from .scalars import Q, QI, Scalar, _refuse_unknown_keys, parse_list, parse_scalar, parse_whole
+from .scalars import Q, QI, Scalar, _read_fields, _refuse_unknown_keys, parse_scalar, parse_whole
 
 
 class FamilyError(ValueError):
@@ -214,17 +214,9 @@ def _magnitude(field: str, scaled: list) -> int:
     return max(max(abs(a), abs(b)) for a, b in scaled)
 
 
-def _powers(base: Scalar, start: int, count: int) -> list[Scalar]:
-    """base^start, ..., base^(start+count-1), each power one product from
-    the one before."""
-    if count < 1:
-        return []
-    return list(accumulate([base] * (count - 1), operator.mul, initial=base**start))
-
-
 def _power_table(base: Scalar, exponents) -> dict[int, Scalar]:
-    """base^e for each e in `exponents`, walked in increasing order so that
-    each power is the one before times base^gap (one product for gap 1)."""
+    """base^e for each e in `exponents`, keyed in increasing order of e,
+    each power the one before times base^gap (one product for gap 1)."""
     table: dict[int, Scalar] = {}
     power = previous = None
     for e in sorted(set(exponents)):
@@ -244,14 +236,14 @@ def _walk(spec: FamilySpec) -> list[Scalar]:
     if isinstance(spec, Geometric):
         if spec.base.is_zero():
             raise FamilyError("geometric family with zero base")
-        values = _powers(spec.base, spec.start, spec.stop - spec.start + 1)
+        values = list(_power_table(spec.base, range(spec.start, spec.stop + 1)).values())
     elif isinstance(spec, SignedGeometric):
         if spec.base.is_zero():
             raise FamilyError("signed geometric family with zero base")
         if spec.count < 1:
             raise FamilyError("signed geometric family needs count >= 1")
         values = []
-        for power in _powers(spec.base, 0, spec.count):
+        for power in _power_table(spec.base, range(spec.count)).values():
             values.append(power)
             values.append(-power)
     elif isinstance(spec, GaussianUnitsScaled):
@@ -351,11 +343,6 @@ def _reading(what: str):
         raise FamilyError(f"{what}: {exc}") from exc
 
 
-def _range(value) -> tuple[int, int]:
-    lo, hi = parse_list(value, "a range")
-    return parse_whole(lo, "range end"), parse_whole(hi, "range end")
-
-
 def family_from_json(obj: dict) -> FamilySpec:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise FamilyError("family object needs a 'variant' key")
@@ -365,40 +352,10 @@ def family_from_json(obj: dict) -> FamilySpec:
         raise FamilyError(f"unknown family variant {variant!r}")
     known = ("variant", "field", *(f.name for f in fields(cls)))
     _refuse_unknown_keys(obj, known, f"family variant {variant!r}", FamilyError)
-    field = obj.get("field", Q)
+    # The unit-scaled family is over Q(i), whatever its "field" key says.
+    field = QI if cls is GaussianUnitsScaled else obj.get("field", Q)
     with _reading(f"family variant {variant!r}"):
-        if variant == "geometric":
-            return Geometric(
-                base=parse_scalar(obj["base"], field),
-                start=parse_whole(obj["start"], "start"),
-                stop=parse_whole(obj["stop"], "stop"),
-            )
-        if variant == "signed_geometric":
-            return SignedGeometric(
-                base=parse_scalar(obj["base"], field),
-                count=parse_whole(obj["count"], "count"),
-            )
-        if variant == "gaussian_units_scaled":
-            return GaussianUnitsScaled(
-                scales=tuple(
-                    parse_scalar(s, QI) for s in parse_list(obj["scales"], "scales")
-                )
-            )
-        if variant == "lattice_box":
-            return LatticeBox(
-                generators=tuple(
-                    parse_scalar(g, field)
-                    for g in parse_list(obj["generators"], "generators")
-                ),
-                ranges=tuple(_range(r) for r in parse_list(obj["ranges"], "ranges")),
-                sample_size=parse_whole(obj["sample_size"], "sample_size"),
-                seed=parse_whole(obj["seed"], "seed"),
-            )
-        return Explicit(
-            elements=tuple(
-                parse_scalar(e, field) for e in parse_list(obj["elements"], "elements")
-            )
-        )
+        return cls(**_read_fields(cls, obj, field))
 
 
 # A growth template is a family object without its size field; the keys each
@@ -495,7 +452,7 @@ class FamilyTemplate:
             obj["count"] = k
         elif variant == "gaussian_units_scaled":
             base = parse_scalar(obj.pop("scale_base"), QI)
-            obj["scales"] = [power.text() for power in _powers(base, 0, k)]
+            obj["scales"] = [power.text() for power in _power_table(base, range(k)).values()]
         else:
             obj["sample_size"] = k
         return family_from_json(obj)
@@ -517,9 +474,8 @@ def set_from_json(obj: dict) -> ElementSet:
     if "elements" not in obj:
         raise FamilyError("set object needs 'elements' or 'family'")
     _refuse_unknown_keys(obj, ("field", "elements"), "set object", FamilyError)
-    field = obj.get("field", Q)
     with _reading("set object"):
-        elements = tuple(parse_scalar(e, field) for e in parse_list(obj["elements"], "elements"))
+        elements = _read_fields(Explicit, obj, obj.get("field", Q))["elements"]
     return ElementSet(elements)
 
 

@@ -25,7 +25,7 @@ from typing import ClassVar, get_args
 from . import bounds
 # count_solutions, count_system_sum_squares and materialize are imported by
 # name: perfbench/spans.py wraps them on this module.
-from .equations import EquationSpec, count_solutions, count_system_sum_squares, equation_from_json
+from .equations import EquationSpec, count_solutions, count_system_sum_squares
 from .families import ElementSet, FamilyTemplate, materialize, tight_equation_coeffs
 from .matrices import (
     BudgetExceededError,
@@ -40,8 +40,8 @@ from .matrices import (
 )
 # Re-exported: perfbench/spans.py wraps these names on this module.
 from .matrices import fast_charpoly2_count, fast_det2_count, fast_power_sums2_count  # noqa: F401
-from .scalars import Q, QI, Scalar, parse_list, parse_scalar, parse_whole
-from .scalars import _json_form, _refuse_unknown_keys
+from .scalars import Q, QI, Scalar, parse_whole
+from .scalars import _READERS, _json_form, _read_fields, _refuse_unknown_keys
 
 
 class GrowthConfigError(ValueError):
@@ -50,17 +50,28 @@ class GrowthConfigError(ValueError):
 
 # -- statistics ---------------------------------------------------------------
 #
-# A statistic's JSON object is its `kind` and its dataclass fields, the
-# only keys `statistic_from_json` accepts (an equation may give `tight_n`
-# alone instead).  Matrix statistics delegate route choice, work and budget
-# to the count planner in `matrices`; the equation and system statistics
-# charge their meet-in-the-middle table, A^ceil(n/2), the same way first.
-# Each statistic's `_bound` names its `bounds.bound_table` kind and flags,
-# and whether a family attains row 0, the exponent its report compares with.
+# A statistic is a frozen dataclass; its JSON object is its `kind` and its
+# fields, the only keys `statistic_from_json` accepts (an equation may give
+# `tight_n` alone instead), and each field is read by its annotation
+# (`scalars._read_fields`).  A statistic that no matrix or tuple can have
+# is refused when it is built, from JSON or in code.  Matrix statistics
+# delegate route choice, work and budget to the count planner in
+# `matrices`; the equation and system statistics charge their
+# meet-in-the-middle table, A^ceil(n/2), the same way first.  Each
+# statistic's `_bound` names its `bounds.bound_table` kind and flags, and
+# whether a family attains row 0, the exponent its report compares with.
 
 
 class _Statistic:
     kind: ClassVar[str]
+    # The fields that are a matrix dimension or tuple length, each >= 1.
+    _dimensions: ClassVar[tuple[str, ...]] = ("n",)
+
+    def __post_init__(self):
+        for name in self._dimensions:
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **_json_form(self)}
@@ -99,10 +110,16 @@ class DetStatistic(_Statistic):
 @dataclass(frozen=True)
 class RankStatistic(_Statistic):
     kind = "rank"
+    _dimensions = ("m", "n")
     m: int
     n: int
     r: int
     cumulative: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 1 <= self.r <= min(self.m, self.n):
+            raise ValueError(f"rank {self.r} impossible for a {self.m}x{self.n} matrix")
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_rank(
@@ -110,10 +127,9 @@ class RankStatistic(_Statistic):
         )
 
     def _bound(self, field: str) -> tuple[str, dict, bool]:
-        wide, narrow = max(self.m, self.n), min(self.m, self.n)
-        coincide = 2 * narrow <= wide + self.r or self.r <= 2
+        coincide = 2 * min(self.m, self.n) <= max(self.m, self.n) + self.r or self.r <= 2
         tight = coincide and (self.cumulative or self.r == 1)
-        return "rank", {"n": wide, "m": narrow, "r": self.r}, tight
+        return "rank", {"m": self.m, "n": self.n, "r": self.r}, tight
 
 
 @dataclass(frozen=True)
@@ -123,6 +139,11 @@ class CharpolyStatistic(_Statistic):
     kind = "charpoly"
     n: int
     coeffs: tuple[Scalar, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.coeffs) != self.n:
+            raise ValueError(f"{len(self.coeffs)} coeffs for a degree-{self.n} charpoly")
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
         return count_charpoly(elements, self.n, self.coeffs, budget=budget)
@@ -149,25 +170,17 @@ class PowerSumsStatistic(_Statistic):
         return _charpoly_bound(self.n, -self.t1, self.t1 * self.t1 - self.t2, field)
 
 
-@dataclass(frozen=True)
-class EquationStatistic(_Statistic):
-    """coeffs . x = rhs, held as the `EquationSpec` fields it builds."""
+class EquationStatistic(EquationSpec, _Statistic):
+    """coeffs . x = rhs: an `EquationSpec`, its fields and checks included."""
 
     kind = "equation"
-    coeffs: tuple[Scalar, ...]
-    rhs: Scalar
-
-    @property
-    def eq(self) -> EquationSpec:
-        return EquationSpec(coeffs=self.coeffs, rhs=self.rhs)
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
-        eq = self.eq
-        _charged(CountRoute("mitm", len(elements) ** ((eq.n + 1) // 2)), budget)
-        return count_solutions(eq, elements)
+        _charged(CountRoute("mitm", len(elements) ** ((self.n + 1) // 2)), budget)
+        return count_solutions(self, elements)
 
     def _bound(self, field: str) -> tuple[str, dict, bool]:
-        n, homogeneous = len(self.coeffs), self.rhs.is_zero()
+        n, homogeneous = self.n, self.rhs.is_zero()
         # The coefficients match the tight pattern by text, over Q and Q(i) alike.
         tight = homogeneous and n >= 2 and (
             _json_form(self.coeffs) == _json_form(tight_equation_coeffs(n))
@@ -198,15 +211,6 @@ Statistic = (
     | SystemStatistic
 )
 
-
-def _dimension(obj: dict, key: str) -> int:
-    """obj[key] as a matrix dimension or equation length: a whole number >= 1."""
-    value = parse_whole(obj[key], key)
-    if value < 1:
-        raise ValueError(f"{key} must be at least 1, got {value}")
-    return value
-
-
 _KINDS = {cls.kind: cls for cls in get_args(Statistic)}
 
 
@@ -221,49 +225,15 @@ def statistic_from_json(obj: dict, field: str) -> Statistic:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise GrowthConfigError(f"unknown statistic kind {kind!r}")
-    if kind == "equation" and "tight_n" in obj:
-        known = {"kind", "tight_n"}
-    else:
-        known = {"kind", *(f.name for f in fields(cls))}
+    from_tight_n = kind == "equation" and "tight_n" in obj
+    known = {"kind", "tight_n"} if from_tight_n else {"kind", *(f.name for f in fields(cls))}
     _refuse_unknown_keys(obj, known, f"statistic {kind!r}", GrowthConfigError)
     try:
-        if kind == "det":
-            return DetStatistic(
-                n=_dimension(obj, "n"), target=parse_scalar(obj["target"], field)
-            )
-        if kind == "rank":
-            cumulative = obj.get("cumulative", True)
-            if not isinstance(cumulative, bool):
-                raise ValueError(f"cumulative must be a boolean, got {cumulative!r}")
-            m, n = _dimension(obj, "m"), _dimension(obj, "n")
-            r = parse_whole(obj["r"], "r")
-            if not 1 <= r <= min(m, n):
-                raise ValueError(f"rank {r} impossible for a {m}x{n} matrix")
-            return RankStatistic(m=m, n=n, r=r, cumulative=cumulative)
-        if kind == "charpoly":
-            n = _dimension(obj, "n")
-            coeffs = parse_list(obj["coeffs"], "coeffs")
-            if len(coeffs) != n:
-                raise ValueError(f"{len(coeffs)} coeffs for a degree-{n} charpoly")
-            return CharpolyStatistic(n=n, coeffs=tuple(parse_scalar(c, field) for c in coeffs))
-        if kind == "powersums":
-            return PowerSumsStatistic(
-                n=_dimension(obj, "n"),
-                t1=parse_scalar(obj["t1"], field),
-                t2=parse_scalar(obj["t2"], field),
-            )
-        if kind == "equation":
-            if "tight_n" in obj:
-                n = parse_whole(obj["tight_n"], "tight_n")
-                coeffs = tight_equation_coeffs(n)
-                if field != Q:
-                    coeffs = tuple(Scalar(field, c.re, 0, c.den) for c in coeffs)
-                return EquationStatistic(coeffs=coeffs, rhs=Scalar.zero(field))
-            body = {key: value for key, value in obj.items() if key != "kind"}
-            eq = equation_from_json({**body, "field": field})
-            return EquationStatistic(coeffs=eq.coeffs, rhs=eq.rhs)
-        if kind == "system":
-            return SystemStatistic(n=_dimension(obj, "n"))
+        if from_tight_n:
+            coeffs = tight_equation_coeffs(parse_whole(obj["tight_n"], "tight_n"))
+            # As text, the tight pattern is read in the config's field.
+            obj = {"coeffs": _json_form(coeffs)}
+        return cls(**_read_fields(cls, obj, field))
     except KeyError as exc:
         raise GrowthConfigError(f"statistic {kind!r} missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -315,9 +285,7 @@ class ExperimentSpec:
             spec = ExperimentSpec(
                 name=str(obj.get("name", "experiment")),
                 family=family,
-                k_values=tuple(
-                    parse_whole(k, "k") for k in parse_list(obj["k_values"], "k_values")
-                ),
+                k_values=_READERS["tuple[int, ...]"](obj["k_values"], "k_values", Q),
                 statistic=statistic_from_json(obj["statistic"], family.field),
                 tolerance=float(tolerance),
                 budget=None if budget is None else parse_budget(budget),

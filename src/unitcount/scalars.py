@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re as _re
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from decimal import Decimal, InvalidOperation
 
 Q = "Q"
@@ -260,6 +260,59 @@ def _json_form(value):
     if is_dataclass(value):
         return {f.name: _json_form(getattr(value, f.name)) for f in fields(value)}
     return value
+
+
+def _read_whole(value, what: str, field: str) -> int:
+    return parse_whole(value, what)
+
+
+def _read_bool(value, what: str, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be a boolean, got {value!r}")
+    return value
+
+
+def _read_scalar(value, what: str, field: str) -> Scalar:
+    return parse_scalar(value, field)
+
+
+def _read_range(value, what: str, field: str) -> tuple[int, int]:
+    lo, hi = parse_list(value, "a range")
+    return parse_whole(lo, "range end"), parse_whole(hi, "range end")
+
+
+def _read_tuple(read):
+    return lambda value, what, field: tuple(read(v, what, field) for v in parse_list(value, what))
+
+
+# The reader of each field annotation that a dataclass read from JSON
+# declares, called as read(value, key, field).  The annotations are text:
+# every module here has `from __future__ import annotations`.
+_READERS = {
+    "int": _read_whole,
+    "bool": _read_bool,
+    "Scalar": _read_scalar,
+    "tuple[int, ...]": _read_tuple(_read_whole),
+    "tuple[Scalar, ...]": _read_tuple(_read_scalar),
+    "tuple[tuple[int, int], ...]": _read_tuple(_read_range),
+}
+
+
+def _read_fields(cls, obj: dict, field: str) -> dict:
+    """The fields of the dataclass `cls` read from the JSON object `obj`,
+    scalars in `field`: the inverse of `_json_form`.  A field that `obj`
+    leaves out is read from its default's JSON form, or raises KeyError
+    when it has none; keys that are not fields are not read."""
+    out = {}
+    for f in fields(cls):
+        if f.name in obj:
+            value = obj[f.name]
+        elif f.default is not MISSING:
+            value = _json_form(f.default)
+        else:
+            raise KeyError(f.name)
+        out[f.name] = _READERS[f.type](value, f.name, field)
+    return out
 
 
 # -- parsing ----------------------------------------------------------------

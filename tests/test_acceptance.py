@@ -34,8 +34,9 @@ from unitcount.bounds import (
     charpoly_refined_exponent,
     rank_type_argmax,
     rank_type_exponent,
+    system_exponent,
 )
-from unitcount.equations import EquationSpec, system_exponent
+from unitcount.equations import EquationSpec
 from unitcount.families import ElementSet, Geometric, materialize
 from unitcount.growth import (
     LATTICE_PRESET_NAMES,

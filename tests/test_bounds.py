@@ -27,8 +27,8 @@ from unitcount.bounds import (
     rank_type_argmax,
     rank_type_exponent,
     system_bound_exponent,
+    system_exponent,
 )
-from unitcount.equations import system_exponent
 
 
 def test_exponent_value_rejects_negative():

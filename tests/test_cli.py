@@ -459,7 +459,9 @@ def test_bound_prints_its_rows_byte_for_byte(words, text, capsys):
 @pytest.mark.parametrize(
     "words,message",
     [
-        ("rank -n 3 -m 4 -r 2", "need 1 <= r <= m <= n, got r=2, m=4, n=3"),
+        pytest.param(
+            "rank -n 3 -m 4 -r 4", "rank 4 impossible for a 4x3 matrix", id="rank -n 3 -m 4 -r 4"
+        ),
         ("charpoly -n 1", "need n >= 2"),
         ("det -n 0", "need n >= 1"),
         ("cap -n 0 --group-rank 1", "need n >= 1 and group_rank >= 0"),
@@ -470,6 +472,16 @@ def test_bound_out_of_range_exits_1(words, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_bound_rank_reads_m_rows_and_n_columns(capsys):
+    """`bound rank` reads -m and -n as `count rank` does, rows and columns;
+    a 3 x 2 matrix and its 2 x 3 transpose share the bound."""
+    assert main(["bound", "rank", "-n", "2", "-m", "3", "-r", "1"]) == 0
+    tall = capsys.readouterr().out
+    assert main(["bound", "rank", "-n", "3", "-m", "2", "-r", "1"]) == 0
+    assert capsys.readouterr().out == tall
+    assert tall == "rank-bound    2m<=n+r  4\nrank-trivial  any r    4\n"
 
 
 # -------------------------------------------------------------------- family
@@ -887,6 +899,6 @@ def test_bad_scalar_exits_1(set12, capsys):
 
 
 def test_bad_bound_arguments_exit_1(capsys):
-    code = main(["bound", "rank", "-n", "3", "-m", "4", "-r", "2"])
+    code = main(["bound", "rank", "-n", "3", "-m", "4", "-r", "4"])
     assert code == 1
     assert "error:" in capsys.readouterr().err

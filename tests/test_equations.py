@@ -17,8 +17,8 @@ from unitcount.equations import (
     count_system_sum_squares,
     equation_from_json,
     load_equation,
-    system_exponent,
 )
+from unitcount.bounds import system_exponent
 from unitcount.families import ElementSet, Geometric, materialize, tight_equation_coeffs
 from unitcount.matrices import BUDGET_ENV_VAR, BudgetExceededError
 from unitcount.scalars import Q, QI, FieldMismatchError, Scalar, parse_scalar

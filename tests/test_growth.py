@@ -2,14 +2,16 @@
 and the preset roster."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitcount import Q, QI, growth, parse_scalar
-from unitcount.families import FamilyError, FamilyTemplate, materialize
+from unitcount.equations import EquationSpec
+from unitcount.families import FamilyError, FamilySpec, FamilyTemplate, materialize
 from unitcount.growth import (
     LATTICE_PRESET_NAMES,
     PRESETS,
@@ -21,6 +23,7 @@ from unitcount.growth import (
     GrowthConfigError,
     PowerSumsStatistic,
     RankStatistic,
+    Statistic,
     SystemStatistic,
     analyze,
     compare,
@@ -33,6 +36,7 @@ from unitcount.growth import (
     statistic_from_json,
 )
 from unitcount.matrices import BudgetExceededError
+from unitcount.scalars import _READERS
 
 from oracles import growth_points_per_k
 
@@ -206,6 +210,49 @@ def test_uncountable_statistics_are_rejected_at_load(obj):
         _det2_spec(statistic=obj)
 
 
+_ZERO = parse_scalar("0", Q)
+
+
+@pytest.mark.parametrize(
+    "obj,build",
+    [
+        ({"kind": "rank", "m": 2, "n": 2, "r": 3}, lambda: RankStatistic(2, 2, 3)),
+        ({"kind": "rank", "m": 0, "n": 2, "r": 1}, lambda: RankStatistic(0, 2, 1)),
+        ({"kind": "det", "n": 0, "target": "0"}, lambda: DetStatistic(0, _ZERO)),
+        (
+            {"kind": "charpoly", "n": 3, "coeffs": ["0", "0"]},
+            lambda: CharpolyStatistic(3, (_ZERO, _ZERO)),
+        ),
+        (
+            {"kind": "powersums", "n": 0, "t1": "0", "t2": "0"},
+            lambda: PowerSumsStatistic(0, _ZERO, _ZERO),
+        ),
+        ({"kind": "equation", "coeffs": []}, lambda: EquationStatistic(())),
+        ({"kind": "system", "n": 0}, lambda: SystemStatistic(0)),
+    ],
+    ids=["rank-r-above", "rank-m0", "det-n0", "charpoly-degree", "powersums-n0",
+         "equation-empty", "system-n0"],
+)
+def test_a_statistic_built_in_code_is_refused_by_its_json_rule(obj, build):
+    with pytest.raises(ValueError) as built:
+        build()
+    with pytest.raises(GrowthConfigError) as read:
+        statistic_from_json(obj, Q)
+    assert str(read.value) == f"statistic {obj['kind']!r}: {built.value}"
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [*get_args(Statistic), *get_args(FamilySpec), EquationSpec],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_config_field_type_has_a_reader(cls):
+    """Each field of an object read from JSON is read by its annotation, so
+    a field of a type with no reader fails here, not on a user's config."""
+    for f in fields(cls):
+        assert f.type in _READERS, f"{cls.__name__}.{f.name}: {f.type}"
+
+
 def test_rank_statistic_default_is_cumulative():
     stat = statistic_from_json({"kind": "rank", "m": 2, "n": 2, "r": 1}, Q)
     assert stat.cumulative is True
@@ -214,8 +261,8 @@ def test_rank_statistic_default_is_cumulative():
 def test_tight_n_builds_zero_sum_equation():
     stat = statistic_from_json({"kind": "equation", "tight_n": 4}, Q)
     assert isinstance(stat, EquationStatistic)
-    assert stat.eq.rhs.is_zero()
-    assert stat.eq.n == 4
+    assert stat.rhs.is_zero()
+    assert stat.n == 4
     assert stat.exponent_info(Q)[2] is True
 
 
