@@ -57,17 +57,18 @@ _PACK = 1 << 32
 _HALF = 1 << 31
 
 
-def supports(bound: int, gaussian: bool = False) -> bool:
-    """True when the 3x3 det kernel is exact for entry components up to
-    B = `bound`.
+def supports(values) -> bool:
+    """True when the 3x3 det kernel is exact for the ring `values`: ints
+    over Q, (re, im) pairs over Q(i), B the largest |component|.
 
     Over Q every intermediate is at most 6 B^3, within _SAFE_LIMIT.  Over
     Q(i) each is the key of a Gaussian integer of modulus at most
     (6 B^2)^(3/2) (`_gaussian_arithmetic`), so 216 B^6 < 2^62 keeps each of
     its parts below 2^31."""
-    if gaussian:
-        return 0 < 216 * int(bound) ** 6 < _HALF * _HALF
-    return 0 < 6 * int(bound) ** 3 <= _SAFE_LIMIT
+    if isinstance(values[0], tuple):
+        bound = max(max(abs(re), abs(im)) for re, im in values)
+        return 0 < 216 * bound**6 < _HALF * _HALF
+    return 0 < 6 * max(map(abs, values)) ** 3 <= _SAFE_LIMIT
 
 
 def _square_bound(values) -> int:

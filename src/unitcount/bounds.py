@@ -188,32 +188,6 @@ def charpoly_real_refined_exponent(
     return None
 
 
-def best_charpoly_exponent(
-    n: int,
-    *,
-    c1_zero: bool,
-    c2_zero: bool,
-    field_real: bool,
-    twice_c2_equals_c1: bool = False,
-) -> ExponentValue:
-    """Smallest applicable exponent for a prescribed charpoly of an n x n
-    matrix (n >= 3): row 0 of its `bound_table`, the least of the
-    real-refined, refined and general bounds.  The det bound, which a full
-    charpoly also fixes, is at least n^2 - (n+2)/2 > (3n^2 - n)/4 >= the
-    refined bound from n = 3 on, so it never wins.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    return bound_table(
-        "charpoly",
-        n=n,
-        c1_zero=c1_zero,
-        c2_zero=c2_zero,
-        field_real=field_real,
-        twice_c2_equals_c1=twice_c2_equals_c1,
-    )[0]
-
-
 def equation_exponent(n: int, homogeneous: bool) -> ExponentValue:
     """Exponent for counting solutions of an n-variable linear equation."""
     if n < 1:

@@ -131,7 +131,7 @@ def _equation_rows(eq: EquationSpec, elements: ElementSet) -> tuple[list[list[in
         raise FieldMismatchError(
             f"equation field {eq.field} does not match set field {elements.field}"
         )
-    lcm, values, _ = elements.scaled_integers()
+    lcm, values = elements.scaled_integers()
     scale = math.lcm(eq.rhs.den, *(c.den for c in eq.coeffs))
     scales = (scale,) * eq.n + (scale * lcm,)
     *coeffs, rhs = _ring_key(eq.field, (*eq.coeffs, eq.rhs), scales)
@@ -316,7 +316,7 @@ def count_system_sum_squares(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     ring = _ring(elements.field)
     rows, rhs = _pack([[(x, ring.mul(x, x)) for x in values]] * n, (ring.zero,) * 2)
     return _join(rows, rhs, max_entries)

@@ -13,9 +13,11 @@ import operator
 import random
 from bisect import bisect_left
 from contextlib import contextmanager
+from functools import reduce
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
+from typing import get_args
 
 from .scalars import Q, QI, Scalar, _read_fields, _refuse_unknown_keys, parse_scalar, parse_whole
 
@@ -24,55 +26,160 @@ class FamilyError(ValueError):
     """Raised for ill-formed family parameters or empty materializations."""
 
 
+class _Family:
+    """A family dataclass declares its `variant` name, the field it is
+    always read in if any (`only_field`), its checks (`__post_init__`, so
+    a family built from JSON or in code is refused by one rule) and `walk`,
+    the values it describes in order, duplicates included.  One that a
+    growth template sizes (`FamilyTemplate`) also declares the keys its
+    template keeps besides "variant" and "field", their defaults, r(k) / k
+    (`walk_per_k`) and `at(obj, k)`: the family object at size knob k of
+    the template object `obj`."""
+
+    only_field: str | None = None
+    template_keys: tuple[str, ...] = ()
+    template_defaults: dict = {}
+
+
 @dataclass(frozen=True)
-class Geometric:
-    """Powers base^s for start <= s <= stop."""
+class Geometric(_Family):
+    """Powers base^s for start <= s <= stop.  Templated, start defaults
+    to 1 and stop is start + 2k - 1: 2k values."""
+
+    variant = "geometric"
+    template_keys = ("base", "start")
+    template_defaults = {"start": 1}
+    walk_per_k = 2
 
     base: Scalar
     start: int
     stop: int
 
+    def __post_init__(self):
+        if self.base.is_zero():
+            raise FamilyError("geometric family with zero base")
+
+    def walk(self) -> list[Scalar]:
+        return list(_power_table(self.base, range(self.start, self.stop + 1)).values())
+
+    @staticmethod
+    def at(obj: dict, k: int) -> dict:
+        return {**obj, "stop": parse_whole(obj["start"], "start") + 2 * k - 1}
+
 
 @dataclass(frozen=True)
-class SignedGeometric:
-    """Both signs of base^s for 0 <= s < count."""
+class SignedGeometric(_Family):
+    """Both signs of base^s for 0 <= s < count.  Templated, count is k:
+    2k values."""
+
+    variant = "signed_geometric"
+    template_keys = ("base",)
+    walk_per_k = 2
 
     base: Scalar
     count: int
 
+    def __post_init__(self):
+        if self.base.is_zero():
+            raise FamilyError("signed geometric family with zero base")
+        if self.count < 1:
+            raise FamilyError("signed geometric family needs count >= 1")
+
+    def walk(self) -> list[Scalar]:
+        powers = _power_table(self.base, range(self.count)).values()
+        return [value for power in powers for value in (power, -power)]
+
+    @staticmethod
+    def at(obj: dict, k: int) -> dict:
+        return {**obj, "count": k}
+
 
 @dataclass(frozen=True)
-class GaussianUnitsScaled:
-    """Each scale multiplied by the four Gaussian units 1, -1, i, -i."""
+class GaussianUnitsScaled(_Family):
+    """Each scale multiplied by the four Gaussian units 1, -1, i, -i, over
+    Q(i) whatever the "field" key says.  Templated, the scales are
+    scale_base^0 .. scale_base^(k-1): 4k values."""
+
+    variant = "gaussian_units_scaled"
+    only_field = QI
+    template_keys = ("scale_base",)
+    walk_per_k = 4
 
     scales: tuple[Scalar, ...]
 
+    def __post_init__(self):
+        for scale in self.scales:
+            if scale.field != QI:
+                raise FamilyError("unit-scaled family requires Qi scales")
+            if scale.is_zero():
+                raise FamilyError("unit-scaled family with zero scale")
+
+    def walk(self) -> list[Scalar]:
+        i = Scalar.imaginary_unit()
+        return [value for s in self.scales for value in (s, -s, i * s, -(i * s))]
+
+    @staticmethod
+    def at(obj: dict, k: int) -> dict:
+        obj = dict(obj)
+        base = parse_scalar(obj.pop("scale_base"), QI)
+        return {**obj, "scales": [power.text() for power in _power_table(base, range(k)).values()]}
+
 
 @dataclass(frozen=True)
-class LatticeBox:
-    """Seeded sample of products gen_j^{e_j} with e_j drawn from integer ranges."""
+class LatticeBox(_Family):
+    """Seeded sample of products gen_j^{e_j} with e_j drawn from integer
+    ranges.  Templated, sample_size is k: k values, the seeded draws one
+    after another."""
+
+    variant = "lattice_box"
+    template_keys = ("generators", "ranges", "seed")
+    walk_per_k = 1
 
     generators: tuple[Scalar, ...]
     ranges: tuple[tuple[int, int], ...]
     sample_size: int
     seed: int
 
+    def __post_init__(self):
+        if len(self.generators) != len(self.ranges):
+            raise FamilyError("lattice box needs one range per generator")
+        if not self.generators:
+            raise FamilyError("lattice box needs at least one generator")
+        if any(gen.is_zero() for gen in self.generators):
+            raise FamilyError("lattice box with zero generator")
+        for lo, hi in self.ranges:
+            if lo > hi:
+                raise FamilyError(f"empty exponent range ({lo}, {hi})")
+        if self.sample_size < 1:
+            raise FamilyError("lattice box needs sample_size >= 1")
+
+    def walk(self) -> list[Scalar]:
+        """Each draw's product, its powers read from one table per generator."""
+        rng = random.Random(self.seed)
+        draws = [[rng.randint(lo, hi) for lo, hi in self.ranges] for _ in range(self.sample_size)]
+        tables = [_power_table(gen, column) for gen, column in zip(self.generators, zip(*draws))]
+        one = Scalar.one(self.generators[0].field)
+        return [reduce(operator.mul, map(dict.get, tables, draw), one) for draw in draws]
+
+    @staticmethod
+    def at(obj: dict, k: int) -> dict:
+        return {**obj, "sample_size": k}
+
 
 @dataclass(frozen=True)
-class Explicit:
+class Explicit(_Family):
+    variant = "explicit"
+
     elements: tuple[Scalar, ...]
+
+    def walk(self) -> list[Scalar]:
+        return list(self.elements)
 
 
 FamilySpec = Geometric | SignedGeometric | GaussianUnitsScaled | LatticeBox | Explicit
 
 # A family object's keys are "variant", "field" and its dataclass's fields.
-_VARIANTS = {
-    "geometric": Geometric,
-    "signed_geometric": SignedGeometric,
-    "gaussian_units_scaled": GaussianUnitsScaled,
-    "lattice_box": LatticeBox,
-    "explicit": Explicit,
-}
+_VARIANTS = {cls.variant: cls for cls in get_args(FamilySpec)}
 
 
 class ElementSet:
@@ -154,7 +261,7 @@ class ElementSet:
                 f"prefix of {raw_length} values out of {len(self) + self.collisions}"
             )
         size = bisect_left(self.first_indices, raw_length)
-        lcm, values, _ = self.scaled_integers()
+        lcm, values = self.scaled_integers()
         values = values[:size]
         # The prefix's denominator is lcm / g, g the gcd of lcm and every
         # scaled coordinate, as each reduced element x = v / lcm needs
@@ -173,18 +280,15 @@ class ElementSet:
             ("elements", self.elements[:size]),
             ("collisions", raw_length - size),
             ("first_indices", self.first_indices[:size]),
-            ("_scaled", (lcm // shrink, values, _magnitude(self.field, values))),
+            ("_scaled", (lcm // shrink, values)),
         ):
             object.__setattr__(prefix, name, value)
         return prefix
 
-    def scaled_integers(self) -> tuple[int, list, int]:
-        """Clear denominators: (L, scaled values, max magnitude).
-
-        L is the lcm of all denominators.  For field Q the scaled values are
-        ints x*L; for field Qi they are (re, im) int pairs.  The max magnitude
-        bounds every scaled component and feeds kernel overflow preflight.
-        """
+    def scaled_integers(self) -> tuple[int, list]:
+        """Clear denominators: (L, the ring values x*L), L the lcm of all
+        denominators.  Over Q the ring values are ints, over Qi (re, im)
+        int pairs; the int64 proofs in `_kernels` read them."""
         cached = self._scaled
         if cached is not None:
             return cached
@@ -196,22 +300,14 @@ class ElementSet:
                 (value.re * (lcm // value.den), value.im * (lcm // value.den))
                 for value in self.elements
             ]
-        result = (lcm, scaled, _magnitude(self.field, scaled))
-        object.__setattr__(self, "_scaled", result)
-        return result
+        object.__setattr__(self, "_scaled", (lcm, scaled))
+        return self._scaled
 
     def __repr__(self) -> str:
         shown = ", ".join(v.text() for v in self.elements[:6])
         if len(self.elements) > 6:
             shown += ", ..."
         return f"ElementSet({self.field}, [{shown}], size={len(self)})"
-
-
-def _magnitude(field: str, scaled: list) -> int:
-    """The largest magnitude of a component of the scaled values."""
-    if field == Q:
-        return max(map(abs, scaled))
-    return max(max(abs(a), abs(b)) for a, b in scaled)
 
 
 def _power_table(base: Scalar, exponents) -> dict[int, Scalar]:
@@ -231,72 +327,11 @@ def _power_table(base: Scalar, exponents) -> dict[int, Scalar]:
     return table
 
 
-def _walk(spec: FamilySpec) -> list[Scalar]:
-    """The values a family describes, in order, duplicates included."""
-    if isinstance(spec, Geometric):
-        if spec.base.is_zero():
-            raise FamilyError("geometric family with zero base")
-        values = list(_power_table(spec.base, range(spec.start, spec.stop + 1)).values())
-    elif isinstance(spec, SignedGeometric):
-        if spec.base.is_zero():
-            raise FamilyError("signed geometric family with zero base")
-        if spec.count < 1:
-            raise FamilyError("signed geometric family needs count >= 1")
-        values = []
-        for power in _power_table(spec.base, range(spec.count)).values():
-            values.append(power)
-            values.append(-power)
-    elif isinstance(spec, GaussianUnitsScaled):
-        one = Scalar.one(QI)
-        i_unit = Scalar.imaginary_unit()
-        values = []
-        for scale in spec.scales:
-            if scale.field != QI:
-                raise FamilyError("unit-scaled family requires Qi scales")
-            if scale.is_zero():
-                raise FamilyError("unit-scaled family with zero scale")
-            values.extend([scale, -scale, i_unit * scale, -(i_unit * scale)])
-    elif isinstance(spec, LatticeBox):
-        if len(spec.generators) != len(spec.ranges):
-            raise FamilyError("lattice box needs one range per generator")
-        if not spec.generators:
-            raise FamilyError("lattice box needs at least one generator")
-        for gen in spec.generators:
-            if gen.is_zero():
-                raise FamilyError("lattice box with zero generator")
-        for lo, hi in spec.ranges:
-            if lo > hi:
-                raise FamilyError(f"empty exponent range ({lo}, {hi})")
-        if spec.sample_size < 1:
-            raise FamilyError("lattice box needs sample_size >= 1")
-        rng = random.Random(spec.seed)
-        field = spec.generators[0].field
-        draws = [
-            [rng.randint(lo, hi) for lo, hi in spec.ranges]
-            for _ in range(spec.sample_size)
-        ]
-        tables = [
-            _power_table(gen, column) for gen, column in zip(spec.generators, zip(*draws))
-        ]
-        values = []
-        for exponents in draws:
-            value = Scalar.one(field)
-            for table, e in zip(tables, exponents):
-                value = value * table[e]
-            values.append(value)
-    elif isinstance(spec, Explicit):
-        values = list(spec.elements)
-    else:
-        raise TypeError(f"unknown family spec {type(spec).__name__}")
-
-    return values
-
-
 def materialize(spec: FamilySpec) -> ElementSet:
     """Build the element set a family describes, deduplicating silently and
     keeping each element's first index in the walk, so that
     `prefix(r)` is the set of the walk's first r values."""
-    values = _walk(spec)
+    values = spec.walk()
     first_indices: dict[Scalar, int] = {}
     for index, value in enumerate(values):
         first_indices.setdefault(value, index)
@@ -352,28 +387,8 @@ def family_from_json(obj: dict) -> FamilySpec:
         raise FamilyError(f"unknown family variant {variant!r}")
     known = ("variant", "field", *(f.name for f in fields(cls)))
     _refuse_unknown_keys(obj, known, f"family variant {variant!r}", FamilyError)
-    # The unit-scaled family is over Q(i), whatever its "field" key says.
-    field = QI if cls is GaussianUnitsScaled else obj.get("field", Q)
     with _reading(f"family variant {variant!r}"):
-        return cls(**_read_fields(cls, obj, field))
-
-
-# A growth template is a family object without its size field; the keys each
-# variant keeps besides "variant" and "field".
-_TEMPLATE_KEYS = {
-    "geometric": ("base", "start"),
-    "signed_geometric": ("base",),
-    "gaussian_units_scaled": ("scale_base",),
-    "lattice_box": ("generators", "ranges", "seed"),
-}
-
-# Values each variant's walk adds per unit of the size knob k: r(k) / k.
-_WALK_PER_K = {
-    "geometric": 2,
-    "signed_geometric": 2,
-    "gaussian_units_scaled": 4,
-    "lattice_box": 1,
-}
+        return cls(**_read_fields(cls, obj, cls.only_field or obj.get("field", Q)))
 
 
 def _frozen(value):
@@ -386,13 +401,8 @@ def _thawed(value):
 
 @dataclass(frozen=True)
 class FamilyTemplate:
-    """A family object whose size field the size knob k fills in.
-
-    geometric: base^start .. base^(start+2k-1), 2k values; start defaults to 1
-    signed_geometric: both signs of base^0..base^(k-1), 2k values
-    gaussian_units_scaled: the four units times scale_base^0..^(k-1), over
-        Qi, 4k values
-    lattice_box: a seeded sample of k exponent vectors, k values
+    """A family object whose size field the size knob k fills in: each
+    variant's `at` says how, and its docstring what the family at k holds.
 
     Contract, which a new variant must keep: the walk of `family_at(k)`
     makes r(k) = `walk_length(k)` values, and they are the first r(k) values
@@ -408,24 +418,21 @@ class FamilyTemplate:
     @staticmethod
     def from_json(obj: dict) -> "FamilyTemplate":
         """Refuse any key but the template keys, fill the defaults, and
-        check every key by reading the family at k = 1 through
-        `family_from_json`."""
+        check every key by building the family at k = 2, the least k whose
+        family holds every template scalar (scale_base^1 included), so that
+        its variant's checks refuse what a run would."""
         if not isinstance(obj, dict) or "variant" not in obj:
             raise FamilyError("family template needs a 'variant' key")
         variant = obj["variant"]
-        if not isinstance(variant, str) or variant not in _TEMPLATE_KEYS:
+        cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+        if cls is None or not cls.template_keys:
             raise FamilyError(f"unknown family template variant {variant!r}")
-        known = ("variant", "field", *_TEMPLATE_KEYS[variant])
+        known = ("variant", "field", *cls.template_keys)
         _refuse_unknown_keys(obj, known, f"family template {variant!r}", FamilyError)
-        keep = {"field": Q, "start": 1} if variant == "geometric" else {"field": Q}
-        keep.update(obj)
-        if variant == "gaussian_units_scaled":
-            keep["field"] = QI
-        template = FamilyTemplate(
-            tuple(sorted((key, _frozen(value)) for key, value in keep.items()))
-        )
+        keep = {**cls.template_defaults, **obj, "field": cls.only_field or obj.get("field", Q)}
+        template = FamilyTemplate(tuple(sorted((key, _frozen(v)) for key, v in keep.items())))
         with _reading(f"family variant {variant!r}"):
-            template.family_at(1)
+            template.family_at(2)
         return template
 
     def as_dict(self) -> dict:
@@ -438,24 +445,14 @@ class FamilyTemplate:
     def walk_length(self, k: int) -> int:
         """r(k): how many values the walk of `family_at(k)` makes, before
         duplicates drop."""
-        return _WALK_PER_K[dict(self.config)["variant"]] * k
+        return _VARIANTS[dict(self.config)["variant"]].walk_per_k * k
 
     def family_at(self, k: int) -> FamilySpec:
         """The family at size knob k: the template with its size field set."""
         if k < 1:
             raise FamilyError("size parameter k must be >= 1")
         obj = dict(self.config)
-        variant = obj["variant"]
-        if variant == "geometric":
-            obj["stop"] = parse_whole(obj["start"], "start") + self.walk_length(k) - 1
-        elif variant == "signed_geometric":
-            obj["count"] = k
-        elif variant == "gaussian_units_scaled":
-            base = parse_scalar(obj.pop("scale_base"), QI)
-            obj["scales"] = [power.text() for power in _power_table(base, range(k)).values()]
-        else:
-            obj["sample_size"] = k
-        return family_from_json(obj)
+        return family_from_json(_VARIANTS[obj["variant"]].at(obj, k))
 
 
 def set_to_json(elements: ElementSet) -> dict:

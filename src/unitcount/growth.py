@@ -270,8 +270,10 @@ class ExperimentSpec:
     @staticmethod
     def from_json(obj: dict) -> "ExperimentSpec":
         """Read a config exactly: a key that is not a field, any malformed
-        key, the family's included, or a statistic with no bound, which
-        could be counted but never analyzed, raises GrowthConfigError."""
+        key, a family template whose family fails its variant's checks
+        (`FamilyTemplate.from_json`), so that no run could materialize it,
+        or a statistic with no bound, which could be counted but never
+        analyzed, raises GrowthConfigError before any set is built."""
         if not isinstance(obj, dict):
             raise GrowthConfigError("experiment config must be a JSON object")
         known = [f.name for f in fields(ExperimentSpec)]
@@ -654,14 +656,6 @@ PRESETS: dict[str, dict] = {
         "tolerance": 0.35,
     },
 }
-
-LATTICE_PRESET_NAMES = tuple(name for name in PRESETS if name.startswith("lattice-"))
-TIGHTNESS_PRESET_NAMES = (
-    "rank22-geometric",
-    "det0-3x3-geometric",
-    "charpoly-t2-signed",
-)
-
 
 def preset(name: str) -> ExperimentSpec:
     try:

@@ -105,7 +105,7 @@ class MatrixInstance:
 
 
 def _scaled_rows(X: MatrixInstance, elements: ElementSet) -> list[list]:
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     size = len(elements)
     for row in X.entries:
         for idx in row:
@@ -300,7 +300,7 @@ def det(X: MatrixInstance, elements: ElementSet) -> Scalar:
     """Determinant (-1)^n c_0 from Berkowitz (`_charpoly_coeffs`)."""
     if X.m != X.n:
         raise ValueError("determinant needs a square matrix")
-    lcm, _, _ = elements.scaled_integers()
+    lcm, _ = elements.scaled_integers()
     ring = _ring(elements.field)
     raw = _charpoly_coeffs(_scaled_rows(X, elements), ring)[0]
     return _to_scalar(elements.field, ring.neg(raw) if X.n % 2 else raw, lcm**X.n)
@@ -540,7 +540,7 @@ def _generic_shard(values: list, field: str, n: int, stat: str) -> dict:
 
 # perfbench/spans.py wraps this name (span "matrices.finalize").
 def _finalize(raw: dict, elements: ElementSet, m: int, n: int) -> SweepHistogram:
-    lcm, _, _ = elements.scaled_integers()
+    lcm, _ = elements.scaled_integers()
     hist = SweepHistogram(
         field=elements.field,
         m=m,
@@ -648,7 +648,7 @@ def plan_square(
         return CountRoute("conv2", size**2)
     if n == 3 and stat == "charpoly":
         return CountRoute("cycles3", size**6)
-    if n == 3 and _kernels.supports(elements.scaled_integers()[2], elements.field == QI):
+    if n == 3 and _kernels.supports(elements.scaled_integers()[1]):
         rows = size**3
         return CountRoute("target3", rows * (rows - 1) * (rows - 2) // 6)
     return CountRoute("sweep", size ** (n * n))
@@ -748,7 +748,7 @@ def _line_classes(elements: ElementSet, k: int) -> Counter:
     N of their norms and the key x_j * conj(x_1) * (N // |x_1|^2).  Each
     first coordinate scales its A^(k-1) tails with one table of A products,
     so no line costs a gcd."""
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     if elements.field == QI:
         norms = [re * re + im * im for re, im in values]
         scale = math.lcm(*norms)
@@ -921,7 +921,7 @@ def count_power_sums(
 def _product_counter(elements: ElementSet) -> Counter:
     """Number of ordered pairs of scaled values with each ring product: each
     unordered pair of distinct values twice, and each square once."""
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     mul = _ring(elements.field).mul
     counts = Counter(itertools.starmap(mul, itertools.combinations(values, 2)))
     counts = Counter({p: 2 * c for p, c in counts.items()})
@@ -952,7 +952,7 @@ def _conv2_histogram(elements: ElementSet, stat: str) -> dict:
     """Raw 2x2 det or charpoly histogram by product convolution: det is the
     `_product_counter` table convolved with itself and the charpoly a
     Counter of diagonal keys (ad, -(a + d)) convolved with it."""
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     ring = _ring(elements.field)
     add, sub, mul = ring.add, ring.sub, ring.mul
     products = _product_counter(elements)
@@ -979,7 +979,7 @@ def _conv2_count(elements: ElementSet, stat: str, key: tuple) -> int:
 def _diagonal_sums(elements: ElementSet, k: int) -> dict:
     """Number of diagonals (a_1, ..., a_k) over the scaled values with each
     key (sum a_i, sum a_i^2)."""
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     ring = _ring(elements.field)
     add, mul = ring.add, ring.mul
     step = {(a, mul(a, a)): 1 for a in values}
@@ -1013,7 +1013,7 @@ def _power_sums_count(elements: ElementSet, n: int, key: tuple) -> int:
     without the histogram: each key (s1, s2) of the first n-1 diagonal
     entries fixes the last one, d = t1 - s1, and t2 - s2 - d^2 is looked up
     among the off-diagonal values (an odd one matches none)."""
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     (t1, t2), ring = key, _ring(elements.field)
     sub, mul = ring.sub, ring.mul
     off_diagonal = _off_diagonal_sums(elements, n)
@@ -1119,7 +1119,7 @@ def _cycles3_histogram(elements: ElementSet) -> dict:
     """Raw 3x3 charpoly histogram, keyed (c0, c1, c2) in the ring like the
     other sweeps: per diagonal multiset and bucket, the c0 parts are
     tallied with their counts, then shifted by diag(d)'s."""
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     ring = _ring(elements.field)
     buckets = _cycle_buckets(values, ring)
     hist: dict = {}
@@ -1140,7 +1140,7 @@ def _cycles3_count(elements: ElementSet, key: tuple) -> int:
     the histogram: c2 picks the diagonal multisets, each multiset's
     P = e2(d) - c1 the one bucket of off-diagonal keys it meets, which are
     all that is tallied, and c0 the keys counted there."""
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     (c0, c1, c2), ring = key, _ring(elements.field)
     diagonals = [
         (d, weight, a0, ring.sub(a1, c1))

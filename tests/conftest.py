@@ -120,7 +120,7 @@ def generic_sweep(elements: ElementSet, m: int, n: int, opts: SweepOptions | Non
     charpoly lanes, the 3x3 int64 kernel or the flats walk: the reference
     they are checked against."""
     opts = opts or SweepOptions()
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     raw = {"total": len(values) ** (m * n), "rank": None, "det": None, "charpoly": None}
     if m == n and opts.det:
         raw["det"] = _generic_shard(values, elements.field, n, "det")["det"]

@@ -39,7 +39,6 @@ from unitcount.bounds import (
 from unitcount.equations import EquationSpec
 from unitcount.families import ElementSet, Geometric, materialize
 from unitcount.growth import (
-    LATTICE_PRESET_NAMES,
     PRESETS,
     ExperimentResult,
     analyze,
@@ -179,9 +178,10 @@ def test_acceptance_3_tightness_slopes(capsys):
 
 def test_acceptance_4_no_upper_violations(capsys):
     names = ("rank22-geometric", "det0-3x3-geometric", "charpoly-t2-signed")
-    assert len(LATTICE_PRESET_NAMES) >= 10
+    lattice = tuple(name for name in PRESETS if name.startswith("lattice-"))
+    assert len(lattice) >= 10
     verdicts = {}
-    for name in names + tuple(LATTICE_PRESET_NAMES):
+    for name in names + lattice:
         verdicts[name] = _preset_report(name).verdict
     violators = sorted(n for n, v in verdicts.items() if v == "upper-violated")
     ok = not violators

@@ -10,7 +10,6 @@ import oracles
 from unitcount import bounds
 from unitcount.bounds import (
     ExponentValue,
-    best_charpoly_exponent,
     bound_table,
     charpoly2_bound,
     charpoly_general_exponent,
@@ -202,35 +201,32 @@ def test_real_refined_only_for_n_mod_four_in_01():
 
 
 def test_best_charpoly_picks_minimum_candidate():
-    got = best_charpoly_exponent(
-        4, c1_zero=False, c2_zero=False, field_real=True, twice_c2_equals_c1=True
-    )
+    def best(n, **params):
+        return bound_table("charpoly", n=n, **params)[0]
+
+    got = best(4, c1_zero=False, c2_zero=False, field_real=True, twice_c2_equals_c1=True)
     assert got.source == "charpoly-real" and got.value == 9
     # complex entries lose the real-case sharpening
-    got_c = best_charpoly_exponent(
-        4, c1_zero=False, c2_zero=False, field_real=False, twice_c2_equals_c1=True
-    )
+    got_c = best(4, c1_zero=False, c2_zero=False, field_real=False, twice_c2_equals_c1=True)
     assert got_c.source == "charpoly-refined" and got_c.value == 10
     # best never exceeds the refined bound for the same regime
     for n in range(3, 40):
         for c1z in (False, True):
             for c2z in (False, True):
-                best = best_charpoly_exponent(n, c1_zero=c1z, c2_zero=c2z, field_real=True)
-                assert best.value <= charpoly_refined_exponent(n, c1z, c2z).value
+                row = best(n, c1_zero=c1z, c2_zero=c2z, field_real=True)
+                assert row.value <= charpoly_refined_exponent(n, c1z, c2z).value
 
 
 def test_det_bound_never_beats_the_refined_charpoly_bound():
     # A full charpoly fixes the det, but the det bound, at its smallest
     # (det != 0), exceeds the refined bound in every regime from n = 3 on,
-    # so best_charpoly_exponent need not offer it.
+    # so the charpoly bound_table need not offer it.
     for n in range(3, 60):
         det_value = det_exponent(n, False).value
         for c1z in (False, True):
             for c2z in (False, True):
                 assert det_value > charpoly_refined_exponent(n, c1z, c2z).value
         assert det_exponent(n, True).value >= det_value
-    with pytest.raises(ValueError):
-        best_charpoly_exponent(2, c1_zero=True, c2_zero=True, field_real=True)
 
 
 def test_charpoly_validation():

@@ -124,7 +124,7 @@ def test_reference_loop_matches_the_interpolation_oracle(field, texts):
     # `_berkowitz`, the reference above, against det(T I - X) interpolated
     # in Fractions on random 4x4 matrices: they share no arithmetic.
     elements = ElementSet(tuple(parse_scalar(t, field) for t in texts))
-    lcm, values, _ = elements.scaled_integers()
+    lcm, values = elements.scaled_integers()
     ring = matrices._ring(field)
     rng = random.Random(7)
     for _ in range(12):

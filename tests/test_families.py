@@ -14,6 +14,7 @@ from unitcount.families import (
     Geometric,
     LatticeBox,
     SignedGeometric,
+    _VARIANTS,
     family_from_json,
     load_set,
     materialize,
@@ -83,18 +84,12 @@ def test_scaled_integers_clears_denominators():
     es = ElementSet(
         (Scalar.rational(1, 2), Scalar.rational(2), Scalar.rational(-3, 4))
     )
-    lcm, scaled, bound = es.scaled_integers()
-    assert lcm == 4
-    assert scaled == [2, 8, -3]
-    assert bound == 8
+    assert es.scaled_integers() == (4, [2, 8, -3])
 
 
 def test_scaled_integers_gaussian_pairs():
     es = ElementSet((Scalar(QI, 1, 1, 2), Scalar(QI, 0, -3, 1)))
-    lcm, scaled, bound = es.scaled_integers()
-    assert lcm == 2
-    assert scaled == [(1, 1), (0, -6)]
-    assert bound == 6
+    assert es.scaled_integers() == (2, [(1, 1), (0, -6)])
 
 
 def test_geometric_materialization():
@@ -228,6 +223,16 @@ def test_materialize_builds_the_same_powers_as_pow(spec):
         (v.field, v.re, v.im, v.den) for v in kept
     ]
     assert es.collisions == len(values) - len(kept)
+
+
+def test_family_checks_run_when_a_family_is_built_in_code():
+    two, three = Scalar.rational(2), Scalar.rational(3)
+    with pytest.raises(FamilyError, match="geometric family with zero base"):
+        Geometric(Scalar.zero(Q), 1, 3)
+    with pytest.raises(FamilyError, match="lattice box needs one range per generator"):
+        LatticeBox((two, three), ((0, 2),), 3, 1)
+    with pytest.raises(FamilyError, match="unit-scaled family requires Qi scales"):
+        GaussianUnitsScaled((two,))
 
 
 def test_geometric_with_an_empty_range_is_an_error():
@@ -389,6 +394,21 @@ def test_family_template_sizes_per_variant():
         (two, Scalar.rational(-3)), ((0, 4), (1, 3)), 12, 5
     )
     assert 1 <= len(materialize(box.family_at(12))) <= 12
+
+
+@pytest.mark.parametrize(
+    "variant", sorted(name for name, cls in _VARIANTS.items() if cls.template_keys)
+)
+def test_every_templated_variant_keeps_the_prefix_contract(variant):
+    """The walk of `family_at(k)` has `walk_length(k)` values, the first
+    ones of the walk at any larger k (`FamilyTemplate`'s contract)."""
+    template = FamilyTemplate.from_json(_TEMPLATES[variant])
+    largest = template.family_at(9).walk()
+    assert len(largest) == template.walk_length(9)
+    for k in range(1, 9):
+        walk = template.family_at(k).walk()
+        assert len(walk) == template.walk_length(k)
+        assert walk == largest[: len(walk)]
 
 
 def test_family_template_fills_its_field():

@@ -9,13 +9,11 @@ from typing import get_args
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitcount import Q, QI, growth, parse_scalar
+from unitcount import Q, QI, families, growth, parse_scalar
 from unitcount.equations import EquationSpec
 from unitcount.families import FamilyError, FamilySpec, FamilyTemplate, materialize
 from unitcount.growth import (
-    LATTICE_PRESET_NAMES,
     PRESETS,
-    TIGHTNESS_PRESET_NAMES,
     CharpolyStatistic,
     DetStatistic,
     EquationStatistic,
@@ -337,6 +335,31 @@ def _det2_spec(**kwargs) -> ExperimentSpec:
     }
     obj.update(kwargs)
     return ExperimentSpec.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "family,message",
+    [
+        ({"variant": "geometric", "base": "0"}, "geometric family with zero base"),
+        ({"variant": "gaussian_units_scaled", "scale_base": "0"},
+         "unit-scaled family with zero scale"),
+        ({"variant": "lattice_box", "generators": ["2"], "ranges": [[3, 2]], "seed": 1},
+         r"empty exponent range \(3, 2\)"),
+        ({"variant": "lattice_box", "generators": ["2", "3"], "ranges": [[0, 2]], "seed": 1},
+         "lattice box needs one range per generator"),
+    ],
+    ids=["zero-base", "zero-scale-base", "empty-range", "generators-past-ranges"],
+)
+def test_a_template_a_run_would_refuse_is_refused_when_read(family, message, monkeypatch):
+    """The variant's checks run when its family is built, so a config whose
+    template no run could materialize is refused with the run's message
+    before any set is built."""
+    calls = []
+    for module in (families, growth):
+        monkeypatch.setattr(module, "materialize", calls.append)
+    with pytest.raises(GrowthConfigError, match=message):
+        _det2_spec(family=family)
+    assert calls == []
 
 
 def test_experiment_spec_validation():
@@ -663,9 +686,7 @@ def test_emit_names_files_after_the_report(tmp_path):
 def test_preset_roster_shape():
     names = list_presets()
     assert names == sorted(PRESETS)
-    assert len(LATTICE_PRESET_NAMES) >= 10
-    assert all(name.startswith("lattice-") for name in LATTICE_PRESET_NAMES)
-    assert set(TIGHTNESS_PRESET_NAMES) <= set(PRESETS)
+    assert sum(name.startswith("lattice-") for name in names) >= 10
     for name in names:
         spec = preset(name)
         assert isinstance(spec, ExperimentSpec)
@@ -675,7 +696,7 @@ def test_preset_roster_shape():
 
 
 def test_lattice_presets_are_seeded_and_bounded():
-    for name in LATTICE_PRESET_NAMES:
+    for name in (name for name in PRESETS if name.startswith("lattice-")):
         spec = preset(name)
         cfg = spec.family.as_dict()
         assert cfg["variant"] == "lattice_box"

@@ -101,7 +101,7 @@ def test_sweep_past_the_packing_frame_matches_generic(monkeypatch):
     ints, with no kernel call."""
     big = 2**19
     elements = _elements(("1", str(big), str(-big)))
-    assert _kernels.supports(big)
+    assert _kernels.supports(elements.scaled_integers()[1])
     opts = SweepOptions(rank=False, det=False, charpoly=True)
     spy = _RouteSpy(monkeypatch)
     hist = sweep(elements, 3, 3, opts)

@@ -84,7 +84,7 @@ def test_conv2_counts_match_the_sweep(case):
     field = elements.field
     opts = SweepOptions(rank=False, det=True, charpoly=True, powersums=True)
     hist = generic_sweep(elements, 2, 2, opts)
-    lcm, _, _ = elements.scaled_integers()
+    lcm, _ = elements.scaled_integers()
     # Absent keys: one in the ring, one whose denominator is off the ring.
     absent = Scalar.rational(10**6 + 7, 1, field)
     off_ring = Scalar.rational(1, 3 * lcm * lcm, field)
@@ -187,7 +187,7 @@ def test_power_sums_route_matches_the_per_matrix_sweep(case):
     assert sweep(shuffled, n, n, opts).raw == generic.raw
     sums = dict(oracles.powersum_histogram(generic))
     t1, t2 = next(iter(sums))
-    lcm, _, _ = elements.scaled_integers()
+    lcm, _ = elements.scaled_integers()
     # Absent, not scalable into the ring, and with an odd remainder: the
     # squares of every diagonal of trace t1 have the parity of t2 (in each
     # part over Qi), so t2 + 1/lcm^2, and over Qi t2 + i/lcm^2, leave an
@@ -326,8 +326,8 @@ def test_gaussian_triple_dets_match_the_shared_minors(case):
     """The Q(i) kernel's packed triple dets, grouped and unpacked, give the
     det histogram of `_square_det`, and its one-key count each key of it."""
     elements, chunk, batch = case
-    _, values, bound = elements.scaled_integers()
-    assert _kernels.supports(bound, True)
+    _, values = elements.scaled_integers()
+    assert _kernels.supports(values)
     rows = list(itertools.product(values, repeat=3))
     expected = matrices._square_det(rows, 3, matrices._ring(QI))
     with mock.patch.object(_kernels, "_CHUNK", chunk), \
@@ -381,7 +381,7 @@ def test_sweep_rank_profile_matches_per_matrix_bareiss(m, n, field, size):
               database=None)
     @given(_rank_sets(field, size))
     def check(elements):
-        _, values, _ = elements.scaled_integers()
+        _, values = elements.scaled_integers()
         ranks, dets = oracles.bareiss_sweep(values, field, m, n)
         hist = sweep(elements, m, n, SweepOptions(det=False))
         assert hist.rank_profile == ranks and hist.raw["det"] is None
@@ -471,7 +471,7 @@ def test_cycle_join_matches_the_per_matrix_charpoly(case, rng):
     assert sweep(shuffled, 3, 3, opts).raw == generic.raw
     polys = dict(oracles.charpoly_histogram(hist))
     # Absent, not scalable into the ring, and past 2^70.
-    lcm, _, _ = elements.scaled_integers()
+    lcm, _ = elements.scaled_integers()
     absent = Scalar.rational(10**6 + 7, 1, field)
     others = [
         (absent,) * 3,
@@ -542,7 +542,7 @@ def test_cycle_invariants_give_each_matrix_charpoly(case):
 @given(_element_sets(4))
 def test_cycle_buckets_hold_every_off_diagonal_filling(case):
     elements, _ = case
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     ring = matrices._ring(elements.field)
     add, mul = ring.add, ring.mul
     expected: dict = {}
@@ -570,7 +570,7 @@ def test_cycles3_count_tallies_only_its_buckets(field, texts, monkeypatch):
     keys as the full tally, and equals the histogram on every key; a c2
     that no multiset has tallies nothing."""
     elements = ElementSet(tuple(parse_scalar(t, field) for t in texts))
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     ring = matrices._ring(field)
     buckets = matrices._cycle_buckets
     full = {p: sorted(zip(*columns)) for p, columns in buckets(values, ring).items()}

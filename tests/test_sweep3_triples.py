@@ -90,7 +90,7 @@ def test_triple_dets_cover_each_unordered_triple_once(monkeypatch):
 )
 def test_count_target3_det_matches_the_generic_sweep(texts, monkeypatch):
     elements = _elements(texts)
-    lcm, values, _ = elements.scaled_integers()
+    lcm, values = elements.scaled_integers()
     dets = generic_sweep(elements, 3, 3, SweepOptions(rank=False)).raw["det"]
     common = max((d for d in dets if d), key=dets.get)
     assert -common in dets
@@ -122,7 +122,7 @@ def test_det_batches_match_the_generic_sweep(texts, batch, chunk, monkeypatch):
     monkeypatch.setattr(_kernels, "_CHUNK", chunk)
     monkeypatch.setattr(_kernels, "_COMPACT_ROWS", 50)
     elements = _elements(texts)
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     rows = len(values) ** 3
     sizes = [len(block) for block in _kernels._triple_dets(values)]
     assert sum(sizes) == rows * (rows - 1) * (rows - 2) // 6
@@ -162,8 +162,8 @@ def test_one_statistic_alone(rank, det, n):
 
 def test_kernel_at_the_int64_proof_boundary(monkeypatch):
     assert 6 * _B**3 <= 2**62 < 6 * (_B + 1) ** 3
-    assert _kernels.supports(_B)
     elements = _elements(("1", str(_B), str(-_B)))
+    assert _kernels.supports(elements.scaled_integers()[1])
     opts = SweepOptions(charpoly=True)
     spy = _SweepSpy(monkeypatch)
     hist = sweep(elements, 3, 3, opts)
@@ -181,8 +181,8 @@ def test_kernel_at_the_int64_proof_boundary(monkeypatch):
 
 def test_sweep_past_the_int64_proof_boundary_is_generic(monkeypatch):
     big = _B + 1
-    assert not _kernels.supports(big)
     elements = _elements(("1", str(big), str(-big)))
+    assert not _kernels.supports(elements.scaled_integers()[1])
     opts = SweepOptions(charpoly=True)
     spy = _SweepSpy(monkeypatch)
     hist = sweep(elements, 3, 3, opts)
@@ -219,7 +219,7 @@ def test_rank_only_square_sweeps_take_the_rank_routes(n, field, texts, monkeypat
     hist = sweep(elements, n, n, SweepOptions(det=False))
     assert built == [] and spy.calls == 0
     assert hist.raw["det"] is None
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     ranks, _ = oracles.bareiss_sweep(values, field, n, n)
     assert hist.rank_profile == ranks
 
@@ -232,7 +232,7 @@ _BI = 526
 
 
 def _square_dets(elements: ElementSet) -> dict:
-    _, values, _ = elements.scaled_integers()
+    _, values = elements.scaled_integers()
     rows = list(itertools.product(values, repeat=3))
     return matrices._square_det(rows, 3, matrices._ring(elements.field))
 
@@ -274,7 +274,7 @@ def test_gaussian_one_key_counts(monkeypatch):
     kernel, a key that does not scale into the ring counts 0 before it, and
     a key past the proof counts 0 in it."""
     elements = _elements(("i/2", "(1-i)/3", "-1"), QI)
-    lcm, values, _ = elements.scaled_integers()
+    lcm, values = elements.scaled_integers()
     dets = _square_dets(elements)
     calls = []
     count_target3 = _kernels.count_target3
@@ -306,9 +306,10 @@ def test_gaussian_kernel_at_the_int64_proof_boundary(bound, monkeypatch):
     either way."""
     assert 216 * _BI**6 < 2**62 <= 216 * (_BI + 1) ** 6
     proof = bound == _BI
-    assert _kernels.supports(bound, True) is proof
     elements = _elements(("1", f"{bound}*i", f"{bound}-{bound}*i"), QI)
-    assert elements.scaled_integers()[2] == bound
+    _, values = elements.scaled_integers()
+    assert max(max(map(abs, value)) for value in values) == bound
+    assert _kernels.supports(values) is proof
     route = plan_square(3, elements, "det")
     assert route == (CountRoute("target3", 27 * 26 * 25 // 6) if proof else CountRoute("sweep", 3**9))
     spy = _SweepSpy(monkeypatch)
