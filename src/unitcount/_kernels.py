@@ -13,7 +13,7 @@ rows i < j < k among the A^3 rows, row i dotted with the cross product of
 rows j and k, built for at most `_CHUNK` pairs (j, k) at a time; a triple's
 six row orders give det d three times and -d three times, and every matrix
 with a repeated row has det 0.  The caller takes rank <= 2 from the det
-zeros and rank <= 1 from the flats walk (`matrices._rank_profile`).  The
+zeros and rank <= 1 from the flats route (`matrices._flats_histogram`).  The
 dets come in batches of `_BATCH`, each grouped by |det| with one sort
 (`_group`), and the signs are folded back once, on the distinct values.
 `sweep_square` histograms every det; `count_target3` counts one |det| per

@@ -59,17 +59,6 @@ def rank_exponent(n: int, m: int, r: int) -> ExponentValue:
     return ExponentValue(Fraction(base + extra), "rank-bound", "2m>n+r")
 
 
-def rank_saving(n: int, m: int, r: int) -> Fraction:
-    """How far rank-bound improves on rank-trivial when 2m > n + r:
-    (n-r)(r-1)/2 for odd r, r(n-r)/2 + (m-n) for even r."""
-    _check_rank_args(n, m, r)
-    if 2 * m <= n + r:
-        raise ValueError("closed-form saving applies in the 2m > n+r regime")
-    if r % 2 == 1:
-        return Fraction((n - r) * (r - 1), 2)
-    return Fraction(r * (n - r), 2) + (m - n)
-
-
 def rank_type_exponent(n: int, m: int, r: int, t: int) -> int:
     """Work exponent of the type-t term in the rank count decomposition;
     the rank bound is the max of these over 1 <= t <= r."""
@@ -82,15 +71,6 @@ def rank_type_exponent(n: int, m: int, r: int, t: int) -> int:
         + ((t + 1) // 2) * (n - r)
         + (r - t) * (n - r)
     )
-
-
-def rank_type_argmax(n: int, m: int, r: int) -> int:
-    """Closed-form maximizing t for rank_type_exponent: 1 in the 2m <= n+r
-    regime, otherwise the largest odd value not exceeding r."""
-    _check_rank_args(n, m, r)
-    if 2 * m <= n + r:
-        return 1
-    return 2 * ((r - 1) // 2) + 1
 
 
 def det_exponent(n: int, target_is_zero: bool) -> ExponentValue:

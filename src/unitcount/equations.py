@@ -50,7 +50,7 @@ from operator import mul
 from pathlib import Path
 
 from .families import ElementSet
-from .matrices import CountRoute, _charged, _ring, _ring_key
+from .matrices import _charged, _ring, _ring_key
 from .scalars import Q, FieldMismatchError, Scalar, _read_fields, _refuse_unknown_keys
 
 # Cap on hash-table entries for the meet-in-the-middle join.
@@ -360,7 +360,7 @@ def classify_by_vanishing_subsums(
     if n > 10:
         raise ValueError("classification is exhaustive; n is capped at 10")
     rows, rhs = _equation_rows(eq, elements)
-    _charged(CountRoute("classify", len(elements) ** (n - 1)), budget, "classify")
+    _charged(len(elements) ** (n - 1), budget, "classify")
     # Distinct elements give distinct terms a_n*x, so at most one completes.
     last = set(rows[-1])
     order = _mask_scan_order(n)

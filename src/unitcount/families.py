@@ -58,6 +58,8 @@ class Geometric(_Family):
     def __post_init__(self):
         if self.base.is_zero():
             raise FamilyError("geometric family with zero base")
+        if self.start > self.stop:
+            raise FamilyError(f"geometric family with start {self.start} > stop {self.stop}")
 
     def walk(self) -> list[Scalar]:
         return list(_power_table(self.base, range(self.start, self.stop + 1)).values())
@@ -108,6 +110,8 @@ class GaussianUnitsScaled(_Family):
     scales: tuple[Scalar, ...]
 
     def __post_init__(self):
+        if not self.scales:
+            raise FamilyError("unit-scaled family needs at least one scale")
         for scale in self.scales:
             if scale.field != QI:
                 raise FamilyError("unit-scaled family requires Qi scales")
@@ -335,8 +339,6 @@ def materialize(spec: FamilySpec) -> ElementSet:
     first_indices: dict[Scalar, int] = {}
     for index, value in enumerate(values):
         first_indices.setdefault(value, index)
-    if not first_indices:
-        raise FamilyError("family materialized to an empty set")
     return ElementSet(
         tuple(first_indices),
         len(values) - len(first_indices),

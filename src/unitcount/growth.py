@@ -25,17 +25,17 @@ from typing import ClassVar, get_args
 from . import bounds
 # count_solutions, count_system_sum_squares and materialize are imported by
 # name: perfbench/spans.py wraps them on this module.
-from .equations import EquationSpec, count_solutions, count_system_sum_squares
+from .equations import EquationSpec, count_solutions, count_system_sum_squares  # noqa: F401
 from .families import ElementSet, FamilyTemplate, materialize, tight_equation_coeffs
 from .matrices import (
     BudgetExceededError,
-    CountRoute,
-    _charged,
+    _run,
     count_charpoly,
     count_det,
     count_power_sums,
     count_rank,
     parse_budget,
+    plan_mitm,
     resolve_budget,
 )
 # Re-exported: perfbench/spans.py wraps these names on this module.
@@ -54,10 +54,9 @@ class GrowthConfigError(ValueError):
 # fields, the only keys `statistic_from_json` accepts (an equation may give
 # `tight_n` alone instead), and each field is read by its annotation
 # (`scalars._read_fields`).  A statistic that no matrix or tuple can have
-# is refused when it is built, from JSON or in code.  Matrix statistics
-# delegate route choice, work and budget to the count planner in
-# `matrices`; the equation and system statistics charge their
-# meet-in-the-middle table, A^ceil(n/2), the same way first.  Each
+# is refused when it is built, from JSON or in code.  Each count is planned
+# and charged in `matrices`, the equation and system statistics' by its
+# runner (`_run`) on the meet-in-the-middle route (`plan_mitm`).  Each
 # statistic's `_bound` names its `bounds.bound_table` kind and flags, and
 # whether a family attains row 0, the exponent its report compares with.
 
@@ -176,8 +175,8 @@ class EquationStatistic(EquationSpec, _Statistic):
     kind = "equation"
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
-        _charged(CountRoute("mitm", len(elements) ** ((self.n + 1) // 2)), budget)
-        return count_solutions(self, elements)
+        plan = {"equation": plan_mitm(self.n, len(elements))}
+        return _run(elements, 1, self.n, plan, budget, self)
 
     def _bound(self, field: str) -> tuple[str, dict, bool]:
         n, homogeneous = self.n, self.rhs.is_zero()
@@ -194,8 +193,8 @@ class SystemStatistic(_Statistic):
     n: int
 
     def count(self, elements: ElementSet, budget: int | None) -> int:
-        _charged(CountRoute("mitm", len(elements) ** ((self.n + 1) // 2)), budget)
-        return count_system_sum_squares(self.n, elements)
+        plan = {"system": plan_mitm(self.n, len(elements))}
+        return _run(elements, 1, self.n, plan, budget, ())  # its one key: both sums zero
 
     def _bound(self, field: str) -> tuple[str, dict, bool]:
         # The attaining family needs the imaginary unit's orbit in the set.

@@ -15,9 +15,10 @@ Qi share it.
 
 Sweeps histogram the requested statistics over every matrix in
 elements^(m*n), and single counts (count_det, count_rank, count_charpoly,
-count_power_sums) count one key.  Both run the route that one planner
-picks for each statistic (plan_square, plan_rank; see the count planner
-section).  Power sums, at every n, and every 2x2 statistic are
+count_power_sums, and growth's equation and system counts) count one key.
+Each plans its routes (plan_square, plan_rank, plan_mitm), and one runner,
+`_run`, charges them and runs each from the route table (see the count
+planner section).  Power sums, at every n, and every 2x2 statistic are
 convolutions of pairwise products, and the 3x3 charpoly one join of cycle
 invariants, over Q and Qi alike.  A 3x3 det, over Q or Qi, whose
 a-priori magnitude bound proves that no intermediate can leave int64 runs
@@ -548,34 +549,18 @@ def _finalize(raw: dict, elements: ElementSet, m: int, n: int) -> SweepHistogram
         set_size=len(elements),
         total=raw["total"],
         lcm=lcm,
-        rank_profile=raw["rank"],
+        rank_profile=raw.get("rank"),
         raw={stat: raw.get(stat) for stat in _SQUARE_STATS},
     )
     hist.validate()
     return hist
 
 
-def _rank_profile(
-    elements: ElementSet, m: int, n: int, dets: dict | None
-) -> dict[int, int]:
-    """Rank profile of the m x n matrices over zero-free `elements` from the
-    number of rank <= k for each k: one `_rank_counts` walk, but a square
-    whose raw det histogram `dets` was swept takes rank <= n-1 from its
-    zeros and walks one rank less."""
-    if m == n and dets is not None:
-        zeros = dets.get(_ring(elements.field).zero, 0)
-        at_most = _flats_walk(elements, n, n, n - 2) + [zeros, len(elements) ** (n * n)]
-    else:
-        at_most = _rank_counts(elements, m, n, min(m, n))
-    counts = map(operator.sub, at_most[1:], at_most)
-    return {r: c for r, c in enumerate(counts, 1) if c}
-
-
 def sweep(
     elements: ElementSet, m: int, n: int, options: SweepOptions | None = None
 ) -> SweepHistogram:
     """Histogram the enabled statistics over every matrix in elements^(m*n),
-    each square statistic by the route `plan_square` picks for it."""
+    each by its planned route, all run by one `_run` charged A^(mn)."""
     opts = options or SweepOptions()
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
@@ -585,20 +570,21 @@ def sweep(
     if not (opts.rank or stats):
         raise ValueError("no statistic enabled")
 
-    route = _charged(CountRoute("sweep", len(elements) ** (m * n)), opts.budget, "sweep")
-    raw = {stat: _run_route(plan_square(n, elements, stat), elements, n, stat) for stat in stats}
-    raw["total"] = route.work
-    raw["rank"] = _rank_profile(elements, m, n, raw.get("det")) if opts.rank else None
-    return _finalize(raw, elements, m, n)
+    plan = {stat: plan_square(n, elements, stat) for stat in stats}
+    if opts.rank:  # a swept det's zeros give rank <= n-1: one level less to walk
+        plan["rank"] = _flats_route(len(elements), min(m, n), min(m, n) - 1 - ("det" in plan))
+    total = len(elements) ** (m * n)
+    raw = _run(elements, m, n, plan, opts.budget, work=total, what="sweep")
+    return _finalize({**raw, "total": total}, elements, m, n)
 
 
 # -- count planner ------------------------------------------------------------
 #
 # Each statistic picks its exact route in one place, from the shape, the
 # field, the set size A and, for the 3x3 det, the set's magnitude bound
-# (plan_square, plan_rank).  A count is charged that route's work and runs
-# its one-key counter; a sweep histograms each square statistic by the same
-# route and charges A^(mn); `_run_route` runs both from the `_ROUTES` table.
+# (plan_square, plan_rank, plan_mitm).  One runner, `_run`, charges a plan
+# once and runs its routes from the `_ROUTES` table: a count is charged its
+# route's work, a sweep A^(mn) for every statistic it histograms.
 #
 #   conv2    2x2 det or charpoly by product convolution over the ring
 #            integers, A^2
@@ -611,15 +597,15 @@ def sweep(
 #            ordered walk over the flats that the lines of the A^d vectors
 #            span (`_flats_walk`; also n x n det = 0, which is rank <= n-1
 #            over zero-free entries): sum_{j=1..k} C(A^d, j), so A^d at
-#            k = 1 and A^d + A^d (A^d - 1) / 2 at k = 2
+#            k = 1 and A^d + A^d (A^d - 1) / 2 at k = 2; the rank profile
+#            walks to d - 1, or to d - 2 beside a swept det's zeros
 #   closed   rank <= min(m, n): every matrix, A^(mn) with no work
 #   sweep    square det past target3 (n = 1, n >= 4, or a 3x3 past the
 #            proof) by shared minors, each distinct block's once, or
 #            charpoly at n = 1 and n >= 4 by Berkowitz on lanes of up to
 #            `_kernels._LANE_BATCH` matrices (`_generic_shard`), A^(n^2)
-#
-# An exact rank count is rank <= r minus rank <= r-1, both from one walk to
-# rank min(r, d - 1), charged that walk.
+#   mitm     an n-variable equation or the zero-sum system by the
+#            meet-in-the-middle join in `equations`, A^ceil(n/2)
 
 
 @dataclass(frozen=True)
@@ -677,45 +663,75 @@ def plan_rank(m: int, n: int, r: int, cumulative: bool, size: int) -> CountRoute
     return _flats_route(size, low, low - 1)
 
 
-def _charged(route: CountRoute, budget: int | None, what: str | None = None) -> CountRoute:
-    """`route`, once its work is within the resolved budget; otherwise a
-    BudgetExceededError naming `what`, by default the route's count."""
+def plan_mitm(n: int, size: int) -> CountRoute:
+    """Route of an n-variable equation or zero-sum system count over `size`
+    elements: the meet-in-the-middle join, charged its A^ceil(n/2) table."""
+    return CountRoute("mitm", size ** ((n + 1) // 2))
+
+
+def _charged(work: int, budget: int | None, what: str) -> None:
+    """A BudgetExceededError naming `what` if `work` is over the budget."""
     budget = resolve_budget(budget)
-    if route.work > budget:
-        raise BudgetExceededError(route.work, budget, what or f"{route.name} count")
-    return route
+    if work > budget:
+        raise BudgetExceededError(work, budget, what)
 
 
-# Each square route's raw histogram (elements, n, stat), keyed as in
-# `SweepHistogram.raw`, and one-key counter (elements, n, stat, ring key); a
-# counter of None looks the key up in the histogram.  An entry looks its
+# Each route's raw histogram (elements, m, n, stat, the plan's histograms so
+# far), keyed as in `SweepHistogram.raw` (flats by rank, reading the det
+# zeros there), or None, and its one-key counter (elements, m, n, stat,
+# key), or None to look the key up in the histogram.  An entry looks its
 # function up when it runs, so one set on the module later is the one run.
 _ROUTES = {
-    "conv2": (lambda e, n, s: _conv2_histogram(e, s), lambda e, n, s, k: _conv2_count(e, s, k)),
-    "cycles3": (lambda e, n, s: _cycles3_histogram(e), lambda e, n, s, k: _cycles3_count(e, k)),
-    "powersums": (lambda e, n, s: _power_sums_histogram(e, n),
-                  lambda e, n, s, k: _power_sums_count(e, n, k)),
-    "target3": (lambda e, n, s: _kernels.sweep_square(e.scaled_integers()[1])["det"],
-                lambda e, n, s, k: _kernels.count_target3(e.scaled_integers()[1], k[0])),
-    "sweep": (lambda e, n, s: _generic_shard(e.scaled_integers()[1], e.field, n, s)[s], None),
-    "flats": (None, lambda e, n, s, k: _flats_walk(e, n, n, n - 1)[n - 1]),
+    "conv2": (lambda e, m, n, s, h: _conv2_histogram(e, s),
+              lambda e, m, n, s, k: _conv2_count(e, s, k)),
+    "cycles3": (lambda e, m, n, s, h: _cycles3_histogram(e),
+                lambda e, m, n, s, k: _cycles3_count(e, k)),
+    "powersums": (lambda e, m, n, s, h: _power_sums_histogram(e, n),
+                  lambda e, m, n, s, k: _power_sums_count(e, n, k)),
+    "target3": (lambda e, m, n, s, h: _kernels.sweep_square(e.scaled_integers()[1])["det"],
+                lambda e, m, n, s, k: _kernels.count_target3(e.scaled_integers()[1], k[0])),
+    "sweep": (lambda e, m, n, s, h: _generic_shard(e.scaled_integers()[1], e.field, n, s)[s], None),
+    "flats": (lambda e, m, n, s, h: _flats_histogram(e, m, n, h.get("det")),
+              lambda e, m, n, s, k: _flats_count(e, m, n, s, k)),
+    "closed": (None, lambda e, m, n, s, k: len(e) ** (m * n)),
+    "mitm": (None, lambda e, m, n, s, k: _mitm_count(e, n, s, k)),
 }
 
 
-def _run_route(route: CountRoute, elements: ElementSet, n: int, stat: str, target=None):
-    """The raw histogram of `stat` over every n x n matrix by the planned
-    `route`; or, given `target`, the number of those matrices whose `stat`
-    key has its values, scaled into the ring once (one that does not scale
-    counts 0): by the route's counter, or looked up in its histogram."""
-    histogram, counter = _ROUTES[route.name]
+def _run(elements: ElementSet, m: int, n: int, plan: dict, budget: int | None, target=None,
+         *, work: int | None = None, what: str | None = None):
+    """Charge `plan`, {statistic: planned route}, once: its summed work, or
+    `work` if given, as `what` (by default "<route> count").  Then run each
+    route from `_ROUTES` over the m x n matrices (an equation is 1 x n): with
+    no `target`, in plan order, to {statistic: raw histogram}; with one, to
+    the number of the plan's one statistic with that key, a square
+    statistic's values scaled into the ring once (one that fails counts 0)."""
+    routes = list(plan.values())
+    charge = sum(route.work for route in routes) if work is None else work
+    _charged(charge, budget, what or f"{routes[0].name} count")
     if target is None:
-        return histogram(elements, n, stat)
-    key = _ring_key(elements.field, target, _key_scales(stat, n, elements.scaled_integers()[0]))
-    if key is None:
-        return 0
+        raw: dict = {}
+        for stat, route in plan.items():
+            raw[stat] = _ROUTES[route.name][0](elements, m, n, stat, raw)
+        return raw
+    [(stat, route)] = plan.items()
+    histogram, counter = _ROUTES[route.name]
+    key = target
+    if stat in _SQUARE_STATS:
+        key = _ring_key(elements.field, target, _key_scales(stat, n, elements.scaled_integers()[0]))
+        if key is None:
+            return 0
     if counter is not None:
-        return counter(elements, n, stat, key)
-    return histogram(elements, n, stat).get(key[0] if stat == "det" else key, 0)
+        return counter(elements, m, n, stat, key)
+    return histogram(elements, m, n, stat, {}).get(key[0] if stat == "det" else key, 0)
+
+
+def _mitm_count(elements: ElementSet, n: int, stat: str, key) -> int:
+    """The tuples solving the equation `key`, or the zero-sum system's."""
+    from . import equations  # run time: equations imports this module
+    if stat == "system":
+        return equations.count_system_sum_squares(n, elements)
+    return equations.count_solutions(key, elements)
 
 
 def _primitive(vector, field: str) -> tuple:
@@ -838,14 +854,25 @@ def _flats_walk(elements: ElementSet, d: int, w: int, top: int) -> list[int]:
     return [row[0] for row in tally(lines, (0,), top, True)]
 
 
-def _rank_counts(elements: ElementSet, m: int, n: int, top: int) -> list[int]:
-    """[N_0, ..., N_top], N_t the number of m x n matrices of rank <= t: the
-    flats walk below min(m, n), and every matrix at min(m, n)."""
+def _flats_count(elements: ElementSet, m: int, n: int, stat: str, key) -> int:
+    """Number of m x n matrices of rank <= r, or == r, for the key (r,
+    cumulative), from one walk to min(r, min(m, n) - 1); det = 0 is n - 1."""
+    r, cumulative = (n - 1, True) if stat == "det" else key
     low = min(m, n)
-    counts = _flats_walk(elements, low, max(m, n), min(top, low - 1))
-    if top == low:
-        counts.append(len(elements) ** (m * n))
-    return counts
+    at_most = _flats_walk(elements, low, max(m, n), min(r, low - 1)) + [len(elements) ** (m * n)]
+    return at_most[r] if cumulative else at_most[r] - at_most[r - 1]
+
+
+def _flats_histogram(elements: ElementSet, m: int, n: int, dets: dict | None) -> dict[int, int]:
+    """Rank profile of the m x n matrices over zero-free `elements` from the
+    number of rank <= k for each k: one walk to min(m, n) - 1, one rank less
+    for a square whose swept det histogram `dets` gives rank <= n-1."""
+    low = min(m, n)
+    zeros = [] if m != n or dets is None else [dets.get(_ring(elements.field).zero, 0)]
+    at_most = _flats_walk(elements, low, max(m, n), low - 1 - len(zeros))
+    at_most += zeros + [len(elements) ** (m * n)]
+    counts = map(operator.sub, at_most[1:], at_most)
+    return {r: c for r, c in enumerate(counts, 1) if c}
 
 
 def count_det(
@@ -855,8 +882,8 @@ def count_det(
     *,
     budget: int | None = None,
 ) -> int:
-    route = plan_square(n, elements, "det", det_zero=target.is_zero())
-    return _run_route(_charged(route, budget), elements, n, "det", (target,))
+    plan = {"det": plan_square(n, elements, "det", det_zero=target.is_zero())}
+    return _run(elements, n, n, plan, budget, (target,))
 
 
 def count_rank(
@@ -870,11 +897,8 @@ def count_rank(
 ) -> int:
     """Number of m x n matrices of rank <= r, or of rank exactly r when not
     `cumulative`."""
-    route = _charged(plan_rank(m, n, r, cumulative, len(elements)), budget)
-    if not route.work:  # closed: every matrix
-        return len(elements) ** (m * n)
-    counts = _rank_counts(elements, m, n, r)
-    return counts[r] if cumulative else counts[r] - counts[r - 1]
+    plan = {"rank": plan_rank(m, n, r, cumulative, len(elements))}
+    return _run(elements, m, n, plan, budget, (r, cumulative))
 
 
 def count_charpoly(
@@ -888,8 +912,7 @@ def count_charpoly(
     T^n + c_(n-1) T^(n-1) + ... + c_0, given `coeffs` = (c_0, ..., c_(n-1))."""
     if len(coeffs) != n:
         raise ValueError(f"characteristic polynomial has {len(coeffs)} coefficients, need {n}")
-    route = _charged(plan_square(n, elements, "charpoly"), budget)
-    return _run_route(route, elements, n, "charpoly", coeffs)
+    return _run(elements, n, n, {"charpoly": plan_square(n, elements, "charpoly")}, budget, coeffs)
 
 
 def count_power_sums(
@@ -900,8 +923,8 @@ def count_power_sums(
     *,
     budget: int | None = None,
 ) -> int:
-    route = _charged(plan_square(n, elements, "powersums"), budget)
-    return _run_route(route, elements, n, "powersums", (t1, t2))
+    plan = {"powersums": plan_square(n, elements, "powersums")}
+    return _run(elements, n, n, plan, budget, (t1, t2))
 
 
 # -- product-convolution paths -------------------------------------------------
@@ -1027,21 +1050,17 @@ def _power_sums_count(elements: ElementSet, n: int, key: tuple) -> int:
 
 def fast_det2_count(elements: ElementSet, target: Scalar) -> int:
     """Number of 2x2 matrices with det equal to target, in O(A^2)."""
-    return _run_route(plan_square(2, elements, "det"), elements, 2, "det", (target,))
+    return count_det(elements, 2, target)
 
 
 def fast_charpoly2_count(elements: ElementSet, coeffs: tuple[Scalar, ...]) -> int:
-    """Number of 2x2 matrices with charpoly T^2 + c1 T + c0, `coeffs` =
-    (c0, c1), in O(A^2): those with power sums t1 = -c1 and t2 = t1^2 - 2 c0,
-    one to one."""
-    if len(coeffs) != 2:
-        raise ValueError("fast_charpoly2_count needs a degree-2 polynomial")
-    return _run_route(plan_square(2, elements, "charpoly"), elements, 2, "charpoly", coeffs)
+    """Number of 2x2 matrices with charpoly T^2 + c1 T + c0, `coeffs` = (c0, c1)."""
+    return count_charpoly(elements, 2, coeffs)
 
 
 def fast_power_sums2_count(elements: ElementSet, t1: Scalar, t2: Scalar) -> int:
     """Number of 2x2 matrices with given (trace, trace of square), in O(A^2)."""
-    return _run_route(plan_square(2, elements, "powersums"), elements, 2, "powersums", (t1, t2))
+    return count_power_sums(elements, 2, t1, t2)
 
 
 # -- 3x3 charpoly by cycle invariants ------------------------------------------

@@ -20,7 +20,10 @@ arithmetic: the 2x2 det convolution over Scalars, and Newton's identities
 for the two leading coefficients.  `det_histogram`, `charpoly_histogram`
 and `powersum_histogram` turn a sweep's raw ring-keyed histograms into
 `Scalar`-keyed dicts, and `nondegenerate_cap_exact` is the exact integer of
-the cap whose log10 `bounds.nondegenerate_cap_log10` gives.
+the cap whose log10 `bounds.nondegenerate_cap_log10` gives.  `rank_saving`
+and `rank_type_argmax` are closed forms that cross-check
+`bounds.rank_exponent`: its saving on the trivial bound, and the type t
+whose `bounds.rank_type_exponent` attains it.
 `growth_points_per_k` runs a growth experiment with each k's set
 materialized from its own family, the reference for the shared set that
 `growth.run_experiment` takes prefixes of.  `random_matrix` draws a matrix's
@@ -34,6 +37,7 @@ import math
 import operator
 from fractions import Fraction
 
+from unitcount.bounds import _check_rank_args
 from unitcount.families import materialize
 from unitcount.matrices import (
     BudgetExceededError,
@@ -276,6 +280,26 @@ def nondegenerate_cap_exact(n: int, group_rank: int) -> int:
     if n < 1 or group_rank < 0:
         raise ValueError("need n >= 1 and group_rank >= 0")
     return (8 * n) ** (4 * n**4 * (n + group_rank + 1))
+
+
+def rank_saving(n: int, m: int, r: int) -> Fraction:
+    """How far rank-bound improves on rank-trivial when 2m > n + r:
+    (n-r)(r-1)/2 for odd r, r(n-r)/2 + (m-n) for even r."""
+    _check_rank_args(n, m, r)
+    if 2 * m <= n + r:
+        raise ValueError("closed-form saving applies in the 2m > n+r regime")
+    if r % 2 == 1:
+        return Fraction((n - r) * (r - 1), 2)
+    return Fraction(r * (n - r), 2) + (m - n)
+
+
+def rank_type_argmax(n: int, m: int, r: int) -> int:
+    """Closed-form maximizing t for rank_type_exponent: 1 in the 2m <= n+r
+    regime, otherwise the largest odd value not exceeding r."""
+    _check_rank_args(n, m, r)
+    if 2 * m <= n + r:
+        return 1
+    return 2 * ((r - 1) // 2) + 1
 
 
 def random_matrix(elements, m: int, n: int, rng) -> MatrixInstance:

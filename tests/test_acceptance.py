@@ -32,7 +32,6 @@ from unitcount import (
 from unitcount.bounds import (
     charpoly_general_exponent,
     charpoly_refined_exponent,
-    rank_type_argmax,
     rank_type_exponent,
     system_exponent,
 )
@@ -207,7 +206,7 @@ def test_acceptance_5_formula_suite(capsys):
         for m in range(1, n + 1):
             for r in range(1, m + 1):
                 brute = max(rank_type_exponent(n, m, r, t) for t in range(1, r + 1))
-                if rank_type_exponent(n, m, r, rank_type_argmax(n, m, r)) != brute:
+                if rank_type_exponent(n, m, r, oracles.rank_type_argmax(n, m, r)) != brute:
                     argmax_ok = False
 
     envelope_ok = all(

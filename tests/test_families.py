@@ -235,6 +235,17 @@ def test_family_checks_run_when_a_family_is_built_in_code():
         GaussianUnitsScaled((two,))
 
 
+def test_a_family_with_no_values_is_refused_when_built():
+    """An empty exponent range or no scales is a variant's own check, not
+    left for `materialize` to find."""
+    with pytest.raises(FamilyError, match="^geometric family with start 3 > stop 2$"):
+        Geometric(Scalar.rational(2), 3, 2)
+    with pytest.raises(FamilyError, match="^unit-scaled family needs at least one scale$"):
+        GaussianUnitsScaled(())
+    with pytest.raises(FamilyError, match="^geometric family with start 1 > stop 0$"):
+        family_from_json({"variant": "geometric", "base": "2", "start": 1, "stop": 0})
+
+
 def test_geometric_with_an_empty_range_is_an_error():
     with pytest.raises(FamilyError):
         materialize(Geometric(base=Scalar.rational(2), start=3, stop=2))

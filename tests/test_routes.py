@@ -24,8 +24,9 @@ import pytest
 
 import oracles
 from conftest import generic_sweep
-from unitcount import _kernels, matrices
+from unitcount import _kernels, growth, matrices
 from unitcount.families import ElementSet
+from unitcount.growth import EquationStatistic, SystemStatistic
 from unitcount.matrices import (
     BudgetExceededError,
     CountRoute,
@@ -34,7 +35,9 @@ from unitcount.matrices import (
     count_det,
     count_power_sums,
     count_rank,
+    fast_charpoly2_count,
     fast_det2_count,
+    fast_power_sums2_count,
     plan_rank,
     plan_square,
     sweep,
@@ -564,17 +567,198 @@ def test_single_key_kernel_matches_sweep_and_oracle(stat, monkeypatch):
         _check_routes(elements, n, stat, spy)
 
 
-def test_the_route_checks_plan_every_table_entry():
-    """The routes the checks above plan, for each statistic's sweep and
-    each count (det = 0 apart), are the keys of the route table: no entry
-    goes unchecked and no planned name lacks an entry."""
-    planned = {
-        plan_square(n, elements, stat, det_zero=det_zero).name
-        for stat in _STATS
-        for elements, n in _route_inputs()
-        for det_zero in {False, stat == "det"}
-    }
-    assert planned == set(matrices._ROUTES) == {*_COUNTERS, *_HISTOGRAMS}
+# -- the route table's contract -------------------------------------------------
+#
+# Every entry of `matrices._ROUTES` is reached through `_run`, from the entry
+# points.  The contract inputs run every entry point on small sets over Q
+# and Q(i), record each `_run` call's plan, target and result, and pair it
+# with the answer of the naive oracles; each table entry is then checked on
+# every call that planned it.  A new entry that some statistic plans at these
+# sizes is checked without editing this section.
+
+# Two elements each for the matrix statistics, so the oracle enumeration
+# stays at 2^9 matrices; four each for the equations and the zero-sum
+# system, whose solutions need more room.
+_CONTRACT_SETS = [(Q, ("1/2", "-3")), (QI, ("1+i", "-i/2"))]
+_CONTRACT_SHAPES = [(1, 1), (2, 2), (3, 3), (1, 3), (2, 3), (3, 2), (2, 4)]
+_MITM_SETS = [(Q, ("1", "-1", "2", "1/2")), (QI, ("1", "i", "-1", "-i"))]
+_EQUATIONS = [(("1", "-1"), "0"), (("1", "1", "-1"), "1"), (("1", "1", "-1", "-1"), "0")]
+
+
+class _RunSpy:
+    """Records each `_run` call, (plan, target, result), on the way through;
+    growth imports `_run` by name, so both modules' names are replaced."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[tuple] = []
+        self.charges: list[tuple] = []
+        run, charged = matrices._run, matrices._charged
+
+        def spy(elements, m, n, plan, budget, target=None, **kwargs):
+            result = run(elements, m, n, plan, budget, target, **kwargs)
+            self.calls.append((dict(plan), target, result))
+            return result
+
+        for owner in (matrices, growth):
+            monkeypatch.setattr(owner, "_run", spy)
+        monkeypatch.setattr(
+            matrices, "_charged", lambda *a: self.charges.append(a) or charged(*a)
+        )
+
+    def one(self, call) -> tuple:
+        """The one `_run` call that `call()` makes."""
+        self.calls.clear()
+        call()
+        [made] = self.calls
+        return made
+
+
+def _oracle_keyed(hist) -> dict:
+    """A sweep's histograms keyed as the oracles key them."""
+    out = {"rank": hist.rank_profile}
+    for stat, spec in _STATS.items():
+        if hist.raw[stat] is not None:
+            out[stat] = {spec.oracle_key(key): c for key, c in spec.histogram(hist).items()}
+    return out
+
+
+def _matrix_runs(spy: _RunSpy, field: str, texts, m: int, n: int):
+    """(plan, target, result, oracle answer) of the sweep of every statistic
+    and of each count: every key of each square histogram, an absent key
+    and one that does not scale, and each rank, cumulative or exact."""
+    elements, oracle = _elements(texts, field), _oracle(texts, field, m, n)
+    stats = [stat for stat in _STATS if m == n]
+    opts = SweepOptions(rank=True, **{stat: stat in stats for stat in _STATS})
+    plan, target, raw = spy.one(lambda: sweep(elements, m, n, opts))
+    hist = matrices._finalize({**raw, "total": len(elements) ** (m * n)}, elements, m, n)
+    yield plan, target, _oracle_keyed(hist), oracle
+    for stat in stats:
+        spec = _STATS[stat]
+        present = spec.histogram(hist)
+        for key in [*present, *_missing_keys(elements, stat, present, n)[:2]]:
+            run = spy.one(lambda: spec.count(elements, n, key))
+            yield *run, oracle[stat].get(spec.oracle_key(key), 0)
+    for r in range(1, min(m, n) + 1):
+        for cumulative in (True, False):
+            run = spy.one(lambda: count_rank(elements, m, n, r, cumulative=cumulative))
+            ranks = oracle["rank"].items()
+            yield *run, sum(c for k, c in ranks if (k <= r if cumulative else k == r))
+
+
+def _mitm_runs(spy: _RunSpy, field: str, texts):
+    """(plan, target, result, oracle answer) of each equation and of the
+    zero-sum system at n = 2..4, counted by growth's statistics."""
+    elements = _elements(texts, field)
+    for coeffs, rhs in _EQUATIONS:
+        stat = EquationStatistic(
+            tuple(parse_scalar(c, field) for c in coeffs), parse_scalar(rhs, field)
+        )
+        expected = oracles.equation_count(
+            [oracles.pair(c) for c in stat.coeffs], oracles.pair(stat.rhs), elements
+        )
+        yield *spy.one(lambda: stat.count(elements, None)), expected
+    for n in (2, 3, 4):
+        run = spy.one(lambda: SystemStatistic(n).count(elements, None))
+        yield *run, oracles.system_count(n, elements)
+
+
+@functools.cache
+def _contract_runs() -> tuple:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        spy = _RunSpy(monkeypatch)
+        runs = [
+            run
+            for field, texts in _CONTRACT_SETS
+            for m, n in _CONTRACT_SHAPES
+            for run in _matrix_runs(spy, field, texts, m, n)
+        ]
+        runs += [run for field, texts in _MITM_SETS for run in _mitm_runs(spy, field, texts)]
+    return tuple(runs)
+
+
+@pytest.mark.parametrize("name", list(matrices._ROUTES))
+def test_every_route_in_the_table_agrees_with_the_oracles(name):
+    """Each entry's histograms and its one-key counts equal the naive
+    oracles, and so each other, on every contract input that plans it;
+    each entry is planned for a count, and for a sweep if it histograms."""
+    histogram, counter = matrices._ROUTES[name]
+    histograms = counts = 0
+    for plan, target, result, expected in _contract_runs():
+        for stat, route in plan.items():
+            if route.name != name:
+                continue
+            if target is None:
+                histograms += 1
+                assert result[stat] == expected[stat], (name, stat)
+            else:
+                counts += 1
+                assert result == expected, (name, stat, target)
+    assert counts, f"no contract input counts by the {name} route"
+    assert bool(histograms) == (histogram is not None), name
+
+
+_ONE = Scalar.one(Q)
+_THREE = _elements(("1", "2", "3"))
+_TEN = _elements(tuple(str(v) for v in range(1, 11)))
+
+# Each entry point over `_THREE` under a budget b: the four counts, `sweep`,
+# growth's equation and system statistics, and the 2x2 `fast_*` counts,
+# which take the default budget.
+_ENTRY_POINTS = {
+    "count_det": lambda b: count_det(_THREE, 3, _ONE, budget=b),
+    "count_rank": lambda b: count_rank(_THREE, 3, 3, 2, cumulative=False, budget=b),
+    "count_charpoly": lambda b: count_charpoly(_THREE, 2, (_ONE, _ONE), budget=b),
+    "count_power_sums": lambda b: count_power_sums(_THREE, 3, _ONE, _ONE, budget=b),
+    "sweep": lambda b: sweep(_THREE, 2, 2, SweepOptions(charpoly=True, budget=b)),
+    "equation": lambda b: EquationStatistic((_ONE, -_ONE)).count(_THREE, b),
+    "system": lambda b: SystemStatistic(3).count(_THREE, b),
+    "fast_det2_count": lambda b: fast_det2_count(_THREE, _ONE),
+    "fast_charpoly2_count": lambda b: fast_charpoly2_count(_THREE, (_ONE, _ONE)),
+    "fast_power_sums2_count": lambda b: fast_power_sums2_count(_THREE, _ONE, _ONE),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_runs_and_charges_once(entry, monkeypatch):
+    """Each entry point makes one `_run` call, which charges once."""
+    spy = _RunSpy(monkeypatch)
+    _ENTRY_POINTS[entry](10**6)
+    assert len(spy.calls) == 1
+    assert len(spy.charges) == 1
+
+
+# The refusal one unit below each route's charge, and the run at it, as the
+# entry points meet them: (call with a budget, its charge, the refusal's
+# name); "flats" and "sweep-route" are pinned above too.
+_BOUNDARIES = [
+    pytest.param(lambda b: sweep(_THREE, 2, 2, SweepOptions(budget=b)), 81, "sweep", id="sweep"),
+    pytest.param(lambda b: count_det(_THREE, 2, _ONE, budget=b), 9, "conv2 count", id="conv2"),
+    pytest.param(lambda b: count_det(_THREE, 3, _ONE, budget=b), 27 * 26 * 25 // 6,
+                 "target3 count", id="target3"),
+    pytest.param(lambda b: count_charpoly(_THREE, 3, (_ONE,) * 3, budget=b), 3**6,
+                 "cycles3 count", id="cycles3"),
+    pytest.param(lambda b: count_power_sums(_THREE, 2, _ONE, _ONE, budget=b), 3**2,
+                 "powersums count", id="powersums"),
+    pytest.param(lambda b: SystemStatistic(4).count(_TEN, b), 100, "mitm count",
+                 id="mitm-system"),
+    pytest.param(lambda b: EquationStatistic((_ONE, _ONE, -_ONE)).count(_TEN, b), 100,
+                 "mitm count", id="mitm-equation"),
+    pytest.param(lambda b: count_rank(_THREE, 3, 3, 1, budget=b), 27, "flats count", id="flats"),
+    pytest.param(lambda b: count_det(_elements(("1", "916016")), 3, _ONE, budget=b), 2**9,
+                 "sweep count", id="sweep-route"),
+]
+
+
+@pytest.mark.parametrize("call,charge,what", _BOUNDARIES)
+def test_each_charge_refuses_one_unit_below_and_runs_at_it(call, charge, what):
+    with pytest.raises(BudgetExceededError) as info:
+        call(charge - 1)
+    assert (info.value.required, info.value.budget) == (charge, charge - 1)
+    assert str(info.value) == (
+        f"{what} requires {charge} units of work, over the budget of {charge - 1}"
+    )
+    done = call(charge)
+    assert done == call(None)
 
 
 def test_a_count_is_planned_once(monkeypatch):
