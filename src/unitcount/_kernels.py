@@ -5,8 +5,9 @@ front, from the largest scaled entry component B, that every intermediate
 the kernel computes fits comfortably in a signed 64-bit word.  If the proof
 fails the caller falls back to the arbitrary-precision shared-minors det
 sweep, so results are exact either way.  No other statistic needs a
-kernel: `matrices` convolves products for 2x2 sweeps and power sums, and
-joins cycle invariants for the 3x3 charpoly, in Python ints.
+kernel: `matrices` convolves products for 2x2 sweeps and power sums in
+Python ints, and joins cycle invariants for the 3x3 charpoly on numpy
+columns, grouping its packed keys with `_HistAccumulator`.
 
 Layout: the det histogram comes from the unordered triples of distinct
 rows i < j < k among the A^3 rows, row i dotted with the cross product of
@@ -25,8 +26,9 @@ tells d from -d as |det| does over Q: the grouping and the sign fold run
 unchanged on keys, and only the histogram's keys are unpacked at the end.
 
 The other int64 proofs sit beside `supports`, so that one place says when
-int64 is exact: `audit_dtype` for the minor audit's sample lanes and
-`charpoly_dtype` for the charpoly sweep's matrix lanes.
+int64 is exact: `audit_dtype` for the minor audit's sample lanes,
+`charpoly_dtype` for the charpoly sweep's matrix lanes and `cycles_dtype`
+for the 3x3 charpoly join's columns.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ import numpy as np
 # Keep every intermediate at or below 2^62: one spare bit on top of the proof.
 _SAFE_LIMIT = 1 << 62
 
-# Blocks hold at most this many 3x3 row pairs (j, k).
+# Blocks hold at most this many 3x3 row pairs (j, k), or rows of the 3x3
+# charpoly join's columns (`matrices._cycle_join`).
 _CHUNK = 1 << 20
 
 # Triple dets are grouped this many at a time.
@@ -108,6 +111,21 @@ def charpoly_dtype(values, n: int):
     return np.int64 if _lanes_fit(values, n, n + 1) else object
 
 
+def cycles_dtype(values):
+    """int64 when `supports(values)` holds and A^9 < 2^63; else object: the
+    dtype of the 3x3 charpoly cycle join's columns
+    (`matrices._cycles3_histogram`).
+
+    The join's c0 = -d1 d2 d3 + d1 p23 + d2 p13 + d3 p12 - s is -det of a
+    matrix over the values, a sum of six products of three entries, and it
+    is built one product at a time: over Q each partial sum is at most 6B^3,
+    the det kernel's bound.  Over Q(i) each product has modulus at most
+    (sqrt 2 B)^3, so the parts of a partial sum stay below 17 B^3, far under
+    2^62 where `supports` holds; c1 and the pair products are smaller.  Each
+    key's count is summed in int64, and the counts add up to A^9."""
+    return np.int64 if supports(values) and len(values) ** 9 < 1 << 63 else object
+
+
 def _pack(det) -> int | None:
     """The int64 key of a ring det: itself over Q, re 2^32 + im for a Q(i)
     pair (re, im); None when no det under the proof has that key."""
@@ -152,12 +170,17 @@ class _HistAccumulator:
         self.pending_counts = [summed]
         self.pending_rows = uniq.shape[0]
 
-    def result(self) -> dict:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct keys in increasing order and their int64 counts."""
         self._compact()
         if not self.pending_keys:
-            return {}
+            return np.empty(0, np.int64), np.empty(0, np.int64)
         # One piece is left, and `_group` made its keys distinct.
-        return dict(zip(self.pending_keys[0].tolist(), self.pending_counts[0].tolist()))
+        return self.pending_keys[0], self.pending_counts[0]
+
+    def result(self) -> dict:
+        keys, counts = self.arrays()
+        return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def _group(

@@ -32,6 +32,7 @@ from .matrices import (
     sweep,
 )
 from .minors import audit_prop_zero_cofactors
+from .scalars import int_text
 
 
 class _UsageError(Exception):
@@ -72,7 +73,7 @@ def _cmd_count(args) -> int:
     elements = load_set(args.set)
     obj = _flags(args, "set", "budget")
     statistic = growth_mod.statistic_from_json(obj, elements.field)
-    print(statistic.count(elements, args.budget))
+    print(int_text(statistic.count(elements, args.budget)))
     return 0
 
 

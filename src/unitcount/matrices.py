@@ -20,7 +20,7 @@ Each plans its routes (plan_square, plan_rank, plan_mitm), and one runner,
 `_run`, charges them and runs each from the route table (see the count
 planner section).  Power sums, at every n, and every 2x2 statistic are
 convolutions of pairwise products, and the 3x3 charpoly one join of cycle
-invariants, over Q and Qi alike.  A 3x3 det, over Q or Qi, whose
+invariants on numpy columns, over Q and Qi alike.  A 3x3 det, over Q or Qi, whose
 a-priori magnitude bound proves that no intermediate can leave int64 runs
 the vectorized kernel.  Otherwise square det comes from shared minors, level
 by level: each distinct block's minors are computed once, and the last
@@ -590,7 +590,9 @@ def sweep(
 #            integers, A^2
 #   target3  3x3 det over Q or Q(i) under the int64 kernel's `supports`
 #            proof: the one key over the C(A^3, 3) row triples
-#   cycles3  3x3 charpoly by the cycle-invariant join, A^6
+#   cycles3  3x3 charpoly by the cycle-invariant join on numpy columns,
+#            int64 under `_kernels.cycles_dtype` and Python ints past it,
+#            A^6
 #   powersums  power sums at any n by product convolution: the product
 #            table and the off-diagonal convolution, A^(n(n-1)); A at n = 1
 #   flats    rank <= k for any k < d = min(m, n), on any m x n, by one
@@ -1072,8 +1074,14 @@ def fast_power_sums2_count(elements: ElementSet, t1: Scalar, t2: Scalar) -> int:
 # joins one Counter of the A^6 off-diagonal keys (p12, p13, p23, s) with the
 # diagonals.  A simultaneous permutation of rows and columns keeps the
 # charpoly and maps that Counter to itself, so the diagonal runs over its
-# C(A + 2, 3) multisets, weighted by their orderings.  Ring integers
-# throughout: Q and Qi share the code, with no magnitude bound.
+# C(A + 2, 3) multisets, weighted by their orderings.  The join runs on
+# numpy columns of those keys, each multiset against blocks of at most
+# `_kernels._CHUNK` rows, by the ring operations on arrays, so Q and Qi
+# share the code: int64 columns under `_kernels.cycles_dtype`, Python ints
+# (object) past it.  Where int64 keys' parts span fewer than 2^63 values,
+# each key is packed into one int64 in CSV order and grouped by
+# `_kernels._HistAccumulator`, so the histogram comes out in ascending key
+# order; any other join is tallied in a dict.
 
 
 def _cycle_buckets(values: list, ring: _Ring, pair_sums=None) -> dict:
@@ -1123,34 +1131,109 @@ def _diagonal_multisets(values: list, ring: _Ring):
         yield d, orderings, (neg(mul(d12, d3)), add(d12, mul(s12, d3)), neg(add(s12, d3)))
 
 
+def _cycle_columns(buckets: dict, qi: bool, dtype) -> list:
+    """The keys of `_cycle_buckets` as columns p12, p13, p23, s, count and
+    P, each one array of `dtype`.  A Qi ring column is a (2, rows) array of
+    its re and im parts, so `column[..., lo:hi]` takes rows lo..hi of any
+    column, and the ring operations see a (re, im) pair."""
+    columns: list = [[] for _ in range(6)]
+    for pair_sum, bucket in buckets.items():
+        for column, part in zip(columns, (*bucket, (pair_sum,) * len(bucket[4]))):
+            column += part
+    *keys, counts, pair_sums = columns
+    shape = (-1, 2) if qi else -1
+    rings = [np.array(column, dtype).reshape(shape).T for column in (*keys, pair_sums)]
+    return [*rings[:4], np.array(counts, dtype), rings[4]]
+
+
 def _cycle_lows(d: tuple, columns, ring: _Ring):
     """d1 p23 + d2 p13 + d3 p12 - s, what c0 adds to that of diag(d), for
-    each key of the `_cycle_buckets` columns (p12s, p13s, p23s, cycles), by
-    `map` over the ring operations."""
+    the columns (p12, p13, p23, s) of `_cycle_columns`, or for one key's
+    ring values."""
     add, sub, mul = ring.add, ring.sub, ring.mul
-    repeat = itertools.repeat
-    (d1, d2, d3), (p12s, p13s, p23s, cycles) = d, columns
-    terms = map(add, map(mul, repeat(d1), p23s), map(mul, repeat(d2), p13s))
-    return map(sub, map(add, terms, map(mul, repeat(d3), p12s)), cycles)
+    (d1, d2, d3), (p12, p13, p23, s) = d, columns
+    return sub(add(add(mul(d1, p23), mul(d2, p13)), mul(d3, p12)), s)
+
+
+def _cycle_join(diagonals, columns: list, ring: _Ring):
+    """For each diagonal multiset (d, weight, diag(d)'s (a0, a1, a2)) and
+    each block of at most `_kernels._CHUNK` rows of `_cycle_columns`: the
+    weight, the block's keys c0 = a0 + low and c1 = a1 - P as columns, a2,
+    and the block's counts."""
+    *keys, counts, pair_sums = columns
+    for d, weight, (a0, a1, a2) in diagonals:
+        for lo in range(0, len(counts), _kernels._CHUNK):
+            hi = lo + _kernels._CHUNK
+            lows = _cycle_lows(d, [column[..., lo:hi] for column in keys], ring)
+            c1 = ring.sub(a1, pair_sums[..., lo:hi])
+            yield weight, ring.add(a0, lows), c1, a2, counts[lo:hi]
+
+
+def _key_parts(key, qi: bool) -> list:
+    """The parts of a charpoly key's coordinates in CSV order: c0, c1, c2,
+    or re0, im0, re1, im1, re2, im2 over Qi; each a column or an int."""
+    return [part for coordinate in key for part in coordinate] if qi else list(key)
+
+
+def _packed_cycles3(join, qi: bool) -> dict | None:
+    """The histogram of `join()`, an int64 `_cycle_join`, with each key
+    (c0, c1, c2) packed into one int64: its `_key_parts` are the digits of
+    a mixed radix, each base the span of its part, so the packed keys sort
+    as the CSV's keys do.  One pass finds the spans, a second groups each
+    block's packed keys (`_kernels._group`) and merges the blocks
+    (`_kernels._HistAccumulator`).  None when the spans multiply to 2^63
+    or more."""
+    lows, highs = [], []
+    for _, *key, _ in join():
+        parts = _key_parts(key, qi)
+        lows.append([np.min(part) for part in parts])
+        highs.append([np.max(part) for part in parts])
+    lows = np.min(lows, axis=0).tolist()
+    radices = [high - low + 1 for high, low in zip(np.max(highs, axis=0).tolist(), lows)]
+    if math.prod(radices) >= 1 << 63:
+        return None
+    acc = _kernels._HistAccumulator()
+    for weight, *key, counts in join():
+        packed = 0
+        for part, low, radix in zip(_key_parts(key, qi), lows, radices):
+            packed = packed * radix + (part - low)
+        acc.add(*_kernels._group(packed, counts * weight))
+    packed, counts = acc.arrays()
+    digits = []
+    for low, radix in zip(lows[::-1], radices[::-1]):
+        packed, digit = np.divmod(packed, radix)
+        digits.append((digit + low).tolist())
+    digits.reverse()
+    return dict(zip(zip(*_coordinates(digits, qi)), counts.tolist()))
+
+
+def _coordinates(parts: list, qi: bool) -> list:
+    """Lists of `_key_parts` values regrouped into one iterable of ring
+    values per coordinate: (re, im) pairs over Qi."""
+    return [zip(*parts[k : k + 2]) for k in range(0, len(parts), 2)] if qi else parts
 
 
 def _cycles3_histogram(elements: ElementSet) -> dict:
     """Raw 3x3 charpoly histogram, keyed (c0, c1, c2) in the ring like the
-    other sweeps: per diagonal multiset and bucket, the c0 parts are
-    tallied with their counts, then shifted by diag(d)'s."""
+    other sweeps, from `_cycle_join`: packed and grouped in ascending key
+    order where the keys fit (`_packed_cycles3`), else each row's key
+    tallied with its count in a dict."""
     _, values = elements.scaled_integers()
-    ring = _ring(elements.field)
-    buckets = _cycle_buckets(values, ring)
-    hist: dict = {}
-    for d, weight, (a0, a1, a2) in _diagonal_multisets(values, ring):
-        for pair_sum, (*columns, counts) in buckets.items():
-            c1 = ring.sub(a1, pair_sum)
-            lows: dict = {}
-            for low, n in zip(_cycle_lows(d, columns, ring), counts):
-                lows[low] = lows.get(low, 0) + n
-            for low, n in lows.items():
-                key = (ring.add(a0, low), c1, a2)
-                hist[key] = hist.get(key, 0) + weight * n
+    ring, qi = _ring(elements.field), elements.field == QI
+    dtype = _kernels.cycles_dtype(values)
+    columns = _cycle_columns(_cycle_buckets(values, ring), qi, dtype)
+    diagonals = list(_diagonal_multisets(values, ring))
+
+    def join():
+        return _cycle_join(diagonals, columns, ring)
+
+    if dtype is not object and (hist := _packed_cycles3(join, qi)) is not None:
+        return hist
+    hist = {}
+    for weight, c0, c1, c2, counts in join():
+        rows = _coordinates([part.tolist() for part in _key_parts((c0, c1), qi)], qi)
+        for key, n in zip(zip(*rows, itertools.repeat(c2)), counts.tolist()):
+            hist[key] = hist.get(key, 0) + weight * n
     return hist
 
 
@@ -1158,18 +1241,16 @@ def _cycles3_count(elements: ElementSet, key: tuple) -> int:
     """Number of 3x3 matrices with ring charpoly key (c0, c1, c2), without
     the histogram: c2 picks the diagonal multisets, each multiset's
     P = e2(d) - c1 the one bucket of off-diagonal keys it meets, which are
-    all that is tallied, and c0 the keys counted there."""
+    all that is tallied, and the join's rows with key c1 and c0 are
+    counted."""
     _, values = elements.scaled_integers()
-    (c0, c1, c2), ring = key, _ring(elements.field)
-    diagonals = [
-        (d, weight, a0, ring.sub(a1, c1))
-        for d, weight, (a0, a1, a2) in _diagonal_multisets(values, ring)
-        if a2 == c2
-    ]
-    buckets = _cycle_buckets(values, ring, {pair_sum for *_, pair_sum in diagonals})
+    (c0, c1, c2), ring, qi = key, _ring(elements.field), elements.field == QI
+    diagonals = [(d, w, a) for d, w, a in _diagonal_multisets(values, ring) if a[2] == c2]
+    buckets = _cycle_buckets(values, ring, {ring.sub(a[1], c1) for *_, a in diagonals})
+    columns = _cycle_columns(buckets, qi, _kernels.cycles_dtype(values))
+    want = _key_parts((c0, c1), qi)
     found = 0
-    for d, weight, a0, pair_sum in diagonals:
-        *columns, counts = buckets.get(pair_sum, ((),) * 5)  # or an empty bucket
-        want, lows = ring.sub(c0, a0), _cycle_lows(d, columns, ring)
-        found += weight * sum(n for low, n in zip(lows, counts) if low == want)
+    for weight, k0, k1, _, counts in _cycle_join(diagonals, columns, ring):
+        hits = np.logical_and.reduce([part == w for part, w in zip(_key_parts((k0, k1), qi), want)])
+        found += weight * int(counts[hits].sum())
     return found

@@ -53,6 +53,24 @@ def parse_whole(value, what: str = "value") -> int:
     return int(number)
 
 
+# str() and int() refuse ints past sys.get_int_max_str_digits() digits, a
+# process-wide limit (4,300 by default, never below 640); decimal converts
+# exactly at any length, so a longer int goes through it and no limit is set.
+_SHORT_BITS = 2100  # 2^2100 < 10^633
+
+
+def int_text(value: int) -> str:
+    """The decimal text of an int of any length."""
+    if value.bit_length() <= _SHORT_BITS:
+        return str(value)
+    return format(Decimal(value), "f")
+
+
+def _text_int(digits: str) -> int:
+    """The int of a decimal digit string of any length."""
+    return int(digits) if len(digits) <= 640 else int(Decimal(digits))
+
+
 def parse_list(value, what: str = "value"):
     """`value` when it is a JSON list (or a tuple), never a string read
     character by character; anything else raises ValueError naming `what`."""
@@ -225,29 +243,19 @@ class Scalar:
 
 
 def scalar_text(re: int, im: int, den: int) -> str:
-    """The text of (re + im*i)/den, den > 0, in lowest terms."""
+    """The text of (re + im*i)/den, den > 0, in lowest terms, each int
+    written by `int_text`."""
     g = math.gcd(re, im, den)
     re, im, den = re // g, im // g, den // g
     if im == 0:
-        body = str(re)
-        return body if den == 1 else f"{body}/{den}"
-    if re == 0:
-        if im == 1:
-            body = "i"
-        elif im == -1:
-            body = "-i"
-        else:
-            body = f"{im}*i"
-        return body if den == 1 else f"{body}/{den}"
-    if im == 1:
-        body = f"({re}+i)"
-    elif im == -1:
-        body = f"({re}-i)"
-    elif im > 0:
-        body = f"({re}+{im}*i)"
+        body = int_text(re)
+    elif re == 0:
+        body = "i" if im == 1 else "-i" if im == -1 else f"{int_text(im)}*i"
     else:
-        body = f"({re}-{-im}*i)"
-    return body if den == 1 else f"{body}/{den}"
+        sign = "+" if im > 0 else "-"
+        tail = "i" if abs(im) == 1 else f"{int_text(abs(im))}*i"
+        body = f"({int_text(re)}{sign}{tail})"
+    return body if den == 1 else f"{body}/{int_text(den)}"
 
 
 def _json_form(value):
@@ -423,7 +431,7 @@ class _Parser:
     def atom(self) -> Scalar:
         token = self.take()
         if token.isdigit():
-            return Scalar.rational(int(token), 1, self.field)
+            return Scalar.rational(_text_int(token), 1, self.field)
         if token == "i":
             if self.field != QI:
                 raise ScalarParseError(

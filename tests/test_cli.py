@@ -6,6 +6,7 @@ All tests drive main() in-process and rely on capsys; nothing here shells out.
 import csv
 import io
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -509,6 +510,28 @@ def test_family_materializes_spec(tmp_path, capsys):
     out = tmp_path / "set.json"
     assert main(["family", "--spec", str(spec), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["field"] == "Q"
+
+
+def test_family_and_set_texts_past_the_int_string_limit(tmp_path, capsys):
+    # 2^14300 has 4,305 digits, past Python's default int-string limit: the
+    # family writes it, a set file holding it and a 4,301-digit literal is
+    # read back, and a count past that limit prints.
+    spec = tmp_path / "fam.json"
+    spec.write_text(json.dumps(
+        {"family": {"variant": "geometric", "base": "2", "start": 14300, "stop": 14301}}
+    ))
+    out = tmp_path / "set.json"
+    assert main(["family", "--spec", str(spec), "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    assert [len(text) for text in blob["elements"]] == [4305, 4306]
+    blob["elements"].append("1" * 4301)
+    out.write_text(json.dumps(blob))
+    ones = (10**4301 - 1) // 9
+    assert list(load_set(out)) == [Scalar.rational(v) for v in (2**14300, 2**14301, ones)]
+    # Every 100 x 100 matrix has rank <= 100: 3^10000, 4,772 digits.
+    assert main(["count", "rank", "--set", str(out), "-m", "100", "-n", "100", "-r", "100"]) == 0
+    printed = capsys.readouterr().out
+    assert len(printed) == 4773 and int(Decimal(printed)) == 3**10000
 
 
 # -------------------------------------------------------------------- growth

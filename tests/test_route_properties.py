@@ -528,7 +528,7 @@ def test_cycle_invariants_give_each_matrix_charpoly(case):
     (d1, x12, x13), (x21, d2, x23), (x31, x32, d3) = rows
     p12, p13, p23 = mul(x12, x21), mul(x13, x31), mul(x23, x32)
     s = add(mul(mul(x12, x23), x31), mul(mul(x13, x32), x21))
-    (low,) = matrices._cycle_lows((d1, d2, d3), ([p12], [p13], [p23], [s]), ring)
+    low = matrices._cycle_lows((d1, d2, d3), (p12, p13, p23, s), ring)
     e2 = add(add(mul(d1, d2), mul(d1, d3)), mul(d2, d3))
     coeffs = [
         sub(low, mul(mul(d1, d2), d3)),

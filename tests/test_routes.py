@@ -764,7 +764,9 @@ def test_each_charge_refuses_one_unit_below_and_runs_at_it(call, charge, what):
 def test_a_count_is_planned_once(monkeypatch):
     """A 3x3 det count past the int64 proof asks `_kernels.supports` once,
     when it is planned, and takes its key from the planned sweep route's
-    histogram without planning again; a sweep plans each statistic once."""
+    histogram without planning again; a sweep plans each statistic once,
+    and its charpoly join asks once more, for its columns' dtype
+    (`_kernels.cycles_dtype`)."""
     elements = _elements(("1", "916016", "-1"))
     calls = []
     supports = _kernels.supports
@@ -774,7 +776,7 @@ def test_a_count_is_planned_once(monkeypatch):
     assert count_det(elements, 3, Scalar.rational(4)) == 240
     assert calls == [916016]
     sweep(elements, 3, 3, SweepOptions(rank=False, charpoly=True))
-    assert calls == [916016] * 2
+    assert calls == [916016] * 3
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,3 +204,23 @@ def test_equal_values_hash_equal(x, g):
 @given(_FIELDS.flatmap(_scalars))
 def test_text_round_trip_property(x):
     assert parse_scalar(x.text(), x.field) == x
+
+
+
+@pytest.mark.parametrize("digits", [4300, 4301])
+def test_exact_text_past_the_int_string_limit(digits):
+    # Python's str() and int() refuse more than 4,300 digits by default;
+    # scalars convert exactly at any length, both ways, and leave that
+    # process-wide limit alone.
+    limit = sys.get_int_max_str_digits()
+    sevens = "7" * digits
+    value = 7 * (10**digits - 1) // 9
+    assert parse_scalar(sevens) == Scalar.rational(value)
+    assert Scalar.rational(value).text() == sevens
+    assert Scalar.rational(10**digits, 3).text() == "1" + "0" * digits + "/3"
+    z = Scalar.gaussian(-value, value, value + 1)
+    assert z.text() == f"(-{sevens}+{sevens}*i)/{sevens[:-1]}8"
+    assert parse_scalar(z.text(), QI) == z
+    power = Scalar.rational(2**14300)
+    assert parse_scalar(power.text()) == power == parse_scalar("2^14300")
+    assert sys.get_int_max_str_digits() == limit
