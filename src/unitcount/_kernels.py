@@ -1,13 +1,12 @@
-"""Vectorized int64 det sweep kernel for 3x3 matrices over Q and Q(i).
+"""Vectorized int64 det sweep kernel for 3x3 matrices over Q and Q(i),
+and the int64 grouping that every numpy histogram route shares.
 
 Rather than checking each operation for overflow, `supports` proves up
 front, from the largest scaled entry component B, that every intermediate
 the kernel computes fits comfortably in a signed 64-bit word.  If the proof
 fails the caller falls back to the arbitrary-precision shared-minors det
-sweep, so results are exact either way.  No other statistic needs a
-kernel: `matrices` convolves products for 2x2 sweeps and power sums in
-Python ints, and joins cycle invariants for the 3x3 charpoly on numpy
-columns, grouping its packed keys with `_HistAccumulator`.
+sweep, so results are exact either way.  Over Q, where 6B^3 < 2^31, the
+kernel runs in int32 lanes (`det_dtype`), which halves its sort.
 
 Layout: the det histogram comes from the unordered triples of distinct
 rows i < j < k among the A^3 rows, row i dotted with the cross product of
@@ -16,24 +15,33 @@ six row orders give det d three times and -d three times, and every matrix
 with a repeated row has det 0.  The caller takes rank <= 2 from the det
 zeros and rank <= 1 from the flats route (`matrices._flats_histogram`).  The
 dets come in batches of `_BATCH`, each grouped by |det| with one sort
-(`_group`), and the signs are folded back once, on the distinct values.
-`sweep_square` histograms every det; `count_target3` counts one |det| per
-batch without a histogram.
+(`_group`), and the signs are folded back once, on the sorted distinct
+values.  `sweep_square` histograms every det; `count_target3` counts one
+|det| per batch without a histogram.
 
 Over Q(i) a det re + i im is one int64 key, re 2^32 + im (`_pack`).  The
 packing is linear and |im| < 2^31, so -key is the key of -det and |key|
 tells d from -d as |det| does over Q: the grouping and the sign fold run
 unchanged on keys, and only the histogram's keys are unpacked at the end.
 
+Every numpy histogram route (this kernel's, the 3x3 charpoly join and the
+product convolutions in `matrices`) groups its keys with `packed_groups`:
+a key of several parts is packed into one int64 by mixed radix, and the
+distinct keys come out sorted, as one column per part, which is the order
+the sweep's CSV writes them in.
+
 The other int64 proofs sit beside `supports`, so that one place says when
 int64 is exact: `audit_dtype` for the minor audit's sample lanes,
-`charpoly_dtype` for the charpoly sweep's matrix lanes and `cycles_dtype`
-for the 3x3 charpoly join's columns.
+`charpoly_dtype` for the charpoly sweep's matrix lanes, `cycles_dtype` for
+the 3x3 charpoly join's columns and `convolution_dtype` for the product
+convolutions' columns.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -72,6 +80,15 @@ def supports(values) -> bool:
         bound = max(max(abs(re), abs(im)) for re, im in values)
         return 0 < 216 * bound**6 < _HALF * _HALF
     return 0 < 6 * max(map(abs, values)) ** 3 <= _SAFE_LIMIT
+
+
+def det_dtype(values):
+    """The dtype of the 3x3 det kernel's lanes, under `supports(values)`:
+    int32 over Q when 6 B^3 < 2^31, as every intermediate is at most 6 B^3
+    (B = 710 is the largest such B), else int64; Q(i) keys are int64."""
+    if isinstance(values[0], tuple) or 6 * max(map(abs, values)) ** 3 >= _HALF:
+        return np.int64
+    return np.int32
 
 
 def _square_bound(values) -> int:
@@ -126,6 +143,22 @@ def cycles_dtype(values):
     return np.int64 if supports(values) and len(values) ** 9 < 1 << 63 else object
 
 
+def convolution_dtype(values, n: int):
+    """int64 when n^2 M^2 <= 2^62 and A^(n^2) < 2^63 for the ring `values`;
+    else object, Python ints: the dtype of the columns of the product
+    convolutions (`matrices._conv2_histogram`, `_power_sums_histogram`)
+    over n x n matrices.
+
+    Each value they compute is a product x y, at most M^2, or a sum of
+    signed products and entries: a 2x2 det or c0 at most 2 M^2 and c1 at
+    most 2 M; the power sums tr X at most n M and tr X^2 at most n M^2 on
+    the diagonal plus n (n - 1) M^2 off it; each partial sum is smaller.
+    Over Q(i) these bound moduli, hence both parts.  A count is a number of
+    matrices, and the counts add up to A^(n^2)."""
+    fits = n * n * _square_bound(values) <= _SAFE_LIMIT
+    return np.int64 if fits and len(values) ** (n * n) < 1 << 63 else object
+
+
 def _pack(det) -> int | None:
     """The int64 key of a ring det: itself over Q, re 2^32 + im for a Q(i)
     pair (re, im); None when no det under the proof has that key."""
@@ -135,15 +168,9 @@ def _pack(det) -> int | None:
     return det if abs(det) <= _SAFE_LIMIT else None
 
 
-def _unpack(key: int) -> tuple[int, int]:
-    """The Q(i) det (re, im) of a key re 2^32 + im, |im| < 2^31."""
-    im = (key + _HALF) % _PACK - _HALF
-    return (key - im) // _PACK, im
-
-
 class _HistAccumulator:
-    """Histogram of int64 keys, fed one block's (distinct keys, counts) at a
-    time.  Pending pairs are merged through `_group` (int64 counts) once
+    """Histogram of int keys (int64, or the det lanes' int32), fed one
+    block's (distinct keys, counts) at a time.  Pending pairs are merged through `_group` (int64 counts) once
     they pass _COMPACT_ROWS rows, and at the end."""
 
     def __init__(self):
@@ -178,15 +205,66 @@ class _HistAccumulator:
         # One piece is left, and `_group` made its keys distinct.
         return self.pending_keys[0], self.pending_counts[0]
 
+    # perfbench/spans.py wraps this name.
     def result(self) -> dict:
         keys, counts = self.arrays()
         return dict(zip(keys.tolist(), counts.tolist()))
 
 
+class KeyColumns(Mapping):
+    """A raw histogram as sorted columns.  `parts` holds one list per part
+    of its keys in CSV order: each ring coordinate of a key (a det, c_0 ..
+    c_(n-1), or (t1, t2)) is one part over Q, and two, its re and im, over
+    Q(i); the keys ascend by their parts in turn.  `counts` holds each
+    key's count.  `single` marks keys of one coordinate (det), keyed by the
+    ring value itself, and `wide` parts that may hold ints past int64.
+
+    It reads as a mapping from ring keys to counts, which compares equal to
+    the dict of the same histogram; that dict is built on the first lookup,
+    or is the one the columns were sorted from."""
+
+    def __init__(self, parts: list, counts: list, qi: bool, single: bool, wide: bool,
+                 table: dict | None = None):
+        self.parts, self.counts = parts, counts
+        self.qi, self.single, self.wide = qi, single, wide
+        self._table = table
+
+    def _lookup(self) -> dict:
+        if self._table is None:
+            coordinates = _coordinates(self.parts, self.qi)
+            keys = coordinates[0] if self.single else zip(*coordinates)
+            self._table = dict(zip(keys, self.counts))
+        return self._table
+
+    def __getitem__(self, key):
+        return self._lookup()[key]
+
+    def __iter__(self):
+        return iter(self._lookup())
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __repr__(self) -> str:
+        return f"KeyColumns({self._lookup()!r})"
+
+
+def key_columns(parts: list, counts: np.ndarray, qi: bool, single: bool) -> KeyColumns:
+    """The `KeyColumns` of sorted key parts and counts, numpy arrays."""
+    wide = any(part.dtype == object for part in parts)
+    return KeyColumns([part.tolist() for part in parts], counts.tolist(), qi, single, wide)
+
+
+def _coordinates(parts: list, qi: bool) -> list:
+    """Key parts regrouped into one iterable of ring values per coordinate:
+    (re, im) pairs over Q(i)."""
+    return [zip(*parts[k : k + 2]) for k in range(0, len(parts), 2)] if qi else parts
+
+
 def _group(
     keys: np.ndarray, counts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of a non-empty int64 array, in increasing order, with
+    """Distinct values of a non-empty int array, in increasing order, with
     the number of each (or, given int64 `counts`, the sum of their counts):
     one sort, then a count or an int64 sum per run of equal keys."""
     if counts is None:
@@ -197,19 +275,60 @@ def _group(
     return keys[starts], np.add.reduceat(counts[order], starts)
 
 
-def _block_histogram(acc: _HistAccumulator, dets: np.ndarray) -> None:
-    """Group one batch of dets by |det| (in place: the batch is the caller's
-    own) and feed the distinct values and their counts to `acc`."""
-    acc.add(*_group(np.abs(dets, out=dets)))
+def _block_histogram(
+    acc: _HistAccumulator, keys: np.ndarray, counts: np.ndarray | None = None
+) -> None:
+    """Group one block of keys (`_group`) and feed the distinct keys and
+    their counts to `acc`."""
+    acc.add(*_group(keys, counts))
 
 
-def _integer_arithmetic(rows: list):
+def packed_groups(blocks, width: int) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """The distinct keys of `blocks()` in increasing order, as one array per
+    part, and their summed int64 counts.
+
+    `blocks()` yields (parts, counts) per block: `width` parts of its keys,
+    each an int array or one int that every key of the block shares, and
+    the int64 count of each key, or None when each counts 1.  Keys order by
+    their parts in turn.  A key of one part is grouped as it is.  A wider
+    key is packed into one int64 whose mixed-radix digits are its parts,
+    less their least values, each base the span of its part, so that packed
+    keys sort as the keys do: one pass over the blocks finds the spans, a
+    second groups each block's packed keys and merges the blocks
+    (`_HistAccumulator`).  None when the spans multiply to 2^63 or more."""
+    lows = radices = None  # a key of one part is its own packed key
+    if width > 1:
+        bounds = [[(np.min(part), np.max(part)) for part in parts] for parts, _ in blocks()]
+        lows = np.min([[low for low, _ in block] for block in bounds], axis=0).tolist()
+        highs = np.max([[high for _, high in block] for block in bounds], axis=0).tolist()
+        radices = [high - low + 1 for low, high in zip(lows, highs)]
+        if math.prod(radices) >= 1 << 63:
+            return None
+    acc = _HistAccumulator()
+    for parts, counts in blocks():
+        packed = parts[0]
+        if width > 1:
+            packed = 0
+            for part, low, radix in zip(parts, lows, radices):
+                packed = packed * radix + (part - low)
+        _block_histogram(acc, packed, counts)
+    packed, counts = acc.arrays()
+    if width == 1:
+        return [packed], counts
+    digits = []
+    for low, radix in zip(lows[:0:-1], radices[:0:-1]):
+        packed, digit = np.divmod(packed, radix)
+        digits.append(digit + low)
+    return [packed + lows[0], *digits[::-1]], counts
+
+
+def _integer_arithmetic(rows: list, dtype):
     """Over Q: `cross(j, k)`, the cross products r_j x r_k of the pairs
-    (j, k) as one int64 array per component, and `dot(terms, i, lo, hi,
+    (j, k) as one `dtype` array per component, and `dot(terms, i, lo, hi,
     out, tmp)`, which writes row i dotted with the cross products lo..hi
     into `out`.  Each component is a 2x2 minor, at most 2B^2, and each det
     at most 6B^3."""
-    x, y, z = np.array(rows, dtype=np.int64).T
+    x, y, z = np.array(rows, dtype=dtype).T
 
     def cross(j, k):
         return [y[j] * z[k] - z[j] * y[k], z[j] * x[k] - x[j] * z[k], x[j] * y[k] - y[j] * x[k]]
@@ -223,7 +342,7 @@ def _integer_arithmetic(rows: list):
     return cross, dot
 
 
-def _gaussian_arithmetic(rows: list):
+def _gaussian_arithmetic(rows: list, dtype):
     """Over Q(i), `cross` and `dot` as over Q, on keys (`_pack`): per pair
     (j, k) the keys of the components c_t of r_j x r_k and of i c_t, six
     int64 arrays.  The key is linear, so row a meets the pair as the sum
@@ -234,8 +353,8 @@ def _gaussian_arithmetic(rows: list):
     sum of a det is sum_t x_t c_t with |x_t| <= |a_t|, of modulus at most
     |a| |c| (Cauchy-Schwarz) <= |a| |r_j| |r_k| (Lagrange's identity) <=
     (6B^2)^(3/2), rows having norm at most sqrt(6) B: under `supports` its
-    parts stay below 2^31 and its key within int64."""
-    entries = np.array(rows, dtype=np.int64)
+    parts stay below 2^31 and its key within int64, the `dtype`."""
+    entries = np.array(rows, dtype=dtype)
     columns = [(entries[:, t, 0], entries[:, t, 1]) for t in range(3)]
     weights = [
         [(t, w) for t, w in enumerate([z[0] for z in row] + [z[1] for z in row]) if w]
@@ -267,8 +386,8 @@ def _gaussian_arithmetic(rows: list):
 def _triple_dets(values: list):
     """det(r_i, r_j, r_k) for every triple i < j < k of the A^3 rows over
     `values` (odometer order), ints over Q and `_pack` keys over Q(i), in
-    new int64 batches of `_BATCH` dets (the last one shorter; one batch when
-    there are fewer triples).
+    new batches of `_BATCH` dets of `det_dtype(values)` (the last one
+    shorter; one batch when there are fewer triples).
 
     The pairs j < k are taken in lexicographic order, at most `_CHUNK` at a
     time, and each pair's cross product r_j x r_k is computed once per chunk.
@@ -279,7 +398,8 @@ def _triple_dets(values: list):
     cross products and the dots."""
     rows = list(itertools.product(values, repeat=3))
     gaussian = isinstance(values[0], tuple)
-    cross, dot = (_gaussian_arithmetic if gaussian else _integer_arithmetic)(rows)
+    dtype = det_dtype(values)
+    cross, dot = (_gaussian_arithmetic if gaussian else _integer_arithmetic)(rows, dtype)
     count = len(rows)
     # Index of the first pair (j, j + 1) in lexicographic order, per j.
     first = np.arange(count, dtype=np.int64)
@@ -287,7 +407,7 @@ def _triple_dets(values: list):
     firsts = first.tolist()
     pairs = count * (count - 1) // 2
     size = min(_BATCH, pairs * (count - 2) // 3)
-    batch = np.empty(size, dtype=np.int64)
+    batch = np.empty(size, dtype=dtype)
     scratch = np.empty_like(batch)
     filled = 0
     for p0 in range(0, pairs, _CHUNK):
@@ -306,7 +426,7 @@ def _triple_dets(values: list):
                 lo = hi
                 if filled == size:
                     yield batch
-                    batch, filled = np.empty(size, dtype=np.int64), 0
+                    batch, filled = np.empty(size, dtype=dtype), 0
     if filled:
         yield batch[:filled]
 
@@ -317,24 +437,29 @@ def _repeated_rows3(size: int) -> int:
     return rows**3 - rows * (rows - 1) * (rows - 2)
 
 
-def _det_histogram3(values: list) -> dict:
+def _det_histogram3(values: list) -> KeyColumns:
     """3x3 det histogram from the dets of the unordered row triples, grouped
     by |det| (by |key| over Q(i)): an even permutation of three distinct
     rows keeps det, an odd one negates it, so a triple with |det| = d > 0
     counts 3 at d and 3 at -d, one with det 0 counts 6 at 0; every matrix
-    with two equal rows has det 0."""
-    triples = _HistAccumulator()
-    for dets in _triple_dets(values):
-        _block_histogram(triples, dets)
-    hist = {0: _repeated_rows3(len(values))}
-    for d, count in triples.result().items():
-        if d:
-            hist[d] = hist[-d] = 3 * count
-        else:
-            hist[0] += 6 * count
-    if isinstance(values[0], tuple):
-        return {_unpack(key): count for key, count in hist.items()}
-    return hist
+    with two equal rows has det 0.  The signs are folded back on the sorted
+    |det| arrays, so the dets come out sorted, as columns: the det, or its
+    re and im over Q(i)."""
+    def blocks():
+        for dets in _triple_dets(values):
+            yield (np.abs(dets, out=dets),), None
+
+    [magnitudes], counts = packed_groups(blocks, 1)
+    zeros = 6 * int(counts[magnitudes == 0].sum())
+    positive = magnitudes > 0
+    magnitudes, counts = magnitudes[positive], 3 * counts[positive]
+    dets = np.concatenate((-magnitudes[::-1], [0], magnitudes))
+    counts = np.concatenate((counts[::-1], [zeros + _repeated_rows3(len(values))], counts))
+    qi = isinstance(values[0], tuple)
+    if qi:
+        im = (dets + _HALF) % _PACK - _HALF
+        return key_columns([(dets - im) // _PACK, im], counts, qi, True)
+    return key_columns([dets], counts, qi, True)
 
 
 # perfbench/spans.py wraps this name; it reads the raw dict's "total".
@@ -342,8 +467,8 @@ def sweep_square(values: list) -> dict:
     """Raw det sweep over every 3x3 matrix with entries in `values`, ints
     over Q or (re, im) pairs over Q(i).
 
-    Returns {"total", "det"} with ring keys in the denominator-cleared
-    coordinate system."""
+    Returns {"total", "det"}: the det histogram as `KeyColumns`, keyed in
+    the denominator-cleared ring."""
     return {"total": len(values) ** 9, "det": _det_histogram3(values)}
 
 
@@ -355,11 +480,11 @@ def count_target3(values: list, det) -> int:
     caller's job), but each batch's |det| (|key| over Q(i)) is compared with
     that of the target t and the hits are counted; no histogram is built: 3
     matrices per triple with det t or -t, plus the matrices with two equal
-    rows when t = 0.  The proof bounds every det, so a target past it counts
-    0.
+    rows when t = 0.  The proof bounds every det, so a target past it, or
+    past the lanes' `det_dtype`, counts 0.
     """
     key = _pack(det)
-    if key is None:
+    if key is None or abs(key) > np.iinfo(det_dtype(values)).max:
         return 0
     target = abs(key)
     found = sum(

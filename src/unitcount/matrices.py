@@ -19,16 +19,22 @@ count_power_sums, and growth's equation and system counts) count one key.
 Each plans its routes (plan_square, plan_rank, plan_mitm), and one runner,
 `_run`, charges them and runs each from the route table (see the count
 planner section).  Power sums, at every n, and every 2x2 statistic are
-convolutions of pairwise products, and the 3x3 charpoly one join of cycle
-invariants on numpy columns, over Q and Qi alike.  A 3x3 det, over Q or Qi, whose
-a-priori magnitude bound proves that no intermediate can leave int64 runs
-the vectorized kernel.  Otherwise square det comes from shared minors, level
-by level: each distinct block's minors are computed once, and the last
-level's cofactor vectors, one of each pair v, -v, meet the last rows; any
-other charpoly comes from Berkowitz on numpy lanes of matrices.  Rank, in
-every shape, comes from one ordered walk over the flats that the lines of
-the shorter side span (a square's rank <= n-1 from its det zeros when det
-is swept); no matrix is ranked one by one.
+convolutions of pairwise products, as numpy outer products of int64 tables
+where a magnitude bound allows and in dicts of Python ints past it, and
+the 3x3 charpoly one join of cycle invariants on numpy columns, over Q and
+Qi alike.  A 3x3 det, over Q or Qi, whose a-priori magnitude bound proves
+that no intermediate can leave int64 runs the vectorized kernel.
+Otherwise square det comes from shared minors, level by level: each
+distinct block's minors are computed once, and the last level's cofactor
+vectors, one of each pair v, -v, meet the last rows; any other charpoly
+comes from Berkowitz on numpy lanes of matrices.  Rank, in every shape,
+comes from one ordered walk over the flats that the lines of the shorter
+side span (a square's rank <= n-1 from its det zeros when det is swept);
+no matrix is ranked one by one.
+
+A numpy route hands a sweep its histogram as sorted key columns
+(`KeyColumns`), and the CSV is written from those columns; a route that
+tallies in a dict has its keys sorted into columns once.
 """
 
 from __future__ import annotations
@@ -45,9 +51,10 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
+from ._kernels import KeyColumns
 from .families import ElementSet
 from .scalars import (
-    Q, QI, FieldMismatchError, Scalar, parse_whole, scalar_text,
+    Q, QI, FieldMismatchError, Scalar, int_texts, parse_whole, scalar_text,
 )
 
 DEFAULT_BUDGET = 200_000_000
@@ -352,15 +359,25 @@ def _ring_key(field: str, target: tuple[Scalar, ...], scales) -> tuple | None:
     return tuple(key)
 
 
+def _sorted_columns(raw: dict, qi: bool, single: bool) -> KeyColumns:
+    """The `KeyColumns` of a ring-keyed dict, its keys sorted once: over
+    Q(i) a tuple key by its concatenated (re, im) pairs, which sorts the
+    same as the nested pairs and compares faster."""
+    keys = sorted(raw, key=(lambda key: sum(key, ())) if qi and not single else None)
+    coordinates = [keys] if single else list(zip(*keys))
+    parts = [part for column in coordinates for part in zip(*column)] if qi else coordinates
+    return KeyColumns(parts, [raw[key] for key in keys], qi, single, True, raw)
+
+
 @dataclass
 class SweepHistogram:
     """Joint result of one full sweep over elements^(m*n).
 
     `raw` holds the "det", "charpoly" and "powersums" histograms (None when
-    not swept) as the sweep built them: keyed in the denominator-cleared
-    ring, a det key one ring value, the others tuples (c_0..c_(n-1) and
-    (t1, t2)), each coordinate over its `_key_scales` of `lcm`.  Scalars
-    appear only in a count's target and in the output."""
+    not swept) as `KeyColumns`, sorted in CSV order: keyed in the
+    denominator-cleared ring, a det key one ring value, the others tuples
+    (c_0..c_(n-1) and (t1, t2)), each coordinate over its `_key_scales` of
+    `lcm`.  Scalars appear only in a count's target and in the output."""
 
     field: str
     m: int
@@ -369,16 +386,16 @@ class SweepHistogram:
     total: int
     lcm: int
     rank_profile: dict[int, int] | None
-    raw: dict[str, dict | None]
+    raw: dict[str, KeyColumns | None]
 
     def validate(self) -> None:
         expected = self.set_size ** (self.m * self.n)
         if self.total != expected:
             raise AssertionError(f"sweep total {self.total} != {expected}")
-        for name, hist in (("rank", self.rank_profile), *self.raw.items()):
-            if hist is None:
-                continue
-            mass = sum(hist.values())
+        counted = [] if self.rank_profile is None else [("rank", self.rank_profile.values())]
+        counted += [(stat, hist.counts) for stat, hist in self.raw.items() if hist is not None]
+        for name, counts in counted:
+            mass = sum(counts)
             if mass != self.total:
                 raise AssertionError(f"{name} histogram mass {mass} != {self.total}")
         if self.rank_profile is not None:
@@ -397,32 +414,27 @@ class SweepHistogram:
         """(statistic, key columns, counts) for each statistic, keys in value
         order, which is the order of the ring keys since every scale is
         positive.  A key column holds one coordinate of every key: its
-        texts, or the ints themselves for a Q coordinate over scale 1."""
+        texts, or the ints themselves for a Q coordinate over scale 1, past
+        `str`'s limit in `int_text`s (only a `wide` column can be)."""
         ranks, qi = self.rank_profile or {}, self.field == QI
         order = sorted(ranks)
         yield "rank", [order], [ranks[r] for r in order]
-        for stat, raw in self.raw.items():
-            if raw is None:
+        for stat, hist in self.raw.items():
+            if hist is None:
                 continue
-            if stat == "det":
-                keys = sorted(raw)
-                columns = [keys]
-            else:
-                # Over Qi a tuple key's coordinates are (re, im) pairs, whose
-                # concatenation sorts the same and compares faster than nesting.
-                keys = sorted(raw, key=lambda key: sum(key, ())) if qi else sorted(raw)
-                columns = list(zip(*keys))
             texts = []
-            for column, scale in zip(columns, _key_scales(stat, self.n, self.lcm)):
+            scales = _key_scales(stat, self.n, self.lcm)
+            for column, scale in zip(_kernels._coordinates(hist.parts, qi), scales):
                 if scale == 1 and not qi:
-                    texts.append(column)
+                    texts.append(int_texts(column) if hist.wide else column)
                     continue
                 text = _coordinate_text(qi, scale)
-                if stat == "det":  # every det key is distinct: one text each
+                if hist.single:  # every det key is distinct: one text each
                     texts.append(list(map(text, column)))
                 else:  # a tuple key's coordinate repeats: one text per value
+                    column = list(column)
                     texts.append(list(map({v: text(v) for v in set(column)}.get, column)))
-            yield stat, texts, [raw[key] for key in keys]
+            yield stat, texts, hist.counts
 
     def csv_rows(self) -> list[tuple[str, str, int]]:
         """(statistic, key text, count) rows, keys in value order."""
@@ -437,10 +449,12 @@ class SweepHistogram:
         a header, each key quoted: one string per `_CSV_ROWS` rows."""
         out.write("statistic,key,count\n")
         for stat, columns, counts in self._csv_columns():
-            row = stat + ',"' + ",".join(["{}"] * len(columns)) + '",{}\n'
+            # %-formatting a row tuple ran about 15% faster than str.format.
+            row = stat + ',"' + ",".join(["%s"] * len(columns)) + '",%s\n'
             for lo in range(0, len(counts), _CSV_ROWS):
                 hi = lo + _CSV_ROWS
-                out.write("".join(map(row.format, *[c[lo:hi] for c in columns], counts[lo:hi])))
+                rows = zip(*[c[lo:hi] for c in columns], counts[lo:hi])
+                out.write("".join(map(row.__mod__, rows)))
 
 
 def _coordinate_text(qi: bool, scale: int):
@@ -541,7 +555,13 @@ def _generic_shard(values: list, field: str, n: int, stat: str) -> dict:
 
 # perfbench/spans.py wraps this name (span "matrices.finalize").
 def _finalize(raw: dict, elements: ElementSet, m: int, n: int) -> SweepHistogram:
+    """The validated `SweepHistogram` of a sweep's raw histograms, each a
+    `KeyColumns` or a dict, which is sorted into columns here."""
     lcm, _ = elements.scaled_integers()
+    columns = {stat: raw.get(stat) for stat in _SQUARE_STATS}
+    for stat, hist in columns.items():
+        if isinstance(hist, dict):
+            columns[stat] = _sorted_columns(hist, elements.field == QI, stat == "det")
     hist = SweepHistogram(
         field=elements.field,
         m=m,
@@ -550,7 +570,7 @@ def _finalize(raw: dict, elements: ElementSet, m: int, n: int) -> SweepHistogram
         total=raw["total"],
         lcm=lcm,
         rank_profile=raw.get("rank"),
-        raw={stat: raw.get(stat) for stat in _SQUARE_STATS},
+        raw=columns,
     )
     hist.validate()
     return hist
@@ -587,14 +607,16 @@ def sweep(
 # route's work, a sweep A^(mn) for every statistic it histograms.
 #
 #   conv2    2x2 det or charpoly by product convolution over the ring
-#            integers, A^2
+#            integers: int64 outer products under
+#            `_kernels.convolution_dtype`, dicts past it, A^2
 #   target3  3x3 det over Q or Q(i) under the int64 kernel's `supports`
 #            proof: the one key over the C(A^3, 3) row triples
 #   cycles3  3x3 charpoly by the cycle-invariant join on numpy columns,
 #            int64 under `_kernels.cycles_dtype` and Python ints past it,
 #            A^6
 #   powersums  power sums at any n by product convolution: the product
-#            table and the off-diagonal convolution, A^(n(n-1)); A at n = 1
+#            table and the off-diagonal convolution, int64 outer products
+#            or dicts as conv2, A^(n(n-1)); A at n = 1
 #   flats    rank <= k for any k < d = min(m, n), on any m x n, by one
 #            ordered walk over the flats that the lines of the A^d vectors
 #            span (`_flats_walk`; also n x n det = 0, which is rank <= n-1
@@ -935,12 +957,19 @@ def count_power_sums(
 # sums of any n x n matrix are tr X = sum_i x_ii and tr X^2 = sum_i x_ii^2
 # + 2 sum_{i<j} x_ij x_ji, where the diagonal and the n(n-1)/2 transposed
 # pairs share no entry.  So each histogram is a convolution of diagonal
-# keys with pairwise products, about A^n |A.A|^(n(n-1)/2) dictionary work
-# where a matrix-by-matrix pass costs A^(n^2), however large the entries
-# are.  All of it runs on the scaled ring integers: a product is over lcm^2
-# and a trace over lcm, so each count's target is scaled into the ring once
-# (`_ring_key`), and one that does not scale into it counts 0.  Equality
-# with the per-matrix sweep is part of the acceptance checks.
+# keys with pairwise products, where a matrix-by-matrix pass costs A^(n^2),
+# however large the entries are.  All of it runs on the scaled ring
+# integers: a product is over lcm^2 and a trace over lcm, so each count's
+# target is scaled into the ring once (`_ring_key`), and one that does not
+# scale into it counts 0.  Under `_kernels.convolution_dtype` a histogram
+# is a chain of numpy outer products of int64 tables of distinct keys
+# (`_outer_table`): the distinct products, the diagonal keys, and each
+# against the other, every step's keys grouped and sorted by
+# `_kernels.packed_groups`, so the histogram comes out as sorted columns.
+# Past that proof, or where a step's keys are too wide to pack, the same
+# convolutions run in dicts of Python ints (`_convolve`), about
+# A^n |A.A|^(n(n-1)/2) dictionary work; the one-key counts use the dicts.
+# Equality with the per-matrix sweep is part of the acceptance checks.
 
 
 def _product_counter(elements: ElementSet) -> Counter:
@@ -973,13 +1002,77 @@ def _convolve_power(step: dict, k: int, combine: Callable, unit) -> dict:
     return out
 
 
-def _conv2_histogram(elements: ElementSet, stat: str) -> dict:
+def _ring_column(values: list, qi: bool, dtype) -> np.ndarray:
+    """Ring values as one column of `dtype`: over Qi a (2, rows) array of
+    their re and im parts, so that `column[..., lo:hi]` takes rows lo..hi
+    and the ring operations see a (re, im) pair."""
+    return np.array(values, dtype).reshape((-1, 2) if qi else -1).T
+
+
+def _outer_table(left, right, combine: Callable, width: int, qi: bool):
+    """The table of `combine(l, r)` over every key l of the table `left` and
+    r of `right`, counted by the product of their counts.  A table is (key
+    columns, counts): one int64 ring column (`_ring_column`) per coordinate
+    of its distinct keys, and their int64 counts.  `combine` takes two
+    keys' coordinates and gives the `width` coordinates of the new key, as
+    lists of columns broadcast over blocks of at most `_kernels._CHUNK`
+    pairs.  The keys come out sorted (`_kernels.packed_groups`); None when
+    they are too wide to pack, or when either table is None."""
+    if left is None or right is None:
+        return None
+    (lefts, left_counts), (rights, right_counts) = left, right
+    step = max(1, _kernels._CHUNK // len(right_counts))
+    rights = [column[..., None, :] for column in rights]
+
+    def blocks():
+        for lo in range(0, len(left_counts), step):
+            rows = [column[..., lo : lo + step, None] for column in lefts]
+            counts = np.multiply.outer(left_counts[lo : lo + step], right_counts)
+            parts = _key_parts(combine(rows, rights), qi)
+            yield [np.broadcast_to(part, counts.shape).ravel() for part in parts], counts.ravel()
+
+    grouped = _kernels.packed_groups(blocks, width * (2 if qi else 1))
+    if grouped is None:
+        return None
+    parts, counts = grouped
+    if qi:
+        parts = [np.stack(parts[k : k + 2]) for k in range(0, len(parts), 2)]
+    return parts, counts
+
+
+def _table_columns(table, qi: bool, single: bool) -> KeyColumns:
+    """The `KeyColumns` of an `_outer_table` table."""
+    keys, counts = table
+    return _kernels.key_columns(_key_parts(keys, qi), counts, qi, single)
+
+
+def _table(values: list, qi: bool) -> tuple:
+    """The int64 table of the distinct ring `values`, each counted once."""
+    return [_ring_column(values, qi, np.int64)], np.ones(len(values), np.int64)
+
+
+def _conv2_histogram(elements: ElementSet, stat: str) -> KeyColumns | dict:
     """Raw 2x2 det or charpoly histogram by product convolution: det is the
-    `_product_counter` table convolved with itself and the charpoly a
-    Counter of diagonal keys (ad, -(a + d)) convolved with it."""
+    table of products convolved with itself and the charpoly the diagonal
+    keys (ad, -(a + d)) convolved with it.  Int64 tables under
+    `_kernels.convolution_dtype` (`_outer_table`), giving sorted columns;
+    else the `_product_counter` dict and a Counter of the diagonal keys."""
     _, values = elements.scaled_integers()
-    ring = _ring(elements.field)
+    ring, qi = _ring(elements.field), elements.field == QI
     add, sub, mul = ring.add, ring.sub, ring.mul
+    if _kernels.convolution_dtype(values, 2) is not object:
+        entries = _table(values, qi)
+        products = _outer_table(entries, entries, lambda a, b: [mul(a[0], b[0])], 1, qi)
+        if stat == "det":
+            table = _outer_table(products, products, lambda p, q: [sub(p[0], q[0])], 1, qi)
+        else:
+            def diagonal(a, d):
+                return [mul(a[0], d[0]), ring.neg(add(a[0], d[0]))]
+
+            keys = _outer_table(entries, entries, diagonal, 2, qi)
+            table = _outer_table(keys, products, lambda k, p: [sub(k[0], p[0]), k[1]], 2, qi)
+        if table is not None:
+            return _table_columns(table, qi, stat == "det")
     products = _product_counter(elements)
     if stat == "det":
         return _convolve(products, products, sub)
@@ -1024,10 +1117,34 @@ def _off_diagonal_sums(elements: ElementSet, n: int) -> dict:
     return _convolve_power(doubled, n * (n - 1) // 2, ring.add, ring.zero)
 
 
-def _power_sums_histogram(elements: ElementSet, n: int) -> dict:
+def _power_sums_histogram(elements: ElementSet, n: int) -> KeyColumns | dict:
     """Raw (t1, t2) histogram of every n x n matrix: each diagonal key
-    (s1, s2) joined with each off-diagonal value o as (s1, s2 + o)."""
-    add = _ring(elements.field).add
+    (s1, s2) joined with each off-diagonal value o as (s1, s2 + o).  Int64
+    tables under `_kernels.convolution_dtype` (`_outer_table`), giving
+    sorted columns; else dicts (`_diagonal_sums`, `_off_diagonal_sums`)."""
+    _, values = elements.scaled_integers()
+    ring, qi = _ring(elements.field), elements.field == QI
+    add, mul = ring.add, ring.mul
+    if _kernels.convolution_dtype(values, n) is not object:
+        entries, unit = _table(values, qi), _table([ring.zero], qi)
+
+        def doubled(a, b):
+            product = mul(a[0], b[0])
+            return [add(product, product)]
+
+        def join(s, a):
+            return [add(s[0], a[0]), add(s[1], a[1])]
+
+        step = _outer_table(entries, unit, lambda a, _: [a[0], mul(a[0], a[0])], 2, qi)
+        products = _outer_table(entries, entries, doubled, 1, qi)
+        diagonals, off_diagonal = step, unit
+        for _ in range(n - 1):
+            diagonals = _outer_table(diagonals, step, join, 2, qi)
+        for _ in range(n * (n - 1) // 2):
+            off_diagonal = _outer_table(off_diagonal, products, lambda o, p: [add(*o, *p)], 1, qi)
+        table = _outer_table(diagonals, off_diagonal, lambda s, o: [s[0], add(s[1], o[0])], 2, qi)
+        if table is not None:
+            return _table_columns(table, qi, False)
     diagonals = _diagonal_sums(elements, n)
     off_diagonal = _off_diagonal_sums(elements, n)
     return _convolve(diagonals, off_diagonal, lambda s, o: (s[0], add(s[1], o)))
@@ -1079,9 +1196,9 @@ def fast_power_sums2_count(elements: ElementSet, t1: Scalar, t2: Scalar) -> int:
 # `_kernels._CHUNK` rows, by the ring operations on arrays, so Q and Qi
 # share the code: int64 columns under `_kernels.cycles_dtype`, Python ints
 # (object) past it.  Where int64 keys' parts span fewer than 2^63 values,
-# each key is packed into one int64 in CSV order and grouped by
-# `_kernels._HistAccumulator`, so the histogram comes out in ascending key
-# order; any other join is tallied in a dict.
+# `_kernels.packed_groups` packs each key into one int64 in CSV order and
+# groups them, so the histogram comes out as sorted columns; any other join
+# is tallied in a dict.
 
 
 def _cycle_buckets(values: list, ring: _Ring, pair_sums=None) -> dict:
@@ -1141,8 +1258,7 @@ def _cycle_columns(buckets: dict, qi: bool, dtype) -> list:
         for column, part in zip(columns, (*bucket, (pair_sum,) * len(bucket[4]))):
             column += part
     *keys, counts, pair_sums = columns
-    shape = (-1, 2) if qi else -1
-    rings = [np.array(column, dtype).reshape(shape).T for column in (*keys, pair_sums)]
+    rings = [_ring_column(column, qi, dtype) for column in (*keys, pair_sums)]
     return [*rings[:4], np.array(counts, dtype), rings[4]]
 
 
@@ -1175,48 +1291,10 @@ def _key_parts(key, qi: bool) -> list:
     return [part for coordinate in key for part in coordinate] if qi else list(key)
 
 
-def _packed_cycles3(join, qi: bool) -> dict | None:
-    """The histogram of `join()`, an int64 `_cycle_join`, with each key
-    (c0, c1, c2) packed into one int64: its `_key_parts` are the digits of
-    a mixed radix, each base the span of its part, so the packed keys sort
-    as the CSV's keys do.  One pass finds the spans, a second groups each
-    block's packed keys (`_kernels._group`) and merges the blocks
-    (`_kernels._HistAccumulator`).  None when the spans multiply to 2^63
-    or more."""
-    lows, highs = [], []
-    for _, *key, _ in join():
-        parts = _key_parts(key, qi)
-        lows.append([np.min(part) for part in parts])
-        highs.append([np.max(part) for part in parts])
-    lows = np.min(lows, axis=0).tolist()
-    radices = [high - low + 1 for high, low in zip(np.max(highs, axis=0).tolist(), lows)]
-    if math.prod(radices) >= 1 << 63:
-        return None
-    acc = _kernels._HistAccumulator()
-    for weight, *key, counts in join():
-        packed = 0
-        for part, low, radix in zip(_key_parts(key, qi), lows, radices):
-            packed = packed * radix + (part - low)
-        acc.add(*_kernels._group(packed, counts * weight))
-    packed, counts = acc.arrays()
-    digits = []
-    for low, radix in zip(lows[::-1], radices[::-1]):
-        packed, digit = np.divmod(packed, radix)
-        digits.append((digit + low).tolist())
-    digits.reverse()
-    return dict(zip(zip(*_coordinates(digits, qi)), counts.tolist()))
-
-
-def _coordinates(parts: list, qi: bool) -> list:
-    """Lists of `_key_parts` values regrouped into one iterable of ring
-    values per coordinate: (re, im) pairs over Qi."""
-    return [zip(*parts[k : k + 2]) for k in range(0, len(parts), 2)] if qi else parts
-
-
-def _cycles3_histogram(elements: ElementSet) -> dict:
+def _cycles3_histogram(elements: ElementSet) -> KeyColumns | dict:
     """Raw 3x3 charpoly histogram, keyed (c0, c1, c2) in the ring like the
-    other sweeps, from `_cycle_join`: packed and grouped in ascending key
-    order where the keys fit (`_packed_cycles3`), else each row's key
+    other sweeps, from `_cycle_join`: packed and grouped into sorted columns
+    where the keys fit (`_kernels.packed_groups`), else each row's key
     tallied with its count in a dict."""
     _, values = elements.scaled_integers()
     ring, qi = _ring(elements.field), elements.field == QI
@@ -1224,14 +1302,15 @@ def _cycles3_histogram(elements: ElementSet) -> dict:
     columns = _cycle_columns(_cycle_buckets(values, ring), qi, dtype)
     diagonals = list(_diagonal_multisets(values, ring))
 
-    def join():
-        return _cycle_join(diagonals, columns, ring)
+    def blocks():
+        for weight, *key, counts in _cycle_join(diagonals, columns, ring):
+            yield _key_parts(key, qi), counts * weight
 
-    if dtype is not object and (hist := _packed_cycles3(join, qi)) is not None:
-        return hist
+    if dtype is not object and (grouped := _kernels.packed_groups(blocks, 6 if qi else 3)):
+        return _kernels.key_columns(*grouped, qi, False)
     hist = {}
-    for weight, c0, c1, c2, counts in join():
-        rows = _coordinates([part.tolist() for part in _key_parts((c0, c1), qi)], qi)
+    for weight, c0, c1, c2, counts in _cycle_join(diagonals, columns, ring):
+        rows = _kernels._coordinates([part.tolist() for part in _key_parts((c0, c1), qi)], qi)
         for key, n in zip(zip(*rows, itertools.repeat(c2)), counts.tolist()):
             hist[key] = hist.get(key, 0) + weight * n
     return hist

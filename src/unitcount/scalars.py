@@ -66,6 +66,14 @@ def int_text(value: int) -> str:
     return format(Decimal(value), "f")
 
 
+def int_texts(values: list) -> list:
+    """`values`, a list of ints, as `int_text` writes them: the list itself,
+    which `str` writes, unless one is too long for `str`."""
+    if max(max(values), -min(values)).bit_length() <= _SHORT_BITS:
+        return values
+    return list(map(int_text, values))
+
+
 def _text_int(digits: str) -> int:
     """The int of a decimal digit string of any length."""
     return int(digits) if len(digits) <= 640 else int(Decimal(digits))

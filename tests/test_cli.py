@@ -534,6 +534,28 @@ def test_family_and_set_texts_past_the_int_string_limit(tmp_path, capsys):
     assert len(printed) == 4773 and int(Decimal(printed)) == 3**10000
 
 
+@pytest.mark.parametrize("stats", ["det", "charpoly,powersums"])
+def test_sweep_writes_keys_past_the_int_string_limit(tmp_path, capsys, stats):
+    # A 1x1 sweep over one 4,301-digit literal x: its det and -c0 are x and
+    # its power sums (x, x^2), written by the sweep route's and the power
+    # sums' Python-int columns.
+    literal = "1" * 4301
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"field": "Q", "elements": [literal]}))
+    assert main(["sweep", "--set", str(path), "-m", "1", "-n", "1", "--stats", stats,
+                 "--out", "-"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    x = int(Decimal(literal))
+    expected = {
+        "det": [f'det,"{literal}",1'],
+        "charpoly,powersums": [
+            f'charpoly,"-{literal}",1',
+            f'powersums,"{literal},{format(Decimal(x * x), "f")}",1',
+        ],
+    }[stats]
+    assert rows == ["statistic,key,count", *expected]
+
+
 # -------------------------------------------------------------------- growth
 
 

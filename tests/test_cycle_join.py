@@ -37,10 +37,10 @@ def _lanes(elements: ElementSet) -> dict:
 def _join(elements: ElementSet) -> tuple[dict, str]:
     """The join's histogram and its branch: "packed", "dict" (int64 columns
     past the packing) or "object"."""
-    packed = matrices._packed_cycles3
+    packed = _kernels.packed_groups
     results: list = []
     with mock.patch.object(
-        matrices, "_packed_cycles3", lambda *a: results.append(packed(*a)) or results[-1]
+        _kernels, "packed_groups", lambda *a: results.append(packed(*a)) or results[-1]
     ):
         hist = matrices._cycles3_histogram(elements)
     if not results:

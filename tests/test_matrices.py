@@ -3,7 +3,9 @@ import io
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import generic_sweep, int_element_set, rand_element_set
@@ -264,7 +266,7 @@ def _scalar_csv_rows(hist) -> list[tuple[str, str, int]]:
         ("charpoly", oracles.charpoly_histogram(hist), lambda key: key),
         ("powersums", oracles.powersum_histogram(hist), lambda key: key),
     ):
-        for key in sorted(scalars, key=lambda k: [_value_order(c) for c in coords(k)]):
+        for key in sorted(scalars or {}, key=lambda k: [_value_order(c) for c in coords(k)]):
             rows.append((stat, ",".join(c.text() for c in coords(key)), scalars[key]))
     return rows
 
@@ -335,6 +337,50 @@ def test_gaussian_tuple_keys_keep_the_nested_tuple_order(texts):
             for key in sorted(raw)
         ]
         assert [row for row in rows if row[0] == stat] == expected
+
+
+# Sets whose sweeps write their CSV from each route's columns: (field, n,
+# texts, the 3x3 det kernel's lane dtype or None).  The first text is in
+# every drawn set, so each set keeps the routes its pool is named for.
+_CSV_POOLS = {
+    # conv2 and the power sums at n = 2 on int64 tables.
+    "conv2": (Q, 2, ("1/2", "-3", "2/3", "5", "-1"), None),
+    "conv2-qi": (QI, 2, ("1+i", "-i/2", "2", "i"), None),
+    # Products past 2^62: conv2 and the power sums in dicts of Python ints.
+    "past-proof-2x2": (Q, 2, (str(2**31), "-1", "3", str(-(2**40))), None),
+    # target3 in int32 lanes, cycles3 packed, the power sums at n = 3.
+    "int32-3x3": (Q, 3, ("2", "-1", "1", "1/2"), np.int32),
+    # target3 in int64 lanes: 711 times the lcm is past 710.
+    "int64-3x3": (Q, 3, ("711", "-1", "2", "1/3"), np.int64),
+    "qi-3x3": (QI, 3, ("i", "1-i", "1/2"), np.int64),
+    # Past the kernel's proof: det on the sweep route, the charpoly on
+    # object columns.
+    "sweep-route": (Q, 3, ("916016", "1", "-1"), None),
+    "sweep-route-qi": (QI, 3, ("527*i", "1"), None),
+    # The sweep route at n = 1, and keys past int64.
+    "1x1": (Q, 1, (str(10**30), "7", "-2/3"), None),
+}
+
+
+@pytest.mark.parametrize("pool", list(_CSV_POOLS))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_csv_from_columns_equals_the_scalar_rows(pool, data):
+    """`csv_rows` and `write_csv`, written from the sorted key columns of
+    every route, equal the rows of the Scalar-keyed dicts."""
+    field, n, (first, *rest), lanes = _CSV_POOLS[pool]
+    drawn = data.draw(st.lists(st.sampled_from(rest), unique=True), "others")
+    flags = data.draw(st.tuples(*[st.booleans()] * 4).filter(any), "stats")
+    elements = _parsed([first, *drawn], field)
+    if lanes is not None:
+        assert matrices._kernels.det_dtype(elements.scaled_integers()[1]) is lanes
+    hist = sweep(elements, n, n, SweepOptions(*flags))
+    rows = hist.csv_rows()
+    assert rows == _scalar_csv_rows(hist)
+    out = io.StringIO()
+    hist.write_csv(out)
+    body = "".join(f'{stat},"{key}",{count}\n' for stat, key, count in rows)
+    assert out.getvalue() == "statistic,key,count\n" + body
 
 
 def test_sweep_route_counts_scale_the_target_into_the_ring(monkeypatch):
