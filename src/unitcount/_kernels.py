@@ -1,5 +1,5 @@
 """Vectorized int64 det sweep kernel for 3x3 matrices over Q and Q(i),
-and the int64 grouping that every numpy histogram route shares.
+and the key grouping that every numpy histogram route shares.
 
 Rather than checking each operation for overflow, `supports` proves up
 front, from the largest scaled entry component B, that every intermediate
@@ -26,9 +26,10 @@ unchanged on keys, and only the histogram's keys are unpacked at the end.
 
 Every numpy histogram route (this kernel's, the 3x3 charpoly join and the
 product convolutions in `matrices`) groups its keys with `packed_groups`:
-a key of several parts is packed into one int64 by mixed radix, and the
-distinct keys come out sorted, as one column per part, which is the order
-the sweep's CSV writes them in.
+a key of several parts is packed into one int by mixed radix, an int64
+where it fits and a Python int past it, and the distinct keys come out
+sorted, as one column per part, which is the order the sweep's CSV writes
+them in.
 
 The other int64 proofs sit beside `supports`, so that one place says when
 int64 is exact: `audit_dtype` for the minor audit's sample lanes,
@@ -145,9 +146,9 @@ def cycles_dtype(values):
 
 def convolution_dtype(values, n: int):
     """int64 when n^2 M^2 <= 2^62 and A^(n^2) < 2^63 for the ring `values`;
-    else object, Python ints: the dtype of the columns of the product
-    convolutions (`matrices._conv2_histogram`, `_power_sums_histogram`)
-    over n x n matrices.
+    else object, Python ints: the dtype of the key columns and counts of
+    the product convolutions (`matrices._conv2_histogram`,
+    `_power_sums_histogram`) over n x n matrices.
 
     Each value they compute is a product x y, at most M^2, or a sum of
     signed products and entries: a 2x2 det or c0 at most 2 M^2 and c1 at
@@ -169,9 +170,10 @@ def _pack(det) -> int | None:
 
 
 class _HistAccumulator:
-    """Histogram of int keys (int64, or the det lanes' int32), fed one
-    block's (distinct keys, counts) at a time.  Pending pairs are merged through `_group` (int64 counts) once
-    they pass _COMPACT_ROWS rows, and at the end."""
+    """Histogram of int keys (int64, the det lanes' int32, or Python ints),
+    fed one block's (distinct keys, counts) at a time; counts are int64, or
+    Python ints, kept exact.  Pending pairs are merged through `_group`
+    once they pass _COMPACT_ROWS rows, and at the end."""
 
     def __init__(self):
         self.pending_keys: list[np.ndarray] = []
@@ -179,8 +181,10 @@ class _HistAccumulator:
         self.pending_rows = 0
 
     def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        if counts.dtype != object:
+            counts = counts.astype(np.int64, copy=False)
         self.pending_keys.append(keys)
-        self.pending_counts.append(counts.astype(np.int64, copy=False))
+        self.pending_counts.append(counts)
         self.pending_rows += keys.shape[0]
         if self.pending_rows >= _COMPACT_ROWS:
             self._compact()
@@ -198,7 +202,7 @@ class _HistAccumulator:
         self.pending_rows = uniq.shape[0]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct keys in increasing order and their int64 counts."""
+        """The distinct keys in increasing order and their counts."""
         self._compact()
         if not self.pending_keys:
             return np.empty(0, np.int64), np.empty(0, np.int64)
@@ -265,8 +269,8 @@ def _group(
     keys: np.ndarray, counts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values of a non-empty int array, in increasing order, with
-    the number of each (or, given int64 `counts`, the sum of their counts):
-    one sort, then a count or an int64 sum per run of equal keys."""
+    the number of each (or, given int64 or Python-int `counts`, the sum of
+    their counts): one sort, then a count or a sum per run of equal keys."""
     if counts is None:
         return np.unique(keys, return_counts=True)
     order = np.argsort(keys)
@@ -283,33 +287,40 @@ def _block_histogram(
     acc.add(*_group(keys, counts))
 
 
-def packed_groups(blocks, width: int) -> tuple[list[np.ndarray], np.ndarray] | None:
+def packed_groups(blocks, width: int) -> tuple[list[np.ndarray], np.ndarray]:
     """The distinct keys of `blocks()` in increasing order, as one array per
-    part, and their summed int64 counts.
+    part, and their summed counts.
 
     `blocks()` yields (parts, counts) per block: `width` parts of its keys,
-    each an int array or one int that every key of the block shares, and
-    the int64 count of each key, or None when each counts 1.  Keys order by
-    their parts in turn.  A key of one part is grouped as it is.  A wider
-    key is packed into one int64 whose mixed-radix digits are its parts,
-    less their least values, each base the span of its part, so that packed
-    keys sort as the keys do: one pass over the blocks finds the spans, a
-    second groups each block's packed keys and merges the blocks
-    (`_HistAccumulator`).  None when the spans multiply to 2^63 or more."""
+    each an int array (int64, or object of Python ints) or one int that
+    every key of the block shares, and the count of each key, int64 or
+    Python ints, or None when each counts 1.  Keys order by their parts in
+    turn.  A key of one part is grouped as it is.  A wider key is packed
+    into one whose mixed-radix digits are its parts, less their least
+    values, each base the span of its part, so that packed keys sort as the
+    keys do: one pass over the blocks finds the spans, a second groups each
+    block's packed keys and merges the blocks (`_HistAccumulator`).  The
+    packed key is an int64 when every part is and the spans multiply to
+    less than 2^63, else a Python int; its parts come back in that dtype."""
     lows = radices = None  # a key of one part is its own packed key
+    wide = False
     if width > 1:
-        bounds = [[(np.min(part), np.max(part)) for part in parts] for parts, _ in blocks()]
-        lows = np.min([[low for low, _ in block] for block in bounds], axis=0).tolist()
-        highs = np.max([[high for _, high in block] for block in bounds], axis=0).tolist()
-        radices = [high - low + 1 for low, high in zip(lows, highs)]
-        if math.prod(radices) >= 1 << 63:
-            return None
+        bounds = []
+        for parts, _ in blocks():
+            bounds.append([(int(np.min(part)), int(np.max(part))) for part in parts])
+            wide = wide or any(np.asarray(part).dtype == object for part in parts)
+        ranges = list(zip(*bounds))  # each part's (low, high) in every block
+        lows = [min(low for low, _ in part) for part in ranges]
+        radices = [max(high for _, high in part) - low + 1 for part, low in zip(ranges, lows)]
+        wide = wide or math.prod(radices) >= 1 << 63
     acc = _HistAccumulator()
     for parts, counts in blocks():
         packed = parts[0]
         if width > 1:
             packed = 0
             for part, low, radix in zip(parts, lows, radices):
+                if wide:  # one part's span alone may pass int64
+                    part = np.asarray(part, dtype=object)
                 packed = packed * radix + (part - low)
         _block_histogram(acc, packed, counts)
     packed, counts = acc.arrays()
@@ -317,8 +328,8 @@ def packed_groups(blocks, width: int) -> tuple[list[np.ndarray], np.ndarray] | N
         return [packed], counts
     digits = []
     for low, radix in zip(lows[:0:-1], radices[:0:-1]):
-        packed, digit = np.divmod(packed, radix)
-        digits.append(digit + low)
+        digits.append(packed % radix + low)
+        packed //= radix
     return [packed + lows[0], *digits[::-1]], counts
 
 

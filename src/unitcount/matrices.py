@@ -19,10 +19,10 @@ count_power_sums, and growth's equation and system counts) count one key.
 Each plans its routes (plan_square, plan_rank, plan_mitm), and one runner,
 `_run`, charges them and runs each from the route table (see the count
 planner section).  Power sums, at every n, and every 2x2 statistic are
-convolutions of pairwise products, as numpy outer products of int64 tables
-where a magnitude bound allows and in dicts of Python ints past it, and
-the 3x3 charpoly one join of cycle invariants on numpy columns, over Q and
-Qi alike.  A 3x3 det, over Q or Qi, whose a-priori magnitude bound proves
+convolutions of pairwise products, as numpy outer products of tables,
+int64 where a magnitude bound allows and Python ints past it, and the 3x3
+charpoly one join of cycle invariants on numpy columns, over Q and Qi
+alike.  A 3x3 det, over Q or Qi, whose a-priori magnitude bound proves
 that no intermediate can leave int64 runs the vectorized kernel.
 Otherwise square det comes from shared minors, level by level: each
 distinct block's minors are computed once, and the last level's cofactor
@@ -34,7 +34,8 @@ no matrix is ranked one by one.
 
 A numpy route hands a sweep its histogram as sorted key columns
 (`KeyColumns`), and the CSV is written from those columns; a route that
-tallies in a dict has its keys sorted into columns once.
+tallies in a dict (shared minors, Berkowitz lanes, and the 3x3 charpoly
+join past int64) has its keys sorted into columns once.
 """
 
 from __future__ import annotations
@@ -102,14 +103,6 @@ class MatrixInstance:
             raise ValueError("matrix dimensions must be positive")
         if len(self.entries) != self.m or any(len(r) != self.n for r in self.entries):
             raise ValueError("entry grid does not match declared shape")
-
-    @staticmethod
-    def from_rows(rows: list[list[int]] | tuple) -> "MatrixInstance":
-        entries = tuple(tuple(r) for r in rows)
-        return MatrixInstance(len(entries), len(entries[0]) if entries else 0, entries)
-
-    def scalar_rows(self, elements: ElementSet) -> list[list[Scalar]]:
-        return [[elements[j] for j in row] for row in self.entries]
 
 
 def _scaled_rows(X: MatrixInstance, elements: ElementSet) -> list[list]:
@@ -607,16 +600,16 @@ def sweep(
 # route's work, a sweep A^(mn) for every statistic it histograms.
 #
 #   conv2    2x2 det or charpoly by product convolution over the ring
-#            integers: int64 outer products under
-#            `_kernels.convolution_dtype`, dicts past it, A^2
+#            integers: outer products, int64 under
+#            `_kernels.convolution_dtype` and Python ints past it, A^2
 #   target3  3x3 det over Q or Q(i) under the int64 kernel's `supports`
 #            proof: the one key over the C(A^3, 3) row triples
 #   cycles3  3x3 charpoly by the cycle-invariant join on numpy columns,
-#            int64 under `_kernels.cycles_dtype` and Python ints past it,
-#            A^6
+#            int64 under `_kernels.cycles_dtype` and Python ints past it
+#            (tallied in a dict), A^6
 #   powersums  power sums at any n by product convolution: the product
-#            table and the off-diagonal convolution, int64 outer products
-#            or dicts as conv2, A^(n(n-1)); A at n = 1
+#            table and the off-diagonal convolution, outer products as
+#            conv2, A^(n(n-1)); A at n = 1
 #   flats    rank <= k for any k < d = min(m, n), on any m x n, by one
 #            ordered walk over the flats that the lines of the A^d vectors
 #            span (`_flats_walk`; also n x n det = 0, which is rank <= n-1
@@ -961,14 +954,15 @@ def count_power_sums(
 # however large the entries are.  All of it runs on the scaled ring
 # integers: a product is over lcm^2 and a trace over lcm, so each count's
 # target is scaled into the ring once (`_ring_key`), and one that does not
-# scale into it counts 0.  Under `_kernels.convolution_dtype` a histogram
-# is a chain of numpy outer products of int64 tables of distinct keys
-# (`_outer_table`): the distinct products, the diagonal keys, and each
-# against the other, every step's keys grouped and sorted by
-# `_kernels.packed_groups`, so the histogram comes out as sorted columns.
-# Past that proof, or where a step's keys are too wide to pack, the same
-# convolutions run in dicts of Python ints (`_convolve`), about
-# A^n |A.A|^(n(n-1)/2) dictionary work; the one-key counts use the dicts.
+# scale into it counts 0.  A histogram is a chain of numpy outer products
+# of tables of distinct keys (`_outer_table`): the distinct products, the
+# diagonal keys, and each against the other, every step's keys grouped and
+# sorted by `_kernels.packed_groups`, so the histogram comes out as sorted
+# columns.  The tables are int64 under `_kernels.convolution_dtype` and
+# Python ints (object) past it.  The one-key counts convolve in dicts of
+# Python ints (`_convolve`), about A^n |A.A|^(n(n-1)/2) dictionary work,
+# and look their key up: on a 2-core host a 2x2 power-sum count over the
+# signed powers of 2 took 0.086 ms at A = 32, the table histogram 12.1 ms.
 # Equality with the per-matrix sweep is part of the acceptance checks.
 
 
@@ -1012,14 +1006,11 @@ def _ring_column(values: list, qi: bool, dtype) -> np.ndarray:
 def _outer_table(left, right, combine: Callable, width: int, qi: bool):
     """The table of `combine(l, r)` over every key l of the table `left` and
     r of `right`, counted by the product of their counts.  A table is (key
-    columns, counts): one int64 ring column (`_ring_column`) per coordinate
-    of its distinct keys, and their int64 counts.  `combine` takes two
-    keys' coordinates and gives the `width` coordinates of the new key, as
-    lists of columns broadcast over blocks of at most `_kernels._CHUNK`
-    pairs.  The keys come out sorted (`_kernels.packed_groups`); None when
-    they are too wide to pack, or when either table is None."""
-    if left is None or right is None:
-        return None
+    columns, counts): one ring column (`_ring_column`) per coordinate of its
+    distinct keys, and their counts, int64 or Python ints.  `combine` takes
+    two keys' coordinates and gives the `width` coordinates of the new key,
+    as lists of columns broadcast over blocks of at most `_kernels._CHUNK`
+    pairs.  The keys come out sorted (`_kernels.packed_groups`)."""
     (lefts, left_counts), (rights, right_counts) = left, right
     step = max(1, _kernels._CHUNK // len(right_counts))
     rights = [column[..., None, :] for column in rights]
@@ -1031,10 +1022,7 @@ def _outer_table(left, right, combine: Callable, width: int, qi: bool):
             parts = _key_parts(combine(rows, rights), qi)
             yield [np.broadcast_to(part, counts.shape).ravel() for part in parts], counts.ravel()
 
-    grouped = _kernels.packed_groups(blocks, width * (2 if qi else 1))
-    if grouped is None:
-        return None
-    parts, counts = grouped
+    parts, counts = _kernels.packed_groups(blocks, width * (2 if qi else 1))
     if qi:
         parts = [np.stack(parts[k : k + 2]) for k in range(0, len(parts), 2)]
     return parts, counts
@@ -1046,39 +1034,30 @@ def _table_columns(table, qi: bool, single: bool) -> KeyColumns:
     return _kernels.key_columns(_key_parts(keys, qi), counts, qi, single)
 
 
-def _table(values: list, qi: bool) -> tuple:
-    """The int64 table of the distinct ring `values`, each counted once."""
-    return [_ring_column(values, qi, np.int64)], np.ones(len(values), np.int64)
+def _table(values: list, qi: bool, dtype) -> tuple:
+    """The `dtype` table of the distinct ring `values`, each counted once."""
+    return [_ring_column(values, qi, dtype)], np.ones(len(values), dtype)
 
 
-def _conv2_histogram(elements: ElementSet, stat: str) -> KeyColumns | dict:
-    """Raw 2x2 det or charpoly histogram by product convolution: det is the
-    table of products convolved with itself and the charpoly the diagonal
-    keys (ad, -(a + d)) convolved with it.  Int64 tables under
-    `_kernels.convolution_dtype` (`_outer_table`), giving sorted columns;
-    else the `_product_counter` dict and a Counter of the diagonal keys."""
+def _conv2_histogram(elements: ElementSet, stat: str) -> KeyColumns:
+    """Raw 2x2 det or charpoly histogram by product convolution
+    (`_outer_table`), as sorted columns: det is the table of products
+    convolved with itself and the charpoly the diagonal keys (ad, -(a + d))
+    convolved with it."""
     _, values = elements.scaled_integers()
     ring, qi = _ring(elements.field), elements.field == QI
     add, sub, mul = ring.add, ring.sub, ring.mul
-    if _kernels.convolution_dtype(values, 2) is not object:
-        entries = _table(values, qi)
-        products = _outer_table(entries, entries, lambda a, b: [mul(a[0], b[0])], 1, qi)
-        if stat == "det":
-            table = _outer_table(products, products, lambda p, q: [sub(p[0], q[0])], 1, qi)
-        else:
-            def diagonal(a, d):
-                return [mul(a[0], d[0]), ring.neg(add(a[0], d[0]))]
-
-            keys = _outer_table(entries, entries, diagonal, 2, qi)
-            table = _outer_table(keys, products, lambda k, p: [sub(k[0], p[0]), k[1]], 2, qi)
-        if table is not None:
-            return _table_columns(table, qi, stat == "det")
-    products = _product_counter(elements)
+    entries = _table(values, qi, _kernels.convolution_dtype(values, 2))
+    products = _outer_table(entries, entries, lambda a, b: [mul(a[0], b[0])], 1, qi)
     if stat == "det":
-        return _convolve(products, products, sub)
-    diagonals = itertools.product(values, repeat=2)
-    keys = Counter((mul(a, d), ring.neg(add(a, d))) for a, d in diagonals)
-    return _convolve(keys, products, lambda k, p: (sub(k[0], p), k[1]))
+        table = _outer_table(products, products, lambda p, q: [sub(p[0], q[0])], 1, qi)
+    else:
+        def diagonal(a, d):
+            return [mul(a[0], d[0]), ring.neg(add(a[0], d[0]))]
+
+        keys = _outer_table(entries, entries, diagonal, 2, qi)
+        table = _outer_table(keys, products, lambda k, p: [sub(k[0], p[0]), k[1]], 2, qi)
+    return _table_columns(table, qi, stat == "det")
 
 
 def _conv2_count(elements: ElementSet, stat: str, key: tuple) -> int:
@@ -1117,37 +1096,32 @@ def _off_diagonal_sums(elements: ElementSet, n: int) -> dict:
     return _convolve_power(doubled, n * (n - 1) // 2, ring.add, ring.zero)
 
 
-def _power_sums_histogram(elements: ElementSet, n: int) -> KeyColumns | dict:
-    """Raw (t1, t2) histogram of every n x n matrix: each diagonal key
-    (s1, s2) joined with each off-diagonal value o as (s1, s2 + o).  Int64
-    tables under `_kernels.convolution_dtype` (`_outer_table`), giving
-    sorted columns; else dicts (`_diagonal_sums`, `_off_diagonal_sums`)."""
+def _power_sums_histogram(elements: ElementSet, n: int) -> KeyColumns:
+    """Raw (t1, t2) histogram of every n x n matrix by product convolution
+    (`_outer_table`), as sorted columns: each diagonal key (s1, s2) joined
+    with each off-diagonal value o as (s1, s2 + o)."""
     _, values = elements.scaled_integers()
     ring, qi = _ring(elements.field), elements.field == QI
     add, mul = ring.add, ring.mul
-    if _kernels.convolution_dtype(values, n) is not object:
-        entries, unit = _table(values, qi), _table([ring.zero], qi)
+    dtype = _kernels.convolution_dtype(values, n)
+    entries, unit = _table(values, qi, dtype), _table([ring.zero], qi, dtype)
 
-        def doubled(a, b):
-            product = mul(a[0], b[0])
-            return [add(product, product)]
+    def doubled(a, b):
+        product = mul(a[0], b[0])
+        return [add(product, product)]
 
-        def join(s, a):
-            return [add(s[0], a[0]), add(s[1], a[1])]
+    def join(s, a):
+        return [add(s[0], a[0]), add(s[1], a[1])]
 
-        step = _outer_table(entries, unit, lambda a, _: [a[0], mul(a[0], a[0])], 2, qi)
-        products = _outer_table(entries, entries, doubled, 1, qi)
-        diagonals, off_diagonal = step, unit
-        for _ in range(n - 1):
-            diagonals = _outer_table(diagonals, step, join, 2, qi)
-        for _ in range(n * (n - 1) // 2):
-            off_diagonal = _outer_table(off_diagonal, products, lambda o, p: [add(*o, *p)], 1, qi)
-        table = _outer_table(diagonals, off_diagonal, lambda s, o: [s[0], add(s[1], o[0])], 2, qi)
-        if table is not None:
-            return _table_columns(table, qi, False)
-    diagonals = _diagonal_sums(elements, n)
-    off_diagonal = _off_diagonal_sums(elements, n)
-    return _convolve(diagonals, off_diagonal, lambda s, o: (s[0], add(s[1], o)))
+    step = _outer_table(entries, unit, lambda a, _: [a[0], mul(a[0], a[0])], 2, qi)
+    products = _outer_table(entries, entries, doubled, 1, qi)
+    diagonals, off_diagonal = step, unit
+    for _ in range(n - 1):
+        diagonals = _outer_table(diagonals, step, join, 2, qi)
+    for _ in range(n * (n - 1) // 2):
+        off_diagonal = _outer_table(off_diagonal, products, lambda o, p: [add(*o, *p)], 1, qi)
+    table = _outer_table(diagonals, off_diagonal, lambda s, o: [s[0], add(s[1], o[0])], 2, qi)
+    return _table_columns(table, qi, False)
 
 
 def _power_sums_count(elements: ElementSet, n: int, key: tuple) -> int:
@@ -1195,10 +1169,10 @@ def fast_power_sums2_count(elements: ElementSet, t1: Scalar, t2: Scalar) -> int:
 # numpy columns of those keys, each multiset against blocks of at most
 # `_kernels._CHUNK` rows, by the ring operations on arrays, so Q and Qi
 # share the code: int64 columns under `_kernels.cycles_dtype`, Python ints
-# (object) past it.  Where int64 keys' parts span fewer than 2^63 values,
-# `_kernels.packed_groups` packs each key into one int64 in CSV order and
-# groups them, so the histogram comes out as sorted columns; any other join
-# is tallied in a dict.
+# (object) past it.  On int64 columns `_kernels.packed_groups` packs each
+# key into one int in CSV order (an int64 where its parts' spans allow) and
+# groups them, so the histogram comes out as sorted columns; a join on
+# object columns is tallied in a dict.
 
 
 def _cycle_buckets(values: list, ring: _Ring, pair_sums=None) -> dict:
@@ -1293,9 +1267,9 @@ def _key_parts(key, qi: bool) -> list:
 
 def _cycles3_histogram(elements: ElementSet) -> KeyColumns | dict:
     """Raw 3x3 charpoly histogram, keyed (c0, c1, c2) in the ring like the
-    other sweeps, from `_cycle_join`: packed and grouped into sorted columns
-    where the keys fit (`_kernels.packed_groups`), else each row's key
-    tallied with its count in a dict."""
+    other sweeps, from `_cycle_join`: on int64 columns packed and grouped
+    into sorted columns (`_kernels.packed_groups`), on object columns each
+    row's key tallied with its count in a dict."""
     _, values = elements.scaled_integers()
     ring, qi = _ring(elements.field), elements.field == QI
     dtype = _kernels.cycles_dtype(values)
@@ -1306,8 +1280,9 @@ def _cycles3_histogram(elements: ElementSet) -> KeyColumns | dict:
         for weight, *key, counts in _cycle_join(diagonals, columns, ring):
             yield _key_parts(key, qi), counts * weight
 
-    if dtype is not object and (grouped := _kernels.packed_groups(blocks, 6 if qi else 3)):
-        return _kernels.key_columns(*grouped, qi, False)
+    if dtype is not object:
+        return _kernels.key_columns(*_kernels.packed_groups(blocks, 6 if qi else 3), qi, False)
+    # A dict: packing runs the join twice (spans, then keys), 2.7x slower over {2^a, 2^b}.
     hist = {}
     for weight, c0, c1, c2, counts in _cycle_join(diagonals, columns, ring):
         rows = _kernels._coordinates([part.tolist() for part in _key_parts((c0, c1), qi)], qi)

@@ -6,7 +6,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
+import numpy as np
+
+from unitcount import _kernels
 from unitcount.families import ElementSet
 from unitcount.matrices import SweepOptions, _finalize, _generic_shard, _ring
 from unitcount.scalars import Q, QI, Scalar
@@ -131,3 +135,26 @@ def generic_sweep(elements: ElementSet, m: int, n: int, opts: SweepOptions | Non
     if opts.powersums:
         raw["powersums"] = _per_matrix_power_sums(values, elements.field, n)
     return _finalize(raw, elements, m, n)
+
+
+def packed_branch(run):
+    """`run()` and the branch its `_kernels.packed_groups` calls took, read
+    off the dtypes of the key columns they were given and returned:
+    "packed" when every call returned int64 columns, "object" when no call
+    was given an int64 column (or none ran), else "wide": int64 columns
+    packed in Python ints."""
+    packed = _kernels.packed_groups
+    given: set = set()
+    returned: set = set()
+
+    def spy(blocks, width):
+        given.update(np.asarray(part).dtype for part in next(iter(blocks()))[0])
+        parts, counts = packed(blocks, width)
+        returned.update(part.dtype for part in parts)
+        return parts, counts
+
+    with mock.patch.object(_kernels, "packed_groups", spy):
+        result = run()
+    if returned == {np.dtype(np.int64)}:
+        return result, "packed"
+    return result, "wide" if np.dtype(np.int64) in given else "object"

@@ -27,7 +27,8 @@ whose `bounds.rank_type_exponent` attains it.
 `growth_points_per_k` runs a growth experiment with each k's set
 materialized from its own family, the reference for the shared set that
 `growth.run_experiment` takes prefixes of.  `random_matrix` draws a matrix's
-indices the way the minor audit draws its samples.
+indices the way the minor audit draws its samples; `from_rows` builds a
+`MatrixInstance` from index rows and `scalar_rows` reads its Scalars.
 """
 
 from __future__ import annotations
@@ -302,13 +303,22 @@ def rank_type_argmax(n: int, m: int, r: int) -> int:
     return 2 * ((r - 1) // 2) + 1
 
 
+def from_rows(rows) -> MatrixInstance:
+    """The `MatrixInstance` of row-major rows of indices."""
+    entries = tuple(tuple(r) for r in rows)
+    return MatrixInstance(len(entries), len(entries[0]) if entries else 0, entries)
+
+
+def scalar_rows(X: MatrixInstance, elements) -> list[list]:
+    """The rows of X as the Scalars its indices pick from `elements`."""
+    return [[elements[j] for j in row] for row in X.entries]
+
+
 def random_matrix(elements, m: int, n: int, rng) -> MatrixInstance:
     """An m x n matrix of indices into `elements`: one `rng.randrange(A)`
     per entry, row-major, the draws the minor audit makes per sample."""
     size = len(elements)
-    return MatrixInstance.from_rows(
-        [[rng.randrange(size) for _ in range(n)] for _ in range(m)]
-    )
+    return from_rows([[rng.randrange(size) for _ in range(n)] for _ in range(m)])
 
 
 def pairs_from_rows(scalar_rows) -> list[list[Pair]]:

@@ -5,12 +5,12 @@
 Each histogram and one-key count is checked against Berkowitz on lanes
 (`matrices._charpoly_histogram`), a route that shares none of the join's
 code: over Q at B = 916,015 (int64 columns whose key parts span 2^63 or
-more values, so tallied in a dict) and B = 916,016 (object columns), over
-Q(i) at components 526 (int64) and 527 (object), and over {1, -1, 2, 3},
-whose keys are packed into one int64, in one block and in many.  A
-property test checks the int64 join against the same join on object
-columns, and against the lanes and the Fraction oracle, on random small
-sets.  No sweep runs here."""
+more values, so packed in Python ints) and B = 916,016 (object columns,
+tallied in a dict), over Q(i) at components 526 (int64) and 527 (object),
+and over {1, -1, 2, 3}, whose keys are packed into one int64, in one block
+and in many.  A property test checks the int64 join against the same join
+on object columns, and against the lanes and the Fraction oracle, on
+random small sets.  No sweep runs here."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from unitcount.families import ElementSet
 from unitcount.scalars import Q, QI, Scalar, parse_scalar
 
 import oracles
+from conftest import packed_branch
 
 
 def _elements(texts, field: str = Q) -> ElementSet:
@@ -35,17 +36,9 @@ def _lanes(elements: ElementSet) -> dict:
 
 
 def _join(elements: ElementSet) -> tuple[dict, str]:
-    """The join's histogram and its branch: "packed", "dict" (int64 columns
-    past the packing) or "object"."""
-    packed = _kernels.packed_groups
-    results: list = []
-    with mock.patch.object(
-        _kernels, "packed_groups", lambda *a: results.append(packed(*a)) or results[-1]
-    ):
-        hist = matrices._cycles3_histogram(elements)
-    if not results:
-        return hist, "object"
-    return hist, "dict" if results[0] is None else "packed"
+    """The join's histogram and its branch: "packed", "wide" (int64 columns
+    whose keys packed in Python ints) or "object" (`conftest.packed_branch`)."""
+    return packed_branch(lambda: matrices._cycles3_histogram(elements))
 
 
 @pytest.mark.parametrize("chunk", [None, 7], ids=["one-block", "7-row-blocks"])
@@ -53,9 +46,9 @@ def _join(elements: ElementSet) -> tuple[dict, str]:
     "field,texts,dtype,branch",
     [
         (Q, ("1", "-1", "2", "3"), np.int64, "packed"),
-        (Q, ("1", "916015", "-1"), np.int64, "dict"),
+        (Q, ("1", "916015", "-1"), np.int64, "wide"),
         (Q, ("1", "916016", "-1"), object, "object"),
-        (QI, ("1", "-1", "526*i"), np.int64, "dict"),
+        (QI, ("1", "-1", "526*i"), np.int64, "wide"),
         (QI, ("1", "-1", "527*i"), object, "object"),
         (QI, ("1", "-i", "2", "1+i"), np.int64, "packed"),
     ],
@@ -69,7 +62,7 @@ def test_join_at_the_proof_boundary_equals_the_lanes(field, texts, dtype, branch
         hist, taken = _join(elements)
         assert taken == branch
         assert hist == lanes
-        if branch == "packed":  # already in the CSV's key order
+        if branch != "object":  # already in the CSV's key order
             assert list(hist) == sorted(hist, key=lambda key: sum(key, ()) if field == QI else key)
         common = max(lanes, key=lanes.get)
         widest = max(lanes, key=lambda key: max(_kernels._square_bound([c]) for c in key))

@@ -2,16 +2,20 @@
 the kernel's det with the cycle-invariant charpoly join.
 
 `_kernels._group` turns an int64 key column into its distinct keys and
-their counts by one sort; `_HistAccumulator` merges the grouped blocks.
-Each is checked against a plain Counter, at the int64 extremes, and the
-full 3x3 sweeps against the per-matrix generic sweep.
+their counts by one sort; `_HistAccumulator` merges the grouped blocks;
+`packed_groups` packs keys of several parts into one by mixed radix, an
+int64 while the parts' spans multiply to less than 2^63 and a Python int
+from there.  Each is checked against a plain Counter, at the int64
+extremes, and the full 3x3 sweeps against the per-matrix generic sweep.
 """
 
 from __future__ import annotations
 
 import collections
+import math
 
 import numpy as np
+import pytest
 
 import oracles
 from conftest import generic_sweep
@@ -124,3 +128,102 @@ def test_small_set_sweep_packs_and_matches_generic(monkeypatch):
     assert oracles.powersum_histogram(kernel) == oracles.powersum_histogram(generic)
     assert oracles.det_histogram(kernel) == oracles.det_histogram(generic)
     assert kernel.rank_profile == generic.rank_profile
+
+
+# -- packed_groups ------------------------------------------------------------
+
+
+def _tallied(blocks: list) -> dict:
+    """The keys of `blocks` (as `packed_groups` takes them) and their summed
+    counts, by a Counter, in ascending order."""
+    tally: collections.Counter = collections.Counter()
+    for parts, counts in blocks:
+        rows = max(np.size(part) for part in parts)
+        columns = [[part] * rows if isinstance(part, int) else part.tolist() for part in parts]
+        weights = [1] * rows if counts is None else counts.tolist()
+        for key, weight in zip(zip(*columns), weights):
+            tally[key] += weight
+    return dict(sorted(tally.items()))
+
+
+def _packed(blocks: list, width: int) -> tuple[dict, set]:
+    """`packed_groups`' answer as {key: count}, checked to ascend, and the
+    dtypes of its key columns."""
+    parts, counts = _kernels.packed_groups(lambda: iter(blocks), width)
+    assert len(parts) == width
+    keys = list(zip(*(part.tolist() for part in parts)))
+    assert keys == sorted(set(keys))
+    return dict(zip(keys, counts.tolist())), {part.dtype for part in parts}
+
+
+def _weights(kind: str, rows: int, rng):
+    """Counts of one block: None, int64, or Python ints past 2^63."""
+    if kind == "none":
+        return None
+    counts = rng.integers(1, 1000, rows)
+    return counts if kind == "int64" else counts.astype(object) * 2**64 + 1
+
+
+# 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657.
+_FRAMES = {
+    2: [((7, (2**63 - 1) // 7), np.int64), ((2**31, 2**32), object)],
+    3: [((49 * 73, 127 * 337, 92737 * 649657), np.int64), ((2**20, 2**21, 2**22), object)],
+}
+
+
+@pytest.mark.parametrize("kind", ["none", "int64", "python"])
+@pytest.mark.parametrize("width", [2, 3])
+def test_packed_groups_at_the_int64_frame(width, kind):
+    """Spans multiplying to 2^63 - 1 pack into int64, to 2^63 into Python
+    ints; both give the Counter's keys and counts, in ascending order."""
+    rng = np.random.default_rng(width)
+    for spans, dtype in _FRAMES[width]:
+        assert math.prod(spans) == (2**63 - 1 if dtype is np.int64 else 2**63)
+        lows = [-(span // 2) for span in spans]
+        pool = np.array([low + rng.integers(0, span, 8) for low, span in zip(lows, spans)])
+        pool[:, 0], pool[:, 1] = lows, [low + span - 1 for low, span in zip(lows, spans)]
+        blocks = []
+        for _ in range(3):
+            rows = rng.integers(0, 8, 30)
+            blocks.append((list(pool[:, rows]), _weights(kind, 30, rng)))
+        hist, dtypes = _packed(blocks, width)
+        assert hist == _tallied(blocks)
+        assert dtypes == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("kind", ["none", "int64", "python"])
+def test_packed_groups_with_one_part_wider_than_int64(kind):
+    """A part spanning [-2^62, 2^62] alone spans 2^63 + 1 values, past
+    int64: its keys are packed in Python ints."""
+    rng = np.random.default_rng(5)
+    wide = np.array([-(2**62), 2**62, 0, 2**62, -(2**62), 1], dtype=np.int64)
+    small = np.array([3, -1, 0, 3, 3, -1], dtype=np.int64)
+    blocks = [([wide, small], _weights(kind, 6, rng)), ([small, wide], _weights(kind, 6, rng))]
+    hist, dtypes = _packed(blocks, 2)
+    assert hist == _tallied(blocks)
+    assert dtypes == {np.dtype(object)}
+
+
+@pytest.mark.parametrize("kind", ["none", "int64", "python"])
+def test_packed_groups_of_object_and_shared_parts(kind):
+    """Object parts, small or past int64, are packed in Python ints; a part
+    given as one shared int joins int64 parts in int64 and object parts in
+    Python ints; a key of one object part is grouped as it is."""
+    rng = np.random.default_rng(9)
+    small = np.array([2, -3, 2, 0, -3, 2], dtype=object)
+    huge = np.array([2**70, -(2**80), 2**70, 5, 2**70, 5], dtype=object)
+    ints = np.array([4, 4, -9, 4, -9, 0], dtype=np.int64)
+    cases = [
+        ([([small, huge], _weights(kind, 6, rng)), ([huge, 2**90], _weights(kind, 6, rng))],
+         object),
+        ([([small, -7], _weights(kind, 6, rng)), ([ints, 3], _weights(kind, 6, rng))], object),
+        ([([ints, -7], _weights(kind, 6, rng)), ([-2, ints], _weights(kind, 6, rng))], np.int64),
+    ]
+    for blocks, dtype in cases:
+        hist, dtypes = _packed(blocks, 2)
+        assert hist == _tallied(blocks)
+        assert dtypes == {np.dtype(dtype)}
+    blocks = [([huge], _weights(kind, 6, rng)), ([small], _weights(kind, 6, rng))]
+    hist, dtypes = _packed(blocks, 1)
+    assert hist == _tallied(blocks)
+    assert dtypes == {np.dtype(object)}

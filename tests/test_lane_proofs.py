@@ -8,23 +8,22 @@ one-key counts (`count_target3`) are checked against the shared-minors det
 (`matrices._square_det`) and the per-matrix Bareiss oracle.
 
 The 2x2 det and charpoly and the power sums at n = 2 and 3 convolve on
-int64 tables when n^2 M^2 <= 2^62 and A^(n^2) < 2^63, and in dicts of
-Python ints past it.  One unit either side of the bound, over Q and Q(i),
-each sweep equals the per-matrix sweep (`conftest.generic_sweep`), and the
-branch it took is read off `_kernels.packed_groups`: "packed" when every
-table it grouped fit, "dict" when an int64 table's keys were too wide to
-pack, and "object" when it never ran."""
+int64 tables when n^2 M^2 <= 2^62 and A^(n^2) < 2^63, and on tables of
+Python ints (object) past it.  One unit either side of the bound, over Q
+and Q(i), each sweep equals the per-matrix sweep (`conftest.generic_sweep`),
+and the branch it took is read off `_kernels.packed_groups`: "packed" when
+every table's keys packed into int64, "wide" when an int64 table's keys
+were too wide and packed in Python ints, and "object" on object tables."""
 
 from __future__ import annotations
 
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import generic_sweep
+from conftest import generic_sweep, packed_branch
 from unitcount import _kernels, matrices
 from unitcount.families import ElementSet
 from unitcount.matrices import SweepOptions, plan_square, sweep
@@ -85,16 +84,9 @@ def test_det_lanes_at_the_int32_bound(field, texts, dtype, monkeypatch):
 
 
 def _branch(elements: ElementSet, n: int, opts: SweepOptions):
-    """The sweep and the convolutions' branch: "packed", "dict" or "object"."""
-    packed = _kernels.packed_groups
-    results: list = []
-    with mock.patch.object(
-        _kernels, "packed_groups", lambda *a: results.append(packed(*a)) or results[-1]
-    ):
-        hist = sweep(elements, n, n, opts)
-    if not results:
-        return hist, "object"
-    return hist, "dict" if None in results else "packed"
+    """The sweep and the convolutions' branch: "packed", "wide" or "object"
+    (`conftest.packed_branch`)."""
+    return packed_branch(lambda: sweep(elements, n, n, opts))
 
 
 _CONV2 = SweepOptions(rank=False, det=True, charpoly=True, powersums=True)
@@ -107,14 +99,14 @@ _M3 = 715827882
     "field,texts,n,opts,dtype,branch",
     [
         (Q, ("1", "2", "-3"), 2, _CONV2, np.int64, "packed"),
-        (Q, ("1", "2^30", "-2^30"), 2, _CONV2, np.int64, "dict"),
+        (Q, ("1", "2^30", "-2^30"), 2, _CONV2, np.int64, "wide"),
         (Q, ("1", str(2**30 + 1), str(-(2**30) - 1)), 2, _CONV2, object, "object"),
-        (Q, ("1", str(_M3), str(-_M3)), 3, _POWERSUMS, np.int64, "dict"),
+        (Q, ("1", str(_M3), str(-_M3)), 3, _POWERSUMS, np.int64, "wide"),
         (Q, ("1", str(_M3 + 1)), 3, _POWERSUMS, object, "object"),
-        (QI, ("1", "2^30*i", "-1"), 2, _CONV2, np.int64, "dict"),
+        (QI, ("1", "2^30*i", "-1"), 2, _CONV2, np.int64, "wide"),
         (QI, ("1", f"1+{2**30}*i"), 2, _CONV2, object, "object"),
         (QI, ("1", "i", "1-i"), 2, _CONV2, np.int64, "packed"),
-        (QI, ("1", f"{_M3}*i"), 3, _POWERSUMS, np.int64, "dict"),
+        (QI, ("1", f"{_M3}*i"), 3, _POWERSUMS, np.int64, "wide"),
         (QI, ("1", f"{_M3 + 1}*i"), 3, _POWERSUMS, object, "object"),
         (QI, ("i", "1/2", "-1+i"), 3, _POWERSUMS, np.int64, "packed"),
     ],

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from unitcount import Q, QI, MatrixInstance, _kernels, det, matrices, minors, parse_scalar
+from unitcount import Q, QI, _kernels, det, matrices, minors, parse_scalar
 from unitcount.families import ElementSet, Geometric, materialize
 from unitcount.matrices import BudgetExceededError, _scaled_rows
 from unitcount.minors import AuditSummary, audit_prop_zero_cofactors, laplace_report
@@ -29,7 +29,7 @@ def test_reconstruction_equals_det(field, axis):
         elements = rand_element_set(rng, field, size=4, span=5, max_den=2)
         n = rng.choice([2, 3, 4])
         rows = [[rng.randrange(len(elements)) for _ in range(n)] for _ in range(n)]
-        X = MatrixInstance.from_rows(rows)
+        X = oracles.from_rows(rows)
         value = det(X, elements)
         index = rng.randrange(n)
         report = laplace_report(X, elements, axis, index)
@@ -41,9 +41,9 @@ def test_reconstruction_equals_det(field, axis):
 
 def test_minors_match_submatrix_determinants():
     elements = int_element_set([1, 2, 3, 5])
-    X = MatrixInstance.from_rows([[0, 1, 2], [3, 0, 1], [2, 3, 0]])
+    X = oracles.from_rows([[0, 1, 2], [3, 0, 1], [2, 3, 0]])
     report = laplace_report(X, elements, "row", 1)
-    scal = X.scalar_rows(elements)
+    scal = oracles.scalar_rows(X, elements)
     for j, minor in enumerate(report.minors):
         sub = [
             [oracles.pair(v) for k, v in enumerate(row) if k != j]
@@ -56,9 +56,9 @@ def test_minors_match_submatrix_determinants():
 def test_known_singular_example_is_flagged_not_bounded():
     # rank 1 matrix: every 2x2 minor of the 3x3 vanishes
     elements = int_element_set([1, 2, 4])
-    X = MatrixInstance.from_rows([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    X = oracles.from_rows([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     # rows (1,2,4), (2,4,1), (4,1,2): not rank 1, keep a genuinely singular one
-    Y = MatrixInstance.from_rows([[0, 1, 2], [0, 1, 2], [1, 2, 0]])
+    Y = oracles.from_rows([[0, 1, 2], [0, 1, 2], [1, 2, 0]])
     report = laplace_report(Y, elements, "col", 0)
     assert report.singular
     assert report.reconstruction.is_zero()
@@ -70,7 +70,7 @@ def test_nonsingular_zero_minor_bound_small_cases():
     elements = int_element_set([1, 2])
     for code in range(2 ** 9):
         rows = [[(code >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
-        X = MatrixInstance.from_rows(rows)
+        X = oracles.from_rows(rows)
         if det(X, elements).is_zero():
             continue
         for axis in ("row", "col"):
@@ -81,15 +81,15 @@ def test_nonsingular_zero_minor_bound_small_cases():
 
 def test_laplace_validation():
     elements = int_element_set([1, 2])
-    square = MatrixInstance.from_rows([[0, 1], [1, 0]])
+    square = oracles.from_rows([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
-        laplace_report(MatrixInstance.from_rows([[0, 1]]), elements)
+        laplace_report(oracles.from_rows([[0, 1]]), elements)
     with pytest.raises(ValueError):
         laplace_report(square, elements, "diag", 0)
     with pytest.raises(ValueError):
         laplace_report(square, elements, "row", 2)
     with pytest.raises(ValueError):
-        laplace_report(MatrixInstance.from_rows([[0]]), elements, "row", 0)
+        laplace_report(oracles.from_rows([[0]]), elements, "row", 0)
 
 
 @pytest.mark.parametrize(
